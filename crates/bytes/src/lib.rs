@@ -27,10 +27,32 @@ impl Bytes {
         Bytes::default()
     }
 
-    /// Copies `data` into a new buffer.
+    /// Copies `data` into a new buffer: one allocation, one copy.
     #[must_use]
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
-        Bytes::from(data.to_vec())
+        Bytes::whole(Arc::from(data))
+    }
+
+    /// Builds an `n`-byte buffer in place: `fill` receives the zeroed
+    /// storage the returned `Bytes` will share, so a producer that writes
+    /// piecewise (a segment snapshot) pays one allocation and no copy
+    /// beyond its own writes.
+    #[must_use]
+    pub fn init_with(n: usize, fill: impl FnOnce(&mut [u8])) -> Bytes {
+        // `RepeatN` is `TrustedLen`: the `Arc<[u8]>` is allocated
+        // once at its final size, with no intermediate `Vec`.
+        let mut data: Arc<[u8]> = std::iter::repeat_n(0u8, n).collect();
+        fill(Arc::get_mut(&mut data).expect("a freshly collected Arc is uniquely owned"));
+        Bytes::whole(data)
+    }
+
+    fn whole(data: Arc<[u8]>) -> Bytes {
+        let len = data.len();
+        Bytes {
+            data,
+            start: 0,
+            len,
+        }
     }
 
     /// Wraps a static slice (copied once; the shim keeps one representation).
@@ -94,12 +116,7 @@ impl AsRef<[u8]> for Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
-        let len = v.len();
-        Bytes {
-            data: v.into(),
-            start: 0,
-            len,
-        }
+        Bytes::whole(v.into())
     }
 }
 
@@ -172,6 +189,55 @@ mod tests {
         let s = Bytes::from_static(b"abc");
         assert_eq!(&s[..], b"abc");
         assert_eq!(format!("{s:?}"), "b\"abc\"");
+    }
+
+    #[test]
+    fn init_with_fills_the_final_buffer_in_place() {
+        let b = Bytes::init_with(4096, |buf| {
+            assert_eq!(buf.len(), 4096);
+            assert!(buf.iter().all(|&x| x == 0), "fill sees zeroed storage");
+            for (i, x) in buf.iter_mut().enumerate() {
+                *x = i as u8;
+            }
+        });
+        assert_eq!(b.len(), 4096);
+        assert!(b.iter().enumerate().all(|(i, &x)| x == i as u8));
+        // The closure wrote into the storage the result holds: nothing
+        // else owns it, and clones and slices share it.
+        assert_eq!(Arc::strong_count(&b.data), 1);
+        let c = b.clone();
+        let s = b.slice(8..16);
+        assert!(Arc::ptr_eq(&b.data, &c.data));
+        assert!(Arc::ptr_eq(&b.data, &s.data));
+        assert_eq!(&s[..], &[8, 9, 10, 11, 12, 13, 14, 15]);
+    }
+
+    #[test]
+    fn init_with_partial_fill_leaves_zeros() {
+        let b = Bytes::init_with(5, |buf| buf[1] = 7);
+        assert_eq!(&b[..], &[0, 7, 0, 0, 0]);
+    }
+
+    #[test]
+    fn init_with_zero_length() {
+        let mut called = false;
+        let b = Bytes::init_with(0, |buf| {
+            called = true;
+            assert!(buf.is_empty());
+        });
+        assert!(called);
+        assert!(b.is_empty());
+        assert_eq!(b, Bytes::new());
+    }
+
+    #[test]
+    fn copies_from_slices_are_equal_and_independent() {
+        let src = [1u8, 2, 3];
+        let a = Bytes::copy_from_slice(&src);
+        let b = Bytes::from(&src[..]);
+        assert_eq!(a, b);
+        assert!(!Arc::ptr_eq(&a.data, &b.data));
+        assert_eq!(Bytes::copy_from_slice(&[]), Bytes::new());
     }
 
     #[test]

@@ -2078,7 +2078,7 @@ fn send_data(
         }
     }
     let mut corrupt = false;
-    let mut copies = 1;
+    let mut duplicate = false;
     if let Some(faults) = &shared.faults {
         if faults.packet_faults_possible() {
             let fate = faults.judge(node);
@@ -2097,9 +2097,7 @@ fn send_data(
                 return; // retention + RTO recover it
             }
             corrupt = fate.corrupt;
-            if fate.duplicate {
-                copies = 2;
-            }
+            duplicate = fate.duplicate;
         }
     }
     st.obs_tick = st.obs_tick.wrapping_add(1);
@@ -2111,19 +2109,19 @@ fn send_data(
             seq as u32,
         );
     }
-    for _ in 0..copies {
-        push_wire(
-            shared,
-            &mut st.pending_wire[dst_node],
-            dst_node,
-            WireMsg::Data {
-                from: node,
-                seq,
-                corrupt,
-                body: body.clone(),
-            },
-        );
+    // Retention holds one (refcount) clone; the original moves into the
+    // last wire copy.
+    let frame = |body| WireMsg::Data {
+        from: node,
+        seq,
+        corrupt,
+        body,
+    };
+    let pending = &mut st.pending_wire[dst_node];
+    if duplicate {
+        push_wire(shared, pending, dst_node, frame(body.clone()));
     }
+    push_wire(shared, pending, dst_node, frame(body));
 }
 
 /// Consumes one cumulative acknowledgement from `from`: advances the

@@ -56,11 +56,12 @@ impl Segment {
 
     /// Copies `n` bytes out of the segment into a shared buffer.
     ///
-    /// The snapshot is taken once; the returned [`Bytes`] can then travel
-    /// through wire queues and be cloned per hop without further copies.
-    /// Words are snapshotted atomically; a transfer spanning several
-    /// words observes each word at a single instant (the flag protocol,
-    /// not the copy, orders whole payloads).
+    /// The snapshot is taken once, straight into the buffer's final
+    /// storage; the returned [`Bytes`] can then travel through wire
+    /// queues and be cloned per hop without further copies. Words are
+    /// snapshotted atomically; a transfer spanning several words
+    /// observes each word at a single instant (the flag protocol, not
+    /// the copy, orders whole payloads).
     ///
     /// # Panics
     ///
@@ -68,62 +69,98 @@ impl Segment {
     #[must_use]
     pub fn read(&self, addr: u64, n: usize) -> Bytes {
         assert!(self.check(addr, n), "segment read out of bounds");
-        let mut v = vec![0u8; n];
-        let start = addr as usize;
-        let mut i = 0;
-        while i < n {
-            let byte = start + i;
-            let off = byte % WORD;
-            let take = (WORD - off).min(n - i);
-            let w = self.words[byte / WORD]
-                .load(Ordering::Relaxed)
-                .to_le_bytes();
-            v[i..i + take].copy_from_slice(&w[off..off + take]);
-            i += take;
+        Bytes::init_with(n, |out| self.copy_out(addr as usize, out))
+    }
+
+    /// Fills `out` from the bytes at `start` (bounds already checked):
+    /// a partial head word, whole words, a partial tail word.
+    fn copy_out(&self, start: usize, out: &mut [u8]) {
+        let off = start % WORD;
+        let mut at = start / WORD;
+        let mut out = out;
+        if off != 0 && !out.is_empty() {
+            let (head, rest) = out.split_at_mut((WORD - off).min(out.len()));
+            let w = self.words[at].load(Ordering::Relaxed).to_le_bytes();
+            head.copy_from_slice(&w[off..off + head.len()]);
+            out = rest;
+            at += 1;
         }
-        Bytes::from(v)
+        let whole = out.len() / WORD;
+        let (body, tail) = out.split_at_mut(whole * WORD);
+        for (slot, chunk) in self.words[at..at + whole]
+            .iter()
+            .zip(body.chunks_exact_mut(WORD))
+        {
+            chunk.copy_from_slice(&slot.load(Ordering::Relaxed).to_le_bytes());
+        }
+        if !tail.is_empty() {
+            let w = self.words[at + whole].load(Ordering::Relaxed).to_le_bytes();
+            tail.copy_from_slice(&w[..tail.len()]);
+        }
     }
 
     /// Copies `data` into the segment.
     ///
-    /// Aligned full words are plain atomic stores; partial words at the
-    /// edges merge via a CAS loop so concurrent writes to the other
-    /// bytes of the word survive.
+    /// Aligned full words are plain atomic stores; the partial words at
+    /// the two edges merge via a CAS loop so concurrent writes to the
+    /// other bytes of the word survive.
     ///
     /// # Panics
     ///
     /// Panics if out of bounds (callers validate first).
     pub fn write(&self, addr: u64, data: &[u8]) {
         assert!(self.check(addr, data.len()), "segment write out of bounds");
-        let start = addr as usize;
-        let n = data.len();
-        let mut i = 0;
-        while i < n {
-            let byte = start + i;
-            let off = byte % WORD;
-            let take = (WORD - off).min(n - i);
-            let slot = &self.words[byte / WORD];
-            if take == WORD {
-                let w = u64::from_le_bytes(data[i..i + WORD].try_into().expect("word"));
-                slot.store(w, Ordering::Relaxed);
-            } else {
-                let _ = slot.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
-                    let mut w = old.to_le_bytes();
-                    w[off..off + take].copy_from_slice(&data[i..i + take]);
-                    Some(u64::from_le_bytes(w))
-                });
-            }
-            i += take;
+        let off = addr as usize % WORD;
+        let mut at = addr as usize / WORD;
+        let mut data = data;
+        if off != 0 && !data.is_empty() {
+            let (head, rest) = data.split_at((WORD - off).min(data.len()));
+            self.merge(at, off, head);
+            data = rest;
+            at += 1;
+        }
+        let body = data.chunks_exact(WORD);
+        let tail = body.remainder();
+        let whole = body.len();
+        for (slot, chunk) in self.words[at..at + whole].iter().zip(body) {
+            let w = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(WORD)"));
+            slot.store(w, Ordering::Relaxed);
+        }
+        if !tail.is_empty() {
+            self.merge(at + whole, 0, tail);
         }
     }
 
-    /// Reads a little-endian `u64`.
-    #[must_use]
-    pub fn read_u64(&self, addr: u64) -> u64 {
-        u64::from_le_bytes(self.read(addr, 8)[..].try_into().expect("8 bytes"))
+    /// Overwrites bytes `[off, off + part.len())` of word `at`, keeping
+    /// whatever a concurrent writer puts in the word's other bytes.
+    fn merge(&self, at: usize, off: usize, part: &[u8]) {
+        let _ = self.words[at].fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
+            let mut w = old.to_le_bytes();
+            w[off..off + part.len()].copy_from_slice(part);
+            Some(u64::from_le_bytes(w))
+        });
     }
 
-    /// Writes a little-endian `u64`.
+    /// Reads a little-endian `u64` without allocating: one atomic load
+    /// when `addr` is word-aligned, the two words it straddles otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if out of bounds.
+    #[must_use]
+    pub fn read_u64(&self, addr: u64) -> u64 {
+        assert!(self.check(addr, WORD), "segment read out of bounds");
+        let mut b = [0u8; WORD];
+        self.copy_out(addr as usize, &mut b);
+        u64::from_le_bytes(b)
+    }
+
+    /// Writes a little-endian `u64`: one atomic store when `addr` is
+    /// word-aligned, merged into the two words it straddles otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if out of bounds.
     pub fn write_u64(&self, addr: u64, v: u64) {
         self.write(addr, &v.to_le_bytes());
     }
@@ -151,6 +188,7 @@ impl std::fmt::Debug for Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mproxy_model::fate::SplitMix64;
 
     #[test]
     fn round_trips() {
@@ -219,5 +257,130 @@ mod tests {
         }
         t.join().unwrap();
         assert_eq!(s.read(4, 4)[..], 9_999u32.to_le_bytes());
+    }
+
+    /// A segment beside the plain byte vector it must behave like.
+    struct Modelled {
+        seg: Segment,
+        model: Vec<u8>,
+        rng: SplitMix64,
+    }
+
+    impl Modelled {
+        fn new(size: usize, seed: u64) -> Modelled {
+            let mut m = Modelled {
+                seg: Segment::new(size),
+                model: vec![0; size],
+                rng: SplitMix64::new(seed),
+            };
+            m.write(0, size);
+            m
+        }
+
+        /// Writes `n` random bytes at `addr` to both; the write reads
+        /// back and every other byte of the segment is untouched.
+        fn write(&mut self, addr: usize, n: usize) {
+            let data: Vec<u8> = (0..n).map(|_| self.rng.next_u64() as u8).collect();
+            self.seg.write(addr as u64, &data);
+            self.model[addr..addr + n].copy_from_slice(&data);
+            assert_eq!(&self.seg.read(addr as u64, n)[..], &data[..], "{addr}+{n}");
+            self.assert_same();
+        }
+
+        fn assert_same(&self) {
+            assert_eq!(&self.seg.read(0, self.model.len())[..], &self.model[..]);
+        }
+    }
+
+    #[test]
+    fn every_head_body_tail_shape_matches_the_byte_model() {
+        const BASE: usize = 16;
+        let mut m = Modelled::new(BASE + (512 + 2) * WORD + 5, 1997);
+        for head in 0..WORD {
+            for tail in 0..WORD {
+                for body in [0, 1, 2, 511, 512] {
+                    let n = (WORD - head) % WORD + body * WORD + tail;
+                    m.write(BASE + head, n);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn random_spans_match_the_byte_model() {
+        let size = 1021;
+        let mut m = Modelled::new(size, 14);
+        for i in 0..4000 {
+            // Mostly spans inside one or two words, now and then long ones.
+            let max = if i % 8 == 0 { 600 } else { 20 };
+            let n = (m.rng.next_u64() % max) as usize;
+            let addr = (m.rng.next_u64() % (size - n + 1) as u64) as usize;
+            m.write(addr, n);
+            let n = (m.rng.next_u64() % max) as usize;
+            let addr = (m.rng.next_u64() % (size - n + 1) as u64) as usize;
+            assert_eq!(&m.seg.read(addr as u64, n)[..], &m.model[addr..addr + n]);
+        }
+    }
+
+    #[test]
+    fn zero_length_at_the_end_and_the_last_odd_byte() {
+        for size in [13, 16] {
+            let mut m = Modelled::new(size, size as u64);
+            m.write(size, 0);
+            m.write(size - 1, 1);
+            m.write(3, 0);
+            assert!(m.seg.read(size as u64, 0).is_empty());
+        }
+    }
+
+    #[test]
+    fn words_round_trip_at_every_alignment() {
+        let mut m = Modelled::new(40, 8);
+        for off in 0..WORD {
+            let addr = 8 + off;
+            let v = m.rng.next_u64();
+            m.seg.write_u64(addr as u64, v);
+            m.model[addr..addr + WORD].copy_from_slice(&v.to_le_bytes());
+            assert_eq!(m.seg.read_u64(addr as u64), v);
+            m.assert_same();
+            m.seg.write_f64(addr as u64, -1.25);
+            assert_eq!(m.seg.read_f64(addr as u64), -1.25);
+            // The word view and the byte view agree in the other
+            // direction too (the byte write also overwrites the f64).
+            m.write(addr, WORD);
+            let bytes: [u8; WORD] = m.model[addr..addr + WORD].try_into().unwrap();
+            assert_eq!(m.seg.read_u64(addr as u64), u64::from_le_bytes(bytes));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn word_access_past_the_end_panics() {
+        let _ = Segment::new(16).read_u64(9);
+    }
+
+    #[test]
+    fn bulk_writers_sharing_a_boundary_word_both_land() {
+        // One writer's tail and the other's head are the two halves of
+        // word 64; each reads its own span back after every write, so a
+        // boundary word stored whole by the neighbour shows as a mismatch.
+        const SPLIT: usize = 64 * WORD + 3;
+        const END: usize = 128 * WORD;
+        let s = Segment::new(END);
+        let start = std::sync::Barrier::new(2);
+        let hammer = |addr: usize, n: usize| {
+            start.wait();
+            for i in 0..5_000u32 {
+                let fill = vec![i as u8; n];
+                s.write(addr as u64, &fill);
+                assert_eq!(&s.read(addr as u64, n)[..], &fill[..], "round {i}");
+            }
+        };
+        std::thread::scope(|t| {
+            t.spawn(|| hammer(0, SPLIT));
+            hammer(SPLIT, END - SPLIT);
+        });
+        let last = 4_999u32 as u8;
+        assert!(s.read(0, END).iter().all(|&b| b == last));
     }
 }
