@@ -418,8 +418,8 @@ pub fn shard_kill_fan_in(seed: u64, per_sender: u64) -> ScenarioResult {
 
 /// Seeded rebalance-under-load: two senders flood tagged payloads at one
 /// hot sink on a two-shard node while the sink is migrated back and
-/// forth between shards (and a lightly lossy wire keeps the go-back-N
-/// layer honest); the sink's queue must still show every payload exactly
+/// forth between shards (and a lightly lossy wire keeps the wire
+/// recovery layer honest); the sink's queue must still show every payload exactly
 /// once, in order, across every handoff epoch.
 #[must_use]
 pub fn rebalance_under_load(seed: u64, per_sender: u64) -> ScenarioResult {

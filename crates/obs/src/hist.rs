@@ -90,7 +90,7 @@ hists! {
     CmdWaitNs => "cmd_wait_ns",
     // Submit -> lsync-fired round trip (send overhead + gap + wire + ack).
     LsyncRttNs => "lsync_rtt_ns",
-    // Wire frame send -> cumulative-ack release (go-back-N RTT).
+    // Wire frame send -> cumulative-ack release (wire-layer RTT).
     WireRttNs => "wire_rtt_ns",
     // Watchdog busy-fraction samples, in permille (0..=1000).
     BusyPermille => "busy_permille",

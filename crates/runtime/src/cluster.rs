@@ -151,9 +151,17 @@ const PENDING_CAP: usize = 2 * WIRE_DEPTH;
 /// costs milliseconds, not a stalled test.
 const RTO: Duration = Duration::from_millis(2);
 
-/// Most retained packets re-sent per destination per retransmit pass;
-/// bounds the burst a recovering receiver takes all at once.
+/// Most retained packets re-sent from the retention head per destination
+/// per resync pass (RTO expiry or a peer's Hello); bounds the burst a
+/// recovering receiver takes all at once. NACK-driven recovery never
+/// bursts: it re-sends exactly the sequences the receiver named.
 const RESEND_BURST: usize = 128;
+
+/// Most out-of-order frames a receiver parks per source stream while it
+/// waits for a gap to fill (the reorder window). A frame further ahead of
+/// the in-order watermark than this is dropped and recovered later, like
+/// any lost frame.
+const HOLD_WINDOW: usize = PENDING_CAP;
 
 /// Longest a parked proxy sleeps before re-probing its queues (a missed
 /// wake is designed out, this is insurance — see [`crate::idle::Parker`]).
@@ -633,13 +641,15 @@ enum WireMsg {
         upto: u64,
         rejected: Vec<u64>,
     },
-    /// The receiver saw a gap or a corrupt frame after `since`; the
-    /// sender should retransmit its retention buffer now rather than
-    /// waiting out the RTO.
+    /// The receiver's in-order watermark is stuck at `since` behind a gap
+    /// or a corrupt frame: `missing` names every sequence it still lacks
+    /// up to the highest one it has seen (ascending, starting at
+    /// `since + 1`). The sender re-sends exactly those frames now rather
+    /// than waiting out the RTO.
     Nack {
         from: usize,
-        #[allow(dead_code)]
         since: u64,
+        missing: Vec<u64>,
     },
     /// A respawned proxy announcing itself: peers re-ack their watermark
     /// (so the newcomer's retention drains) and retransmit their own
@@ -689,8 +699,12 @@ struct TxPeer {
     /// Last time the ack watermark moved (or retention went non-empty);
     /// the RTO measures from here.
     last_progress: Instant,
-    /// A NACK (or a peer Hello) asked for immediate retransmission.
-    nack_hint: bool,
+    /// A resync (a peer's Hello, or this lane's own respawn) asked for an
+    /// immediate re-send from the retention head.
+    resync_hint: bool,
+    /// Sequences the peer's latest NACK named as missing, re-sent (and
+    /// cleared) by the next [`retransmit`] pass.
+    nacked: Vec<u64>,
 }
 
 impl TxPeer {
@@ -700,7 +714,8 @@ impl TxPeer {
             acked: 0,
             retained: VecDeque::new(),
             last_progress: now,
-            nack_hint: false,
+            resync_hint: false,
+            nacked: Vec::new(),
         }
     }
 }
@@ -716,6 +731,86 @@ struct RxPeer {
     nack_pending: bool,
     /// Sequences shed since the last ack, to ride out on it.
     rejected_new: Vec<u64>,
+    /// The reorder buffer: slot `i` is sequence `delivered + 1 + i`,
+    /// `Some` when that frame arrived intact ahead of a gap and is parked
+    /// until the gap fills, `None` while it is still missing. Spans the
+    /// watermark to the highest sequence seen, so it is empty on an
+    /// in-order stream, slot 0 is always a hole, and it never grows past
+    /// [`HOLD_WINDOW`]. Lives here — in [`NodeState`] — so parked frames
+    /// survive a proxy respawn; they stay in the sender's retention (the
+    /// cumulative ack does not cover them) until applied.
+    held: VecDeque<Option<Payload>>,
+}
+
+/// What [`RxPeer::park`] did with a frame that is ahead of the watermark.
+#[derive(Debug, PartialEq, Eq)]
+enum Parked {
+    /// Parked until the gap in front of it fills.
+    Held,
+    /// An intact copy of this sequence is already parked.
+    Duplicate,
+    /// Beyond the reorder window, or corrupt (its sequence, if inside
+    /// the window, is noted as a hole): discarded.
+    Dropped,
+}
+
+impl RxPeer {
+    /// Files a frame whose `seq` is ahead of the watermark (`seq >
+    /// delivered`) and cannot be applied yet: an intact body is parked in
+    /// its slot; a corrupt one only widens the buffer to cover `seq`, so
+    /// the next NACK names it.
+    fn park(&mut self, seq: u64, body: Option<Payload>) -> Parked {
+        debug_assert!(seq > self.delivered);
+        let idx = match usize::try_from(seq - self.delivered - 1) {
+            Ok(idx) if idx < HOLD_WINDOW => idx,
+            _ => return Parked::Dropped,
+        };
+        if self.held.len() <= idx {
+            self.held.resize_with(idx + 1, || None);
+        }
+        match (&self.held[idx], body) {
+            (Some(_), _) => Parked::Duplicate,
+            (None, None) => Parked::Dropped,
+            (None, body) => {
+                self.held[idx] = body;
+                Parked::Held
+            }
+        }
+    }
+
+    /// Moves the watermark one sequence forward (that frame was just
+    /// applied or shed), keeping the reorder buffer aligned with it.
+    fn advance(&mut self) {
+        self.delivered += 1;
+        self.held.pop_front();
+    }
+
+    /// Takes the parked frame that is next in order, if the gap in front
+    /// of it has closed; the caller applies it.
+    fn next_ready(&mut self) -> Option<Payload> {
+        let body = self.held.front_mut()?.take()?;
+        self.advance();
+        Some(body)
+    }
+
+    /// Every sequence still missing between the watermark and the highest
+    /// one seen, ascending — what a NACK names.
+    fn missing(&self) -> Vec<u64> {
+        let first = self.delivered + 1;
+        let slots = self.held.iter().enumerate();
+        slots
+            .filter_map(|(i, slot)| slot.is_none().then_some(first + i as u64))
+            .collect()
+    }
+
+    /// Discards every parked frame (their sender is gone, or this proxy
+    /// is exiting); returns how many there were so the caller can count
+    /// them as dropped.
+    fn abandon_held(&mut self) -> u64 {
+        let parked = self.held.iter().filter(|s| s.is_some()).count();
+        self.held.clear();
+        parked as u64
+    }
 }
 
 /// An accepted ENQ whose reply ring was full; delivery is owed (the
@@ -972,6 +1067,25 @@ pub(crate) fn condemn(shared: &Shared, lane: usize) {
     for p in &shared.parkers {
         p.wake();
     }
+}
+
+/// [`condemn`] for a lane whose proxy has already died (so its state
+/// lock is free): the frames it had parked behind gaps will never be
+/// applied, and are counted as dropped before the lane is written off.
+pub(crate) fn condemn_dead(shared: &Shared, lane: usize) {
+    let mut st = shared.node_state[lane]
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
+    abandon_all_held(shared, &mut st, lane);
+    drop(st);
+    condemn(shared, lane);
+}
+
+/// Discards every frame lane `lane` has parked, from every source,
+/// counting each as a damaged drop.
+fn abandon_all_held(shared: &Shared, st: &mut NodeState, lane: usize) {
+    let parked: u64 = st.rx.iter_mut().map(RxPeer::abandon_held).sum();
+    shared.obs[lane].add(Ctr::DamagedDrops, parked);
 }
 
 /// Builds an [`RtCluster`]: declare nodes and processes, then
@@ -1496,10 +1610,13 @@ impl RtCluster {
         self.shared.tables[node].slot(asid) as usize
     }
 
-    /// Completed shard migrations, cluster-wide.
+    /// Completed shard migrations, cluster-wide. The owning lane bumps
+    /// the count (`Release`) *before* it flips the shard-table slot, and
+    /// this load is `Acquire`, so a caller that has watched
+    /// [`RtCluster::shard_of`] change `n` times reads at least `n` here.
     #[must_use]
     pub fn migrations_total(&self) -> u64 {
-        self.shared.migrations_total.load(Ordering::Relaxed)
+        self.shared.migrations_total.load(Ordering::Acquire)
     }
 
     /// Requests a handoff of `asid`'s command queue to `shard` on its
@@ -2151,6 +2268,9 @@ fn process_ack(
     tx.last_progress = now;
     let obs = &shared.obs[node];
     let now_ns = shared.rel_ns(now);
+    // Cursor into `rejected`: the receiver sheds in sequence order, so
+    // the list ascends just as the released frames do.
+    let mut shed = 0;
     while tx.retained.front().is_some_and(|r| r.seq <= upto) {
         let r = tx.retained.pop_front().expect("front checked above");
         *obs_tick = obs_tick.wrapping_add(1);
@@ -2170,7 +2290,10 @@ fn process_ack(
                 }
             }
         }
-        if rejected.contains(&r.seq) {
+        while rejected.get(shed).is_some_and(|&s| s < r.seq) {
+            shed += 1;
+        }
+        if rejected.get(shed) == Some(&r.seq) {
             // Shed at the receiver: the op never happened. No lsync; a
             // rejected GET's CCB is cancelled.
             if let Payload::GetReq { token, .. } = r.body {
@@ -2283,7 +2406,26 @@ fn apply_data(
 }
 
 /// Handles one inbound wire frame on node `node`.
-fn handle_packet(shared: &Shared, st: &mut NodeState, node: usize, now: Instant, msg: WireMsg) {
+///
+/// A data frame at or below the sender's in-order watermark is a
+/// duplicate; the frame right after the watermark is applied, followed by
+/// every parked frame the advance makes contiguous; an intact frame
+/// further ahead is parked in the reorder buffer; a corrupt frame, or one
+/// beyond the reorder window, is dropped. Every arrival that leaves the
+/// watermark stuck behind a gap owes the sender a NACK.
+///
+/// With `shed` set (overload control) an in-order *request* is rejected
+/// instead of applied: the watermark still advances, the sequence rides
+/// out on the next ack, and the sender unretains it without firing
+/// `lsync`. Responses and control frames are handled as always.
+fn handle_packet(
+    shared: &Shared,
+    st: &mut NodeState,
+    node: usize,
+    now: Instant,
+    msg: WireMsg,
+    shed: bool,
+) {
     let obs = &shared.obs[node];
     match msg {
         WireMsg::Data {
@@ -2309,16 +2451,37 @@ fn handle_packet(shared: &Shared, st: &mut NodeState, node: usize, now: Instant,
                 return;
             }
             if corrupt || seq != rx.delivered + 1 {
-                // Damaged or out of order (a gap means an earlier frame
-                // was dropped): don't deliver, ask for retransmission.
-                obs.inc(Ctr::DamagedDrops);
+                // Damaged, or ahead of a gap (an earlier frame was lost):
+                // park what is intact, and name what is missing on the
+                // next NACK.
+                match rx.park(seq, (!corrupt).then_some(body)) {
+                    Parked::Held => {}
+                    Parked::Duplicate => obs.inc(Ctr::DedupDrops),
+                    Parked::Dropped => obs.inc(Ctr::DamagedDrops),
+                }
                 rx.nack_pending = true;
                 return;
             }
-            rx.delivered = seq;
+            rx.advance();
             rx.ack_pending = true;
-            obs.inc(Ctr::OpsApplied);
-            apply_data(shared, st, node, now, from, body);
+            let mut ready = if shed && body.is_request() {
+                rx.rejected_new.push(seq);
+                obs.inc(Ctr::Sheds);
+                shared.health[node].shed.fetch_add(1, Ordering::Relaxed);
+                obs.trace_at(shared.rel_ns(now), EventKind::Shed, from as u16, seq as u32);
+                rx.next_ready()
+            } else {
+                Some(body)
+            };
+            // The frame itself, then — the gap (if there was one) having
+            // just closed — everything parked behind it that is now
+            // contiguous, in order. Parked frames were accepted before
+            // any overload verdict, so they are never shed.
+            while let Some(body) = ready {
+                obs.inc(Ctr::OpsApplied);
+                apply_data(shared, st, node, now, from, body);
+                ready = st.rx[from].next_ready();
+            }
         }
         WireMsg::AckUpto {
             from,
@@ -2341,7 +2504,11 @@ fn handle_packet(shared: &Shared, st: &mut NodeState, node: usize, now: Instant,
             }
             process_ack(shared, st, node, now, from, upto, &rejected);
         }
-        WireMsg::Nack { from, since } => {
+        WireMsg::Nack {
+            from,
+            since,
+            mut missing,
+        } => {
             obs.inc(Ctr::NacksIn);
             obs.trace_at(
                 shared.rel_ns(now),
@@ -2349,7 +2516,15 @@ fn handle_packet(shared: &Shared, st: &mut NodeState, node: usize, now: Instant,
                 from as u16,
                 since as u32,
             );
-            st.tx[from].nack_hint = true;
+            let tx = &mut st.tx[from];
+            if since < tx.acked {
+                // Stale: a later ack overtook it. What it names at or
+                // below the watermark has since arrived.
+                missing.retain(|&s| s > tx.acked);
+            }
+            // The latest NACK supersedes any not yet served: it reflects
+            // the receiver's newest view of the same gaps.
+            tx.nacked = missing;
         }
         WireMsg::Hello { from, epoch } => {
             // A peer's proxy respawned. Re-ack our watermark so its
@@ -2364,81 +2539,125 @@ fn handle_packet(shared: &Shared, st: &mut NodeState, node: usize, now: Instant,
                 epoch as u32,
             );
             st.rx[from].ack_pending = true;
-            st.tx[from].nack_hint = true;
+            st.tx[from].resync_hint = true;
         }
     }
 }
 
-/// Retransmission pass: for every destination with unacknowledged
-/// retention, re-send from the buffer head if a NACK asked for it or the
-/// RTO expired. Frames go straight to the destination ring (never the
-/// pending stash — retransmits are redundant by design; the stash must
-/// stay FIFO-clean for new traffic).
+/// Re-sends `frames` (retained copies) from `node` straight into `dst`'s
+/// ring, each transmission judged by the fault injector like a first
+/// one; stops early when the ring fills (what is left is recovered by a
+/// later NACK or the RTO). Counts and traces what it re-sent.
+fn resend<'a>(
+    shared: &Shared,
+    node: usize,
+    now: Instant,
+    dst: usize,
+    frames: impl Iterator<Item = &'a Retained>,
+) {
+    let obs = &shared.obs[node];
+    let mut pushed = false;
+    let mut resent = 0u32;
+    'frames: for r in frames {
+        let mut corrupt = false;
+        let mut copies = 1;
+        if let Some(faults) = &shared.faults {
+            if faults.packet_faults_possible() {
+                let fate = faults.judge(node);
+                if fate.drop || fate.corrupt || fate.duplicate {
+                    obs.inc(Ctr::FaultsInjected);
+                }
+                if fate.drop {
+                    continue; // the *retransmit* was dropped; a later pass retries
+                }
+                corrupt = fate.corrupt;
+                if fate.duplicate {
+                    copies = 2;
+                }
+            }
+        }
+        for _ in 0..copies {
+            let frame = WireMsg::Data {
+                from: node,
+                seq: r.seq,
+                corrupt,
+                body: r.body.clone(),
+            };
+            if shared.wires[dst].try_push(frame).is_err() {
+                break 'frames;
+            }
+            pushed = true;
+        }
+        resent += 1;
+    }
+    if resent > 0 {
+        obs.add(Ctr::Retransmits, u64::from(resent));
+        obs.trace_at(
+            shared.rel_ns(now),
+            EventKind::Retransmit,
+            dst as u16,
+            resent,
+        );
+    }
+    if pushed {
+        shared.parkers[dst].wake();
+    }
+}
+
+/// Retransmission pass, per destination with unacknowledged retention.
+/// A resync — the RTO expired with no ack progress, a peer said Hello, or
+/// this lane respawned — re-sends a burst from the retention head: the
+/// receiver's state is unknown, so assume nothing arrived. Otherwise the
+/// frames the receiver's latest NACK named are re-sent, and only those:
+/// everything else in flight is parked at the receiver, waiting for
+/// them. Frames go straight to the destination ring (never the pending
+/// stash — retransmits are redundant by design; the stash must stay
+/// FIFO-clean for new traffic).
 fn retransmit(shared: &Shared, st: &mut NodeState, node: usize, now: Instant) {
     let NodeState {
         tx, pending_wire, ..
     } = st;
     for (dst, tx) in tx.iter_mut().enumerate() {
-        if tx.retained.is_empty() {
-            tx.nack_hint = false;
+        let Some(front) = tx.retained.front().map(|r| r.seq) else {
+            tx.resync_hint = false;
+            tx.nacked.clear();
             continue;
-        }
+        };
         if !pending_wire[dst].is_empty() || shared.condemned[dst].load(Ordering::Relaxed) {
             continue;
         }
-        if !tx.nack_hint && now.duration_since(tx.last_progress) < RTO {
-            continue;
-        }
-        tx.nack_hint = false;
-        tx.last_progress = now;
-        let obs = &shared.obs[node];
-        let mut pushed = false;
-        let mut resent = 0u32;
-        'frames: for r in tx.retained.iter().take(RESEND_BURST) {
-            let mut corrupt = false;
-            let mut copies = 1;
-            if let Some(faults) = &shared.faults {
-                if faults.packet_faults_possible() {
-                    let fate = faults.judge(node);
-                    if fate.drop || fate.corrupt || fate.duplicate {
-                        obs.inc(Ctr::FaultsInjected);
-                    }
-                    if fate.drop {
-                        continue; // the *retransmit* was dropped; next pass retries
-                    }
-                    corrupt = fate.corrupt;
-                    if fate.duplicate {
-                        copies = 2;
-                    }
-                }
-            }
-            for _ in 0..copies {
-                let frame = WireMsg::Data {
-                    from: node,
-                    seq: r.seq,
-                    corrupt,
-                    body: r.body.clone(),
-                };
-                if shared.wires[dst].try_push(frame).is_err() {
-                    break 'frames;
-                }
-                pushed = true;
-            }
-            resent += 1;
-        }
-        if resent > 0 {
-            obs.add(Ctr::Retransmits, u64::from(resent));
-            obs.trace_at(shared.rel_ns(now), EventKind::Retransmit, dst as u16, resent);
-        }
-        if pushed {
-            shared.parkers[dst].wake();
+        if tx.resync_hint || now.duration_since(tx.last_progress) >= RTO {
+            tx.resync_hint = false;
+            tx.nacked.clear();
+            tx.last_progress = now;
+            resend(
+                shared,
+                node,
+                now,
+                dst,
+                tx.retained.iter().take(RESEND_BURST),
+            );
+        } else if !tx.nacked.is_empty() {
+            // Retention is contiguous in sequence, so a named frame sits
+            // at `seq - front`; one already acknowledged is simply gone.
+            let named = tx.nacked.iter().filter_map(|&seq| {
+                let r = tx
+                    .retained
+                    .get(usize::try_from(seq.checked_sub(front)?).ok()?)?;
+                debug_assert_eq!(r.seq, seq);
+                Some(r)
+            });
+            resend(shared, node, now, dst, named);
+            tx.nacked.clear();
         }
     }
 }
 
 /// Emits the acknowledgement state accumulated this pass: one cumulative
 /// [`WireMsg::AckUpto`] per source that delivered (or was shed) anything,
-/// one [`WireMsg::Nack`] per source that sent a gap or corrupt frame.
+/// one [`WireMsg::Nack`] per source whose watermark is stuck behind a gap
+/// or a corrupt frame and that sent anything this pass, naming exactly
+/// the sequences still missing.
 fn flush_acks(shared: &Shared, st: &mut NodeState, node: usize) {
     let NodeState {
         rx, pending_wire, ..
@@ -2460,8 +2679,8 @@ fn flush_acks(shared: &Shared, st: &mut NodeState, node: usize) {
                 },
             );
         }
-        if rx.nack_pending {
-            rx.nack_pending = false;
+        // A gap that closed later in the same pass owes nothing.
+        if std::mem::take(&mut rx.nack_pending) && !rx.held.is_empty() {
             obs.inc(Ctr::NacksOut);
             push_wire(
                 shared,
@@ -2470,6 +2689,7 @@ fn flush_acks(shared: &Shared, st: &mut NodeState, node: usize) {
                 WireMsg::Nack {
                     from: node,
                     since: rx.delivered,
+                    missing: rx.missing(),
                 },
             );
         }
@@ -2747,13 +2967,15 @@ fn progress_migrations(
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(entry);
+        // Counted before the flip: whoever sees the new slot also sees
+        // this handoff in `migrations_total`.
+        shared.migrations_total.fetch_add(1, Ordering::Release);
         shared.tables[node].set_slot(m.asid, (m.dst_lane % shared.shards) as u32);
         shared.inbox_ready[m.dst_lane].store(true, Ordering::Release);
         // Hand the ready bit over armed: commands may be pending.
         shared.ready_masks[m.dst_lane].fetch_or(1 << m.qbit, Ordering::Release);
         shared.parkers[m.dst_lane].wake();
         shared.migr_outstanding[node].fetch_sub(1, Ordering::Relaxed);
-        shared.migrations_total.fetch_add(1, Ordering::Relaxed);
         let obs = &shared.obs[lane];
         obs.inc(Ctr::Migrations);
         obs.trace_at(
@@ -2822,7 +3044,7 @@ pub(crate) fn run_proxy(lane: usize, shared: Arc<Shared>) {
         if shared.supervision.is_none() || shared.stop.load(Ordering::Relaxed) {
             // Nobody will respawn this lane (no supervisor, or it is
             // already shutting down): condemn so waits and drains abort.
-            condemn(&shared, lane);
+            condemn_dead(&shared, lane);
         }
         // Last: the panic bit is what the supervisor polls, and every
         // observer must already see the seat, the reason and (possibly)
@@ -2886,11 +3108,11 @@ fn proxy_main(lane: usize, seat: &mut Vec<SeatEntry>, st: &mut NodeState, shared
                 }
             }
         }
-        // Purge traffic towards condemned peers: their rings will never
-        // drain and their acks will never come. Retained GETs cancel
-        // their CCBs; lsyncs never fire (the op is lost, and bounded
-        // waits report it). Route pins towards a dead lane are lifted so
-        // senders re-read the shard table.
+        // Purge traffic to and from condemned peers: their rings will
+        // never drain, their acks and retransmissions will never come.
+        // Retained GETs cancel their CCBs; lsyncs never fire (the op is
+        // lost, and bounded waits report it). Route pins towards a dead
+        // lane are lifted so senders re-read the shard table.
         if shared.any_condemned.load(Ordering::Acquire) {
             for dst in 0..shared.lanes() {
                 if dst == lane || !shared.condemned[dst].load(Ordering::Relaxed) {
@@ -2898,15 +3120,23 @@ fn proxy_main(lane: usize, seat: &mut Vec<SeatEntry>, st: &mut NodeState, shared
                 }
                 st.pending_wire[dst].clear();
                 let NodeState {
-                    tx, ccbs, routes, ..
+                    tx,
+                    rx,
+                    ccbs,
+                    routes,
+                    ..
                 } = &mut *st;
                 for r in tx[dst].retained.drain(..) {
                     if let Payload::GetReq { token, .. } = r.body {
                         ccbs.remove(&token);
                     }
                 }
-                tx[dst].nack_hint = false;
+                tx[dst].resync_hint = false;
                 routes.retain(|_, e| e.0 != dst);
+                // Frames parked behind a gap the dead lane will never
+                // fill are abandoned — counted, so the receiver's
+                // `msgs_in` identity stays exact.
+                shared.obs[lane].add(Ctr::DamagedDrops, rx[dst].abandon_held());
             }
         }
         // A fresh incarnation owes its peers a Hello (and owes itself a
@@ -2921,7 +3151,7 @@ fn proxy_main(lane: usize, seat: &mut Vec<SeatEntry>, st: &mut NodeState, shared
                 if dst == lane {
                     continue;
                 }
-                st.tx[dst].nack_hint = true;
+                st.tx[dst].resync_hint = true;
                 if shared.condemned[dst].load(Ordering::Relaxed) {
                     continue;
                 }
@@ -3052,49 +3282,10 @@ fn proxy_main(lane: usize, seat: &mut Vec<SeatEntry>, st: &mut NodeState, shared
         // are serviced normally even over the cap.
         if shared.shed_enabled.load(Ordering::Relaxed) && health.saturated.load(Ordering::Acquire)
         {
-            let mut rejected = 0u64;
-            let obs = &shared.obs[lane];
             while wire_rx.len() > SHED_BACKLOG {
                 let Some(msg) = wire_rx.pop() else { break };
-                match msg {
-                    WireMsg::Data {
-                        from,
-                        seq,
-                        corrupt,
-                        body,
-                    } if body.is_request() => {
-                        obs.inc(Ctr::MsgsIn);
-                        obs.add(Ctr::BytesIn, body.wire_bytes());
-                        let rx = &mut st.rx[from];
-                        if seq <= rx.delivered {
-                            obs.inc(Ctr::DedupDrops);
-                            rx.ack_pending = true; // duplicate of old news
-                        } else if !corrupt && seq == rx.delivered + 1 {
-                            rx.delivered = seq;
-                            rx.rejected_new.push(seq);
-                            rx.ack_pending = true;
-                            rejected += 1;
-                            obs.trace_at(
-                                shared.rel_ns(now),
-                                EventKind::Shed,
-                                from as u16,
-                                seq as u32,
-                            );
-                        } else {
-                            obs.inc(Ctr::DamagedDrops);
-                            rx.nack_pending = true;
-                        }
-                    }
-                    other => {
-                        handle_packet(shared, st, lane, now, other);
-                        shared.ops_serviced[lane].fetch_add(1, Ordering::Relaxed);
-                        progressed = true;
-                    }
-                }
-            }
-            if rejected > 0 {
-                obs.add(Ctr::Sheds, rejected);
-                health.shed.fetch_add(rejected, Ordering::Relaxed);
+                handle_packet(shared, st, lane, now, msg, true);
+                shared.ops_serviced[lane].fetch_add(1, Ordering::Relaxed);
                 progressed = true;
             }
         }
@@ -3104,7 +3295,7 @@ fn proxy_main(lane: usize, seat: &mut Vec<SeatEntry>, st: &mut NodeState, shared
         let mut burst = 0;
         while burst < SERVICE_BURST {
             let Some(msg) = wire_rx.pop() else { break };
-            handle_packet(shared, st, lane, now, msg);
+            handle_packet(shared, st, lane, now, msg, false);
             shared.ops_serviced[lane].fetch_add(1, Ordering::Relaxed);
             progressed = true;
             burst += 1;
@@ -3211,6 +3402,10 @@ fn proxy_main(lane: usize, seat: &mut Vec<SeatEntry>, st: &mut NodeState, shared
             backoff.snooze();
         }
     }
+    // A clean exit: whatever is still parked behind a gap is in-flight
+    // traffic lost to the shutdown. Count it, so every frame this lane
+    // ever popped sits in exactly one outcome bucket.
+    abandon_all_held(shared, st, lane);
 }
 
 /// The overload watchdog: every `interval` it turns each proxy lane's
@@ -3374,4 +3569,95 @@ fn rebalance(shared: &Shared, node: usize, new_active: u32) -> bool {
         }
     }
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A distinguishable intact frame body.
+    fn body(tag: u64) -> Payload {
+        Payload::GetReply {
+            token: tag,
+            data: None,
+        }
+    }
+
+    fn tag(p: &Payload) -> u64 {
+        match p {
+            Payload::GetReply { token, .. } => *token,
+            other => panic!("unexpected payload {other:?}"),
+        }
+    }
+
+    /// Everything the buffer releases right now, in release order.
+    fn ready(rx: &mut RxPeer) -> Vec<u64> {
+        std::iter::from_fn(|| rx.next_ready())
+            .map(|p| tag(&p))
+            .collect()
+    }
+
+    #[test]
+    fn parked_frames_release_in_order_once_the_gap_fills() {
+        let mut rx = RxPeer::default();
+        // 1 and 4 are lost; 2, 3, 5 arrive (3 twice).
+        assert_eq!(rx.park(3, Some(body(3))), Parked::Held);
+        assert_eq!(rx.park(2, Some(body(2))), Parked::Held);
+        assert_eq!(rx.park(3, Some(body(33))), Parked::Duplicate);
+        assert_eq!(rx.park(5, Some(body(5))), Parked::Held);
+        assert_eq!(rx.missing(), vec![1, 4]);
+        assert!(ready(&mut rx).is_empty(), "slot 0 is still a hole");
+        // 1 arrives in order: the caller applies it and advances.
+        rx.advance();
+        assert_eq!(ready(&mut rx), vec![2, 3]);
+        assert_eq!(rx.delivered, 3);
+        assert_eq!(rx.missing(), vec![4]);
+        rx.advance();
+        assert_eq!(ready(&mut rx), vec![5]);
+        assert_eq!(rx.delivered, 5);
+        assert!(rx.held.is_empty() && rx.missing().is_empty());
+    }
+
+    #[test]
+    fn corrupt_frame_is_dropped_but_named_by_the_next_nack() {
+        let mut rx = RxPeer {
+            delivered: 9,
+            ..RxPeer::default()
+        };
+        assert_eq!(rx.park(10, None), Parked::Dropped);
+        assert_eq!(rx.missing(), vec![10]);
+        assert_eq!(rx.park(12, None), Parked::Dropped);
+        assert_eq!(rx.missing(), vec![10, 11, 12]);
+        // A corrupt copy never displaces an intact parked one.
+        assert_eq!(rx.park(11, Some(body(11))), Parked::Held);
+        assert_eq!(rx.park(11, None), Parked::Duplicate);
+        assert_eq!(rx.missing(), vec![10, 12]);
+        assert_eq!(rx.abandon_held(), 1);
+        assert!(rx.held.is_empty());
+    }
+
+    #[test]
+    fn hold_buffer_never_exceeds_its_window() {
+        let mut rx = RxPeer::default();
+        let cap = HOLD_WINDOW as u64;
+        // Sequence 1 is missing; everything up to 3× the window arrives.
+        for seq in 2..=3 * cap {
+            let want = if seq <= cap {
+                Parked::Held
+            } else {
+                Parked::Dropped
+            };
+            assert_eq!(rx.park(seq, Some(body(seq))), want, "seq {seq}");
+            assert!(rx.held.len() <= HOLD_WINDOW);
+        }
+        assert_eq!(rx.park(u64::MAX, Some(body(0))), Parked::Dropped);
+        assert_eq!(rx.missing(), vec![1]);
+        // The gap fills: the whole window is released in order, and the
+        // frames dropped beyond it are what is missing next.
+        rx.advance();
+        assert_eq!(ready(&mut rx), (2..=cap).collect::<Vec<_>>());
+        assert_eq!(rx.delivered, cap);
+        assert_eq!(rx.park(cap + 2, Some(body(cap + 2))), Parked::Held);
+        assert_eq!(rx.missing(), vec![cap + 1]);
+    }
 }

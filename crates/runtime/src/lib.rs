@@ -28,8 +28,9 @@
 //!   50% utilisation has unbounded expected queueing delay), with
 //!   opt-in request shedding
 //!   ([`RtClusterBuilder::enable_shedding`]);
-//! * a sequenced, acknowledged **wire layer** between proxies (go-back-N
-//!   with cumulative acks and sender-side retention) making "an op whose
+//! * a sequenced, acknowledged **wire layer** between proxies (cumulative
+//!   acks, sender-side retention, a receiver reorder buffer and
+//!   gap-naming NACKs: a lost frame costs one retransmit) making "an op whose
 //!   `lsync` fired was applied exactly once" hold under packet loss,
 //!   duplication, corruption, shedding, and proxy crashes;
 //! * [`fault`] — a seeded **fault injector**

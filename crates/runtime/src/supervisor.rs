@@ -31,7 +31,7 @@ use std::time::Duration;
 
 use mproxy_obs::{Ctr, EventKind};
 
-use crate::cluster::{condemn, run_proxy, Shared};
+use crate::cluster::{condemn_dead, run_proxy, Shared};
 use crate::idle::sleep_unless;
 
 /// How often the supervisor polls the panic bits.
@@ -67,7 +67,7 @@ pub(crate) fn supervisor_main(shared: &Arc<Shared>) {
                     lane_label(shared, lane),
                     cfg.max_restarts
                 );
-                condemn(shared, lane);
+                condemn_dead(shared, lane);
                 continue;
             }
             let delay = cfg.backoff.saturating_mul(1u32 << (*restarted).min(16));
@@ -88,7 +88,7 @@ pub(crate) fn supervisor_main(shared: &Arc<Shared>) {
         if shared.panicked[lane].load(Ordering::Acquire)
             && !shared.condemned[lane].load(Ordering::Acquire)
         {
-            condemn(shared, lane);
+            condemn_dead(shared, lane);
         }
     }
 }
