@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Duration;
 
-use mproxy_bench::rt::{fan_in_cfg, ping_pong_cfg};
+use mproxy_bench::rt::{fan_in, ping_pong};
 use mproxy_obs::{chrome, json, Snapshot};
 use mproxy_rt::{FlagId, RqId, RtClusterBuilder, RtFaultPlan};
 
@@ -161,9 +161,9 @@ fn main() -> ExitCode {
     };
     let mode = if args.quick { "quick" } else { "full" };
 
-    let fan = |telemetry: bool| fan_in_cfg(false, 4, fan_msgs, telemetry).msgs_per_sec;
+    let fan = |telemetry: bool| fan_in(4, fan_msgs, telemetry, 1).msgs_per_sec;
     let pp =
-        |telemetry: bool| pp_rounds as f64 / ping_pong_cfg(false, pp_rounds, telemetry).wall_s;
+        |telemetry: bool| pp_rounds as f64 / ping_pong(pp_rounds, telemetry, 1).wall_s;
     let mut workloads = [
         best_ab("fan_in", reps, fan),
         best_ab("ping_pong", reps, pp),

@@ -1,36 +1,31 @@
 //! Runtime data-plane harness: measures the threaded runtime's ping-pong
-//! latency percentiles and all-to-one fan-in throughput on both data
-//! planes (lock-free rings vs the locked baseline) and emits
+//! latency percentiles and all-to-one fan-in throughput and emits
 //! `BENCH_rt.json` so the runtime's perf trajectory is tracked in-repo.
 //!
 //! ```text
-//! rt_throughput [--quick] [--label STR] [--out PATH] [--baseline-locked]
-//!               [--check PATH] [--shards N]
+//! rt_throughput [--quick] [--label STR] [--out PATH] [--check PATH] [--shards N]
 //! ```
 //!
 //! * `--quick`            reduced round/message counts (CI smoke); skips
 //!   the shard sweep.
 //! * `--label`            free-form description recorded in the JSON.
 //! * `--out`              write the JSON document to PATH (default: stdout).
-//! * `--baseline-locked`  ablation: run only the locked `Mutex<VecDeque>`
-//!   plane ([`RtClusterBuilder::locked_data_plane`]) — no speedup section.
-//! * `--check`            compare measured lock-free fan-in msgs/sec
-//!   against the number recorded in PATH; exit non-zero on a >20%
-//!   regression. Incompatible with `--baseline-locked`. When the shard
-//!   sweep ran, additionally gates it: throughput must not decrease
-//!   by more than 10% from one shard count to the next, and the top
-//!   shard count must strictly beat `shards=1` when the host has more
-//!   than one core.
+//! * `--check`            compare measured fan-in msgs/sec against the
+//!   `lockfree` number recorded in PATH; exit non-zero on a >20%
+//!   regression. When the shard sweep ran, additionally gates it:
+//!   throughput must not decrease by more than 10% from one shard count
+//!   to the next, and the top shard count must strictly beat `shards=1`
+//!   when the host has more than one core.
 //! * `--shards N`         per-node proxy shard threads for the main
 //!   ping-pong / fan-in runs (default 1). The recorded baseline is the
 //!   unsharded single-proxy number, so `--shards 2 --check` gates the
 //!   sharding tax on a single-user workload.
 //!
-//! A default run measures **both** planes back to back, records the
-//! fan-in speedup (lock-free over locked) — the A/B the rings must win —
-//! and then sweeps the proxies×users fan-in over 1/2/4 shards.
-//!
-//! [`RtClusterBuilder::locked_data_plane`]: mproxy_rt::RtClusterBuilder::locked_data_plane
+//! A default run measures the two workloads and then sweeps the
+//! proxies×users fan-in over 1/2/4 shards. The results sit under the
+//! `lockfree` key, as they have since the locked `Mutex<VecDeque>` plane
+//! was the other half of an A/B (EXPERIMENTS.md keeps that record), so
+//! committed `BENCH_rt.json` files stay comparable.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -49,13 +44,11 @@ const SWEEP_TOLERANCE: f64 = 0.10;
 const SOURCES: usize = 3;
 /// Shard counts the proxies×users sweep visits.
 const SWEEP_SHARDS: [usize; 3] = [1, 2, 4];
-/// Sink users sharing node 0 in the sweep. Eight, not four: the shard
-/// table is a jump hash, and asids 0..8 happen to cover *all four*
-/// shards at the sweep's top point (4 asids would leave two shards
-/// idle — threads that only tax the scheduler and skew the curve on
-/// small hosts).
+/// Sink users sharing node 0 in the sweep: a multiple of every swept
+/// shard count, so the round-robin placement loads each lane equally
+/// (8 / 4+4 / 2+2+2+2).
 const SWEEP_USERS: usize = 8;
-/// PUT payload bytes for sweep points. Bulk frames, unlike the planes'
+/// PUT payload bytes for sweep points. Bulk frames, unlike the main runs'
 /// [`rt::PAYLOAD`]-byte pings: the sweep's question is how *delivery
 /// work* scales with proxy shards, so the per-message segment copy must
 /// dominate per-frame bookkeeping (at tiny payloads the curve mostly
@@ -76,7 +69,6 @@ struct Args {
     quick: bool,
     label: String,
     out: Option<String>,
-    baseline_locked: bool,
     check: Option<String>,
     shards: usize,
 }
@@ -86,7 +78,6 @@ fn parse_args() -> Result<Args, String> {
         quick: false,
         label: "current".to_string(),
         out: None,
-        baseline_locked: false,
         check: None,
         shards: 1,
     };
@@ -97,7 +88,6 @@ fn parse_args() -> Result<Args, String> {
             "--quick" => args.quick = true,
             "--label" => args.label = value("--label")?,
             "--out" => args.out = Some(value("--out")?),
-            "--baseline-locked" => args.baseline_locked = true,
             "--check" => args.check = Some(value("--check")?),
             "--shards" => {
                 args.shards = value("--shards")?
@@ -110,13 +100,10 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument: {other}")),
         }
     }
-    if args.baseline_locked && args.check.is_some() {
-        return Err("--check gates the lock-free plane; drop --baseline-locked".into());
-    }
     Ok(args)
 }
 
-/// Extracts the lock-free fan-in msgs/sec from a JSON document produced
+/// Extracts the recorded fan-in msgs/sec from a JSON document produced
 /// by this binary (manual scan; the harnesses avoid a JSON dependency).
 fn extract_lockfree_fanin(doc: &str) -> Option<f64> {
     let plane = doc.find("\"lockfree\":")?;
@@ -128,16 +115,16 @@ fn extract_lockfree_fanin(doc: &str) -> Option<f64> {
     rest[..end].trim().parse().ok()
 }
 
-/// One plane, both workloads.
-fn run_plane(name: &str, locked: bool, pp_rounds: u64, fi_msgs: u64, shards: usize) -> (PingPong, FanIn) {
-    eprintln!("rt_throughput: {name} ping-pong ({pp_rounds} rounds, {shards} shards) ...");
-    let pp = rt::ping_pong_shards(locked, pp_rounds, shards);
+/// Both main workloads.
+fn run_main(pp_rounds: u64, fi_msgs: u64, shards: usize) -> (PingPong, FanIn) {
+    eprintln!("rt_throughput: ping-pong ({pp_rounds} rounds, {shards} shards) ...");
+    let pp = rt::ping_pong(pp_rounds, true, shards);
     eprintln!(
         "rt_throughput:   p50 {:.1} us, p90 {:.1} us, p99 {:.1} us",
         pp.p50_us, pp.p90_us, pp.p99_us
     );
-    eprintln!("rt_throughput: {name} fan-in ({SOURCES} sources x {fi_msgs} msgs, {shards} shards) ...");
-    let fi = rt::fan_in_shards(locked, SOURCES, fi_msgs, shards);
+    eprintln!("rt_throughput: fan-in ({SOURCES} sources x {fi_msgs} msgs, {shards} shards) ...");
+    let fi = rt::fan_in(SOURCES, fi_msgs, true, shards);
     eprintln!("rt_throughput:   {:.0} msgs/sec", fi.msgs_per_sec);
     (pp, fi)
 }
@@ -254,15 +241,10 @@ fn main() -> ExitCode {
     };
     let mode = if args.quick { "quick" } else { "full" };
 
-    let lockfree = if args.baseline_locked {
-        None
-    } else {
-        Some(run_plane("lock-free", false, pp_rounds, fi_msgs, args.shards))
-    };
-    let locked = run_plane("locked baseline", true, pp_rounds, fi_msgs, args.shards);
-    // The proxies×users sweep is a full-mode, lock-free-plane measurement
-    // with its own shard axis; --quick (CI smoke) skips it for time.
-    let sweep = if args.quick || args.baseline_locked {
+    let (pp, fi) = run_main(pp_rounds, fi_msgs, args.shards);
+    // The proxies×users sweep is a full-mode measurement with its own
+    // shard axis; --quick (CI smoke) skips it for time.
+    let sweep = if args.quick {
         Vec::new()
     } else {
         run_sweep(fi_msgs)
@@ -275,25 +257,11 @@ fn main() -> ExitCode {
     let _ = writeln!(doc, "    \"label\": \"{}\",", args.label);
     let _ = writeln!(doc, "    \"mode\": \"{mode}\",");
     let _ = writeln!(doc, "    \"shards\": {},", args.shards);
-    if let Some((pp, fi)) = &lockfree {
-        let _ = writeln!(doc, "    \"lockfree\": {},", plane_json(pp, fi));
-    }
-    let _ = writeln!(doc, "    \"locked\": {},", plane_json(&locked.0, &locked.1));
+    let _ = write!(doc, "    \"lockfree\": {}", plane_json(&pp, &fi));
     if !sweep.is_empty() {
-        let _ = writeln!(doc, "    \"shard_sweep\": {},", sweep_json(&sweep));
+        let _ = write!(doc, ",\n    \"shard_sweep\": {}", sweep_json(&sweep));
     }
-    if let Some((pp, fi)) = &lockfree {
-        let speedup_fanin = fi.msgs_per_sec / locked.1.msgs_per_sec;
-        let speedup_p50 = locked.0.p50_us / pp.p50_us;
-        eprintln!(
-            "rt_throughput: fan-in speedup {speedup_fanin:.2}x, p50 speedup {speedup_p50:.2}x \
-             (lock-free over locked)"
-        );
-        let _ = writeln!(doc, "    \"speedup_fanin\": {speedup_fanin:.2},");
-        let _ = writeln!(doc, "    \"speedup_p50\": {speedup_p50:.2}");
-    } else {
-        let _ = writeln!(doc, "    \"plane\": \"locked\"");
-    }
+    doc.push('\n');
     doc.push_str("  }\n}\n");
 
     match &args.out {
@@ -308,15 +276,12 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &args.check {
-        let Some((_, fi)) = &lockfree else {
-            unreachable!("--check with --baseline-locked is rejected at parse time")
-        };
         let recorded = std::fs::read_to_string(path)
             .ok()
             .as_deref()
             .and_then(extract_lockfree_fanin);
         let Some(recorded) = recorded else {
-            eprintln!("rt_throughput: no recorded lock-free fan-in msgs/sec in {path}");
+            eprintln!("rt_throughput: no recorded fan-in msgs/sec in {path}");
             return ExitCode::FAILURE;
         };
         let floor = recorded * (1.0 - CHECK_TOLERANCE);

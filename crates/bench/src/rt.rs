@@ -1,8 +1,6 @@
 //! Threaded-runtime data-plane workloads for the `rt_throughput` harness.
 //!
-//! Two microbenchmarks, each runnable on either data plane (the lock-free
-//! rings or the `Mutex<VecDeque>` baseline kept by
-//! [`RtClusterBuilder::locked_data_plane`]):
+//! Three microbenchmarks:
 //!
 //! * **ping-pong** — two processes on two nodes bounce a small PUT back
 //!   and forth; per-round latency percentiles expose the idle-path cost
@@ -10,9 +8,7 @@
 //! * **fan-in** — several source processes, each on its own node, flood
 //!   acknowledged PUTs at one sink process under a fixed outstanding
 //!   window; sustained messages/sec exposes the hot-path queue mechanics
-//!   (one mutex per push/pop and one ACK packet per message on the
-//!   baseline, versus CAS claims and per-batch coalesced ACKs on the
-//!   rings);
+//!   (CAS claims on the wire ring, per-batch coalesced ACKs);
 //! * **multi-user fan-in** ([`fan_in_users`]) — the proxies×users sweep
 //!   point: several sink *users* share node 0 and the sources spray
 //!   round-robin across them, so with `--shards N` the sink node's
@@ -71,38 +67,19 @@ fn percentile(sorted_us: &[f64], q: f64) -> f64 {
     sorted_us[idx]
 }
 
-/// Runs the ping-pong workload on the selected data plane.
+/// Runs the ping-pong workload with `shards` proxy lanes per node.
+/// `telemetry` arms histograms and flight recorders — the A/B axis of
+/// the `rt_obs` overhead gate (counters stay on either way).
 ///
 /// # Panics
 ///
 /// Panics if any wait times out (a wedged data plane) — the bench must
 /// fail loudly, not hang.
 #[must_use]
-pub fn ping_pong(locked: bool, rounds: u64) -> PingPong {
-    ping_pong_cfg(locked, rounds, true)
-}
-
-/// [`ping_pong`] with an explicit telemetry-recording knob — the A/B
-/// axis of the `rt_obs` overhead gate (counters stay on either way;
-/// `telemetry` arms histograms and flight recorders).
-#[must_use]
-pub fn ping_pong_cfg(locked: bool, rounds: u64, telemetry: bool) -> PingPong {
-    ping_pong_inner(locked, rounds, telemetry, 1)
-}
-
-/// [`ping_pong`] with the per-node proxy-shard count exposed.
-#[must_use]
-pub fn ping_pong_shards(locked: bool, rounds: u64, shards: usize) -> PingPong {
-    ping_pong_inner(locked, rounds, true, shards)
-}
-
-fn ping_pong_inner(locked: bool, rounds: u64, telemetry: bool, shards: usize) -> PingPong {
+pub fn ping_pong(rounds: u64, telemetry: bool, shards: usize) -> PingPong {
     let mut b = RtClusterBuilder::new(2);
     b.telemetry(telemetry);
     b.shards(shards);
-    if locked {
-        b.locked_data_plane();
-    }
     let p0 = b.add_process(0, 4096);
     let p1 = b.add_process(1, 4096);
     let (cluster, mut eps) = b.start();
@@ -138,57 +115,23 @@ fn ping_pong_inner(locked: bool, rounds: u64, telemetry: bool, shards: usize) ->
     }
 }
 
-/// Runs the all-to-one fan-in workload on the selected data plane:
-/// `sources` processes (one per node) each send `msgs_per_source`
-/// acknowledged PUTs at a sink on node 0, keeping [`WINDOW`] messages in
-/// flight. The clock stops when the sink's delivery flag reaches the
-/// total.
+/// Runs the all-to-one fan-in workload: `sources` processes (one per
+/// node) each send `msgs_per_source` acknowledged PUTs at a sink on node
+/// 0, keeping [`WINDOW`] messages in flight. The clock stops when the
+/// sink's delivery flag reaches the total. `telemetry` is the recording
+/// knob of [`ping_pong`]; with `shards > 1` the one sink still means one
+/// busy lane — that measures the *no-tax* axis, not the scaling axis
+/// (that is [`fan_in_users`]).
 ///
 /// # Panics
 ///
 /// Panics if any wait times out (a wedged data plane).
 #[must_use]
-pub fn fan_in(locked: bool, sources: usize, msgs_per_source: u64) -> FanIn {
-    fan_in_cfg(locked, sources, msgs_per_source, true)
-}
-
-/// [`fan_in`] with an explicit telemetry-recording knob (see
-/// [`ping_pong_cfg`]).
-///
-/// # Panics
-///
-/// Panics if any wait times out (a wedged data plane).
-#[must_use]
-pub fn fan_in_cfg(locked: bool, sources: usize, msgs_per_source: u64, telemetry: bool) -> FanIn {
-    fan_in_inner(locked, sources, msgs_per_source, telemetry, 1)
-}
-
-/// [`fan_in`] with the per-node proxy-shard count exposed. One sink
-/// still means one busy shard — this measures the *no-tax* axis, not
-/// the scaling axis (that is [`fan_in_users`]).
-///
-/// # Panics
-///
-/// Panics if any wait times out (a wedged data plane).
-#[must_use]
-pub fn fan_in_shards(locked: bool, sources: usize, msgs_per_source: u64, shards: usize) -> FanIn {
-    fan_in_inner(locked, sources, msgs_per_source, true, shards)
-}
-
-fn fan_in_inner(
-    locked: bool,
-    sources: usize,
-    msgs_per_source: u64,
-    telemetry: bool,
-    shards: usize,
-) -> FanIn {
+pub fn fan_in(sources: usize, msgs_per_source: u64, telemetry: bool, shards: usize) -> FanIn {
     assert!((1..=63).contains(&sources), "1..=63 sources");
     let mut b = RtClusterBuilder::new(sources + 1);
     b.telemetry(telemetry);
     b.shards(shards);
-    if locked {
-        b.locked_data_plane();
-    }
     let sink_asid = b.add_process(0, 1 << 16);
     let src_asids: Vec<u32> = (1..=sources).map(|n| b.add_process(n, 4096)).collect();
     let (cluster, mut eps) = b.start();
@@ -255,12 +198,12 @@ pub struct ShardPoint {
     pub msgs_per_sec: f64,
 }
 
-/// The proxies×users sweep workload (lock-free plane): `users` sink
+/// The proxies×users sweep workload: `users` sink
 /// processes share node 0 and `sources` source processes (one per
 /// node) each spray `msgs_per_source` acknowledged `payload`-byte PUTs
 /// round-robin across the sinks under a [`WINDOW`]-deep outstanding
-/// window. The sink node's shard table spreads the sinks' command
-/// queues over `shards` proxy threads, so delivery work that serializes
+/// window. The placement rule spreads the sinks' command queues
+/// round-robin over `shards` proxy threads, so delivery work that serializes
 /// behind one proxy at `shards=1` runs in parallel when cores allow.
 /// Callers pick the payload: the sweep wants bulk frames (the proxy's
 /// per-message copy dominates, so the curve measures data-plane
@@ -365,20 +308,16 @@ mod tests {
     }
 
     #[test]
-    fn ping_pong_smoke_both_planes() {
-        for locked in [false, true] {
-            let r = ping_pong(locked, 20);
-            assert_eq!(r.rounds, 20);
-            assert!(r.p50_us > 0.0 && r.p50_us <= r.p99_us);
-        }
+    fn ping_pong_smoke() {
+        let r = ping_pong(20, true, 1);
+        assert_eq!(r.rounds, 20);
+        assert!(r.p50_us > 0.0 && r.p50_us <= r.p99_us);
     }
 
     #[test]
-    fn fan_in_smoke_both_planes() {
-        for locked in [false, true] {
-            let r = fan_in(locked, 2, 300);
-            assert!(r.msgs_per_sec > 0.0, "locked={locked}");
-        }
+    fn fan_in_smoke() {
+        let r = fan_in(2, 300, true, 1);
+        assert!(r.msgs_per_sec > 0.0);
     }
 
     #[test]

@@ -77,10 +77,6 @@ counters! {
     Kills => "kills",
     Respawns => "respawns",
     EpochBumps => "epoch_bumps",
-    // Sharding / elastic scaling.
-    Migrations => "migrations",
-    ShardGrows => "shard_grows",
-    ShardShrinks => "shard_shrinks",
     // DES engine internals (sim scope only).
     Events => "events",
     TimersArmed => "timers_armed",

@@ -72,9 +72,6 @@ event_kinds! {
     FaultDrop = 17 => "fault_drop",
     FaultDup = 18 => "fault_dup",
     FaultCorrupt = 19 => "fault_corrupt",
-    MigrateOut = 20 => "migrate_out",
-    MigrateIn = 21 => "migrate_in",
-    ShardScale = 22 => "shard_scale",
 }
 
 /// A decoded flight-recorder event.

@@ -11,9 +11,7 @@
 //!   flag per entry;
 //! * [`ring`] — bounded lock-free rings for the rest of the data plane:
 //!   one MPSC wire ring per node (peer proxies → pinned proxy) and SPSC
-//!   reply rings (proxy → user process), with a selectable locked
-//!   baseline ([`RtClusterBuilder::locked_data_plane`]) for A/B
-//!   measurement;
+//!   reply rings (proxy → user process);
 //! * [`idle`] — the shared adaptive idle policy (spin → yield → park
 //!   with explicit wake on enqueue) every wait in the runtime uses;
 //! * a proxy thread per node running the Figure 5 loop in batched
@@ -45,12 +43,9 @@
 //!   [`RtCluster::shutdown`]'s [`ShutdownReport`];
 //! * **multi-proxy sharding** ([`RtClusterBuilder::shards`]): each
 //!   node's command-queue service partitioned over up to [`MAX_SHARDS`]
-//!   proxy shard threads by a per-node shard table, with optional
-//!   **elastic scaling** ([`RtClusterBuilder::elastic_shards`]) that
-//!   grows and shrinks the active shard count off the watchdog's §5.4
-//!   busy-fraction signal, migrating queues between shards with a
-//!   quiesce → drain → retarget handoff that preserves the exactly-once
-//!   contract.
+//!   proxy shard threads, the paper's provisioning answer to a proxy past
+//!   its §5.4 bound; placement is one rule fixed at start (a node's
+//!   `i`-th process is served by its shard `i mod shards`).
 //!
 //! # Examples
 //!
@@ -77,19 +72,26 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod builder;
 mod cluster;
+mod endpoint;
 pub mod fault;
 pub mod idle;
+mod lane;
 mod mem;
 pub mod ring;
 pub mod spsc;
+mod state;
 mod supervisor;
+mod watchdog;
+mod wire;
 
+pub use builder::RtClusterBuilder;
 pub use cluster::{
-    Endpoint, FlagId, ProxyPanic, RqId, RtCluster, RtClusterBuilder, RtError, ShutdownReport,
-    CMDQ_DEPTH, MAX_SHARDS, NUM_FLAGS, NUM_QUEUES, RECOVERY_UTILIZATION, RQ_DEPTH, SHED_BACKLOG,
-    WIRE_DEPTH,
+    ProxyPanic, RtCluster, ShutdownReport, CMDQ_DEPTH, MAX_SHARDS, NUM_FLAGS, NUM_QUEUES,
+    RECOVERY_UTILIZATION, RQ_DEPTH, SHED_BACKLOG, WIRE_DEPTH,
 };
+pub use endpoint::{Endpoint, FlagId, RqId, RtError};
 pub use fault::{RtFaultCounts, RtFaultPlan, RtKill, RtStall};
 pub use mem::Segment;
 pub use mproxy_obs as obs;

@@ -16,7 +16,7 @@
 //!    stops waiting for its acknowledgements.
 //! 3. **Respawn** — bump the lane's epoch, mark a Hello owed to every
 //!    peer, clear the panic bit, and spawn a fresh incarnation. The new
-//!    proxy resumes from the lane's surviving [`NodeState`] — watermarks,
+//!    proxy resumes from the lane's surviving [`crate::state::NodeState`] — watermarks,
 //!    retention, CCBs — so nothing acknowledged is lost or re-applied;
 //!    the Hello makes peers re-ack and retransmit immediately, bounding
 //!    resync to one round trip instead of a retransmit timeout.
@@ -31,7 +31,8 @@ use std::time::Duration;
 
 use mproxy_obs::{Ctr, EventKind};
 
-use crate::cluster::{condemn_dead, run_proxy, Shared};
+use crate::cluster::{condemn_dead, Shared};
+use crate::lane::run_proxy;
 use crate::idle::sleep_unless;
 
 /// How often the supervisor polls the panic bits.

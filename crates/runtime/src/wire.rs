@@ -1,0 +1,657 @@
+//! The sequenced wire layer between proxy lanes.
+//!
+//! Inter-proxy traffic is *reliable* over a transport that is allowed to
+//! misbehave (the seeded injector of [`crate::fault`], or a proxy dying
+//! mid-conversation). Every data frame from lane `s` to lane `d` carries
+//! a per-pair monotone sequence number; the sender retains a clone of
+//! each unacknowledged frame (payloads are [`Bytes`], so a clone is a
+//! refcount, not a copy). The receiver delivers strictly in order,
+//! parks intact out-of-order frames in a bounded reorder buffer, answers
+//! each drain batch with one cumulative [`WireMsg::AckUpto`] watermark,
+//! NACKs the exact sequences it is missing behind a gap or a corrupt
+//! frame, and drops duplicates (re-acking so the sender converges). A
+//! retransmit timer backstops lost NACKs. Control frames (acks, nacks,
+//! hellos) are never judged by the injector and never dropped: the model
+//! is a lossy transport under a reliable protocol, not a broken
+//! protocol.
+//!
+//! The invariant bought by all this: **an operation whose `lsync` flag
+//! fired was applied at the destination exactly once** — under drops,
+//! duplicates, corruption, overload shedding, and proxy respawns.
+//! Overload shedding rides the same machinery: a saturated proxy *rejects*
+//! excess requests by advancing its delivered watermark and reporting the
+//! rejected sequence numbers on the ack, so the sender drops them from
+//! retention without firing `lsync`.
+//!
+//! This module holds the frames and the functions that move them; the
+//! per-stream state they act on ([`crate::state::TxPeer`], [`RxPeer`]) is in
+//! [`crate::state`], and what a delivered frame *does* is
+//! [`crate::lane::apply_data`].
+
+use std::collections::VecDeque;
+use std::sync::atomic::Ordering;
+use std::time::{Duration, Instant};
+
+use bytes::Bytes;
+use mproxy_obs::{Ctr, EventKind, HistId};
+
+use crate::cluster::{Shared, OBS_SAMPLE_MASK};
+use crate::lane::apply_data;
+use crate::state::{NodeState, Parked, PendingEnq, Retained, RxPeer};
+
+/// Retransmit timeout: a sender with unacknowledged packets and no ack
+/// progress for this long re-sends from its retention buffer. Generous
+/// against ack coalescing latency, tight enough that a dropped packet
+/// costs milliseconds, not a stalled test.
+const RTO: Duration = Duration::from_millis(2);
+
+/// Most retained packets re-sent from the retention head per destination
+/// per resync pass (RTO expiry or a peer's Hello); bounds the burst a
+/// recovering receiver takes all at once. NACK-driven recovery never
+/// bursts: it re-sends exactly the sequences the receiver named.
+const RESEND_BURST: usize = 128;
+
+/// An operation travelling the wire (the content of a sequenced
+/// [`WireMsg::Data`] frame).
+#[derive(Debug, Clone)]
+pub(crate) enum Payload {
+    Put {
+        dst: u32,
+        raddr: u64,
+        data: Bytes,
+        rsync: Option<u32>,
+    },
+    GetReq {
+        src_asid: u32,
+        dst: u32,
+        raddr: u64,
+        nbytes: u32,
+        token: u64,
+    },
+    GetReply {
+        token: u64,
+        data: Option<Bytes>,
+    },
+    Enq {
+        dst: u32,
+        rq: u32,
+        data: Bytes,
+        rsync: Option<u32>,
+    },
+}
+
+impl Payload {
+    /// Requests may be rejected under overload; responses may not — each
+    /// one resolves a CCB that has already been paid for, and rejecting
+    /// it would strand the waiter.
+    fn is_request(&self) -> bool {
+        !matches!(self, Payload::GetReply { .. })
+    }
+
+    /// Application bytes carried (the bytes_in/bytes_out accounting
+    /// unit; headers and control frames count zero).
+    fn wire_bytes(&self) -> u64 {
+        match self {
+            Payload::Put { data, .. } | Payload::Enq { data, .. } => data.len() as u64,
+            Payload::GetReq { .. } => 0,
+            Payload::GetReply { data, .. } => data.as_ref().map_or(0, |d| d.len() as u64),
+        }
+    }
+}
+
+/// One frame on the inter-proxy wire. `Data` frames are sequenced per
+/// (sender, destination) pair and subject to fault injection; the control
+/// frames are the reliability layer itself and are never judged or lost.
+#[derive(Debug)]
+pub(crate) enum WireMsg {
+    /// A sequenced operation. `corrupt` models payload damage in flight —
+    /// set by the injector, detected "by checksum" at the receiver, which
+    /// NACKs instead of delivering.
+    Data {
+        from: usize,
+        seq: u64,
+        corrupt: bool,
+        body: Payload,
+    },
+    /// Cumulative acknowledgement: every `Data` frame from the receiver's
+    /// peer with `seq <= upto` has been accounted for. Sequences listed in
+    /// `rejected` were *shed* under overload: the sender must drop them
+    /// from retention without firing their `lsync`.
+    AckUpto {
+        from: usize,
+        upto: u64,
+        rejected: Vec<u64>,
+    },
+    /// The receiver's in-order watermark is stuck at `since` behind a gap
+    /// or a corrupt frame: `missing` names every sequence it still lacks
+    /// up to the highest one it has seen (ascending, starting at
+    /// `since + 1`). The sender re-sends exactly those frames now rather
+    /// than waiting out the RTO.
+    Nack {
+        from: usize,
+        since: u64,
+        missing: Vec<u64>,
+    },
+    /// A respawned proxy announcing itself: peers re-ack their watermark
+    /// (so the newcomer's retention drains) and retransmit their own
+    /// retained traffic immediately.
+    Hello {
+        from: usize,
+        #[allow(dead_code)]
+        epoch: u64,
+    },
+}
+
+/// Discards every frame lane `lane` has parked, from every source,
+/// counting each as a damaged drop.
+pub(crate) fn abandon_all_held(shared: &Shared, st: &mut NodeState, lane: usize) {
+    let parked: u64 = st.rx.iter_mut().map(RxPeer::abandon_held).sum();
+    shared.obs[lane].add(Ctr::DamagedDrops, parked);
+}
+
+/// Pushes one wire frame towards `dst`, stashing it in the caller's
+/// pending queue if the ring is full or earlier frames are already
+/// stashed (FIFO per destination).
+pub(crate) fn push_wire(shared: &Shared, pending: &mut VecDeque<WireMsg>, dst: usize, msg: WireMsg) {
+    if !pending.is_empty() {
+        pending.push_back(msg);
+        return;
+    }
+    match shared.wires[dst].try_push(msg) {
+        Ok(()) => shared.parkers[dst].wake(),
+        Err(back) => pending.push_back(back),
+    }
+}
+
+/// Retries stashed outbound frames and owed local deliveries; true if
+/// any progress was made. Pending output towards a condemned node is
+/// discarded — nobody will ever drain that ring.
+pub(crate) fn flush_pending(shared: &Shared, st: &mut NodeState) -> bool {
+    let mut progressed = false;
+    for (dst, q) in st.pending_wire.iter_mut().enumerate() {
+        if q.is_empty() {
+            continue;
+        }
+        if shared.condemned[dst].load(Ordering::Relaxed) {
+            q.clear();
+            continue;
+        }
+        let mut pushed = false;
+        while let Some(m) = q.pop_front() {
+            match shared.wires[dst].try_push(m) {
+                Ok(()) => pushed = true,
+                Err(back) => {
+                    q.push_front(back);
+                    break;
+                }
+            }
+        }
+        if pushed {
+            shared.parkers[dst].wake();
+            progressed = true;
+        }
+    }
+    while let Some(p) = st.pending_rq.pop_front() {
+        let PendingEnq {
+            dst,
+            rq,
+            data,
+            rsync,
+        } = p;
+        match shared.procs[dst as usize].queues[rq as usize].try_push(data) {
+            Ok(()) => {
+                if let Some(f) = rsync {
+                    shared.set_flag(dst, f);
+                }
+                progressed = true;
+            }
+            Err(data) => {
+                st.pending_rq.push_front(PendingEnq {
+                    dst,
+                    rq,
+                    data,
+                    rsync,
+                });
+                break;
+            }
+        }
+    }
+    progressed
+}
+
+/// Sequences, retains, and transmits one data frame from `node` towards
+/// `dst_node`, applying the fault injector's verdict (drop / duplicate /
+/// corrupt) to the transmission — never to the retained copy, which is
+/// what retransmission re-sends.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn send_data(
+    shared: &Shared,
+    st: &mut NodeState,
+    node: usize,
+    now: Instant,
+    dst_node: usize,
+    body: Payload,
+    lsync: Option<(u32, u32)>,
+    submit_ns: u64,
+) {
+    if shared.condemned[dst_node].load(Ordering::Relaxed) {
+        // The destination is permanently gone: the op is lost, its lsync
+        // never fires (clients observe that through bounded waits), and
+        // a GET's CCB is cancelled so the token can't dangle.
+        if let Payload::GetReq { token, .. } = body {
+            st.ccbs.remove(&token);
+        }
+        return;
+    }
+    let obs = &shared.obs[node];
+    obs.inc(Ctr::MsgsOut);
+    obs.add(Ctr::BytesOut, body.wire_bytes());
+    let tx = &mut st.tx[dst_node];
+    let seq = tx.next_seq;
+    tx.next_seq += 1;
+    if tx.retained.is_empty() {
+        tx.last_progress = now;
+    }
+    tx.retained.push_back(Retained {
+        seq,
+        body: body.clone(),
+        lsync,
+        // The loop's `now` re-expressed on the shared epoch: pure
+        // arithmetic, no extra clock read on the proxy's hot path.
+        sent_ns: shared.rel_ns(now),
+        submit_ns,
+    });
+    let mut corrupt = false;
+    let mut duplicate = false;
+    if let Some(faults) = &shared.faults {
+        if faults.packet_faults_possible() {
+            let fate = faults.judge(node);
+            if fate.drop || fate.corrupt || fate.duplicate {
+                obs.inc(Ctr::FaultsInjected);
+                let kind = if fate.drop {
+                    EventKind::FaultDrop
+                } else if fate.corrupt {
+                    EventKind::FaultCorrupt
+                } else {
+                    EventKind::FaultDup
+                };
+                obs.trace_at(shared.rel_ns(now), kind, dst_node as u16, seq as u32);
+            }
+            if fate.drop {
+                return; // retention + RTO recover it
+            }
+            corrupt = fate.corrupt;
+            duplicate = fate.duplicate;
+        }
+    }
+    st.obs_tick = st.obs_tick.wrapping_add(1);
+    if st.obs_tick & OBS_SAMPLE_MASK == 0 {
+        obs.trace_at(
+            shared.rel_ns(now),
+            EventKind::Send,
+            dst_node as u16,
+            seq as u32,
+        );
+    }
+    // Retention holds one (refcount) clone; the original moves into the
+    // last wire copy.
+    let frame = |body| WireMsg::Data {
+        from: node,
+        seq,
+        corrupt,
+        body,
+    };
+    let pending = &mut st.pending_wire[dst_node];
+    if duplicate {
+        push_wire(shared, pending, dst_node, frame(body.clone()));
+    }
+    push_wire(shared, pending, dst_node, frame(body));
+}
+
+/// Consumes one cumulative acknowledgement from `from`: advances the
+/// watermark, releases retention, fires `lsync` flags for accepted
+/// frames, and cancels the CCBs of rejected GETs.
+fn process_ack(
+    shared: &Shared,
+    st: &mut NodeState,
+    node: usize,
+    now: Instant,
+    from: usize,
+    upto: u64,
+    rejected: &[u64],
+) {
+    let NodeState {
+        tx,
+        ccbs,
+        obs_tick,
+        ..
+    } = st;
+    let tx = &mut tx[from];
+    if upto <= tx.acked {
+        return;
+    }
+    tx.acked = upto;
+    tx.last_progress = now;
+    let obs = &shared.obs[node];
+    let now_ns = shared.rel_ns(now);
+    // Cursor into `rejected`: the receiver sheds in sequence order, so
+    // the list ascends just as the released frames do.
+    let mut shed = 0;
+    while tx.retained.front().is_some_and(|r| r.seq <= upto) {
+        let r = tx.retained.pop_front().expect("front checked above");
+        *obs_tick = obs_tick.wrapping_add(1);
+        let sampled = *obs_tick & OBS_SAMPLE_MASK == 0;
+        // Wire RTT: first transmission → the releasing cumulative ack.
+        if sampled {
+            obs.record(HistId::WireRttNs, now_ns.saturating_sub(r.sent_ns));
+        }
+        while rejected.get(shed).is_some_and(|&s| s < r.seq) {
+            shed += 1;
+        }
+        if rejected.get(shed) == Some(&r.seq) {
+            // Shed at the receiver: the op never happened. No lsync; a
+            // rejected GET's CCB is cancelled.
+            if let Payload::GetReq { token, .. } = r.body {
+                ccbs.remove(&token);
+            }
+        } else if let Some((proc, flag)) = r.lsync {
+            // Lsync round trip: user submit stamp → the ack that fires
+            // the flag (0 means the stamp predates recording — skip).
+            if r.submit_ns != 0 {
+                obs.record(HistId::LsyncRttNs, now_ns.saturating_sub(r.submit_ns));
+            }
+            shared.set_flag(proc, flag);
+        }
+    }
+}
+
+/// Handles one inbound wire frame on node `node`.
+///
+/// A data frame at or below the sender's in-order watermark is a
+/// duplicate; the frame right after the watermark is applied, followed by
+/// every parked frame the advance makes contiguous; an intact frame
+/// further ahead is parked in the reorder buffer; a corrupt frame, or one
+/// beyond the reorder window, is dropped. Every arrival that leaves the
+/// watermark stuck behind a gap owes the sender a NACK.
+///
+/// With `shed` set (overload control) an in-order *request* is rejected
+/// instead of applied: the watermark still advances, the sequence rides
+/// out on the next ack, and the sender unretains it without firing
+/// `lsync`. Responses and control frames are handled as always.
+pub(crate) fn handle_packet(
+    shared: &Shared,
+    st: &mut NodeState,
+    node: usize,
+    now: Instant,
+    msg: WireMsg,
+    shed: bool,
+) {
+    let obs = &shared.obs[node];
+    match msg {
+        WireMsg::Data {
+            from,
+            seq,
+            corrupt,
+            body,
+        } => {
+            obs.inc(Ctr::MsgsIn);
+            obs.add(Ctr::BytesIn, body.wire_bytes());
+            let rx = &mut st.rx[from];
+            if seq <= rx.delivered {
+                // Duplicate (injected, or a retransmission racing the
+                // ack): drop it, re-ack so the sender converges.
+                obs.inc(Ctr::DedupDrops);
+                obs.trace_at(
+                    shared.rel_ns(now),
+                    EventKind::DedupDrop,
+                    from as u16,
+                    seq as u32,
+                );
+                rx.ack_pending = true;
+                return;
+            }
+            if corrupt || seq != rx.delivered + 1 {
+                // Damaged, or ahead of a gap (an earlier frame was lost):
+                // park what is intact, and name what is missing on the
+                // next NACK.
+                match rx.park(seq, (!corrupt).then_some(body)) {
+                    Parked::Held => {}
+                    Parked::Duplicate => obs.inc(Ctr::DedupDrops),
+                    Parked::Dropped => obs.inc(Ctr::DamagedDrops),
+                }
+                rx.nack_pending = true;
+                return;
+            }
+            rx.advance();
+            rx.ack_pending = true;
+            let mut ready = if shed && body.is_request() {
+                rx.rejected_new.push(seq);
+                obs.inc(Ctr::Sheds);
+                shared.health[node].shed.fetch_add(1, Ordering::Relaxed);
+                obs.trace_at(shared.rel_ns(now), EventKind::Shed, from as u16, seq as u32);
+                rx.next_ready()
+            } else {
+                Some(body)
+            };
+            // The frame itself, then — the gap (if there was one) having
+            // just closed — everything parked behind it that is now
+            // contiguous, in order. Parked frames were accepted before
+            // any overload verdict, so they are never shed.
+            while let Some(body) = ready {
+                obs.inc(Ctr::OpsApplied);
+                apply_data(shared, st, node, now, from, body);
+                ready = st.rx[from].next_ready();
+            }
+        }
+        WireMsg::AckUpto {
+            from,
+            upto,
+            rejected,
+        } => {
+            obs.inc(Ctr::AcksIn);
+            // Acks arrive roughly per service batch under load, so this
+            // trace is decimated like the other hot-path events. The
+            // resync span in the Chrome exporter tolerates a missed ack:
+            // it falls back to the (never-sampled) Hello event.
+            st.obs_tick = st.obs_tick.wrapping_add(1);
+            if st.obs_tick & OBS_SAMPLE_MASK == 0 {
+                obs.trace_at(
+                    shared.rel_ns(now),
+                    EventKind::AckIn,
+                    from as u16,
+                    upto as u32,
+                );
+            }
+            process_ack(shared, st, node, now, from, upto, &rejected);
+        }
+        WireMsg::Nack {
+            from,
+            since,
+            mut missing,
+        } => {
+            obs.inc(Ctr::NacksIn);
+            obs.trace_at(
+                shared.rel_ns(now),
+                EventKind::NackIn,
+                from as u16,
+                since as u32,
+            );
+            let tx = &mut st.tx[from];
+            if since < tx.acked {
+                // Stale: a later ack overtook it. What it names at or
+                // below the watermark has since arrived.
+                missing.retain(|&s| s > tx.acked);
+            }
+            // The latest NACK supersedes any not yet served: it reflects
+            // the receiver's newest view of the same gaps.
+            tx.nacked = missing;
+        }
+        WireMsg::Hello { from, epoch } => {
+            // A peer's proxy respawned. Re-ack our watermark so its
+            // retention drains, and retransmit ours immediately — its
+            // wire ring may hold our frames from before the crash, but
+            // timers would cover any gap slowly; the hello bounds the
+            // resync to one round trip.
+            obs.trace_at(
+                shared.rel_ns(now),
+                EventKind::Hello,
+                from as u16,
+                epoch as u32,
+            );
+            st.rx[from].ack_pending = true;
+            st.tx[from].resync_hint = true;
+        }
+    }
+}
+
+/// Re-sends `frames` (retained copies) from `node` straight into `dst`'s
+/// ring, each transmission judged by the fault injector like a first
+/// one; stops early when the ring fills (what is left is recovered by a
+/// later NACK or the RTO). Counts and traces what it re-sent.
+fn resend<'a>(
+    shared: &Shared,
+    node: usize,
+    now: Instant,
+    dst: usize,
+    frames: impl Iterator<Item = &'a Retained>,
+) {
+    let obs = &shared.obs[node];
+    let mut pushed = false;
+    let mut resent = 0u32;
+    'frames: for r in frames {
+        let mut corrupt = false;
+        let mut copies = 1;
+        if let Some(faults) = &shared.faults {
+            if faults.packet_faults_possible() {
+                let fate = faults.judge(node);
+                if fate.drop || fate.corrupt || fate.duplicate {
+                    obs.inc(Ctr::FaultsInjected);
+                }
+                if fate.drop {
+                    continue; // the *retransmit* was dropped; a later pass retries
+                }
+                corrupt = fate.corrupt;
+                if fate.duplicate {
+                    copies = 2;
+                }
+            }
+        }
+        for _ in 0..copies {
+            let frame = WireMsg::Data {
+                from: node,
+                seq: r.seq,
+                corrupt,
+                body: r.body.clone(),
+            };
+            if shared.wires[dst].try_push(frame).is_err() {
+                break 'frames;
+            }
+            pushed = true;
+        }
+        resent += 1;
+    }
+    if resent > 0 {
+        obs.add(Ctr::Retransmits, u64::from(resent));
+        obs.trace_at(
+            shared.rel_ns(now),
+            EventKind::Retransmit,
+            dst as u16,
+            resent,
+        );
+    }
+    if pushed {
+        shared.parkers[dst].wake();
+    }
+}
+
+/// Retransmission pass, per destination with unacknowledged retention.
+/// A resync — the RTO expired with no ack progress, a peer said Hello, or
+/// this lane respawned — re-sends a burst from the retention head: the
+/// receiver's state is unknown, so assume nothing arrived. Otherwise the
+/// frames the receiver's latest NACK named are re-sent, and only those:
+/// everything else in flight is parked at the receiver, waiting for
+/// them. Frames go straight to the destination ring (never the pending
+/// stash — retransmits are redundant by design; the stash must stay
+/// FIFO-clean for new traffic).
+pub(crate) fn retransmit(shared: &Shared, st: &mut NodeState, node: usize, now: Instant) {
+    let NodeState {
+        tx, pending_wire, ..
+    } = st;
+    for (dst, tx) in tx.iter_mut().enumerate() {
+        let Some(front) = tx.retained.front().map(|r| r.seq) else {
+            tx.resync_hint = false;
+            tx.nacked.clear();
+            continue;
+        };
+        if !pending_wire[dst].is_empty() || shared.condemned[dst].load(Ordering::Relaxed) {
+            continue;
+        }
+        if tx.resync_hint || now.duration_since(tx.last_progress) >= RTO {
+            tx.resync_hint = false;
+            tx.nacked.clear();
+            tx.last_progress = now;
+            resend(
+                shared,
+                node,
+                now,
+                dst,
+                tx.retained.iter().take(RESEND_BURST),
+            );
+        } else if !tx.nacked.is_empty() {
+            // Retention is contiguous in sequence, so a named frame sits
+            // at `seq - front`; one already acknowledged is simply gone.
+            let named = tx.nacked.iter().filter_map(|&seq| {
+                let r = tx
+                    .retained
+                    .get(usize::try_from(seq.checked_sub(front)?).ok()?)?;
+                debug_assert_eq!(r.seq, seq);
+                Some(r)
+            });
+            resend(shared, node, now, dst, named);
+            tx.nacked.clear();
+        }
+    }
+}
+
+/// Emits the acknowledgement state accumulated this pass: one cumulative
+/// [`WireMsg::AckUpto`] per source that delivered (or was shed) anything,
+/// one [`WireMsg::Nack`] per source whose watermark is stuck behind a gap
+/// or a corrupt frame and that sent anything this pass, naming exactly
+/// the sequences still missing.
+pub(crate) fn flush_acks(shared: &Shared, st: &mut NodeState, node: usize) {
+    let NodeState {
+        rx, pending_wire, ..
+    } = st;
+    let obs = &shared.obs[node];
+    for (src, rx) in rx.iter_mut().enumerate() {
+        if rx.ack_pending || !rx.rejected_new.is_empty() {
+            rx.ack_pending = false;
+            let rejected = std::mem::take(&mut rx.rejected_new);
+            obs.inc(Ctr::AcksOut);
+            push_wire(
+                shared,
+                &mut pending_wire[src],
+                src,
+                WireMsg::AckUpto {
+                    from: node,
+                    upto: rx.delivered,
+                    rejected,
+                },
+            );
+        }
+        // A gap that closed later in the same pass owes nothing.
+        if std::mem::take(&mut rx.nack_pending) && !rx.held.is_empty() {
+            obs.inc(Ctr::NacksOut);
+            push_wire(
+                shared,
+                &mut pending_wire[src],
+                src,
+                WireMsg::Nack {
+                    from: node,
+                    since: rx.delivered,
+                    missing: rx.missing(),
+                },
+            );
+        }
+    }
+}

@@ -124,8 +124,8 @@ fn shard_scopes_merge_to_node_view() {
     let mut b = RtClusterBuilder::new(2);
     b.telemetry(true);
     b.shards(2);
-    // Two sink users on node 0 (the jump hash may co-locate them; the
-    // merge must be correct either way), one source on node 1.
+    // Two sink users on node 0 (one per shard, by the placement rule),
+    // one source on node 1.
     let sink_a = b.add_process(0, 1 << 16);
     let sink_b = b.add_process(0, 1 << 16);
     let _src = b.add_process(1, 1 << 16);

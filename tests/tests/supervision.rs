@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 
-use mproxy_rt::{FlagId, RqId, RtClusterBuilder, RtError, RtFaultPlan};
+use mproxy_rt::{FlagId, RqId, RtClusterBuilder, RtError, RtFaultPlan, CMDQ_DEPTH};
 
 /// Generous per-wait bound: recovery from a kill must complete well
 /// inside this even on a loaded single-CPU host.
@@ -93,6 +93,53 @@ fn unsupervised_death_condemns_and_reports_reason() {
         .as_deref()
         .unwrap()
         .contains("injected kill"));
+}
+
+#[test]
+fn full_command_queue_to_dead_proxy_drops_instead_of_hanging() {
+    // Node 0's *own* proxy dies unsupervised, so nothing will ever drain
+    // its user's command queue again. Submissions past the queue depth
+    // must still return (the op is dropped, like one towards a condemned
+    // destination), and the bounded wait must name the dead proxy.
+    let mut b = RtClusterBuilder::new(2);
+    let _p0 = b.add_process(0, 1 << 16);
+    let p1 = b.add_process(1, 1 << 16);
+    b.fault_plan(RtFaultPlan::new(5).kill(0, 4));
+    let (cluster, mut eps) = b.start();
+    let _e1 = eps.pop().unwrap();
+    let mut e0 = eps.pop().unwrap();
+
+    let mut acked = 0u64;
+    while cluster.condemned_nodes().is_empty() {
+        assert!(acked < 100, "the kill after 4 ops never fired");
+        e0.put(0, p1, 64, 8, Some(FlagId(0)), None);
+        if e0.wait_flag_timeout(FlagId(0), acked + 1, WAIT).is_ok() {
+            acked += 1;
+        }
+    }
+    assert_eq!(cluster.condemned_nodes(), vec![0]);
+
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let submitter = std::thread::spawn(move || {
+        for _ in 0..CMDQ_DEPTH + 8 {
+            e0.put(0, p1, 64, 8, Some(FlagId(0)), None);
+        }
+        done_tx.send(()).expect("test still listening");
+        e0
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("put() must not hang on a full queue nobody drains");
+    let e0 = submitter.join().expect("submitter thread");
+    match e0.wait_flag_timeout(FlagId(0), acked + 1, WAIT) {
+        Err(RtError::ProxyDown { node, reason }) => {
+            assert_eq!(node, 0);
+            assert!(reason.is_some_and(|r| r.contains("injected kill")));
+        }
+        other => panic!("expected ProxyDown, got {other:?}"),
+    }
+    let report = cluster.shutdown();
+    assert!(!report.clean());
 }
 
 #[test]
@@ -229,18 +276,6 @@ fn lossy_wire_still_delivers_exactly_once() {
     assert!(report.clean(), "{report:?}");
 }
 
-/// Polls until `asid` sits on `shard` or the [`WAIT`] deadline passes.
-fn await_shard(cluster: &mproxy_rt::RtCluster, asid: u32, shard: usize) {
-    let deadline = std::time::Instant::now() + WAIT;
-    while cluster.shard_of(asid) != shard {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "asid {asid} never reached shard {shard}"
-        );
-        std::thread::yield_now();
-    }
-}
-
 #[test]
 fn shard_kill_sibling_shard_stays_live() {
     // Node 1 runs two proxy shards, one sink user on each. Shard 0 is
@@ -258,13 +293,9 @@ fn shard_kill_sibling_shard_stays_live() {
     let mut e0 = eps.pop().unwrap();
     assert_eq!(e0.asid(), p0);
 
-    // Pin the victim user to shard 0 and the survivor to shard 1.
-    for (target, asid) in [(0, pa), (1, pb)] {
-        if cluster.shard_of(asid) != target {
-            assert!(cluster.migrate_asid(asid, target));
-            await_shard(&cluster, asid, target);
-        }
-    }
+    // Placement: node 1's first process is the victim on shard 0, its
+    // second the survivor on shard 1.
+    assert_eq!((cluster.shard_of(pa), cluster.shard_of(pb)), (0, 1));
 
     // Flood the victim until its shard dies under the op-count trigger.
     let mut saw_down = None;
@@ -319,10 +350,7 @@ fn shard_kill_respawn_preserves_exactly_once() {
     let e1 = eps.pop().unwrap();
     let mut e0 = eps.pop().unwrap();
     assert_eq!(e0.asid(), p0);
-    if cluster.shard_of(p1) != 0 {
-        assert!(cluster.migrate_asid(p1, 0));
-        await_shard(&cluster, p1, 0);
-    }
+    assert_eq!(cluster.shard_of(p1), 0, "a node's first process sits on shard 0");
 
     let n = 150u64;
     for i in 1..=n {
@@ -345,112 +373,6 @@ fn shard_kill_respawn_preserves_exactly_once() {
     assert!(cluster.deaths(1) >= 1, "the shard kill must have fired");
     assert!(cluster.restarts_total() >= 1);
     assert_eq!(cluster.condemned_nodes(), Vec::<usize>::new());
-    let report = cluster.shutdown();
-    assert!(report.clean(), "{report:?}");
-}
-
-#[test]
-fn rebalance_mid_flood_no_loss_dup_reorder() {
-    // The satellite's deterministic seeded rebalance check: a hot asid is
-    // migrated between shards twice in the middle of a lossy acked-enq
-    // flood; the drained queue must be 1..=n, in order, exactly once.
-    let mut b = RtClusterBuilder::new(2);
-    b.shards(2);
-    let p0 = b.add_process(0, 1 << 16);
-    let p1 = b.add_process(1, 1 << 16);
-    b.fault_plan(RtFaultPlan::new(77).drop(0.05).duplicate(0.05));
-    let (cluster, mut eps) = b.start();
-    let e1 = eps.pop().unwrap();
-    let mut e0 = eps.pop().unwrap();
-    assert_eq!(e0.asid(), p0);
-
-    let n = 300u64;
-    for i in 1..=n {
-        if i == 100 || i == 200 {
-            // Fire the handoff and keep flooding through it.
-            cluster.migrate_asid(p1, 1 - cluster.shard_of(p1));
-        }
-        e0.seg().write_u64(0, i);
-        e0.enq(0, p1, RqId(0), 8, Some(FlagId(0)), None);
-        e0.wait_flag_timeout(FlagId(0), i, WAIT)
-            .expect("enq must be acknowledged across the handoff epoch");
-    }
-    let mut got = Vec::new();
-    let deadline = std::time::Instant::now() + WAIT;
-    while got.len() < n as usize && std::time::Instant::now() < deadline {
-        if let Some(data) = e1.rq_try_recv(RqId(0)) {
-            got.push(u64::from_le_bytes(data[..8].try_into().unwrap()));
-        } else {
-            std::thread::yield_now();
-        }
-    }
-    assert!(e1.rq_try_recv(RqId(0)).is_none(), "no extra deliveries");
-    assert_eq!(got, (1..=n).collect::<Vec<_>>(), "in order, exactly once");
-    assert!(
-        cluster.migrations_total() >= 1,
-        "at least one handoff must have completed"
-    );
-    let report = cluster.shutdown();
-    assert!(report.clean(), "{report:?}");
-}
-
-#[test]
-fn elastic_controller_grows_and_shrinks() {
-    // Elastic range [1,2]: the cluster starts with one active shard; a
-    // sustained two-sender flood saturates it past the §5.4 bound, so the
-    // controller must grow to two shards (migrating users onto the new
-    // lane); once the flood stops it must shrink back to one.
-    let mut b = RtClusterBuilder::new(3);
-    b.elastic_shards(1, 2);
-    // Five users on node 0: under the jump hash, asid 4 moves to shard 1
-    // when the active count grows to 2, so a grow must migrate it.
-    let users: Vec<u32> = (0..5).map(|_| b.add_process(0, 1 << 16)).collect();
-    let (pa, pb) = (users[0], users[4]);
-    let p1 = b.add_process(1, 1 << 16);
-    let p2 = b.add_process(2, 1 << 16);
-    let (cluster, mut eps) = b.start();
-    let e2 = eps.pop().unwrap();
-    let e1 = eps.pop().unwrap();
-    assert_eq!((e1.asid(), e2.asid()), (p1, p2));
-    assert_eq!(cluster.active_shards(0), 1, "elastic min is the start");
-
-    let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let mk = |mut e: mproxy_rt::Endpoint, dst: u32, stop: std::sync::Arc<std::sync::atomic::AtomicBool>| {
-        std::thread::spawn(move || {
-            let mut i = 0u64;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                i += 1;
-                e.seg().write_u64(0, i);
-                e.put(0, dst, 64, 8, Some(FlagId(0)), None);
-                e.wait_flag_timeout(FlagId(0), i, WAIT).expect("flood ack");
-            }
-        })
-    };
-    let t1 = mk(e1, pa, stop.clone());
-    let t2 = mk(e2, pb, stop.clone());
-
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while cluster.active_shards(0) < 2 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "controller never grew under saturation (util {:.2})",
-            cluster.utilization(0)
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    t1.join().unwrap();
-    t2.join().unwrap();
-
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    while cluster.active_shards(0) > 1 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "controller never shrank after the flood stopped"
-        );
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(cluster.migrations_total() >= 1, "scaling implies handoffs");
     let report = cluster.shutdown();
     assert!(report.clean(), "{report:?}");
 }
