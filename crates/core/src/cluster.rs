@@ -2,10 +2,10 @@
 //!
 //! A [`Cluster`] wires `nodes` SMP nodes — each with `procs_per_node`
 //! compute processors, a network adapter, and a DMA engine — to a switch,
-//! and starts the protected-communication engine the chosen
-//! [`DesignPoint`] calls for: a message-proxy task per node, a
-//! custom-hardware adapter task per node, or the system-call send path
-//! plus per-node interrupt dispatch.
+//! prices the protocol's steps for the chosen [`DesignPoint`] and starts
+//! the driver it calls for: a serial agent per node (message proxy or
+//! custom-hardware adapter), or per-node interrupt dispatch behind the
+//! system-call send path.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
@@ -19,6 +19,7 @@ use mproxy_simnet::{
 };
 
 use crate::addr::{Asid, ProcId};
+use crate::engine::costs::StepCosts;
 use crate::engine::reliable::{LinkLayer, LinkSnapshot, LinkStats};
 use crate::engine::{self, ProxyInput, WireMsg};
 use crate::error::CommError;
@@ -189,6 +190,8 @@ impl NodeState {
 
 pub(crate) struct ClusterState {
     pub(crate) spec: ClusterSpec,
+    /// What each protocol step costs at `spec.design`.
+    pub(crate) costs: StepCosts,
     pub(crate) ctx: SimCtx,
     pub(crate) procs: Vec<Rc<ProcState>>,
     pub(crate) nodes: Vec<Rc<NodeState>>,
@@ -382,6 +385,7 @@ impl Cluster {
 
         let state = Rc::new(ClusterState {
             allow_all: Cell::new(spec.allow_all),
+            costs: StepCosts::new(&spec.design),
             spec,
             ctx: ctx.clone(),
             procs,
@@ -411,22 +415,12 @@ impl Cluster {
             }
         }
 
-        // Start the per-node communication agents.
+        // Start the per-node driver: a serial agent fed by commands and
+        // arriving packets, or interrupt dispatch straight off the port.
         for node in &state.nodes {
             match d.arch {
-                Arch::MessageProxy => {
-                    ctx.spawn(engine::proxy::proxy_main(
-                        Rc::clone(node),
-                        Rc::clone(&state),
-                    ));
-                    // Forward arriving packets into the proxy's merged input.
-                    ctx.spawn(engine::forward_rx(
-                        node.port.clone(),
-                        node.proxy_input.clone(),
-                    ));
-                }
-                Arch::CustomHardware => {
-                    ctx.spawn(engine::hardware::adapter_main(
+                Arch::MessageProxy | Arch::CustomHardware => {
+                    ctx.spawn(engine::drivers::agent_main(
                         Rc::clone(node),
                         Rc::clone(&state),
                     ));
@@ -436,7 +430,7 @@ impl Cluster {
                     ));
                 }
                 Arch::SystemCall => {
-                    ctx.spawn(engine::syscall::dispatch_main(
+                    ctx.spawn(engine::drivers::interrupt_main(
                         Rc::clone(node),
                         Rc::clone(&state),
                     ));

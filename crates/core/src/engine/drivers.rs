@@ -1,0 +1,144 @@
+//! Where the protocol handlers run.
+//!
+//! Two drivers put [`super::protocol`] onto processors:
+//!
+//! * [`agent_main`] — one serial agent per node, fed by the merged input
+//!   of user commands and arriving packets. It is the message proxy on
+//!   its dedicated processor (the Figure 5 loop: strictly polling, no
+//!   interrupts anywhere) and, unchanged, the protocol engine of a
+//!   custom-hardware adapter. A re-probe goes back into the agent's own
+//!   input after its backoff, burning no agent time in between.
+//! * [`trap`] + [`interrupt_main`] — system-level communication. A
+//!   submission crosses into the kernel on the *caller's* compute
+//!   processor; each arrival raises an interrupt that steals the compute
+//!   processor of the process it concerns — the reason the paper finds
+//!   37–100% slowdowns on latency-bound applications despite its very
+//!   aggressive 6.5 µs syscall/interrupt assumption. A re-probe is a
+//!   kernel timer that re-issues the request on no process's processor.
+
+use std::rc::Rc;
+
+use mproxy_des::Dur;
+
+use crate::addr::ProcId;
+use crate::cluster::{ClusterState, NodeState};
+use crate::engine::protocol::{handle_command, handle_packet, retry_deq};
+use crate::engine::reliable::stall_gate;
+use crate::engine::{BusyScope, Ccb, Command, ProxyInput, WireMsg};
+
+/// The per-node agent loop: message proxy or adapter protocol engine.
+pub(crate) async fn agent_main(node: Rc<NodeState>, cs: Rc<ClusterState>) {
+    let input = node.proxy_input.clone();
+    while let Some(ev) = input.recv().await {
+        // A stalled agent stops servicing (and acknowledging) everything
+        // until its window ends; input keeps queueing meanwhile.
+        stall_gate(&node, &cs).await;
+        let busy = BusyScope::begin(&node, &cs);
+        match ev {
+            ProxyInput::Cmd(cmd, submitted) => {
+                // Service start: record the queueing delay and hand the
+                // submitter's flow-control credit back.
+                node.record_cmd_wait(cs.ctx.now().since(submitted));
+                if let Some(c) = &cs.proc(cmd.src()).credits {
+                    let _ = c.try_send(());
+                }
+                handle_command(&node, &cs, cmd).await;
+            }
+            ProxyInput::Pkt(pkt) => match node.link.clone() {
+                Some(link) => {
+                    for msg in link.accept(pkt).await {
+                        serve_packet(&node, &cs, msg).await;
+                    }
+                }
+                None => serve_packet(&node, &cs, pkt.message).await,
+            },
+            ProxyInput::RetryDeq(token) => retry_deq(&node, &cs, token).await,
+        }
+        drop(busy);
+    }
+}
+
+/// Runs the packet handler on the agent and queues the re-probe tick an
+/// empty DEQ reply asks for.
+async fn serve_packet(node: &NodeState, cs: &ClusterState, msg: WireMsg) {
+    if let Some(r) = handle_packet(node, cs, msg).await {
+        let ctx = cs.ctx.clone();
+        let input = node.proxy_input.clone();
+        cs.ctx.spawn(async move {
+            ctx.delay(Dur::from_us(r.wait_us)).await;
+            let _ = input.try_send(ProxyInput::RetryDeq(r.token));
+        });
+    }
+}
+
+/// System-call submission: `src` traps into the kernel and runs the
+/// sending half of the protocol on its own compute processor.
+pub(crate) async fn trap(cs: &ClusterState, src: ProcId, cmd: Command) {
+    let guard = cs.proc(src).cpu.acquire().await;
+    handle_command(cs.node_of(src), cs, cmd).await;
+    drop(guard);
+}
+
+/// Per-node receive dispatcher of the system-call architecture: every
+/// arriving message raises an interrupt of its own.
+pub(crate) async fn interrupt_main(node: Rc<NodeState>, cs: Rc<ClusterState>) {
+    let raise = |msg| {
+        let (node, cs) = (Rc::clone(&node), Rc::clone(&cs));
+        cs.ctx
+            .clone()
+            .spawn(async move { handle_interrupt(&node, &cs, msg).await });
+    };
+    while let Some(pkt) = node.port.recv().await {
+        // A stalled node's kernel services no interrupts until the window
+        // ends; arrivals keep queueing in the FIFO.
+        stall_gate(&node, &cs).await;
+        match node.link.clone() {
+            Some(link) => link.accept(pkt).await.into_iter().for_each(raise),
+            None => raise(pkt.message),
+        }
+    }
+}
+
+/// Which process's CPU takes the interrupt for a message.
+fn target_proc(node: &NodeState, msg: &WireMsg) -> Option<ProcId> {
+    match msg {
+        WireMsg::PutData { dst, .. }
+        | WireMsg::GetReq { dst, .. }
+        | WireMsg::EnqData { dst, .. }
+        | WireMsg::DeqReq { dst, .. } => Some(*dst),
+        WireMsg::GetReply { token, .. }
+        | WireMsg::DeqReply { token, .. }
+        | WireMsg::Ack { token } => match node.ccbs.borrow().get(token) {
+            Some(Ccb::Get { proc, .. })
+            | Some(Ccb::PutAck { proc, .. })
+            | Some(Ccb::Deq { proc, .. }) => Some(*proc),
+            None => None,
+        },
+        // Consumed by the link layer before dispatch.
+        WireMsg::LinkAck { .. }
+        | WireMsg::LinkNack { .. }
+        | WireMsg::Hello { .. }
+        | WireMsg::HelloAck { .. } => None,
+    }
+}
+
+async fn handle_interrupt(node: &Rc<NodeState>, cs: &Rc<ClusterState>, msg: WireMsg) {
+    let Some(proc) = target_proc(node, &msg) else {
+        // A reply whose CCB a crash wiped has no process to interrupt.
+        debug_assert!(cs.crashes_possible, "interrupt for unknown CCB");
+        return;
+    };
+    // Steal the target's compute processor for the handler. The busy time
+    // is also accounted as communication-interface work for reporting.
+    let guard = cs.proc(proc).cpu.acquire().await;
+    let busy = BusyScope::begin(node, cs);
+    if let Some(r) = handle_packet(node, cs, msg).await {
+        let (node, cs) = (Rc::clone(node), Rc::clone(cs));
+        cs.ctx.clone().spawn(async move {
+            cs.ctx.delay(Dur::from_us(r.wait_us)).await;
+            retry_deq(&node, &cs, r.token).await;
+        });
+    }
+    drop(busy);
+    drop(guard);
+}

@@ -1,15 +1,17 @@
-//! Protected-communication engines.
+//! The protected-communication engine.
 //!
-//! One submodule per architecture of Section 2: [`proxy`] (message
-//! proxies), [`hardware`] (custom hardware), [`syscall`] (system-level
-//! communication). All three implement the same RMA + RQ protocol over
-//! the same simulated network; they differ in *where* protocol work runs
-//! and *what* protection costs they pay, exactly as Figure 2 contrasts.
+//! Section 2's three architectures — message proxies, custom hardware,
+//! system-level communication — run the same RMA + RQ protocol over the
+//! same simulated network; they differ in *where* protocol work runs and
+//! *what* each step costs, exactly as Figure 2 contrasts. So the protocol
+//! is written once ([`protocol`]), priced from a per-design-point table
+//! ([`costs`]) and placed on processors by one of two drivers
+//! ([`drivers`]); [`reliable`] is the link layer underneath.
 
-pub(crate) mod hardware;
-pub(crate) mod proxy;
+pub(crate) mod costs;
+pub(crate) mod drivers;
+pub(crate) mod protocol;
 pub(crate) mod reliable;
-pub(crate) mod syscall;
 
 use bytes::Bytes;
 use mproxy_des::{Channel, Counter, Dur};
@@ -162,20 +164,7 @@ pub(crate) enum WireMsg {
     },
 }
 
-impl WireMsg {
-    /// Payload bytes carried (for statistics; headers are separate).
-    #[allow(dead_code)]
-    pub(crate) fn payload_bytes(&self) -> u32 {
-        match self {
-            WireMsg::PutData { data, .. } | WireMsg::EnqData { data, .. } => data.len() as u32,
-            WireMsg::GetReply { data, .. } => data.len() as u32,
-            WireMsg::DeqReply { data, .. } => data.as_ref().map_or(0, |d| d.len() as u32),
-            _ => 0,
-        }
-    }
-}
-
-/// Input stream of a message proxy: user commands multiplexed with
+/// Input stream of a node's serial agent: user commands multiplexed with
 /// arriving packets (the Figure 5 loop polls both).
 #[derive(Debug)]
 pub(crate) enum ProxyInput {
@@ -306,33 +295,5 @@ mod tests {
         assert_eq!(lines(64), 1);
         assert_eq!(lines(65), 2);
         assert_eq!(lines(4096), 64);
-    }
-
-    #[test]
-    fn payload_bytes_per_message() {
-        let m = WireMsg::PutData {
-            dst: ProcId(0),
-            raddr: Addr(0),
-            data: Bytes::from_static(b"12345"),
-            rsync: None,
-            ack: None,
-            dma: false,
-        };
-        assert_eq!(m.payload_bytes(), 5);
-        let req = WireMsg::GetReq {
-            dst: ProcId(0),
-            raddr: Addr(0),
-            nbytes: 100,
-            rsync: None,
-            origin: 0,
-            token: 0,
-            dma: false,
-        };
-        assert_eq!(req.payload_bytes(), 0);
-        let deq = WireMsg::DeqReply {
-            token: 0,
-            data: None,
-        };
-        assert_eq!(deq.payload_bytes(), 0);
     }
 }

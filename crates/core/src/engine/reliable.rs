@@ -76,6 +76,13 @@ pub(crate) const EPOCH_BITS: u32 = 16;
 const EPOCH_SHIFT: u32 = 64 - EPOCH_BITS;
 const SEQ_MASK: u64 = (1 << EPOCH_SHIFT) - 1;
 
+/// Payload bytes the wire serialises for a protocol message: none. The
+/// engines charge payload movement themselves — PIO per line, or
+/// `DmaEngine::transfer` for large blocks — so the wire carries (and
+/// times) the header only. Passed at the two `NetPort` boundaries,
+/// [`send_wire`] and [`LinkLayer::transmit`], and nowhere else.
+const HEADER_ONLY: u32 = 0;
+
 /// Interval at which a restarted proxy re-sends its HELLO until the peer
 /// answers (the wire may eat either side of the handshake).
 const HELLO_RETRY_US: f64 = 50.0;
@@ -322,7 +329,6 @@ pub struct LinkStats {
 #[derive(Debug, Clone)]
 struct Pending {
     msg: WireMsg,
-    payload: u32,
     /// Process to fail if the budget runs out (None for replies whose
     /// originating process the responder does not know).
     owner: Option<ProcId>,
@@ -337,7 +343,6 @@ struct Pending {
 #[derive(Debug)]
 struct Parked {
     msg: WireMsg,
-    payload: u32,
     owner: Option<ProcId>,
 }
 
@@ -447,7 +452,6 @@ impl LinkLayer {
         self: Rc<Self>,
         dst: NodeId,
         msg: WireMsg,
-        payload: u32,
         owner: Option<ProcId>,
     ) {
         if self.closed.get() {
@@ -455,9 +459,7 @@ impl LinkLayer {
             // the run ended may still answer peers that are already gone.
             // Transmit once, never retry, never declare anyone unreachable.
             let seq = self.bump_seq(dst);
-            let checksum = wire_checksum(&msg);
-            self.port
-                .send_tagged(dst, msg, payload, wire_seq(self.epoch.get(), seq), checksum)
+            self.transmit(dst, msg, wire_seq(self.epoch.get(), seq))
                 .await;
             return;
         }
@@ -470,14 +472,19 @@ impl LinkLayer {
                 .borrow_mut()
                 .entry(dst)
                 .or_default()
-                .push_back(Parked {
-                    msg,
-                    payload,
-                    owner,
-                });
+                .push_back(Parked { msg, owner });
             return;
         }
-        self.transmit_new(dst, msg, payload, owner).await;
+        self.transmit_new(dst, msg, owner).await;
+    }
+
+    /// Puts `msg` on the wire under wire sequence `seq` (0 for unsequenced
+    /// control traffic), stamped with its checksum.
+    async fn transmit(&self, dst: NodeId, msg: WireMsg, seq: u64) {
+        let checksum = wire_checksum(&msg);
+        self.port
+            .send_tagged(dst, msg, HEADER_ONLY, seq, checksum)
+            .await;
     }
 
     fn bump_seq(&self, dst: NodeId) -> u64 {
@@ -489,15 +496,8 @@ impl LinkLayer {
 
     /// Assigns the next sequence towards `dst`, records the pending entry,
     /// transmits, and arms the retransmission loop.
-    async fn transmit_new(
-        self: &Rc<Self>,
-        dst: NodeId,
-        msg: WireMsg,
-        payload: u32,
-        owner: Option<ProcId>,
-    ) {
+    async fn transmit_new(self: &Rc<Self>, dst: NodeId, msg: WireMsg, owner: Option<ProcId>) {
         let seq = self.bump_seq(dst);
-        let checksum = wire_checksum(&msg);
         {
             let mut pending = self.pending.borrow_mut();
             let m = pending.entry(dst).or_default();
@@ -505,7 +505,6 @@ impl LinkLayer {
                 seq,
                 Pending {
                     msg: msg.clone(),
-                    payload,
                     owner,
                     timer: None,
                 },
@@ -516,8 +515,7 @@ impl LinkLayer {
                 stats.peak_pending = occupancy;
             }
         }
-        self.port
-            .send_tagged(dst, msg, payload, wire_seq(self.epoch.get(), seq), checksum)
+        self.transmit(dst, msg, wire_seq(self.epoch.get(), seq))
             .await;
         self.arm_retransmit_loop(dst, seq);
     }
@@ -536,7 +534,7 @@ impl LinkLayer {
                 .get_mut(&dst)
                 .and_then(VecDeque::pop_front);
             let Some(p) = next else { return };
-            self.transmit_new(dst, p.msg, p.payload, p.owner).await;
+            self.transmit_new(dst, p.msg, p.owner).await;
         }
     }
 
@@ -577,17 +575,15 @@ impl LinkLayer {
                     .borrow()
                     .get(&dst)
                     .and_then(|m| m.get(&seq))
-                    .map(|p| (p.msg.clone(), p.payload));
-                let Some((msg, payload)) = entry else { break };
+                    .map(|p| p.msg.clone());
+                let Some(msg) = entry else { break };
                 let sent_so_far = attempt + 1;
                 if link.policy.give_up_after(sent_so_far) {
                     link.give_up(dst, sent_so_far);
                     break;
                 }
                 link.stats.borrow_mut().retransmits += 1;
-                let checksum = wire_checksum(&msg);
-                link.port
-                    .send_tagged(dst, msg, payload, wire_seq(link.epoch.get(), seq), checksum)
+                link.transmit(dst, msg, wire_seq(link.epoch.get(), seq))
                     .await;
                 attempt += 1;
                 // Give the engine one scheduling round before re-arming,
@@ -775,10 +771,8 @@ impl LinkLayer {
                     let keep = m.split_off(&(last_delivered + 1));
                     let acked = std::mem::replace(m, keep);
                     let timers: Vec<_> = acked.into_values().filter_map(|p| p.timer).collect();
-                    let replay: Vec<(u64, WireMsg, u32)> = m
-                        .iter()
-                        .map(|(s, p)| (*s, p.msg.clone(), p.payload))
-                        .collect();
+                    let replay: Vec<(u64, WireMsg)> =
+                        m.iter().map(|(s, p)| (*s, p.msg.clone())).collect();
                     (timers, replay)
                 }
                 None => (Vec::new(), Vec::new()),
@@ -789,11 +783,8 @@ impl LinkLayer {
         }
         let epoch = self.epoch.get();
         self.stats.borrow_mut().replayed += replay.len() as u64;
-        for (s, msg, payload) in replay {
-            let ck = wire_checksum(&msg);
-            self.port
-                .send_tagged(src, msg, payload, wire_seq(epoch, s), ck)
-                .await;
+        for (s, msg) in replay {
+            self.transmit(src, msg, wire_seq(epoch, s)).await;
         }
         let wm = self.expected.borrow().get(&src).copied().unwrap_or(1) - 1;
         self.send_control(
@@ -812,8 +803,7 @@ impl LinkLayer {
     /// our duplicate re-ACK; a lost NACK by the peer's timer alone; a lost
     /// HELLO or HELLO-ACK by the restart task's retry loop.
     async fn send_control(&self, dst: NodeId, msg: WireMsg) {
-        let checksum = wire_checksum(&msg);
-        self.port.send_tagged(dst, msg, 0, 0, checksum).await;
+        self.transmit(dst, msg, 0).await;
     }
 
     /// Processes one arriving packet, returning the data messages now
@@ -874,11 +864,10 @@ impl LinkLayer {
                             .borrow()
                             .get(&src)
                             .and_then(|m| m.get(&s))
-                            .map(|p| (p.msg.clone(), p.payload));
-                        if let Some((msg, payload)) = entry {
+                            .map(|p| p.msg.clone());
+                        if let Some(msg) = entry {
                             self.stats.borrow_mut().retransmits += 1;
-                            let ck = wire_checksum(&msg);
-                            self.port.send_tagged(src, msg, payload, nacked, ck).await;
+                            self.transmit(src, msg, nacked).await;
                         }
                     } else {
                         self.stats.borrow_mut().stale_discarded += 1;
@@ -998,16 +987,10 @@ impl std::fmt::Debug for LinkLayer {
 /// Sends a wire message from `node`, through its link layer when
 /// reliability is engaged, directly otherwise. `owner` names the process
 /// to fail if the destination never acknowledges.
-pub(crate) async fn send_wire(
-    node: &NodeState,
-    dst: NodeId,
-    msg: WireMsg,
-    payload: u32,
-    owner: Option<ProcId>,
-) {
+pub(crate) async fn send_wire(node: &NodeState, dst: NodeId, msg: WireMsg, owner: Option<ProcId>) {
     match &node.link {
-        Some(link) => Rc::clone(link).send_reliable(dst, msg, payload, owner).await,
-        None => node.port.send(dst, msg, payload).await,
+        Some(link) => Rc::clone(link).send_reliable(dst, msg, owner).await,
+        None => node.port.send(dst, msg, HEADER_ONLY).await,
     }
 }
 

@@ -12,8 +12,10 @@
 //! * the Section 3 communication model — [`Proc::put`], [`Proc::get`],
 //!   [`Proc::enq`], [`Proc::deq`] with `asid` protection and lsync/rsync
 //!   completion flags;
-//! * three interchangeable protected-communication engines (Section 2):
-//!   message proxy, custom hardware, and system-call, selected by the
+//! * the three protected-communication architectures of Section 2 —
+//!   message proxy, custom hardware, system call — as one protocol
+//!   implementation priced from a per-design-point step-cost table and
+//!   run by the driver that architecture calls for, selected by the
 //!   [`mproxy_model::DesignPoint`] in the [`ClusterSpec`];
 //! * a cluster fabric ([`Cluster`]) running on the `mproxy-des`
 //!   simulated-time executor over `mproxy-simnet` hardware;

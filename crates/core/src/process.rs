@@ -24,6 +24,7 @@ use mproxy_model::Arch;
 
 use crate::addr::{Addr, Asid, FlagId, ProcId, RemoteQueue, RqId};
 use crate::cluster::{ClusterState, ProcState};
+use crate::engine::costs::StepCost;
 use crate::engine::{self, flag_counter, lines, queue_channel, Command, ProxyInput};
 use crate::error::CommError;
 use crate::flags::SyncFlag;
@@ -220,7 +221,7 @@ impl Proc {
         if let Some(e) = self.comm_error() {
             return Err(e);
         }
-        self.hold_cpu(self.flag_read_cost()).await;
+        self.hold_step(self.cs.costs.flag_read, 0).await;
         Ok(())
     }
 
@@ -235,9 +236,7 @@ impl Proc {
     pub async fn rq_recv(&self, rq: RqId) -> Option<Bytes> {
         let ch = queue_channel(self.state(), rq);
         let data = ch.recv().await?;
-        // Head pointer + payload head: two shared-memory misses.
-        self.hold_cpu(Dur::from_us(2.0 * self.shared_miss_us()))
-            .await;
+        self.hold_step(self.cs.costs.rq_take, 0).await;
         Some(data)
     }
 
@@ -247,8 +246,7 @@ impl Proc {
         let ch = queue_channel(self.state(), rq);
         match ch.try_recv() {
             Some(data) => {
-                self.hold_cpu(Dur::from_us(2.0 * self.shared_miss_us()))
-                    .await;
+                self.hold_step(self.cs.costs.rq_take, 0).await;
                 Some(data)
             }
             None => {
@@ -301,6 +299,12 @@ impl Proc {
             return;
         }
         self.state().cpu.hold(d).await;
+    }
+
+    /// Holds this process's processor for one cost-table step over
+    /// `units` lines.
+    async fn hold_step(&self, cost: StepCost, units: u32) {
+        self.hold_cpu(Dur::from_us(cost.us(units))).await;
     }
 
     // ----- RMA / RQ primitives --------------------------------------------
@@ -447,22 +451,6 @@ impl Proc {
         (nbytes <= engine::INLINE_BYTES).then(|| self.state().mem.borrow().read(laddr, nbytes))
     }
 
-    fn shared_miss_us(&self) -> f64 {
-        match self.cs.design().arch {
-            Arch::MessageProxy => self.cs.design().shared_miss_us,
-            _ => self.cs.design().machine.cache_miss_us,
-        }
-    }
-
-    fn flag_read_cost(&self) -> Dur {
-        let d = self.cs.design();
-        let us = match d.arch {
-            Arch::MessageProxy => d.shared_miss_us + 0.25 / d.machine.speed,
-            Arch::CustomHardware | Arch::SystemCall => d.machine.cache_miss_us,
-        };
-        Dur::from_us(us)
-    }
-
     fn own_flag(&self, f: &SyncFlag) -> FlagId {
         assert_eq!(f.proc, self.id, "lsync flag must belong to the caller");
         f.id
@@ -563,42 +551,46 @@ impl Proc {
     /// Routes a validated command: same-node operations run directly
     /// through shared memory; remote ones go to the node's engine.
     async fn dispatch(&self, cmd: Command, dst: ProcId) -> Result<(), CommError> {
-        let d = *self.cs.design();
-        let same_node = self.cs.proc(dst).node == self.state().node;
-        if same_node {
+        if self.cs.proc(dst).node == self.state().node {
             return self.run_intra_node(cmd).await;
         }
-        match d.arch {
-            Arch::MessageProxy => {
+        match self.cs.design().arch {
+            Arch::MessageProxy | Arch::CustomHardware => {
                 self.acquire_credit().await?;
-                // Submission: two shared-memory misses to write the command
-                // queue entry plus the library-call instructions.
-                self.hold_cpu(Dur::from_us(
-                    2.0 * d.shared_miss_us + 0.25 / d.machine.speed,
-                ))
-                .await;
+                // Submission: write the command into the agent's queue.
+                if let Some(submit) = self.cs.costs.user_submit {
+                    self.hold_step(submit, 0).await;
+                }
                 let node = self.cs.node_of(self.id);
                 let _ = node
                     .proxy_input
                     .try_send(ProxyInput::Cmd(cmd, self.cs.ctx.now()));
             }
-            Arch::CustomHardware => {
-                self.acquire_credit().await?;
-                self.hold_cpu(Dur::from_us(d.hw_submit_us)).await;
-                let node = self.cs.node_of(self.id);
-                let _ = node
-                    .proxy_input
-                    .try_send(ProxyInput::Cmd(cmd, self.cs.ctx.now()));
-            }
-            Arch::SystemCall => {
-                let node = Rc::clone(self.cs.node_of(self.id));
-                let cpu = self.state().cpu.clone();
-                let guard = cpu.acquire().await;
-                engine::syscall::user_submit(&node, &self.cs, cmd).await;
-                drop(guard);
-            }
+            Arch::SystemCall => engine::drivers::trap(&self.cs, self.id, cmd).await,
         }
         Ok(())
+    }
+
+    /// Same-node PUT, GET or ENQ: holds the processor for the submission
+    /// plus the per-line copy, moves the data, then sets `rsync` (in
+    /// `dst`) and `lsync` (here).
+    async fn shared_memory_op(
+        &self,
+        nbytes: u32,
+        dst: ProcId,
+        rsync: Option<FlagId>,
+        lsync: Option<FlagId>,
+        move_data: impl FnOnce(&ClusterState),
+    ) {
+        self.hold_step(self.cs.costs.intra_node, lines(nbytes))
+            .await;
+        move_data(&self.cs);
+        if let Some(f) = rsync {
+            engine::set_flag(&self.cs, dst, f);
+        }
+        if let Some(f) = lsync {
+            engine::set_flag(&self.cs, self.id, f);
+        }
     }
 
     /// Intra-node communication: processes on the same SMP share memory,
@@ -606,18 +598,6 @@ impl Proc {
     /// behind Figure 9's "intra-node communication reduces the load on the
     /// message proxy".
     async fn run_intra_node(&self, cmd: Command) -> Result<(), CommError> {
-        let d = *self.cs.design();
-        let (submit_us, line_us) = match d.arch {
-            Arch::MessageProxy => (
-                2.0 * d.shared_miss_us + 0.25 / d.machine.speed,
-                2.0 * d.shared_miss_us,
-            ),
-            Arch::CustomHardware => (d.hw_submit_us, 2.0 * d.machine.cache_miss_us),
-            Arch::SystemCall => (
-                d.syscall_us + d.kernel_proto_us,
-                2.0 * d.machine.cache_miss_us,
-            ),
-        };
         match cmd {
             Command::Put {
                 src,
@@ -629,16 +609,11 @@ impl Proc {
                 rsync,
                 inline,
             } => {
-                let cost = submit_us + f64::from(lines(nbytes)) * line_us;
-                self.hold_cpu(Dur::from_us(cost)).await;
-                let data = inline.unwrap_or_else(|| engine::read_mem(&self.cs, src, laddr, nbytes));
-                engine::write_mem(&self.cs, dst, raddr, &data);
-                if let Some(f) = rsync {
-                    engine::set_flag(&self.cs, dst, f);
-                }
-                if let Some(f) = lsync {
-                    engine::set_flag(&self.cs, src, f);
-                }
+                self.shared_memory_op(nbytes, dst, rsync, lsync, |cs| {
+                    let data = inline.unwrap_or_else(|| engine::read_mem(cs, src, laddr, nbytes));
+                    engine::write_mem(cs, dst, raddr, &data);
+                })
+                .await;
             }
             Command::Get {
                 src,
@@ -649,16 +624,11 @@ impl Proc {
                 lsync,
                 rsync,
             } => {
-                let cost = submit_us + f64::from(lines(nbytes)) * line_us;
-                self.hold_cpu(Dur::from_us(cost)).await;
-                let data = engine::read_mem(&self.cs, dst, raddr, nbytes);
-                engine::write_mem(&self.cs, src, laddr, &data);
-                if let Some(f) = rsync {
-                    engine::set_flag(&self.cs, dst, f);
-                }
-                if let Some(f) = lsync {
-                    engine::set_flag(&self.cs, src, f);
-                }
+                self.shared_memory_op(nbytes, dst, rsync, lsync, |cs| {
+                    let data = engine::read_mem(cs, dst, raddr, nbytes);
+                    engine::write_mem(cs, src, laddr, &data);
+                })
+                .await;
             }
             Command::Enq {
                 src,
@@ -670,16 +640,11 @@ impl Proc {
                 rsync,
                 inline,
             } => {
-                let cost = submit_us + f64::from(lines(nbytes)) * line_us;
-                self.hold_cpu(Dur::from_us(cost)).await;
-                let data = inline.unwrap_or_else(|| engine::read_mem(&self.cs, src, laddr, nbytes));
-                let _ = queue_channel(self.cs.proc(dst), rq).try_send(data);
-                if let Some(f) = rsync {
-                    engine::set_flag(&self.cs, dst, f);
-                }
-                if let Some(f) = lsync {
-                    engine::set_flag(&self.cs, src, f);
-                }
+                self.shared_memory_op(nbytes, dst, rsync, lsync, |cs| {
+                    let data = inline.unwrap_or_else(|| engine::read_mem(cs, src, laddr, nbytes));
+                    let _ = queue_channel(cs.proc(dst), rq).try_send(data);
+                })
+                .await;
             }
             Command::Deq {
                 src,
@@ -689,7 +654,8 @@ impl Proc {
                 nbytes,
                 lsync,
             } => {
-                self.hold_cpu(Dur::from_us(submit_us)).await;
+                let cost = self.cs.costs.intra_node;
+                self.hold_cpu(Dur::from_us(cost.fixed)).await;
                 let ch = queue_channel(self.cs.proc(dst), rq);
                 let ctx = self.cs.ctx.clone();
                 let policy = self.cs.spec.deq_retry;
@@ -713,7 +679,7 @@ impl Proc {
                     }
                 };
                 let take = nbytes.min(data.len() as u32);
-                self.hold_cpu(Dur::from_us(f64::from(lines(take)) * line_us))
+                self.hold_cpu(Dur::from_us(f64::from(lines(take)) * cost.per_line))
                     .await;
                 engine::write_mem(&self.cs, src, laddr, &data[..take as usize]);
                 if let Some(f) = lsync {
