@@ -120,8 +120,6 @@ fn main() -> ExitCode {
     run(chaos::kill_sender_fan_in(202, fan_msgs));
     run(chaos::corrupt_under_load(303, load_msgs));
     run(chaos::stall_survivor_liveness(404, ring_rounds));
-    // Sharded runtime: single-shard kill.
-    run(chaos::shard_kill_fan_in(505, fan_msgs));
     // Seeded randomized soak.
     for seed in 0..seeds {
         run(chaos::randomized(seed, ring_rounds));

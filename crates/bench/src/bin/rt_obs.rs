@@ -1,7 +1,7 @@
 //! Observability overhead gate + Perfetto-export smoke for the threaded
 //! runtime. Two jobs, both feeding `BENCH_obs.json`:
 //!
-//! 1. **A/B overhead** — runs the `rt_throughput` workloads (fan-in,
+//! 1. **A/B overhead** — runs the `mproxy_bench::rt` workloads (fan-in,
 //!    ping-pong) with telemetry recording *off* and *on* (counters stay
 //!    on either way — they are the always-on tier) and reports the
 //!    throughput delta. The `--check` gate fails if recording costs more
@@ -161,9 +161,9 @@ fn main() -> ExitCode {
     };
     let mode = if args.quick { "quick" } else { "full" };
 
-    let fan = |telemetry: bool| fan_in(4, fan_msgs, telemetry, 1).msgs_per_sec;
+    let fan = |telemetry: bool| fan_in(4, fan_msgs, telemetry).msgs_per_sec;
     let pp =
-        |telemetry: bool| pp_rounds as f64 / ping_pong(pp_rounds, telemetry, 1).wall_s;
+        |telemetry: bool| pp_rounds as f64 / ping_pong(pp_rounds, telemetry).wall_s;
     let mut workloads = [
         best_ab("fan_in", reps, fan),
         best_ab("ping_pong", reps, pp),

@@ -275,130 +275,6 @@ pub fn kill_sink_fan_in(seed: u64, per_sender: u64) -> ScenarioResult {
     kill_fan_in("kill_sink_fan_in", seed, 2, per_sender, 25, false)
 }
 
-/// Sums `OpsApplied` over every scope of `node`, whether the run was
-/// sharded (`node0s0`, `node0s1`, ...) or not (`node0`).
-fn node_applied(snap: &Snapshot, node: usize) -> u64 {
-    let plain = format!("node{node}");
-    let sharded = format!("node{node}s");
-    snap.scopes
-        .iter()
-        .filter(|sc| sc.name == plain || sc.name.starts_with(&sharded))
-        .map(|sc| sc.counter(Ctr::OpsApplied))
-        .sum()
-}
-
-/// Shard-targeted kill: node 0 runs two proxy shards serving one sink
-/// user each; the injector kills only shard 0, supervision respawns it,
-/// and the run must show (a) the tagged-payload exactly-once contract on
-/// *both* sinks' queues and (b) the sibling shard staying live — its
-/// sender keeps streaming under the same recovery bound while shard 0 is
-/// down.
-#[must_use]
-pub fn shard_kill_fan_in(seed: u64, per_sender: u64) -> ScenarioResult {
-    let mut result = ScenarioResult {
-        name: "shard_kill_fan_in".into(),
-        seed,
-        passed: true,
-        acked_ops: 0,
-        deaths: 0,
-        restarts: 0,
-        max_ack_wait_ms: 0.0,
-        failure: String::new(),
-        shutdown_json: String::new(),
-        obs: None,
-    };
-    let senders = 2usize;
-    let kill_after = 10 + seed % 30;
-    let mut b = RtClusterBuilder::new(senders + 1);
-    b.shards(2);
-    let sink_asids: Vec<u32> = (0..2).map(|_| b.add_process(0, 1 << 16)).collect();
-    let src_asids: Vec<u32> = (1..=senders).map(|n| b.add_process(n, 1 << 16)).collect();
-    b.fault_plan(RtFaultPlan::new(seed).kill_shard(0, 0, kill_after));
-    b.supervise(3, Duration::from_millis(1));
-    let (cluster, mut eps) = b.start();
-    let src_eps = eps.split_off(2);
-    let sink_eps = eps;
-
-    // The placement rule puts node 0's first process on shard 0 (the
-    // victim queue) and its second on shard 1 (the surviving one).
-    let placed: Vec<usize> = sink_asids.iter().map(|&a| cluster.shard_of(a)).collect();
-    if placed != [0, 1] {
-        result = result.fail(format!("sinks placed on shards {placed:?}, expected [0, 1]"));
-    }
-
-    let handles: Vec<_> = src_eps
-        .into_iter()
-        .zip(src_asids.iter().copied())
-        .enumerate()
-        .map(|(i, (mut e, asid))| {
-            // Sender i feeds sink i: sender 0's stream crosses the killed
-            // shard, sender 1's stream must never notice.
-            let dst = sink_asids[i];
-            std::thread::spawn(move || -> Result<AckClock, String> {
-                let mut clock = AckClock::new();
-                for op in 1..=per_sender {
-                    e.seg().write_u64(0, (u64::from(asid) << 32) | op);
-                    e.enq(0, dst, RqId(0), 8, Some(FlagId(0)), None);
-                    clock
-                        .wait(&e, FlagId(0), op)
-                        .map_err(|err| format!("sender {asid} op {op}: {err}"))?;
-                }
-                Ok(clock)
-            })
-        })
-        .collect();
-
-    let mut max_wait = Duration::ZERO;
-    for h in handles {
-        match h.join().expect("sender thread") {
-            Ok(clock) => {
-                result.acked_ops += clock.acked;
-                max_wait = max_wait.max(clock.max_wait);
-            }
-            Err(why) => result = result.fail(why),
-        }
-    }
-    result.max_ack_wait_ms = max_wait.as_secs_f64() * 1e3;
-    if result.passed {
-        for (i, sink) in sink_eps.iter().enumerate() {
-            match drain_u64s(sink, RqId(0), per_sender as usize) {
-                Ok(got) => {
-                    if let Err(why) = check_exactly_once(&got, &src_asids[i..=i], per_sender) {
-                        result = result.fail(format!("sink {i}: {why}"));
-                    }
-                }
-                Err(why) => result = result.fail(format!("sink {i}: {why}")),
-            }
-        }
-    }
-    result.deaths = cluster.deaths(0);
-    result.restarts = cluster.restarts_total();
-    if result.passed && result.deaths == 0 {
-        result = result.fail("injected kill on node 0 shard 0 never fired".into());
-    }
-    let hub = cluster.obs_handle();
-    let report = cluster.shutdown();
-    result.shutdown_json = report.to_json();
-    if result.passed && !report.clean() {
-        result = result.fail(format!("unclean shutdown: {report:?}"));
-    }
-    let snap = hub.snapshot(&result.name);
-    if result.passed {
-        if let Err(why) = telemetry_truth(&snap) {
-            result = result.fail(format!("telemetry vs truth: {why}"));
-        }
-        let want = senders as u64 * per_sender;
-        let applied = node_applied(&snap, 0);
-        if applied != want {
-            result = result.fail(format!(
-                "sink node ops_applied {applied} != {want} verified deliveries"
-            ));
-        }
-    }
-    result.obs = Some(snap);
-    result
-}
-
 /// Kill one sender's proxy mid-fan-in.
 #[must_use]
 pub fn kill_sender_fan_in(seed: u64, per_sender: u64) -> ScenarioResult {
@@ -685,12 +561,6 @@ mod tests {
         let r = kill_sink_fan_in(11, 40);
         assert!(r.passed, "{}", r.failure);
         let r = corrupt_under_load(12, 150);
-        assert!(r.passed, "{}", r.failure);
-    }
-
-    #[test]
-    fn sharded_scenarios_smoke() {
-        let r = shard_kill_fan_in(13, 40);
         assert!(r.passed, "{}", r.failure);
     }
 }

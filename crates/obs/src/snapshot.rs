@@ -225,19 +225,6 @@ impl ScopeSnapshot {
         self.hists[h as usize] = hist;
     }
 
-    /// Bucket-wise merge of `other` into `self`: counters add,
-    /// histograms merge (same algebra as [`Snapshot::merged_hist`] —
-    /// associative and commutative). `self.name` is kept; the sharded
-    /// runtime uses this to collapse per-shard scopes into a node view.
-    pub fn absorb(&mut self, other: &ScopeSnapshot) {
-        for c in Ctr::ALL {
-            self.counters[c as usize] += other.counters[c as usize];
-        }
-        for (h, oh) in self.hists.iter_mut().zip(other.hists.iter()) {
-            h.merge(oh);
-        }
-    }
-
     fn json_into(&self, out: &mut String) {
         use std::fmt::Write as _;
         let _ = write!(out, "{{\"name\":\"{}\",\"counters\":{{", json::esc(&self.name));
@@ -304,30 +291,6 @@ impl Snapshot {
             out.merge(s.hist(h));
         }
         out
-    }
-
-    /// Collapse scopes into groups keyed by `group(name)`: scopes that
-    /// map to the same key are [`ScopeSnapshot::absorb`]ed (counters
-    /// summed, histograms merged bucket-wise) into one scope named
-    /// after the key, in order of first appearance. The sharded
-    /// runtime uses this to present a per-node view over per-shard
-    /// scopes (`node1s0`, `node1s1`, ... -> `node1`).
-    pub fn merged_by(&self, group: impl Fn(&str) -> String) -> Snapshot {
-        let mut scopes: Vec<ScopeSnapshot> = Vec::new();
-        for s in &self.scopes {
-            let key = group(&s.name);
-            if let Some(g) = scopes.iter_mut().find(|g| g.name == key) {
-                g.absorb(s);
-            } else {
-                let mut g = s.clone();
-                g.name = key;
-                scopes.push(g);
-            }
-        }
-        Snapshot {
-            label: self.label.clone(),
-            scopes,
-        }
     }
 
     /// Compact (single-line) JSON document:

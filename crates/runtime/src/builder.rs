@@ -1,7 +1,7 @@
 //! Building a cluster: declare nodes, processes and policies, then
-//! [`RtClusterBuilder::start`] lays out the lanes, fixes the placement of
-//! every command queue, and spawns the proxy, watchdog and supervisor
-//! threads.
+//! [`RtClusterBuilder::start`] lays out the per-node structures, hands
+//! each node's proxy its command queues, and spawns the proxy, watchdog
+//! and supervisor threads.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64};
@@ -11,20 +11,18 @@ use std::time::{Duration, Instant};
 use mproxy_obs::{ObsHub, Scope as ObsScope};
 
 use crate::cluster::{
-    ProcShared, RtCluster, Shared, CMDQ_DEPTH, MAX_SHARDS, NUM_FLAGS, NUM_QUEUES, RQ_DEPTH,
-    WIRE_DEPTH,
+    ProcShared, RtCluster, Shared, CMDQ_DEPTH, NUM_FLAGS, NUM_QUEUES, RQ_DEPTH, WIRE_DEPTH,
 };
 use crate::endpoint::Endpoint;
 use crate::fault::{RtFaultPlan, RtFaultState};
 use crate::idle::Parker;
-use crate::lane::{run_proxy, Seat, SeatEntry};
 use crate::mem::Segment;
+use crate::proxy::{run_proxy, Seat, SeatEntry};
 use crate::ring::Ring;
 use crate::spsc;
 use crate::state::NodeState;
 use crate::supervisor::SupervisorCfg;
 use crate::watchdog::{watchdog_main, ProxyHealth};
-use crate::wire::WireMsg;
 
 /// Builds an [`RtCluster`]: declare nodes and processes, then
 /// [`RtClusterBuilder::start`].
@@ -36,7 +34,6 @@ pub struct RtClusterBuilder {
     fault_plan: Option<RtFaultPlan>,
     supervision: Option<SupervisorCfg>,
     telemetry: bool,
-    shards: usize,
 }
 
 impl RtClusterBuilder {
@@ -57,26 +54,7 @@ impl RtClusterBuilder {
             fault_plan: None,
             supervision: None,
             telemetry: true,
-            shards: 1,
         }
-    }
-
-    /// Runs `n` proxy shard threads per node, each owning a disjoint
-    /// slice of the node's command queues: the `i`-th process added on a
-    /// node is served by that node's shard `i mod n`, for the life of
-    /// the cluster. `shards(1)` — the default — is the classic one proxy
-    /// per node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or exceeds [`MAX_SHARDS`].
-    pub fn shards(&mut self, n: usize) -> &mut Self {
-        assert!(
-            (1..=MAX_SHARDS).contains(&n),
-            "shards must be in 1..={MAX_SHARDS}"
-        );
-        self.shards = n;
-        self
     }
 
     /// Arms or disarms telemetry *recording* (histograms and the
@@ -159,47 +137,33 @@ impl RtClusterBuilder {
     #[must_use]
     pub fn start(self) -> (RtCluster, Vec<Endpoint>) {
         let nodes = self.nodes;
-        let shards = self.shards;
-        let lanes = nodes * shards;
         let now = Instant::now();
         let obs_hub = ObsHub::new_at(self.telemetry, now);
-        // Scope names stay `node{n}` in the classic one-proxy-per-node
-        // configuration so existing dashboards / tests are unaffected;
-        // sharded lanes get `node{n}s{s}` (merge with `merged_by`).
-        let obs: Vec<Arc<ObsScope>> = (0..lanes)
-            .map(|l| {
-                let (n, s) = (l / shards, l % shards);
-                let name = if shards == 1 {
-                    format!("node{n}")
-                } else {
-                    format!("node{n}s{s}")
-                };
-                obs_hub.register(name, mproxy_obs::DEFAULT_RING_CAP)
-            })
+        let obs: Vec<Arc<ObsScope>> = (0..nodes)
+            .map(|n| obs_hub.register(format!("node{n}"), mproxy_obs::DEFAULT_RING_CAP))
             .collect();
-        let wires: Vec<Ring<WireMsg>> = (0..lanes).map(|_| Ring::new(WIRE_DEPTH)).collect();
 
-        // Placement, fixed here for the life of the cluster: the i-th
-        // process declared on a node takes the node's §4.1 ready bit `i`
-        // and is served by the node's shard `i mod shards`, so a node's
-        // command queues spread over its lanes to within one.
-        let mut per_lane: Vec<Seat> = (0..lanes).map(|_| Vec::new()).collect();
-        let mut next_qbit = vec![0u32; nodes];
+        // Allocated ahead of the per-process segments: over repeated
+        // cluster create/destroy cycles the other order holds ~0.4 MB
+        // more peak RSS (EXPERIMENTS.md "A lane is a node").
+        let wires: Vec<_> = (0..nodes).map(|_| Ring::new(WIRE_DEPTH)).collect();
+
+        // The i-th process declared on a node takes the node's §4.1
+        // ready bit `i`; its command queue is drained by that node's
+        // proxy.
+        let mut seats: Vec<Seat> = (0..nodes).map(|_| Vec::new()).collect();
         let mut procs = Vec::with_capacity(self.procs.len());
         let mut cmd_txs = Vec::with_capacity(self.procs.len());
         for (i, &(node, bytes)) in self.procs.iter().enumerate() {
             let asid = i as u32;
-            let qbit = next_qbit[node];
+            let qbit = seats[node].len() as u32;
             assert!(qbit < 64, "at most 64 processes per node");
-            next_qbit[node] += 1;
-            let lane = node * shards + qbit as usize % shards;
             let (tx, rx) = spsc::channel(CMDQ_DEPTH);
-            per_lane[lane].push(SeatEntry { asid, qbit, q: rx });
+            seats[node].push(SeatEntry { asid, qbit, q: rx });
             cmd_txs.push((tx, qbit));
             procs.push(Arc::new(ProcShared {
                 asid,
                 node,
-                lane,
                 seg: Segment::new(bytes),
                 flags: (0..NUM_FLAGS)
                     .map(|_| Arc::new(AtomicU64::new(0)))
@@ -215,35 +179,29 @@ impl RtClusterBuilder {
             perms: RwLock::new(HashSet::new()),
             allow_all: AtomicBool::new(true),
             stop: AtomicBool::new(false),
-            shards,
             wires,
-            parkers: (0..lanes).map(|_| Parker::new()).collect(),
-            ops_serviced: (0..lanes)
+            parkers: (0..nodes).map(|_| Parker::new()).collect(),
+            ops_serviced: (0..nodes)
                 .map(|_| Arc::new(AtomicU64::new(0)))
                 .collect(),
-            panicked: (0..lanes).map(|_| AtomicBool::new(false)).collect(),
-            condemned: (0..lanes).map(|_| AtomicBool::new(false)).collect(),
+            panicked: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
+            condemned: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
             any_condemned: AtomicBool::new(false),
-            epochs: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
-            deaths: (0..lanes).map(|_| AtomicU64::new(0)).collect(),
+            epochs: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
+            deaths: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             restarts_total: AtomicU64::new(0),
-            panic_reasons: (0..lanes).map(|_| Mutex::new(None)).collect(),
-            node_state: (0..lanes)
-                .map(|_| Mutex::new(NodeState::new(lanes, now)))
+            panic_reasons: (0..nodes).map(|_| Mutex::new(None)).collect(),
+            node_state: (0..nodes)
+                .map(|_| Mutex::new(NodeState::new(nodes, now)))
                 .collect(),
-            seats: per_lane
-                .into_iter()
-                .map(|s| Mutex::new(Some(s)))
-                .collect(),
-            ready_masks: (0..lanes).map(|_| Arc::new(AtomicU64::new(0))).collect(),
-            handles: Mutex::new((0..lanes).map(|_| None).collect()),
-            health: (0..lanes)
+            seats: seats.into_iter().map(|s| Mutex::new(Some(s))).collect(),
+            ready_masks: (0..nodes).map(|_| Arc::new(AtomicU64::new(0))).collect(),
+            handles: Mutex::new((0..nodes).map(|_| None).collect()),
+            health: (0..nodes)
                 .map(|_| Arc::new(ProxyHealth::default()))
                 .collect(),
             shed_enabled: AtomicBool::new(self.shed),
-            faults: self
-                .fault_plan
-                .map(|plan| RtFaultState::new(plan, nodes, shards)),
+            faults: self.fault_plan.map(|plan| RtFaultState::new(plan, nodes)),
             supervision: self.supervision,
             started: now,
             obs_hub,
@@ -265,17 +223,12 @@ impl RtClusterBuilder {
 
         {
             let mut handles = shared.handles.lock().unwrap_or_else(|e| e.into_inner());
-            for (lane, slot) in handles.iter_mut().enumerate() {
+            for (node, slot) in handles.iter_mut().enumerate() {
                 let sh = Arc::clone(&shared);
-                let name = if shards == 1 {
-                    format!("mproxy-{lane}")
-                } else {
-                    format!("mproxy-{}s{}", lane / shards, lane % shards)
-                };
                 *slot = Some(
                     std::thread::Builder::new()
-                        .name(name)
-                        .spawn(move || run_proxy(lane, sh))
+                        .name(format!("mproxy-{node}"))
+                        .spawn(move || run_proxy(node, sh))
                         .expect("spawn proxy thread"),
                 );
             }

@@ -1,9 +1,9 @@
 //! The threaded message-proxy cluster: the state every thread shares
 //! ([`Shared`]) and the handle that owns it ([`RtCluster`]).
 //!
-//! One proxy thread per *lane* runs the Figure 5 loop for real
-//! ([`crate::lane`]): it polls the registered per-user command queues and
-//! the lane's network input, using the §4.1 *shared bit vector*
+//! One proxy thread per node runs the Figure 5 loop for real
+//! ([`crate::proxy`]): it polls the registered per-user command queues and
+//! the node's network input, using the §4.1 *shared bit vector*
 //! optimisation — producers set a per-queue ready bit, so an idle proxy
 //! probes one word instead of scanning every queue head. Protection
 //! checks (asid permission, bounds) run in the proxy, never in user code;
@@ -13,7 +13,7 @@
 //! The data plane is lock-free end to end (see DESIGN.md "Runtime data
 //! plane"): user→proxy command queues are the paper's full/empty-flag
 //! SPSC rings ([`crate::spsc`]), proxy↔proxy traffic flows through one
-//! bounded MPSC wire ring per lane, and remote-queue payloads return to
+//! bounded MPSC wire ring per node, and remote-queue payloads return to
 //! user processes over bounded SPSC reply rings (both
 //! [`crate::ring::Ring`]). Between proxies the traffic is sequenced,
 //! acknowledged and retransmitted ([`crate::wire`]), which is what makes
@@ -24,42 +24,32 @@
 //!
 //! A proxy is a shared, trusted agent; a node must survive its failure.
 //! Each proxy body runs under `catch_unwind`: on panic the thread returns
-//! its *seat* (the lane's command-queue consumers), records the panic
-//! payload, and raises the lane's `panicked` bit. All protocol state
-//! lives in a per-lane [`NodeState`] owned by `Shared` and locked by the
+//! its *seat* (the node's command-queue consumers), records the panic
+//! payload, and raises the node's `panicked` bit. All protocol state
+//! lives in a per-node [`NodeState`] owned by `Shared` and locked by the
 //! proxy for its lifetime — so a respawned proxy resumes with the exact
 //! watermarks, retention buffers and CCBs its predecessor held, and no
 //! acknowledged operation can be lost or re-applied. With supervision
 //! enabled ([`crate::RtClusterBuilder::supervise`]) a supervisor thread respawns
 //! dead proxies on a fresh epoch (bounded restarts, exponential backoff);
 //! the newcomer broadcasts a Hello so peers re-ack and retransmit
-//! immediately instead of waiting out their timers. A lane that exhausts
+//! immediately instead of waiting out their timers. A node that exhausts
 //! its restart budget — or dies without supervision — is *condemned*:
 //! peers purge traffic towards it, bounded waits report
 //! [`crate::RtError::ProxyDown`] with the panic reason, and shutdown completes.
 //! [`RtCluster::shutdown`] is deadline-bounded and reports wedged proxies
 //! instead of joining them forever.
 //!
-//! # Sharded proxies
+//! # One proxy per node
 //!
-//! A node may run several proxy *shard lanes*
-//! ([`crate::RtClusterBuilder::shards`]) — the paper's multi-proxy node, a
-//! provisioning decision made before the cluster starts. Every per-node
-//! structure above — wire ring, parker, [`NodeState`], seat, epoch,
-//! health, telemetry scope — is really per lane
-//! (`lane = node · shards + shard`), and the sequenced wire layer runs
-//! per (sender-lane, destination-lane) stream, so the exactly-once
-//! invariant is untouched by sharding. Placement is one pure rule fixed
-//! at [`crate::RtClusterBuilder::start`]: the `i`-th process declared on a node
-//! is served by that node's shard `i mod shards`
-//! (`ProcShared::lane`), so a node's command queues spread over its
-//! lanes to within one. That lane drains the process's command queue,
-//! and it is the lane peers address requests for the process to — one
-//! sender's operations on one asid therefore always ride one sequenced
-//! stream, which is what keeps them in order. The rule is load
-//! balancing, not ownership of memory: segments, flags and reply rings
-//! live in `ProcShared`, shared by all lanes. The default is one shard
-//! per node, where a lane is a node.
+//! How many proxies a machine gets is decided before the run, by how
+//! many nodes are declared ([`crate::RtClusterBuilder::new`]): the proxy
+//! of node `n` drains the command queues of the processes declared on
+//! `n`, and peers address requests for those processes to it. Every
+//! `Vec` in [`Shared`] other than `procs` is indexed by that node
+//! number. Segments, flags and reply rings live in `ProcShared`, shared
+//! by every proxy, so spreading processes over more nodes is load
+//! balancing, not ownership of memory.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,8 +62,8 @@ use mproxy_obs::{ObsHub, Scope as ObsScope, Snapshot, TraceEvent};
 
 use crate::fault::{RtFaultCounts, RtFaultState};
 use crate::idle::Parker;
-use crate::lane::Seat;
 use crate::mem::Segment;
+use crate::proxy::Seat;
 use crate::ring::Ring;
 use crate::state::NodeState;
 use crate::supervisor::SupervisorCfg;
@@ -104,18 +94,11 @@ pub const SHED_BACKLOG: usize = CMDQ_DEPTH;
 /// proxy thread is reported and detached rather than joined past this.
 const DEFAULT_SHUTDOWN_DEADLINE: Duration = Duration::from_secs(10);
 
-/// Most shard lanes a node may be configured with (the qbit word is the
-/// binding limit for processes; this bounds thread count and the
-/// per-lane stream tables).
-pub const MAX_SHARDS: usize = 8;
-
 /// One dead proxy in a [`ShutdownReport`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProxyPanic {
     /// The node whose proxy was dead when the cluster shut down.
     pub node: usize,
-    /// The shard lane on that node (0 on an unsharded cluster).
-    pub shard: usize,
     /// Its panic payload, when it was a string.
     pub reason: Option<String>,
 }
@@ -145,8 +128,8 @@ impl ShutdownReport {
 
     /// Stable single-line JSON serialization (the shape `rt_chaos`
     /// embeds per scenario in `BENCH_chaos.json`):
-    /// `{"clean":bool,"restarts":n,"panicked":[{"node":n,"shard":s,
-    /// "reason":s?}],"wedged":[n]}`.
+    /// `{"clean":bool,"restarts":n,"panicked":[{"node":n,"reason":s?}],
+    /// "wedged":[n]}`.
     #[must_use]
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
@@ -161,7 +144,7 @@ impl ShutdownReport {
             if i > 0 {
                 s.push(',');
             }
-            let _ = write!(s, "{{\"node\":{},\"shard\":{}", p.node, p.shard);
+            let _ = write!(s, "{{\"node\":{}", p.node);
             if let Some(r) = &p.reason {
                 let _ = write!(s, ",\"reason\":\"{}\"", mproxy_obs::json::esc(r));
             }
@@ -179,14 +162,13 @@ impl ShutdownReport {
     }
 }
 
-/// One user process, as every lane and its own [`crate::Endpoint`] see
+/// One user process, as every proxy and its own [`crate::Endpoint`] see
 /// it.
 pub(crate) struct ProcShared {
     pub(crate) asid: u32,
+    /// The node whose proxy drains this process's command queue and that
+    /// peers address its inbound requests to.
     pub(crate) node: usize,
-    /// The lane that drains this process's command queue and that peers
-    /// address its inbound requests to; fixed at start.
-    pub(crate) lane: usize,
     pub(crate) seg: Segment,
     pub(crate) flags: Vec<Arc<AtomicU64>>,
     /// Reply rings, one per remote queue: the serving proxies produce,
@@ -210,44 +192,39 @@ pub(crate) struct Shared {
     pub(crate) perms: RwLock<HashSet<(u32, u32)>>,
     pub(crate) allow_all: AtomicBool,
     pub(crate) stop: AtomicBool,
-    /// Shard lanes per node. Every `Vec` below commented "per lane" is
-    /// indexed by `lane = node · shards + shard`; at `shards == 1` a lane
-    /// is a node.
-    pub(crate) shards: usize,
-    /// Per lane: the wire input — peer proxies produce, the lane's
+    /// Per node: the wire input — peer proxies produce, the node's
     /// proxy consumes.
     pub(crate) wires: Vec<Ring<WireMsg>>,
-    pub(crate) parkers: Vec<Parker>, // per lane, wakes the proxy thread
-    pub(crate) ops_serviced: Vec<Arc<AtomicU64>>, // per lane
-    /// Per lane: the proxy is currently dead (set after unwinding, after
+    pub(crate) parkers: Vec<Parker>, // per node, wakes the proxy thread
+    pub(crate) ops_serviced: Vec<Arc<AtomicU64>>, // per node
+    /// Per node: the proxy is currently dead (set after unwinding, after
     /// the seat and panic reason are back; cleared by a respawn).
     pub(crate) panicked: Vec<AtomicBool>,
-    /// Per lane: permanently dead — no respawn will come. Peers purge
-    /// traffic towards condemned lanes; waits abort against them.
+    /// Per node: permanently dead — no respawn will come. Peers purge
+    /// traffic towards condemned nodes; waits abort against them.
     pub(crate) condemned: Vec<AtomicBool>,
     /// Cheap gate for the per-loop condemnation scan.
     pub(crate) any_condemned: AtomicBool,
-    /// Mirror of each lane's epoch for lock-free queries.
+    /// Mirror of each node's epoch for lock-free queries.
     pub(crate) epochs: Vec<AtomicU64>,
-    /// Times each lane's proxy has panicked.
+    /// Times each node's proxy has panicked.
     pub(crate) deaths: Vec<AtomicU64>,
     /// Total supervisor respawns.
     pub(crate) restarts_total: AtomicU64,
-    /// Last panic payload per lane, when it was a string.
+    /// Last panic payload per node, when it was a string.
     pub(crate) panic_reasons: Vec<Mutex<Option<String>>>,
-    /// The per-lane protocol state (see [`NodeState`]).
+    /// The per-node protocol state (see [`NodeState`]).
     pub(crate) node_state: Vec<Mutex<NodeState>>,
-    /// Each lane's command-queue consumers, parked here whenever no
+    /// Each node's command-queue consumers, parked here whenever no
     /// proxy incarnation is running; each incarnation takes the seat and
     /// returns it on the way out (even by panic).
     pub(crate) seats: Vec<Mutex<Option<Seat>>>,
-    /// The §4.1 ready-bit word per lane (shared with the endpoints).
-    /// A queue's bit is its index among its node's queues; only the
-    /// endpoints of the queues a lane serves ever set bits in its word.
+    /// The §4.1 ready-bit word per node (shared with the endpoints). A
+    /// queue's bit is its index among its node's queues.
     pub(crate) ready_masks: Vec<Arc<AtomicU64>>,
     /// Proxy thread handles, replaced by the supervisor on respawn.
     pub(crate) handles: Mutex<Vec<Option<JoinHandle<()>>>>,
-    pub(crate) health: Vec<Arc<ProxyHealth>>, // per lane
+    pub(crate) health: Vec<Arc<ProxyHealth>>, // per node
     pub(crate) shed_enabled: AtomicBool,
     /// The installed fault injector, if any.
     pub(crate) faults: Option<RtFaultState>,
@@ -258,42 +235,11 @@ pub(crate) struct Shared {
     /// Telemetry registry (see `mproxy-obs`): counters are always on;
     /// histograms and flight recorders follow the hub's recording flag.
     pub(crate) obs_hub: Arc<ObsHub>,
-    /// One telemetry scope per lane, indexed like `wires`.
+    /// One telemetry scope per node (`node{n}`), indexed like `wires`.
     pub(crate) obs: Vec<Arc<ObsScope>>,
 }
 
 impl Shared {
-    /// Total shard lanes (`nodes · shards`).
-    #[inline]
-    pub(crate) fn lanes(&self) -> usize {
-        self.wires.len()
-    }
-
-    /// The node a lane belongs to.
-    #[inline]
-    pub(crate) fn lane_node(&self, lane: usize) -> usize {
-        lane / self.shards
-    }
-
-    /// True when more than one shard lane per node exists.
-    #[inline]
-    pub(crate) fn sharded(&self) -> bool {
-        self.shards > 1
-    }
-
-    /// The lane for `(node, shard)`.
-    #[inline]
-    pub(crate) fn lane_of(&self, node: usize, shard: usize) -> usize {
-        node * self.shards + shard
-    }
-
-    /// The lane that serves `asid`: it drains the asid's command queue,
-    /// and requests for the asid are addressed to it.
-    #[inline]
-    pub(crate) fn lane_of_asid(&self, asid: u32) -> usize {
-        self.procs[asid as usize].lane
-    }
-
     pub(crate) fn allowed(&self, src: u32, dst: u32) -> bool {
         src == dst
             || self.allow_all.load(Ordering::Relaxed)
@@ -314,9 +260,8 @@ impl Shared {
         self.procs[proc as usize].flags[flag as usize].fetch_add(1, Ordering::Release);
     }
 
-    /// First condemned node, if any (maps the condemned lane back to
-    /// its node for error reporting).
-    pub(crate) fn condemned_lane(&self) -> Option<usize> {
+    /// First condemned node, if any.
+    pub(crate) fn condemned_node(&self) -> Option<usize> {
         if !self.any_condemned.load(Ordering::Acquire) {
             return None;
         }
@@ -339,27 +284,34 @@ impl Shared {
     }
 }
 
-/// Marks `lane` permanently dead and wakes everything that might be
+/// Marks `node` permanently dead and wakes everything that might be
 /// waiting on it (peer proxies purge their traffic towards it on their
 /// next pass; bounded endpoint waits abort).
-pub(crate) fn condemn(shared: &Shared, lane: usize) {
-    shared.condemned[lane].store(true, Ordering::Release);
+pub(crate) fn condemn(shared: &Shared, node: usize) {
+    shared.condemned[node].store(true, Ordering::Release);
     shared.any_condemned.store(true, Ordering::Release);
     for p in &shared.parkers {
         p.wake();
     }
 }
 
-/// [`condemn`] for a lane whose proxy has already died (so its state
+/// [`condemn`] for a node whose proxy has already died (so its state
 /// lock is free): the frames it had parked behind gaps will never be
-/// applied, and are counted as dropped before the lane is written off.
-pub(crate) fn condemn_dead(shared: &Shared, lane: usize) {
-    let mut st = shared.node_state[lane]
+/// applied, and are counted as dropped before the node is written off.
+pub(crate) fn condemn_dead(shared: &Shared, node: usize) {
+    let mut st = shared.node_state[node]
         .lock()
         .unwrap_or_else(|e| e.into_inner());
-    abandon_all_held(shared, &mut st, lane);
+    abandon_all_held(shared, &mut st, node);
     drop(st);
-    condemn(shared, lane);
+    condemn(shared, node);
+}
+
+/// Indices of the per-node bits that are set.
+fn raised(bits: &[AtomicBool]) -> Vec<usize> {
+    (0..bits.len())
+        .filter(|&n| bits[n].load(Ordering::Acquire))
+        .collect()
 }
 
 /// A running cluster of proxy threads.
@@ -370,12 +322,6 @@ pub struct RtCluster {
 }
 
 impl RtCluster {
-    /// The shard lanes belonging to `node`.
-    fn lanes_of(&self, node: usize) -> std::ops::Range<usize> {
-        let s = self.shared.shards;
-        node * s..(node + 1) * s
-    }
-
     /// Disables allow-all: only explicit grants pass the protection check.
     pub fn restrict(&self) {
         self.shared.allow_all.store(false, Ordering::Relaxed);
@@ -399,118 +345,70 @@ impl RtCluster {
             .remove(&(src, dst));
     }
 
-    /// Total commands + packets serviced by node `node`'s proxy lanes
-    /// (cumulative across respawns, summed over shards).
+    /// Total commands + packets serviced by node `node`'s proxy
+    /// (cumulative across respawns).
     #[must_use]
     pub fn ops_serviced(&self, node: usize) -> u64 {
-        self.lanes_of(node)
-            .map(|l| self.shared.ops_serviced[l].load(Ordering::Relaxed))
-            .sum()
+        self.shared.ops_serviced[node].load(Ordering::Relaxed)
     }
 
     /// The watchdog's last utilisation sample for node `node`: fraction
     /// of the sampling period spent servicing work rather than
     /// idle-polling, in `[0, 1]`. Zero until the first sample lands.
-    /// With multiple shards this is the **max** over the node's lanes —
-    /// the §5.4 stability bound binds per proxy, and an average would
-    /// hide one saturated shard behind idle siblings.
     #[must_use]
     pub fn utilization(&self, node: usize) -> f64 {
-        self.lanes_of(node)
-            .map(|l| f64::from_bits(self.shared.health[l].util_bits.load(Ordering::Relaxed)))
-            .fold(0.0, f64::max)
+        f64::from_bits(self.shared.health[node].util_bits.load(Ordering::Relaxed))
     }
 
-    /// One shard lane's last utilisation sample (see
-    /// [`RtCluster::utilization`]).
-    #[must_use]
-    pub fn shard_utilization(&self, node: usize, shard: usize) -> f64 {
-        let lane = self.shared.lane_of(node, shard);
-        f64::from_bits(self.shared.health[lane].util_bits.load(Ordering::Relaxed))
-    }
-
-    /// True while **any** of node `node`'s proxy lanes sits above the
-    /// paper's stable utilisation bound (§5.4: past 50% the M/M/1
-    /// queueing delay grows without bound). Clears once utilisation
-    /// falls back under [`RECOVERY_UTILIZATION`].
+    /// True while node `node`'s proxy sits above the paper's stable
+    /// utilisation bound (§5.4: past 50% the M/M/1 queueing delay grows
+    /// without bound). Clears once utilisation falls back under
+    /// [`RECOVERY_UTILIZATION`].
     #[must_use]
     pub fn saturated(&self, node: usize) -> bool {
-        self.lanes_of(node)
-            .any(|l| self.shared.health[l].saturated.load(Ordering::Acquire))
+        self.shared.health[node].saturated.load(Ordering::Acquire)
     }
 
-    /// Number of times node `node`'s proxy lanes have crossed into
-    /// saturation (summed over shards).
+    /// Number of times node `node`'s proxy has crossed into saturation.
     #[must_use]
     pub fn saturation_events(&self, node: usize) -> u64 {
-        self.lanes_of(node)
-            .map(|l| {
-                self.shared.health[l]
-                    .saturation_events
-                    .load(Ordering::Relaxed)
-            })
-            .sum()
+        self.shared.health[node]
+            .saturation_events
+            .load(Ordering::Relaxed)
     }
 
     /// Request packets rejected on node `node` by overload shedding
     /// ([`crate::RtClusterBuilder::enable_shedding`]).
     #[must_use]
     pub fn shed_count(&self, node: usize) -> u64 {
-        self.lanes_of(node)
-            .map(|l| self.shared.health[l].shed.load(Ordering::Relaxed))
-            .sum()
+        self.shared.health[node].shed.load(Ordering::Relaxed)
     }
 
-    /// Nodes with at least one proxy lane dead *right now* (panicked and
-    /// not yet respawned; a live query).
+    /// Nodes whose proxy is dead *right now* (panicked and not yet
+    /// respawned; a live query).
     #[must_use]
     pub fn panicked_nodes(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .shared
-            .panicked
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| p.load(Ordering::Acquire))
-            .map(|(l, _)| self.shared.lane_node(l))
-            .collect();
-        out.dedup();
-        out
+        raised(&self.shared.panicked)
     }
 
-    /// Nodes with at least one lane condemned as permanently dead
-    /// (crash-looped past the restart budget, or died without
-    /// supervision).
+    /// Nodes condemned as permanently dead (crash-looped past the
+    /// restart budget, or died without supervision).
     #[must_use]
     pub fn condemned_nodes(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .shared
-            .condemned
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.load(Ordering::Acquire))
-            .map(|(l, _)| self.shared.lane_node(l))
-            .collect();
-        out.dedup();
-        out
+        raised(&self.shared.condemned)
     }
 
     /// Node `node`'s current proxy incarnation (0 until the first
-    /// respawn; the max over its shard lanes).
+    /// respawn).
     #[must_use]
     pub fn epoch(&self, node: usize) -> u64 {
-        self.lanes_of(node)
-            .map(|l| self.shared.epochs[l].load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0)
+        self.shared.epochs[node].load(Ordering::Relaxed)
     }
 
-    /// Times node `node`'s proxy lanes have died by panic (summed over
-    /// shards).
+    /// Times node `node`'s proxy has died by panic.
     #[must_use]
     pub fn deaths(&self, node: usize) -> u64 {
-        self.lanes_of(node)
-            .map(|l| self.shared.deaths[l].load(Ordering::Relaxed))
-            .sum()
+        self.shared.deaths[node].load(Ordering::Relaxed)
     }
 
     /// Total proxy respawns performed by supervision.
@@ -519,18 +417,11 @@ impl RtCluster {
         self.shared.restarts_total.load(Ordering::Relaxed)
     }
 
-    /// The last panic payload recorded for node `node`'s proxy lanes,
-    /// when it was a string (first lane with one recorded).
+    /// The last panic payload recorded for node `node`'s proxy, when it
+    /// was a string.
     #[must_use]
     pub fn panic_reason(&self, node: usize) -> Option<String> {
-        self.lanes_of(node).find_map(|l| self.shared.panic_reason(l))
-    }
-
-    /// The shard of its home node that serves `asid` — fixed at start
-    /// by the placement rule (see [`crate::RtClusterBuilder::shards`]).
-    #[must_use]
-    pub fn shard_of(&self, asid: u32) -> usize {
-        self.shared.lane_of_asid(asid) % self.shared.shards
+        self.shared.panic_reason(node)
     }
 
     /// Injection counters of the installed fault plan, if any.
@@ -560,20 +451,6 @@ impl RtCluster {
         self.shared.obs_hub.snapshot(label)
     }
 
-    /// Like [`RtCluster::obs_snapshot`], but with each node's shard
-    /// scopes (`node{n}s{s}`) merged into one `node{n}` scope —
-    /// counters summed, histograms merged bucket-wise. At one shard per
-    /// node this is identical to `obs_snapshot`.
-    #[must_use]
-    pub fn obs_snapshot_by_node(&self, label: &str) -> Snapshot {
-        self.shared.obs_hub.snapshot(label).merged_by(|name| {
-            match name.rfind('s') {
-                Some(i) if i > 0 && name.starts_with("node") => name[..i].to_string(),
-                _ => name.to_string(),
-            }
-        })
-    }
-
     /// A handle on the telemetry hub that outlives the cluster — take it
     /// before [`RtCluster::shutdown`] to snapshot or dump traces *after*
     /// shutdown, when every proxy has exited and the cross-node counter
@@ -589,16 +466,10 @@ impl RtCluster {
         self.shared.obs_hub.trace_dump()
     }
 
-    /// Surviving flight-recorder events for one node (all of its shard
-    /// lanes, merged in timestamp order).
+    /// Surviving flight-recorder events for one node (oldest first).
     #[must_use]
     pub fn flight_events(&self, node: usize) -> Vec<TraceEvent> {
-        let mut out: Vec<TraceEvent> = self
-            .lanes_of(node)
-            .flat_map(|l| self.shared.obs[l].events())
-            .collect();
-        out.sort_by_key(|e| e.t_ns);
-        out
+        self.shared.obs[node].events()
     }
 
     /// Render every node's flight recorder as a Chrome `trace_event`
@@ -643,7 +514,7 @@ impl RtCluster {
             restarts: self.shared.restarts_total.load(Ordering::Relaxed),
             ..ShutdownReport::default()
         };
-        for (lane, handle) in handles.into_iter().enumerate() {
+        for (node, handle) in handles.into_iter().enumerate() {
             let Some(handle) = handle else { continue };
             loop {
                 if handle.is_finished() {
@@ -654,24 +525,18 @@ impl RtCluster {
                     // Wedged (e.g. stuck in foreign code): report it,
                     // condemn it so nobody waits on it, detach the
                     // handle rather than hanging the shutdown.
-                    let node = self.shared.lane_node(lane);
-                    if report.wedged_nodes.last() != Some(&node) {
-                        report.wedged_nodes.push(node);
-                    }
-                    condemn(&self.shared, lane);
+                    report.wedged_nodes.push(node);
+                    condemn(&self.shared, node);
                     break;
                 }
                 std::thread::sleep(Duration::from_micros(200));
             }
         }
-        for (lane, p) in self.shared.panicked.iter().enumerate() {
-            if p.load(Ordering::Acquire) {
-                report.panicked_nodes.push(ProxyPanic {
-                    node: self.shared.lane_node(lane),
-                    shard: lane % self.shared.shards,
-                    reason: self.shared.panic_reason(lane),
-                });
-            }
+        for node in raised(&self.shared.panicked) {
+            report.panicked_nodes.push(ProxyPanic {
+                node,
+                reason: self.shared.panic_reason(node),
+            });
         }
         if let Some(w) = self.watchdog.take() {
             let _ = w.join();

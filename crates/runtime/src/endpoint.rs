@@ -1,5 +1,5 @@
 //! The user-process side: an [`Endpoint`] submits commands to its
-//! serving lane's proxy, reads and writes its own segment, and observes
+//! node's proxy, reads and writes its own segment, and observes
 //! flags and remote queues. Also the command encoding both ends share
 //! (opcodes, the packed sync descriptor).
 
@@ -150,12 +150,15 @@ impl Endpoint {
 
     /// Bounded [`Endpoint::wait_flag`]: gives up after `timeout`, and
     /// aborts early if a proxy has been condemned *and* the flag has
-    /// stopped advancing — the wait could otherwise never complete. The
-    /// progress grace matters on a sharded node: one condemned shard
-    /// lane must not abort waits that a live sibling lane is still
-    /// serving. A proxy that merely died *under supervision* does not
-    /// abort the wait either way: its respawn may still complete the
-    /// operation within the timeout.
+    /// stopped advancing — the wait could otherwise never complete. A
+    /// wait does not know which node its flag depends on (a flag may be
+    /// bumped by operations towards several destinations), so a
+    /// condemned node alone proves nothing: aborting at once would fail
+    /// every bounded wait on every healthy node the moment an unrelated
+    /// node died. Only a flag that has also sat still for a grace period
+    /// is taken to depend on the dead node. A proxy that merely died
+    /// *under supervision* does not abort the wait either way: its
+    /// respawn may still complete the operation within the timeout.
     ///
     /// # Errors
     ///
@@ -168,8 +171,8 @@ impl Endpoint {
         target: u64,
         timeout: Duration,
     ) -> Result<(), RtError> {
-        /// How long a wait may sit without flag progress while some lane
-        /// is condemned before concluding it depends on the dead lane.
+        /// How long a wait may sit without flag progress while some node
+        /// is condemned before concluding it depends on the dead node.
         const CONDEMNED_GRACE: Duration = Duration::from_millis(250);
         let deadline = Instant::now() + timeout;
         let mut backoff = Backoff::new();
@@ -179,7 +182,7 @@ impl Endpoint {
             if observed >= target {
                 return Ok(());
             }
-            if let Some(lane) = self.shared.condemned_lane() {
+            if let Some(node) = self.shared.condemned_node() {
                 let now = Instant::now();
                 let stalled = match &mut grace {
                     None => {
@@ -195,8 +198,8 @@ impl Endpoint {
                 if stalled {
                     self.me.timeouts.fetch_add(1, Ordering::Relaxed);
                     return Err(RtError::ProxyDown {
-                        node: self.shared.lane_node(lane),
-                        reason: self.shared.panic_reason(lane),
+                        node,
+                        reason: self.shared.panic_reason(node),
                     });
                 }
             }
@@ -221,8 +224,8 @@ impl Endpoint {
     }
 
     fn submit(&mut self, mut e: Entry) {
-        let lane = self.me.lane;
-        let obs = &self.shared.obs[lane];
+        let node = self.me.node;
+        let obs = &self.shared.obs[node];
         obs.inc(Ctr::OpsSubmitted);
         self.obs_tick = self.obs_tick.wrapping_add(1);
         if obs.recording() && self.obs_tick & OBS_SAMPLE_MASK == 0 {
@@ -237,10 +240,10 @@ impl Endpoint {
         if !self.cmd.try_send(e) {
             // Queue full: the bounded ring is backpressuring us. Count
             // the stall, then wait for room — unless nobody will ever
-            // make any: a condemned lane or a stopped cluster drains
+            // make any: a condemned node or a stopped cluster drains
             // nothing, so the op is dropped, exactly as `send_data` drops
             // one towards a condemned destination (`lsync` never fires;
-            // bounded waits report it). A lane that merely panicked under
+            // bounded waits report it). A proxy that merely panicked under
             // supervision is worth waiting for: its respawn resumes the
             // drain.
             obs.inc(Ctr::CreditStalls);
@@ -252,7 +255,7 @@ impl Endpoint {
             );
             let mut backoff = Backoff::new();
             while !self.cmd.try_send(e) {
-                if self.shared.condemned[lane].load(Ordering::Acquire)
+                if self.shared.condemned[node].load(Ordering::Acquire)
                     || self.shared.stop.load(Ordering::Relaxed)
                 {
                     return;
@@ -263,8 +266,8 @@ impl Endpoint {
         // §4.1: flip the shared ready bit so the proxy's idle scan probes
         // one word instead of every queue head — then wake the proxy in
         // case it parked.
-        self.shared.ready_masks[lane].fetch_or(1 << self.qbit, Ordering::Release);
-        self.shared.parkers[lane].wake();
+        self.shared.ready_masks[node].fetch_or(1 << self.qbit, Ordering::Release);
+        self.shared.parkers[node].wake();
     }
 
     fn pack_sync(lsync: Option<FlagId>, rsync: Option<FlagId>) -> u64 {

@@ -11,19 +11,16 @@
 //!
 //! The per-packet draws come from the shared fate core
 //! ([`mproxy_model::fate`]), one [`SplitMix64`] stream per *sending*
-//! proxy lane (`seed ^ lane·φ`, where `lane = node·shards + shard`; at
-//! one shard per node a lane is exactly a node, so pre-sharding seeds
-//! reproduce bit-for-bit), so each proxy's fault stream is a pure
+//! node (`seed ^ node·φ`), so each proxy's fault stream is a pure
 //! function of the seed and of how many packets that proxy has judged.
 //! Cross-node interleaving is still scheduler-dependent — these are real
 //! threads — which is exactly the nondeterminism the chaos harness is
-//! meant to soak; the per-lane streams keep any *single* proxy's fate
-//! sequence reproducible. Kills and stalls target a (node, shard) lane;
-//! the plain builders target shard 0.
+//! meant to soak; the per-node streams keep any *single* proxy's fate
+//! sequence reproducible.
 //!
 //! When no plan is installed the cluster carries `None` and the hot path
-//! pays one never-taken branch per loop — zero cost in the sense that
-//! matters for the `rt_throughput` gate.
+//! pays one never-taken branch per loop; with a benign plan installed a
+//! verdict costs what `perfbench`'s `fault.judge_ns` probe reports.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -43,8 +40,6 @@ const PHI: u64 = 0x9e37_79b9_7f4a_7c15;
 pub struct RtStall {
     /// The stalled node.
     pub node: usize,
-    /// The stalled shard on that node (0 when the node is unsharded).
-    pub shard: usize,
     /// Window start, relative to cluster start.
     pub start: Duration,
     /// Window length.
@@ -61,8 +56,6 @@ pub struct RtStall {
 pub struct RtKill {
     /// The node whose proxy dies.
     pub node: usize,
-    /// The shard lane on that node that dies (0 when unsharded).
-    pub shard: usize,
     /// Ops-serviced threshold that triggers the panic.
     pub after_ops: u64,
 }
@@ -155,24 +148,7 @@ impl RtFaultPlan {
     /// window on the same node.
     #[must_use]
     pub fn stall(self, node: usize, start: Duration, dur: Duration) -> RtFaultPlan {
-        self.add_stall(node, 0, start, dur, true)
-    }
-
-    /// Adds an interruptible stall window targeting one shard lane of
-    /// `node` (shard 0 is the lane [`RtFaultPlan::stall`] targets).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`RtFaultPlan::stall`].
-    #[must_use]
-    pub fn stall_shard(
-        self,
-        node: usize,
-        shard: usize,
-        start: Duration,
-        dur: Duration,
-    ) -> RtFaultPlan {
-        self.add_stall(node, shard, start, dur, true)
+        self.add_stall(node, start, dur, true)
     }
 
     /// Adds a **non-interruptible** stall ("wedge") for `node`: the
@@ -184,13 +160,12 @@ impl RtFaultPlan {
     /// Same conditions as [`RtFaultPlan::stall`].
     #[must_use]
     pub fn wedge(self, node: usize, start: Duration, dur: Duration) -> RtFaultPlan {
-        self.add_stall(node, 0, start, dur, false)
+        self.add_stall(node, start, dur, false)
     }
 
     fn add_stall(
         mut self,
         node: usize,
-        shard: usize,
         start: Duration,
         dur: Duration,
         interruptible: bool,
@@ -199,13 +174,7 @@ impl RtFaultPlan {
         let (s, e) = (start.as_secs_f64(), (start + dur).as_secs_f64());
         if let Some(w) = self.stalls.iter().find(|w| {
             w.node == node
-                && w.shard == shard
-                && windows_overlap(
-                    w.start.as_secs_f64(),
-                    (w.start + w.dur).as_secs_f64(),
-                    s,
-                    e,
-                )
+                && windows_overlap(w.start.as_secs_f64(), (w.start + w.dur).as_secs_f64(), s, e)
         }) {
             panic!(
                 "stall window [{s}s, {e}s) overlaps [{:?}, {:?}) on node {node}",
@@ -215,7 +184,6 @@ impl RtFaultPlan {
         }
         self.stalls.push(RtStall {
             node,
-            shard,
             start,
             dur,
             interruptible,
@@ -229,26 +197,7 @@ impl RtFaultPlan {
     /// (cross-epoch) op count.
     #[must_use]
     pub fn kill(mut self, node: usize, after_ops: u64) -> RtFaultPlan {
-        self.kills.push(RtKill {
-            node,
-            shard: 0,
-            after_ops,
-        });
-        self.kills.sort_by_key(|k| k.after_ops);
-        self
-    }
-
-    /// Adds a kill targeting one shard lane of `node` (shard 0 is the
-    /// lane [`RtFaultPlan::kill`] targets): that lane's proxy panics
-    /// once *it* has serviced `after_ops` operations (the op count is
-    /// per lane, cumulative across that lane's respawns).
-    #[must_use]
-    pub fn kill_shard(mut self, node: usize, shard: usize, after_ops: u64) -> RtFaultPlan {
-        self.kills.push(RtKill {
-            node,
-            shard,
-            after_ops,
-        });
+        self.kills.push(RtKill { node, after_ops });
         self.kills.sort_by_key(|k| k.after_ops);
         self
     }
@@ -267,17 +216,6 @@ impl RtFaultPlan {
             .iter()
             .map(|s| s.node)
             .chain(self.kills.iter().map(|k| k.node))
-            .max()
-    }
-
-    /// Largest shard index the plan references, if any (for validation
-    /// against the cluster's shard width at start).
-    #[must_use]
-    pub fn max_shard(&self) -> Option<usize> {
-        self.stalls
-            .iter()
-            .map(|s| s.shard)
-            .chain(self.kills.iter().map(|k| k.shard))
             .max()
     }
 }
@@ -307,13 +245,10 @@ pub(crate) struct StallOrder {
     pub interruptible: bool,
 }
 
-/// Live injector state shared by every proxy thread. Indexed by *lane*
-/// (`node * shards + shard`); at `shards == 1` a lane is exactly a node
-/// and every stream matches the pre-sharding injector bit-for-bit.
+/// Live injector state shared by every proxy thread.
 #[derive(Debug)]
 pub(crate) struct RtFaultState {
     plan: RtFaultPlan,
-    shards: usize,
     rngs: Vec<Mutex<SplitMix64>>,
     kill_fired: Vec<AtomicBool>,
     stall_done: Vec<AtomicBool>,
@@ -326,20 +261,13 @@ pub(crate) struct RtFaultState {
 }
 
 impl RtFaultState {
-    pub(crate) fn new(plan: RtFaultPlan, nodes: usize, shards: usize) -> RtFaultState {
+    pub(crate) fn new(plan: RtFaultPlan, nodes: usize) -> RtFaultState {
         if let Some(max) = plan.max_node() {
             assert!(max < nodes, "fault plan references node {max} of {nodes}");
         }
-        if let Some(max) = plan.max_shard() {
-            assert!(
-                max < shards,
-                "fault plan references shard {max} of {shards}"
-            );
-        }
         RtFaultState {
-            shards,
-            rngs: (0..nodes * shards)
-                .map(|l| Mutex::new(SplitMix64::new(plan.seed ^ (l as u64).wrapping_mul(PHI))))
+            rngs: (0..nodes)
+                .map(|n| Mutex::new(SplitMix64::new(plan.seed ^ (n as u64).wrapping_mul(PHI))))
                 .collect(),
             kill_fired: plan.kills.iter().map(|_| AtomicBool::new(false)).collect(),
             stall_done: plan.stalls.iter().map(|_| AtomicBool::new(false)).collect(),
@@ -359,14 +287,14 @@ impl RtFaultState {
         !self.plan.fates.is_benign()
     }
 
-    /// Judges one outgoing data packet from `lane` and counts what was
-    /// injected. The lane's own proxy is the only caller, so the mutex
+    /// Judges one outgoing data packet from `node` and counts what was
+    /// injected. The node's own proxy is the only caller, so the mutex
     /// is uncontended.
-    pub(crate) fn judge(&self, lane: usize) -> Fate {
+    pub(crate) fn judge(&self, node: usize) -> Fate {
         let fate = self
             .plan
             .fates
-            .judge(&mut self.rngs[lane].lock().unwrap_or_else(|e| e.into_inner()));
+            .judge(&mut self.rngs[node].lock().unwrap_or_else(|e| e.into_inner()));
         self.packets.fetch_add(1, Ordering::Relaxed);
         if fate.drop {
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -381,12 +309,12 @@ impl RtFaultState {
         fate
     }
 
-    /// If a kill is due on `lane` given its cumulative op count, marks
+    /// If a kill is due on `node` given its cumulative op count, marks
     /// it fired and returns its threshold (at most one kill per call, so
     /// each respawn can be killed again by a later entry).
-    pub(crate) fn kill_due(&self, lane: usize, ops: u64) -> Option<u64> {
+    pub(crate) fn kill_due(&self, node: usize, ops: u64) -> Option<u64> {
         for (i, k) in self.plan.kills.iter().enumerate() {
-            if k.node * self.shards + k.shard == lane
+            if k.node == node
                 && ops >= k.after_ops
                 && !self.kill_fired[i].swap(true, Ordering::Relaxed)
             {
@@ -397,12 +325,12 @@ impl RtFaultState {
         None
     }
 
-    /// If `lane` sits inside an unserved stall window at `elapsed` since
+    /// If `node` sits inside an unserved stall window at `elapsed` since
     /// cluster start, marks the window served and returns how long to
     /// freeze (the remainder of the window).
-    pub(crate) fn stall_due(&self, lane: usize, elapsed: Duration) -> Option<StallOrder> {
+    pub(crate) fn stall_due(&self, node: usize, elapsed: Duration) -> Option<StallOrder> {
         for (i, s) in self.plan.stalls.iter().enumerate() {
-            if s.node * self.shards + s.shard == lane
+            if s.node == node
                 && elapsed >= s.start
                 && elapsed < s.start + s.dur
                 && !self.stall_done[i].swap(true, Ordering::Relaxed)
@@ -444,8 +372,8 @@ mod tests {
     fn per_node_streams_are_independent_and_seeded() {
         let plan = RtFaultPlan::new(9).drop(0.5);
         let (a, b) = (
-            RtFaultState::new(plan.clone(), 2, 1),
-            RtFaultState::new(plan, 2, 1),
+            RtFaultState::new(plan.clone(), 2),
+            RtFaultState::new(plan, 2),
         );
         let fa: Vec<Fate> = (0..50).map(|_| a.judge(0)).collect();
         let fb: Vec<Fate> = (0..50).map(|_| b.judge(0)).collect();
@@ -458,7 +386,7 @@ mod tests {
     #[test]
     fn kills_fire_once_each_in_order() {
         let plan = RtFaultPlan::new(0).kill(1, 100).kill(1, 50);
-        let st = RtFaultState::new(plan, 2, 1);
+        let st = RtFaultState::new(plan, 2);
         assert_eq!(st.kill_due(0, 1_000), None, "other nodes unaffected");
         assert_eq!(st.kill_due(1, 49), None);
         assert_eq!(st.kill_due(1, 60), Some(50), "lowest threshold first");
@@ -473,7 +401,7 @@ mod tests {
         let plan = RtFaultPlan::new(0)
             .stall(0, Duration::from_millis(10), Duration::from_millis(20))
             .wedge(1, Duration::ZERO, Duration::from_millis(5));
-        let st = RtFaultState::new(plan, 2, 1);
+        let st = RtFaultState::new(plan, 2);
         assert_eq!(st.stall_due(0, Duration::from_millis(5)), None);
         let o = st.stall_due(0, Duration::from_millis(15)).unwrap();
         assert_eq!(o.remaining, Duration::from_millis(15));
@@ -495,29 +423,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "references node")]
     fn plan_validated_against_cluster_size() {
-        let _ = RtFaultState::new(RtFaultPlan::new(0).kill(7, 10), 2, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "references shard")]
-    fn plan_validated_against_shard_width() {
-        let _ = RtFaultState::new(RtFaultPlan::new(0).kill_shard(0, 3, 10), 2, 2);
-    }
-
-    #[test]
-    fn shard_targeted_kills_key_on_the_lane() {
-        // 2 nodes x 2 shards; kill (node 1, shard 1) => lane 3 only.
-        let plan = RtFaultPlan::new(0).kill_shard(1, 1, 10);
-        let st = RtFaultState::new(plan, 2, 2);
-        assert_eq!(st.kill_due(2, 1_000), None, "sibling shard unaffected");
-        assert_eq!(st.kill_due(3, 9), None);
-        assert_eq!(st.kill_due(3, 10), Some(10));
-        assert_eq!(st.kill_due(3, 10), None, "fires once");
+        let _ = RtFaultState::new(RtFaultPlan::new(0).kill(7, 10), 2);
     }
 
     #[test]
     fn benign_plan_counts_nothing() {
-        let st = RtFaultState::new(RtFaultPlan::new(3), 1, 1);
+        let st = RtFaultState::new(RtFaultPlan::new(3), 1);
         assert!(st.plan.is_benign());
         assert!(!st.packet_faults_possible());
         assert!(!st.has_timed_faults());

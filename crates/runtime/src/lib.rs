@@ -40,12 +40,11 @@
 //!   protocol state, under a restart budget with exponential backoff;
 //!   crash-looping nodes are *condemned* and reported through
 //!   [`RtError::ProxyDown`] and the deadline-bounded
-//!   [`RtCluster::shutdown`]'s [`ShutdownReport`];
-//! * **multi-proxy sharding** ([`RtClusterBuilder::shards`]): each
-//!   node's command-queue service partitioned over up to [`MAX_SHARDS`]
-//!   proxy shard threads, the paper's provisioning answer to a proxy past
-//!   its §5.4 bound; placement is one rule fixed at start (a node's
-//!   `i`-th process is served by its shard `i mod shards`).
+//!   [`RtCluster::shutdown`]'s [`ShutdownReport`].
+//!
+//! Provisioning is the paper's: one proxy per node, so a proxy past its
+//! §5.4 bound is relieved by declaring more nodes
+//! ([`RtClusterBuilder::new`]) and spreading the processes over them.
 //!
 //! # Examples
 //!
@@ -77,8 +76,8 @@ mod cluster;
 mod endpoint;
 pub mod fault;
 pub mod idle;
-mod lane;
 mod mem;
+mod proxy;
 pub mod ring;
 pub mod spsc;
 mod state;
@@ -88,8 +87,8 @@ mod wire;
 
 pub use builder::RtClusterBuilder;
 pub use cluster::{
-    ProxyPanic, RtCluster, ShutdownReport, CMDQ_DEPTH, MAX_SHARDS, NUM_FLAGS, NUM_QUEUES,
-    RECOVERY_UTILIZATION, RQ_DEPTH, SHED_BACKLOG, WIRE_DEPTH,
+    ProxyPanic, RtCluster, ShutdownReport, CMDQ_DEPTH, NUM_FLAGS, NUM_QUEUES, RECOVERY_UTILIZATION,
+    RQ_DEPTH, SHED_BACKLOG, WIRE_DEPTH,
 };
 pub use endpoint::{Endpoint, FlagId, RqId, RtError};
 pub use fault::{RtFaultCounts, RtFaultPlan, RtKill, RtStall};

@@ -1,6 +1,6 @@
-//! One proxy lane: the thread that runs the Figure 5 loop for real.
+//! A node's proxy: the thread that runs the Figure 5 loop for real.
 //!
-//! [`run_proxy`] is one incarnation of a lane's proxy (supervision
+//! [`run_proxy`] is one incarnation of a node's proxy (supervision
 //! respawns it against the same [`NodeState`]); [`proxy_main`] is its
 //! service loop, a fixed sequence of phases per pass — timed faults,
 //! condemned-peer purge, hello, command drain, shed, wire drain,
@@ -27,8 +27,8 @@ use crate::wire::{
     Payload, WireMsg,
 };
 
-/// One command-queue consumer held by a proxy lane, tagged with the
-/// owning asid and the §4.1 ready bit it arms in the lane's ready word
+/// One command-queue consumer held by a node's proxy, tagged with the
+/// owning asid and the §4.1 ready bit it arms in the node's ready word
 /// (the queue's index among its node's queues).
 pub(crate) struct SeatEntry {
     pub(crate) asid: u32,
@@ -36,7 +36,7 @@ pub(crate) struct SeatEntry {
     pub(crate) q: spsc::Consumer,
 }
 
-/// A lane's command-queue consumers.
+/// A node's command-queue consumers.
 pub(crate) type Seat = Vec<SeatEntry>;
 
 /// Most entries a proxy drains from one queue per loop iteration. When the
@@ -184,13 +184,12 @@ fn handle_command(
             }
             let data = src_proc.seg.read(laddr, nbytes as usize);
             let raddr = e.args[1];
-            let dst_lane = shared.lane_of_asid(dst);
             send_data(
                 shared,
                 st,
                 node,
                 now,
-                dst_lane,
+                shared.procs[dst as usize].node,
                 Payload::Put {
                     dst,
                     raddr,
@@ -217,13 +216,12 @@ fn handle_command(
                     lsync,
                 },
             );
-            let dst_lane = shared.lane_of_asid(dst);
             send_data(
                 shared,
                 st,
                 node,
                 now,
-                dst_lane,
+                shared.procs[dst as usize].node,
                 Payload::GetReq {
                     src_asid: src,
                     dst,
@@ -246,13 +244,12 @@ fn handle_command(
                 return;
             }
             let data = src_proc.seg.read(laddr, nbytes as usize);
-            let dst_lane = shared.lane_of_asid(dst);
             send_data(
                 shared,
                 st,
                 node,
                 now,
-                dst_lane,
+                shared.procs[dst as usize].node,
                 Payload::Enq {
                     dst,
                     rq,
@@ -267,38 +264,38 @@ fn handle_command(
     }
 }
 
-/// One incarnation of a lane's proxy: takes the lane's seat (command
+/// One incarnation of a node's proxy: takes the node's seat (command
 /// consumers) and protocol state, runs the service loop under
 /// `catch_unwind`, and on panic returns the seat, records the payload,
 /// and raises the panic bit — so a supervisor can respawn a successor
 /// that resumes from the exact same state.
-pub(crate) fn run_proxy(lane: usize, shared: Arc<Shared>) {
-    let Some(mut seat) = shared.seats[lane]
+pub(crate) fn run_proxy(node: usize, shared: Arc<Shared>) {
+    let Some(mut seat) = shared.seats[node]
         .lock()
         .unwrap_or_else(|e| e.into_inner())
         .take()
     else {
         return; // a racing incarnation holds the seat; let it serve
     };
-    let mut guard = shared.node_state[lane]
+    let mut guard = shared.node_state[node]
         .lock()
         .unwrap_or_else(|e| e.into_inner());
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        proxy_main(lane, &mut seat, &mut guard, &shared);
+        proxy_main(node, &mut seat, &mut guard, &shared);
     }));
     // The guard is dropped here, *outside* any unwinding — the node-state
     // mutex is never poisoned by a proxy death.
     drop(guard);
-    *shared.seats[lane].lock().unwrap_or_else(|e| e.into_inner()) = Some(seat);
+    *shared.seats[node].lock().unwrap_or_else(|e| e.into_inner()) = Some(seat);
     if let Err(payload) = result {
         let reason = payload
             .downcast_ref::<&str>()
             .map(|s| (*s).to_string())
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "<non-string panic payload>".to_string());
-        let obs = &shared.obs[lane];
+        let obs = &shared.obs[node];
         obs.inc(Ctr::Kills);
-        obs.trace(EventKind::Kill, lane as u16, 0);
+        obs.trace(EventKind::Kill, node as u16, 0);
         if std::env::var_os("MPROXY_OBS_DUMP_ON_PANIC").is_some() {
             eprintln!(
                 "mproxy-rt: {} flight recorder at death:\n{}",
@@ -316,19 +313,19 @@ pub(crate) fn run_proxy(lane: usize, shared: Arc<Shared>) {
                     .join("\n")
             );
         }
-        shared.deaths[lane].fetch_add(1, Ordering::Relaxed);
-        *shared.panic_reasons[lane]
+        shared.deaths[node].fetch_add(1, Ordering::Relaxed);
+        *shared.panic_reasons[node]
             .lock()
             .unwrap_or_else(|e| e.into_inner()) = Some(reason);
         if shared.supervision.is_none() || shared.stop.load(Ordering::Relaxed) {
-            // Nobody will respawn this lane (no supervisor, or it is
+            // Nobody will respawn this node (no supervisor, or it is
             // already shutting down): condemn so waits and drains abort.
-            condemn_dead(&shared, lane);
+            condemn_dead(&shared, node);
         }
         // Last: the panic bit is what the supervisor polls, and every
         // observer must already see the seat, the reason and (possibly)
         // the condemnation when it flips.
-        shared.panicked[lane].store(true, Ordering::Release);
+        shared.panicked[node].store(true, Ordering::Release);
     }
 }
 
@@ -336,48 +333,48 @@ pub(crate) fn run_proxy(lane: usize, shared: Arc<Shared>) {
 /// plus the reliability layer (retention, acks, retransmission), the
 /// fault injector's time-domain hooks and condemned-peer purging. Every
 /// pass runs the same phases in the same order; a pass that moved
-/// anything is charged to the lane's busy time and followed at once by
+/// anything is charged to the proxy's busy time and followed at once by
 /// the next, an empty one falls through to the stop check and the idle
 /// policy.
-fn proxy_main(lane: usize, seat: &mut [SeatEntry], st: &mut NodeState, shared: &Shared) {
-    let parker = &shared.parkers[lane];
+fn proxy_main(node: usize, seat: &mut [SeatEntry], st: &mut NodeState, shared: &Shared) {
+    let parker = &shared.parkers[node];
     parker.register();
-    let ready = &*shared.ready_masks[lane];
-    let wire_rx = &shared.wires[lane];
-    let health = &shared.health[lane];
+    let ready = &*shared.ready_masks[node];
+    let wire_rx = &shared.wires[node];
+    let health = &shared.health[node];
     let mut batch: Vec<Entry> = Vec::with_capacity(SERVICE_BURST);
     let mut backoff = Backoff::new();
     let mut stop_flush_tries = 0u32;
     loop {
         let now = Instant::now();
-        if timed_faults(shared, lane, now) {
+        if timed_faults(shared, node, now) {
             continue;
         }
         if shared.any_condemned.load(Ordering::Acquire) {
-            purge_condemned(shared, st, lane);
+            purge_condemned(shared, st, node);
         }
         if st.hello_pending {
-            say_hello(shared, st, lane, now);
+            say_hello(shared, st, node, now);
         }
         // Stashed outbound packets go first: per-destination FIFO.
         let mut progressed = flush_pending(shared, st);
         // While the outbound stash is deep the command drain pauses (the
         // ready bits stay set), so the bounded command rings backpressure
-        // users and per-lane occupancy stays bounded.
+        // users and per-node occupancy stays bounded.
         if st.backlogged() < PENDING_CAP {
-            progressed |= drain_commands(shared, st, lane, now, seat, ready, &mut batch);
+            progressed |= drain_commands(shared, st, node, now, seat, ready, &mut batch);
         }
         if shared.shed_enabled.load(Ordering::Relaxed) && health.saturated.load(Ordering::Acquire)
         {
-            progressed |= shed_backlog(shared, st, lane, now, wire_rx);
+            progressed |= shed_backlog(shared, st, node, now, wire_rx);
         }
-        progressed |= drain_wire(shared, st, lane, now, wire_rx);
+        progressed |= drain_wire(shared, st, node, now, wire_rx);
         // Reliability upkeep: retransmit overdue retention, then emit the
         // acks and nacks this pass accumulated. Neither counts as
         // progress — an idle-but-unacked sender must still reach the
         // park below (its 1 ms timeout doubles as the retransmit clock).
-        retransmit(shared, st, lane, now);
-        flush_acks(shared, st, lane);
+        retransmit(shared, st, node, now);
+        flush_acks(shared, st, node);
         if progressed {
             // Busy time feeds the watchdog's utilisation samples; idle
             // polling scans are charged to nobody, exactly like the
@@ -419,35 +416,28 @@ fn proxy_main(lane: usize, seat: &mut [SeatEntry], st: &mut NodeState, shared: &
         idle(shared, st, parker, ready, wire_rx, &mut backoff);
     }
     // A clean exit: whatever is still parked behind a gap is in-flight
-    // traffic lost to the shutdown. Count it, so every frame this lane
+    // traffic lost to the shutdown. Count it, so every frame this node
     // ever popped sits in exactly one outcome bucket.
-    abandon_all_held(shared, st, lane);
+    abandon_all_held(shared, st, node);
 }
 
 /// Injected time-domain faults: kills panic right here (the
 /// `catch_unwind` in [`run_proxy`] turns that into a death the
 /// supervisor can see); stalls freeze the loop wholesale. True when the
-/// lane just sat out a stall, so the pass restarts on a fresh clock.
+/// node just sat out a stall, so the pass restarts on a fresh clock.
 #[inline]
-fn timed_faults(shared: &Shared, lane: usize, now: Instant) -> bool {
+fn timed_faults(shared: &Shared, node: usize, now: Instant) -> bool {
     let Some(faults) = &shared.faults else {
         return false;
     };
     if !faults.has_timed_faults() {
         return false;
     }
-    let ops = shared.ops_serviced[lane].load(Ordering::Relaxed);
-    if let Some(threshold) = faults.kill_due(lane, ops) {
-        let node = shared.lane_node(lane);
-        if shared.sharded() {
-            panic!(
-                "injected kill: node {node} shard {shard} after {threshold} ops",
-                shard = lane % shared.shards
-            );
-        }
+    let ops = shared.ops_serviced[node].load(Ordering::Relaxed);
+    if let Some(threshold) = faults.kill_due(node, ops) {
         panic!("injected kill: node {node} after {threshold} ops");
     }
-    let Some(order) = faults.stall_due(lane, now.duration_since(shared.started)) else {
+    let Some(order) = faults.stall_due(node, now.duration_since(shared.started)) else {
         return false;
     };
     if order.interruptible {
@@ -465,9 +455,9 @@ fn timed_faults(shared: &Shared, lane: usize, now: Instant) -> bool {
 /// cancel their CCBs; lsyncs never fire (the op is lost, and bounded
 /// waits report it).
 #[inline]
-fn purge_condemned(shared: &Shared, st: &mut NodeState, lane: usize) {
-    for dst in 0..shared.lanes() {
-        if dst == lane || !shared.condemned[dst].load(Ordering::Relaxed) {
+fn purge_condemned(shared: &Shared, st: &mut NodeState, node: usize) {
+    for dst in 0..shared.wires.len() {
+        if dst == node || !shared.condemned[dst].load(Ordering::Relaxed) {
             continue;
         }
         st.pending_wire[dst].clear();
@@ -478,24 +468,24 @@ fn purge_condemned(shared: &Shared, st: &mut NodeState, lane: usize) {
             }
         }
         tx[dst].resync_hint = false;
-        // Frames parked behind a gap the dead lane will never fill are
+        // Frames parked behind a gap the dead node will never fill are
         // abandoned — counted, so the receiver's `msgs_in` identity
         // stays exact.
-        shared.obs[lane].add(Ctr::DamagedDrops, rx[dst].abandon_held());
+        shared.obs[node].add(Ctr::DamagedDrops, rx[dst].abandon_held());
     }
 }
 
 /// A fresh incarnation owes its peers a Hello (and owes itself a
 /// retransmission pass — peers may have acked frames the wire lost
-/// while the lane was down).
+/// while the node was down).
 #[inline]
-fn say_hello(shared: &Shared, st: &mut NodeState, lane: usize, now: Instant) {
+fn say_hello(shared: &Shared, st: &mut NodeState, node: usize, now: Instant) {
     st.hello_pending = false;
     let epoch = st.epoch;
-    let obs = &shared.obs[lane];
-    obs.trace_at(shared.rel_ns(now), EventKind::Hello, lane as u16, epoch as u32);
-    for dst in 0..shared.lanes() {
-        if dst == lane {
+    let obs = &shared.obs[node];
+    obs.trace_at(shared.rel_ns(now), EventKind::Hello, node as u16, epoch as u32);
+    for dst in 0..shared.wires.len() {
+        if dst == node {
             continue;
         }
         st.tx[dst].resync_hint = true;
@@ -507,7 +497,7 @@ fn say_hello(shared: &Shared, st: &mut NodeState, lane: usize, now: Instant) {
             shared,
             &mut st.pending_wire[dst],
             dst,
-            WireMsg::Hello { from: lane, epoch },
+            WireMsg::Hello { from: node, epoch },
         );
     }
 }
@@ -519,7 +509,7 @@ fn say_hello(shared: &Shared, st: &mut NodeState, lane: usize, now: Instant) {
 fn drain_commands(
     shared: &Shared,
     st: &mut NodeState,
-    lane: usize,
+    node: usize,
     now: Instant,
     seat: &mut [SeatEntry],
     ready: &AtomicU64,
@@ -537,7 +527,7 @@ fn drain_commands(
         }
         let taken = e.q.pop_burst(batch, SERVICE_BURST);
         let src = e.asid;
-        let obs = &shared.obs[lane];
+        let obs = &shared.obs[node];
         let drain_ns = shared.rel_ns(now);
         for entry in batch.drain(..) {
             // Command-queue wait: submit stamp → this drain. `t_ns == 0`
@@ -546,14 +536,14 @@ fn drain_commands(
             if entry.t_ns != 0 {
                 obs.record(HistId::CmdWaitNs, drain_ns.saturating_sub(entry.t_ns));
             }
-            handle_command(shared, st, lane, now, src, entry);
+            handle_command(shared, st, node, now, src, entry);
         }
         if taken > 0 {
             st.obs_tick = st.obs_tick.wrapping_add(1);
             if st.obs_tick & OBS_SAMPLE_MASK == 0 {
                 obs.trace_at(drain_ns, EventKind::Drain, src as u16, taken as u32);
             }
-            shared.ops_serviced[lane].fetch_add(taken as u64, Ordering::Relaxed);
+            shared.ops_serviced[node].fetch_add(taken as u64, Ordering::Relaxed);
             progressed = true;
         }
         if e.q.is_ready() {
@@ -575,15 +565,15 @@ fn drain_commands(
 fn shed_backlog(
     shared: &Shared,
     st: &mut NodeState,
-    lane: usize,
+    node: usize,
     now: Instant,
     wire_rx: &Ring<WireMsg>,
 ) -> bool {
     let mut progressed = false;
     while wire_rx.len() > SHED_BACKLOG {
         let Some(msg) = wire_rx.try_pop() else { break };
-        handle_packet(shared, st, lane, now, msg, true);
-        shared.ops_serviced[lane].fetch_add(1, Ordering::Relaxed);
+        handle_packet(shared, st, node, now, msg, true);
+        shared.ops_serviced[node].fetch_add(1, Ordering::Relaxed);
         progressed = true;
     }
     progressed
@@ -596,15 +586,15 @@ fn shed_backlog(
 fn drain_wire(
     shared: &Shared,
     st: &mut NodeState,
-    lane: usize,
+    node: usize,
     now: Instant,
     wire_rx: &Ring<WireMsg>,
 ) -> bool {
     let mut burst = 0;
     while burst < SERVICE_BURST {
         let Some(msg) = wire_rx.try_pop() else { break };
-        handle_packet(shared, st, lane, now, msg, false);
-        shared.ops_serviced[lane].fetch_add(1, Ordering::Relaxed);
+        handle_packet(shared, st, node, now, msg, false);
+        shared.ops_serviced[node].fetch_add(1, Ordering::Relaxed);
         burst += 1;
     }
     burst > 0

@@ -1,10 +1,10 @@
-//! Per-lane protocol state that outlives a proxy thread.
+//! Per-node protocol state that outlives a proxy thread.
 //!
-//! Everything here is owned by `Shared` and locked by the lane's serving
+//! Everything here is owned by `Shared` and locked by the node's serving
 //! proxy for its lifetime, so a respawned incarnation resumes from the
 //! exact watermarks, retention buffers, parked frames and CCBs its
 //! predecessor held: [`NodeState`], and the two halves of each sequenced
-//! stream it keeps per peer lane — [`TxPeer`] (sender: sequence numbers,
+//! stream it keeps per peer node — [`TxPeer`] (sender: sequence numbers,
 //! retention, NACKed sequences) and [`RxPeer`] (receiver: the in-order
 //! watermark and the reorder buffer). The functions that move frames
 //! between these structures and the rings are in [`crate::wire`].
@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use bytes::Bytes;
 
-use crate::lane::PENDING_CAP;
+use crate::proxy::PENDING_CAP;
 use crate::wire::{Payload, WireMsg};
 
 /// Most out-of-order frames a receiver parks per source stream while it
@@ -61,7 +61,7 @@ pub(crate) struct TxPeer {
     /// Last time the ack watermark moved (or retention went non-empty);
     /// the RTO measures from here.
     pub(crate) last_progress: Instant,
-    /// A resync (a peer's Hello, or this lane's own respawn) asked for an
+    /// A resync (a peer's Hello, or this node's own respawn) asked for an
     /// immediate re-send from the retention head.
     pub(crate) resync_hint: bool,
     /// Sequences the peer's latest NACK named as missing, re-sent (and
@@ -185,7 +185,7 @@ pub(crate) struct PendingEnq {
     pub(crate) rsync: Option<u32>,
 }
 
-/// Everything a lane's proxy knows that must survive the proxy thread:
+/// Everything a node's proxy knows that must survive the proxy thread:
 /// protocol watermarks, retention buffers, CCBs, stashed undeliverable
 /// output. Owned by `Shared`, locked by the serving proxy for its
 /// lifetime; the supervisor locks it briefly between incarnations to
@@ -212,15 +212,15 @@ pub(crate) struct NodeState {
 }
 
 impl NodeState {
-    pub(crate) fn new(lanes: usize, now: Instant) -> NodeState {
+    pub(crate) fn new(nodes: usize, now: Instant) -> NodeState {
         NodeState {
             epoch: 0,
             hello_pending: false,
             next_token: 0,
             ccbs: HashMap::new(),
-            tx: (0..lanes).map(|_| TxPeer::new(now)).collect(),
-            rx: (0..lanes).map(|_| RxPeer::default()).collect(),
-            pending_wire: (0..lanes).map(|_| VecDeque::new()).collect(),
+            tx: (0..nodes).map(|_| TxPeer::new(now)).collect(),
+            rx: (0..nodes).map(|_| RxPeer::default()).collect(),
+            pending_wire: (0..nodes).map(|_| VecDeque::new()).collect(),
             pending_rq: VecDeque::new(),
             obs_tick: 0,
         }

@@ -1,4 +1,4 @@
-//! The overload watchdog: per-lane utilisation sampling against the
+//! The overload watchdog: per-node utilisation sampling against the
 //! paper's §5.4 stability bound.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -9,7 +9,7 @@ use mproxy_obs::{Ctr, EventKind, HistId};
 
 use crate::cluster::{Shared, RECOVERY_UTILIZATION, SHED_BACKLOG};
 
-/// Per-lane load and overload state, written by the proxy and the
+/// Per-node load and overload state, written by the proxy and the
 /// watchdog, read by anyone.
 #[derive(Debug, Default)]
 pub(crate) struct ProxyHealth {
@@ -26,18 +26,16 @@ pub(crate) struct ProxyHealth {
     pub(crate) shed: AtomicU64,
 }
 
-/// The overload watchdog: every `interval` it turns each proxy lane's
+/// The overload watchdog: every `interval` it turns each proxy's
 /// busy-time delta into a utilisation sample and applies the paper's
-/// §5.4 stability rule *per lane* — a proxy above [`STABLE_UTILIZATION`]
-/// has unbounded expected queueing delay, so it is flagged saturated
-/// (with a one-time warning per lane) until the load falls back under
-/// [`RECOVERY_UTILIZATION`]. The node-level view takes the max over
-/// lanes ([`crate::RtCluster::utilization`]): the bound binds per proxy
-/// thread, and averaging would hide a hot shard behind idle siblings.
+/// §5.4 stability rule — a proxy above [`STABLE_UTILIZATION`] has
+/// unbounded expected queueing delay, so it is flagged saturated (with a
+/// one-time warning per node) until the load falls back under
+/// [`RECOVERY_UTILIZATION`].
 pub(crate) fn watchdog_main(shared: &Shared, interval: Duration) {
-    let lanes = shared.lanes();
-    let mut prev_busy = vec![0u64; lanes];
-    let mut warned = vec![false; lanes];
+    let nodes = shared.health.len();
+    let mut prev_busy = vec![0u64; nodes];
+    let mut warned = vec![false; nodes];
     let mut prev_t = Instant::now();
     while crate::idle::sleep_unless(interval, &shared.stop) {
         let now = Instant::now();
@@ -46,13 +44,13 @@ pub(crate) fn watchdog_main(shared: &Shared, interval: Duration) {
             continue;
         }
         prev_t = now;
-        for (lane, h) in shared.health.iter().enumerate() {
+        for (node, h) in shared.health.iter().enumerate() {
             let busy = h.busy_ns.load(Ordering::Relaxed);
-            let delta = busy.saturating_sub(prev_busy[lane]);
-            prev_busy[lane] = busy;
+            let delta = busy.saturating_sub(prev_busy[node]);
+            prev_busy[node] = busy;
             let util = (u128::from(delta) as f64 / wall_ns as f64).min(1.0);
             h.util_bits.store(util.to_bits(), Ordering::Relaxed);
-            let obs = &shared.obs[lane];
+            let obs = &shared.obs[node];
             // Busy fraction as permille, one sample per watchdog tick.
             obs.record(HistId::BusyPermille, (util * 1000.0) as u64);
             // Two overload signals. Utilisation is the paper's §5.4 rule,
@@ -61,36 +59,27 @@ pub(crate) fn watchdog_main(shared: &Shared, interval: Duration) {
             // its input queue grows without bound. Backlog is the
             // space-domain symptom of the same instability and is immune
             // to scheduler noise, so either one trips the flag.
-            let backlog = shared.wires[lane].len();
+            let backlog = shared.wires[node].len();
             let was = h.saturated.load(Ordering::Acquire);
             if !was && (util > STABLE_UTILIZATION || backlog > SHED_BACKLOG) {
                 h.saturation_events.fetch_add(1, Ordering::Relaxed);
                 obs.inc(Ctr::SaturationEvents);
-                obs.trace(EventKind::SatEnter, lane as u16, backlog as u32);
+                obs.trace(EventKind::SatEnter, node as u16, backlog as u32);
                 h.saturated.store(true, Ordering::Release);
                 // A shedding proxy may be parked with its wire already
                 // over the cap; make sure it sees the flag.
-                shared.parkers[lane].wake();
-                if !warned[lane] {
-                    warned[lane] = true;
-                    let who = if shared.sharded() {
-                        format!(
-                            "node {} shard {} proxy",
-                            shared.lane_node(lane),
-                            lane % shared.shards
-                        )
-                    } else {
-                        format!("node {lane} proxy")
-                    };
+                shared.parkers[node].wake();
+                if !warned[node] {
+                    warned[node] = true;
                     eprintln!(
-                        "mproxy-rt: {who} overloaded ({:.0}% utilisation, \
+                        "mproxy-rt: node {node} proxy overloaded ({:.0}% utilisation, \
                          {backlog} queued) — past the 50% stability bound, queueing \
                          delay is now unbounded",
                         util * 100.0
                     );
                 }
             } else if was && util < RECOVERY_UTILIZATION && backlog < SHED_BACKLOG / 2 {
-                obs.trace(EventKind::SatExit, lane as u16, backlog as u32);
+                obs.trace(EventKind::SatExit, node as u16, backlog as u32);
                 h.saturated.store(false, Ordering::Release);
             }
         }

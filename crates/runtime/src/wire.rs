@@ -1,8 +1,8 @@
-//! The sequenced wire layer between proxy lanes.
+//! The sequenced wire layer between proxies.
 //!
 //! Inter-proxy traffic is *reliable* over a transport that is allowed to
 //! misbehave (the seeded injector of [`crate::fault`], or a proxy dying
-//! mid-conversation). Every data frame from lane `s` to lane `d` carries
+//! mid-conversation). Every data frame from node `s` to node `d` carries
 //! a per-pair monotone sequence number; the sender retains a clone of
 //! each unacknowledged frame (payloads are [`Bytes`], so a clone is a
 //! refcount, not a copy). The receiver delivers strictly in order,
@@ -26,7 +26,7 @@
 //! This module holds the frames and the functions that move them; the
 //! per-stream state they act on ([`crate::state::TxPeer`], [`RxPeer`]) is in
 //! [`crate::state`], and what a delivered frame *does* is
-//! [`crate::lane::apply_data`].
+//! [`crate::proxy::apply_data`].
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
@@ -36,7 +36,7 @@ use bytes::Bytes;
 use mproxy_obs::{Ctr, EventKind, HistId};
 
 use crate::cluster::{Shared, OBS_SAMPLE_MASK};
-use crate::lane::apply_data;
+use crate::proxy::apply_data;
 use crate::state::{NodeState, Parked, PendingEnq, Retained, RxPeer};
 
 /// Retransmit timeout: a sender with unacknowledged packets and no ack
@@ -137,16 +137,15 @@ pub(crate) enum WireMsg {
     /// retained traffic immediately.
     Hello {
         from: usize,
-        #[allow(dead_code)]
         epoch: u64,
     },
 }
 
-/// Discards every frame lane `lane` has parked, from every source,
+/// Discards every frame node `node` has parked, from every source,
 /// counting each as a damaged drop.
-pub(crate) fn abandon_all_held(shared: &Shared, st: &mut NodeState, lane: usize) {
+pub(crate) fn abandon_all_held(shared: &Shared, st: &mut NodeState, node: usize) {
     let parked: u64 = st.rx.iter_mut().map(RxPeer::abandon_held).sum();
-    shared.obs[lane].add(Ctr::DamagedDrops, parked);
+    shared.obs[node].add(Ctr::DamagedDrops, parked);
 }
 
 /// Pushes one wire frame towards `dst`, stashing it in the caller's
@@ -566,7 +565,7 @@ fn resend<'a>(
 
 /// Retransmission pass, per destination with unacknowledged retention.
 /// A resync — the RTO expired with no ack progress, a peer said Hello, or
-/// this lane respawned — re-sends a burst from the retention head: the
+/// this node's proxy respawned — re-sends a burst from the retention head: the
 /// receiver's state is unknown, so assume nothing arrived. Otherwise the
 /// frames the receiver's latest NACK named are re-sent, and only those:
 /// everything else in flight is parked at the receiver, waiting for

@@ -113,119 +113,6 @@ fn counters_survive_kill_and_match_exactly_once_checker() {
     assert!(snap.total(Ctr::HellosOut) >= 1, "respawn announced itself");
 }
 
-/// Shard dimension of the merge algebra: on a sharded cluster every
-/// lane registers its own `node{n}s{s}` scope, and the merged per-node
-/// view must absorb them bucket-wise — counters summed, histograms
-/// merged — without changing any cluster-wide total, while the
-/// per-receiver accounting identity keeps holding on the merged scopes.
-#[test]
-fn shard_scopes_merge_to_node_view() {
-    const PER: u64 = 150;
-    let mut b = RtClusterBuilder::new(2);
-    b.telemetry(true);
-    b.shards(2);
-    // Two sink users on node 0 (one per shard, by the placement rule),
-    // one source on node 1.
-    let sink_a = b.add_process(0, 1 << 16);
-    let sink_b = b.add_process(0, 1 << 16);
-    let _src = b.add_process(1, 1 << 16);
-    let (cluster, mut eps) = b.start();
-    let mut src = eps.pop().expect("source endpoint");
-    let eb = eps.pop().expect("sink b");
-    let ea = eps.pop().expect("sink a");
-
-    for i in 1..=PER {
-        src.seg().write_u64(0, i);
-        let dst = if i % 2 == 0 { sink_b } else { sink_a };
-        src.enq(0, dst, RqId(0), 8, Some(FlagId(0)), None);
-        src.wait_flag_timeout(FlagId(0), i, WAIT).expect("ack wait");
-    }
-    for sink in [&ea, &eb] {
-        let deadline = std::time::Instant::now() + WAIT;
-        let mut drained = 0u64;
-        while drained < PER / 2 {
-            if sink.rq_try_recv(RqId(0)).is_some() {
-                drained += 1;
-            } else {
-                assert!(std::time::Instant::now() < deadline, "drain timed out");
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    // The cluster is quiescent (every op acked and drained): the raw and
-    // merged views are stable and must agree.
-    let raw = cluster.obs_snapshot("sharded_raw");
-    let merged = cluster.obs_snapshot_by_node("sharded_merged");
-
-    let lane_scopes: Vec<&str> = raw
-        .scopes
-        .iter()
-        .map(|sc| sc.name.as_str())
-        .filter(|n| n.starts_with("node"))
-        .collect();
-    assert_eq!(
-        lane_scopes,
-        vec!["node0s0", "node0s1", "node1s0", "node1s1"],
-        "sharded lanes register per-shard scopes"
-    );
-    let node_scopes: Vec<&str> = merged
-        .scopes
-        .iter()
-        .map(|sc| sc.name.as_str())
-        .filter(|n| n.starts_with("node"))
-        .collect();
-    assert_eq!(node_scopes, vec!["node0", "node1"], "merged to node view");
-
-    for ctr in [Ctr::OpsApplied, Ctr::MsgsIn, Ctr::MsgsOut, Ctr::AcksOut] {
-        assert_eq!(
-            merged.total(ctr),
-            raw.total(ctr),
-            "merge must not change the {ctr:?} total"
-        );
-        for node in 0..2 {
-            let want: u64 = raw
-                .scopes
-                .iter()
-                .filter(|sc| sc.name.starts_with(&format!("node{node}s")))
-                .map(|sc| sc.counter(ctr))
-                .sum();
-            let got = merged
-                .scopes
-                .iter()
-                .find(|sc| sc.name == format!("node{node}"))
-                .expect("merged node scope")
-                .counter(ctr);
-            assert_eq!(got, want, "node{node} {ctr:?} is the shard sum");
-        }
-    }
-    assert_eq!(
-        merged.total(Ctr::OpsApplied),
-        PER,
-        "every verified delivery counted once across shard scopes"
-    );
-    // Histograms merge bucket-wise: per-node counts are the shard sums.
-    for node in 0..2 {
-        let want: u64 = raw
-            .scopes
-            .iter()
-            .filter(|sc| sc.name.starts_with(&format!("node{node}s")))
-            .map(|sc| sc.hist(HistId::CmdWaitNs).count())
-            .sum();
-        let got = merged
-            .scopes
-            .iter()
-            .find(|sc| sc.name == format!("node{node}"))
-            .expect("merged node scope")
-            .hist(HistId::CmdWaitNs)
-            .count();
-        assert_eq!(got, want, "node{node} cmd-wait samples are the shard sum");
-    }
-    chaos::telemetry_truth(&merged).expect("identity holds on merged scopes");
-    json::validate(&merged.to_json()).expect("merged snapshot JSON is valid");
-    cluster.shutdown();
-}
-
 /// Bucket-wise histogram merge is associative and commutative, and
 /// preserves count / sum / min / max — aggregation order can't matter.
 #[test]

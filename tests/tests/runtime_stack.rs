@@ -1,8 +1,7 @@
 //! Integration of the threaded runtime: mixed op streams, revocation at
 //! run time, and an SPSC model-based property test.
 
-use mproxy_rt::obs::Ctr;
-use mproxy_rt::{spsc, FlagId, RqId, RtClusterBuilder, RtError, MAX_SHARDS};
+use mproxy_rt::{spsc, FlagId, RqId, RtClusterBuilder, RtError};
 use mproxy_tests::Rng;
 use std::time::Duration;
 
@@ -110,60 +109,6 @@ fn bounded_wait_reports_timeout() {
 }
 
 /// The SPSC ring behaves exactly like a bounded FIFO against a model.
-/// The placement rule, for every shard count and 1..=16 processes on a
-/// node: the node's command queues spread over its lanes to within one,
-/// and `shard_of` names the lane that actually takes the asid's
-/// submissions (the one whose `ops_submitted` moves).
-#[test]
-fn placement_is_balanced_and_shard_of_names_the_serving_lane() {
-    for shards in 1..=MAX_SHARDS {
-        for procs in 1..=16usize {
-            let mut b = RtClusterBuilder::new(2);
-            b.shards(shards);
-            // One bystander on node 0, so the node under test is not the
-            // one whose lanes start at index 0.
-            b.add_process(0, 4096);
-            let asids: Vec<u32> = (0..procs).map(|_| b.add_process(1, 4096)).collect();
-            let (cluster, mut eps) = b.start();
-
-            let mut per_shard = vec![0usize; shards];
-            for &a in &asids {
-                per_shard[cluster.shard_of(a)] += 1;
-            }
-            let (lo, hi) = (per_shard.iter().min().unwrap(), per_shard.iter().max().unwrap());
-            assert!(hi - lo <= 1, "{shards} shards, {procs} procs: {per_shard:?}");
-
-            let scope_of = |shard: usize| match shards {
-                1 => "node1".to_string(),
-                _ => format!("node1s{shard}"),
-            };
-            let submitted = |name: &str| {
-                let snap = cluster.obs_snapshot("placement");
-                let sc = snap.scopes.iter().find(|sc| sc.name == name);
-                sc.expect("lane scope").counter(Ctr::OpsSubmitted)
-            };
-            for (e, &a) in eps[1..].iter_mut().zip(&asids) {
-                let lane_scope = scope_of(cluster.shard_of(a));
-                let before = submitted(&lane_scope);
-                e.put(0, a, 64, 8, Some(FlagId(0)), None);
-                e.wait_flag_timeout(FlagId(0), 1, Duration::from_secs(10))
-                    .expect("self-put acknowledged");
-                assert_eq!(
-                    submitted(&lane_scope),
-                    before + 1,
-                    "{shards} shards: asid {a} did not submit to {lane_scope}"
-                );
-            }
-            assert_eq!(
-                cluster.obs_snapshot("placement").total(Ctr::OpsSubmitted),
-                procs as u64,
-                "no submission counted anywhere else"
-            );
-            cluster.shutdown();
-        }
-    }
-}
-
 #[test]
 fn spsc_matches_vecdeque_model() {
     for case in 0..64u64 {
