@@ -1,9 +1,8 @@
 //! Regenerates Figure 8: self-relative speedups of the ten applications
 //! on 1–16 processors (one compute processor per node), for all six
 //! design points. Speedups are relative to single-processor execution on
-//! HW1, exactly as the paper plots them.
-//!
-//! Usage: `fig8_speedups [--app NAME] [--size tiny|small|full] [--list]`
+//! HW1, exactly as the paper plots them. Each block is headed by the
+//! application's name and programming style (Table 5).
 
 use mproxy_apps::{run_app_flat, AppId, AppSize};
 use mproxy_model::{ALL_DESIGN_POINTS, HW1};
@@ -11,35 +10,8 @@ use mproxy_model::{ALL_DESIGN_POINTS, HW1};
 const PROCS: [usize; 5] = [1, 2, 4, 8, 16];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--list") {
-        println!("{:<12} {:<12}", "app", "style");
-        for a in AppId::ALL {
-            println!("{:<12} {:<12}", a.name(), a.style());
-        }
-        return;
-    }
-    let size = match args
-        .iter()
-        .position(|a| a == "--size")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        Some("tiny") => AppSize::Tiny,
-        Some("full") => AppSize::Full,
-        _ => AppSize::Small,
-    };
-    let apps: Vec<AppId> = match args
-        .iter()
-        .position(|a| a == "--app")
-        .and_then(|i| args.get(i + 1))
-    {
-        Some(name) => vec![AppId::by_name(name).unwrap_or_else(|| panic!("unknown app {name}"))],
-        None => AppId::ALL.to_vec(),
-    };
-
-    for app in apps {
-        let t1 = run_app_flat(app, HW1, 1, size).elapsed_us;
+    for app in AppId::ALL {
+        let t1 = run_app_flat(app, HW1, 1, AppSize::Small).elapsed_us;
         println!(
             "\n{} ({}), T(1) on HW1 = {:.0} us — speedups:",
             app.name(),
@@ -54,7 +26,7 @@ fn main() {
         for procs in PROCS {
             print!("{procs:<6}");
             for d in ALL_DESIGN_POINTS {
-                let t = run_app_flat(app, d, procs, size).elapsed_us;
+                let t = run_app_flat(app, d, procs, AppSize::Small).elapsed_us;
                 print!(" {:>7.2}", t1 / t);
             }
             println!();

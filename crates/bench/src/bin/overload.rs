@@ -1,122 +1,14 @@
-//! Overload sweep binary: measures proxy command-queue delay under
-//! open-loop load and emits `BENCH_overload.json` comparing it against
-//! the §5.4 contention model.
+//! Overload sweep: four MP1 compute processors drive one proxy in open
+//! loop at six target utilisations; the measured command-queue delay is
+//! laid beside the §5.4 M/M/1 curve and the peak queue occupancy beside
+//! the credit bound. Output is deterministic (seeded arrivals on the
+//! bit-deterministic simulator).
 //!
-//! ```text
-//! overload [--quick] [--out PATH] [--check]
-//! ```
-//!
-//! * `--quick`  fewer utilisation points and shorter windows (CI smoke).
-//! * `--out`    write the JSON document to PATH (default: stdout).
-//! * `--check`  exit non-zero if the command queue outgrew the credit
-//!   bound anywhere, or if the measured wait deviates more than 25% from
-//!   the M/M/1 curve at target utilisations up to 0.45.
+//! Thin wrapper over [`mproxy_bench::overload::overload_sweep`] so the
+//! unit test that gates the model agreement runs the same code.
 
-use std::fmt::Write as _;
-use std::process::ExitCode;
+use mproxy_bench::overload::{overload_rows, overload_sweep};
 
-use mproxy_bench::overload::{
-    check_sweep, overload_rows, overload_sweep, OverloadSweep, CHECK_RHO_CAP, MODEL_TOLERANCE,
-    OVERLOAD_CREDITS, OVERLOAD_SEED, OVERLOAD_SENDERS,
-};
-
-struct Args {
-    quick: bool,
-    out: Option<String>,
-    check: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        quick: false,
-        out: None,
-        check: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => args.quick = true,
-            "--check" => args.check = true,
-            "--out" => args.out = Some(it.next().ok_or("--out needs a value")?),
-            other => return Err(format!("unknown argument: {other}")),
-        }
-    }
-    Ok(args)
-}
-
-fn json_doc(sweep: &OverloadSweep, mode: &str) -> String {
-    let mut doc = format!(
-        "{{\n{}",
-        mproxy_bench::reports::bench_header_json(Some(OVERLOAD_SEED))
-    );
-    let _ = writeln!(doc, "  \"workload\": \"mp1_overload_put_mix\",");
-    let _ = writeln!(doc, "  \"mode\": \"{mode}\",");
-    let _ = writeln!(doc, "  \"seed\": {OVERLOAD_SEED},");
-    let _ = writeln!(doc, "  \"senders\": {OVERLOAD_SENDERS},");
-    let _ = writeln!(doc, "  \"credits_per_proc\": {OVERLOAD_CREDITS},");
-    let _ = writeln!(doc, "  \"model\": \"mm1_wait_us\",");
-    let _ = writeln!(doc, "  \"check_rho_cap\": {CHECK_RHO_CAP},");
-    let _ = writeln!(doc, "  \"model_tolerance\": {MODEL_TOLERANCE},");
-    let _ = writeln!(doc, "  \"calibration\": {{");
-    let _ = writeln!(doc, "    \"small_service_us\": {:.4},", sweep.small_us);
-    let _ = writeln!(doc, "    \"large_service_us\": {:.4},", sweep.large_us);
-    let _ = writeln!(doc, "    \"large_fraction\": {:.6}", sweep.large_fraction);
-    let _ = writeln!(doc, "  }},");
-    let _ = writeln!(doc, "  \"points\": [");
-    for (i, p) in sweep.points.iter().enumerate() {
-        let comma = if i + 1 == sweep.points.len() { "" } else { "," };
-        let _ = writeln!(
-            doc,
-            "    {{ \"target_rho\": {:.2}, \"rho\": {:.4}, \"service_us\": {:.3}, \
-             \"wait_us\": {:.3}, \"model_wait_us\": {:.3}, \"deviation\": {:.4}, \
-             \"ops\": {}, \"queue_peak\": {}, \"credit_bound\": {}, \"stable\": {} }}{comma}",
-            p.target_rho,
-            p.rho,
-            p.service_us,
-            p.wait_us,
-            p.model_us,
-            p.deviation(),
-            p.ops,
-            p.queue_peak,
-            p.credit_bound,
-            p.stable()
-        );
-    }
-    doc.push_str("  ]\n}\n");
-    doc
-}
-
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("overload: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mode = if args.quick { "quick" } else { "full" };
-    eprintln!("overload: sweeping ({mode}) ...");
-    let sweep = overload_sweep(args.quick);
-    eprint!("{}", overload_rows(&sweep));
-
-    let doc = json_doc(&sweep, mode);
-    match &args.out {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, &doc) {
-                eprintln!("overload: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("overload: wrote {path}");
-        }
-        None => print!("{doc}"),
-    }
-
-    if args.check {
-        if let Err(e) = check_sweep(&sweep) {
-            eprintln!("overload: CHECK FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("overload: check ok (queue bounded, model within tolerance)");
-    }
-    ExitCode::SUCCESS
+fn main() {
+    print!("{}", overload_rows(&overload_sweep(false)));
 }

@@ -13,9 +13,11 @@
 //! 3. **Survivor liveness** — nodes not involved in a fault keep
 //!    completing operations while a peer is stalled or dead.
 //!
-//! Each scenario is seeded and returns a [`ScenarioResult`]; the
-//! `rt_chaos` binary aggregates them into `BENCH_chaos.json` and exits
-//! non-zero on any violation (the CI gate).
+//! Each scenario is seeded and returns a [`ScenarioResult`] for a test
+//! to assert on: the four deterministic families run in this module's
+//! `deterministic_scenarios_smoke`, the randomized ring in
+//! `tests/tests/obs.rs::telemetry_soak` (CI's `fault-tests` job runs
+//! both three times over; the nightly soak runs 60 seeds).
 
 use std::time::{Duration, Instant};
 
@@ -31,19 +33,10 @@ pub const WAIT: Duration = Duration::from_millis(2000);
 pub struct ScenarioResult {
     /// Scenario family name.
     pub name: String,
-    /// The seed it ran under.
-    pub seed: u64,
     /// Whether every invariant held.
     pub passed: bool,
-    /// Operations acknowledged (lsync fired) during the run.
-    pub acked_ops: u64,
     /// Proxy deaths observed (injected kills that fired).
     pub deaths: u64,
-    /// Supervisor respawns performed.
-    pub restarts: u64,
-    /// Longest single acknowledgement wait, milliseconds (the recovery
-    /// bound proxy: a kill-respawn-resync cycle shows up here).
-    pub max_ack_wait_ms: f64,
     /// Human-readable failure description, empty when `passed`.
     pub failure: String,
     /// The cluster's [`mproxy_rt::ShutdownReport`] as stable JSON.
@@ -53,43 +46,23 @@ pub struct ScenarioResult {
 }
 
 impl ScenarioResult {
+    fn new(name: &str) -> ScenarioResult {
+        ScenarioResult {
+            name: name.into(),
+            passed: true,
+            deaths: 0,
+            failure: String::new(),
+            shutdown_json: String::new(),
+            obs: None,
+        }
+    }
+
     fn fail(mut self, why: String) -> ScenarioResult {
         self.passed = false;
         if self.failure.is_empty() {
             self.failure = why;
         }
         self
-    }
-}
-
-/// Bookkeeping for the ack-wait bound.
-struct AckClock {
-    max_wait: Duration,
-    acked: u64,
-}
-
-impl AckClock {
-    fn new() -> AckClock {
-        AckClock {
-            max_wait: Duration::ZERO,
-            acked: 0,
-        }
-    }
-
-    /// Waits for `flag >= target` on `e`, recording the wait.
-    fn wait(
-        &mut self,
-        e: &mproxy_rt::Endpoint,
-        flag: FlagId,
-        target: u64,
-    ) -> Result<(), mproxy_rt::RtError> {
-        let t0 = Instant::now();
-        let r = e.wait_flag_timeout(flag, target, WAIT);
-        self.max_wait = self.max_wait.max(t0.elapsed());
-        if r.is_ok() {
-            self.acked += 1;
-        }
-        r
     }
 }
 
@@ -174,18 +147,7 @@ fn kill_fan_in(
     kill_after: u64,
     victim_sender: bool,
 ) -> ScenarioResult {
-    let mut result = ScenarioResult {
-        name: name.into(),
-        seed,
-        passed: true,
-        acked_ops: 0,
-        deaths: 0,
-        restarts: 0,
-        max_ack_wait_ms: 0.0,
-        failure: String::new(),
-        shutdown_json: String::new(),
-        obs: None,
-    };
+    let mut result = ScenarioResult::new(name);
     let mut b = RtClusterBuilder::new(senders + 1);
     let sink_asid = b.add_process(0, 1 << 16);
     let src_asids: Vec<u32> = (1..=senders).map(|n| b.add_process(n, 1 << 16)).collect();
@@ -200,31 +162,23 @@ fn kill_fan_in(
         .into_iter()
         .zip(src_asids.iter().copied())
         .map(|(mut e, asid)| {
-            std::thread::spawn(move || -> Result<AckClock, String> {
-                let mut clock = AckClock::new();
+            std::thread::spawn(move || -> Result<(), String> {
                 for i in 1..=per_sender {
                     e.seg().write_u64(0, (u64::from(asid) << 32) | i);
                     e.enq(0, sink_asid, RqId(0), 8, Some(FlagId(0)), None);
-                    clock
-                        .wait(&e, FlagId(0), i)
+                    e.wait_flag_timeout(FlagId(0), i, WAIT)
                         .map_err(|err| format!("sender {asid} op {i}: {err}"))?;
                 }
-                Ok(clock)
+                Ok(())
             })
         })
         .collect();
 
-    let mut max_wait = Duration::ZERO;
     for h in handles {
-        match h.join().expect("sender thread") {
-            Ok(clock) => {
-                result.acked_ops += clock.acked;
-                max_wait = max_wait.max(clock.max_wait);
-            }
-            Err(why) => result = result.fail(why),
+        if let Err(why) = h.join().expect("sender thread") {
+            result = result.fail(why);
         }
     }
-    result.max_ack_wait_ms = max_wait.as_secs_f64() * 1e3;
     if result.passed {
         match drain_u64s(&sink, RqId(0), senders * per_sender as usize) {
             Ok(got) => {
@@ -236,7 +190,6 @@ fn kill_fan_in(
         }
     }
     result.deaths = cluster.deaths(victim);
-    result.restarts = cluster.restarts_total();
     if result.passed && result.deaths == 0 {
         result = result.fail(format!("injected kill on node {victim} never fired"));
     }
@@ -285,18 +238,7 @@ pub fn kill_sender_fan_in(seed: u64, per_sender: u64) -> ScenarioResult {
 /// two-node pair: the sequenced wire layer must hide all of it.
 #[must_use]
 pub fn corrupt_under_load(seed: u64, msgs: u64) -> ScenarioResult {
-    let mut result = ScenarioResult {
-        name: "corrupt_under_load".into(),
-        seed,
-        passed: true,
-        acked_ops: 0,
-        deaths: 0,
-        restarts: 0,
-        max_ack_wait_ms: 0.0,
-        failure: String::new(),
-        shutdown_json: String::new(),
-        obs: None,
-    };
+    let mut result = ScenarioResult::new("corrupt_under_load");
     let mut b = RtClusterBuilder::new(2);
     let _p0 = b.add_process(0, 1 << 16);
     let p1 = b.add_process(1, 1 << 16);
@@ -305,25 +247,22 @@ pub fn corrupt_under_load(seed: u64, msgs: u64) -> ScenarioResult {
     let e1 = eps.pop().expect("endpoint 1");
     let mut e0 = eps.pop().expect("endpoint 0");
 
-    let mut clock = AckClock::new();
     const WINDOW: u64 = 64;
     for i in 1..=msgs {
         e0.seg().write_u64(0, i);
         e0.put(0, p1, 64, 8, Some(FlagId(0)), None);
         if i > WINDOW {
-            if let Err(err) = clock.wait(&e0, FlagId(0), i - WINDOW) {
+            if let Err(err) = e0.wait_flag_timeout(FlagId(0), i - WINDOW, WAIT) {
                 result = result.fail(format!("op {i}: {err}"));
                 break;
             }
         }
     }
     if result.passed {
-        if let Err(err) = clock.wait(&e0, FlagId(0), msgs) {
+        if let Err(err) = e0.wait_flag_timeout(FlagId(0), msgs, WAIT) {
             result = result.fail(format!("final ack: {err}"));
         }
     }
-    result.acked_ops = clock.acked;
-    result.max_ack_wait_ms = clock.max_wait.as_secs_f64() * 1e3;
     // The monotone counter payload: the cell must hold the *last* write
     // (in-order delivery means no stale overwrite can land afterwards).
     if result.passed && e1.seg().read_u64(64) != msgs {
@@ -358,18 +297,7 @@ pub fn corrupt_under_load(seed: u64, msgs: u64) -> ScenarioResult {
 /// once the stall lifts.
 #[must_use]
 pub fn stall_survivor_liveness(seed: u64, rounds: u64) -> ScenarioResult {
-    let mut result = ScenarioResult {
-        name: "stall_survivor_liveness".into(),
-        seed,
-        passed: true,
-        acked_ops: 0,
-        deaths: 0,
-        restarts: 0,
-        max_ack_wait_ms: 0.0,
-        failure: String::new(),
-        shutdown_json: String::new(),
-        obs: None,
-    };
+    let mut result = ScenarioResult::new("stall_survivor_liveness");
     let mut b = RtClusterBuilder::new(3);
     let _p0 = b.add_process(0, 1 << 16);
     let p1 = b.add_process(1, 1 << 16);
@@ -386,13 +314,13 @@ pub fn stall_survivor_liveness(seed: u64, rounds: u64) -> ScenarioResult {
     let _e1 = eps.pop().expect("endpoint 1");
     let mut e0 = eps.pop().expect("endpoint 0");
 
-    std::thread::sleep(Duration::from_millis(20)); // let the stall start
-    let mut clock = AckClock::new();
+    // Let the stall start.
+    std::thread::sleep(Duration::from_millis(20));
     // Survivor path 0→2 stays live during the stall.
     for i in 1..=rounds {
         e0.seg().write_u64(0, i);
         e0.put(0, p2, 64, 8, Some(FlagId(0)), None);
-        if let Err(err) = clock.wait(&e0, FlagId(0), i) {
+        if let Err(err) = e0.wait_flag_timeout(FlagId(0), i, WAIT) {
             result = result.fail(format!("survivor op {i}: {err}"));
             break;
         }
@@ -401,12 +329,10 @@ pub fn stall_survivor_liveness(seed: u64, rounds: u64) -> ScenarioResult {
     if result.passed {
         e0.seg().write_u64(0, 77);
         e0.put(0, p1, 64, 8, Some(FlagId(1)), None);
-        if let Err(err) = clock.wait(&e0, FlagId(1), 1) {
+        if let Err(err) = e0.wait_flag_timeout(FlagId(1), 1, WAIT) {
             result = result.fail(format!("post-stall delivery: {err}"));
         }
     }
-    result.acked_ops = clock.acked;
-    result.max_ack_wait_ms = clock.max_wait.as_secs_f64() * 1e3;
     if result.passed && e2.seg().read_u64(64) != rounds {
         result = result.fail("survivor data incomplete".into());
     }
@@ -436,18 +362,7 @@ pub fn stall_survivor_liveness(seed: u64, rounds: u64) -> ScenarioResult {
 /// with supervision on. Exactly-once is checked on every queue.
 #[must_use]
 pub fn randomized(seed: u64, rounds: u64) -> ScenarioResult {
-    let mut result = ScenarioResult {
-        name: "randomized_ring".into(),
-        seed,
-        passed: true,
-        acked_ops: 0,
-        deaths: 0,
-        restarts: 0,
-        max_ack_wait_ms: 0.0,
-        failure: String::new(),
-        shutdown_json: String::new(),
-        obs: None,
-    };
+    let mut result = ScenarioResult::new("randomized_ring");
     let nodes = 3 + (seed % 3) as usize; // 3..=5
     let victim = (seed / 3 % nodes as u64) as usize;
     let kill_after = 10 + (seed.wrapping_mul(7) % 70);
@@ -469,34 +384,27 @@ pub fn randomized(seed: u64, rounds: u64) -> ScenarioResult {
         .map(|(n, mut e)| {
             let dst = asids[(n + 1) % nodes];
             let me = asids[n];
-            std::thread::spawn(move || -> (mproxy_rt::Endpoint, Result<AckClock, String>) {
-                let mut clock = AckClock::new();
+            std::thread::spawn(move || -> (mproxy_rt::Endpoint, Result<(), String>) {
                 for i in 1..=rounds {
                     e.seg().write_u64(0, (u64::from(me) << 32) | i);
                     e.enq(0, dst, RqId(0), 8, Some(FlagId(0)), None);
-                    if let Err(err) = clock.wait(&e, FlagId(0), i) {
+                    if let Err(err) = e.wait_flag_timeout(FlagId(0), i, WAIT) {
                         return (e, Err(format!("node {n} op {i}: {err}")));
                     }
                 }
-                (e, Ok(clock))
+                (e, Ok(()))
             })
         })
         .collect();
 
     let mut endpoints = Vec::with_capacity(nodes);
-    let mut max_wait = Duration::ZERO;
     for h in handles {
         let (e, r) = h.join().expect("ring thread");
-        match r {
-            Ok(clock) => {
-                result.acked_ops += clock.acked;
-                max_wait = max_wait.max(clock.max_wait);
-            }
-            Err(why) => result = result.fail(why),
+        if let Err(why) = r {
+            result = result.fail(why);
         }
         endpoints.push(e);
     }
-    result.max_ack_wait_ms = max_wait.as_secs_f64() * 1e3;
     if result.passed {
         // Each node's queue holds exactly its predecessor's 1..=rounds.
         for (n, e) in endpoints.iter().enumerate() {
@@ -516,7 +424,6 @@ pub fn randomized(seed: u64, rounds: u64) -> ScenarioResult {
         }
     }
     result.deaths = cluster.deaths(victim);
-    result.restarts = cluster.restarts_total();
     if result.passed && result.deaths == 0 {
         result = result.fail(format!("injected kill on node {victim} never fired"));
     }
@@ -558,9 +465,14 @@ mod tests {
 
     #[test]
     fn deterministic_scenarios_smoke() {
-        let r = kill_sink_fan_in(11, 40);
-        assert!(r.passed, "{}", r.failure);
-        let r = corrupt_under_load(12, 150);
-        assert!(r.passed, "{}", r.failure);
+        // One of each fault family.
+        for r in [
+            kill_sink_fan_in(101, 40),
+            kill_sender_fan_in(202, 40),
+            corrupt_under_load(303, 200),
+            stall_survivor_liveness(404, 25),
+        ] {
+            assert!(r.passed, "{}: {}", r.name, r.failure);
+        }
     }
 }

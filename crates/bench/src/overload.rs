@@ -1,5 +1,7 @@
 //! Overload sweep: measured proxy command-queue delay vs the §5.4
-//! contention model (`BENCH_overload.json`).
+//! contention model (`results/overload.txt`, printed by the `overload`
+//! binary and pinned byte for byte like every other report; the gate is
+//! the `quick_sweep_tracks_model_and_respects_credits` unit test below).
 //!
 //! Four compute processors on one MP1 node submit PUTs toward the peer
 //! node in open loop — Poisson arrivals (exponential inter-submission
@@ -19,6 +21,7 @@
 use mproxy::{Asid, Cluster, ClusterSpec, ProcId};
 use mproxy_des::{Dur, Simulation};
 use mproxy_model::contention::{mm1_wait_us, STABLE_UTILIZATION};
+use mproxy_model::fate::SplitMix64;
 use mproxy_model::MP1;
 
 /// Compute processors submitting load (all on node 0).
@@ -39,11 +42,11 @@ pub const LARGE_BYTES: u32 = 4096;
 /// Target utilisations of the full sweep.
 pub const OVERLOAD_RHOS: [f64; 6] = [0.1, 0.2, 0.3, 0.4, 0.6, 0.8];
 
-/// Target utilisations of the `--quick` (CI smoke) sweep.
+/// Target utilisations of the quick sweep the unit test runs.
 pub const QUICK_RHOS: [f64; 3] = [0.2, 0.4, 0.7];
 
 /// Allowed deviation of the measured wait from the model curve in the
-/// stable regime (`--check`).
+/// stable regime ([`check_sweep`]).
 pub const MODEL_TOLERANCE: f64 = 0.25;
 
 /// Model agreement is only enforced for sweep points targeting at most
@@ -105,26 +108,15 @@ pub struct OverloadSweep {
     pub points: Vec<OverloadPoint>,
 }
 
-// ---------------------------------------------------------------------
-// Deterministic random streams (SplitMix64): the sweep must be
-// reproducible bit-for-bit, so it carries its own tiny generator.
-
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Uniform in (0, 1].
-fn uniform(state: &mut u64) -> f64 {
-    ((splitmix(state) >> 11) as f64 + 1.0) / (1u64 << 53) as f64
+/// Uniform in (0, 1] — `ln` of it is finite — from the workspace's one
+/// seeded generator, so the sweep reproduces bit for bit.
+fn uniform(rng: &mut SplitMix64) -> f64 {
+    ((rng.next_u64() >> 11) as f64 + 1.0) / (1u64 << 53) as f64
 }
 
 /// Exponential with the given mean.
-fn exp_sample(state: &mut u64, mean: f64) -> f64 {
-    -mean * uniform(state).ln()
+fn exp_sample(rng: &mut SplitMix64, mean: f64) -> f64 {
+    -mean * uniform(rng).ln()
 }
 
 /// Measures the proxy service time of a `bytes`-sized PUT: one sender
@@ -199,9 +191,11 @@ fn run_point(target_rho: f64, big_frac: f64, mean_service_us: f64, window_us: f6
             return;
         }
         let peer = Asid((me + OVERLOAD_SENDERS) as u32);
-        let mut rng = OVERLOAD_SEED
-            ^ ((me as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F))
-            ^ target_rho.to_bits();
+        let mut rng = SplitMix64::new(
+            OVERLOAD_SEED
+                ^ ((me as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F))
+                ^ target_rho.to_bits(),
+        );
         let t0 = p.now();
         loop {
             let gap = exp_sample(&mut rng, gap_mean);
@@ -295,7 +289,7 @@ pub fn check_sweep(sweep: &OverloadSweep) -> Result<(), String> {
     Ok(())
 }
 
-/// Human-readable table of a sweep (mirrors the JSON the binary emits).
+/// The sweep as a text table (`results/overload.txt` is the full sweep's).
 #[must_use]
 pub fn overload_rows(sweep: &OverloadSweep) -> String {
     use std::fmt::Write as _;
@@ -358,7 +352,7 @@ mod tests {
 
     #[test]
     fn exponential_sampler_has_the_right_mean() {
-        let mut st = 42u64;
+        let mut st = SplitMix64::new(42);
         let n = 20_000;
         let mean = (0..n).map(|_| exp_sample(&mut st, 10.0)).sum::<f64>() / f64::from(n);
         assert!((mean - 10.0).abs() < 0.3, "mean {mean}");

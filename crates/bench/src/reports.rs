@@ -16,38 +16,6 @@ use mproxy_model::{DesignPoint, ALL_DESIGN_POINTS, MP1};
 
 use crate::sweep::{run_parallel, Job};
 
-/// Version of the shared BENCH_*.json envelope ([`bench_header_json`]).
-pub const BENCH_SCHEMA: u32 = 2;
-
-/// The shared header every bench binary embeds at the top of its JSON
-/// document: schema version, the git revision the numbers were measured
-/// at, the host's logical CPU count, and the run's seed (when the
-/// workload is seeded). Returned as pre-indented member lines —
-/// callers splice it right after their opening `{`:
-///
-/// ```text
-/// "schema": 2,
-/// "header": { "git_rev": "abc1234", "host_cpus": 8, "seed": 7 },
-/// ```
-#[must_use]
-pub fn bench_header_json(seed: Option<u64>) -> String {
-    let rev = std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .or_else(|| std::env::var("GITHUB_SHA").ok())
-        .unwrap_or_else(|| "unknown".to_string());
-    let cpus = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
-    let seed = seed.map_or_else(|| "null".to_string(), |s| s.to_string());
-    format!(
-        "  \"schema\": {BENCH_SCHEMA},\n  \"header\": {{ \"git_rev\": \"{}\", \
-         \"host_cpus\": {cpus}, \"seed\": {seed} }},\n",
-        mproxy_obs::json::esc(&rev)
-    )
-}
-
 /// Message sizes swept by the Figure 7 reproduction.
 pub const FIG7_SIZES: [u32; 8] = [8, 32, 128, 512, 2048, 8192, 65536, 262144];
 
@@ -497,108 +465,4 @@ pub fn crash_sweep_report_parallel(threads: usize) -> String {
         Box::new(crash_app_section),
     ];
     crash_compose(&run_parallel(jobs, threads))
-}
-
-/// One unit of the events/sec benchmark workload: the MP1 verified
-/// ping-pong plus the Sample application at the given drop rate (the
-/// acceptance workload uses 1%). Returns total simulator calendar
-/// events executed, so the harness can report events per wall-clock
-/// second.
-///
-/// # Panics
-///
-/// Panics if the faulty run loses data — the workload is also a
-/// correctness check.
-#[must_use]
-pub fn fault_sweep_unit_events(drop: f64) -> u64 {
-    let pp = pingpong_verified(MP1, 64, 64, Some(sweep_plan(drop)));
-    assert!(
-        pp.data_ok && pp.error.is_none(),
-        "benchmark workload lost data"
-    );
-    let app = run_app_flat_faulty(AppId::Sample, MP1, 2, AppSize::Tiny, sweep_plan(drop));
-    pp.sim.events + app.sim.events
-}
-
-#[cfg(test)]
-mod profile {
-    use super::*;
-    use std::time::Instant;
-
-    #[test]
-    #[ignore = "manual profiling aid"]
-    fn acceptance_loop() {
-        for _ in 0..400 {
-            let _ = fault_sweep_unit_events(0.01);
-        }
-    }
-
-    #[test]
-    #[ignore = "manual profiling aid"]
-    fn primitive_throughput() {
-        use mproxy_des::{Channel, Dur, Simulation};
-        // Pure delay chain: one task, N calendar events.
-        let sim = Simulation::new();
-        let ctx = sim.ctx();
-        sim.spawn(async move {
-            for _ in 0..200_000u32 {
-                ctx.delay(Dur::from_us(1.0)).await;
-            }
-        });
-        let t = Instant::now();
-        let r = sim.run();
-        let w = t.elapsed().as_secs_f64();
-        eprintln!("delay-chain: {} events in {w:.4}s = {:.0} ev/s", r.events, r.events as f64 / w);
-        // Channel ping-pong: two tasks, waker round trips.
-        let sim = Simulation::new();
-        let a: Channel<u32> = Channel::unbounded();
-        let b: Channel<u32> = Channel::unbounded();
-        let (a2, b2) = (a.clone(), b.clone());
-        sim.spawn(async move {
-            for i in 0..200_000u32 {
-                a.try_send(i).unwrap();
-                let _ = b.recv().await;
-            }
-        });
-        sim.spawn(async move {
-            for _ in 0..200_000u32 {
-                let v = a2.recv().await.unwrap();
-                b2.try_send(v).unwrap();
-            }
-        });
-        let t = Instant::now();
-        let r = sim.run();
-        let w = t.elapsed().as_secs_f64();
-        eprintln!("chan-pingpong: 400k round trips in {w:.4}s = {:.0} msg/s (events={})", 400_000.0 / w, r.events);
-        // Timer arm+cancel churn.
-        let sim = Simulation::new();
-        let ctx = sim.ctx();
-        sim.spawn(async move {
-            for _ in 0..200_000u32 {
-                let t = ctx.timer(Dur::from_us(50.0));
-                let h = t.handle();
-                h.cancel();
-                let _ = t.await;
-            }
-        });
-        let t = Instant::now();
-        let r = sim.run();
-        let w = t.elapsed().as_secs_f64();
-        eprintln!("timer-cancel: 200k in {w:.4}s = {:.0}/s (events={})", 200_000.0 / w, r.events);
-    }
-
-    #[test]
-    #[ignore = "manual profiling aid"]
-    fn split_timings() {
-        for _ in 0..3 {
-            let t = Instant::now();
-            let pp = pingpong_verified(MP1, 64, 64, Some(sweep_plan(0.01)));
-            let tp = t.elapsed().as_secs_f64();
-            let t = Instant::now();
-            let app = run_app_flat_faulty(AppId::Sample, MP1, 2, AppSize::Tiny, sweep_plan(0.01));
-            let ta = t.elapsed().as_secs_f64();
-            eprintln!("pp: {tp:.4}s {:?}", pp.sim);
-            eprintln!("app: {ta:.4}s {:?}", app.sim);
-        }
-    }
 }

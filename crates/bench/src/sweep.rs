@@ -58,12 +58,6 @@ pub fn run_parallel(jobs: Vec<Job>, threads: usize) -> Vec<String> {
         .collect()
 }
 
-/// Default worker count: one per available core.
-#[must_use]
-pub fn default_threads() -> usize {
-    thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

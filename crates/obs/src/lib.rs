@@ -16,15 +16,18 @@
 //!   [`TraceEvent`]s (enqueue/drain/retransmit/epoch-bump/kill/
 //!   respawn/...), zero-cost when disabled, dumpable on panic or on
 //!   demand.
-//! * [`Snapshot`] — the JSON export unit feeding the bench bins and
-//!   `ShutdownReport`, and [`chrome::chrome_trace`] — a Chrome
+//! * [`Snapshot`] — the JSON export unit the benchmark and the fault
+//!   tests read, and [`chrome::chrome_trace`] — a Chrome
 //!   `trace_event` (Perfetto) exporter rendering kills, Hello resyncs
 //!   and RTO storms on a timeline.
 //!
 //! Both engines register [`Scope`]s on an [`ObsHub`] using the *same*
 //! metric ids, so sim/runtime A/B comparisons line up column for
 //! column. The overhead budget (≤5% with recording enabled, ~0%
-//! disabled) is enforced by the `rt_obs` bench gate.
+//! disabled) is held by decimation in the runtime — one stamped
+//! submission in 32, bounded from above by
+//! `tests/tests/obs.rs::counters_match_ground_truth_on_clean_fan_in` —
+//! and the per-call costs are the `obs.*_ns` probes of `perfbench/`.
 
 #![forbid(unsafe_code)]
 

@@ -126,8 +126,8 @@ impl ShutdownReport {
         self.panicked_nodes.is_empty() && self.wedged_nodes.is_empty()
     }
 
-    /// Stable single-line JSON serialization (the shape `rt_chaos`
-    /// embeds per scenario in `BENCH_chaos.json`):
+    /// Stable single-line JSON serialization (the chaos scenarios return
+    /// it and `tests/tests/obs.rs::telemetry_soak` validates it):
     /// `{"clean":bool,"restarts":n,"panicked":[{"node":n,"reason":s?}],
     /// "wedged":[n]}`.
     #[must_use]
@@ -182,9 +182,11 @@ pub(crate) struct ProcShared {
 /// and the cmd-wait / wire-RTT / lsync-RTT histogram samples — is
 /// recorded one-in-32 (`tick & MASK == 0`). A histogram's shape survives
 /// deterministic decimation, and sampling keeps the recording-armed cost
-/// on the proxy's critical path inside the `rt_obs` 5% gate. Rare events
-/// (kills, respawns, hellos, acks, sheds, faults) are never sampled, and
-/// counters are always exact.
+/// on the proxy's critical path at a percent or two of an operation;
+/// `tests/tests/obs.rs::counters_match_ground_truth_on_clean_fan_in`
+/// bounds the sample counts from above, so stamping every op fails a
+/// test. Rare events (kills, respawns, hellos, sheds, faults) are never
+/// sampled, and counters are always exact.
 pub(crate) const OBS_SAMPLE_MASK: u64 = 31;
 
 pub(crate) struct Shared {
@@ -428,18 +430,6 @@ impl RtCluster {
     #[must_use]
     pub fn fault_counts(&self) -> Option<RtFaultCounts> {
         self.shared.faults.as_ref().map(RtFaultState::counts)
-    }
-
-    /// Arms or disarms telemetry recording at runtime (histograms and
-    /// flight recorders; counters are always on).
-    pub fn set_telemetry(&self, on: bool) {
-        self.shared.obs_hub.set_recording(on);
-    }
-
-    /// Whether telemetry recording is armed.
-    #[must_use]
-    pub fn telemetry(&self) -> bool {
-        self.shared.obs_hub.recording()
     }
 
     /// Point-in-time telemetry snapshot of every node scope — counters
