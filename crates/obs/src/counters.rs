@@ -49,11 +49,26 @@ macro_rules! counters {
 }
 
 counters! {
-    // Data-plane traffic (unique application frames, not wire copies).
+    // Data-plane traffic, in *operations* (a PUT, a GET request or reply,
+    // an ENQ): first transmissions out, every arrival — duplicates and
+    // retransmissions included — in. So are `DedupDrops`, `DamagedDrops`,
+    // `Sheds` and `OpsApplied`, and per receiver
+    // `msgs_in == ops_applied + dedup_drops + damaged_drops + sheds`.
     MsgsOut => "msgs_out",
     MsgsIn => "msgs_in",
     BytesOut => "bytes_out",
     BytesIn => "bytes_in",
+    // The same traffic in sequenced wire *frames* (the runtime coalesces
+    // a burst of operations under one sequence number; the simulator
+    // sends one operation per packet and leaves these zero):
+    // `msgs_out / frames_out` is operations per frame. `Retransmits`
+    // counts frames (one re-sent packet each), as do the runtime's `Send`
+    // events and wire-RTT samples; `FaultsInjected` counts verdicts, and
+    // the runtime draws one per operation first sent (an operation that
+    // draws a fault travels in a frame of its own) and one per frame
+    // re-sent.
+    FramesOut => "frames_out",
+    FramesIn => "frames_in",
     // Reliability control plane.
     AcksOut => "acks_out",
     AcksIn => "acks_in",

@@ -61,7 +61,7 @@ impl RtClusterBuilder {
     /// flight-recorder rings). Counters are always on either way — they
     /// are a handful of relaxed adds per operation. On by default:
     /// recording is decimated to one stamped submission in 32 (see
-    /// `OBS_SAMPLE_MASK`), which keeps its cost at a percent or two of an operation.
+    /// `cluster::sampled`), which keeps its cost at a percent or two of an operation.
     /// `telemetry(false)` is the uninstrumented side of an on/off
     /// comparison.
     pub fn telemetry(&mut self, on: bool) -> &mut Self {

@@ -76,7 +76,7 @@ pub const NUM_FLAGS: usize = 64;
 pub const NUM_QUEUES: usize = 8;
 /// Command queue depth per process.
 pub const CMDQ_DEPTH: usize = 128;
-/// Wire ring depth per node (packets queued by peer proxies).
+/// Wire ring depth per node (frames queued by peer proxies).
 pub const WIRE_DEPTH: usize = 512;
 /// Reply ring depth per remote queue (payloads queued for a user process).
 pub const RQ_DEPTH: usize = 256;
@@ -86,7 +86,7 @@ pub const RQ_DEPTH: usize = 256;
 /// hovers at the §5.4 bound.
 pub const RECOVERY_UTILIZATION: f64 = 0.4;
 
-/// Wire backlog (packets) past which a saturated, shedding-enabled proxy
+/// Wire backlog (frames) past which a saturated, shedding-enabled proxy
 /// starts rejecting request traffic.
 pub const SHED_BACKLOG: usize = CMDQ_DEPTH;
 
@@ -178,16 +178,24 @@ pub(crate) struct ProcShared {
     pub(crate) timeouts: Arc<AtomicU64>,
 }
 
-/// Per-message hot-path telemetry — the `Send`/`Enqueue` trace events
-/// and the cmd-wait / wire-RTT / lsync-RTT histogram samples — is
-/// recorded one-in-32 (`tick & MASK == 0`). A histogram's shape survives
-/// deterministic decimation, and sampling keeps the recording-armed cost
-/// on the proxy's critical path at a percent or two of an operation;
+/// Hot-path telemetry — the `Enqueue`/`Drain`/`Send`/`AckIn` trace
+/// events and the cmd-wait / wire-RTT / lsync-RTT histogram samples — is
+/// recorded one-in-32, each site counting its own events on its own tick
+/// ([`sampled`]). A histogram's shape survives deterministic decimation,
+/// and sampling keeps the recording-armed cost on the proxy's critical
+/// path at a percent or two of an operation;
 /// `tests/tests/obs.rs::counters_match_ground_truth_on_clean_fan_in`
-/// bounds the sample counts from above, so stamping every op fails a
-/// test. Rare events (kills, respawns, hellos, sheds, faults) are never
-/// sampled, and counters are always exact.
-pub(crate) const OBS_SAMPLE_MASK: u64 = 31;
+/// bounds every site's sample count from above, so stamping every event
+/// fails a test. Rare events (kills, respawns, hellos, sheds, faults) are
+/// never sampled, and counters are always exact.
+const OBS_SAMPLE_MASK: u64 = 31;
+
+/// Steps one telemetry site's decimation tick; true on every 32nd call.
+#[inline]
+pub(crate) fn sampled(tick: &mut u64) -> bool {
+    *tick = tick.wrapping_add(1);
+    *tick & OBS_SAMPLE_MASK == 0
+}
 
 pub(crate) struct Shared {
     pub(crate) procs: Vec<Arc<ProcShared>>,
@@ -259,7 +267,13 @@ impl Shared {
     }
 
     pub(crate) fn set_flag(&self, proc: u32, flag: u32) {
-        self.procs[proc as usize].flags[flag as usize].fetch_add(1, Ordering::Release);
+        self.add_flag(proc, flag, 1);
+    }
+
+    /// `n` completions at once: flags are monotone counters and waiters
+    /// compare with `>=`, so one add of `n` is `n` adds of one.
+    pub(crate) fn add_flag(&self, proc: u32, flag: u32, n: u64) {
+        self.procs[proc as usize].flags[flag as usize].fetch_add(n, Ordering::Release);
     }
 
     /// First condemned node, if any.
@@ -347,8 +361,10 @@ impl RtCluster {
             .remove(&(src, dst));
     }
 
-    /// Total commands + packets serviced by node `node`'s proxy
-    /// (cumulative across respawns).
+    /// Total operations serviced by node `node`'s proxy, cumulative
+    /// across respawns: local commands drained, plus the operations of
+    /// every data frame popped off the wire (a frame of `n` counts `n`),
+    /// plus one per control frame.
     #[must_use]
     pub fn ops_serviced(&self, node: usize) -> u64 {
         self.shared.ops_serviced[node].load(Ordering::Relaxed)
@@ -379,7 +395,7 @@ impl RtCluster {
             .load(Ordering::Relaxed)
     }
 
-    /// Request packets rejected on node `node` by overload shedding
+    /// Request operations rejected on node `node` by overload shedding
     /// ([`crate::RtClusterBuilder::enable_shedding`]).
     #[must_use]
     pub fn shed_count(&self, node: usize) -> u64 {

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use mproxy_obs::{Ctr, EventKind};
 
-use crate::cluster::{ProcShared, Shared, NUM_FLAGS, OBS_SAMPLE_MASK};
+use crate::cluster::{sampled, ProcShared, Shared, NUM_FLAGS};
 use crate::idle::Backoff;
 use crate::mem::Segment;
 use crate::spsc::{self, Entry};
@@ -80,7 +80,7 @@ pub struct Endpoint {
     pub(crate) qbit: u32,
     pub(crate) next_alloc: u64,
     /// Decimation tick for the sampled `Enqueue` trace (see
-    /// [`OBS_SAMPLE_MASK`]).
+    /// [`sampled`]).
     pub(crate) obs_tick: u64,
 }
 
@@ -227,8 +227,7 @@ impl Endpoint {
         let node = self.me.node;
         let obs = &self.shared.obs[node];
         obs.inc(Ctr::OpsSubmitted);
-        self.obs_tick = self.obs_tick.wrapping_add(1);
-        if obs.recording() && self.obs_tick & OBS_SAMPLE_MASK == 0 {
+        if sampled(&mut self.obs_tick) && obs.recording() {
             // Stamp for the command-queue-wait and lsync-RTT histograms.
             // The clock read itself is the dominant recording-on cost on
             // this path (kvm-clock reads are slow inside VMs), so the

@@ -9,7 +9,12 @@
 //! a given number of operations, deterministically reproducible because
 //! the trigger is an op count, not a clock).
 //!
-//! The per-packet draws come from the shared fate core
+//! The rates are per *operation*, whatever the wire layer coalesces:
+//! every operation is judged once when it is first sent, and one that
+//! draws a verdict travels in a wire frame of its own, so the verdict
+//! touches nothing else (a retransmitted frame is one packet and is
+//! judged once). The per-packet draws
+//! come from the shared fate core
 //! ([`mproxy_model::fate`]), one [`SplitMix64`] stream per *sending*
 //! node (`seed ^ node·φ`), so each proxy's fault stream is a pure
 //! function of the seed and of how many packets that proxy has judged.
@@ -50,8 +55,10 @@ pub struct RtStall {
 
 /// A deterministic proxy kill: the proxy for `node` panics at the top of
 /// its service loop once it has serviced at least `after_ops` operations
-/// (commands + packets, cumulative across respawns — so several kills on
-/// one node fire in `after_ops` order).
+/// ([`crate::RtCluster::ops_serviced`]: commands, plus the operations of
+/// every data frame taken off the wire, plus control frames; cumulative
+/// across respawns — so several kills on one node fire in `after_ops`
+/// order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RtKill {
     /// The node whose proxy dies.

@@ -26,11 +26,15 @@
 //!   50% utilisation has unbounded expected queueing delay), with
 //!   opt-in request shedding
 //!   ([`RtClusterBuilder::enable_shedding`]);
-//! * a sequenced, acknowledged **wire layer** between proxies (cumulative
-//!   acks, sender-side retention, a receiver reorder buffer and
-//!   gap-naming NACKs: a lost frame costs one retransmit) making "an op whose
-//!   `lsync` fired was applied exactly once" hold under packet loss,
-//!   duplication, corruption, shedding, and proxy crashes;
+//! * a sequenced, acknowledged **wire layer** between proxies whose unit
+//!   is a *frame* of up to 32 operations — whatever one service phase
+//!   addressed to one peer shares one sequence number, one retention
+//!   slot and one ring push, and an operation alone leaves at once as a
+//!   frame of one (cumulative acks, sender-side retention, a receiver
+//!   reorder buffer and gap-naming NACKs: a lost frame costs one
+//!   retransmit) making "an op whose `lsync` fired was applied exactly
+//!   once" hold under packet loss, duplication, corruption, shedding, and
+//!   proxy crashes;
 //! * [`fault`] — a seeded **fault injector**
 //!   ([`RtClusterBuilder::fault_plan`]): per-packet drop / duplicate /
 //!   corrupt verdicts plus injected proxy stalls and kills, sharing its

@@ -4,9 +4,12 @@
 //! respawns it against the same [`NodeState`]); [`proxy_main`] is its
 //! service loop, a fixed sequence of phases per pass — timed faults,
 //! condemned-peer purge, hello, command drain, shed, wire drain,
-//! reliability upkeep, idle. [`handle_command`] executes a local user's
-//! command and [`apply_data`] a remote one: protection and bounds checks
-//! run here, in the proxy, never in user code.
+//! reliability upkeep, idle. The two drains are what put operations on
+//! the wire, and each ends by closing the frames it opened
+//! ([`crate::wire::flush_frames`]), so a frame never outlives its pass.
+//! [`handle_command`] executes a local user's command and [`apply_data`]
+//! a remote one: protection and bounds checks run here, in the proxy,
+//! never in user code.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -15,7 +18,7 @@ use std::time::{Duration, Instant};
 use mproxy_obs::{Ctr, EventKind, HistId};
 
 use crate::cluster::{
-    condemn_dead, Shared, CMDQ_DEPTH, NUM_QUEUES, OBS_SAMPLE_MASK, SHED_BACKLOG, WIRE_DEPTH,
+    condemn_dead, sampled, Shared, CMDQ_DEPTH, NUM_QUEUES, SHED_BACKLOG, WIRE_DEPTH,
 };
 use crate::endpoint::{unpack_sync, OP_ENQ, OP_GET, OP_PUT};
 use crate::idle::{Backoff, Parker};
@@ -23,8 +26,8 @@ use crate::ring::Ring;
 use crate::spsc::{self, Entry};
 use crate::state::{CcbGet, NodeState, PendingEnq};
 use crate::wire::{
-    abandon_all_held, flush_acks, flush_pending, handle_packet, push_wire, retransmit, send_data,
-    Payload, WireMsg,
+    abandon_all_held, flush_acks, flush_frames, flush_pending, handle_packet, push_wire,
+    retransmit, send_data, Payload, WireMsg,
 };
 
 /// One command-queue consumer held by a node's proxy, tagged with the
@@ -45,11 +48,13 @@ pub(crate) type Seat = Vec<SeatEntry>;
 /// the shedding check run — an overloaded proxy must keep reaching them.
 const SERVICE_BURST: usize = 2 * CMDQ_DEPTH;
 
-/// Outbound packets a proxy holds privately (its wire rings to peers all
+/// Outbound frames a proxy holds privately (its wire rings to peers all
 /// full) before it stops draining command queues; the bounded command
 /// rings then backpressure the user processes, so total occupancy per
-/// node stays bounded by `CMDQ_DEPTH·procs + WIRE_DEPTH + PENDING_CAP`
-/// (plus retention, which drains as fast as peers acknowledge).
+/// node stays bounded by `CMDQ_DEPTH·procs` commands plus
+/// `WIRE_DEPTH + PENDING_CAP` frames of at most
+/// [`crate::state::FRAME_CAP`] operations each (plus retention, which
+/// drains as fast as peers acknowledge).
 pub(crate) const PENDING_CAP: usize = 2 * WIRE_DEPTH;
 
 /// Longest a parked proxy sleeps before re-probing its queues (a missed
@@ -57,30 +62,33 @@ pub(crate) const PENDING_CAP: usize = 2 * WIRE_DEPTH;
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// Loop passes a stopping proxy keeps waiting for undeliverable or
-/// unacknowledged outbound packets (a peer's ring full, or a peer dead
+/// unacknowledged outbound frames (a peer's ring full, or a peer dead
 /// but not yet condemned) before giving up on them — in-flight traffic
 /// at shutdown is lossy by contract.
 const STOP_FLUSH_TRIES: u32 = 10_000;
 
-/// Applies one in-order, uncorrupted data frame from node `from`.
+/// Applies one operation of an in-order, uncorrupted data frame from
+/// node `from`. By reference: the frame is shared with the sender's
+/// retention copy, so a payload that must outlive it (an ENQ handed to a
+/// reply ring) takes its own reference to the bytes.
 pub(crate) fn apply_data(
     shared: &Shared,
     st: &mut NodeState,
     node: usize,
     now: Instant,
     from: usize,
-    body: Payload,
+    body: &Payload,
 ) {
-    match body {
+    match *body {
         Payload::Put {
             dst,
             raddr,
-            data,
+            ref data,
             rsync,
         } => {
             let dp = &shared.procs[dst as usize];
             if dp.seg.check(raddr, data.len()) {
-                dp.seg.write(raddr, &data);
+                dp.seg.write(raddr, data);
                 if let Some(f) = rsync {
                     shared.set_flag(dst, f);
                 }
@@ -111,7 +119,7 @@ pub(crate) fn apply_data(
                 0,
             );
         }
-        Payload::GetReply { token, data } => {
+        Payload::GetReply { token, ref data } => {
             if let Some(ccb) = st.ccbs.remove(&token) {
                 if let Some(data) = data {
                     let take = (ccb.nbytes as usize).min(data.len());
@@ -127,9 +135,10 @@ pub(crate) fn apply_data(
         Payload::Enq {
             dst,
             rq,
-            data,
+            ref data,
             rsync,
         } => {
+            let data = data.clone();
             // FIFO per queue: anything already owed goes first.
             if !st.pending_rq.is_empty() {
                 st.pending_rq.push_back(PendingEnq {
@@ -363,12 +372,15 @@ fn proxy_main(node: usize, seat: &mut [SeatEntry], st: &mut NodeState, shared: &
         // users and per-node occupancy stays bounded.
         if st.backlogged() < PENDING_CAP {
             progressed |= drain_commands(shared, st, node, now, seat, ready, &mut batch);
+            flush_frames(shared, st, node, now);
         }
         if shared.shed_enabled.load(Ordering::Relaxed) && health.saturated.load(Ordering::Acquire)
         {
             progressed |= shed_backlog(shared, st, node, now, wire_rx);
         }
         progressed |= drain_wire(shared, st, node, now, wire_rx);
+        // The GET replies the two wire phases produced.
+        flush_frames(shared, st, node, now);
         // Reliability upkeep: retransmit overdue retention, then emit the
         // acks and nacks this pass accumulated. Neither counts as
         // progress — an idle-but-unacked sender must still reach the
@@ -451,9 +463,9 @@ fn timed_faults(shared: &Shared, node: usize, now: Instant) -> bool {
 }
 
 /// Purges traffic to and from condemned peers: their rings will never
-/// drain, their acks and retransmissions will never come. Retained GETs
-/// cancel their CCBs; lsyncs never fire (the op is lost, and bounded
-/// waits report it).
+/// drain, their acks and retransmissions will never come. Every GET in
+/// every retained frame cancels its CCB; lsyncs never fire (the ops are
+/// lost, and bounded waits report it).
 #[inline]
 fn purge_condemned(shared: &Shared, st: &mut NodeState, node: usize) {
     for dst in 0..shared.wires.len() {
@@ -462,12 +474,19 @@ fn purge_condemned(shared: &Shared, st: &mut NodeState, node: usize) {
         }
         st.pending_wire[dst].clear();
         let NodeState { tx, rx, ccbs, .. } = &mut *st;
-        for r in tx[dst].retained.drain(..) {
-            if let Payload::GetReq { token, .. } = r.body {
-                ccbs.remove(&token);
+        let tx = &mut tx[dst];
+        // (`open` is empty between passes unless a predecessor died
+        // mid-phase.)
+        let frames = tx.retained.iter().map(|r| &r.body[..]);
+        for op in frames.chain([&tx.open[..]]).flatten() {
+            if let Payload::GetReq { token, .. } = op {
+                ccbs.remove(token);
             }
         }
-        tx[dst].resync_hint = false;
+        tx.retained.clear();
+        tx.open.clear();
+        tx.lsyncs.clear();
+        tx.resync_hint = false;
         // Frames parked behind a gap the dead node will never fill are
         // abandoned — counted, so the receiver's `msgs_in` identity
         // stays exact.
@@ -539,8 +558,7 @@ fn drain_commands(
             handle_command(shared, st, node, now, src, entry);
         }
         if taken > 0 {
-            st.obs_tick = st.obs_tick.wrapping_add(1);
-            if st.obs_tick & OBS_SAMPLE_MASK == 0 {
+            if sampled(&mut st.ticks.drain) {
                 obs.trace_at(drain_ns, EventKind::Drain, src as u16, taken as u32);
             }
             shared.ops_serviced[node].fetch_add(taken as u64, Ordering::Relaxed);
@@ -555,12 +573,12 @@ fn drain_commands(
     progressed
 }
 
-/// Overload control: a saturated proxy rejects the oldest request frames
-/// over the backlog cap. Rejection *advances the delivered watermark*
-/// and reports the sequence on the next ack, so the sender unretains
-/// without firing lsync — "acked ⇒ applied exactly once" survives
-/// shedding. Control frames and responses are serviced normally even
-/// over the cap.
+/// Overload control: a saturated proxy rejects the oldest all-request
+/// frames over the backlog cap. Rejection *advances the delivered
+/// watermark* and reports the sequence on the next ack, so the sender
+/// unretains the frame without firing any lsync — "acked ⇒ applied
+/// exactly once" survives shedding. Control frames and frames carrying a
+/// response are serviced normally even over the cap.
 #[inline]
 fn shed_backlog(
     shared: &Shared,
@@ -569,19 +587,17 @@ fn shed_backlog(
     now: Instant,
     wire_rx: &Ring<WireMsg>,
 ) -> bool {
-    let mut progressed = false;
+    let mut ops = 0;
     while wire_rx.len() > SHED_BACKLOG {
         let Some(msg) = wire_rx.try_pop() else { break };
-        handle_packet(shared, st, node, now, msg, true);
-        shared.ops_serviced[node].fetch_add(1, Ordering::Relaxed);
-        progressed = true;
+        ops += handle_packet(shared, st, node, now, msg, true);
     }
-    progressed
+    count_serviced(shared, node, ops)
 }
 
-/// Network input, burst-bounded like the command queues: a flooded wire
-/// refills faster than it drains, and this must not become the whole
-/// pass.
+/// Network input, burst-bounded (in operations, whatever the frames'
+/// sizes) like the command queues: a flooded wire refills faster than it
+/// drains, and this must not become the whole pass.
 #[inline]
 fn drain_wire(
     shared: &Shared,
@@ -590,14 +606,24 @@ fn drain_wire(
     now: Instant,
     wire_rx: &Ring<WireMsg>,
 ) -> bool {
-    let mut burst = 0;
-    while burst < SERVICE_BURST {
+    let mut ops = 0;
+    while ops < SERVICE_BURST as u64 {
         let Some(msg) = wire_rx.try_pop() else { break };
-        handle_packet(shared, st, node, now, msg, false);
-        shared.ops_serviced[node].fetch_add(1, Ordering::Relaxed);
-        burst += 1;
+        ops += handle_packet(shared, st, node, now, msg, false);
     }
-    burst > 0
+    count_serviced(shared, node, ops)
+}
+
+/// Books what a wire phase serviced; true if it serviced anything. An
+/// idle pass must not write here: the per-node counters are small
+/// neighbouring allocations, and a store per empty poll would bounce
+/// their cache line between every pair of idle proxies.
+#[inline]
+fn count_serviced(shared: &Shared, node: usize, ops: u64) -> bool {
+    if ops > 0 {
+        shared.ops_serviced[node].fetch_add(ops, Ordering::Relaxed);
+    }
+    ops > 0
 }
 
 /// Idle: escalate spin → yield → park. Parking is gated on an empty
@@ -629,3 +655,6 @@ fn idle(
         backoff.snooze();
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -19,8 +19,16 @@
 //! atomic sequence counter, producers claim slots with a single
 //! compare-and-swap on the head counter, and the slot's release store of
 //! its sequence publishes the payload to the consumer. The head and tail
-//! counters live on their own cache lines so producers and the consumer
-//! never false-share.
+//! counters — written on every push and every pop — live on their own
+//! cache lines so producers and the consumer never false-share them. The
+//! slots are stored unpadded: a slot is touched by one producer and then
+//! by the consumer, a lap apart, so only neighbours at the very front of
+//! a nearly empty ring can share a line, while padding each to 128 bytes
+//! made the eight 256-slot reply rings of every process 256 KiB instead
+//! of 96 and the 512-slot wire ring of every node 64 KiB instead of 32 —
+//! all written at construction, so resident memory and set-up time on
+//! every workload (EXPERIMENTS.md "Coalesced wire frames" has the
+//! before/after, the `ring.*` probes included).
 //!
 //! # Safety and progress
 //!
@@ -47,9 +55,9 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Pads and aligns a value to 128 bytes so hot counters and adjacent
-/// slots never share a cache line (two lines to defeat adjacent-line
-/// prefetchers) — a local stand-in for `crossbeam_utils::CachePadded`.
+/// Pads and aligns a value to 128 bytes so it shares a cache line with
+/// nothing else (two lines to defeat adjacent-line prefetchers) — a
+/// local stand-in for `crossbeam_utils::CachePadded`.
 #[derive(Debug, Default)]
 #[repr(align(128))]
 pub(crate) struct CachePadded<T>(pub(crate) T);
@@ -91,7 +99,7 @@ struct Slot<T> {
 /// ```
 #[derive(Debug)]
 pub struct Ring<T> {
-    slots: Box<[CachePadded<Slot<T>>]>,
+    slots: Box<[Slot<T>]>,
     /// Next ticket a producer claims.
     head: CachePadded<AtomicUsize>,
     /// Next ticket the consumer retires.
@@ -110,16 +118,14 @@ impl<T> Ring<T> {
     #[must_use]
     pub fn new(capacity: usize) -> Ring<T> {
         assert!(capacity >= 2, "ring capacity must be at least 2");
-        let slots: Vec<CachePadded<Slot<T>>> = (0..capacity)
-            .map(|i| {
-                CachePadded(Slot {
-                    seq: AtomicUsize::new(i),
-                    cell: Mutex::new(None),
-                })
+        let slots = (0..capacity)
+            .map(|i| Slot {
+                seq: AtomicUsize::new(i),
+                cell: Mutex::new(None),
             })
             .collect();
         Ring {
-            slots: slots.into_boxed_slice(),
+            slots,
             head: CachePadded(AtomicUsize::new(0)),
             tail: CachePadded(AtomicUsize::new(0)),
         }

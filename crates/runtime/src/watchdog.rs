@@ -22,7 +22,7 @@ pub(crate) struct ProxyHealth {
     pub(crate) saturated: AtomicBool,
     /// Times the proxy has crossed into saturation.
     pub(crate) saturation_events: AtomicU64,
-    /// Request packets rejected by overload shedding.
+    /// Request operations rejected by overload shedding.
     pub(crate) shed: AtomicU64,
 }
 

@@ -2,58 +2,83 @@
 //!
 //! Inter-proxy traffic is *reliable* over a transport that is allowed to
 //! misbehave (the seeded injector of [`crate::fault`], or a proxy dying
-//! mid-conversation). Every data frame from node `s` to node `d` carries
-//! a per-pair monotone sequence number; the sender retains a clone of
-//! each unacknowledged frame (payloads are [`Bytes`], so a clone is a
-//! refcount, not a copy). The receiver delivers strictly in order,
-//! parks intact out-of-order frames in a bounded reorder buffer, answers
-//! each drain batch with one cumulative [`WireMsg::AckUpto`] watermark,
-//! NACKs the exact sequences it is missing behind a gap or a corrupt
-//! frame, and drops duplicates (re-acking so the sender converges). A
-//! retransmit timer backstops lost NACKs. Control frames (acks, nacks,
-//! hellos) are never judged by the injector and never dropped: the model
-//! is a lossy transport under a reliable protocol, not a broken
-//! protocol.
+//! mid-conversation). Its unit is the **frame**: the operations one
+//! service phase addressed to one peer node — at most
+//! [`crate::state::FRAME_CAP`], and no more after the one that brings
+//! their payload to [`crate::state::FRAME_BYTES`] — as one shared
+//! immutable slice ([`Frame`]). [`send_data`] is the only way an
+//! operation reaches the wire: it appends to the destination's open
+//! frame, and the frame is closed and transmitted ([`transmit_frame`])
+//! when it fills or when the phase that opened it ends
+//! ([`flush_frames`], right after the command drain and again after the
+//! wire drain), so a frame never outlives the pass that opened it and an
+//! operation submitted alone leaves at once as a frame of one — there is
+//! no flush timer and no unbatched path.
+//!
+//! Everything the protocol does, it does once per frame. A frame from
+//! node `s` to node `d` carries one per-pair monotone sequence number,
+//! and the sender retains one reference to it until acknowledged (the
+//! wire copies, retransmissions included, are further references to the
+//! same allocation). The one thing that stays per operation is the fault
+//! injector's draw: a plan's rates are per operation, so each is judged
+//! as it is queued and one that draws a verdict leaves in a frame of its
+//! own ([`send_data`]). The receiver
+//! delivers strictly in order — every operation of a frame, in
+//! submission order, by reference — parks intact out-of-order frames in
+//! a bounded reorder buffer, answers each drain batch with one cumulative
+//! [`WireMsg::AckUpto`] watermark, NACKs the exact sequences it is
+//! missing behind a gap or a corrupt frame, and drops duplicates
+//! (re-acking so the sender converges). A retransmit timer backstops lost
+//! NACKs. Control frames (acks, nacks, hellos) are never judged by the
+//! injector and never dropped: the model is a lossy transport under a
+//! reliable protocol, not a broken protocol.
 //!
 //! The invariant bought by all this: **an operation whose `lsync` flag
 //! fired was applied at the destination exactly once** — under drops,
-//! duplicates, corruption, overload shedding, and proxy respawns.
-//! Overload shedding rides the same machinery: a saturated proxy *rejects*
-//! excess requests by advancing its delivered watermark and reporting the
-//! rejected sequence numbers on the ack, so the sender drops them from
-//! retention without firing `lsync`.
+//! duplicates, corruption, overload shedding, and proxy respawns. The
+//! argument is per frame: a sequence number is applied only as the
+//! watermark passes it, which happens once; applying it applies each of
+//! its operations once; and the sender fires a frame's lsyncs (together,
+//! [`process_ack`]) only on an ack at or past its sequence that does not
+//! list it as rejected. Overload shedding rides the same machinery: a
+//! saturated proxy *rejects* an excess frame whole — and only if every
+//! operation in it is a request, because a response resolves a CCB that
+//! has already been paid for — by advancing its delivered watermark and
+//! reporting the sequence on the ack, so the sender drops the frame from
+//! retention without firing any of its `lsync`s.
 //!
 //! This module holds the frames and the functions that move them; the
 //! per-stream state they act on ([`crate::state::TxPeer`], [`RxPeer`]) is in
-//! [`crate::state`], and what a delivered frame *does* is
+//! [`crate::state`], and what a delivered operation *does* is
 //! [`crate::proxy::apply_data`].
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
+use mproxy_model::fate::Fate;
 use mproxy_obs::{Ctr, EventKind, HistId};
 
-use crate::cluster::{Shared, OBS_SAMPLE_MASK};
+use crate::cluster::{sampled, Shared};
 use crate::proxy::apply_data;
-use crate::state::{NodeState, Parked, PendingEnq, Retained, RxPeer};
+use crate::state::{Lsync, NodeState, Parked, PendingEnq, Retained, RxPeer};
 
-/// Retransmit timeout: a sender with unacknowledged packets and no ack
+/// Retransmit timeout: a sender with unacknowledged frames and no ack
 /// progress for this long re-sends from its retention buffer. Generous
-/// against ack coalescing latency, tight enough that a dropped packet
+/// against ack coalescing latency, tight enough that a dropped frame
 /// costs milliseconds, not a stalled test.
 const RTO: Duration = Duration::from_millis(2);
 
-/// Most retained packets re-sent from the retention head per destination
+/// Most retained frames re-sent from the retention head per destination
 /// per resync pass (RTO expiry or a peer's Hello); bounds the burst a
 /// recovering receiver takes all at once. NACK-driven recovery never
 /// bursts: it re-sends exactly the sequences the receiver named.
 const RESEND_BURST: usize = 128;
 
-/// An operation travelling the wire (the content of a sequenced
-/// [`WireMsg::Data`] frame).
-#[derive(Debug, Clone)]
+/// An operation travelling the wire.
+#[derive(Debug)]
 pub(crate) enum Payload {
     Put {
         dst: u32,
@@ -90,7 +115,7 @@ impl Payload {
 
     /// Application bytes carried (the bytes_in/bytes_out accounting
     /// unit; headers and control frames count zero).
-    fn wire_bytes(&self) -> u64 {
+    pub(crate) fn wire_bytes(&self) -> u64 {
         match self {
             Payload::Put { data, .. } | Payload::Enq { data, .. } => data.len() as u64,
             Payload::GetReq { .. } => 0,
@@ -99,24 +124,34 @@ impl Payload {
     }
 }
 
+/// The operations of one sequenced [`WireMsg::Data`] frame, in submission
+/// order: one allocation, shared by the sender's retention copy and
+/// every wire copy, applied by reference at the receiver.
+pub(crate) type Frame = Arc<[Payload]>;
+
+/// Application bytes a frame carries.
+fn frame_bytes(body: &[Payload]) -> u64 {
+    body.iter().map(Payload::wire_bytes).sum()
+}
+
 /// One frame on the inter-proxy wire. `Data` frames are sequenced per
 /// (sender, destination) pair and subject to fault injection; the control
 /// frames are the reliability layer itself and are never judged or lost.
 #[derive(Debug)]
 pub(crate) enum WireMsg {
-    /// A sequenced operation. `corrupt` models payload damage in flight —
-    /// set by the injector, detected "by checksum" at the receiver, which
-    /// NACKs instead of delivering.
+    /// A sequenced frame of operations (never empty). `corrupt` models
+    /// damage in flight — set by the injector, detected "by checksum" at
+    /// the receiver, which NACKs instead of delivering any of it.
     Data {
         from: usize,
         seq: u64,
         corrupt: bool,
-        body: Payload,
+        body: Frame,
     },
     /// Cumulative acknowledgement: every `Data` frame from the receiver's
-    /// peer with `seq <= upto` has been accounted for. Sequences listed in
+    /// peer with `seq <= upto` has been accounted for. Frames listed in
     /// `rejected` were *shed* under overload: the sender must drop them
-    /// from retention without firing their `lsync`.
+    /// from retention without firing any of their `lsync`s.
     AckUpto {
         from: usize,
         upto: u64,
@@ -142,7 +177,7 @@ pub(crate) enum WireMsg {
 }
 
 /// Discards every frame node `node` has parked, from every source,
-/// counting each as a damaged drop.
+/// counting each of their operations as a damaged drop.
 pub(crate) fn abandon_all_held(shared: &Shared, st: &mut NodeState, node: usize) {
     let parked: u64 = st.rx.iter_mut().map(RxPeer::abandon_held).sum();
     shared.obs[node].add(Ctr::DamagedDrops, parked);
@@ -218,10 +253,30 @@ pub(crate) fn flush_pending(shared: &Shared, st: &mut NodeState) -> bool {
     progressed
 }
 
-/// Sequences, retains, and transmits one data frame from `node` towards
-/// `dst_node`, applying the fault injector's verdict (drop / duplicate /
-/// corrupt) to the transmission — never to the retained copy, which is
-/// what retransmission re-sends.
+/// The injector's verdict on one transmission from `node`; clean when no
+/// installed plan can fault a packet.
+fn judge(shared: &Shared, node: usize) -> Fate {
+    match &shared.faults {
+        Some(faults) if faults.packet_faults_possible() => faults.judge(node),
+        _ => Fate::default(),
+    }
+}
+
+fn faulted(fate: Fate) -> bool {
+    fate.drop || fate.corrupt || fate.duplicate
+}
+
+/// Queues one operation from `node` towards `dst_node`: the only way an
+/// operation reaches the wire. It joins the destination's open frame,
+/// which leaves at once if that fills it and otherwise when the current
+/// service phase ends ([`flush_frames`]).
+///
+/// The fault injector's unit stays the operation, whatever the
+/// coalescing: a plan's probabilities are per operation submitted, so an
+/// operation that draws a verdict travels in a frame of its own — what
+/// was queued before it leaves first, untouched — and a lossy stream
+/// loses the share of its operations the plan says, not that share of
+/// its (much rarer) frames.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn send_data(
     shared: &Shared,
@@ -242,74 +297,84 @@ pub(crate) fn send_data(
         }
         return;
     }
-    let obs = &shared.obs[node];
-    obs.inc(Ctr::MsgsOut);
-    obs.add(Ctr::BytesOut, body.wire_bytes());
-    let tx = &mut st.tx[dst_node];
-    let seq = tx.next_seq;
-    tx.next_seq += 1;
-    if tx.retained.is_empty() {
-        tx.last_progress = now;
+    let fate = judge(shared, node);
+    if faulted(fate) {
+        transmit_frame(shared, st, node, now, dst_node, Fate::default());
     }
-    tx.retained.push_back(Retained {
-        seq,
-        body: body.clone(),
-        lsync,
-        // The loop's `now` re-expressed on the shared epoch: pure
-        // arithmetic, no extra clock read on the proxy's hot path.
-        sent_ns: shared.rel_ns(now),
+    let lsync = Lsync {
+        flag: lsync,
         submit_ns,
-    });
-    let mut corrupt = false;
-    let mut duplicate = false;
-    if let Some(faults) = &shared.faults {
-        if faults.packet_faults_possible() {
-            let fate = faults.judge(node);
-            if fate.drop || fate.corrupt || fate.duplicate {
-                obs.inc(Ctr::FaultsInjected);
-                let kind = if fate.drop {
-                    EventKind::FaultDrop
-                } else if fate.corrupt {
-                    EventKind::FaultCorrupt
-                } else {
-                    EventKind::FaultDup
-                };
-                obs.trace_at(shared.rel_ns(now), kind, dst_node as u16, seq as u32);
-            }
-            if fate.drop {
-                return; // retention + RTO recover it
-            }
-            corrupt = fate.corrupt;
-            duplicate = fate.duplicate;
+    };
+    if st.tx[dst_node].append(body, lsync) || faulted(fate) {
+        transmit_frame(shared, st, node, now, dst_node, fate);
+    }
+}
+
+/// Ends a service phase: every frame the phase opened leaves now, however
+/// few operations it holds.
+pub(crate) fn flush_frames(shared: &Shared, st: &mut NodeState, node: usize, now: Instant) {
+    for dst in 0..st.tx.len() {
+        transmit_frame(shared, st, node, now, dst, Fate::default());
+    }
+}
+
+/// Closes `node`'s open frame towards `dst`, if there is one
+/// ([`crate::state::TxPeer::close_frame`]: one sequence number, one
+/// retention slot), and transmits it under `fate` (drop / duplicate /
+/// corrupt) — which touches the transmission, never the retained copy
+/// that retransmission re-sends.
+fn transmit_frame(
+    shared: &Shared,
+    st: &mut NodeState,
+    node: usize,
+    now: Instant,
+    dst: usize,
+    fate: Fate,
+) {
+    // The loop's `now` re-expressed on the shared epoch: pure arithmetic,
+    // no extra clock read on the proxy's hot path.
+    let now_ns = shared.rel_ns(now);
+    let Some((seq, body)) = st.tx[dst].close_frame(now, now_ns) else {
+        return; // nothing open towards `dst`
+    };
+    let obs = &shared.obs[node];
+    obs.inc(Ctr::FramesOut);
+    obs.add(Ctr::MsgsOut, body.len() as u64);
+    obs.add(Ctr::BytesOut, frame_bytes(&body));
+    if faulted(fate) {
+        obs.inc(Ctr::FaultsInjected);
+        let kind = if fate.drop {
+            EventKind::FaultDrop
+        } else if fate.corrupt {
+            EventKind::FaultCorrupt
+        } else {
+            EventKind::FaultDup
+        };
+        obs.trace_at(now_ns, kind, dst as u16, seq as u32);
+        if fate.drop {
+            return; // retention + NACK or RTO recover it
         }
     }
-    st.obs_tick = st.obs_tick.wrapping_add(1);
-    if st.obs_tick & OBS_SAMPLE_MASK == 0 {
-        obs.trace_at(
-            shared.rel_ns(now),
-            EventKind::Send,
-            dst_node as u16,
-            seq as u32,
-        );
+    if sampled(&mut st.ticks.send) {
+        obs.trace_at(now_ns, EventKind::Send, dst as u16, seq as u32);
     }
-    // Retention holds one (refcount) clone; the original moves into the
-    // last wire copy.
     let frame = |body| WireMsg::Data {
         from: node,
         seq,
-        corrupt,
+        corrupt: fate.corrupt,
         body,
     };
-    let pending = &mut st.pending_wire[dst_node];
-    if duplicate {
-        push_wire(shared, pending, dst_node, frame(body.clone()));
+    let pending = &mut st.pending_wire[dst];
+    if fate.duplicate {
+        push_wire(shared, pending, dst, frame(Arc::clone(&body)));
     }
-    push_wire(shared, pending, dst_node, frame(body));
+    push_wire(shared, pending, dst, frame(body));
 }
 
 /// Consumes one cumulative acknowledgement from `from`: advances the
-/// watermark, releases retention, fires `lsync` flags for accepted
-/// frames, and cancels the CCBs of rejected GETs.
+/// watermark, releases retention, fires the `lsync` flags of accepted
+/// frames — a run of identical `(proc, flag)` as one add — and cancels
+/// the CCBs of rejected GETs.
 fn process_ack(
     shared: &Shared,
     st: &mut NodeState,
@@ -320,10 +385,7 @@ fn process_ack(
     rejected: &[u64],
 ) {
     let NodeState {
-        tx,
-        ccbs,
-        obs_tick,
-        ..
+        tx, ccbs, ticks, ..
     } = st;
     let tx = &mut tx[from];
     if upto <= tx.acked {
@@ -338,45 +400,68 @@ fn process_ack(
     let mut shed = 0;
     while tx.retained.front().is_some_and(|r| r.seq <= upto) {
         let r = tx.retained.pop_front().expect("front checked above");
-        *obs_tick = obs_tick.wrapping_add(1);
-        let sampled = *obs_tick & OBS_SAMPLE_MASK == 0;
         // Wire RTT: first transmission → the releasing cumulative ack.
-        if sampled {
+        if sampled(&mut ticks.wire_rtt) {
             obs.record(HistId::WireRttNs, now_ns.saturating_sub(r.sent_ns));
         }
+        let lsyncs = tx.lsyncs.drain(..r.body.len());
         while rejected.get(shed).is_some_and(|&s| s < r.seq) {
             shed += 1;
         }
         if rejected.get(shed) == Some(&r.seq) {
-            // Shed at the receiver: the op never happened. No lsync; a
-            // rejected GET's CCB is cancelled.
-            if let Payload::GetReq { token, .. } = r.body {
-                ccbs.remove(&token);
+            // Shed at the receiver: none of it happened. No lsync fires;
+            // a rejected GET's CCB is cancelled.
+            for op in r.body.iter() {
+                if let Payload::GetReq { token, .. } = op {
+                    ccbs.remove(token);
+                }
             }
-        } else if let Some((proc, flag)) = r.lsync {
+            continue;
+        }
+        // The run of completions not yet added to their flag.
+        let mut run: Option<((u32, u32), u64)> = None;
+        for l in lsyncs {
             // Lsync round trip: user submit stamp → the ack that fires
             // the flag (0 means the stamp predates recording — skip).
-            if r.submit_ns != 0 {
-                obs.record(HistId::LsyncRttNs, now_ns.saturating_sub(r.submit_ns));
+            if l.submit_ns != 0 {
+                obs.record(HistId::LsyncRttNs, now_ns.saturating_sub(l.submit_ns));
             }
-            shared.set_flag(proc, flag);
+            let Some(key) = l.flag else { continue };
+            match &mut run {
+                Some((k, n)) if *k == key => *n += 1,
+                _ => {
+                    if let Some(((proc, flag), n)) = run.replace((key, 1)) {
+                        shared.add_flag(proc, flag, n);
+                    }
+                }
+            }
         }
+        if let Some(((proc, flag), n)) = run {
+            shared.add_flag(proc, flag, n);
+        }
+        // `r` — the last reference to the frame, which the receiver's
+        // core wrote to last — is let go here, after the waiters were
+        // told, not before.
     }
 }
 
-/// Handles one inbound wire frame on node `node`.
+/// Handles one inbound wire frame on node `node`; returns how many
+/// operations it carried (one for a control frame) — the unit of
+/// `ops_serviced` and of the drain burst.
 ///
 /// A data frame at or below the sender's in-order watermark is a
-/// duplicate; the frame right after the watermark is applied, followed by
-/// every parked frame the advance makes contiguous; an intact frame
-/// further ahead is parked in the reorder buffer; a corrupt frame, or one
-/// beyond the reorder window, is dropped. Every arrival that leaves the
-/// watermark stuck behind a gap owes the sender a NACK.
+/// duplicate; the frame right after the watermark is applied — every
+/// operation, in submission order — followed by every parked frame the
+/// advance makes contiguous; an intact frame further ahead is parked in
+/// the reorder buffer; a corrupt frame, or one beyond the reorder window,
+/// is dropped. Every arrival that leaves the watermark stuck behind a gap
+/// owes the sender a NACK.
 ///
-/// With `shed` set (overload control) an in-order *request* is rejected
-/// instead of applied: the watermark still advances, the sequence rides
-/// out on the next ack, and the sender unretains it without firing
-/// `lsync`. Responses and control frames are handled as always.
+/// With `shed` set (overload control) an in-order frame of nothing but
+/// *requests* is rejected instead of applied: the watermark still
+/// advances, the sequence rides out on the next ack, and the sender
+/// unretains it without firing any `lsync`. A frame carrying a response,
+/// and control frames, are handled as always.
 pub(crate) fn handle_packet(
     shared: &Shared,
     st: &mut NodeState,
@@ -384,7 +469,7 @@ pub(crate) fn handle_packet(
     now: Instant,
     msg: WireMsg,
     shed: bool,
-) {
+) -> u64 {
     let obs = &shared.obs[node];
     match msg {
         WireMsg::Data {
@@ -393,13 +478,15 @@ pub(crate) fn handle_packet(
             corrupt,
             body,
         } => {
-            obs.inc(Ctr::MsgsIn);
-            obs.add(Ctr::BytesIn, body.wire_bytes());
+            let ops = body.len() as u64;
+            obs.inc(Ctr::FramesIn);
+            obs.add(Ctr::MsgsIn, ops);
+            obs.add(Ctr::BytesIn, frame_bytes(&body));
             let rx = &mut st.rx[from];
             if seq <= rx.delivered {
                 // Duplicate (injected, or a retransmission racing the
                 // ack): drop it, re-ack so the sender converges.
-                obs.inc(Ctr::DedupDrops);
+                obs.add(Ctr::DedupDrops, ops);
                 obs.trace_at(
                     shared.rel_ns(now),
                     EventKind::DedupDrop,
@@ -407,7 +494,7 @@ pub(crate) fn handle_packet(
                     seq as u32,
                 );
                 rx.ack_pending = true;
-                return;
+                return ops;
             }
             if corrupt || seq != rx.delivered + 1 {
                 // Damaged, or ahead of a gap (an earlier frame was lost):
@@ -415,18 +502,18 @@ pub(crate) fn handle_packet(
                 // next NACK.
                 match rx.park(seq, (!corrupt).then_some(body)) {
                     Parked::Held => {}
-                    Parked::Duplicate => obs.inc(Ctr::DedupDrops),
-                    Parked::Dropped => obs.inc(Ctr::DamagedDrops),
+                    Parked::Duplicate => obs.add(Ctr::DedupDrops, ops),
+                    Parked::Dropped => obs.add(Ctr::DamagedDrops, ops),
                 }
                 rx.nack_pending = true;
-                return;
+                return ops;
             }
             rx.advance();
             rx.ack_pending = true;
-            let mut ready = if shed && body.is_request() {
+            let mut ready = if shed && body.iter().all(Payload::is_request) {
                 rx.rejected_new.push(seq);
-                obs.inc(Ctr::Sheds);
-                shared.health[node].shed.fetch_add(1, Ordering::Relaxed);
+                obs.add(Ctr::Sheds, ops);
+                shared.health[node].shed.fetch_add(ops, Ordering::Relaxed);
                 obs.trace_at(shared.rel_ns(now), EventKind::Shed, from as u16, seq as u32);
                 rx.next_ready()
             } else {
@@ -436,11 +523,14 @@ pub(crate) fn handle_packet(
             // just closed — everything parked behind it that is now
             // contiguous, in order. Parked frames were accepted before
             // any overload verdict, so they are never shed.
-            while let Some(body) = ready {
-                obs.inc(Ctr::OpsApplied);
-                apply_data(shared, st, node, now, from, body);
+            while let Some(frame) = ready {
+                obs.add(Ctr::OpsApplied, frame.len() as u64);
+                for op in frame.iter() {
+                    apply_data(shared, st, node, now, from, op);
+                }
                 ready = st.rx[from].next_ready();
             }
+            return ops;
         }
         WireMsg::AckUpto {
             from,
@@ -452,8 +542,7 @@ pub(crate) fn handle_packet(
             // trace is decimated like the other hot-path events. The
             // resync span in the Chrome exporter tolerates a missed ack:
             // it falls back to the (never-sampled) Hello event.
-            st.obs_tick = st.obs_tick.wrapping_add(1);
-            if st.obs_tick & OBS_SAMPLE_MASK == 0 {
+            if sampled(&mut st.ticks.ack_in) {
                 obs.trace_at(
                     shared.rel_ns(now),
                     EventKind::AckIn,
@@ -501,11 +590,12 @@ pub(crate) fn handle_packet(
             st.tx[from].resync_hint = true;
         }
     }
+    1
 }
 
 /// Re-sends `frames` (retained copies) from `node` straight into `dst`'s
-/// ring, each transmission judged by the fault injector like a first
-/// one; stops early when the ring fills (what is left is recovered by a
+/// ring, each — one packet, however many operations — judged once by the
+/// fault injector; stops early when the ring fills (what is left is recovered by a
 /// later NACK or the RTO). Counts and traces what it re-sent.
 fn resend<'a>(
     shared: &Shared,
@@ -518,29 +608,19 @@ fn resend<'a>(
     let mut pushed = false;
     let mut resent = 0u32;
     'frames: for r in frames {
-        let mut corrupt = false;
-        let mut copies = 1;
-        if let Some(faults) = &shared.faults {
-            if faults.packet_faults_possible() {
-                let fate = faults.judge(node);
-                if fate.drop || fate.corrupt || fate.duplicate {
-                    obs.inc(Ctr::FaultsInjected);
-                }
-                if fate.drop {
-                    continue; // the *retransmit* was dropped; a later pass retries
-                }
-                corrupt = fate.corrupt;
-                if fate.duplicate {
-                    copies = 2;
-                }
-            }
+        let fate = judge(shared, node);
+        if faulted(fate) {
+            obs.inc(Ctr::FaultsInjected);
         }
-        for _ in 0..copies {
+        if fate.drop {
+            continue; // the *retransmit* was dropped; a later pass retries
+        }
+        for _ in 0..1 + u32::from(fate.duplicate) {
             let frame = WireMsg::Data {
                 from: node,
                 seq: r.seq,
-                corrupt,
-                body: r.body.clone(),
+                corrupt: fate.corrupt,
+                body: Arc::clone(&r.body),
             };
             if shared.wires[dst].try_push(frame).is_err() {
                 break 'frames;

@@ -1,10 +1,13 @@
 //! Selective wire recovery: the receiver's reorder buffer and the
-//! gap-naming NACK. Every scenario streams tagged ENQs from node 0 to a
-//! sink on node 1 over a faulty wire and checks the contract the
-//! sequenced wire layer promises — each payload arrives exactly once, in
-//! order — plus the counters' version of it on the post-shutdown
-//! snapshot (`chaos::telemetry_truth`: every frame a receiver popped was
-//! applied, or dropped as a duplicate, as damaged, or shed).
+//! gap-naming NACK. The first four scenarios stream tagged ENQs from
+//! node 0 to a sink on node 1 over a faulty wire and check the contract
+//! the sequenced wire layer promises — each payload arrives exactly once,
+//! in order — plus the counters' version of it on the post-shutdown
+//! snapshot (`chaos::telemetry_truth`: every operation a receiver popped
+//! was applied, or dropped as a duplicate, as damaged, or shed). The last
+//! three are about the unit all of that works in, the coalesced frame:
+//! a burst shares sequence numbers, per-destination order survives the
+//! split into frames, and nothing waits for company.
 //!
 //! Seeded and deterministic in the injector's *decisions*; thread
 //! interleaving varies, so the assertions are on protocol invariants and
@@ -228,18 +231,22 @@ fn condemned_sender_leaves_no_parked_frame_uncounted() {
 
 #[test]
 fn frame_beyond_the_hold_window_is_dropped_then_recovered() {
-    // The sink's proxy is deaf for its first 50 ms while four processes
-    // flood it: the sender's ring (512) and stash (1024) fill behind the
-    // first dropped frame, and a sender with a stash never retransmits —
-    // so when the sink wakes, more than a hold window of frames arrives
-    // ahead of that gap. The excess must be dropped (the plan corrupts
-    // nothing, so `damaged_drops` counts exactly those) and recovered.
+    // The sink's proxy is deaf for its first 150 ms while four processes
+    // flood it: the sender's ring (512 frames) and stash (1024 frames)
+    // fill behind the first dropped frame, and a sender with a stash
+    // never retransmits — so when the sink wakes, more than a hold window
+    // of frames arrives ahead of that gap. The excess must be dropped
+    // (the plan corrupts nothing, so `damaged_drops` counts exactly the
+    // operations of those frames) and recovered. Ring, stash and hold
+    // window are bounds in frames, so the flood is sized in frames:
+    // 4 × 16 000 ENQs overflow ring + stash even if every frame leaves
+    // full (1 536 frames × 32 operations = 49 152).
     const SENDERS: usize = 4;
-    const PER: u64 = 5_000;
+    const PER: u64 = 16_000;
     let plan =
         RtFaultPlan::new(0xfa12)
             .drop(0.05)
-            .stall(1, Duration::ZERO, Duration::from_millis(50));
+            .stall(1, Duration::ZERO, Duration::from_millis(150));
     let (cluster, srcs, sink) = cluster(plan, SENDERS, false);
     let sink_asid = sink.asid();
     let senders: Vec<_> = srcs
@@ -277,4 +284,138 @@ fn frame_beyond_the_hold_window_is_dropped_then_recovered() {
         scope_counter(&snap, 1, Ctr::DamagedDrops) > 0,
         "no frame arrived beyond the hold window"
     );
+}
+
+/// A sender on node 0 (its proxy deaf for the first 5 ms, so that the
+/// first commands pile up into one burst) and one passive process on
+/// each of nodes `1..=peers`.
+fn burst_cluster(plan: RtFaultPlan, peers: usize) -> (RtCluster, Vec<Endpoint>) {
+    let mut b = RtClusterBuilder::new(peers + 1);
+    for node in 0..=peers {
+        b.add_process(node, 1 << 16);
+    }
+    b.fault_plan(plan.stall(0, Duration::ZERO, Duration::from_millis(5)));
+    b.start()
+}
+
+#[test]
+fn windowed_put_stream_shares_sequence_numbers_and_counts_every_put_once() {
+    // 256 PUTs in flight towards one destination: how the stream splits
+    // into frames is timing, but a frame holds at most the cap, and the
+    // window's worth that is always waiting means far fewer frames than
+    // operations — even though each of the 2.5 % of operations that draw
+    // a fault leaves alone and cuts the burst it was in. Each PUT still
+    // fires its lsync and its rsync once.
+    const N: u64 = 20_000;
+    const WINDOW: u64 = 256;
+    const FRAME_CAP: u64 = 32;
+    let (sent, delivered) = (FlagId(0), FlagId(1));
+    let plan = RtFaultPlan::new(0xf4a3e)
+        .drop(0.01)
+        .duplicate(0.01)
+        .corrupt(0.005);
+    let (cluster, mut eps) = burst_cluster(plan, 1);
+    let sink = eps.pop().expect("sink endpoint");
+    let mut src = eps.pop().expect("sender endpoint");
+    for i in 1..=N {
+        if i > WINDOW {
+            src.wait_flag_timeout(sent, i - WINDOW, WAIT)
+                .expect("window");
+        }
+        let laddr = (i % SLOTS) * 8;
+        src.seg().write_u64(laddr, i);
+        src.put(laddr, sink.asid(), laddr, 8, Some(sent), Some(delivered));
+    }
+    src.wait_flag_timeout(sent, N, WAIT)
+        .expect("every PUT acked");
+    sink.wait_flag_timeout(delivered, N, WAIT)
+        .expect("delivered");
+    for i in N - SLOTS + 1..=N {
+        assert_eq!(sink.seg().read_u64((i % SLOTS) * 8), i, "last lap landed");
+    }
+
+    let snap = stop(cluster, "windowed_puts");
+    chaos::telemetry_truth(&snap).expect("receiver identity");
+    assert_eq!((src.flag(sent), sink.flag(delivered)), (N, N), "once each");
+    assert_eq!(scope_counter(&snap, 0, Ctr::MsgsOut), N);
+    assert_eq!(scope_counter(&snap, 1, Ctr::OpsApplied), N);
+    let frames = scope_counter(&snap, 0, Ctr::FramesOut);
+    assert!(
+        (N.div_ceil(FRAME_CAP)..=N / 4).contains(&frames),
+        "{N} PUTs left in {frames} frames"
+    );
+    assert!(
+        snap.total(Ctr::Retransmits) > 0,
+        "the plan must have bitten"
+    );
+}
+
+#[test]
+fn interleaved_burst_keeps_per_destination_submission_order() {
+    // PUT / GET / ENQ rounds alternate between two destinations. Within
+    // a destination's stream the order is the submission order, however
+    // the burst was cut into frames: GET `i` reads what PUT `i` wrote
+    // (PUT `i + 1` to the same word comes after it), and the ENQ tags
+    // arrive ascending.
+    const ROUNDS: u64 = 300;
+    const WORD: u64 = 1 << 13;
+    let done = FlagId(0);
+    let (cluster, mut eps) = burst_cluster(RtFaultPlan::new(7), 2);
+    let sinks = eps.split_off(1);
+    let mut src = eps.pop().expect("sender endpoint");
+    for i in 1..=ROUNDS {
+        // The command queue backpressures a sender this far ahead.
+        for (d, sink) in sinks.iter().enumerate() {
+            let out = (2 * i + d as u64) * 8;
+            let back = WORD + out;
+            src.seg().write_u64(out, i << d);
+            src.put(out, sink.asid(), WORD, 8, None, None);
+            src.get(back, sink.asid(), WORD, 8, Some(done));
+            src.enq(out, sink.asid(), RqId(0), 8, Some(done), None);
+        }
+    }
+    src.wait_flag_timeout(done, 4 * ROUNDS, WAIT)
+        .expect("all done");
+    for (d, sink) in sinks.iter().enumerate() {
+        let tags = drain(sink, RqId(0), ROUNDS, WAIT);
+        let want: Vec<u64> = (1..=ROUNDS).map(|i| i << d).collect();
+        assert_eq!(tags, want, "destination {d}: ENQ order");
+        for i in 1..=ROUNDS {
+            let back = WORD + (2 * i + d as u64) * 8;
+            assert_eq!(src.seg().read_u64(back), i << d, "destination {d}: GET {i}");
+        }
+    }
+    let snap = stop(cluster, "interleaved_burst");
+    let (frames, msgs) = (
+        scope_counter(&snap, 0, Ctr::FramesOut),
+        scope_counter(&snap, 0, Ctr::MsgsOut),
+    );
+    assert_eq!(msgs, 6 * ROUNDS);
+    assert!(frames < msgs, "the burst was coalesced: {frames} frames");
+}
+
+#[test]
+fn operation_submitted_alone_leaves_at_once_as_a_frame_of_one() {
+    // Strictly one operation in flight: nothing may wait for company, so
+    // every frame — the GET replies coming back included — holds one
+    // operation, and each wait completes without a flush timer existing.
+    const ROUNDS: u64 = 200;
+    let (put, got, enq) = (FlagId(0), FlagId(1), FlagId(2));
+    let (cluster, mut srcs, sink) = cluster(RtFaultPlan::new(1), 1, false);
+    let mut src = srcs.pop().expect("sender endpoint");
+    for i in 1..=ROUNDS {
+        src.seg().write_u64(0, i);
+        src.put(0, sink.asid(), 0, 8, Some(put), None);
+        src.wait_flag_timeout(put, i, WAIT).expect("put");
+        src.get(8, sink.asid(), 0, 8, Some(got));
+        src.wait_flag_timeout(got, i, WAIT).expect("get");
+        assert_eq!(src.seg().read_u64(8), i);
+        src.enq(0, sink.asid(), RqId(0), 8, Some(enq), None);
+        src.wait_flag_timeout(enq, i, WAIT).expect("enq");
+        assert_eq!(pop_tag(&sink, RqId(0)), Some(i));
+    }
+    let snap = stop(cluster, "one_at_a_time");
+    assert_eq!(snap.total(Ctr::MsgsOut), 4 * ROUNDS);
+    assert_eq!(snap.total(Ctr::FramesOut), snap.total(Ctr::MsgsOut));
+    assert_eq!(snap.total(Ctr::FramesIn), snap.total(Ctr::MsgsIn));
 }
