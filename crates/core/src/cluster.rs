@@ -407,7 +407,7 @@ impl Cluster {
                     continue;
                 }
                 windows.sort_by(|a, b| a.at_us.total_cmp(&b.at_us));
-                ctx.spawn(engine::reliable::crash_driver(
+                ctx.spawn(engine::drivers::crash_driver(
                     Rc::clone(&state),
                     n,
                     windows,

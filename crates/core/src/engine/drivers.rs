@@ -18,13 +18,15 @@
 
 use std::rc::Rc;
 
-use mproxy_des::Dur;
+use mproxy_des::{Dur, SimTime};
+use mproxy_simnet::CrashWindow;
 
 use crate::addr::ProcId;
 use crate::cluster::{ClusterState, NodeState};
 use crate::engine::protocol::{handle_command, handle_packet, retry_deq};
-use crate::engine::reliable::stall_gate;
+use crate::engine::reliable::poison_proc;
 use crate::engine::{BusyScope, Ccb, Command, ProxyInput, WireMsg};
+use crate::error::CommError;
 
 /// The per-node agent loop: message proxy or adapter protocol engine.
 pub(crate) async fn agent_main(node: Rc<NodeState>, cs: Rc<ClusterState>) {
@@ -141,4 +143,84 @@ async fn handle_interrupt(node: &Rc<NodeState>, cs: &Rc<ClusterState>, msg: Wire
     }
     drop(busy);
     drop(guard);
+}
+
+/// If the fault plan stalls `node` right now — or its proxy is down inside
+/// a crash window — freezes the caller (the node's communication agent)
+/// until the window ends.
+pub(crate) async fn stall_gate(node: &NodeState, cs: &ClusterState) {
+    let Some(faults) = &cs.faults else { return };
+    // Re-check after waking: windows may abut or interleave.
+    loop {
+        let now = cs.ctx.now();
+        let now_us = now.as_us();
+        let stall = faults.stall_end(node.id, now_us);
+        let crash = faults.crash_end(node.id, now_us);
+        let end_us = match (stall, crash) {
+            (Some(s), Some(c)) => s.max(c),
+            (Some(s), None) => s,
+            (None, Some(c)) => c,
+            (None, None) => return,
+        };
+        // The window bounds are f64 microseconds but the calendar ticks in
+        // integer nanoseconds, so `end_us` can round to an instant at or
+        // before `now` (the wake-up from the previous iteration): the rest
+        // of the window is unrepresentable, hence already over. Without
+        // this tick-domain check the `delay_until` below completes
+        // immediately and the loop re-reads the same window forever — a
+        // synchronous livelock that never yields to the executor.
+        let end = SimTime::ZERO + Dur::from_us(end_us);
+        if end <= now {
+            return;
+        }
+        cs.ctx.delay_until(end).await;
+    }
+}
+
+/// Drives the crash windows of one node: at each `at_us` the node's link
+/// layer [`crash`]es (volatile state lost, epoch bumped) and the proxy's
+/// in-memory work is wiped — queued commands fail their submitters with
+/// [`CommError::EpochReset`], queued packets vanish (the senders'
+/// retransmit timers re-deliver them), and every outstanding CCB fails
+/// its owner (its reply can no longer be matched). The engine task itself
+/// is frozen across the window by [`stall_gate`]; at `restart_us` the
+/// link layer [`restart`]s and opens the HELLO handshake.
+///
+/// [`crash`]: crate::engine::reliable::LinkLayer::crash
+/// [`restart`]: crate::engine::reliable::LinkLayer::restart
+pub(crate) async fn crash_driver(
+    cs: Rc<ClusterState>,
+    node: usize,
+    windows: Vec<CrashWindow>,
+) {
+    for w in windows {
+        cs.ctx
+            .delay_until(SimTime::ZERO + Dur::from_us(w.at_us))
+            .await;
+        let ns = &cs.nodes[node];
+        let Some(link) = &ns.link else { return };
+        let epoch = link.crash();
+        while let Some(input) = ns.proxy_input.try_recv() {
+            match input {
+                ProxyInput::Cmd(cmd, _) => poison_proc(
+                    cs.proc(cmd.src()),
+                    CommError::EpochReset { node, epoch },
+                ),
+                // Undelivered packets and re-probe ticks die with the
+                // proxy's memory image.
+                ProxyInput::Pkt(_) | ProxyInput::RetryDeq(_) => {}
+            }
+        }
+        let ccbs: Vec<Ccb> = ns.ccbs.borrow_mut().drain().map(|(_, c)| c).collect();
+        for ccb in ccbs {
+            let proc = match ccb {
+                Ccb::Get { proc, .. } | Ccb::PutAck { proc, .. } | Ccb::Deq { proc, .. } => proc,
+            };
+            poison_proc(cs.proc(proc), CommError::EpochReset { node, epoch });
+        }
+        cs.ctx
+            .delay_until(SimTime::ZERO + Dur::from_us(w.restart_us))
+            .await;
+        link.restart();
+    }
 }

@@ -91,7 +91,7 @@ impl Command {
 }
 
 /// Wire messages exchanged between nodes.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub(crate) enum WireMsg {
     PutData {
         dst: ProcId,

@@ -3,68 +3,67 @@
 //! The paper assumes a lossless network; this module removes that
 //! assumption so the fault-injection substrate (`mproxy_simnet::FaultPlan`)
 //! can exercise the fabric. Each node's communication agent owns one
-//! [`LinkLayer`] implementing a per-destination sliding protocol:
+//! [`LinkLayer`], which keeps one [`PeerLink`] per peer node.
 //!
-//! * every data message carries a per-destination **sequence number**
-//!   (starting at 1; 0 marks unsequenced control traffic) and a structural
-//!   **checksum** of its payload;
-//! * the receiving agent **acknowledges** every sequenced packet — also
-//!   duplicates, so lost ACKs heal — **NACKs** checksum failures for an
-//!   immediate resend, discards duplicates, and holds out-of-order
-//!   arrivals in a reorder buffer until the gap fills, delivering
-//!   **exactly once, in order**;
-//! * acknowledgements are **cumulative**: an ACK carries the receiver's
-//!   in-order delivery watermark and retires every pending entry at or
-//!   below it, so the sender's retransmit buffer reflects exactly what the
-//!   receiver has *consumed* (an out-of-order packet parked in the reorder
-//!   buffer stays the sender's responsibility until its gap fills — which
-//!   is what makes crash recovery sound);
-//! * the sender keeps unacknowledged messages in a **bounded** pending
-//!   table (at most [`crate::ClusterSpec::link_window`] per destination;
-//!   overflow parks in a FIFO backlog and is promoted as ACKs free slots,
-//!   so memory stays O(window) under sustained drop storms) and
-//!   retransmits on a timer following [`RetryPolicy`] exponential backoff;
-//!   when the budget is exhausted the destination is declared dead and
-//!   the submitting process is failed with [`CommError::Unreachable`]
-//!   instead of waiting forever;
-//! * every connection carries an **epoch** (the upper [`EPOCH_BITS`] bits
-//!   of the wire sequence). A proxy crash ([`FaultPlan::crash`]) loses all
-//!   volatile link state — sequence counters, the retransmit buffer, the
-//!   backlog — and restarts into the next epoch, announcing itself with a
-//!   `HELLO { epoch, last_delivered }` handshake: survivors prune their
-//!   retransmit buffers to the reported watermark, replay the remainder
-//!   idempotently, purge stale-epoch holds, and answer `HELLO-ACK` with
-//!   their own watermark so the restarted node resumes numbering where
-//!   they expect it. Work that was in flight from the crashed node and
-//!   never acknowledged is unrecoverable; its owners are failed with
-//!   [`CommError::EpochReset`].
+//! The *sequencing* — numbering what is sent, retaining it until it is
+//! cumulatively acknowledged, parking out-of-order arrivals in a bounded
+//! window, delivering **exactly once, in order** — is
+//! [`mproxy_model::link`] ([`Retention`], [`Reorder`]), the core the
+//! threaded runtime's wire layer runs on too. This module is the
+//! simulator's *driver* of that core — what it decides, and when:
+//!
+//! * **Unit.** One packet per operation. Every data message carries a
+//!   per-destination sequence number (starting at 1; 0 marks unsequenced
+//!   control traffic) and a structural **checksum** of its payload.
+//! * **Timer.** One cancellable timer per pending packet, following
+//!   [`RetryPolicy`] exponential backoff; when the budget is exhausted
+//!   the destination is declared dead and the submitting process is
+//!   failed with [`CommError::Unreachable`] instead of waiting forever.
+//! * **Ack cadence.** The receiving agent acknowledges every valid
+//!   sequenced packet — also duplicates, so lost ACKs heal — with its
+//!   **cumulative** in-order watermark, so the sender's retransmit buffer
+//!   reflects exactly what the receiver has *consumed*
+//!   ([`LinkLayer::accept`] has why that makes crash recovery sound).
+//! * **NACK trigger.** Checksum failures only, for an immediate resend; a
+//!   gap (or a packet beyond the reorder window, which is dropped) is
+//!   healed by the sender's timer.
+//! * **Window.** At most [`crate::ClusterSpec::link_window`] unacknowledged
+//!   packets per destination; overflow parks in a FIFO backlog and is
+//!   promoted as ACKs free slots, so memory stays O(window) under
+//!   sustained drop storms — at the receiver too, whose reorder buffer
+//!   spans the same window.
+//! * **Epoch.** Every connection carries an epoch (the upper
+//!   [`EPOCH_BITS`] bits of the wire sequence). A proxy crash
+//!   ([`crate::FaultPlan::crash`]) loses all volatile link state
+//!   ([`LinkLayer::crash`]) and restarts into the next epoch, announcing
+//!   itself with a `HELLO { epoch, last_delivered }` handshake
+//!   ([`LinkLayer::restart`]): survivors prune their retransmit buffers
+//!   to the reported watermark, replay the remainder idempotently, purge
+//!   stale-epoch holds, and answer `HELLO-ACK` with their own watermark
+//!   so the restarted node resumes numbering where they expect it. Work
+//!   in flight from the crashed node and never acknowledged is
+//!   unrecoverable; its owners are failed with [`CommError::EpochReset`].
 //!
 //! The layer is engaged only when the cluster is built with a fault plan
 //! ([`crate::Cluster::new_with_faults`]); fault-free clusters take the
-//! original direct send path and their timing is bit-identical to before.
-//! Epochs start at 0, so runs without crash windows put identical bits on
-//! the wire as before the epoch field existed.
-//!
-//! Failure surfacing: the discrete-event executor has no cancellation, so
-//! a failed process is *poisoned* — its [`CommError`] is recorded, every
-//! synchronisation-flag counter is bumped past any realistic target to
-//! wake waiters, and its receive queues are closed. Waiters using
-//! [`crate::Proc::wait_flag_result`] observe the error; plain waits panic
-//! with the error message rather than deadlock.
+//! direct send path, and epochs start at 0, so neither reliability nor
+//! crash recovery costs a run that does not ask for it a single bit.
+//! Failures surface by [`poison_proc`].
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, VecDeque};
-
-use crate::fxhash::FxHashMap;
+use std::collections::VecDeque;
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
-use mproxy_des::{Dur, SimCtx, SimTime, TimerHandle, TimerOutcome};
-use mproxy_simnet::{CrashWindow, NetPort, NodeId, Packet};
+use mproxy_des::{Dur, SimCtx, TimerHandle, TimerOutcome};
+use mproxy_model::link::{Reorder, Retention};
+use mproxy_simnet::{NetPort, NodeId, Packet};
 
 use crate::addr::ProcId;
-use crate::cluster::{ClusterState, NodeState, ProcState};
-use crate::engine::{Ccb, ProxyInput, WireMsg};
+use crate::cluster::{NodeState, ProcState};
+use crate::engine::WireMsg;
 use crate::error::CommError;
+use crate::fxhash::FxHasher;
 use crate::retry::RetryPolicy;
 
 /// Flag counters of a poisoned process are advanced by this much, waking
@@ -98,8 +97,13 @@ fn split_seq(wire: u64) -> (u32, u64) {
     ((wire >> EPOCH_SHIFT) as u32, wire & SEQ_MASK)
 }
 
-/// Marks `ps` as failed with `err`: records the error, releases all flag
-/// waiters, and closes receive queues. Idempotent (first error wins).
+/// Marks `ps` as failed with `err`. The discrete-event executor has no
+/// cancellation, so a failed process is *poisoned*: its [`CommError`] is
+/// recorded (first error wins), every synchronisation-flag counter is
+/// bumped past any realistic target to wake waiters, and its receive
+/// queues are closed. Waiters using [`crate::Proc::wait_flag_result`]
+/// observe the error; plain waits panic with the error message rather
+/// than deadlock.
 pub(crate) fn poison_proc(ps: &ProcState, err: CommError) {
     {
         let mut slot = ps.comm_error.borrow_mut();
@@ -120,170 +124,15 @@ pub(crate) fn poison_proc(ps: &ProcState, err: CommError) {
     }
 }
 
-/// Structural FNV-1a checksum of a wire message. Covers every field the
-/// receiver acts on; corruption is modelled by the packet's `corrupted`
-/// flag, which receivers treat as a mismatch.
+/// Structural checksum of a wire message: the derived [`Hash`] of
+/// [`WireMsg`] — variant, then every field the receiver acts on, payloads
+/// length-prefixed — fed to the crate's deterministic [`FxHasher`].
+/// Corruption is modelled by the packet's `corrupted` flag, which
+/// receivers treat as a mismatch.
 pub(crate) fn wire_checksum(msg: &WireMsg) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    struct Fnv(u64);
-    impl Fnv {
-        fn byte(&mut self, b: u8) {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-        fn u64(&mut self, v: u64) {
-            for b in v.to_le_bytes() {
-                self.byte(b);
-            }
-        }
-        fn u32(&mut self, v: u32) {
-            self.u64(u64::from(v));
-        }
-        fn bytes(&mut self, data: &[u8]) {
-            // Word-at-a-time: payloads dominate the hash cost, and a
-            // structural checksum only needs to be deterministic and
-            // sensitive, not byte-serial.
-            self.u64(data.len() as u64);
-            let mut chunks = data.chunks_exact(8);
-            for c in chunks.by_ref() {
-                let w = u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-                self.0 = (self.0 ^ w).wrapping_mul(PRIME);
-            }
-            for &b in chunks.remainder() {
-                self.byte(b);
-            }
-        }
-        fn flag(&mut self, f: Option<crate::addr::FlagId>) {
-            match f {
-                Some(id) => {
-                    self.byte(1);
-                    self.u32(id.0);
-                }
-                None => self.byte(0),
-            }
-        }
-        fn ack(&mut self, a: Option<(usize, u64)>) {
-            match a {
-                Some((node, token)) => {
-                    self.byte(1);
-                    self.u64(node as u64);
-                    self.u64(token);
-                }
-                None => self.byte(0),
-            }
-        }
-    }
-    let mut h = Fnv(OFFSET);
-    match msg {
-        WireMsg::PutData {
-            dst,
-            raddr,
-            data,
-            rsync,
-            ack,
-            dma,
-        } => {
-            h.byte(1);
-            h.u32(dst.0);
-            h.u64(raddr.0);
-            h.bytes(data);
-            h.flag(*rsync);
-            h.ack(*ack);
-            h.byte(u8::from(*dma));
-        }
-        WireMsg::GetReq {
-            dst,
-            raddr,
-            nbytes,
-            rsync,
-            origin,
-            token,
-            dma,
-        } => {
-            h.byte(2);
-            h.u32(dst.0);
-            h.u64(raddr.0);
-            h.u32(*nbytes);
-            h.flag(*rsync);
-            h.u64(*origin as u64);
-            h.u64(*token);
-            h.byte(u8::from(*dma));
-        }
-        WireMsg::GetReply { token, data, dma } => {
-            h.byte(3);
-            h.u64(*token);
-            h.bytes(data);
-            h.byte(u8::from(*dma));
-        }
-        WireMsg::EnqData {
-            dst,
-            rq,
-            data,
-            rsync,
-            ack,
-        } => {
-            h.byte(4);
-            h.u32(dst.0);
-            h.u32(rq.0);
-            h.bytes(data);
-            h.flag(*rsync);
-            h.ack(*ack);
-        }
-        WireMsg::DeqReq {
-            dst,
-            rq,
-            nbytes,
-            origin,
-            token,
-        } => {
-            h.byte(5);
-            h.u32(dst.0);
-            h.u32(rq.0);
-            h.u32(*nbytes);
-            h.u64(*origin as u64);
-            h.u64(*token);
-        }
-        WireMsg::DeqReply { token, data } => {
-            h.byte(6);
-            h.u64(*token);
-            match data {
-                Some(d) => {
-                    h.byte(1);
-                    h.bytes(d);
-                }
-                None => h.byte(0),
-            }
-        }
-        WireMsg::Ack { token } => {
-            h.byte(7);
-            h.u64(*token);
-        }
-        WireMsg::LinkAck { seq } => {
-            h.byte(8);
-            h.u64(*seq);
-        }
-        WireMsg::LinkNack { seq } => {
-            h.byte(9);
-            h.u64(*seq);
-        }
-        WireMsg::Hello {
-            epoch,
-            last_delivered,
-        } => {
-            h.byte(10);
-            h.u32(*epoch);
-            h.u64(*last_delivered);
-        }
-        WireMsg::HelloAck {
-            epoch,
-            last_delivered,
-        } => {
-            h.byte(11);
-            h.u32(*epoch);
-            h.u64(*last_delivered);
-        }
-    }
-    h.0
+    let mut h = FxHasher::default();
+    msg.hash(&mut h);
+    h.finish()
 }
 
 /// One node's reliable-link state digest: its current epoch plus, per
@@ -326,7 +175,8 @@ pub struct LinkStats {
     pub epoch_resyncs: u64,
 }
 
-#[derive(Debug, Clone)]
+/// A send the link layer is answerable for: pending (sequenced, on the
+/// wire, un-ACKed) or still queued behind a full window.
 struct Pending {
     msg: WireMsg,
     /// Process to fail if the budget runs out (None for replies whose
@@ -338,12 +188,53 @@ struct Pending {
     timer: Option<TimerHandle>,
 }
 
-/// A send parked behind a full window (or an unfinished epoch resync),
-/// not yet assigned a sequence number.
-#[derive(Debug)]
-struct Parked {
-    msg: WireMsg,
-    owner: Option<ProcId>,
+/// Everything one node keeps about its link with one peer node.
+struct PeerLink {
+    /// Last epoch observed from the peer (via its sequenced traffic and
+    /// HELLOs). Survives a crash, like `rx`'s watermark.
+    epoch: u32,
+    /// Un-ACKed sends towards the peer, at most the window.
+    tx: Retention<Pending>,
+    /// FIFO of sends awaiting a window slot (or the end of a resync), not
+    /// yet assigned a sequence number.
+    backlog: VecDeque<Pending>,
+    /// This (restarted) node still owes the peer's HELLO-ACK; data sends
+    /// towards it park in the backlog until the handshake completes.
+    resyncing: bool,
+    /// In-order watermark and reorder buffer of the peer's stream. The
+    /// watermark survives a crash: delivered data lives in process
+    /// memory, which the crash does not erase, and the watermark is
+    /// journaled with it; the parked packets do not.
+    rx: Reorder<WireMsg>,
+}
+
+impl PeerLink {
+    /// Abandons everything queued towards the peer — the retransmit
+    /// buffer (timers disarmed) and the backlog — so that the next send
+    /// carries sequence `next`. Returns the owner of each abandoned send.
+    fn abandon(&mut self, next: u64) -> Vec<Option<ProcId>> {
+        let pending = self.tx.reset(next).into_iter();
+        let abandoned = pending.chain(std::mem::take(&mut self.backlog));
+        abandoned
+            .map(|p| {
+                if let Some(t) = p.timer {
+                    t.cancel();
+                }
+                p.owner
+            })
+            .collect()
+    }
+
+    /// Retires every pending send the peer reports as consumed, disarming
+    /// the retransmission timers right now: their calendar entries are
+    /// discarded lazily and never fire as events.
+    fn retire(&mut self, upto: u64) {
+        for (_, p) in self.tx.release(upto) {
+            if let Some(t) = p.timer {
+                t.cancel();
+            }
+        }
+    }
 }
 
 /// Per-node reliable-delivery state. Self-contained (owns clones of the
@@ -355,27 +246,13 @@ pub(crate) struct LinkLayer {
     port: NetPort<WireMsg>,
     policy: RetryPolicy,
     procs: Vec<Rc<ProcState>>,
-    /// Retransmit-buffer cap per destination; overflow parks in `backlog`.
+    /// Retransmit-buffer cap per destination (overflow parks in the
+    /// backlog) and width of each reorder buffer.
     window: usize,
     /// This node's incarnation; bumped by [`LinkLayer::crash`].
     epoch: Cell<u32>,
-    /// Last epoch observed per peer (via its sequenced traffic and HELLOs).
-    peer_epoch: RefCell<FxHashMap<NodeId, u32>>,
-    next_seq: RefCell<FxHashMap<NodeId, u64>>,
-    /// Un-ACKed sends per destination, ordered by sequence so cumulative
-    /// ACK pruning and crash replay walk them in order.
-    pending: RefCell<FxHashMap<NodeId, BTreeMap<u64, Pending>>>,
-    /// FIFO of sends awaiting a window slot (or the end of a resync).
-    backlog: RefCell<FxHashMap<NodeId, VecDeque<Parked>>>,
-    /// Peers this (restarted) node still owes a HELLO-ACK from; data sends
-    /// towards them park in the backlog until the handshake completes.
-    resyncing: RefCell<Vec<NodeId>>,
-    /// Next expected sequence per source node (first is 1). Survives a
-    /// crash: delivered data lives in process memory, which the crash does
-    /// not erase, and the watermark is journaled with it.
-    expected: RefCell<FxHashMap<NodeId, u64>>,
-    /// Out-of-order arrivals per source, keyed by sequence.
-    held: RefCell<FxHashMap<NodeId, BTreeMap<u64, WireMsg>>>,
+    /// Link state per peer, indexed by node.
+    peers: RefCell<Vec<PeerLink>>,
     stats: RefCell<LinkStats>,
     /// Set by [`LinkLayer::quiesce`] at cluster shutdown: later sends go
     /// out untracked (fire-and-forget) instead of arming retransmission
@@ -393,6 +270,15 @@ impl LinkLayer {
         window: usize,
     ) -> Rc<LinkLayer> {
         assert!(window >= 1, "link window must be at least 1");
+        let peers = (0..port.nodes())
+            .map(|_| PeerLink {
+                epoch: 0,
+                tx: Retention::new(),
+                backlog: VecDeque::new(),
+                resyncing: false,
+                rx: Reorder::new(window),
+            })
+            .collect();
         Rc::new(LinkLayer {
             ctx,
             node,
@@ -401,13 +287,7 @@ impl LinkLayer {
             procs,
             window,
             epoch: Cell::new(0),
-            peer_epoch: RefCell::new(FxHashMap::default()),
-            next_seq: RefCell::new(FxHashMap::default()),
-            pending: RefCell::new(FxHashMap::default()),
-            backlog: RefCell::new(FxHashMap::default()),
-            resyncing: RefCell::new(Vec::new()),
-            expected: RefCell::new(FxHashMap::default()),
-            held: RefCell::new(FxHashMap::default()),
+            peers: RefCell::new(peers),
             stats: RefCell::new(LinkStats::default()),
             closed: Cell::new(false),
         })
@@ -417,30 +297,29 @@ impl LinkLayer {
         *self.stats.borrow()
     }
 
-    /// This node's current epoch and, per peer it has link state with,
-    /// the last sequence sent and the next expected — sorted by peer for
-    /// byte-stable determinism checks.
+    /// This node's current epoch and, per peer it has exchanged sequenced
+    /// traffic with, the last sequence sent and the next expected — in
+    /// peer order, for byte-stable determinism checks.
     pub(crate) fn snapshot(&self) -> LinkSnapshot {
-        let next_seq = self.next_seq.borrow();
-        let expected = self.expected.borrow();
-        let mut peers: Vec<NodeId> = next_seq.keys().chain(expected.keys()).copied().collect();
-        peers.sort_unstable();
-        peers.dedup();
+        let peers = self.peers.borrow();
         let rows = peers
-            .into_iter()
-            .map(|p| {
-                (
-                    p,
-                    next_seq.get(&p).copied().unwrap_or(0),
-                    expected.get(&p).copied().unwrap_or(1),
-                )
-            })
+            .iter()
+            .enumerate()
+            .map(|(p, l)| (p, l.tx.last(), l.rx.delivered() + 1))
+            .filter(|&(_, last, expected)| last > 0 || expected > 1)
             .collect();
         (self.epoch.get(), rows)
     }
 
     fn is_resyncing(&self, dst: NodeId) -> bool {
-        self.resyncing.borrow().contains(&dst)
+        self.peers.borrow()[dst].resyncing
+    }
+
+    /// Fails every process in `owners` with `err`.
+    fn poison(&self, owners: Vec<Option<ProcId>>, err: CommError) {
+        for o in owners.into_iter().flatten() {
+            poison_proc(&self.procs[o.0 as usize], err.clone());
+        }
     }
 
     /// Sends `msg` under reliable delivery. If the window towards `dst`
@@ -454,28 +333,35 @@ impl LinkLayer {
         msg: WireMsg,
         owner: Option<ProcId>,
     ) {
+        let send = Pending {
+            msg,
+            owner,
+            timer: None,
+        };
         if self.closed.get() {
             // Shutdown linger: a stalled engine draining its backlog after
             // the run ended may still answer peers that are already gone.
-            // Transmit once, never retry, never declare anyone unreachable.
-            let seq = self.bump_seq(dst);
-            self.transmit(dst, msg, wire_seq(self.epoch.get(), seq))
+            // Transmit once, never retry, never declare anyone unreachable:
+            // the sequence is consumed and nothing stays retained.
+            let sent = {
+                let tx = &mut self.peers.borrow_mut()[dst].tx;
+                let seq = tx.push(send);
+                tx.release(seq).last()
+            };
+            let (seq, p) = sent.expect("just pushed");
+            self.transmit(dst, p.msg, wire_seq(self.epoch.get(), seq))
                 .await;
             return;
         }
-        let has_slot = !self.is_resyncing(dst)
-            && self.backlog.borrow().get(&dst).is_none_or(VecDeque::is_empty)
-            && self.pending.borrow().get(&dst).map_or(0, BTreeMap::len) < self.window;
-        if !has_slot {
-            self.stats.borrow_mut().backlogged += 1;
-            self.backlog
-                .borrow_mut()
-                .entry(dst)
-                .or_default()
-                .push_back(Parked { msg, owner });
-            return;
+        {
+            let p = &mut self.peers.borrow_mut()[dst];
+            if p.resyncing || !p.backlog.is_empty() || p.tx.len() >= self.window {
+                self.stats.borrow_mut().backlogged += 1;
+                p.backlog.push_back(send);
+                return;
+            }
         }
-        self.transmit_new(dst, msg, owner).await;
+        self.transmit_new(dst, send).await;
     }
 
     /// Puts `msg` on the wire under wire sequence `seq` (0 for unsequenced
@@ -487,34 +373,17 @@ impl LinkLayer {
             .await;
     }
 
-    fn bump_seq(&self, dst: NodeId) -> u64 {
-        let mut m = self.next_seq.borrow_mut();
-        let slot = m.entry(dst).or_insert(0);
-        *slot += 1;
-        *slot
-    }
-
     /// Assigns the next sequence towards `dst`, records the pending entry,
     /// transmits, and arms the retransmission loop.
-    async fn transmit_new(self: &Rc<Self>, dst: NodeId, msg: WireMsg, owner: Option<ProcId>) {
-        let seq = self.bump_seq(dst);
-        {
-            let mut pending = self.pending.borrow_mut();
-            let m = pending.entry(dst).or_default();
-            m.insert(
-                seq,
-                Pending {
-                    msg: msg.clone(),
-                    owner,
-                    timer: None,
-                },
-            );
-            let occupancy = m.len() as u64;
+    async fn transmit_new(self: &Rc<Self>, dst: NodeId, send: Pending) {
+        let msg = send.msg.clone();
+        let seq = {
+            let tx = &mut self.peers.borrow_mut()[dst].tx;
+            let seq = tx.push(send);
             let mut stats = self.stats.borrow_mut();
-            if occupancy > stats.peak_pending {
-                stats.peak_pending = occupancy;
-            }
-        }
+            stats.peak_pending = stats.peak_pending.max(tx.len() as u64);
+            seq
+        };
         self.transmit(dst, msg, wire_seq(self.epoch.get(), seq))
             .await;
         self.arm_retransmit_loop(dst, seq);
@@ -523,40 +392,35 @@ impl LinkLayer {
     /// Promotes parked sends towards `dst` while window slots are free.
     async fn pump_backlog(self: &Rc<Self>, dst: NodeId) {
         loop {
-            if self.is_resyncing(dst)
-                || self.pending.borrow().get(&dst).map_or(0, BTreeMap::len) >= self.window
-            {
-                return;
-            }
-            let next = self
-                .backlog
-                .borrow_mut()
-                .get_mut(&dst)
-                .and_then(VecDeque::pop_front);
-            let Some(p) = next else { return };
-            self.transmit_new(dst, p.msg, p.owner).await;
+            let next = {
+                let p = &mut self.peers.borrow_mut()[dst];
+                if p.resyncing || p.tx.len() >= self.window {
+                    return;
+                }
+                p.backlog.pop_front()
+            };
+            let Some(send) = next else { return };
+            self.transmit_new(dst, send).await;
         }
     }
 
     /// Spawns the retransmission loop for `(dst, seq)`: one task for the
     /// whole lifetime of the pending entry, sleeping on a cancellable
     /// [`mproxy_des::Timer`] per attempt. An arriving ACK disarms the
-    /// current timer through the handle stashed in the pending table, so
+    /// current timer through the handle stashed in the pending entry, so
     /// the loop ends at the instant of acknowledgment and the calendar
     /// never fires a dead retransmission event — the common case on a
-    /// mostly-healthy network. A crash drains the pending table and
+    /// mostly-healthy network. A crash drains the retransmit buffer and
     /// cancels every timer, ending the loop the same way.
     fn arm_retransmit_loop(self: &Rc<Self>, dst: NodeId, seq: u64) {
         let link = Rc::clone(self);
         self.ctx.clone().spawn(async move {
             let mut attempt: u32 = 0;
             loop {
-                let timer = link
-                    .ctx
-                    .timer(Dur::from_us(link.policy.delay_us(attempt)));
+                let timer = link.ctx.timer(Dur::from_us(link.policy.delay_us(attempt)));
                 {
-                    let mut pending = link.pending.borrow_mut();
-                    let Some(p) = pending.get_mut(&dst).and_then(|m| m.get_mut(&seq)) else {
+                    let mut peers = link.peers.borrow_mut();
+                    let Some(p) = peers[dst].tx.get_mut(seq) else {
                         // Acknowledged before the timer was even armed.
                         break;
                     };
@@ -570,12 +434,7 @@ impl LinkLayer {
                 // Fired. The entry can still be gone: an ACK processed at
                 // the very instant of the deadline finds the timer already
                 // in its fired state, and cancelling is then a no-op.
-                let entry = link
-                    .pending
-                    .borrow()
-                    .get(&dst)
-                    .and_then(|m| m.get(&seq))
-                    .map(|p| p.msg.clone());
+                let entry = link.peers.borrow()[dst].tx.get(seq).map(|p| p.msg.clone());
                 let Some(msg) = entry else { break };
                 let sent_so_far = attempt + 1;
                 if link.policy.give_up_after(sent_so_far) {
@@ -599,55 +458,31 @@ impl LinkLayer {
     /// abandons *everything* queued towards it — the whole pending window
     /// and the parked backlog — and fails every owning process, so no
     /// parked send waits forever behind a peer that will never ACK again.
+    /// Numbering towards `dst` carries on where it was.
     fn give_up(&self, dst: NodeId, attempts: u32) {
-        let drained = self.pending.borrow_mut().remove(&dst).unwrap_or_default();
-        let parked = self.backlog.borrow_mut().remove(&dst).unwrap_or_default();
-        let mut abandoned: u64 = 0;
-        let mut owners = Vec::new();
-        for (_, p) in drained {
-            if let Some(t) = p.timer {
-                t.cancel();
-            }
-            if let Some(o) = p.owner {
-                owners.push(o);
-            }
-            abandoned += 1;
-        }
-        for p in parked {
-            if let Some(o) = p.owner {
-                owners.push(o);
-            }
-            abandoned += 1;
-        }
-        self.stats.borrow_mut().unreachable += abandoned;
-        for o in owners {
-            poison_proc(
-                &self.procs[o.0 as usize],
-                CommError::Unreachable { dst, attempts },
-            );
-        }
+        let owners = {
+            let p = &mut self.peers.borrow_mut()[dst];
+            p.abandon(p.tx.last() + 1)
+        };
+        self.stats.borrow_mut().unreachable += owners.len() as u64;
+        self.poison(owners, CommError::Unreachable { dst, attempts });
     }
 
     /// Abandons all retransmission state. Called at cluster shutdown:
     /// once every process body has finished, all message-level results
     /// have provably arrived, so any still-pending entry is only a
     /// link-level ACK the peer never echoed (the peer may already be
-    /// gone). Draining the map and cancelling every retransmission timer
-    /// ends the retry loops at this very instant instead of letting them
-    /// retransmit into closed engines until they declare the node
+    /// gone). Draining the buffers and cancelling every retransmission
+    /// timer ends the retry loops at this very instant instead of letting
+    /// them retransmit into closed engines until they declare the node
     /// unreachable.
     pub(crate) fn quiesce(&self) {
         self.closed.set(true);
-        for (_, m) in self.pending.borrow_mut().drain() {
-            for (_, p) in m {
-                if let Some(t) = p.timer {
-                    t.cancel();
-                }
-            }
+        for p in self.peers.borrow_mut().iter_mut() {
+            p.abandon(p.tx.last() + 1);
+            p.resyncing = false;
+            p.rx.abandon_held();
         }
-        self.backlog.borrow_mut().clear();
-        self.resyncing.borrow_mut().clear();
-        self.held.borrow_mut().clear();
     }
 
     /// Simulates a proxy crash: every piece of volatile link state — the
@@ -656,9 +491,9 @@ impl LinkLayer {
     /// into the next epoch. Owners of un-ACKed sends are failed with
     /// [`CommError::EpochReset`]: their operations may or may not have
     /// taken effect remotely and cannot be replayed transparently. The
-    /// delivery watermarks (`expected`) and observed peer epochs survive:
-    /// delivered data lives in process memory, which the crash does not
-    /// erase, and the watermark is journaled with it.
+    /// delivery watermarks and observed peer epochs survive: delivered
+    /// data lives in process memory, which the crash does not erase, and
+    /// the watermark is journaled with it.
     ///
     /// Every peer is marked as resyncing *immediately*: a command queued
     /// behind the crash instant is serviced the moment the engine thaws at
@@ -670,46 +505,18 @@ impl LinkLayer {
     /// restores sequence agreement.
     ///
     /// Returns the new epoch.
-    pub(crate) fn crash(&self, nodes: usize) -> u32 {
+    pub(crate) fn crash(&self) -> u32 {
         let epoch = self.epoch.get() + 1;
         assert!(u64::from(epoch) < (1 << EPOCH_BITS), "epoch overflow");
         self.epoch.set(epoch);
-        let drained: Vec<_> = self.pending.borrow_mut().drain().collect();
-        for (_, m) in drained {
-            for (_, p) in m {
-                if let Some(t) = p.timer {
-                    t.cancel();
-                }
-                if let Some(o) = p.owner {
-                    poison_proc(
-                        &self.procs[o.0 as usize],
-                        CommError::EpochReset {
-                            node: self.node,
-                            epoch,
-                        },
-                    );
-                }
-            }
+        let mut owners = Vec::new();
+        for (peer, p) in self.peers.borrow_mut().iter_mut().enumerate() {
+            owners.append(&mut p.abandon(1));
+            p.rx.abandon_held();
+            p.resyncing = peer != self.node;
         }
-        let parked: Vec<_> = self.backlog.borrow_mut().drain().collect();
-        for (_, q) in parked {
-            for p in q {
-                if let Some(o) = p.owner {
-                    poison_proc(
-                        &self.procs[o.0 as usize],
-                        CommError::EpochReset {
-                            node: self.node,
-                            epoch,
-                        },
-                    );
-                }
-            }
-        }
-        self.next_seq.borrow_mut().clear();
-        self.held.borrow_mut().clear();
-        let mut resyncing = self.resyncing.borrow_mut();
-        resyncing.clear();
-        resyncing.extend((0..nodes).filter(|&p| p != self.node));
+        let node = self.node;
+        self.poison(owners, CommError::EpochReset { node, epoch });
         epoch
     }
 
@@ -721,23 +528,18 @@ impl LinkLayer {
     /// so it retries every [`HELLO_RETRY_US`].
     pub(crate) fn restart(self: &Rc<Self>) {
         let epoch = self.epoch.get();
-        for peer in self.resyncing.borrow().clone() {
+        let resyncing = (0..self.port.nodes()).filter(|&p| self.is_resyncing(p));
+        for peer in resyncing {
             let link = Rc::clone(self);
             self.ctx.clone().spawn(async move {
-                loop {
-                    if link.closed.get()
-                        || link.epoch.get() != epoch
-                        || !link.is_resyncing(peer)
-                    {
-                        break;
-                    }
-                    let wm = link.expected.borrow().get(&peer).copied().unwrap_or(1) - 1;
+                while !link.closed.get() && link.epoch.get() == epoch && link.is_resyncing(peer) {
+                    let last_delivered = link.peers.borrow()[peer].rx.delivered();
                     link.stats.borrow_mut().hellos_sent += 1;
                     link.send_control(
                         peer,
                         WireMsg::Hello {
                             epoch,
-                            last_delivered: wm,
+                            last_delivered,
                         },
                     )
                     .await;
@@ -755,38 +557,26 @@ impl LinkLayer {
     /// numbering where it is expected. Idempotent, so HELLO retries are
     /// harmless.
     async fn handle_hello(self: &Rc<Self>, src: NodeId, e: u32, last_delivered: u64) {
-        let known = self.peer_epoch.borrow().get(&src).copied().unwrap_or(0);
-        if e < known {
-            self.stats.borrow_mut().stale_discarded += 1;
-            return;
-        }
-        if e > known {
-            self.peer_epoch.borrow_mut().insert(src, e);
-            self.held.borrow_mut().remove(&src);
-        }
-        let (timers, replay) = {
-            let mut pending = self.pending.borrow_mut();
-            match pending.get_mut(&src) {
-                Some(m) => {
-                    let keep = m.split_off(&(last_delivered + 1));
-                    let acked = std::mem::replace(m, keep);
-                    let timers: Vec<_> = acked.into_values().filter_map(|p| p.timer).collect();
-                    let replay: Vec<(u64, WireMsg)> =
-                        m.iter().map(|(s, p)| (*s, p.msg.clone())).collect();
-                    (timers, replay)
-                }
-                None => (Vec::new(), Vec::new()),
+        let (replay, wm) = {
+            let p = &mut self.peers.borrow_mut()[src];
+            if e < p.epoch {
+                self.stats.borrow_mut().stale_discarded += 1;
+                return;
             }
+            if e > p.epoch {
+                p.epoch = e;
+                p.rx.abandon_held();
+            }
+            p.retire(last_delivered);
+            let replay: Vec<(u64, WireMsg)> =
+                p.tx.iter().map(|(s, p)| (s, p.msg.clone())).collect();
+            (replay, p.rx.delivered())
         };
-        for t in timers {
-            t.cancel();
-        }
         let epoch = self.epoch.get();
         self.stats.borrow_mut().replayed += replay.len() as u64;
         for (s, msg) in replay {
             self.transmit(src, msg, wire_seq(epoch, s)).await;
         }
-        let wm = self.expected.borrow().get(&src).copied().unwrap_or(1) - 1;
         self.send_control(
             src,
             WireMsg::HelloAck {
@@ -810,177 +600,105 @@ impl LinkLayer {
     /// deliverable to the protocol engine (in order; possibly several when
     /// a gap closes, possibly none).
     pub(crate) async fn accept(self: &Rc<Self>, pkt: Packet<WireMsg>) -> Vec<WireMsg> {
-        let Packet {
-            src,
-            seq,
-            checksum,
-            corrupted,
-            message,
-            ..
-        } = pkt;
-        let valid = !corrupted && checksum == wire_checksum(&message);
-        match message {
+        let (src, seq) = (pkt.src, pkt.seq);
+        if pkt.corrupted || pkt.checksum != wire_checksum(&pkt.message) {
+            // Damaged control (and unsequenced data) is dropped; recovery
+            // is timer-driven. A damaged sequenced packet is NACKed for an
+            // immediate resend.
+            if seq != 0 {
+                self.stats.borrow_mut().nacks_sent += 1;
+                self.send_control(src, WireMsg::LinkNack { seq }).await;
+            }
+            return Vec::new();
+        }
+        let mut out = Vec::new();
+        match pkt.message {
+            WireMsg::LinkAck { seq: echo } | WireMsg::LinkNack { seq: echo }
+                if split_seq(echo).0 != self.epoch.get() =>
+            {
+                // An echo of a dead incarnation's traffic.
+                self.stats.borrow_mut().stale_discarded += 1;
+            }
             WireMsg::LinkAck { seq: acked } => {
-                // Corrupted control is dropped; recovery is timer-driven.
-                if valid {
-                    let (e, wm) = split_seq(acked);
-                    if e == self.epoch.get() {
-                        // Cumulative: the watermark retires every pending
-                        // entry the receiver has consumed in order.
-                        let timers: Vec<TimerHandle> = {
-                            let mut pending = self.pending.borrow_mut();
-                            match pending.get_mut(&src) {
-                                Some(m) => {
-                                    let keep = m.split_off(&(wm + 1));
-                                    let acked_entries = std::mem::replace(m, keep);
-                                    acked_entries
-                                        .into_values()
-                                        .filter_map(|p| p.timer)
-                                        .collect()
-                                }
-                                None => Vec::new(),
-                            }
-                        };
-                        for t in timers {
-                            // Disarm the retransmission timers right now:
-                            // their calendar entries are discarded lazily
-                            // and never fire as events.
-                            t.cancel();
-                        }
-                        self.pump_backlog(src).await;
-                    } else {
-                        // An echo of a dead incarnation's traffic.
-                        self.stats.borrow_mut().stale_discarded += 1;
-                    }
-                }
-                Vec::new()
+                // Cumulative: the watermark retires every pending entry
+                // the receiver has consumed in order.
+                self.peers.borrow_mut()[src].retire(split_seq(acked).1);
+                self.pump_backlog(src).await;
             }
             WireMsg::LinkNack { seq: nacked } => {
-                if valid {
-                    let (e, s) = split_seq(nacked);
-                    if e == self.epoch.get() {
-                        let entry = self
-                            .pending
-                            .borrow()
-                            .get(&src)
-                            .and_then(|m| m.get(&s))
-                            .map(|p| p.msg.clone());
-                        if let Some(msg) = entry {
-                            self.stats.borrow_mut().retransmits += 1;
-                            self.transmit(src, msg, nacked).await;
-                        }
-                    } else {
-                        self.stats.borrow_mut().stale_discarded += 1;
-                    }
+                let s = split_seq(nacked).1;
+                let entry = self.peers.borrow()[src].tx.get(s).map(|p| p.msg.clone());
+                if let Some(msg) = entry {
+                    self.stats.borrow_mut().retransmits += 1;
+                    self.transmit(src, msg, nacked).await;
                 }
-                Vec::new()
             }
             WireMsg::Hello {
                 epoch,
                 last_delivered,
-            } => {
-                if valid {
-                    self.handle_hello(src, epoch, last_delivered).await;
-                }
-                Vec::new()
-            }
+            } => self.handle_hello(src, epoch, last_delivered).await,
             WireMsg::HelloAck {
                 epoch,
                 last_delivered,
             } => {
-                if valid {
-                    if epoch == self.epoch.get() && self.is_resyncing(src) {
-                        // Resume numbering where the survivor expects it.
-                        self.resyncing.borrow_mut().retain(|&p| p != src);
-                        self.next_seq.borrow_mut().insert(src, last_delivered);
-                        self.stats.borrow_mut().epoch_resyncs += 1;
-                        self.pump_backlog(src).await;
-                    } else {
-                        self.stats.borrow_mut().stale_discarded += 1;
-                    }
-                }
-                Vec::new()
-            }
-            message if seq == 0 => {
-                // Unsequenced data only occurs when reliability is off for
-                // the sender; deliver as-is (nothing to ACK or dedup).
-                if valid {
-                    vec![message]
-                } else {
-                    Vec::new()
-                }
-            }
-            message => {
-                if !valid {
-                    self.stats.borrow_mut().nacks_sent += 1;
-                    self.send_control(src, WireMsg::LinkNack { seq }).await;
-                    return Vec::new();
-                }
-                let (e, s) = split_seq(seq);
-                let known = self.peer_epoch.borrow().get(&src).copied().unwrap_or(0);
-                if e != known {
-                    // A dead incarnation's packet — or a new incarnation's
-                    // data racing ahead of its HELLO under reordering.
-                    // Discard without ACK; the sender's timer (and the
-                    // handshake) heal it.
-                    self.stats.borrow_mut().stale_discarded += 1;
-                    return Vec::new();
-                }
-                let expected = *self.expected.borrow().get(&src).unwrap_or(&1);
-                let mut out = Vec::new();
-                if s < expected {
-                    self.stats.borrow_mut().dups_discarded += 1;
-                } else if s > expected {
-                    // Re-inserting a duplicate of a held seq just overwrites
-                    // it with identical content.
-                    self.stats.borrow_mut().held_out_of_order += 1;
-                    self.held
-                        .borrow_mut()
-                        .entry(src)
-                        .or_default()
-                        .insert(s, message);
-                } else {
-                    out.push(message);
-                    let mut next = expected + 1;
+                if epoch == self.epoch.get() && self.is_resyncing(src) {
+                    // Resume numbering where the survivor expects it.
                     {
-                        let mut held = self.held.borrow_mut();
-                        if let Some(h) = held.get_mut(&src) {
-                            while let Some(m) = h.remove(&next) {
-                                out.push(m);
-                                next += 1;
-                            }
-                        }
+                        let p = &mut self.peers.borrow_mut()[src];
+                        p.resyncing = false;
+                        p.tx.reset(last_delivered + 1);
                     }
-                    self.expected.borrow_mut().insert(src, next);
+                    self.stats.borrow_mut().epoch_resyncs += 1;
+                    self.pump_backlog(src).await;
+                } else {
+                    self.stats.borrow_mut().stale_discarded += 1;
                 }
-                // ACK everything valid — including duplicates, so the
-                // sender stops retransmitting even if its first ACK died.
-                // Sent *after* delivery bookkeeping: the ACK carries the
-                // in-order watermark, so the sender retires exactly what
-                // has been consumed — an out-of-order hold stays the
-                // sender's responsibility until its gap fills, which is
-                // what makes a receiver crash recoverable.
-                self.stats.borrow_mut().acks_sent += 1;
-                let wm = *self.expected.borrow().get(&src).unwrap_or(&1) - 1;
-                self.send_control(
-                    src,
-                    WireMsg::LinkAck {
-                        seq: wire_seq(known, wm),
-                    },
-                )
-                .await;
-                out
+            }
+            // Unsequenced data only occurs when reliability is off for
+            // the sender; deliver as-is (nothing to ACK or dedup).
+            message if seq == 0 => out.push(message),
+            message => {
+                let (e, s) = split_seq(seq);
+                let ack = {
+                    let p = &mut self.peers.borrow_mut()[src];
+                    let mut stats = self.stats.borrow_mut();
+                    if e != p.epoch {
+                        // A dead incarnation's packet — or a new
+                        // incarnation's data racing ahead of its HELLO
+                        // under reordering. Discard without ACK; the
+                        // sender's timer (and the handshake) heal it.
+                        stats.stale_discarded += 1;
+                        return out;
+                    }
+                    let expected = p.rx.delivered() + 1;
+                    if s < expected {
+                        stats.dups_discarded += 1;
+                    } else if s > expected {
+                        // Parked until its gap fills — unless a copy is
+                        // parked already, or it lies beyond the window and
+                        // is dropped: the sender's timer brings it back.
+                        stats.held_out_of_order += 1;
+                        p.rx.park(s, Some(message));
+                    } else {
+                        out.push(message);
+                        p.rx.advance();
+                        out.extend(std::iter::from_fn(|| p.rx.next_ready()));
+                    }
+                    // ACK everything valid — including duplicates, so the
+                    // sender stops retransmitting even if its first ACK
+                    // died. Sent *after* delivery bookkeeping: the ACK
+                    // carries the in-order watermark, so the sender retires
+                    // exactly what has been consumed — an out-of-order hold
+                    // stays the sender's responsibility until its gap
+                    // fills, which is what makes a receiver crash
+                    // recoverable.
+                    stats.acks_sent += 1;
+                    wire_seq(p.epoch, p.rx.delivered())
+                };
+                self.send_control(src, WireMsg::LinkAck { seq: ack }).await;
             }
         }
-    }
-}
-
-impl std::fmt::Debug for LinkLayer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LinkLayer")
-            .field("node", &self.node)
-            .field("pending", &self.pending.borrow().len())
-            .finish()
+        out
     }
 }
 
@@ -994,88 +712,13 @@ pub(crate) async fn send_wire(node: &NodeState, dst: NodeId, msg: WireMsg, owner
     }
 }
 
-/// If the fault plan stalls `node` right now — or its proxy is down inside
-/// a crash window — freezes the caller (the node's communication agent)
-/// until the window ends.
-pub(crate) async fn stall_gate(node: &NodeState, cs: &ClusterState) {
-    let Some(faults) = &cs.faults else { return };
-    // Re-check after waking: windows may abut or interleave.
-    loop {
-        let now = cs.ctx.now();
-        let now_us = now.as_us();
-        let stall = faults.stall_end(node.id, now_us);
-        let crash = faults.crash_end(node.id, now_us);
-        let end_us = match (stall, crash) {
-            (Some(s), Some(c)) => s.max(c),
-            (Some(s), None) => s,
-            (None, Some(c)) => c,
-            (None, None) => return,
-        };
-        // The window bounds are f64 microseconds but the calendar ticks in
-        // integer nanoseconds, so `end_us` can round to an instant at or
-        // before `now` (the wake-up from the previous iteration): the rest
-        // of the window is unrepresentable, hence already over. Without
-        // this tick-domain check the `delay_until` below completes
-        // immediately and the loop re-reads the same window forever — a
-        // synchronous livelock that never yields to the executor.
-        let end = SimTime::ZERO + Dur::from_us(end_us);
-        if end <= now {
-            return;
-        }
-        cs.ctx.delay_until(end).await;
-    }
-}
-
-/// Drives the crash windows of one node: at each `at_us` the node's link
-/// layer [`LinkLayer::crash`]es (volatile state lost, epoch bumped) and
-/// the proxy's in-memory work is wiped — queued commands fail their
-/// submitters with [`CommError::EpochReset`], queued packets vanish (the
-/// senders' retransmit timers re-deliver them), and every outstanding CCB
-/// fails its owner (its reply can no longer be matched). The engine task
-/// itself is frozen across the window by [`stall_gate`]; at `restart_us`
-/// the link layer [`LinkLayer::restart`]s and opens the HELLO handshake.
-pub(crate) async fn crash_driver(
-    cs: Rc<ClusterState>,
-    node: usize,
-    windows: Vec<CrashWindow>,
-) {
-    for w in windows {
-        cs.ctx
-            .delay_until(SimTime::ZERO + Dur::from_us(w.at_us))
-            .await;
-        let ns = &cs.nodes[node];
-        let Some(link) = &ns.link else { return };
-        let epoch = link.crash(cs.spec.nodes);
-        while let Some(input) = ns.proxy_input.try_recv() {
-            match input {
-                ProxyInput::Cmd(cmd, _) => poison_proc(
-                    cs.proc(cmd.src()),
-                    CommError::EpochReset { node, epoch },
-                ),
-                // Undelivered packets and re-probe ticks die with the
-                // proxy's memory image.
-                ProxyInput::Pkt(_) | ProxyInput::RetryDeq(_) => {}
-            }
-        }
-        let ccbs: Vec<Ccb> = ns.ccbs.borrow_mut().drain().map(|(_, c)| c).collect();
-        for ccb in ccbs {
-            let proc = match ccb {
-                Ccb::Get { proc, .. } | Ccb::PutAck { proc, .. } | Ccb::Deq { proc, .. } => proc,
-            };
-            poison_proc(cs.proc(proc), CommError::EpochReset { node, epoch });
-        }
-        cs.ctx
-            .delay_until(SimTime::ZERO + Dur::from_us(w.restart_us))
-            .await;
-        link.restart();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::addr::{Addr, FlagId};
     use bytes::Bytes;
+    use mproxy_des::Simulation;
+    use mproxy_simnet::{LinkParams, Network};
 
     fn put(data: &'static [u8], rsync: Option<FlagId>) -> WireMsg {
         WireMsg::PutData {
@@ -1114,5 +757,43 @@ mod tests {
             data: Some(Bytes::new()),
         });
         assert_ne!(none, empty);
+    }
+
+    #[test]
+    fn packet_beyond_the_reorder_window_is_dropped_until_retransmitted() {
+        const WINDOW: u64 = 4;
+        let sim = Simulation::new();
+        let port = Network::new(&sim.ctx(), 2, LinkParams::new(1.0, 100.0)).adapter(0);
+        let policy = RetryPolicy::xmit_default();
+        let link = LinkLayer::new(sim.ctx(), 0, port, policy, Vec::new(), WINDOW as usize);
+        sim.spawn(async move {
+            // Node 1's packet `seq`.
+            let feed = |seq: u64| {
+                let message = WireMsg::Ack { token: seq };
+                let checksum = wire_checksum(&message);
+                link.accept(Packet {
+                    src: 1,
+                    dst: 0,
+                    message,
+                    payload_bytes: HEADER_ONLY,
+                    seq,
+                    checksum,
+                    corrupted: false,
+                })
+            };
+            // Sequence 1 is lost; the rest of the window parks, and what
+            // arrives beyond it — near or absurdly far — is not kept.
+            for seq in (2..=WINDOW + 1).chain([SEQ_MASK]) {
+                assert!(feed(seq).await.is_empty(), "seq {seq} delivered early");
+                assert!(link.peers.borrow()[1].rx.span() <= WINDOW as usize);
+            }
+            assert_eq!(link.stats().held_out_of_order, WINDOW + 1);
+            // The gap fills: exactly the window is released…
+            assert_eq!(feed(1).await.len() as u64, WINDOW);
+            // …and the sender's retransmission of the dropped packet lands.
+            assert_eq!(feed(WINDOW + 1).await.len(), 1);
+            assert_eq!(link.snapshot(), (0, vec![(1, 0, WINDOW + 2)]));
+        });
+        assert!(sim.run().completed_cleanly());
     }
 }

@@ -1,12 +1,13 @@
-//! A fast, deterministic hasher for the engine's hot-path maps.
+//! A fast, deterministic hasher for the engine's hot path.
 //!
-//! The reliable link layer does several map operations per message
-//! (sequence allocation, pending-ACK tracking, in-order delivery); the
-//! standard SipHash hasher is a measurable fraction of that cost. This
-//! is the multiply-xor hash used by the Rust compiler's internal tables:
-//! not DoS-resistant, which is fine for keys the simulation generates
-//! itself, and fully deterministic, so map behaviour is identical on
-//! every run.
+//! Every remote operation does a map operation or two on its node's CCB
+//! table, and under a fault plan every wire message is checksummed
+//! (`engine::reliable::wire_checksum` is `WireMsg`'s derived `Hash` run
+//! through this hasher); the standard SipHash hasher is a measurable
+//! fraction of that cost. This is the multiply-xor hash used by the Rust
+//! compiler's internal tables: not DoS-resistant, which is fine for keys
+//! and messages the simulation generates itself, and fully
+//! deterministic, so map behaviour is identical on every run.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

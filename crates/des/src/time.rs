@@ -58,12 +58,6 @@ impl SimTime {
         self.0 as f64 / 1_000.0
     }
 
-    /// Returns the instant as (possibly fractional) milliseconds.
-    #[must_use]
-    pub fn as_ms(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// Returns the instant as (possibly fractional) seconds.
     #[must_use]
     pub fn as_secs(self) -> f64 {
@@ -97,14 +91,6 @@ impl Dur {
         } else {
             Dur(0)
         }
-    }
-
-    /// Creates a span from (possibly fractional) milliseconds.
-    ///
-    /// Negative or non-finite values are clamped to zero.
-    #[must_use]
-    pub fn from_ms(ms: f64) -> Self {
-        Dur::from_us(ms * 1_000.0)
     }
 
     /// Returns the span as integer nanoseconds.

@@ -17,6 +17,11 @@
 //! * [`contention`] — the §5.4 queueing analysis (50% stability rule,
 //!   processors-per-proxy, the `P/(P−1)` compute-or-communicate rule).
 //!
+//! Beside the model sit the two pure cores both engines (the simulator
+//! and the threaded runtime) are built on, so each is written once:
+//! [`fate`] (seeded fault decisions) and [`link`] (sequencing, retention
+//! and the reorder buffer of the reliable link layers).
+//!
 //! # Examples
 //!
 //! Predict message-proxy GET latency on a hypothetical 4×-speed SMP with
@@ -36,6 +41,7 @@
 pub mod contention;
 mod cost;
 pub mod fate;
+pub mod link;
 pub mod logp;
 mod design;
 mod latency;

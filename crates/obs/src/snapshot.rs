@@ -2,7 +2,6 @@
 //! stop-the-world-free snapshot model ([`Snapshot`]) with its JSON
 //! serializer.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -16,12 +15,12 @@ pub const DEFAULT_RING_CAP: usize = 4096;
 
 /// Telemetry registry: owns the recording flag and every registered
 /// [`Scope`]. Counters are always on (cheap relaxed adds); histograms
-/// and the flight recorder only record while `recording` is set, so a
-/// disabled hub costs one relaxed load + branch per call site.
+/// and the flight recorder only record when the hub was created with
+/// `recording` set, so a disabled hub costs one branch per call site.
 pub struct ObsHub {
-    // Shared (not owned) by every scope, so scopes hold no back-pointer
-    // to the hub and no `Arc` cycle forms.
-    recording: Arc<AtomicBool>,
+    // Fixed at construction and copied into every scope, so scopes hold
+    // no back-pointer to the hub and no `Arc` cycle forms.
+    recording: bool,
     started: Instant,
     scopes: Mutex<Vec<Arc<Scope>>>,
 }
@@ -36,7 +35,7 @@ impl ObsHub {
     /// own start instant so hub stamps and engine-relative stamps agree.
     pub fn new_at(recording: bool, started: Instant) -> Arc<ObsHub> {
         Arc::new(ObsHub {
-            recording: Arc::new(AtomicBool::new(recording)),
+            recording,
             started,
             scopes: Mutex::new(Vec::new()),
         })
@@ -46,7 +45,7 @@ impl ObsHub {
     pub fn register(self: &Arc<Self>, name: impl Into<String>, ring_cap: usize) -> Arc<Scope> {
         let scope = Arc::new(Scope {
             name: name.into(),
-            recording: Arc::clone(&self.recording),
+            recording: self.recording,
             started: self.started,
             counters: CounterSet::new(),
             hists: std::array::from_fn(|_| AtomicHistogram::new()),
@@ -56,15 +55,10 @@ impl ObsHub {
         scope
     }
 
-    /// Arm or disarm histogram + trace recording.
-    pub fn set_recording(&self, on: bool) {
-        self.recording.store(on, Ordering::Relaxed);
-    }
-
     /// Whether histograms + traces are recording.
     #[inline]
     pub fn recording(&self) -> bool {
-        self.recording.load(Ordering::Relaxed)
+        self.recording
     }
 
     /// Nanoseconds since the hub was created (the runtime trace epoch).
@@ -96,7 +90,7 @@ impl ObsHub {
 /// [`HistId`], one flight-recorder ring.
 pub struct Scope {
     name: String,
-    recording: Arc<AtomicBool>,
+    recording: bool,
     started: Instant,
     counters: CounterSet,
     hists: [AtomicHistogram; HistId::COUNT],
@@ -112,7 +106,7 @@ impl Scope {
     /// Whether histograms + traces are recording (hub-wide flag).
     #[inline]
     pub fn recording(&self) -> bool {
-        self.recording.load(Ordering::Relaxed)
+        self.recording
     }
 
     /// Nanoseconds since the owning hub was created.

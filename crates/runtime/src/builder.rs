@@ -193,8 +193,10 @@ impl RtClusterBuilder {
             deaths: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             restarts_total: AtomicU64::new(0),
             panic_reasons: (0..nodes).map(|_| Mutex::new(None)).collect(),
+            // `started` (below) is the zero of the cluster-relative ns
+            // timebase the sender halves keep their RTO in.
             node_state: (0..nodes)
-                .map(|_| Mutex::new(NodeState::new(nodes, now)))
+                .map(|_| Mutex::new(NodeState::new(nodes, 0)))
                 .collect(),
             seats: seats.into_iter().map(|s| Mutex::new(Some(s))).collect(),
             ready_masks: (0..nodes).map(|_| Arc::new(AtomicU64::new(0))).collect(),

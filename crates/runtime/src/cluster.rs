@@ -472,12 +472,6 @@ impl RtCluster {
         self.shared.obs_hub.trace_dump()
     }
 
-    /// Surviving flight-recorder events for one node (oldest first).
-    #[must_use]
-    pub fn flight_events(&self, node: usize) -> Vec<TraceEvent> {
-        self.shared.obs[node].events()
-    }
-
     /// Render every node's flight recorder as a Chrome `trace_event`
     /// (Perfetto) JSON document.
     #[must_use]

@@ -477,13 +477,13 @@ fn purge_condemned(shared: &Shared, st: &mut NodeState, node: usize) {
         let tx = &mut tx[dst];
         // (`open` is empty between passes unless a predecessor died
         // mid-phase.)
-        let frames = tx.retained.iter().map(|r| &r.body[..]);
+        let frames = tx.retained.iter().map(|(_, r)| &r.body[..]);
         for op in frames.chain([&tx.open[..]]).flatten() {
             if let Payload::GetReq { token, .. } = op {
                 ccbs.remove(token);
             }
         }
-        tx.retained.clear();
+        tx.retained.reset(tx.retained.last() + 1);
         tx.open.clear();
         tx.lsyncs.clear();
         tx.resync_hint = false;

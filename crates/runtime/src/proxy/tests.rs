@@ -175,14 +175,15 @@ fn operation_that_draws_a_fault_travels_in_a_frame_of_its_own() {
         })
         .collect();
     let retained = &src.tx[DST].retained;
-    assert_eq!(retained.iter().map(|r| r.body.len() as u64).sum::<u64>(), N);
+    let ops = |(_, r): (u64, &crate::state::Retained)| r.body.len() as u64;
+    assert_eq!(retained.iter().map(ops).sum::<u64>(), N);
     let lost: Vec<_> = retained
         .iter()
-        .filter(|r| !on_the_wire.contains(&r.seq))
+        .filter(|(seq, _)| !on_the_wire.contains(seq))
         .collect();
     assert_eq!(lost.len() as u64, counts.dropped);
     assert!(
-        lost.iter().all(|r| r.body.len() == 1),
+        lost.iter().all(|&frame| ops(frame) == 1),
         "a dropped frame is one op"
     );
     assert!(retained.len() < N as usize / 4, "the rest still coalesced");

@@ -5,8 +5,14 @@
 //! exact watermarks, retention buffers, parked frames and CCBs its
 //! predecessor held: [`NodeState`], and the two halves of each sequenced
 //! stream it keeps per peer node — [`TxPeer`] (sender: the open frame,
-//! sequence numbers, retention, NACKed sequences) and [`RxPeer`]
-//! (receiver: the in-order watermark and the reorder buffer).
+//! retention, NACKed sequences) and [`RxPeer`] (receiver: the reorder
+//! buffer and what the next ack owes).
+//!
+//! The sequencing itself — numbering, retention until the cumulative ack,
+//! the in-order watermark and the bounded reorder buffer — is
+//! [`mproxy_model::link`], the core the simulator's link layer runs on
+//! too; what is here is this driver's side of it: frames, one RTO per
+//! peer, one ack / NACK per pass, shed-reject.
 //!
 //! The unit of both halves is the **frame**: the operations one service
 //! phase addressed to one peer, at most [`FRAME_CAP`] of them (fewer when
@@ -18,9 +24,9 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
-use std::time::Instant;
 
 use bytes::Bytes;
+use mproxy_model::link::{Reorder, Retention};
 
 use crate::proxy::PENDING_CAP;
 use crate::wire::{Frame, Payload, WireMsg};
@@ -64,10 +70,10 @@ pub(crate) struct CcbGet {
     pub(crate) lsync: Option<u32>,
 }
 
-/// A retained (sent, unacknowledged) frame. What each of its operations
-/// owes its submitter on acknowledgement is in [`TxPeer::lsyncs`].
+/// A retained (sent, unacknowledged) frame; its sequence number is its
+/// place in [`TxPeer::retained`]. What each of its operations owes its
+/// submitter on acknowledgement is in [`TxPeer::lsyncs`].
 pub(crate) struct Retained {
-    pub(crate) seq: u64,
     pub(crate) body: Frame,
     /// First-transmission time (cluster-relative ns) — the wire-RTT
     /// histogram measures from here to the releasing ack.
@@ -87,10 +93,6 @@ pub(crate) struct Lsync {
 
 /// Sender-side state towards one destination node.
 pub(crate) struct TxPeer {
-    /// Sequence number the next closed frame will carry (first is 1).
-    pub(crate) next_seq: u64,
-    /// Highest acknowledged sequence.
-    pub(crate) acked: u64,
     /// The open frame: operations the current service phase has addressed
     /// to this peer, not yet sequenced. Never longer than [`FRAME_CAP`]
     /// nor, short of its last operation, heavier than [`FRAME_BYTES`],
@@ -105,14 +107,15 @@ pub(crate) struct TxPeer {
     /// type, bounded in practice by the receiver's ack cadence — even a
     /// *saturated* receiver advances its watermark (shed-reject), so
     /// retention drains at wire speed.
-    pub(crate) retained: VecDeque<Retained>,
+    pub(crate) retained: Retention<Retained>,
     /// One entry per operation of every retained frame, oldest first,
     /// then one per operation of the open frame: frame `r` of `retained`
     /// owns the next `r.body.len()` of them.
     pub(crate) lsyncs: VecDeque<Lsync>,
-    /// Last time the ack watermark moved (or retention went non-empty);
-    /// the RTO measures from here.
-    pub(crate) last_progress: Instant,
+    /// Last time (cluster-relative ns, like [`Retained::sent_ns`]) the ack
+    /// watermark moved or retention went non-empty; the RTO measures from
+    /// here.
+    pub(crate) last_progress_ns: u64,
     /// A resync (a peer's Hello, or this node's own respawn) asked for an
     /// immediate re-send from the retention head.
     pub(crate) resync_hint: bool,
@@ -122,15 +125,13 @@ pub(crate) struct TxPeer {
 }
 
 impl TxPeer {
-    pub(crate) fn new(now: Instant) -> TxPeer {
+    pub(crate) fn new(now_ns: u64) -> TxPeer {
         TxPeer {
-            next_seq: 1,
-            acked: 0,
             open: Vec::with_capacity(FRAME_CAP),
             open_bytes: 0,
-            retained: VecDeque::new(),
+            retained: Retention::new(),
             lsyncs: VecDeque::new(),
-            last_progress: now,
+            last_progress_ns: now_ns,
             resync_hint: false,
             nacked: Vec::new(),
         }
@@ -146,121 +147,59 @@ impl TxPeer {
         self.open.len() == FRAME_CAP || self.open_bytes >= FRAME_BYTES
     }
 
-    /// Closes the open frame — the only place a sequence number is
-    /// consumed and a retention slot filled: its operations become one
-    /// shared slice, retained under the next sequence number. Returns
+    /// Closes the open frame — the only place this driver consumes a
+    /// sequence number and fills a retention slot: its operations become
+    /// one shared slice, retained under the next sequence number. Returns
     /// what to transmit; `None` when nothing was open.
-    pub(crate) fn close_frame(&mut self, now: Instant, sent_ns: u64) -> Option<(u64, Frame)> {
+    pub(crate) fn close_frame(&mut self, now_ns: u64) -> Option<(u64, Frame)> {
         if self.open.is_empty() {
             return None;
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
         // `Drain` reports its exact length, so this is one allocation
         // and `open` keeps its capacity for the next frame.
         let body: Frame = self.open.drain(..).collect();
         self.open_bytes = 0;
         if self.retained.is_empty() {
-            self.last_progress = now;
+            self.last_progress_ns = now_ns;
         }
-        self.retained.push_back(Retained {
-            seq,
+        let seq = self.retained.push(Retained {
             body: Arc::clone(&body),
-            sent_ns,
+            sent_ns: now_ns,
         });
         Some((seq, body))
     }
 }
 
 /// Receiver-side state from one source node.
-#[derive(Default)]
 pub(crate) struct RxPeer {
-    /// Highest sequence delivered (or rejected) in order.
-    pub(crate) delivered: u64,
+    /// The in-order watermark and the reorder buffer behind it, at most
+    /// [`HOLD_WINDOW`] frames wide. Lives here — in [`NodeState`] — so
+    /// parked frames survive a proxy respawn; they stay in the sender's
+    /// retention (the cumulative ack does not cover them) until applied.
+    pub(crate) order: Reorder<Frame>,
     /// An ack should go out this pass.
     pub(crate) ack_pending: bool,
     /// A nack should go out this pass.
     pub(crate) nack_pending: bool,
     /// Sequences of frames shed since the last ack, to ride out on it.
     pub(crate) rejected_new: Vec<u64>,
-    /// The reorder buffer: slot `i` is sequence `delivered + 1 + i`,
-    /// `Some` when that frame arrived intact ahead of a gap and is parked
-    /// until the gap fills, `None` while it is still missing. Spans the
-    /// watermark to the highest sequence seen, so it is empty on an
-    /// in-order stream, slot 0 is always a hole, and it never grows past
-    /// [`HOLD_WINDOW`]. Lives here — in [`NodeState`] — so parked frames
-    /// survive a proxy respawn; they stay in the sender's retention (the
-    /// cumulative ack does not cover them) until applied.
-    pub(crate) held: VecDeque<Option<Frame>>,
-}
-
-/// What [`RxPeer::park`] did with a frame that is ahead of the watermark.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Parked {
-    /// Parked until the gap in front of it fills.
-    Held,
-    /// An intact copy of this sequence is already parked.
-    Duplicate,
-    /// Beyond the reorder window, or corrupt (its sequence, if inside
-    /// the window, is noted as a hole): discarded.
-    Dropped,
 }
 
 impl RxPeer {
-    /// Files a frame whose `seq` is ahead of the watermark (`seq >
-    /// delivered`) and cannot be applied yet: an intact body is parked in
-    /// its slot; a corrupt one only widens the buffer to cover `seq`, so
-    /// the next NACK names it.
-    pub(crate) fn park(&mut self, seq: u64, body: Option<Frame>) -> Parked {
-        debug_assert!(seq > self.delivered);
-        let idx = match usize::try_from(seq - self.delivered - 1) {
-            Ok(idx) if idx < HOLD_WINDOW => idx,
-            _ => return Parked::Dropped,
-        };
-        if self.held.len() <= idx {
-            self.held.resize_with(idx + 1, || None);
+    fn new() -> RxPeer {
+        RxPeer {
+            order: Reorder::new(HOLD_WINDOW),
+            ack_pending: false,
+            nack_pending: false,
+            rejected_new: Vec::new(),
         }
-        match (&self.held[idx], body) {
-            (Some(_), _) => Parked::Duplicate,
-            (None, None) => Parked::Dropped,
-            (None, body) => {
-                self.held[idx] = body;
-                Parked::Held
-            }
-        }
-    }
-
-    /// Moves the watermark one sequence forward (that frame was just
-    /// applied or shed), keeping the reorder buffer aligned with it.
-    pub(crate) fn advance(&mut self) {
-        self.delivered += 1;
-        self.held.pop_front();
-    }
-
-    /// Takes the parked frame that is next in order, if the gap in front
-    /// of it has closed; the caller applies it.
-    pub(crate) fn next_ready(&mut self) -> Option<Frame> {
-        let body = self.held.front_mut()?.take()?;
-        self.advance();
-        Some(body)
-    }
-
-    /// Every sequence still missing between the watermark and the highest
-    /// one seen, ascending — what a NACK names.
-    pub(crate) fn missing(&self) -> Vec<u64> {
-        let first = self.delivered + 1;
-        let slots = self.held.iter().enumerate();
-        slots
-            .filter_map(|(i, slot)| slot.is_none().then_some(first + i as u64))
-            .collect()
     }
 
     /// Discards every parked frame (their sender is gone, or this proxy
     /// is exiting); returns how many operations they carried so the
     /// caller can count them as dropped.
     pub(crate) fn abandon_held(&mut self) -> u64 {
-        let parked: usize = self.held.drain(..).flatten().map(|f| f.len()).sum();
-        parked as u64
+        self.order.abandon_held().iter().map(|f| f.len() as u64).sum()
     }
 }
 
@@ -317,14 +256,14 @@ pub(crate) struct ObsTicks {
 }
 
 impl NodeState {
-    pub(crate) fn new(nodes: usize, now: Instant) -> NodeState {
+    pub(crate) fn new(nodes: usize, now_ns: u64) -> NodeState {
         NodeState {
             epoch: 0,
             hello_pending: false,
             next_token: 0,
             ccbs: HashMap::new(),
-            tx: (0..nodes).map(|_| TxPeer::new(now)).collect(),
-            rx: (0..nodes).map(|_| RxPeer::default()).collect(),
+            tx: (0..nodes).map(|_| TxPeer::new(now_ns)).collect(),
+            rx: (0..nodes).map(|_| RxPeer::new()).collect(),
             pending_wire: (0..nodes).map(|_| VecDeque::new()).collect(),
             pending_rq: VecDeque::new(),
             ticks: ObsTicks::default(),
@@ -353,11 +292,6 @@ mod tests {
         }
     }
 
-    /// A distinguishable intact frame (of one operation).
-    fn body(tag: u64) -> Frame {
-        Arc::new([op(tag)])
-    }
-
     fn tag(f: &Frame) -> u64 {
         match f[..] {
             [Payload::GetReply { token, .. }] => token,
@@ -365,78 +299,14 @@ mod tests {
         }
     }
 
-    /// Everything the buffer releases right now, in release order.
-    fn ready(rx: &mut RxPeer) -> Vec<u64> {
-        std::iter::from_fn(|| rx.next_ready())
-            .map(|p| tag(&p))
-            .collect()
-    }
-
     #[test]
-    fn parked_frames_release_in_order_once_the_gap_fills() {
-        let mut rx = RxPeer::default();
-        // 1 and 4 are lost; 2, 3, 5 arrive (3 twice).
-        assert_eq!(rx.park(3, Some(body(3))), Parked::Held);
-        assert_eq!(rx.park(2, Some(body(2))), Parked::Held);
-        assert_eq!(rx.park(3, Some(body(33))), Parked::Duplicate);
-        assert_eq!(rx.park(5, Some(body(5))), Parked::Held);
-        assert_eq!(rx.missing(), vec![1, 4]);
-        assert!(ready(&mut rx).is_empty(), "slot 0 is still a hole");
-        // 1 arrives in order: the caller applies it and advances.
-        rx.advance();
-        assert_eq!(ready(&mut rx), vec![2, 3]);
-        assert_eq!(rx.delivered, 3);
-        assert_eq!(rx.missing(), vec![4]);
-        rx.advance();
-        assert_eq!(ready(&mut rx), vec![5]);
-        assert_eq!(rx.delivered, 5);
-        assert!(rx.held.is_empty() && rx.missing().is_empty());
-    }
-
-    #[test]
-    fn corrupt_frame_is_dropped_but_named_by_the_next_nack() {
-        let mut rx = RxPeer {
-            delivered: 9,
-            ..RxPeer::default()
-        };
-        assert_eq!(rx.park(10, None), Parked::Dropped);
-        assert_eq!(rx.missing(), vec![10]);
-        assert_eq!(rx.park(12, None), Parked::Dropped);
-        assert_eq!(rx.missing(), vec![10, 11, 12]);
-        // A corrupt copy never displaces an intact parked one.
-        assert_eq!(rx.park(11, Some(body(11))), Parked::Held);
-        assert_eq!(rx.park(11, None), Parked::Duplicate);
-        assert_eq!(rx.missing(), vec![10, 12]);
-        // Abandonment is counted in operations, not parked frames.
+    fn abandonment_is_counted_in_operations_not_parked_frames() {
+        let mut rx = RxPeer::new();
         let three: Frame = Arc::new([op(1), op(2), op(3)]);
-        assert_eq!(rx.park(13, Some(three)), Parked::Held);
+        rx.order.park(2, Some(Arc::new([op(9)])));
+        rx.order.park(4, Some(three));
         assert_eq!(rx.abandon_held(), 1 + 3);
-        assert!(rx.held.is_empty());
-    }
-
-    #[test]
-    fn hold_buffer_never_exceeds_its_window() {
-        let mut rx = RxPeer::default();
-        let cap = HOLD_WINDOW as u64;
-        // Sequence 1 is missing; everything up to 3× the window arrives.
-        for seq in 2..=3 * cap {
-            let want = if seq <= cap {
-                Parked::Held
-            } else {
-                Parked::Dropped
-            };
-            assert_eq!(rx.park(seq, Some(body(seq))), want, "seq {seq}");
-            assert!(rx.held.len() <= HOLD_WINDOW);
-        }
-        assert_eq!(rx.park(u64::MAX, Some(body(0))), Parked::Dropped);
-        assert_eq!(rx.missing(), vec![1]);
-        // The gap fills: the whole window is released in order, and the
-        // frames dropped beyond it are what is missing next.
-        rx.advance();
-        assert_eq!(ready(&mut rx), (2..=cap).collect::<Vec<_>>());
-        assert_eq!(rx.delivered, cap);
-        assert_eq!(rx.park(cap + 2, Some(body(cap + 2))), Parked::Held);
-        assert_eq!(rx.missing(), vec![cap + 1]);
+        assert_eq!(rx.order.span(), 0);
     }
 
     fn lsync(flag: u32) -> Lsync {
@@ -448,28 +318,30 @@ mod tests {
 
     #[test]
     fn open_frame_fills_at_the_cap_and_closes_under_one_sequence() {
-        let now = Instant::now();
-        let mut tx = TxPeer::new(now);
-        assert!(tx.close_frame(now, 0).is_none(), "nothing open");
-        assert_eq!(tx.next_seq, 1, "an empty close consumes no sequence");
+        let mut tx = TxPeer::new(0);
+        assert!(tx.close_frame(0).is_none(), "nothing open");
+        assert_eq!(tx.retained.last(), 0, "an empty close consumes no sequence");
         for i in 1..=FRAME_CAP as u64 {
             let full = tx.append(op(i), lsync(1));
             assert_eq!(full, i == FRAME_CAP as u64, "op {i}");
         }
-        let (seq, body) = tx.close_frame(now, 7).expect("a full frame");
+        let (seq, body) = tx.close_frame(7).expect("a full frame");
         assert_eq!((seq, body.len()), (1, FRAME_CAP));
         assert!(tx.open.is_empty());
+        assert_eq!(tx.last_progress_ns, 7, "retention went non-empty");
         // One operation alone is a frame too, under the next sequence.
         assert!(!tx.append(op(99), lsync(2)));
-        let (seq, one) = tx.close_frame(now, 9).expect("a frame of one");
+        let (seq, one) = tx.close_frame(9).expect("a frame of one");
         assert_eq!((seq, tag(&one)), (2, 99));
+        assert_eq!(tx.last_progress_ns, 7, "only the ack watermark moves it now");
         // Retention shares the allocation that went to the wire, and
         // owes one lsync entry per operation, in order.
-        let seqs: Vec<u64> = tx.retained.iter().map(|r| r.seq).collect();
+        let seqs: Vec<u64> = tx.retained.iter().map(|(seq, _)| seq).collect();
         assert_eq!(seqs, [1, 2]);
-        assert!(Arc::ptr_eq(&tx.retained[0].body, &body));
-        assert!(Arc::ptr_eq(&tx.retained[1].body, &one));
-        assert_eq!(tx.retained[1].sent_ns, 9);
+        let retained = |seq| tx.retained.get(seq).expect("retained");
+        assert!(Arc::ptr_eq(&retained(1).body, &body));
+        assert!(Arc::ptr_eq(&retained(2).body, &one));
+        assert_eq!(retained(2).sent_ns, 9);
         let flags: Vec<u32> = tx.lsyncs.iter().map(|l| l.flag.unwrap().1).collect();
         assert_eq!(flags.len(), FRAME_CAP + 1);
         assert_eq!(flags.last(), Some(&2));
@@ -478,8 +350,7 @@ mod tests {
 
     #[test]
     fn open_frame_closes_at_the_byte_cap_however_few_it_holds() {
-        let now = Instant::now();
-        let mut tx = TxPeer::new(now);
+        let mut tx = TxPeer::new(0);
         let put = |n: u64| Payload::Put {
             dst: 0,
             raddr: 0,
@@ -488,14 +359,14 @@ mod tests {
         };
         // A bulk operation fills a frame by itself.
         assert!(tx.append(put(FRAME_BYTES), lsync(1)));
-        let (seq, body) = tx.close_frame(now, 0).expect("a frame of one");
+        let (seq, body) = tx.close_frame(0).expect("a frame of one");
         assert_eq!((seq, body.len()), (1, 1));
         // Operations that carry nothing weigh nothing; the one that
         // brings the frame to the cap is its last.
         assert!(!tx.append(op(7), lsync(1)));
         assert!(!tx.append(put(FRAME_BYTES - 1), lsync(1)));
         assert!(tx.append(put(1), lsync(1)));
-        let (seq, body) = tx.close_frame(now, 0).expect("a frame of three");
+        let (seq, body) = tx.close_frame(0).expect("a frame of three");
         assert_eq!((seq, body.len()), (2, 3));
         // The next frame starts from nothing.
         assert_eq!(tx.open_bytes, 0);

@@ -49,27 +49,28 @@
 //!
 //! This module holds the frames and the functions that move them; the
 //! per-stream state they act on ([`crate::state::TxPeer`], [`RxPeer`]) is in
-//! [`crate::state`], and what a delivered operation *does* is
-//! [`crate::proxy::apply_data`].
+//! [`crate::state`], the sequencing under it in [`mproxy_model::link`],
+//! and what a delivered operation *does* is [`crate::proxy::apply_data`].
 
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use bytes::Bytes;
 use mproxy_model::fate::Fate;
+use mproxy_model::link::Parked;
 use mproxy_obs::{Ctr, EventKind, HistId};
 
 use crate::cluster::{sampled, Shared};
 use crate::proxy::apply_data;
-use crate::state::{Lsync, NodeState, Parked, PendingEnq, Retained, RxPeer};
+use crate::state::{Lsync, NodeState, PendingEnq, Retained, RxPeer};
 
 /// Retransmit timeout: a sender with unacknowledged frames and no ack
 /// progress for this long re-sends from its retention buffer. Generous
 /// against ack coalescing latency, tight enough that a dropped frame
 /// costs milliseconds, not a stalled test.
-const RTO: Duration = Duration::from_millis(2);
+const RTO_NS: u64 = 2_000_000;
 
 /// Most retained frames re-sent from the retention head per destination
 /// per resync pass (RTO expiry or a peer's Hello); bounds the burst a
@@ -334,7 +335,7 @@ fn transmit_frame(
     // The loop's `now` re-expressed on the shared epoch: pure arithmetic,
     // no extra clock read on the proxy's hot path.
     let now_ns = shared.rel_ns(now);
-    let Some((seq, body)) = st.tx[dst].close_frame(now, now_ns) else {
+    let Some((seq, body)) = st.tx[dst].close_frame(now_ns) else {
         return; // nothing open towards `dst`
     };
     let obs = &shared.obs[node];
@@ -388,27 +389,25 @@ fn process_ack(
         tx, ccbs, ticks, ..
     } = st;
     let tx = &mut tx[from];
-    if upto <= tx.acked {
+    if upto <= tx.retained.acked() {
         return;
     }
-    tx.acked = upto;
-    tx.last_progress = now;
     let obs = &shared.obs[node];
     let now_ns = shared.rel_ns(now);
+    tx.last_progress_ns = now_ns;
     // Cursor into `rejected`: the receiver sheds in sequence order, so
     // the list ascends just as the released frames do.
     let mut shed = 0;
-    while tx.retained.front().is_some_and(|r| r.seq <= upto) {
-        let r = tx.retained.pop_front().expect("front checked above");
+    for (seq, r) in tx.retained.release(upto) {
         // Wire RTT: first transmission → the releasing cumulative ack.
         if sampled(&mut ticks.wire_rtt) {
             obs.record(HistId::WireRttNs, now_ns.saturating_sub(r.sent_ns));
         }
         let lsyncs = tx.lsyncs.drain(..r.body.len());
-        while rejected.get(shed).is_some_and(|&s| s < r.seq) {
+        while rejected.get(shed).is_some_and(|&s| s < seq) {
             shed += 1;
         }
-        if rejected.get(shed) == Some(&r.seq) {
+        if rejected.get(shed) == Some(&seq) {
             // Shed at the receiver: none of it happened. No lsync fires;
             // a rejected GET's CCB is cancelled.
             for op in r.body.iter() {
@@ -483,7 +482,7 @@ pub(crate) fn handle_packet(
             obs.add(Ctr::MsgsIn, ops);
             obs.add(Ctr::BytesIn, frame_bytes(&body));
             let rx = &mut st.rx[from];
-            if seq <= rx.delivered {
+            if seq <= rx.order.delivered() {
                 // Duplicate (injected, or a retransmission racing the
                 // ack): drop it, re-ack so the sender converges.
                 obs.add(Ctr::DedupDrops, ops);
@@ -496,11 +495,11 @@ pub(crate) fn handle_packet(
                 rx.ack_pending = true;
                 return ops;
             }
-            if corrupt || seq != rx.delivered + 1 {
+            if corrupt || seq != rx.order.delivered() + 1 {
                 // Damaged, or ahead of a gap (an earlier frame was lost):
                 // park what is intact, and name what is missing on the
                 // next NACK.
-                match rx.park(seq, (!corrupt).then_some(body)) {
+                match rx.order.park(seq, (!corrupt).then_some(body)) {
                     Parked::Held => {}
                     Parked::Duplicate => obs.add(Ctr::DedupDrops, ops),
                     Parked::Dropped => obs.add(Ctr::DamagedDrops, ops),
@@ -508,14 +507,14 @@ pub(crate) fn handle_packet(
                 rx.nack_pending = true;
                 return ops;
             }
-            rx.advance();
+            rx.order.advance();
             rx.ack_pending = true;
             let mut ready = if shed && body.iter().all(Payload::is_request) {
                 rx.rejected_new.push(seq);
                 obs.add(Ctr::Sheds, ops);
                 shared.health[node].shed.fetch_add(ops, Ordering::Relaxed);
                 obs.trace_at(shared.rel_ns(now), EventKind::Shed, from as u16, seq as u32);
-                rx.next_ready()
+                rx.order.next_ready()
             } else {
                 Some(body)
             };
@@ -528,7 +527,7 @@ pub(crate) fn handle_packet(
                 for op in frame.iter() {
                     apply_data(shared, st, node, now, from, op);
                 }
-                ready = st.rx[from].next_ready();
+                ready = st.rx[from].order.next_ready();
             }
             return ops;
         }
@@ -565,10 +564,11 @@ pub(crate) fn handle_packet(
                 since as u32,
             );
             let tx = &mut st.tx[from];
-            if since < tx.acked {
+            let acked = tx.retained.acked();
+            if since < acked {
                 // Stale: a later ack overtook it. What it names at or
                 // below the watermark has since arrived.
-                missing.retain(|&s| s > tx.acked);
+                missing.retain(|&s| s > acked);
             }
             // The latest NACK supersedes any not yet served: it reflects
             // the receiver's newest view of the same gaps.
@@ -602,12 +602,12 @@ fn resend<'a>(
     node: usize,
     now: Instant,
     dst: usize,
-    frames: impl Iterator<Item = &'a Retained>,
+    frames: impl Iterator<Item = (u64, &'a Retained)>,
 ) {
     let obs = &shared.obs[node];
     let mut pushed = false;
     let mut resent = 0u32;
-    'frames: for r in frames {
+    'frames: for (seq, r) in frames {
         let fate = judge(shared, node);
         if faulted(fate) {
             obs.inc(Ctr::FaultsInjected);
@@ -618,7 +618,7 @@ fn resend<'a>(
         for _ in 0..1 + u32::from(fate.duplicate) {
             let frame = WireMsg::Data {
                 from: node,
-                seq: r.seq,
+                seq,
                 corrupt: fate.corrupt,
                 body: Arc::clone(&r.body),
             };
@@ -656,19 +656,20 @@ pub(crate) fn retransmit(shared: &Shared, st: &mut NodeState, node: usize, now: 
     let NodeState {
         tx, pending_wire, ..
     } = st;
+    let now_ns = shared.rel_ns(now);
     for (dst, tx) in tx.iter_mut().enumerate() {
-        let Some(front) = tx.retained.front().map(|r| r.seq) else {
+        if tx.retained.is_empty() {
             tx.resync_hint = false;
             tx.nacked.clear();
             continue;
-        };
+        }
         if !pending_wire[dst].is_empty() || shared.condemned[dst].load(Ordering::Relaxed) {
             continue;
         }
-        if tx.resync_hint || now.duration_since(tx.last_progress) >= RTO {
+        if tx.resync_hint || now_ns.saturating_sub(tx.last_progress_ns) >= RTO_NS {
             tx.resync_hint = false;
             tx.nacked.clear();
-            tx.last_progress = now;
+            tx.last_progress_ns = now_ns;
             resend(
                 shared,
                 node,
@@ -677,15 +678,11 @@ pub(crate) fn retransmit(shared: &Shared, st: &mut NodeState, node: usize, now: 
                 tx.retained.iter().take(RESEND_BURST),
             );
         } else if !tx.nacked.is_empty() {
-            // Retention is contiguous in sequence, so a named frame sits
-            // at `seq - front`; one already acknowledged is simply gone.
-            let named = tx.nacked.iter().filter_map(|&seq| {
-                let r = tx
-                    .retained
-                    .get(usize::try_from(seq.checked_sub(front)?).ok()?)?;
-                debug_assert_eq!(r.seq, seq);
-                Some(r)
-            });
+            // A named frame already acknowledged is simply gone.
+            let named = tx
+                .nacked
+                .iter()
+                .filter_map(|&seq| Some((seq, tx.retained.get(seq)?)));
             resend(shared, node, now, dst, named);
             tx.nacked.clear();
         }
@@ -713,13 +710,13 @@ pub(crate) fn flush_acks(shared: &Shared, st: &mut NodeState, node: usize) {
                 src,
                 WireMsg::AckUpto {
                     from: node,
-                    upto: rx.delivered,
+                    upto: rx.order.delivered(),
                     rejected,
                 },
             );
         }
         // A gap that closed later in the same pass owes nothing.
-        if std::mem::take(&mut rx.nack_pending) && !rx.held.is_empty() {
+        if std::mem::take(&mut rx.nack_pending) && rx.order.span() > 0 {
             obs.inc(Ctr::NacksOut);
             push_wire(
                 shared,
@@ -727,8 +724,8 @@ pub(crate) fn flush_acks(shared: &Shared, st: &mut NodeState, node: usize) {
                 src,
                 WireMsg::Nack {
                     from: node,
-                    since: rx.delivered,
-                    missing: rx.missing(),
+                    since: rx.order.delivered(),
+                    missing: rx.order.missing(),
                 },
             );
         }

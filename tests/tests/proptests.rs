@@ -4,6 +4,7 @@
 
 use mproxy::{Asid, Cluster, ClusterSpec, ProcId};
 use mproxy_des::{Dur, SimTime, Simulation, Tally};
+use mproxy_model::link::{Parked, Reorder, Retention};
 use mproxy_model::{get_latency, DesignPoint, MachineParams, MP1};
 use mproxy_tests::Rng;
 use std::cell::RefCell;
@@ -243,5 +244,93 @@ fn des_time_is_monotone_over_random_task_graphs() {
             log.windows(2).all(|w| w[0] <= w[1]),
             "time went backwards: {log:?}"
         );
+    }
+}
+
+/// The sequencing core both link layers run on: whatever the wire does to
+/// the packets of a `Retention` → `Reorder` pair — lose, duplicate,
+/// corrupt, reorder — every item is delivered exactly once, in order; the
+/// reorder buffer never spans more than its window; `missing()` names
+/// exactly the undelivered sequences up to the highest one seen; and each
+/// of those is still retained for the NACK that asks for it.
+#[test]
+fn link_core_delivers_exactly_once_in_order_over_a_hostile_wire() {
+    for case in 0..64u64 {
+        let mut rng = Rng::new(0x11c4_0000 + case);
+        let (items, window) = (rng.range(1, 200), rng.range(1, 16) as usize);
+        let mut tx: Retention<u64> = Retention::new();
+        let mut rx: Reorder<u64> = Reorder::new(window);
+        // In flight: `(seq, body)`, `None` a copy corrupted on the way.
+        let mut wire: Vec<(u64, Option<u64>)> = Vec::new();
+        let mut delivered = Vec::new();
+        // The test's own view of the receiver: intact sequences parked,
+        // and the highest sequence seen inside the window.
+        let (mut parked, mut highest) = (std::collections::BTreeSet::new(), 0u64);
+        let mut hostile = true;
+        while tx.last() < items || !tx.is_empty() {
+            // Once everything is sent the wire turns clean, so the run ends.
+            hostile &= tx.last() < items;
+            let send = |rng: &mut Rng, wire: &mut Vec<_>, seq: u64, item: u64| {
+                let fate = if hostile { rng.below(8) } else { 7 };
+                match fate {
+                    0 => {}
+                    1 => wire.push((seq, None)),
+                    2 => wire.extend([(seq, Some(item)); 2]),
+                    _ => wire.push((seq, Some(item))),
+                }
+            };
+            match rng.below(4) {
+                0 if tx.last() < items => {
+                    let item = (tx.last() + 1) * 7;
+                    let seq = tx.push(item);
+                    send(&mut rng, &mut wire, seq, item);
+                }
+                // Retransmission: what the receiver's NACK would name, or
+                // (the timer) the oldest retained item.
+                0 | 1 => {
+                    let mut resend = rx.missing();
+                    if resend.is_empty() {
+                        resend.extend(tx.iter().next().map(|(seq, _)| seq));
+                    }
+                    for seq in resend {
+                        let item = *tx.get(seq).expect("an undelivered sequence is retained");
+                        send(&mut rng, &mut wire, seq, item);
+                    }
+                }
+                // An arrival, in any order.
+                2 if !wire.is_empty() => {
+                    let at = rng.below(wire.len() as u64) as usize;
+                    let (seq, body) = wire.swap_remove(at);
+                    if seq <= rx.delivered() {
+                        continue; // duplicate
+                    }
+                    if seq - rx.delivered() <= window as u64 {
+                        highest = highest.max(seq);
+                    }
+                    match body {
+                        Some(item) if seq == rx.delivered() + 1 => {
+                            delivered.push(item);
+                            rx.advance();
+                            delivered.extend(std::iter::from_fn(|| rx.next_ready()));
+                        }
+                        body => {
+                            if rx.park(seq, body) == Parked::Held {
+                                parked.insert(seq);
+                            }
+                        }
+                    }
+                }
+                // The cumulative ack reaches the sender.
+                _ => drop(tx.release(rx.delivered())),
+            }
+            assert!(rx.span() <= window, "case {case}: {} > {window}", rx.span());
+            let want: Vec<u64> = (rx.delivered() + 1..=highest)
+                .filter(|seq| !parked.contains(seq))
+                .collect();
+            assert_eq!(rx.missing(), want, "case {case}");
+        }
+        let sent: Vec<u64> = (1..=items).map(|seq| seq * 7).collect();
+        assert_eq!(delivered, sent, "case {case}");
+        assert_eq!((rx.delivered(), rx.span(), tx.acked()), (items, 0, items));
     }
 }
