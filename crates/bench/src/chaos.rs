@@ -291,7 +291,7 @@ pub fn corrupt_under_load(seed: u64, msgs: u64) -> ScenarioResult {
     result
 }
 
-/// Stall one node's proxy past the watchdog period while two *other*
+/// Stall one node's proxy past its load-sampling period while two *other*
 /// nodes keep exchanging acknowledged puts: survivors must never block
 /// on a stalled peer, and the stalled node must finish its own backlog
 /// once the stall lifts.
@@ -303,7 +303,7 @@ pub fn stall_survivor_liveness(seed: u64, rounds: u64) -> ScenarioResult {
     let p1 = b.add_process(1, 1 << 16);
     let p2 = b.add_process(2, 1 << 16);
     // Node 1 freezes for 150 ms starting almost immediately — dozens of
-    // watchdog periods.
+    // sampling periods.
     b.fault_plan(RtFaultPlan::new(seed).stall(
         1,
         Duration::from_millis(5),

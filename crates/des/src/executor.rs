@@ -584,15 +584,6 @@ impl TimerHandle {
             }
         }
     }
-
-    /// True if the timer has neither fired nor been cancelled yet.
-    #[must_use]
-    pub fn is_armed(&self) -> bool {
-        matches!(
-            self.cell.state.get(),
-            TimerState::Idle | TimerState::Scheduled
-        )
-    }
 }
 
 impl std::fmt::Debug for TimerHandle {
@@ -632,8 +623,7 @@ pub struct RunReport {
     pub spawned: u64,
     /// Processes that ran to completion.
     pub completed: u64,
-    /// Processes still pending when the run stopped (blocked forever unless
-    /// the run hit a time limit).
+    /// Processes still pending when the run stopped (blocked forever).
     pub pending: u64,
     /// Calendar events processed. Cancelled timers do not count: their
     /// entries are discarded without firing.
@@ -722,16 +712,6 @@ impl Simulation {
 
     /// Runs until no process can make further progress.
     pub fn run(&self) -> RunReport {
-        self.run_inner(None)
-    }
-
-    /// Runs until no process can make further progress or simulated time
-    /// would pass `limit`, whichever comes first.
-    pub fn run_until(&self, limit: SimTime) -> RunReport {
-        self.run_inner(Some(limit))
-    }
-
-    fn run_inner(&self, limit: Option<SimTime>) -> RunReport {
         let ready = Rc::clone(&self.core.borrow().ready);
         loop {
             // Drain every task that is ready at the current instant. The
@@ -751,21 +731,18 @@ impl Simulation {
             let wake = {
                 let mut core = self.core.borrow_mut();
                 loop {
-                    match core.calendar.peek() {
-                        Some(Reverse(tw)) if tw.is_cancelled() => {
-                            core.calendar.pop();
-                        }
-                        Some(Reverse(tw)) if limit.is_none_or(|l| tw.at <= l) => {
-                            let Reverse(tw) = core.calendar.pop().expect("peeked");
-                            core.now = tw.at;
-                            core.events += 1;
-                            if let WakeKind::Timer(_) = &tw.kind {
-                                core.timers_fired += 1;
-                            }
-                            break Some(tw.kind);
-                        }
-                        _ => break None,
+                    let Some(Reverse(tw)) = core.calendar.pop() else {
+                        break None;
+                    };
+                    if tw.is_cancelled() {
+                        continue;
                     }
+                    core.now = tw.at;
+                    core.events += 1;
+                    if let WakeKind::Timer(_) = &tw.kind {
+                        core.timers_fired += 1;
+                    }
+                    break Some(tw.kind);
                 }
             };
             match wake {
@@ -928,22 +905,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_respects_limit() {
-        let sim = Simulation::new();
-        let ctx = sim.ctx();
-        sim.spawn(async move {
-            ctx.delay(Dur::from_us(100.0)).await;
-        });
-        let r = sim.run_until(SimTime::from_ns(10_000));
-        assert_eq!(r.pending, 1);
-        assert_eq!(r.end.as_us(), 0.0);
-        // Resuming finishes the task.
-        let r = sim.run();
-        assert!(r.completed_cleanly());
-        assert_eq!(r.end.as_us(), 100.0);
-    }
-
-    #[test]
     fn zero_delay_completes_without_calendar_event() {
         let sim = Simulation::new();
         let ctx = sim.ctx();
@@ -1101,7 +1062,6 @@ mod tests {
             ctx.spawn(async move {
                 h.cancel();
                 h.cancel();
-                assert!(!h.is_armed());
             });
             assert_eq!(t.await, TimerOutcome::Cancelled);
             done2.set(true);
@@ -1120,7 +1080,6 @@ mod tests {
             let t = ctx.timer(Dur::from_us(5.0));
             let h = t.handle();
             assert_eq!(t.await, TimerOutcome::Fired);
-            assert!(!h.is_armed());
             h.cancel();
         });
         let r = sim.run();

@@ -8,8 +8,8 @@
 //!   executor**: every simulated agent (user process, message proxy,
 //!   network adapter, DMA engine, switch) is an ordinary Rust future.
 //! * [`SimCtx::delay`] — advance a process through simulated time.
-//! * [`Channel`], [`Signal`], [`Counter`] — deterministic FIFO queues,
-//!   one-shot completions and threshold counters connecting processes.
+//! * [`Channel`], [`Counter`] — deterministic FIFO queues and threshold
+//!   counters connecting processes.
 //! * [`Resource`] — capacity-limited servers with FIFO queueing and
 //!   utilisation statistics (node-internal contention, Table 6).
 //! * [`Tally`], [`TimeWeighted`] — statistics accumulators.
@@ -54,5 +54,5 @@ mod time;
 pub use executor::{Delay, RunReport, SimCtx, Simulation, TaskId, Timer, TimerHandle, TimerOutcome, YieldNow};
 pub use resource::{Acquire, Resource, ResourceGuard};
 pub use stats::{Tally, TimeWeighted};
-pub use sync::{Channel, Counter, CounterWait, Recv, Send, Signal, SignalWait, TrySendError};
+pub use sync::{Channel, Counter, CounterWait, Recv, Send, TrySendError};
 pub use time::{Dur, SimTime};

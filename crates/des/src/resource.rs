@@ -16,7 +16,7 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use crate::executor::{Core, SimCtx};
-use crate::stats::{Tally, TimeWeighted};
+use crate::stats::TimeWeighted;
 use crate::time::{Dur, SimTime};
 
 struct WaitSlot {
@@ -29,15 +29,12 @@ struct ResState {
     in_use: usize,
     queue: VecDeque<Rc<RefCell<WaitSlot>>>,
     busy: TimeWeighted,
-    queue_len: TimeWeighted,
     acquisitions: u64,
-    wait_times: Tally,
 }
 
 impl ResState {
     fn note(&mut self, now: SimTime) {
         self.busy.update(now, self.in_use as f64);
-        self.queue_len.update(now, self.queue.len() as f64);
     }
 }
 
@@ -96,9 +93,7 @@ impl Resource {
                 in_use: 0,
                 queue: VecDeque::new(),
                 busy: TimeWeighted::new(now, 0.0),
-                queue_len: TimeWeighted::new(now, 0.0),
                 acquisitions: 0,
-                wait_times: Tally::new(),
             })),
         }
     }
@@ -126,7 +121,6 @@ impl Resource {
         Acquire {
             res: self.clone(),
             slot: None,
-            requested_at: None,
         }
     }
 
@@ -152,22 +146,10 @@ impl Resource {
         self.state.borrow().busy.integral_us(end)
     }
 
-    /// Time-averaged number of requests waiting in queue.
-    #[must_use]
-    pub fn mean_queue_len(&self, end: SimTime) -> f64 {
-        self.state.borrow().queue_len.average(end)
-    }
-
     /// Number of completed acquisitions.
     #[must_use]
     pub fn acquisitions(&self) -> u64 {
         self.state.borrow().acquisitions
-    }
-
-    /// Distribution of time spent waiting to acquire (µs).
-    #[must_use]
-    pub fn wait_times(&self) -> Tally {
-        self.state.borrow().wait_times
     }
 
     fn now(&self) -> SimTime {
@@ -186,7 +168,6 @@ impl Resource {
             if let Some(w) = sl.waker.take() {
                 w.wake();
             }
-            s.note(now);
         } else {
             s.in_use -= 1;
             s.note(now);
@@ -210,27 +191,17 @@ impl fmt::Debug for Resource {
 pub struct Acquire {
     res: Resource,
     slot: Option<Rc<RefCell<WaitSlot>>>,
-    requested_at: Option<SimTime>,
 }
 
 impl Future for Acquire {
     type Output = ResourceGuard;
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<ResourceGuard> {
-        let now = self.res.now();
-        if self.requested_at.is_none() {
-            self.requested_at = Some(now);
-        }
         // Fast path / re-poll path.
         if let Some(slot) = &self.slot {
             let granted = slot.borrow().granted;
             if granted {
-                let waited = now.since(self.requested_at.expect("set above"));
-                {
-                    let mut s = self.res.state.borrow_mut();
-                    s.acquisitions += 1;
-                    s.wait_times.add_dur(waited);
-                }
+                self.res.state.borrow_mut().acquisitions += 1;
                 self.slot = None;
                 return Poll::Ready(ResourceGuard {
                     res: self.res.clone(),
@@ -240,11 +211,11 @@ impl Future for Acquire {
             slot.borrow_mut().waker = Some(cx.waker().clone());
             return Poll::Pending;
         }
+        let now = self.res.now();
         let mut s = self.res.state.borrow_mut();
         if s.queue.is_empty() && s.in_use < s.capacity {
             s.in_use += 1;
             s.acquisitions += 1;
-            s.wait_times.add_dur(Dur::ZERO);
             s.note(now);
             drop(s);
             Poll::Ready(ResourceGuard {
@@ -257,7 +228,6 @@ impl Future for Acquire {
                 waker: Some(cx.waker().clone()),
             }));
             s.queue.push_back(Rc::clone(&slot));
-            s.note(now);
             drop(s);
             self.slot = Some(slot);
             Poll::Pending
@@ -370,9 +340,9 @@ mod tests {
         let end = ctx.now();
         assert!((r.utilization(end) - 0.5).abs() < 1e-9);
         assert_eq!(r.acquisitions(), 2);
-        // Second acquirer waited 10 µs.
-        assert_eq!(r.wait_times().max(), 10.0);
-        assert!(r.mean_queue_len(end) > 0.0);
+        // The second acquirer queued behind the first: one unit, busy
+        // 20 µs in a row.
+        assert_eq!(r.busy_us(end), 20.0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Inter-process synchronisation primitives for simulation tasks.
 //!
 //! These mirror the shared-memory structures of the paper: [`Channel`]
-//! models FIFO queues (command queues, network FIFOs), [`Signal`] models a
-//! one-shot completion, and [`Counter`] models the lsync/rsync-style
-//! synchronisation flags and Split-C split-phase counters.
+//! models FIFO queues (command queues, network FIFOs), and [`Counter`]
+//! models the lsync/rsync-style synchronisation flags and Split-C
+//! split-phase counters.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -96,7 +96,6 @@ struct ChanState<T> {
     next_waiter: u64,
     /// High-water mark of queue occupancy, for contention statistics.
     max_len: usize,
-    total_sent: u64,
 }
 
 impl<T> ChanState<T> {
@@ -182,7 +181,6 @@ impl<T> Channel<T> {
                 send_wakers: WaiterQueue::default(),
                 next_waiter: 0,
                 max_len: 0,
-                total_sent: 0,
             })),
         }
     }
@@ -204,7 +202,6 @@ impl<T> Channel<T> {
             }
         }
         s.buf.push_back(value);
-        s.total_sent += 1;
         s.max_len = s.max_len.max(s.buf.len());
         s.wake_one_receiver();
         Ok(())
@@ -271,12 +268,6 @@ impl<T> Channel<T> {
     #[must_use]
     pub fn max_len(&self) -> usize {
         self.state.borrow().max_len
-    }
-
-    /// Total items ever enqueued.
-    #[must_use]
-    pub fn total_sent(&self) -> u64 {
-        self.state.borrow().total_sent
     }
 }
 
@@ -404,160 +395,6 @@ impl<T> Drop for Recv<'_, T> {
             if !s.buf.is_empty() || s.closed {
                 s.wake_one_receiver();
             }
-        }
-    }
-}
-
-struct SignalState<T> {
-    value: Option<T>,
-    wakers: Vec<Waiter>,
-    next_waiter: u64,
-}
-
-/// A one-shot broadcast value: set once, awaited by any number of processes.
-///
-/// Models completion notifications (e.g. a GET reply landing).
-///
-/// # Examples
-///
-/// ```
-/// use mproxy_des::{Dur, Signal, Simulation};
-///
-/// let sim = Simulation::new();
-/// let ctx = sim.ctx();
-/// let sig = Signal::new();
-/// let waiter = sig.clone();
-/// sim.spawn(async move {
-///     assert_eq!(waiter.wait().await, 7);
-/// });
-/// sim.spawn(async move {
-///     ctx.delay(Dur::from_us(1.0)).await;
-///     sig.set(7);
-/// });
-/// assert!(sim.run().completed_cleanly());
-/// ```
-pub struct Signal<T> {
-    state: Rc<RefCell<SignalState<T>>>,
-}
-
-impl<T> Clone for Signal<T> {
-    fn clone(&self) -> Self {
-        Signal {
-            state: Rc::clone(&self.state),
-        }
-    }
-}
-
-impl<T> Default for Signal<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> Signal<T> {
-    /// Creates an unset signal.
-    #[must_use]
-    pub fn new() -> Self {
-        Signal {
-            state: Rc::new(RefCell::new(SignalState {
-                value: None,
-                wakers: Vec::new(),
-                next_waiter: 0,
-            })),
-        }
-    }
-
-    /// Sets the value and wakes all waiters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the signal was already set — a signal is one-shot.
-    pub fn set(&self, value: T) {
-        let mut s = self.state.borrow_mut();
-        assert!(s.value.is_none(), "Signal::set called twice");
-        s.value = Some(value);
-        for (_, w) in s.wakers.drain(..) {
-            w.wake();
-        }
-    }
-
-    /// True once [`Signal::set`] has been called.
-    #[must_use]
-    pub fn is_set(&self) -> bool {
-        self.state.borrow().value.is_some()
-    }
-}
-
-impl<T: Clone> Signal<T> {
-    /// Waits for the signal, resolving to a clone of the value.
-    pub fn wait(&self) -> SignalWait<T> {
-        SignalWait {
-            state: Rc::clone(&self.state),
-            key: None,
-        }
-    }
-
-    /// Returns the value if already set.
-    #[must_use]
-    pub fn get(&self) -> Option<T> {
-        self.state.borrow().value.clone()
-    }
-}
-
-impl<T> fmt::Debug for Signal<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Signal")
-            .field("set", &self.is_set())
-            .finish()
-    }
-}
-
-/// Future returned by [`Signal::wait`].
-pub struct SignalWait<T> {
-    state: Rc<RefCell<SignalState<T>>>,
-    key: Option<u64>,
-}
-
-impl<T> Unpin for SignalWait<T> {}
-
-impl<T: Clone> Future for SignalWait<T> {
-    type Output = T;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
-        let this = self.get_mut();
-        let mut s = this.state.borrow_mut();
-        match &s.value {
-            Some(v) => {
-                let v = v.clone();
-                this.key = None; // set() drained the list; nothing to remove
-                Poll::Ready(v)
-            }
-            None => {
-                let key = match this.key {
-                    Some(k) => k,
-                    None => {
-                        let k = s.next_waiter;
-                        s.next_waiter += 1;
-                        this.key = Some(k);
-                        k
-                    }
-                };
-                match s.wakers.iter_mut().find(|(k, _)| *k == key) {
-                    Some(slot) => slot.1.clone_from(cx.waker()),
-                    None => s.wakers.push((key, cx.waker().clone())),
-                }
-                Poll::Pending
-            }
-        }
-    }
-}
-
-impl<T> Drop for SignalWait<T> {
-    fn drop(&mut self) {
-        // A set() broadcast wakes everyone and leaves the value readable,
-        // so an abandoned wait only has to remove its own parked waker.
-        if let Some(k) = self.key.take() {
-            self.state.borrow_mut().wakers.retain(|(id, _)| *id != k);
         }
     }
 }
@@ -801,7 +638,6 @@ mod tests {
         ch.try_recv();
         ch.try_send(3).unwrap();
         assert_eq!(ch.max_len(), 2);
-        assert_eq!(ch.total_sent(), 3);
         assert_eq!(ch.len(), 2);
     }
 
@@ -809,44 +645,6 @@ mod tests {
     #[should_panic(expected = "capacity must be > 0")]
     fn zero_capacity_rejected() {
         let _ = Channel::<u8>::bounded(0);
-    }
-
-    #[test]
-    fn signal_wakes_multiple_waiters() {
-        let sim = Simulation::new();
-        let sig = Signal::new();
-        let n = Rc::new(Cell::new(0));
-        for _ in 0..3 {
-            let sig = sig.clone();
-            let n = Rc::clone(&n);
-            sim.spawn(async move {
-                assert_eq!(sig.wait().await, 99);
-                n.set(n.get() + 1);
-            });
-        }
-        sim.spawn(async move { sig.set(99) });
-        assert!(sim.run().completed_cleanly());
-        assert_eq!(n.get(), 3);
-    }
-
-    #[test]
-    fn signal_wait_after_set_is_immediate() {
-        let sim = Simulation::new();
-        let sig = Signal::new();
-        sig.set(5u8);
-        assert_eq!(sig.get(), Some(5));
-        sim.spawn(async move {
-            assert_eq!(sig.wait().await, 5);
-        });
-        assert!(sim.run().completed_cleanly());
-    }
-
-    #[test]
-    #[should_panic(expected = "set called twice")]
-    fn signal_double_set_panics() {
-        let sig = Signal::new();
-        sig.set(1);
-        sig.set(2);
     }
 
     #[test]
@@ -970,24 +768,18 @@ mod tests {
     }
 
     #[test]
-    fn dropped_signal_and_counter_waits_unregister() {
+    fn dropped_counter_wait_unregisters() {
         let sim = Simulation::new();
-        let sig: Signal<u8> = Signal::new();
         let c = Counter::new();
-        let (sig2, c2) = (sig.clone(), c.clone());
+        let c2 = c.clone();
         sim.spawn(async move {
-            poll_once_and_drop(sig2.wait()).await;
             poll_once_and_drop(c2.wait_for(5)).await;
         });
         assert!(sim.run().completed_cleanly());
-        assert!(sig.state.borrow().wakers.is_empty(), "leaked signal waker");
         assert!(c.state.borrow().waiters.is_empty(), "leaked counter waiter");
-        // The primitives still work after the abandoned waits.
+        // The counter still works after the abandoned wait.
         let sim = Simulation::new();
-        sim.spawn(async move {
-            sig.set(1);
-            c.add(5);
-        });
+        sim.spawn(async move { c.add(5) });
         assert!(sim.run().completed_cleanly());
     }
 

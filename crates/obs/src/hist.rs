@@ -92,7 +92,7 @@ hists! {
     LsyncRttNs => "lsync_rtt_ns",
     // Wire frame send -> cumulative-ack release (wire-layer RTT).
     WireRttNs => "wire_rtt_ns",
-    // Watchdog busy-fraction samples, in permille (0..=1000).
+    // Proxy busy-fraction self-samples, in permille (0..=1000).
     BusyPermille => "busy_permille",
 }
 

@@ -10,8 +10,8 @@
 //! ```
 //!
 //! Writers claim an absolute slot number with `head.fetch_add` (so
-//! multiple writers — proxy thread, supervisor, watchdog — may share a
-//! node's ring), tombstone the slot, write the timestamp, then publish
+//! multiple writers — the node's proxy thread and the endpoints of its
+//! processes — may share a node's ring), tombstone the slot, write the timestamp, then publish
 //! `w1` with `Release`. `lap_tag` is the low byte of the claim's lap
 //! count (`claim >> log2(cap)`); a reader that observes a stale or
 //! tombstoned tag skips the slot. Readers double-read `w1` around the

@@ -1,7 +1,8 @@
 //! Building a cluster: declare nodes, processes and policies, then
-//! [`RtClusterBuilder::start`] lays out the per-node structures, hands
-//! each node's proxy its command queues, and spawns the proxy, watchdog
-//! and supervisor threads.
+//! [`RtClusterBuilder::start`] lays out the per-node structures and
+//! spawns one thread per node — its proxy, handed the node's command
+//! queues and protocol state to own for the cluster's lifetime — and no
+//! other thread.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64};
@@ -17,12 +18,11 @@ use crate::endpoint::Endpoint;
 use crate::fault::{RtFaultPlan, RtFaultState};
 use crate::idle::Parker;
 use crate::mem::Segment;
-use crate::proxy::{run_proxy, Seat, SeatEntry};
+use crate::proxy::{run_proxy, Seat, SeatEntry, SupervisorCfg};
 use crate::ring::Ring;
 use crate::spsc;
 use crate::state::NodeState;
-use crate::supervisor::SupervisorCfg;
-use crate::watchdog::{watchdog_main, ProxyHealth};
+use crate::watchdog::ProxyHealth;
 
 /// Builds an [`RtCluster`]: declare nodes and processes, then
 /// [`RtClusterBuilder::start`].
@@ -30,7 +30,6 @@ pub struct RtClusterBuilder {
     nodes: usize,
     procs: Vec<(usize, usize)>, // (node, segment bytes)
     shed: bool,
-    watchdog_interval: Duration,
     fault_plan: Option<RtFaultPlan>,
     supervision: Option<SupervisorCfg>,
     telemetry: bool,
@@ -50,7 +49,6 @@ impl RtClusterBuilder {
             nodes,
             procs: Vec::new(),
             shed: false,
-            watchdog_interval: Duration::from_millis(1),
             fault_plan: None,
             supervision: None,
             telemetry: true,
@@ -83,19 +81,6 @@ impl RtClusterBuilder {
         self
     }
 
-    /// Sets the watchdog's sampling period (default 1 ms). Shorter
-    /// periods make saturation detection snappier at the cost of one
-    /// extra wake-up per period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is zero.
-    pub fn watchdog_interval(&mut self, interval: Duration) -> &mut Self {
-        assert!(!interval.is_zero(), "watchdog interval must be positive");
-        self.watchdog_interval = interval;
-        self
-    }
-
     /// Installs a seeded fault plan ([`RtFaultPlan`]): per-packet drop /
     /// duplication / corruption on data frames, plus proxy stalls and
     /// kills. With no plan installed the wire layer pays one never-taken
@@ -110,11 +95,12 @@ impl RtClusterBuilder {
         self
     }
 
-    /// Enables proxy supervision: a dead proxy is respawned on a fresh
-    /// epoch after an exponential backoff (`backoff · 2^restarts_so_far`),
-    /// up to `max_restarts` times per node; past the budget the node is
-    /// condemned (fail-fast on crash loops). Without supervision any
-    /// proxy death condemns its node immediately.
+    /// Enables proxy supervision: a dead proxy restarts itself, in place
+    /// and on a fresh epoch, after an exponential backoff
+    /// (`backoff · 2^restarts_so_far`), up to `max_restarts` times per
+    /// node; past the budget the node is condemned (fail-fast on crash
+    /// loops). Without supervision any proxy death condemns its node
+    /// immediately.
     pub fn supervise(&mut self, max_restarts: u32, backoff: Duration) -> &mut Self {
         self.supervision = Some(SupervisorCfg {
             max_restarts,
@@ -134,8 +120,8 @@ impl RtClusterBuilder {
         (self.procs.len() - 1) as u32
     }
 
-    /// Starts the proxy threads and returns the cluster handle plus one
-    /// [`Endpoint`] per declared process (in declaration order).
+    /// Starts one proxy thread per node and returns the cluster handle
+    /// plus one [`Endpoint`] per declared process (in declaration order).
     #[must_use]
     pub fn start(self) -> (RtCluster, Vec<Endpoint>) {
         let nodes = self.nodes;
@@ -176,6 +162,9 @@ impl RtClusterBuilder {
             }));
         }
 
+        // `started` (below) is the zero of the cluster-relative ns
+        // timebase the sender halves keep their RTO in.
+        let states: Vec<NodeState> = (0..nodes).map(|_| NodeState::new(nodes, 0)).collect();
         let shared = Arc::new(Shared {
             procs,
             perms: RwLock::new(HashSet::new()),
@@ -193,14 +182,7 @@ impl RtClusterBuilder {
             deaths: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             restarts_total: AtomicU64::new(0),
             panic_reasons: (0..nodes).map(|_| Mutex::new(None)).collect(),
-            // `started` (below) is the zero of the cluster-relative ns
-            // timebase the sender halves keep their RTO in.
-            node_state: (0..nodes)
-                .map(|_| Mutex::new(NodeState::new(nodes, 0)))
-                .collect(),
-            seats: seats.into_iter().map(|s| Mutex::new(Some(s))).collect(),
             ready_masks: (0..nodes).map(|_| Arc::new(AtomicU64::new(0))).collect(),
-            handles: Mutex::new((0..nodes).map(|_| None).collect()),
             health: (0..nodes)
                 .map(|_| Arc::new(ProxyHealth::default()))
                 .collect(),
@@ -225,43 +207,19 @@ impl RtClusterBuilder {
             })
             .collect();
 
-        {
-            let mut handles = shared.handles.lock().unwrap_or_else(|e| e.into_inner());
-            for (node, slot) in handles.iter_mut().enumerate() {
+        let handles = seats
+            .into_iter()
+            .zip(states)
+            .enumerate()
+            .map(|(node, (seat, st))| {
                 let sh = Arc::clone(&shared);
-                *slot = Some(
-                    std::thread::Builder::new()
-                        .name(format!("mproxy-{node}"))
-                        .spawn(move || run_proxy(node, sh))
-                        .expect("spawn proxy thread"),
-                );
-            }
-        }
+                std::thread::Builder::new()
+                    .name(format!("mproxy-{node}"))
+                    .spawn(move || run_proxy(node, &sh, seat, st))
+                    .expect("spawn proxy thread")
+            })
+            .collect();
 
-        let watchdog = {
-            let sh = Arc::clone(&shared);
-            let interval = self.watchdog_interval;
-            std::thread::Builder::new()
-                .name("mproxy-watchdog".into())
-                .spawn(move || watchdog_main(&sh, interval))
-                .expect("spawn watchdog thread")
-        };
-
-        let supervisor = shared.supervision.map(|_| {
-            let sh = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("mproxy-supervisor".into())
-                .spawn(move || crate::supervisor::supervisor_main(&sh))
-                .expect("spawn supervisor thread")
-        });
-
-        (
-            RtCluster {
-                shared,
-                watchdog: Some(watchdog),
-                supervisor,
-            },
-            endpoints,
-        )
+        (RtCluster { shared, handles }, endpoints)
     }
 }

@@ -23,19 +23,19 @@
 //! # Supervision and recovery
 //!
 //! A proxy is a shared, trusted agent; a node must survive its failure.
-//! Each proxy body runs under `catch_unwind`: on panic the thread returns
-//! its *seat* (the node's command-queue consumers), records the panic
-//! payload, and raises the node's `panicked` bit. All protocol state
-//! lives in a per-node [`NodeState`] owned by `Shared` and locked by the
-//! proxy for its lifetime — so a respawned proxy resumes with the exact
-//! watermarks, retention buffers and CCBs its predecessor held, and no
+//! Each node has exactly one thread, its proxy, which runs its service
+//! loop under `catch_unwind` and is its own supervisor: on panic it
+//! records the payload and raises the node's `panicked` bit. All protocol
+//! state lives in a per-node [`NodeState`] the thread owns
+//! outside the unwind — so a restarted loop resumes with the exact
+//! watermarks, retention buffers and CCBs the dead one held, and no
 //! acknowledged operation can be lost or re-applied. With supervision
-//! enabled ([`crate::RtClusterBuilder::supervise`]) a supervisor thread respawns
-//! dead proxies on a fresh epoch (bounded restarts, exponential backoff);
-//! the newcomer broadcasts a Hello so peers re-ack and retransmit
+//! enabled ([`crate::RtClusterBuilder::supervise`]) the thread restarts
+//! the loop in place on a fresh epoch (bounded restarts, exponential
+//! backoff) and broadcasts a Hello so peers re-ack and retransmit
 //! immediately instead of waiting out their timers. A node that exhausts
-//! its restart budget — or dies without supervision — is *condemned*:
-//! peers purge traffic towards it, bounded waits report
+//! its restart budget — or dies without supervision, or while stopping —
+//! is *condemned*: peers purge traffic towards it, bounded waits report
 //! [`crate::RtError::ProxyDown`] with the panic reason, and shutdown completes.
 //! [`RtCluster::shutdown`] is deadline-bounded and reports wedged proxies
 //! instead of joining them forever.
@@ -63,10 +63,9 @@ use mproxy_obs::{ObsHub, Scope as ObsScope, Snapshot, TraceEvent};
 use crate::fault::{RtFaultCounts, RtFaultState};
 use crate::idle::Parker;
 use crate::mem::Segment;
-use crate::proxy::Seat;
+use crate::proxy::SupervisorCfg;
 use crate::ring::Ring;
 use crate::state::NodeState;
-use crate::supervisor::SupervisorCfg;
 use crate::watchdog::ProxyHealth;
 use crate::wire::{abandon_all_held, WireMsg};
 
@@ -208,32 +207,25 @@ pub(crate) struct Shared {
     pub(crate) parkers: Vec<Parker>, // per node, wakes the proxy thread
     pub(crate) ops_serviced: Vec<Arc<AtomicU64>>, // per node
     /// Per node: the proxy is currently dead (set after unwinding, after
-    /// the seat and panic reason are back; cleared by a respawn).
+    /// the panic reason is recorded; cleared by a restart).
     pub(crate) panicked: Vec<AtomicBool>,
     /// Per node: permanently dead — no respawn will come. Peers purge
     /// traffic towards condemned nodes; waits abort against them.
     pub(crate) condemned: Vec<AtomicBool>,
     /// Cheap gate for the per-loop condemnation scan.
     pub(crate) any_condemned: AtomicBool,
-    /// Mirror of each node's epoch for lock-free queries.
+    /// Each node's epoch: its proxy's restart count, bumped by the proxy
+    /// itself and carried by its Hellos.
     pub(crate) epochs: Vec<AtomicU64>,
     /// Times each node's proxy has panicked.
     pub(crate) deaths: Vec<AtomicU64>,
-    /// Total supervisor respawns.
+    /// Total supervised restarts.
     pub(crate) restarts_total: AtomicU64,
     /// Last panic payload per node, when it was a string.
     pub(crate) panic_reasons: Vec<Mutex<Option<String>>>,
-    /// The per-node protocol state (see [`NodeState`]).
-    pub(crate) node_state: Vec<Mutex<NodeState>>,
-    /// Each node's command-queue consumers, parked here whenever no
-    /// proxy incarnation is running; each incarnation takes the seat and
-    /// returns it on the way out (even by panic).
-    pub(crate) seats: Vec<Mutex<Option<Seat>>>,
     /// The §4.1 ready-bit word per node (shared with the endpoints). A
     /// queue's bit is its index among its node's queues.
     pub(crate) ready_masks: Vec<Arc<AtomicU64>>,
-    /// Proxy thread handles, replaced by the supervisor on respawn.
-    pub(crate) handles: Mutex<Vec<Option<JoinHandle<()>>>>,
     pub(crate) health: Vec<Arc<ProxyHealth>>, // per node
     pub(crate) shed_enabled: AtomicBool,
     /// The installed fault injector, if any.
@@ -311,15 +303,12 @@ pub(crate) fn condemn(shared: &Shared, node: usize) {
     }
 }
 
-/// [`condemn`] for a node whose proxy has already died (so its state
-/// lock is free): the frames it had parked behind gaps will never be
-/// applied, and are counted as dropped before the node is written off.
-pub(crate) fn condemn_dead(shared: &Shared, node: usize) {
-    let mut st = shared.node_state[node]
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    abandon_all_held(shared, &mut st, node);
-    drop(st);
+/// [`condemn`] for a node whose proxy has died for good, called by that
+/// proxy's thread with the state it holds: the frames it had parked
+/// behind gaps will never be applied, and are counted as dropped before
+/// the node is written off.
+pub(crate) fn condemn_dead(shared: &Shared, st: &mut NodeState, node: usize) {
+    abandon_all_held(shared, st, node);
     condemn(shared, node);
 }
 
@@ -333,8 +322,8 @@ fn raised(bits: &[AtomicBool]) -> Vec<usize> {
 /// A running cluster of proxy threads.
 pub struct RtCluster {
     pub(crate) shared: Arc<Shared>,
-    pub(crate) watchdog: Option<JoinHandle<()>>,
-    pub(crate) supervisor: Option<JoinHandle<()>>,
+    /// One proxy thread per node, in node order; emptied by the join.
+    pub(crate) handles: Vec<JoinHandle<()>>,
 }
 
 impl RtCluster {
@@ -370,9 +359,9 @@ impl RtCluster {
         self.shared.ops_serviced[node].load(Ordering::Relaxed)
     }
 
-    /// The watchdog's last utilisation sample for node `node`: fraction
-    /// of the sampling period spent servicing work rather than
-    /// idle-polling, in `[0, 1]`. Zero until the first sample lands.
+    /// Node `node`'s proxy's last sample of its own utilisation: fraction
+    /// of the sampling window (about 1 ms) spent servicing work rather
+    /// than idle-polling, in `[0, 1]`. Zero until the first sample lands.
     #[must_use]
     pub fn utilization(&self, node: usize) -> f64 {
         f64::from_bits(self.shared.health[node].util_bits.load(Ordering::Relaxed))
@@ -499,23 +488,12 @@ impl RtCluster {
         for p in &self.shared.parkers {
             p.wake();
         }
-        // The supervisor first: it observes stop promptly, condemns any
-        // node that is dead right now (so surviving proxies stop waiting
-        // for its acknowledgements), and exits.
-        if let Some(s) = self.supervisor.take() {
-            let _ = s.join();
-        }
-        let handles: Vec<Option<JoinHandle<()>>> = {
-            let mut guard = self.shared.handles.lock().unwrap_or_else(|e| e.into_inner());
-            guard.iter_mut().map(Option::take).collect()
-        };
+        // A proxy dead at this moment sees the stop within one
+        // `sleep_unless` chunk of its restart backoff and condemns its
+        // node, so the survivors stop waiting for its acknowledgements.
         let limit = Instant::now() + deadline;
-        let mut report = ShutdownReport {
-            restarts: self.shared.restarts_total.load(Ordering::Relaxed),
-            ..ShutdownReport::default()
-        };
-        for (node, handle) in handles.into_iter().enumerate() {
-            let Some(handle) = handle else { continue };
+        let mut report = ShutdownReport::default();
+        for (node, handle) in std::mem::take(&mut self.handles).into_iter().enumerate() {
             loop {
                 if handle.is_finished() {
                     let _ = handle.join();
@@ -538,9 +516,7 @@ impl RtCluster {
                 reason: self.shared.panic_reason(node),
             });
         }
-        if let Some(w) = self.watchdog.take() {
-            let _ = w.join();
-        }
+        report.restarts = self.shared.restarts_total.load(Ordering::Relaxed);
         report
     }
 }

@@ -4,7 +4,7 @@
 //! real threads: per-packet drop / duplication / corruption Bernoulli
 //! draws (reordering is omitted — the wire rings are FIFO by
 //! construction, so the transport cannot reorder), plus the time-domain
-//! faults that matter to a supervisor: **stalls** (the proxy freezes for
+//! faults that matter to supervision: **stalls** (the proxy freezes for
 //! a wall-clock window) and **kills** (the proxy panics after servicing
 //! a given number of operations, deterministically reproducible because
 //! the trigger is an op count, not a clock).

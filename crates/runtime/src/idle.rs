@@ -16,7 +16,7 @@
 //!   flags are bumped by a proxy that does not know who is watching —
 //!   simply stay in the yield phase.
 //!
-//! Parking keeps the §5.4 watchdog's busy-fraction sampling meaningful:
+//! Parking keeps each proxy's own §5.4 busy-fraction sampling meaningful:
 //! a parked proxy accrues no busy time *and* no longer burns a host CPU
 //! converting idleness into scheduler noise.
 
@@ -32,9 +32,8 @@ const SLEEP_CHUNK: Duration = Duration::from_micros(200);
 /// Sleeps for `dur` in small chunks, aborting early once `abort` reads
 /// true. Returns `true` if the full duration elapsed, `false` on abort.
 /// Used by every long runtime sleep that must still honour the cluster
-/// stop signal: the supervisor's restart backoff, interruptible injected
-/// stalls, the watchdog's sampling period — so none of them can wedge
-/// shutdown for longer than one chunk.
+/// stop signal: a dead proxy's restart backoff and interruptible injected
+/// stalls — so neither can wedge shutdown for longer than one chunk.
 pub fn sleep_unless(dur: Duration, abort: &AtomicBool) -> bool {
     let deadline = Instant::now() + dur;
     loop {

@@ -14,15 +14,15 @@
 //!   reply rings (proxy → user process);
 //! * [`idle`] — the shared adaptive idle policy (spin → yield → park
 //!   with explicit wake on enqueue) every wait in the runtime uses;
-//! * a proxy thread per node running the Figure 5 loop in batched
-//!   drains (ACKs coalesced per peer per batch), with the §4.1
-//!   shared ready-bit vector accelerating the idle scan;
+//! * a proxy thread per node — and no other thread — running the
+//!   Figure 5 loop in batched drains (ACKs coalesced per peer per batch),
+//!   with the §4.1 shared ready-bit vector accelerating the idle scan;
 //! * protected RMA (`put`/`get`) and remote queues (`enq`) between
 //!   processes, with asid permission checks enforced *in the proxy*;
 //! * an in-process "network" of FIFO channels standing in for the SP
 //!   switch adapter (see DESIGN.md's substitution notes);
-//! * an overload **watchdog** sampling each proxy's busy fraction and
-//!   flagging violations of the paper's §5.4 stability rule (a proxy past
+//! * overload detection: each proxy samples its own busy fraction and
+//!   flags violations of the paper's §5.4 stability rule (a proxy past
 //!   50% utilisation has unbounded expected queueing delay), with
 //!   opt-in request shedding
 //!   ([`RtClusterBuilder::enable_shedding`]);
@@ -40,8 +40,9 @@
 //!   corrupt verdicts plus injected proxy stalls and kills, sharing its
 //!   deterministic fate core with the simulator's `simnet::FaultPlan`;
 //! * proxy **supervision** ([`RtClusterBuilder::supervise`]): a dead
-//!   proxy is respawned on a fresh epoch against the node's surviving
-//!   protocol state, under a restart budget with exponential backoff;
+//!   proxy restarts itself in place, on a fresh epoch and against the
+//!   node's surviving protocol state, under a restart budget with
+//!   exponential backoff;
 //!   crash-looping nodes are *condemned* and reported through
 //!   [`RtError::ProxyDown`] and the deadline-bounded
 //!   [`RtCluster::shutdown`]'s [`ShutdownReport`].
@@ -85,7 +86,6 @@ mod proxy;
 pub mod ring;
 pub mod spsc;
 mod state;
-mod supervisor;
 mod watchdog;
 mod wire;
 

@@ -1,10 +1,11 @@
 //! A node's proxy: the thread that runs the Figure 5 loop for real.
 //!
-//! [`run_proxy`] is one incarnation of a node's proxy (supervision
-//! respawns it against the same [`NodeState`]); [`proxy_main`] is its
-//! service loop, a fixed sequence of phases per pass — timed faults,
-//! condemned-peer purge, hello, command drain, shed, wire drain,
-//! reliability upkeep, idle. The two drains are what put operations on
+//! [`run_proxy`] is a node's proxy thread, which restarts its own service
+//! loop in place after a panic (under supervision, against the same
+//! [`NodeState`]); [`proxy_main`] is that loop, a fixed sequence of
+//! phases per pass — load sampling, timed faults, condemned-peer purge,
+//! command drain, shed, wire drain, reliability upkeep, idle. The two
+//! drains are what put operations on
 //! the wire, and each ends by closing the frames it opened
 //! ([`crate::wire::flush_frames`]), so a frame never outlives its pass.
 //! [`handle_command`] executes a local user's command and [`apply_data`]
@@ -12,7 +13,6 @@
 //! never in user code.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mproxy_obs::{Ctr, EventKind, HistId};
@@ -25,6 +25,7 @@ use crate::idle::{Backoff, Parker};
 use crate::ring::Ring;
 use crate::spsc::{self, Entry};
 use crate::state::{CcbGet, NodeState, PendingEnq};
+use crate::watchdog::LoadSampler;
 use crate::wire::{
     abandon_all_held, flush_acks, flush_frames, flush_pending, handle_packet, push_wire,
     retransmit, send_data, Payload, WireMsg,
@@ -58,7 +59,8 @@ const SERVICE_BURST: usize = 2 * CMDQ_DEPTH;
 pub(crate) const PENDING_CAP: usize = 2 * WIRE_DEPTH;
 
 /// Longest a parked proxy sleeps before re-probing its queues (a missed
-/// wake is designed out, this is insurance — see [`crate::idle::Parker`]).
+/// wake is designed out, this is insurance — see [`crate::idle::Parker`])
+/// and sampling its load.
 const PARK_TIMEOUT: Duration = Duration::from_millis(1);
 
 /// Loop passes a stopping proxy keeps waiting for undeliverable or
@@ -273,30 +275,34 @@ fn handle_command(
     }
 }
 
-/// One incarnation of a node's proxy: takes the node's seat (command
-/// consumers) and protocol state, runs the service loop under
-/// `catch_unwind`, and on panic returns the seat, records the payload,
-/// and raises the panic bit — so a supervisor can respawn a successor
-/// that resumes from the exact same state.
-pub(crate) fn run_proxy(node: usize, shared: Arc<Shared>) {
-    let Some(mut seat) = shared.seats[node]
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .take()
-    else {
-        return; // a racing incarnation holds the seat; let it serve
-    };
-    let mut guard = shared.node_state[node]
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        proxy_main(node, &mut seat, &mut guard, &shared);
-    }));
-    // The guard is dropped here, *outside* any unwinding — the node-state
-    // mutex is never poisoned by a proxy death.
-    drop(guard);
-    *shared.seats[node].lock().unwrap_or_else(|e| e.into_inner()) = Some(seat);
-    if let Err(payload) = result {
+/// Supervision policy ([`crate::RtClusterBuilder::supervise`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SupervisorCfg {
+    /// Restarts allowed per node before condemnation.
+    pub(crate) max_restarts: u32,
+    /// Base restart delay; doubles with each restart of the same node.
+    pub(crate) backoff: Duration,
+}
+
+/// A node's proxy thread for the cluster's lifetime, and its own
+/// supervisor: it owns the node's seat (command consumers) and protocol
+/// state, and runs the service loop under `catch_unwind`. A panic is
+/// recorded as a death. Under supervision, within the restart budget, the
+/// thread then waits out `backoff · 2^restarts` (so a crash loop does
+/// not become a restart storm), bumps the node's epoch, queues a Hello to
+/// every peer and re-enters the loop on the same state — watermarks,
+/// retention, CCBs — so nothing acknowledged is lost or re-applied.
+/// Otherwise (no supervision, budget spent, or the cluster stopping) it
+/// condemns the node and returns.
+pub(crate) fn run_proxy(node: usize, shared: &Shared, mut seat: Seat, mut st: NodeState) {
+    shared.parkers[node].register();
+    let mut load = LoadSampler::new(Instant::now());
+    let mut restarts = 0u32;
+    loop {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            proxy_main(node, &mut seat, &mut st, &mut load, shared);
+        }));
+        let Err(payload) = result else { return };
         let reason = payload
             .downcast_ref::<&str>()
             .map(|s| (*s).to_string())
@@ -305,49 +311,63 @@ pub(crate) fn run_proxy(node: usize, shared: Arc<Shared>) {
         let obs = &shared.obs[node];
         obs.inc(Ctr::Kills);
         obs.trace(EventKind::Kill, node as u16, 0);
-        if std::env::var_os("MPROXY_OBS_DUMP_ON_PANIC").is_some() {
-            eprintln!(
-                "mproxy-rt: {} flight recorder at death:\n{}",
-                obs.name(),
-                obs.events()
-                    .iter()
-                    .map(|e| format!(
-                        "  t={}ns {} a={} b={}",
-                        e.t_ns,
-                        e.kind.name(),
-                        e.a,
-                        e.b
-                    ))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            );
-        }
         shared.deaths[node].fetch_add(1, Ordering::Relaxed);
         *shared.panic_reasons[node]
             .lock()
-            .unwrap_or_else(|e| e.into_inner()) = Some(reason);
-        if shared.supervision.is_none() || shared.stop.load(Ordering::Relaxed) {
-            // Nobody will respawn this node (no supervisor, or it is
-            // already shutting down): condemn so waits and drains abort.
-            condemn_dead(&shared, node);
+            .unwrap_or_else(|e| e.into_inner()) = Some(reason.clone());
+        let supervised = shared
+            .supervision
+            .filter(|_| !shared.stop.load(Ordering::Relaxed));
+        if let Some(cfg) = supervised.filter(|cfg| restarts < cfg.max_restarts) {
+            shared.panicked[node].store(true, Ordering::Release);
+            let delay = cfg.backoff.saturating_mul(1u32 << restarts.min(16));
+            if crate::idle::sleep_unless(delay, &shared.stop) {
+                restarts += 1;
+                shared.restarts_total.fetch_add(1, Ordering::Relaxed);
+                let epoch = shared.epochs[node].fetch_add(1, Ordering::Relaxed) + 1;
+                obs.inc(Ctr::EpochBumps);
+                obs.inc(Ctr::Respawns);
+                obs.trace(EventKind::EpochBump, node as u16, epoch as u32);
+                obs.trace(EventKind::Respawn, node as u16, restarts);
+                eprintln!(
+                    "mproxy-rt: node {node} proxy died ({reason}); \
+                     respawning on epoch {epoch} (restart {restarts})"
+                );
+                shared.panicked[node].store(false, Ordering::Release);
+                say_hello(shared, &mut st, node, epoch);
+                continue;
+            }
+        } else if let Some(cfg) = supervised {
+            eprintln!(
+                "mproxy-rt: node {node} proxy is crash-looping \
+                 ({} restarts exhausted) — condemning it",
+                cfg.max_restarts
+            );
         }
-        // Last: the panic bit is what the supervisor polls, and every
-        // observer must already see the seat, the reason and (possibly)
-        // the condemnation when it flips.
+        // Nobody will restart this node: condemn it so waits and drains
+        // abort, and only then raise (or leave raised) the panic bit, so
+        // every observer of the bit also sees the condemnation.
+        condemn_dead(shared, &mut st, node);
         shared.panicked[node].store(true, Ordering::Release);
+        return;
     }
 }
 
 /// The proxy service loop: the Figure 5 loop over real queues and wires,
 /// plus the reliability layer (retention, acks, retransmission), the
-/// fault injector's time-domain hooks and condemned-peer purging. Every
-/// pass runs the same phases in the same order; a pass that moved
-/// anything is charged to the proxy's busy time and followed at once by
-/// the next, an empty one falls through to the stop check and the idle
-/// policy.
-fn proxy_main(node: usize, seat: &mut [SeatEntry], st: &mut NodeState, shared: &Shared) {
+/// fault injector's time-domain hooks, condemned-peer purging and the
+/// proxy's own load sampling. Every pass runs the same phases in the same
+/// order; a pass that moved anything is charged to the proxy's busy time
+/// and followed at once by the next, an empty one falls through to the
+/// stop check and the idle policy.
+fn proxy_main(
+    node: usize,
+    seat: &mut [SeatEntry],
+    st: &mut NodeState,
+    load: &mut LoadSampler,
+    shared: &Shared,
+) {
     let parker = &shared.parkers[node];
-    parker.register();
     let ready = &*shared.ready_masks[node];
     let wire_rx = &shared.wires[node];
     let health = &shared.health[node];
@@ -356,14 +376,12 @@ fn proxy_main(node: usize, seat: &mut [SeatEntry], st: &mut NodeState, shared: &
     let mut stop_flush_tries = 0u32;
     loop {
         let now = Instant::now();
+        load.tick(shared, node, now);
         if timed_faults(shared, node, now) {
             continue;
         }
         if shared.any_condemned.load(Ordering::Acquire) {
             purge_condemned(shared, st, node);
-        }
-        if st.hello_pending {
-            say_hello(shared, st, node, now);
         }
         // Stashed outbound packets go first: per-destination FIFO.
         let mut progressed = flush_pending(shared, st);
@@ -388,13 +406,7 @@ fn proxy_main(node: usize, seat: &mut [SeatEntry], st: &mut NodeState, shared: &
         retransmit(shared, st, node, now);
         flush_acks(shared, st, node);
         if progressed {
-            // Busy time feeds the watchdog's utilisation samples; idle
-            // polling scans are charged to nobody, exactly like the
-            // simulator's per-node busy counter.
-            health.busy_ns.fetch_add(
-                u64::try_from(now.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                Ordering::Relaxed,
-            );
+            load.charge(now);
             backoff.reset();
             stop_flush_tries = 0;
             continue;
@@ -434,8 +446,8 @@ fn proxy_main(node: usize, seat: &mut [SeatEntry], st: &mut NodeState, shared: &
 }
 
 /// Injected time-domain faults: kills panic right here (the
-/// `catch_unwind` in [`run_proxy`] turns that into a death the
-/// supervisor can see); stalls freeze the loop wholesale. True when the
+/// `catch_unwind` in [`run_proxy`] turns that into a recorded death);
+/// stalls freeze the loop wholesale. True when the
 /// node just sat out a stall, so the pass restarts on a fresh clock.
 #[inline]
 fn timed_faults(shared: &Shared, node: usize, now: Instant) -> bool {
@@ -475,7 +487,7 @@ fn purge_condemned(shared: &Shared, st: &mut NodeState, node: usize) {
         st.pending_wire[dst].clear();
         let NodeState { tx, rx, ccbs, .. } = &mut *st;
         let tx = &mut tx[dst];
-        // (`open` is empty between passes unless a predecessor died
+        // (`open` is empty between passes unless the loop died
         // mid-phase.)
         let frames = tx.retained.iter().map(|(_, r)| &r.body[..]);
         for op in frames.chain([&tx.open[..]]).flatten() {
@@ -494,15 +506,12 @@ fn purge_condemned(shared: &Shared, st: &mut NodeState, node: usize) {
     }
 }
 
-/// A fresh incarnation owes its peers a Hello (and owes itself a
-/// retransmission pass — peers may have acked frames the wire lost
-/// while the node was down).
-#[inline]
-fn say_hello(shared: &Shared, st: &mut NodeState, node: usize, now: Instant) {
-    st.hello_pending = false;
-    let epoch = st.epoch;
+/// A restarted proxy owes its peers a Hello on its new `epoch` (and owes
+/// itself a retransmission pass — peers may have acked frames the wire
+/// lost while the node was down).
+fn say_hello(shared: &Shared, st: &mut NodeState, node: usize, epoch: u64) {
     let obs = &shared.obs[node];
-    obs.trace_at(shared.rel_ns(now), EventKind::Hello, node as u16, epoch as u32);
+    obs.trace(EventKind::Hello, node as u16, epoch as u32);
     for dst in 0..shared.wires.len() {
         if dst == node {
             continue;

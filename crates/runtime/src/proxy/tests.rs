@@ -1,10 +1,12 @@
 //! Frame-level protocol cases, driven by hand on a cluster whose proxies
-//! have exited: each node's state is stepped through [`send_data`],
-//! [`flush_frames`], [`handle_packet`] and [`flush_acks`] with the wire
-//! rings carried across by the test, so every verdict is deterministic.
+//! have exited: a fresh state per node, built here, is stepped through
+//! [`send_data`], [`flush_frames`], [`handle_packet`] and [`flush_acks`]
+//! with the wire rings carried across by the test, so every verdict is
+//! deterministic.
 
 use super::*;
 use crate::RtClusterBuilder;
+use std::sync::Arc;
 
 const SRC: usize = 0;
 const DST: usize = 1;
@@ -27,8 +29,8 @@ fn quiesced_under(plan: crate::RtFaultPlan) -> Arc<Shared> {
     shared
 }
 
-fn lock(shared: &Shared, node: usize) -> std::sync::MutexGuard<'_, NodeState> {
-    shared.node_state[node].lock().expect("proxies have exited")
+fn node_state() -> NodeState {
+    NodeState::new(2, 0)
 }
 
 fn put(tag: u8) -> Payload {
@@ -62,23 +64,26 @@ fn get_req(st: &mut NodeState) -> Payload {
 
 /// Sends `ops` (each with its lsync flag) from SRC as one frame, has
 /// DST handle it with `shed`, and SRC handle DST's acknowledgement.
-fn round_trip(shared: &Shared, ops: Vec<(Payload, Option<u32>)>, shed: bool) {
+fn round_trip(
+    shared: &Shared,
+    [src, dst]: [&mut NodeState; 2],
+    ops: Vec<(Payload, Option<u32>)>,
+    shed: bool,
+) {
     let now = Instant::now();
     let n = ops.len() as u64;
-    let mut src = lock(shared, SRC);
     for (op, flag) in ops {
         let lsync = flag.map(|f| (SRC as u32, f));
-        send_data(shared, &mut src, SRC, now, DST, op, lsync, 0);
+        send_data(shared, src, SRC, now, DST, op, lsync, 0);
     }
-    flush_frames(shared, &mut src, SRC, now);
+    flush_frames(shared, src, SRC, now);
     assert_eq!(src.tx[DST].retained.len(), 1, "one frame, one slot");
     let frame = shared.wires[DST].try_pop().expect("the frame");
     assert!(shared.wires[DST].is_empty(), "one ring push");
-    let mut dst = lock(shared, DST);
-    assert_eq!(handle_packet(shared, &mut dst, DST, now, frame, shed), n);
-    flush_acks(shared, &mut dst, DST);
+    assert_eq!(handle_packet(shared, dst, DST, now, frame, shed), n);
+    flush_acks(shared, dst, DST);
     let ack = shared.wires[SRC].try_pop().expect("the ack");
-    assert_eq!(handle_packet(shared, &mut src, SRC, now, ack, false), 1);
+    assert_eq!(handle_packet(shared, src, SRC, now, ack, false), 1);
     assert!(src.tx[DST].retained.is_empty() && src.tx[DST].lsyncs.is_empty());
 }
 
@@ -90,21 +95,19 @@ fn flag(shared: &Shared, flag: u32) -> u64 {
 fn all_request_frame_is_shed_whole_and_a_response_exempts_its_frame() {
     let shared = quiesced();
     let obs = &shared.obs[DST];
-    let (get_a, get_b) = {
-        let mut src = lock(&shared, SRC);
-        (get_req(&mut src), get_req(&mut src))
-    };
+    let (mut src, mut dst) = (node_state(), node_state());
+    let (get_a, get_b) = (get_req(&mut src), get_req(&mut src));
     let requests = vec![
         (put(1), Some(LSYNC)),
         (get_a, None),
         (put(2), Some(LSYNC)),
         (get_b, None),
     ];
-    round_trip(&shared, requests, true);
+    round_trip(&shared, [&mut src, &mut dst], requests, true);
     assert_eq!((obs.get(Ctr::Sheds), obs.get(Ctr::OpsApplied)), (4, 0));
     assert_eq!(shared.health[DST].shed.load(Ordering::Relaxed), 4);
     assert_eq!(flag(&shared, LSYNC), 0, "no lsync of a shed frame fires");
-    assert!(lock(&shared, SRC).ccbs.is_empty(), "both GETs cancelled");
+    assert!(src.ccbs.is_empty(), "both GETs cancelled");
     assert_eq!(shared.procs[DST].seg.read_u64(0), 0, "nothing applied");
 
     // The same traffic sharing a frame with a response (one no CCB
@@ -120,7 +123,7 @@ fn all_request_frame_is_shed_whole_and_a_response_exempts_its_frame() {
         (put(4), Some(LSYNC + 1)),
         (put(5), Some(LSYNC)),
     ];
-    round_trip(&shared, mixed, true);
+    round_trip(&shared, [&mut src, &mut dst], mixed, true);
     assert_eq!((obs.get(Ctr::Sheds), obs.get(Ctr::OpsApplied)), (4, 4));
     assert_eq!((flag(&shared, LSYNC), flag(&shared, LSYNC + 1)), (2, 1));
     let landed = shared.procs[DST].seg.read_u64(0);
@@ -133,8 +136,8 @@ fn all_request_frame_is_shed_whole_and_a_response_exempts_its_frame() {
 fn purge_cancels_the_ccbs_of_every_operation_of_every_retained_frame() {
     let shared = quiesced();
     let now = Instant::now();
-    let mut src = lock(&shared, SRC);
-    // Two closed frames and one a dead predecessor left open.
+    let mut src = node_state();
+    // Two closed frames and one a loop that died mid-phase left open.
     for frame in 0..3 {
         for _ in 0..3 {
             let get = get_req(&mut src);
@@ -160,7 +163,7 @@ fn operation_that_draws_a_fault_travels_in_a_frame_of_its_own() {
     const N: u64 = 200;
     let shared = quiesced_under(crate::RtFaultPlan::new(7).drop(0.05));
     let now = Instant::now();
-    let mut src = lock(&shared, SRC);
+    let mut src = node_state();
     for i in 0..N {
         send_data(&shared, &mut src, SRC, now, DST, put(i as u8), None, 0);
     }

@@ -1,9 +1,10 @@
-//! Per-node protocol state that outlives a proxy thread.
+//! Per-node protocol state that outlives a proxy panic.
 //!
-//! Everything here is owned by `Shared` and locked by the node's serving
-//! proxy for its lifetime, so a respawned incarnation resumes from the
-//! exact watermarks, retention buffers, parked frames and CCBs its
-//! predecessor held: [`NodeState`], and the two halves of each sequenced
+//! Everything here is owned by the node's proxy thread for the cluster's
+//! lifetime, outside the `catch_unwind` its service loop runs under, so a
+//! loop restarted after a panic resumes from the exact watermarks,
+//! retention buffers, parked frames and CCBs the dead one held:
+//! [`NodeState`], and the two halves of each sequenced
 //! stream it keeps per peer node — [`TxPeer`] (sender: the open frame,
 //! retention, NACKed sequences) and [`RxPeer`] (receiver: the reorder
 //! buffer and what the next ack owes).
@@ -62,7 +63,7 @@ pub(crate) const FRAME_BYTES: u64 = 16384;
 pub(crate) const HOLD_WINDOW: usize = PENDING_CAP;
 
 /// An outstanding GET command control block (lives in [`NodeState`] so a
-/// respawned proxy can still complete or cancel it).
+/// restarted proxy can still complete or cancel it).
 pub(crate) struct CcbGet {
     pub(crate) proc: u32,
     pub(crate) laddr: u64,
@@ -99,7 +100,7 @@ pub(crate) struct TxPeer {
     /// and empty between phases — the phase that appends also closes
     /// ([`crate::wire::flush_frames`]), so no operation waits for company.
     /// It lives here, in crash-surviving state, so a proxy that dies
-    /// mid-phase leaves its successor the operations, not a hole.
+    /// mid-phase leaves its restarted loop the operations, not a hole.
     pub(crate) open: Vec<Payload>,
     /// Payload bytes the open frame carries so far.
     pub(crate) open_bytes: u64,
@@ -213,17 +214,11 @@ pub(crate) struct PendingEnq {
     pub(crate) rsync: Option<u32>,
 }
 
-/// Everything a node's proxy knows that must survive the proxy thread:
-/// protocol watermarks, retention buffers, CCBs, stashed undeliverable
-/// output. Owned by `Shared`, locked by the serving proxy for its
-/// lifetime; the supervisor locks it briefly between incarnations to
-/// bump the epoch.
+/// Everything a node's proxy knows that must survive a panic of its
+/// service loop: protocol watermarks, retention buffers, CCBs, stashed
+/// undeliverable output. Owned by the node's proxy thread
+/// ([`crate::proxy::run_proxy`]).
 pub(crate) struct NodeState {
-    /// Incarnation number; bumped by the supervisor on each respawn.
-    pub(crate) epoch: u64,
-    /// Respawn announcement owed to peers (set by the supervisor, cleared
-    /// by the new incarnation once the Hellos are queued).
-    pub(crate) hello_pending: bool,
     pub(crate) next_token: u64,
     pub(crate) ccbs: HashMap<u64, CcbGet>,
     pub(crate) tx: Vec<TxPeer>,
@@ -258,8 +253,6 @@ pub(crate) struct ObsTicks {
 impl NodeState {
     pub(crate) fn new(nodes: usize, now_ns: u64) -> NodeState {
         NodeState {
-            epoch: 0,
-            hello_pending: false,
             next_token: 0,
             ccbs: HashMap::new(),
             tx: (0..nodes).map(|_| TxPeer::new(now_ns)).collect(),

@@ -1,5 +1,5 @@
-//! The threaded runtime's overload watchdog: saturation detection per the
-//! paper's §5.4 stability rule (a proxy past 50% utilisation has unbounded
+//! The threaded runtime's overload detection, which each proxy runs on
+//! its own load: saturation per the paper's §5.4 stability rule (a proxy past 50% utilisation has unbounded
 //! expected queueing delay), hysteresis-based recovery, and opt-in request
 //! shedding.
 //!
@@ -30,7 +30,6 @@ fn watchdog_flags_saturation_and_recovers() {
     let mut b = RtClusterBuilder::new(1);
     let p0 = b.add_process(0, 1 << 20);
     let p1 = b.add_process(0, 1 << 20);
-    b.watchdog_interval(Duration::from_micros(200));
     let (cluster, mut eps) = b.start();
     let e1 = eps.pop().unwrap();
     let e0 = eps.pop().unwrap();
@@ -92,7 +91,6 @@ fn shedding_drops_requests_but_cluster_stays_live() {
     let sources: Vec<u32> = (0..SOURCES).map(|n| b.add_process(n, 1 << 20)).collect();
     let sink = b.add_process(SOURCES, 1 << 20);
     b.enable_shedding();
-    b.watchdog_interval(Duration::from_micros(200));
     let (cluster, mut eps) = b.start();
     drop(sources);
     let mut sink_ep = eps.pop().unwrap();

@@ -173,6 +173,51 @@ fn restart_budget_exhaustion_condemns() {
 }
 
 #[test]
+fn proxy_waiting_out_its_restart_backoff_is_condemned_promptly_at_shutdown() {
+    // A 30 s backoff keeps node 1 dead when the cluster stops. The stop
+    // must cut the backoff short, and a node dead at stop must be
+    // condemned (so node 0 stops waiting for its acks) and reported —
+    // never restarted, never waited out.
+    let mut b = RtClusterBuilder::new(2);
+    let _p0 = b.add_process(0, 1 << 16);
+    let p1 = b.add_process(1, 1 << 16);
+    b.fault_plan(RtFaultPlan::new(11).kill(1, 10));
+    b.supervise(3, Duration::from_secs(30));
+    let (cluster, mut eps) = b.start();
+    let _e1 = eps.pop().unwrap();
+    let mut e0 = eps.pop().unwrap();
+
+    let mut acked = 0u64;
+    while cluster.panicked_nodes().is_empty() {
+        assert!(acked < 100, "the kill after 10 ops never fired");
+        e0.put(0, p1, 64, 8, Some(FlagId(0)), None);
+        if e0.wait_flag_timeout(FlagId(0), acked + 1, WAIT).is_ok() {
+            acked += 1;
+        }
+    }
+    // Backing off: dead, but neither condemned nor restarted.
+    assert_eq!(cluster.panicked_nodes(), vec![1]);
+    assert_eq!(cluster.condemned_nodes(), Vec::<usize>::new());
+    assert_eq!(cluster.epoch(1), 0);
+
+    let t0 = std::time::Instant::now();
+    let report = cluster.shutdown();
+    assert!(
+        t0.elapsed() < Duration::from_secs(5),
+        "shutdown waited out the backoff: {:?}",
+        t0.elapsed()
+    );
+    assert_eq!(report.restarts, 0);
+    assert_eq!(report.panicked_nodes.len(), 1, "{report:?}");
+    assert_eq!(report.panicked_nodes[0].node, 1);
+    let reason = report.panicked_nodes[0].reason.as_deref();
+    assert!(
+        reason.is_some_and(|r| r.contains("injected kill")),
+        "{reason:?}"
+    );
+}
+
+#[test]
 fn wedged_proxy_is_reported_not_joined_forever() {
     // Node 0's proxy wedges (uninterruptible stall) for far longer than
     // the shutdown deadline: shutdown must return promptly, reporting
