@@ -341,7 +341,7 @@ impl Cluster {
                     queues: RefCell::new(Vec::new()),
                     next_flag: Cell::new(0),
                     next_queue: Cell::new(0),
-                    cpu: Resource::new(ctx, format!("cpu[{r}]"), 1),
+                    cpu: Resource::new(ctx, 1),
                     stats: RefCell::new(ProcStats::default()),
                     comm_error: RefCell::new(None),
                     credits,
@@ -365,7 +365,7 @@ impl Cluster {
                 Rc::new(NodeState {
                     id: n,
                     proxy_input: Channel::unbounded(),
-                    dma: DmaEngine::new(ctx, n, dma_params),
+                    dma: DmaEngine::new(ctx, dma_params),
                     port,
                     engine_busy: Cell::new(Dur::ZERO),
                     engine_ops: Cell::new(0),

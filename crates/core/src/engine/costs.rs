@@ -34,12 +34,17 @@
 //!
 //! [`DesignPoint`]: mproxy_model::DesignPoint
 
+use mproxy_des::Dur;
 use mproxy_model::{Arch, DesignPoint};
 
 /// Library-call instructions (µs at `S = 1`) a user process spends around
 /// a command submission and around a completing flag read. Table 2 lists
 /// only the cache misses of those two user steps.
 const USER_LIB_INSTR_US: f64 = 0.25;
+
+/// Instructions (µs at `S = 1`) of a poll that finds one's own queue
+/// empty: the head pointer is a cache hit, so this is all it costs.
+const POLL_MISS_INSTR_US: f64 = 0.1;
 
 /// The price of one step: `units · per_line + fixed` microseconds. The
 /// unit is a 64-byte cache line, except for [`StepCosts::rx_dma_pin`],
@@ -72,6 +77,10 @@ fn per_line(us: f64) -> StepCost {
     }
 }
 
+fn rq_poll_miss(d: &DesignPoint) -> Dur {
+    Dur::from_us(POLL_MISS_INSTR_US / d.machine.speed)
+}
+
 /// One design point's step costs. Entries every architecture performs are
 /// plain [`StepCost`]s; the rest are `Option`s, `None` where the
 /// architecture has no such step. Quoted names are Table 2 rows.
@@ -87,6 +96,10 @@ pub(crate) struct StepCosts {
     pub(crate) flag_read: StepCost,
     /// Taking an item from one's own queue: head pointer + payload head.
     pub(crate) rq_take: StepCost,
+    /// Polling one's own queue and finding it empty. The same on every
+    /// architecture, and kept as a ready [`Dur`]: it is the most frequent
+    /// charge the applications make.
+    pub(crate) rq_poll_miss: Dur,
     /// A same-node operation through shared memory: `fixed` is the
     /// submission, `per_line` the copy (a read and a write miss).
     pub(crate) intra_node: StepCost,
@@ -173,6 +186,7 @@ impl StepCosts {
             user_submit: Some(fixed(submit)),
             flag_read: fixed(cq + USER_LIB_INSTR_US / s),
             rq_take: fixed(2.0 * cq),
+            rq_poll_miss: rq_poll_miss(d),
             intra_node: StepCost {
                 per_line: 2.0 * cq,
                 fixed: submit,
@@ -207,6 +221,7 @@ impl StepCosts {
             user_submit: Some(fixed(d.hw_submit_us)),
             flag_read: fixed(c),
             rq_take: fixed(2.0 * c),
+            rq_poll_miss: rq_poll_miss(d),
             intra_node: StepCost {
                 per_line: 2.0 * c,
                 fixed: d.hw_submit_us,
@@ -234,6 +249,7 @@ impl StepCosts {
         StepCosts {
             flag_read: fixed(c),
             rq_take: fixed(2.0 * c),
+            rq_poll_miss: rq_poll_miss(d),
             intra_node: StepCost {
                 per_line: 2.0 * c,
                 fixed: d.syscall_us + kp,
@@ -383,6 +399,20 @@ mod tests {
             fixed(SW1.interrupt_us + SW1.kernel_proto_us)
         );
         assert_eq!((t.user_submit, t.queue_update), (None, None));
+    }
+
+    /// An empty poll of one's own queue costs the user's instructions
+    /// alone, the same at every architecture.
+    #[test]
+    fn poll_miss_is_instructions_only_at_every_architecture() {
+        for d in [HW1, MP1, SW1] {
+            assert_eq!(
+                StepCosts::new(&d).rq_poll_miss,
+                Dur::from_us(0.1 / d.machine.speed),
+                "{}",
+                d.name
+            );
+        }
     }
 
     /// The hardware and system-call constructors fill the rest of the

@@ -250,8 +250,7 @@ impl Proc {
                 Some(data)
             }
             None => {
-                self.hold_cpu(Dur::from_us(0.1 / self.cs.design().machine.speed))
-                    .await;
+                self.hold_cpu(self.cs.costs.rq_poll_miss).await;
                 None
             }
         }
@@ -697,5 +696,39 @@ impl std::fmt::Debug for Proc {
             .field("rank", &self.id)
             .field("node", &self.node())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Cluster, ClusterSpec};
+    use mproxy_des::{Dur, Simulation};
+    use mproxy_model::{HW1, MP1, SW1};
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    /// A poll of one's own empty queue holds the poller's processor for
+    /// exactly the table's poll-miss entry, and nothing else.
+    #[test]
+    fn empty_rq_poll_advances_the_clock_by_the_poll_miss_entry() {
+        for design in [HW1, MP1, SW1] {
+            let sim = Simulation::new();
+            let c = Cluster::new(&sim.ctx(), ClusterSpec::new(design, 1, 1)).unwrap();
+            let took = Rc::new(Cell::new((Dur::ZERO, Dur::ZERO)));
+            let out = Rc::clone(&took);
+            c.spawn_spmd(move |p| {
+                let out = Rc::clone(&out);
+                async move {
+                    let q = p.new_queue();
+                    let before = p.now();
+                    assert!(p.rq_poll(q).await.is_none());
+                    out.set((p.now() - before, p.cs.costs.rq_poll_miss));
+                }
+            });
+            assert!(c.run(&sim).completed_cleanly());
+            let (elapsed, entry) = took.get();
+            assert!(entry > Dur::ZERO, "{}", design.name);
+            assert_eq!(elapsed, entry, "{}", design.name);
+        }
     }
 }

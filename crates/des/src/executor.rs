@@ -33,12 +33,14 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
-use std::rc::{Rc, Weak};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
-use std::task::{Context, Poll, Wake, Waker};
+use std::task::{Context, Poll, Waker};
 
 use crate::time::{Dur, SimTime};
+
+mod waker;
+use waker::{register_ready_queue, ReadyQueue, TaskWaker};
 
 /// Identifier of a spawned simulation task: slab index in the low 32 bits,
 /// slot generation in the high 32.
@@ -60,74 +62,6 @@ impl TaskId {
 }
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
-
-/// FIFO of tasks that are ready to be polled. Single-threaded: wakers reach
-/// it through the thread-local registry below, never across threads.
-type ReadyQueue = Rc<RefCell<VecDeque<TaskId>>>;
-
-/// A registry entry: the epoch the slot was (re)assigned under, plus a weak
-/// handle to the simulation's ready queue.
-type RegistryEntry = (u64, Weak<RefCell<VecDeque<TaskId>>>);
-
-/// Monotonic source of registry epochs. Process-wide so an epoch value is
-/// never reused — a waker that outlives its simulation (or crosses threads,
-/// where a different registry lives) can only ever no-op.
-static NEXT_REGISTRY_EPOCH: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    /// Per-thread table of live ready queues: `(epoch, queue)`. Slots of
-    /// dropped simulations are recycled for new ones under a fresh epoch.
-    static READY_REGISTRY: RefCell<Vec<RegistryEntry>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Registers `ready` in this thread's registry, returning its slot and epoch.
-fn register_ready_queue(ready: &ReadyQueue) -> (usize, u64) {
-    let epoch = NEXT_REGISTRY_EPOCH.fetch_add(1, Ordering::Relaxed);
-    READY_REGISTRY.with(|reg| {
-        let mut reg = reg.borrow_mut();
-        let weak = Rc::downgrade(ready);
-        for (slot, entry) in reg.iter_mut().enumerate() {
-            if entry.1.strong_count() == 0 {
-                *entry = (epoch, weak);
-                return (slot, epoch);
-            }
-        }
-        reg.push((epoch, weak));
-        (reg.len() - 1, epoch)
-    })
-}
-
-/// The one waker a task ever gets, created at spawn and reused for every
-/// poll. It carries no owning pointer — only the registry coordinates of
-/// its simulation's ready queue — so it satisfies the `Send + Sync`
-/// contract of [`Wake`] while the queue itself stays single-threaded. A
-/// wake after the simulation is gone (epoch mismatch or dead weak) is a
-/// silent no-op, and a wake for a completed task is rejected by the slab's
-/// generation check when it is popped.
-struct TaskWaker {
-    slot: usize,
-    epoch: u64,
-    id: TaskId,
-}
-
-impl Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        READY_REGISTRY.with(|reg| {
-            let reg = reg.borrow();
-            if let Some((epoch, queue)) = reg.get(self.slot) {
-                if *epoch == self.epoch {
-                    if let Some(queue) = queue.upgrade() {
-                        queue.borrow_mut().push_back(self.id);
-                    }
-                }
-            }
-        });
-    }
-}
 
 /// Lifecycle of a [`Timer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,7 +150,7 @@ struct TaskSlot {
     waker: Option<Rc<Waker>>,
 }
 
-pub(crate) struct Core {
+struct Core {
     now: SimTime,
     next_seq: u64,
     calendar: BinaryHeap<Reverse<TimedWake>>,
@@ -261,7 +195,7 @@ impl Core {
         }
     }
 
-    pub(crate) fn now(&self) -> SimTime {
+    fn now(&self) -> SimTime {
         self.now
     }
 
@@ -271,7 +205,7 @@ impl Core {
     /// polled — every ordinary `delay(..).await` — the calendar entry
     /// records the task id itself and the fire skips the waker, ready
     /// queue, and registry machinery entirely.
-    pub(crate) fn schedule(&mut self, at: SimTime, waker: &Waker) {
+    fn schedule(&mut self, at: SimTime, waker: &Waker) {
         match self.awaiting_task(waker) {
             Some(id) => self.push_calendar(at, WakeKind::Poll(id)),
             None => self.push_calendar(at, WakeKind::Task(waker.clone())),
@@ -427,14 +361,6 @@ impl SimCtx {
     #[must_use]
     pub fn yield_now(&self) -> YieldNow {
         YieldNow { yielded: false }
-    }
-
-    pub(crate) fn core(&self) -> &Rc<RefCell<Core>> {
-        &self.core
-    }
-
-    pub(crate) fn from_core(core: Rc<RefCell<Core>>) -> Self {
-        SimCtx { core }
     }
 }
 
@@ -824,335 +750,4 @@ impl std::fmt::Debug for Simulation {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use std::cell::Cell;
-
-    #[test]
-    fn empty_simulation_ends_at_zero() {
-        let sim = Simulation::new();
-        let r = sim.run();
-        assert_eq!(r.end, SimTime::ZERO);
-        assert!(r.completed_cleanly());
-        assert_eq!(r.events, 0);
-    }
-
-    #[test]
-    fn delay_advances_time() {
-        let sim = Simulation::new();
-        let ctx = sim.ctx();
-        sim.spawn(async move {
-            ctx.delay(Dur::from_us(3.5)).await;
-            ctx.delay(Dur::from_us(1.5)).await;
-            assert_eq!(ctx.now().as_us(), 5.0);
-        });
-        let r = sim.run();
-        assert_eq!(r.end.as_us(), 5.0);
-        assert!(r.completed_cleanly());
-    }
-
-    #[test]
-    fn delay_until_schedules_its_own_wakeup() {
-        // Regression: an absolute-deadline delay must register a calendar
-        // event on first poll; it used to return Pending and sleep forever.
-        let sim = Simulation::new();
-        let ctx = sim.ctx();
-        sim.spawn(async move {
-            ctx.delay_until(SimTime::ZERO + Dur::from_us(40.0)).await;
-            assert_eq!(ctx.now().as_us(), 40.0);
-            // A deadline already in the past completes without moving time.
-            ctx.delay_until(SimTime::ZERO + Dur::from_us(10.0)).await;
-            assert_eq!(ctx.now().as_us(), 40.0);
-        });
-        let r = sim.run();
-        assert_eq!(r.end.as_us(), 40.0);
-        assert!(r.completed_cleanly());
-    }
-
-    #[test]
-    fn events_fire_in_time_order_with_fifo_ties() {
-        let sim = Simulation::new();
-        let ctx = sim.ctx();
-        let order = Rc::new(RefCell::new(Vec::new()));
-        for (i, us) in [(0u32, 5.0), (1, 2.0), (2, 5.0), (3, 1.0)] {
-            let ctx = ctx.clone();
-            let order = Rc::clone(&order);
-            sim.spawn(async move {
-                ctx.delay(Dur::from_us(us)).await;
-                order.borrow_mut().push(i);
-            });
-        }
-        sim.run();
-        // Ties (tasks 0 and 2, both at 5 us) resolve in spawn order.
-        assert_eq!(*order.borrow(), vec![3, 1, 0, 2]);
-    }
-
-    #[test]
-    fn spawned_tasks_run_at_spawn_time() {
-        let sim = Simulation::new();
-        let ctx = sim.ctx();
-        let hit = Rc::new(Cell::new(0.0f64));
-        let hit2 = Rc::clone(&hit);
-        sim.spawn(async move {
-            ctx.delay(Dur::from_us(7.0)).await;
-            let inner_ctx = ctx.clone();
-            ctx.spawn(async move {
-                hit2.set(inner_ctx.now().as_us());
-            });
-        });
-        sim.run();
-        assert_eq!(hit.get(), 7.0);
-    }
-
-    #[test]
-    fn zero_delay_completes_without_calendar_event() {
-        let sim = Simulation::new();
-        let ctx = sim.ctx();
-        sim.spawn(async move {
-            ctx.delay(Dur::ZERO).await;
-        });
-        let r = sim.run();
-        assert!(r.completed_cleanly());
-        assert_eq!(r.events, 0);
-    }
-
-    #[test]
-    fn yield_now_interleaves_same_instant_tasks() {
-        let sim = Simulation::new();
-        let ctx = sim.ctx();
-        let order = Rc::new(RefCell::new(Vec::new()));
-        let (o1, o2) = (Rc::clone(&order), Rc::clone(&order));
-        let ctx1 = ctx.clone();
-        sim.spawn(async move {
-            o1.borrow_mut().push("a1");
-            ctx1.yield_now().await;
-            o1.borrow_mut().push("a2");
-        });
-        sim.spawn(async move {
-            o2.borrow_mut().push("b1");
-            ctx.yield_now().await;
-            o2.borrow_mut().push("b2");
-        });
-        sim.run();
-        assert_eq!(*order.borrow(), vec!["a1", "b1", "a2", "b2"]);
-    }
-
-    #[test]
-    fn deadlocked_task_reported_pending() {
-        let sim = Simulation::new();
-        let ch: crate::Channel<u8> = crate::Channel::unbounded();
-        sim.spawn(async move {
-            let _ = ch.recv().await; // nobody ever sends
-        });
-        let r = sim.run();
-        assert_eq!(r.pending, 1);
-        assert!(!r.completed_cleanly());
-    }
-
-    #[test]
-    fn determinism_two_identical_runs() {
-        fn run_once() -> (u64, u64, Vec<u32>) {
-            let sim = Simulation::new();
-            let ctx = sim.ctx();
-            let log = Rc::new(RefCell::new(Vec::new()));
-            for i in 0..20u32 {
-                let ctx = ctx.clone();
-                let log = Rc::clone(&log);
-                sim.spawn(async move {
-                    ctx.delay(Dur::from_ns(u64::from(i % 7) * 100)).await;
-                    log.borrow_mut().push(i);
-                    ctx.delay(Dur::from_ns(u64::from(i % 3) * 50)).await;
-                    log.borrow_mut().push(i + 100);
-                });
-            }
-            let r = sim.run();
-            let log = Rc::try_unwrap(log).unwrap().into_inner();
-            (r.end.as_ns(), r.events, log)
-        }
-        assert_eq!(run_once(), run_once());
-    }
-
-    #[test]
-    fn slab_recycles_slots_with_fresh_generations() {
-        let sim = Simulation::new();
-        let a = sim.spawn(async {});
-        sim.run();
-        let b = sim.spawn(async {});
-        // Slot index is reused, but the generation differs so the ids stay
-        // distinct and stale wakes cannot reach the new task.
-        assert_ne!(a, b);
-        let r = sim.run();
-        assert!(r.completed_cleanly());
-        assert_eq!(r.spawned, 2);
-    }
-
-    #[test]
-    fn timer_fires_at_deadline() {
-        let sim = Simulation::new();
-        let ctx = sim.ctx();
-        sim.spawn(async move {
-            let outcome = ctx.timer(Dur::from_us(25.0)).await;
-            assert_eq!(outcome, TimerOutcome::Fired);
-            assert_eq!(ctx.now().as_us(), 25.0);
-        });
-        let r = sim.run();
-        assert!(r.completed_cleanly());
-        assert_eq!(r.timers_armed, 1);
-        assert_eq!(r.timers_fired, 1);
-        assert_eq!(r.timers_cancelled, 0);
-        assert_eq!(r.events, 1);
-    }
-
-    #[test]
-    fn zero_timer_fires_without_calendar_event() {
-        let sim = Simulation::new();
-        let ctx = sim.ctx();
-        sim.spawn(async move {
-            assert_eq!(ctx.timer(Dur::ZERO).await, TimerOutcome::Fired);
-        });
-        let r = sim.run();
-        assert!(r.completed_cleanly());
-        assert_eq!(r.events, 0);
-        assert_eq!(r.timers_fired, 1);
-    }
-
-    #[test]
-    fn cancelled_timer_never_fires() {
-        let sim = Simulation::new();
-        let ctx = sim.ctx();
-        let handle = Rc::new(RefCell::new(None));
-        let fired = Rc::new(Cell::new(false));
-        let (h1, f1) = (Rc::clone(&handle), Rc::clone(&fired));
-        let ctx1 = ctx.clone();
-        sim.spawn(async move {
-            let t = ctx1.timer(Dur::from_us(100.0));
-            *h1.borrow_mut() = Some(t.handle());
-            if t.await == TimerOutcome::Fired {
-                f1.set(true);
-            }
-            // Woken at the instant of cancellation, not the deadline.
-            assert_eq!(ctx1.now().as_us(), 10.0);
-        });
-        sim.spawn(async move {
-            ctx.delay(Dur::from_us(10.0)).await;
-            handle.borrow().as_ref().unwrap().cancel();
-        });
-        let r = sim.run();
-        assert!(r.completed_cleanly());
-        assert!(!fired.get(), "cancelled timer must never fire");
-        assert_eq!(r.timers_armed, 1);
-        assert_eq!(r.timers_cancelled, 1);
-        assert_eq!(r.timers_fired, 0);
-        // Only the canceller's delay is a calendar event: the dead timer
-        // entry is discarded without firing and the run ends at 10 us,
-        // not the timer's 100 us deadline.
-        assert_eq!(r.events, 1);
-        assert_eq!(r.end.as_us(), 10.0);
-    }
-
-    #[test]
-    fn double_cancel_is_a_noop() {
-        let sim = Simulation::new();
-        let ctx = sim.ctx();
-        let done = Rc::new(Cell::new(false));
-        let done2 = Rc::clone(&done);
-        sim.spawn(async move {
-            let t = ctx.timer(Dur::from_us(50.0));
-            let h = t.handle();
-            ctx.spawn(async move {
-                h.cancel();
-                h.cancel();
-            });
-            assert_eq!(t.await, TimerOutcome::Cancelled);
-            done2.set(true);
-        });
-        let r = sim.run();
-        assert!(r.completed_cleanly());
-        assert!(done.get());
-        assert_eq!(r.timers_cancelled, 1, "second cancel must not re-count");
-    }
-
-    #[test]
-    fn cancel_after_fire_is_a_noop() {
-        let sim = Simulation::new();
-        let ctx = sim.ctx();
-        sim.spawn(async move {
-            let t = ctx.timer(Dur::from_us(5.0));
-            let h = t.handle();
-            assert_eq!(t.await, TimerOutcome::Fired);
-            h.cancel();
-        });
-        let r = sim.run();
-        assert!(r.completed_cleanly());
-        assert_eq!(r.timers_fired, 1);
-        assert_eq!(r.timers_cancelled, 0);
-    }
-
-    #[test]
-    fn cancelling_one_timer_leaves_others_untouched() {
-        let sim = Simulation::new();
-        let ctx = sim.ctx();
-        let order = Rc::new(RefCell::new(Vec::new()));
-        let handle = Rc::new(RefCell::new(None));
-        for (name, us) in [("a", 10.0), ("b", 20.0), ("c", 30.0)] {
-            let ctx = ctx.clone();
-            let order = Rc::clone(&order);
-            let handle = Rc::clone(&handle);
-            sim.spawn(async move {
-                let t = ctx.timer(Dur::from_us(us));
-                if name == "b" {
-                    *handle.borrow_mut() = Some(t.handle());
-                }
-                let outcome = t.await;
-                order.borrow_mut().push((name, outcome));
-            });
-        }
-        let ctx2 = sim.ctx();
-        sim.spawn(async move {
-            ctx2.delay(Dur::from_us(1.0)).await;
-            handle.borrow().as_ref().unwrap().cancel();
-        });
-        let r = sim.run();
-        assert!(r.completed_cleanly());
-        assert_eq!(
-            *order.borrow(),
-            vec![
-                ("b", TimerOutcome::Cancelled),
-                ("a", TimerOutcome::Fired),
-                ("c", TimerOutcome::Fired),
-            ]
-        );
-        assert_eq!(r.timers_armed, 3);
-        assert_eq!(r.timers_fired, 2);
-        assert_eq!(r.timers_cancelled, 1);
-    }
-
-    #[test]
-    fn stale_waker_from_dropped_simulation_is_harmless() {
-        // A waker can outlive its simulation (e.g. held by external code).
-        // Waking it must be a silent no-op, and must not perturb a newer
-        // simulation that recycled the registry slot.
-        let stolen = Rc::new(RefCell::new(None::<Waker>));
-        {
-            let sim = Simulation::new();
-            let thief = Rc::clone(&stolen);
-            sim.spawn(async move {
-                std::future::poll_fn(move |cx| {
-                    *thief.borrow_mut() = Some(cx.waker().clone());
-                    Poll::Ready(())
-                })
-                .await;
-            });
-            sim.run();
-        }
-        let sim = Simulation::new();
-        let ctx = sim.ctx();
-        sim.spawn(async move {
-            ctx.delay(Dur::from_us(1.0)).await;
-        });
-        stolen.borrow().as_ref().unwrap().wake_by_ref();
-        let r = sim.run();
-        assert!(r.completed_cleanly());
-        assert_eq!(r.spawned, 1);
-    }
-}
+mod tests;

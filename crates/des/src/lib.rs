@@ -27,7 +27,7 @@
 //!
 //! let sim = Simulation::new();
 //! let ctx = sim.ctx();
-//! let server = Resource::new(&ctx, "server", 1);
+//! let server = Resource::new(&ctx, 1);
 //! for i in 0..10 {
 //!     let ctx = ctx.clone();
 //!     let server = server.clone();

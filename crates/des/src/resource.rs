@@ -6,6 +6,11 @@
 //! a node, such as the processors, the DMA engines, and the network queues";
 //! `Resource` is that mechanism, with FIFO queueing and utilisation
 //! statistics (the "interface utilisation" column of Table 6).
+//!
+//! A hold is the simulator's most frequent event (every compute quantum and
+//! every empty queue poll is one), so it costs no allocation: [`Acquire`]
+//! and [`ResourceGuard`] borrow the `Resource` they came from, and only a
+//! request that has to queue allocates its wait slot.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -15,7 +20,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::executor::{Core, SimCtx};
+use crate::executor::SimCtx;
 use crate::stats::TimeWeighted;
 use crate::time::{Dur, SimTime};
 
@@ -47,7 +52,7 @@ impl ResState {
 ///
 /// let sim = Simulation::new();
 /// let ctx = sim.ctx();
-/// let cpu = Resource::new(&ctx, "cpu", 1);
+/// let cpu = Resource::new(&ctx, 1);
 /// for _ in 0..2 {
 ///     let cpu = cpu.clone();
 ///     sim.spawn(async move {
@@ -59,20 +64,10 @@ impl ResState {
 /// let ctx = sim.ctx();
 /// assert!((cpu.utilization(ctx.now()) - 1.0).abs() < 1e-9);
 /// ```
+#[derive(Clone)]
 pub struct Resource {
-    name: String,
-    core: Rc<RefCell<Core>>,
+    ctx: SimCtx,
     state: Rc<RefCell<ResState>>,
-}
-
-impl Clone for Resource {
-    fn clone(&self) -> Self {
-        Resource {
-            name: self.name.clone(),
-            core: Rc::clone(&self.core),
-            state: Rc::clone(&self.state),
-        }
-    }
 }
 
 impl Resource {
@@ -82,32 +77,18 @@ impl Resource {
     ///
     /// Panics if `capacity` is zero.
     #[must_use]
-    pub fn new(ctx: &SimCtx, name: impl Into<String>, capacity: usize) -> Self {
+    pub fn new(ctx: &SimCtx, capacity: usize) -> Self {
         assert!(capacity > 0, "resource capacity must be > 0");
-        let now = ctx.now();
         Resource {
-            name: name.into(),
-            core: Rc::clone(ctx.core()),
+            ctx: ctx.clone(),
             state: Rc::new(RefCell::new(ResState {
                 capacity,
                 in_use: 0,
                 queue: VecDeque::new(),
-                busy: TimeWeighted::new(now, 0.0),
+                busy: TimeWeighted::new(ctx.now(), 0.0),
                 acquisitions: 0,
             })),
         }
-    }
-
-    /// Resource name (for reports).
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Total units.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.state.borrow().capacity
     }
 
     /// Units currently held.
@@ -117,9 +98,9 @@ impl Resource {
     }
 
     /// Acquires one unit, waiting FIFO behind earlier requests.
-    pub fn acquire(&self) -> Acquire {
+    pub fn acquire(&self) -> Acquire<'_> {
         Acquire {
-            res: self.clone(),
+            res: self,
             slot: None,
         }
     }
@@ -129,7 +110,6 @@ impl Resource {
     pub async fn hold(&self, d: Dur) {
         let guard = self.acquire().await;
         guard.delay(d).await;
-        drop(guard);
     }
 
     /// Fraction of capacity busy, time-averaged from creation to `end`.
@@ -152,12 +132,8 @@ impl Resource {
         self.state.borrow().acquisitions
     }
 
-    fn now(&self) -> SimTime {
-        self.core.borrow().now()
-    }
-
     fn release_one(&self) {
-        let now = self.now();
+        let now = self.ctx.now();
         let mut s = self.state.borrow_mut();
         debug_assert!(s.in_use > 0, "release without acquire");
         // Hand the unit directly to the next waiter, if any, preserving
@@ -179,7 +155,6 @@ impl fmt::Debug for Resource {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = self.state.borrow();
         f.debug_struct("Resource")
-            .field("name", &self.name)
             .field("capacity", &s.capacity)
             .field("in_use", &s.in_use)
             .field("queued", &s.queue.len())
@@ -188,40 +163,34 @@ impl fmt::Debug for Resource {
 }
 
 /// Future returned by [`Resource::acquire`].
-pub struct Acquire {
-    res: Resource,
+pub struct Acquire<'a> {
+    res: &'a Resource,
     slot: Option<Rc<RefCell<WaitSlot>>>,
 }
 
-impl Future for Acquire {
-    type Output = ResourceGuard;
+impl<'a> Future for Acquire<'a> {
+    type Output = ResourceGuard<'a>;
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<ResourceGuard> {
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<ResourceGuard<'a>> {
+        let res = self.res;
         // Fast path / re-poll path.
         if let Some(slot) = &self.slot {
             let granted = slot.borrow().granted;
             if granted {
-                self.res.state.borrow_mut().acquisitions += 1;
+                res.state.borrow_mut().acquisitions += 1;
                 self.slot = None;
-                return Poll::Ready(ResourceGuard {
-                    res: self.res.clone(),
-                    released: false,
-                });
+                return Poll::Ready(ResourceGuard { res });
             }
             slot.borrow_mut().waker = Some(cx.waker().clone());
             return Poll::Pending;
         }
-        let now = self.res.now();
-        let mut s = self.res.state.borrow_mut();
+        let now = res.ctx.now();
+        let mut s = res.state.borrow_mut();
         if s.queue.is_empty() && s.in_use < s.capacity {
             s.in_use += 1;
             s.acquisitions += 1;
             s.note(now);
-            drop(s);
-            Poll::Ready(ResourceGuard {
-                res: self.res.clone(),
-                released: false,
-            })
+            Poll::Ready(ResourceGuard { res })
         } else {
             let slot = Rc::new(RefCell::new(WaitSlot {
                 granted: false,
@@ -235,7 +204,7 @@ impl Future for Acquire {
     }
 }
 
-impl Drop for Acquire {
+impl Drop for Acquire<'_> {
     fn drop(&mut self) {
         // If we were granted a unit but never observed it (future dropped
         // mid-wait), give the unit back so it is not leaked.
@@ -251,37 +220,32 @@ impl Drop for Acquire {
 }
 
 /// Holds one unit of a [`Resource`]; released on drop.
-pub struct ResourceGuard {
-    res: Resource,
-    released: bool,
+pub struct ResourceGuard<'a> {
+    res: &'a Resource,
 }
 
-impl ResourceGuard {
+impl ResourceGuard<'_> {
     /// Sleeps for `d` while continuing to hold the unit.
     pub fn delay(&self, d: Dur) -> crate::executor::Delay {
-        let ctx = SimCtx::from_core(Rc::clone(&self.res.core));
-        ctx.delay(d)
+        self.res.ctx.delay(d)
     }
 
     /// Releases explicitly (equivalent to dropping the guard).
-    pub fn release(mut self) {
-        self.released = true;
+    pub fn release(self) {
+        drop(self);
+    }
+}
+
+impl Drop for ResourceGuard<'_> {
+    fn drop(&mut self) {
         self.res.release_one();
     }
 }
 
-impl Drop for ResourceGuard {
-    fn drop(&mut self) {
-        if !self.released {
-            self.res.release_one();
-        }
-    }
-}
-
-impl fmt::Debug for ResourceGuard {
+impl fmt::Debug for ResourceGuard<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ResourceGuard")
-            .field("resource", &self.res.name)
+            .field("resource", self.res)
             .finish()
     }
 }
@@ -291,12 +255,14 @@ mod tests {
     use super::*;
     use crate::Simulation;
     use std::cell::Cell;
+    use std::future::poll_fn;
+    use std::pin::pin;
 
     #[test]
     fn serializes_on_single_unit_fifo() {
         let sim = Simulation::new();
         let ctx = sim.ctx();
-        let r = Resource::new(&ctx, "srv", 1);
+        let r = Resource::new(&ctx, 1);
         let order = Rc::new(RefCell::new(Vec::new()));
         for i in 0..3 {
             let r = r.clone();
@@ -315,7 +281,7 @@ mod tests {
     fn parallel_capacity_two() {
         let sim = Simulation::new();
         let ctx = sim.ctx();
-        let r = Resource::new(&ctx, "srv", 2);
+        let r = Resource::new(&ctx, 2);
         for _ in 0..4 {
             let r = r.clone();
             sim.spawn(async move { r.hold(Dur::from_us(5.0)).await });
@@ -328,7 +294,7 @@ mod tests {
     fn utilization_and_queue_stats() {
         let sim = Simulation::new();
         let ctx = sim.ctx();
-        let r = Resource::new(&ctx, "srv", 1);
+        let r = Resource::new(&ctx, 1);
         for _ in 0..2 {
             let r = r.clone();
             sim.spawn(async move { r.hold(Dur::from_us(10.0)).await });
@@ -349,7 +315,7 @@ mod tests {
     fn guard_release_is_idempotent_with_drop() {
         let sim = Simulation::new();
         let ctx = sim.ctx();
-        let r = Resource::new(&ctx, "srv", 1);
+        let r = Resource::new(&ctx, 1);
         let r2 = r.clone();
         let ok = Rc::new(Cell::new(false));
         let ok2 = Rc::clone(&ok);
@@ -365,10 +331,78 @@ mod tests {
         assert_eq!(r.in_use(), 0);
     }
 
+    /// Every task shares one `Resource` handle, so the shared state's
+    /// reference count must read 1 wherever it is sampled: a granted hold,
+    /// a queued request or a dropped one that took a reference of its own
+    /// would lift it.
+    #[test]
+    fn holds_and_waits_take_no_reference() {
+        let sim = Simulation::new();
+        let ctx = sim.ctx();
+        let r = Rc::new(Resource::new(&ctx, 2));
+        let peak = Rc::new(Cell::new(0));
+        let granted = Rc::new(RefCell::new(Vec::new()));
+        let sample = |r: &Resource, peak: &Cell<usize>| {
+            peak.set(peak.get().max(Rc::strong_count(&r.state)));
+        };
+        // Two holders take both units at t = 0; the first releases
+        // explicitly at 10 µs, the second by drop at 20 µs.
+        for (name, us) in [("h1", 10.0), ("h2", 20.0)] {
+            let (r, peak, granted) = (Rc::clone(&r), Rc::clone(&peak), Rc::clone(&granted));
+            let ctx = ctx.clone();
+            sim.spawn(async move {
+                let g = r.acquire().await;
+                granted.borrow_mut().push((name, ctx.now().as_us()));
+                sample(&r, &peak);
+                g.delay(Dur::from_us(us)).await;
+                sample(&r, &peak);
+                g.release();
+            });
+        }
+        // A waiter queued first and dropped at 5 µs, still waiting.
+        {
+            let (r, peak, ctx) = (Rc::clone(&r), Rc::clone(&peak), ctx.clone());
+            sim.spawn(async move {
+                let mut acq = pin!(r.acquire());
+                poll_fn(|cx| {
+                    assert!(acq.as_mut().poll(cx).is_pending());
+                    Poll::Ready(())
+                })
+                .await;
+                sample(&r, &peak);
+                ctx.delay(Dur::from_us(5.0)).await;
+            });
+        }
+        // A waiter queued behind it: next in line once it is gone.
+        {
+            let (r, peak, granted) = (Rc::clone(&r), Rc::clone(&peak), Rc::clone(&granted));
+            let ctx = ctx.clone();
+            sim.spawn(async move {
+                let g = r.acquire().await;
+                granted.borrow_mut().push(("w", ctx.now().as_us()));
+                sample(&r, &peak);
+                g.delay(Dur::from_us(5.0)).await;
+            });
+        }
+        let report = sim.run();
+        assert!(report.completed_cleanly());
+        assert_eq!(report.end.as_us(), 20.0);
+        assert_eq!(
+            *granted.borrow(),
+            vec![("h1", 0.0), ("h2", 0.0), ("w", 10.0)]
+        );
+        assert_eq!(peak.get(), 1);
+        assert_eq!(Rc::strong_count(&r.state), 1);
+        assert_eq!((r.acquisitions(), r.in_use()), (3, 0));
+        // Two units busy to 15 µs, one to 20 µs: 35 of 40 unit-µs.
+        assert_eq!(r.busy_us(ctx.now()), 35.0);
+        assert!((r.utilization(ctx.now()) - 0.875).abs() < 1e-9);
+    }
+
     #[test]
     #[should_panic(expected = "capacity must be > 0")]
     fn zero_capacity_rejected() {
         let sim = Simulation::new();
-        let _ = Resource::new(&sim.ctx(), "bad", 0);
+        let _ = Resource::new(&sim.ctx(), 0);
     }
 }

@@ -91,12 +91,12 @@ pub struct DmaEngine {
 }
 
 impl DmaEngine {
-    /// Creates a DMA engine on the node named by `tag`.
+    /// Creates a DMA engine.
     #[must_use]
-    pub fn new(ctx: &SimCtx, tag: impl std::fmt::Display, params: DmaParams) -> Self {
+    pub fn new(ctx: &SimCtx, params: DmaParams) -> Self {
         DmaEngine {
             params,
-            engine: Resource::new(ctx, format!("dma[{tag}]"), 1),
+            engine: Resource::new(ctx, 1),
             ctx: ctx.clone(),
         }
     }
@@ -164,7 +164,7 @@ mod tests {
     fn engine_contention_serializes() {
         let sim = Simulation::new();
         let ctx = sim.ctx();
-        let dma = DmaEngine::new(&ctx, 0, DmaParams::new(100.0, 0.0, 0.0, 4096));
+        let dma = DmaEngine::new(&ctx, DmaParams::new(100.0, 0.0, 0.0, 4096));
         for _ in 0..2 {
             let dma = dma.clone();
             sim.spawn(async move { dma.transfer(1000).await });
@@ -179,7 +179,7 @@ mod tests {
     #[test]
     fn zero_byte_transfer_is_free() {
         let sim = Simulation::new();
-        let dma = DmaEngine::new(&sim.ctx(), 0, DmaParams::new(100.0, 10.0, 10.0, 4096));
+        let dma = DmaEngine::new(&sim.ctx(), DmaParams::new(100.0, 10.0, 10.0, 4096));
         sim.spawn(async move { dma.transfer(0).await });
         let r = sim.run();
         assert_eq!(r.end.as_ns(), 0);

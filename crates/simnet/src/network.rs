@@ -205,7 +205,7 @@ impl<M: 'static> Network<M> {
             .map(|node| Adapter {
                 shared: std::rc::Rc::new(AdapterShared {
                     node,
-                    tx_port: Resource::new(ctx, format!("tx[{node}]"), 1),
+                    tx_port: Resource::new(ctx, 1),
                     rx_fifo: Channel::unbounded(),
                     link,
                     ctx: ctx.clone(),
