@@ -243,8 +243,20 @@ impl Proc {
     /// Non-blocking local poll of one of this process's own queues,
     /// charging a probe (hit if empty, two misses if an item is taken).
     pub async fn rq_poll(&self, rq: RqId) -> Option<Bytes> {
-        let ch = queue_channel(self.state(), rq);
-        match ch.try_recv() {
+        // An empty poll is the applications' most frequent step: probe the
+        // queue's channel through a borrow, and leave `queue_channel` (a
+        // clone and a poison check) to the first poll of a new queue.
+        let ps = self.state();
+        let existing = ps
+            .queues
+            .borrow()
+            .get(rq.0 as usize)
+            .map(|ch| ch.try_recv());
+        let polled = match existing {
+            Some(polled) => polled,
+            None => queue_channel(ps, rq).try_recv(),
+        };
+        match polled {
             Some(data) => {
                 self.hold_step(self.cs.costs.rq_take, 0).await;
                 Some(data)

@@ -21,16 +21,17 @@
 //! queue references keyed by a globally unique epoch (see
 //! [`TaskWaker`]) rather than owning an `Arc<Mutex<…>>`.
 //!
-//! The calendar is cancellation-aware: a [`Timer`] can be disarmed through
-//! its [`TimerHandle`] (the reliable link layer does this for every
-//! acknowledged retransmit timer), and cancelled entries are discarded
-//! lazily when they surface at the top of the heap — without advancing
-//! simulated time or counting as events, so reproductions stay
-//! byte-identical whether or not timers were cancelled.
+//! The calendar is a binary heap of 16-byte `(instant, sequence | slot)`
+//! keys over a slab of wake actions (`calendar.rs`), so a sift moves two
+//! words, not a waker or a boxed callback. It is cancellation-aware: a
+//! [`Timer`] can be disarmed through its [`TimerHandle`] (the reliable
+//! link layer does this for every acknowledged retransmit timer), and
+//! cancelled entries are discarded lazily when they surface at the top of
+//! the heap — without advancing simulated time or counting as events, so
+//! reproductions stay byte-identical whether or not timers were cancelled.
 
 use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -39,7 +40,9 @@ use std::task::{Context, Poll, Waker};
 
 use crate::time::{Dur, SimTime};
 
+mod calendar;
 mod waker;
+use calendar::Calendar;
 use waker::{register_ready_queue, ReadyQueue, TaskWaker};
 
 /// Identifier of a spawned simulation task: slab index in the low 32 bits,
@@ -93,13 +96,6 @@ pub enum TimerOutcome {
     Cancelled,
 }
 
-/// An entry in the event calendar, ordered by `(at, seq)`.
-struct TimedWake {
-    at: SimTime,
-    seq: u64,
-    kind: WakeKind,
-}
-
 enum WakeKind {
     /// Wake a task directly (plain [`Delay`]).
     Task(Waker),
@@ -113,29 +109,12 @@ enum WakeKind {
     Poll(TaskId),
 }
 
-impl TimedWake {
+impl WakeKind {
     fn is_cancelled(&self) -> bool {
-        match &self.kind {
+        match self {
             WakeKind::Task(_) | WakeKind::Call(_) | WakeKind::Poll(_) => false,
             WakeKind::Timer(cell) => cell.state.get() == TimerState::Cancelled,
         }
-    }
-}
-
-impl PartialEq for TimedWake {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for TimedWake {}
-impl PartialOrd for TimedWake {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimedWake {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
     }
 }
 
@@ -152,8 +131,7 @@ struct TaskSlot {
 
 struct Core {
     now: SimTime,
-    next_seq: u64,
-    calendar: BinaryHeap<Reverse<TimedWake>>,
+    calendar: Calendar,
     ready: ReadyQueue,
     registry_slot: usize,
     registry_epoch: u64,
@@ -177,8 +155,7 @@ impl Core {
         let (registry_slot, registry_epoch) = register_ready_queue(&ready);
         Core {
             now: SimTime::ZERO,
-            next_seq: 0,
-            calendar: BinaryHeap::new(),
+            calendar: Calendar::new(),
             ready,
             registry_slot,
             registry_epoch,
@@ -234,11 +211,8 @@ impl Core {
     }
 
     fn push_calendar(&mut self, at: SimTime, kind: WakeKind) {
-        let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.calendar.push(Reverse(TimedWake { at, seq, kind }));
-        self.calendar_peak = self.calendar_peak.max(self.calendar.len() as u64);
+        let queued = self.calendar.push(at.max(self.now), kind);
+        self.calendar_peak = self.calendar_peak.max(queued as u64);
     }
 
     fn spawn(&mut self, fut: BoxFuture) -> TaskId {
@@ -339,6 +313,20 @@ impl SimCtx {
     /// Spawns a new simulation process.
     pub fn spawn(&self, fut: impl Future<Output = ()> + 'static) -> TaskId {
         self.core.borrow_mut().spawn(Box::pin(fut))
+    }
+
+    /// Schedules `waker` `d` from now, exactly as the first poll of an
+    /// awaited [`Delay`] would, and returns that instant; `None` for a zero
+    /// span, which needs no event. Lets another future sleep without a
+    /// `Delay` of its own.
+    pub(crate) fn wake_after(&self, d: Dur, waker: &Waker) -> Option<SimTime> {
+        if d.is_zero() {
+            return None;
+        }
+        let mut core = self.core.borrow_mut();
+        let at = core.now + d;
+        core.schedule(at, waker);
+        Some(at)
     }
 
     /// Runs `f` once, `d` later in simulated time.
@@ -657,18 +645,18 @@ impl Simulation {
             let wake = {
                 let mut core = self.core.borrow_mut();
                 loop {
-                    let Some(Reverse(tw)) = core.calendar.pop() else {
+                    let Some((at, kind)) = core.calendar.pop() else {
                         break None;
                     };
-                    if tw.is_cancelled() {
+                    if kind.is_cancelled() {
                         continue;
                     }
-                    core.now = tw.at;
+                    core.now = at;
                     core.events += 1;
-                    if let WakeKind::Timer(_) = &tw.kind {
+                    if let WakeKind::Timer(_) = &kind {
                         core.timers_fired += 1;
                     }
-                    break Some(tw.kind);
+                    break Some(kind);
                 }
             };
             match wake {

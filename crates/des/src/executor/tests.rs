@@ -328,3 +328,195 @@ fn stale_waker_from_dropped_simulation_is_harmless() {
     assert!(r.completed_cleanly());
     assert_eq!(r.spawned, 1);
 }
+
+/// What a calendar entry is, in the order-property test below.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Made {
+    Call,
+    Delay,
+    Timer,
+}
+
+/// Entries the root creates at time zero: the calendar starts this wide.
+const ROOT_ENTRIES: usize = 1_200;
+/// No entry fired after this many were created creates more.
+const MAX_ENTRIES: usize = 6_000;
+
+/// What firing entry `fired` (`None`: the root process at time zero)
+/// does, a pure function of the seed and the entry so that the simulation
+/// and the reference follow one script: the entries it creates, `(kind,
+/// delay ns)` in creation order, and the earlier entry it cancels if that
+/// is a pending timer. Calls come first: `call_after` queues at once,
+/// while a spawned process queues its delay or timer when it is first
+/// polled, after the firing returns.
+fn script(seed: u64, fired: Option<usize>, created: usize) -> (Vec<(Made, u64)>, Option<usize>) {
+    let mut x = seed
+        ^ fired
+            .map_or(0, |id| id as u64 + 1)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let mut rng = move |n: u64| {
+        x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    };
+    let count = match fired {
+        None => ROOT_ENTRIES,
+        Some(_) if created >= MAX_ENTRIES => 0,
+        Some(_) => rng(3) as usize,
+    };
+    let mut made: Vec<(Made, u64)> = (0..count)
+        .map(|_| match rng(3) {
+            // Eight delays 25 ns apart make ties at every instant; only a
+            // call may land on the current one.
+            0 => (Made::Call, rng(8) * 25),
+            1 => (Made::Delay, (1 + rng(8)) * 25),
+            _ => (Made::Timer, (1 + rng(8)) * 25),
+        })
+        .collect();
+    made.sort_by_key(|&(kind, _)| kind != Made::Call);
+    let cancel = fired
+        .filter(|_| rng(3) == 0)
+        .and_then(|id| id.checked_sub(1 + rng(64) as usize));
+    (made, cancel)
+}
+
+#[derive(Default)]
+struct World {
+    seed: u64,
+    /// `(entry, instant)` of every entry that fired, in order.
+    fired: Vec<(usize, u64)>,
+    /// Per entry: the handle of its timer, if it is one.
+    timers: Vec<Option<TimerHandle>>,
+}
+
+fn fire(ctx: &SimCtx, world: &Rc<RefCell<World>>, fired: Option<usize>) {
+    let (made, cancel) = {
+        let mut w = world.borrow_mut();
+        if let Some(id) = fired {
+            w.fired.push((id, ctx.now().as_ns()));
+        }
+        script(w.seed, fired, w.timers.len())
+    };
+    let target = cancel.and_then(|t| world.borrow().timers[t].clone());
+    if let Some(timer) = target {
+        timer.cancel();
+    }
+    for (kind, ns) in made {
+        let id = {
+            let mut w = world.borrow_mut();
+            w.timers.push(None);
+            w.timers.len() - 1
+        };
+        let (d, ctx2, world2) = (Dur::from_ns(ns), ctx.clone(), Rc::clone(world));
+        match kind {
+            Made::Call => ctx.call_after(d, move || fire(&ctx2, &world2, Some(id))),
+            Made::Delay => {
+                ctx.spawn(async move {
+                    ctx2.delay(d).await;
+                    fire(&ctx2, &world2, Some(id));
+                });
+            }
+            Made::Timer => {
+                let timer = ctx.timer(d);
+                world.borrow_mut().timers[id] = Some(timer.handle());
+                ctx.spawn(async move {
+                    if timer.await == TimerOutcome::Fired {
+                        fire(&ctx2, &world2, Some(id));
+                    }
+                });
+            }
+        }
+    }
+}
+
+/// The script run on a sorted set of `(instant, creation order)` instead
+/// of the calendar: the firing order and the `RunReport` counts it implies.
+fn reference(seed: u64) -> (Vec<(usize, u64)>, RunReport) {
+    let mut queue = std::collections::BTreeSet::new();
+    let mut entries: Vec<(Made, u64, bool)> = Vec::new(); // kind, instant, cancelled
+    let mut log = Vec::new();
+    let mut r = RunReport {
+        end: SimTime::ZERO,
+        spawned: 0,
+        completed: 0,
+        pending: 0,
+        events: 0,
+        timers_armed: 0,
+        timers_cancelled: 0,
+        timers_fired: 0,
+        calendar_peak: 0,
+    };
+    let mut fired = None;
+    loop {
+        let now = r.end.as_ns();
+        let (made, cancel) = script(seed, fired, entries.len());
+        if let Some(t) = cancel {
+            let (kind, at, cancelled) = &mut entries[t];
+            if *kind == Made::Timer && !*cancelled && queue.contains(&(*at, t)) {
+                *cancelled = true;
+                r.timers_cancelled += 1;
+            }
+        }
+        for (kind, ns) in made {
+            queue.insert((now + ns, entries.len()));
+            entries.push((kind, now + ns, false));
+            r.calendar_peak = r.calendar_peak.max(queue.len() as u64);
+            r.timers_armed += u64::from(kind == Made::Timer);
+        }
+        let next = loop {
+            match queue.pop_first() {
+                Some((_, id)) if entries[id].2 => continue,
+                other => break other,
+            }
+        };
+        let Some((at, id)) = next else {
+            return (log, r);
+        };
+        r.end = SimTime::from_ns(at);
+        r.events += 1;
+        r.timers_fired += u64::from(entries[id].0 == Made::Timer);
+        log.push((id, at));
+        fired = Some(id);
+    }
+}
+
+#[test]
+fn calendar_fires_in_time_then_creation_order_at_a_thousand_wide() {
+    for seed in [1, 2, 0xdead_beef, 0x5eed_0000_0000_0001] {
+        let sim = Simulation::new();
+        let ctx = sim.ctx();
+        let world = Rc::new(RefCell::new(World {
+            seed,
+            ..World::default()
+        }));
+        let (ctx2, world2) = (ctx.clone(), Rc::clone(&world));
+        sim.spawn(async move { fire(&ctx2, &world2, None) });
+        let report = sim.run();
+        assert!(report.completed_cleanly());
+
+        let (expected, want) = reference(seed);
+        let mut w = world.borrow_mut();
+        assert_eq!(w.fired, expected, "seed {seed:#x}: firing order");
+        let counts = |r: &RunReport| {
+            (
+                r.end,
+                r.events,
+                r.timers_armed,
+                r.timers_cancelled,
+                r.timers_fired,
+                r.calendar_peak,
+            )
+        };
+        assert_eq!(counts(&report), counts(&want), "seed {seed:#x}: run counts");
+        assert!(want.calendar_peak >= 1_000, "the calendar gets wide");
+        assert!(want.timers_cancelled > 0 && want.timers_fired > 0);
+        // Every slab slot was in use at the peak, and was used many times.
+        let slots = sim.core.borrow().calendar.slots();
+        assert_eq!(slots as u64, report.calendar_peak);
+        assert!(w.timers.len() > 3 * slots, "slots are reused");
+        // The handles hold the simulation; let it go.
+        w.timers.clear();
+    }
+}

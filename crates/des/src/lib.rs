@@ -12,7 +12,7 @@
 //!   counters connecting processes.
 //! * [`Resource`] — capacity-limited servers with FIFO queueing and
 //!   utilisation statistics (node-internal contention, Table 6).
-//! * [`Tally`], [`TimeWeighted`] — statistics accumulators.
+//! * [`Tally`] — a statistics accumulator.
 //!
 //! Runs are strictly deterministic: events fire in `(time, sequence)`
 //! order, ready tasks poll FIFO, and no wall-clock or OS randomness is
@@ -52,7 +52,7 @@ mod sync;
 mod time;
 
 pub use executor::{Delay, RunReport, SimCtx, Simulation, TaskId, Timer, TimerHandle, TimerOutcome, YieldNow};
-pub use resource::{Acquire, Resource, ResourceGuard};
-pub use stats::{Tally, TimeWeighted};
+pub use resource::{Acquire, Hold, Resource, ResourceGuard};
+pub use stats::Tally;
 pub use sync::{Channel, Counter, CounterWait, Recv, Send, TrySendError};
 pub use time::{Dur, SimTime};

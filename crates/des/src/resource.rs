@@ -8,9 +8,12 @@
 //! statistics (the "interface utilisation" column of Table 6).
 //!
 //! A hold is the simulator's most frequent event (every compute quantum and
-//! every empty queue poll is one), so it costs no allocation: [`Acquire`]
-//! and [`ResourceGuard`] borrow the `Resource` they came from, and only a
-//! request that has to queue allocates its wait slot.
+//! every empty queue poll is one), so it costs no allocation: [`Acquire`],
+//! [`Hold`] and [`ResourceGuard`] borrow the `Resource` they came from, a
+//! [`Hold`] sleeps through the calendar without a [`Delay`] of its own,
+//! and only a request that has to queue allocates its wait slot.
+//!
+//! [`Delay`]: crate::Delay
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -21,7 +24,6 @@ use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
 use crate::executor::SimCtx;
-use crate::stats::TimeWeighted;
 use crate::time::{Dur, SimTime};
 
 struct WaitSlot {
@@ -33,13 +35,23 @@ struct ResState {
     capacity: usize,
     in_use: usize,
     queue: VecDeque<Rc<RefCell<WaitSlot>>>,
-    busy: TimeWeighted,
+    created: SimTime,
+    /// Unit-nanoseconds held from `created` to `busy_since`.
+    busy_ns: u64,
+    busy_since: SimTime,
     acquisitions: u64,
 }
 
 impl ResState {
+    /// Closes the busy integral at `now`; call before `in_use` changes.
     fn note(&mut self, now: SimTime) {
-        self.busy.update(now, self.in_use as f64);
+        self.busy_ns += self.in_use as u64 * now.since(self.busy_since).as_ns();
+        self.busy_since = now;
+    }
+
+    /// Unit-nanoseconds held from creation to `end`.
+    fn busy_ns(&self, end: SimTime) -> u64 {
+        self.busy_ns + self.in_use as u64 * end.since(self.busy_since).as_ns()
     }
 }
 
@@ -85,7 +97,9 @@ impl Resource {
                 capacity,
                 in_use: 0,
                 queue: VecDeque::new(),
-                busy: TimeWeighted::new(ctx.now(), 0.0),
+                created: ctx.now(),
+                busy_ns: 0,
+                busy_since: ctx.now(),
                 acquisitions: 0,
             })),
         }
@@ -107,23 +121,32 @@ impl Resource {
 
     /// Acquires one unit, holds it for `d`, then releases — the common
     /// "charge service time on this resource" idiom.
-    pub async fn hold(&self, d: Dur) {
-        let guard = self.acquire().await;
-        guard.delay(d).await;
+    pub fn hold(&self, d: Dur) -> Hold<'_> {
+        Hold {
+            acquire: self.acquire(),
+            dur: d,
+            held: None,
+        }
     }
 
     /// Fraction of capacity busy, time-averaged from creation to `end`.
     #[must_use]
     pub fn utilization(&self, end: SimTime) -> f64 {
         let s = self.state.borrow();
-        s.busy.average(end) / s.capacity as f64
+        let span = end.since(s.created).as_ns();
+        let busy = if span == 0 {
+            s.in_use as f64
+        } else {
+            s.busy_ns(end) as f64 / span as f64
+        };
+        busy / s.capacity as f64
     }
 
     /// Total busy time (unit-microseconds) accumulated up to `end` — for
     /// capacity 1 this is simply how long the resource has been held.
     #[must_use]
     pub fn busy_us(&self, end: SimTime) -> f64 {
-        self.state.borrow().busy.integral_us(end)
+        self.state.borrow().busy_ns(end) as f64 / 1_000.0
     }
 
     /// Number of completed acquisitions.
@@ -145,8 +168,8 @@ impl Resource {
                 w.wake();
             }
         } else {
-            s.in_use -= 1;
             s.note(now);
+            s.in_use -= 1;
         }
     }
 }
@@ -187,9 +210,9 @@ impl<'a> Future for Acquire<'a> {
         let now = res.ctx.now();
         let mut s = res.state.borrow_mut();
         if s.queue.is_empty() && s.in_use < s.capacity {
+            s.note(now);
             s.in_use += 1;
             s.acquisitions += 1;
-            s.note(now);
             Poll::Ready(ResourceGuard { res })
         } else {
             let slot = Rc::new(RefCell::new(WaitSlot {
@@ -225,11 +248,6 @@ pub struct ResourceGuard<'a> {
 }
 
 impl ResourceGuard<'_> {
-    /// Sleeps for `d` while continuing to hold the unit.
-    pub fn delay(&self, d: Dur) -> crate::executor::Delay {
-        self.res.ctx.delay(d)
-    }
-
     /// Releases explicitly (equivalent to dropping the guard).
     pub fn release(self) {
         drop(self);
@@ -247,6 +265,45 @@ impl fmt::Debug for ResourceGuard<'_> {
         f.debug_struct("ResourceGuard")
             .field("resource", self.res)
             .finish()
+    }
+}
+
+/// Future returned by [`Resource::hold`]: an [`Acquire`], then one
+/// calendar wake `d` after the unit was granted, then the release.
+///
+/// The wake is scheduled in the poll that is granted the unit, as awaiting
+/// [`Resource::acquire`] and then a [`crate::Delay`] would. Dropped while
+/// queued, it leaves the queue; dropped while holding, it releases the unit
+/// to the next waiter.
+pub struct Hold<'a> {
+    acquire: Acquire<'a>,
+    dur: Dur,
+    /// The unit and the instant it is released, once granted.
+    held: Option<(ResourceGuard<'a>, SimTime)>,
+}
+
+impl Future for Hold<'_> {
+    type Output = ();
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = &mut *self;
+        if let Some((guard, until)) = &this.held {
+            if guard.res.ctx.now() < *until {
+                return Poll::Pending;
+            }
+            this.held = None;
+            return Poll::Ready(());
+        }
+        let Poll::Ready(guard) = Pin::new(&mut this.acquire).poll(cx) else {
+            return Poll::Pending;
+        };
+        match guard.res.ctx.wake_after(this.dur, cx.waker()) {
+            Some(until) => {
+                this.held = Some((guard, until));
+                Poll::Pending
+            }
+            None => Poll::Ready(()),
+        }
     }
 }
 
@@ -354,7 +411,7 @@ mod tests {
                 let g = r.acquire().await;
                 granted.borrow_mut().push((name, ctx.now().as_us()));
                 sample(&r, &peak);
-                g.delay(Dur::from_us(us)).await;
+                ctx.delay(Dur::from_us(us)).await;
                 sample(&r, &peak);
                 g.release();
             });
@@ -381,7 +438,8 @@ mod tests {
                 let g = r.acquire().await;
                 granted.borrow_mut().push(("w", ctx.now().as_us()));
                 sample(&r, &peak);
-                g.delay(Dur::from_us(5.0)).await;
+                ctx.delay(Dur::from_us(5.0)).await;
+                drop(g);
             });
         }
         let report = sim.run();
@@ -397,6 +455,192 @@ mod tests {
         // Two units busy to 15 µs, one to 20 µs: 35 of 40 unit-µs.
         assert_eq!(r.busy_us(ctx.now()), 35.0);
         assert!((r.utilization(ctx.now()) - 0.875).abs() < 1e-9);
+    }
+
+    #[test]
+    fn zero_length_hold_counts_an_acquisition_and_schedules_no_event() {
+        let sim = Simulation::new();
+        let r = Resource::new(&sim.ctx(), 1);
+        let r2 = r.clone();
+        sim.spawn(async move { r2.hold(Dur::ZERO).await });
+        let report = sim.run();
+        assert!(report.completed_cleanly());
+        assert_eq!(report.events, 0);
+        assert_eq!((r.acquisitions(), r.in_use()), (1, 0));
+        assert_eq!(r.busy_us(sim.now()), 0.0);
+    }
+
+    #[test]
+    fn hold_dropped_while_queued_leaves_the_queue() {
+        let sim = Simulation::new();
+        let ctx = sim.ctx();
+        let r = Rc::new(Resource::new(&ctx, 1));
+        let served = Rc::new(Cell::new(0.0));
+        {
+            let r = Rc::clone(&r);
+            sim.spawn(async move { r.hold(Dur::from_us(10.0)).await });
+        }
+        // Queues a hold behind the first, then drops it at 4 µs.
+        {
+            let (r, ctx) = (Rc::clone(&r), ctx.clone());
+            sim.spawn(async move {
+                {
+                    let mut hold = pin!(r.hold(Dur::from_us(50.0)));
+                    poll_fn(|cx| {
+                        assert!(hold.as_mut().poll(cx).is_pending());
+                        Poll::Ready(())
+                    })
+                    .await;
+                    assert_eq!(r.state.borrow().queue.len(), 1);
+                    ctx.delay(Dur::from_us(4.0)).await;
+                }
+                // Only the hold queued behind it is left.
+                assert_eq!(r.state.borrow().queue.len(), 1);
+            });
+        }
+        {
+            let (r, ctx, served) = (Rc::clone(&r), ctx.clone(), Rc::clone(&served));
+            sim.spawn(async move {
+                r.hold(Dur::from_us(5.0)).await;
+                served.set(ctx.now().as_us());
+            });
+        }
+        let report = sim.run();
+        assert!(report.completed_cleanly());
+        assert_eq!(served.get(), 15.0);
+        assert_eq!((r.acquisitions(), r.in_use()), (2, 0));
+        assert_eq!(r.busy_us(ctx.now()), 15.0);
+    }
+
+    /// A holder dropped 3 µs into a 10 µs hold, with a 5 µs hold queued
+    /// behind it: `(waiter done, run end, events, busy µs)`, by `Hold` or
+    /// by an acquired guard held across a `Delay`.
+    fn drop_mid_hold(via_hold: bool) -> (f64, f64, u64, f64) {
+        let sim = Simulation::new();
+        let ctx = sim.ctx();
+        let r = Rc::new(Resource::new(&ctx, 1));
+        let done = Rc::new(Cell::new(0.0));
+        {
+            let (r, ctx) = (Rc::clone(&r), ctx.clone());
+            sim.spawn(async move {
+                let d = Dur::from_us(10.0);
+                let mut holding: Pin<Box<dyn Future<Output = ()> + '_>> = if via_hold {
+                    Box::pin(r.hold(d))
+                } else {
+                    Box::pin(async {
+                        let _g = r.acquire().await;
+                        ctx.delay(d).await;
+                    })
+                };
+                poll_fn(|cx| {
+                    assert!(holding.as_mut().poll(cx).is_pending());
+                    Poll::Ready(())
+                })
+                .await;
+                assert_eq!(r.in_use(), 1);
+                ctx.delay(Dur::from_us(3.0)).await;
+            });
+        }
+        {
+            let (r, ctx, done) = (Rc::clone(&r), ctx.clone(), Rc::clone(&done));
+            sim.spawn(async move {
+                r.hold(Dur::from_us(5.0)).await;
+                done.set(ctx.now().as_us());
+            });
+        }
+        let report = sim.run();
+        assert!(report.completed_cleanly());
+        assert_eq!((r.acquisitions(), r.in_use()), (2, 0));
+        (
+            done.get(),
+            report.end.as_us(),
+            report.events,
+            r.busy_us(ctx.now()),
+        )
+    }
+
+    #[test]
+    fn hold_dropped_while_holding_hands_its_unit_to_the_next_waiter() {
+        let by_hold = drop_mid_hold(true);
+        // Served at the drop, 3 µs; the dropped hold's wake at 10 µs still
+        // fires (and is ignored), as a dropped `Delay`'s did.
+        assert_eq!(by_hold, (8.0, 10.0, 3, 8.0));
+        assert_eq!(by_hold, drop_mid_hold(false));
+    }
+
+    /// Unit-ns integral of the holds `[start, end)` over `[0, t]`, summed
+    /// in `f64` one change of the in-use count at a time.
+    fn float_integral(spans: &[(u64, u64)], t: u64) -> f64 {
+        let mut changes: Vec<(u64, i64)> = spans
+            .iter()
+            .flat_map(|&(start, end)| [(start, 1), (end, -1)])
+            .filter(|&(at, _)| at <= t)
+            .collect();
+        changes.sort_unstable();
+        let (mut integral, mut in_use, mut last) = (0.0, 0i64, 0u64);
+        for (at, delta) in changes {
+            integral += in_use as f64 * (at - last) as f64;
+            (in_use, last) = (in_use + delta, at);
+        }
+        integral + in_use as f64 * (t - last) as f64
+    }
+
+    #[test]
+    fn busy_integral_is_bit_equal_to_a_float_reference() {
+        let mut x = 0x2545_f491_4f6c_dd1d_u64;
+        let mut rng = move |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % n
+        };
+        for capacity in 1..=3 {
+            let sim = Simulation::new();
+            let ctx = sim.ctx();
+            let r = Rc::new(Resource::new(&ctx, capacity));
+            let spans = Rc::new(RefCell::new(Vec::new()));
+            for _ in 0..40 {
+                let arrive = Dur::from_ns(rng(5_000));
+                let holds: Vec<u64> = (0..1 + rng(3)).map(|_| rng(700)).collect();
+                let (r, ctx, spans) = (Rc::clone(&r), ctx.clone(), Rc::clone(&spans));
+                sim.spawn(async move {
+                    ctx.delay(arrive).await;
+                    for d in holds {
+                        r.hold(Dur::from_ns(d)).await;
+                        let end = ctx.now().as_ns();
+                        spans.borrow_mut().push((end - d, end));
+                    }
+                });
+            }
+            let probes = Rc::new(RefCell::new(Vec::new()));
+            for _ in 0..20 {
+                let at = Dur::from_ns(1 + rng(9_000));
+                let (r, ctx, probes) = (Rc::clone(&r), ctx.clone(), Rc::clone(&probes));
+                sim.spawn(async move {
+                    ctx.delay(at).await;
+                    let now = ctx.now();
+                    probes
+                        .borrow_mut()
+                        .push((now.as_ns(), r.busy_us(now), r.utilization(now)));
+                });
+            }
+            assert!(sim.run().completed_cleanly());
+            let end = ctx.now();
+            probes
+                .borrow_mut()
+                .push((end.as_ns(), r.busy_us(end), r.utilization(end)));
+            assert!(r.acquisitions() >= 40);
+            for &(t, busy_us, utilization) in probes.borrow().iter() {
+                let reference = float_integral(&spans.borrow(), t);
+                assert_eq!(
+                    busy_us.to_bits(),
+                    (reference / 1_000.0).to_bits(),
+                    "at {t} ns"
+                );
+                let average = reference / t as f64 / capacity as f64;
+                assert_eq!(utilization.to_bits(), average.to_bits(), "at {t} ns");
+            }
+        }
     }
 
     #[test]

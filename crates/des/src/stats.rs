@@ -1,8 +1,8 @@
 //! Lightweight statistics accumulators used across the simulator
-//! (service times, queue lengths, resource utilisation — the numbers the
-//! paper reports in Table 6).
+//! (service times, queue lengths — the numbers the paper reports in
+//! Table 6; a [`crate::Resource`] integrates its own utilisation).
 
-use crate::time::{Dur, SimTime};
+use crate::time::Dur;
 
 /// Accumulates count / mean / min / max of a stream of samples.
 ///
@@ -108,70 +108,6 @@ impl Tally {
     }
 }
 
-/// Integrates a piecewise-constant value over simulated time, yielding its
-/// time-weighted average (e.g. busy servers → utilisation).
-///
-/// # Examples
-///
-/// ```
-/// use mproxy_des::{SimTime, TimeWeighted};
-///
-/// let mut u = TimeWeighted::new(SimTime::ZERO, 0.0);
-/// u.update(SimTime::from_ns(100), 1.0); // value was 0.0 for 100 ns
-/// u.update(SimTime::from_ns(300), 0.0); // value was 1.0 for 200 ns
-/// assert!((u.average(SimTime::from_ns(400)) - 0.5).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimeWeighted {
-    integral: f64, // value · ns
-    last_t: SimTime,
-    last_v: f64,
-    start: SimTime,
-}
-
-impl TimeWeighted {
-    /// Starts integrating at `t0` with initial value `v0`.
-    #[must_use]
-    pub fn new(t0: SimTime, v0: f64) -> Self {
-        TimeWeighted {
-            integral: 0.0,
-            last_t: t0,
-            last_v: v0,
-            start: t0,
-        }
-    }
-
-    /// Records that the value changed to `v` at time `t`.
-    pub fn update(&mut self, t: SimTime, v: f64) {
-        self.integral += self.last_v * t.since(self.last_t).as_ns() as f64;
-        self.last_t = t;
-        self.last_v = v;
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn value(&self) -> f64 {
-        self.last_v
-    }
-
-    /// Time-weighted average over `[start, end]`.
-    #[must_use]
-    pub fn average(&self, end: SimTime) -> f64 {
-        let total = end.since(self.start).as_ns() as f64;
-        if total == 0.0 {
-            return self.last_v;
-        }
-        let tail = self.last_v * end.since(self.last_t).as_ns() as f64;
-        (self.integral + tail) / total
-    }
-
-    /// Integral of the value over time, in value · microseconds.
-    #[must_use]
-    pub fn integral_us(&self, end: SimTime) -> f64 {
-        (self.integral + self.last_v * end.since(self.last_t).as_ns() as f64) / 1_000.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,20 +147,5 @@ mod tests {
         let mut empty = Tally::new();
         empty.merge(&a);
         assert_eq!(empty, a);
-    }
-
-    #[test]
-    fn time_weighted_average_with_tail() {
-        let mut u = TimeWeighted::new(SimTime::ZERO, 2.0);
-        u.update(SimTime::from_ns(50), 4.0);
-        // [0,50): 2.0 ; [50,100): 4.0 → average 3.0
-        assert!((u.average(SimTime::from_ns(100)) - 3.0).abs() < 1e-12);
-        assert_eq!(u.value(), 4.0);
-    }
-
-    #[test]
-    fn time_weighted_zero_span() {
-        let u = TimeWeighted::new(SimTime::from_ns(10), 7.0);
-        assert_eq!(u.average(SimTime::from_ns(10)), 7.0);
     }
 }

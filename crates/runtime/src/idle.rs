@@ -50,7 +50,7 @@ pub fn sleep_unless(dur: Duration, abort: &AtomicBool) -> bool {
     }
 }
 
-/// Spin-phase length: `2^0 + 2^1 + ... + 2^SPIN_LIMIT` pause
+/// Spin-phase length: `2^0 + 2^1 + ... + 2^(SPIN_LIMIT - 1)` = 63 pause
 /// instructions before the first yield.
 const SPIN_LIMIT: u32 = 6;
 /// Yields after the spin phase before the wait is parkable.

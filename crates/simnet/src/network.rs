@@ -318,9 +318,7 @@ impl<M: Clone + 'static> NetPort<M> {
             "destination node {dst} out of range"
         );
         let s = &self.local.shared;
-        let guard = s.tx_port.acquire().await;
-        guard.delay(s.link.serialize_time(payload_bytes)).await;
-        drop(guard);
+        s.tx_port.hold(s.link.serialize_time(payload_bytes)).await;
         let fate = match &s.faults {
             Some(f) => f.judge(),
             None => crate::Fate::default(),
