@@ -58,12 +58,12 @@ impl World {
     }
 
     /// Charges `units` of deterministic compute (one unit ≈ one inner-loop
-    /// floating-point operation group; `ClusterSpec::work_unit_ns` each),
+    /// floating-point operation group; [`mproxy::WORK_UNIT_NS`] each),
     /// polling the AM endpoint between 100 µs slices — the discipline CRL
     /// and Split-C programs follow so that coherence and request traffic
     /// is serviced even during long computation phases.
     pub async fn work(&self, units: u64) {
-        let slice_units = 100_000 / self.p.work_unit_ns().max(1);
+        let slice_units = 100_000 / mproxy::WORK_UNIT_NS;
         let mut left = units;
         while left > slice_units {
             self.p.compute(slice_units).await;

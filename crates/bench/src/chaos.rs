@@ -91,19 +91,17 @@ fn check_exactly_once(got: &[u64], senders: &[u32], per_sender: u64) -> Result<(
 
 /// Telemetry-vs-truth: on a post-shutdown snapshot every popped data
 /// frame sits in exactly one outcome bucket, so per receiver
-/// `msgs_in == applied + dedup_drops + damaged_drops + sheds` must hold
-/// exactly — the counters' version of the tagged-payload exactly-once
+/// `msgs_in == applied + dedup_drops + damaged_drops` must hold exactly — the counters' version of the tagged-payload exactly-once
 /// check.
 pub fn telemetry_truth(snap: &Snapshot) -> Result<(), String> {
     for sc in &snap.scopes {
         let msgs_in = sc.counter(Ctr::MsgsIn);
         let accounted = sc.counter(Ctr::OpsApplied)
             + sc.counter(Ctr::DedupDrops)
-            + sc.counter(Ctr::DamagedDrops)
-            + sc.counter(Ctr::Sheds);
+            + sc.counter(Ctr::DamagedDrops);
         if msgs_in != accounted {
             return Err(format!(
-                "{}: msgs_in {msgs_in} != applied+dedup+damaged+shed {accounted}",
+                "{}: msgs_in {msgs_in} != applied+dedup+damaged {accounted}",
                 sc.name
             ));
         }

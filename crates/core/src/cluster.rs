@@ -25,7 +25,11 @@ use crate::engine::{self, ProxyInput, WireMsg};
 use crate::error::CommError;
 use crate::mem::Memory;
 use crate::process::Proc;
-use crate::retry::RetryPolicy;
+
+/// Nanoseconds of compute time per application work unit
+/// ([`Proc::compute`]), calibrating the deterministic compute model (it
+/// stands in for the paper's POWER2 real-time-clock measurement).
+pub const WORK_UNIT_NS: u64 = 20;
 
 /// Shape and technology of a simulated cluster.
 #[derive(Debug, Clone, Copy)]
@@ -40,33 +44,16 @@ pub struct ClusterSpec {
     /// If true (default), every process may access every address space;
     /// protection tests set this false and grant selectively.
     pub allow_all: bool,
-    /// Nanoseconds of compute time per application work unit, calibrating
-    /// the deterministic compute model (stands in for the paper's POWER2
-    /// real-time-clock measurement).
-    pub work_unit_ns: u64,
-    /// Re-probe schedule for DEQ operations that find the remote queue
-    /// empty.
-    pub deq_retry: RetryPolicy,
-    /// Retransmission schedule of the reliable link layer (used only when
-    /// the cluster is built with a fault plan).
-    pub xmit_retry: RetryPolicy,
     /// Per-process command-queue credit limit: each process may have at
     /// most this many commands submitted-but-not-yet-serviced at its
-    /// node's engine. 0 (the default) disables flow control entirely.
+    /// node's engine, and a submission past it blocks until the engine
+    /// frees a slot. 0 (the default) disables flow control entirely.
     pub cmd_credits: u32,
-    /// When credits are exhausted, fail the submission with
-    /// [`CommError::CreditsExhausted`] instead of blocking for a free
-    /// slot (only meaningful with `cmd_credits > 0`).
-    pub credit_fail_fast: bool,
-    /// Retransmit-buffer cap per destination of the reliable link layer;
-    /// overflow parks in a FIFO backlog, keeping link-layer memory
-    /// O(window) under sustained loss (used only with a fault plan).
-    pub link_window: usize,
 }
 
 impl ClusterSpec {
     /// A spec with the defaults used throughout the evaluation: allow-all
-    /// protection and 20 ns per work unit.
+    /// protection, no command credits.
     #[must_use]
     pub fn new(design: DesignPoint, nodes: usize, procs_per_node: usize) -> Self {
         ClusterSpec {
@@ -74,12 +61,7 @@ impl ClusterSpec {
             nodes,
             procs_per_node,
             allow_all: true,
-            work_unit_ns: 20,
-            deq_retry: RetryPolicy::deq_default(),
-            xmit_retry: RetryPolicy::xmit_default(),
             cmd_credits: 0,
-            credit_fail_fast: false,
-            link_window: 64,
         }
     }
 
@@ -100,9 +82,6 @@ impl ClusterSpec {
         }
         if self.procs_per_node == 0 {
             return Err("nodes need at least one compute processor".into());
-        }
-        if self.link_window == 0 {
-            return Err("link window must be at least 1".into());
         }
         self.design.machine.validate()
     }
@@ -352,16 +331,9 @@ impl Cluster {
         let nodes: Vec<Rc<NodeState>> = (0..spec.nodes)
             .map(|n| {
                 let port = network.adapter(n);
-                let link = faults.as_ref().map(|_| {
-                    LinkLayer::new(
-                        ctx.clone(),
-                        n,
-                        port.clone(),
-                        spec.xmit_retry,
-                        procs.clone(),
-                        spec.link_window,
-                    )
-                });
+                let link = faults
+                    .as_ref()
+                    .map(|_| LinkLayer::new(ctx.clone(), n, port.clone(), procs.clone()));
                 Rc::new(NodeState {
                     id: n,
                     proxy_input: Channel::unbounded(),

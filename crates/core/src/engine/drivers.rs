@@ -25,7 +25,7 @@ use crate::addr::ProcId;
 use crate::cluster::{ClusterState, NodeState};
 use crate::engine::protocol::{handle_command, handle_packet, retry_deq};
 use crate::engine::reliable::poison_proc;
-use crate::engine::{BusyScope, Ccb, Command, ProxyInput, WireMsg};
+use crate::engine::{BusyScope, Ccb, Command, ProxyInput, WireMsg, DEQ_REPROBE};
 use crate::error::CommError;
 
 /// The per-node agent loop: message proxy or adapter protocol engine.
@@ -63,12 +63,12 @@ pub(crate) async fn agent_main(node: Rc<NodeState>, cs: Rc<ClusterState>) {
 /// Runs the packet handler on the agent and queues the re-probe tick an
 /// empty DEQ reply asks for.
 async fn serve_packet(node: &NodeState, cs: &ClusterState, msg: WireMsg) {
-    if let Some(r) = handle_packet(node, cs, msg).await {
+    if let Some(token) = handle_packet(node, cs, msg).await {
         let ctx = cs.ctx.clone();
         let input = node.proxy_input.clone();
         cs.ctx.spawn(async move {
-            ctx.delay(Dur::from_us(r.wait_us)).await;
-            let _ = input.try_send(ProxyInput::RetryDeq(r.token));
+            ctx.delay(DEQ_REPROBE).await;
+            let _ = input.try_send(ProxyInput::RetryDeq(token));
         });
     }
 }
@@ -134,11 +134,11 @@ async fn handle_interrupt(node: &Rc<NodeState>, cs: &Rc<ClusterState>, msg: Wire
     // is also accounted as communication-interface work for reporting.
     let guard = cs.proc(proc).cpu.acquire().await;
     let busy = BusyScope::begin(node, cs);
-    if let Some(r) = handle_packet(node, cs, msg).await {
+    if let Some(token) = handle_packet(node, cs, msg).await {
         let (node, cs) = (Rc::clone(node), Rc::clone(cs));
         cs.ctx.clone().spawn(async move {
-            cs.ctx.delay(Dur::from_us(r.wait_us)).await;
-            retry_deq(&node, &cs, r.token).await;
+            cs.ctx.delay(DEQ_REPROBE).await;
+            retry_deq(&node, &cs, token).await;
         });
     }
     drop(busy);

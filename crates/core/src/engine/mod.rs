@@ -30,6 +30,11 @@ pub(crate) const LINE_BYTES: u32 = 64;
 /// services the command.
 pub(crate) const INLINE_BYTES: u32 = 240;
 
+/// How long a DEQ that found its queue empty waits before probing again.
+/// A DEQ blocks until data arrives, so it re-probes for as long as it
+/// takes.
+pub(crate) const DEQ_REPROBE: Dur = Dur::from_ns(10_000);
+
 /// Number of 64-byte lines touched by an `nbytes` transfer.
 pub(crate) fn lines(nbytes: u32) -> u32 {
     nbytes.div_ceil(LINE_BYTES).max(1)
@@ -195,8 +200,6 @@ pub(crate) enum Ccb {
         lsync: Option<FlagId>,
         target: RemoteQueue,
         nbytes: u32,
-        /// Empty re-probes so far, indexing [`crate::RetryPolicy::delay_us`].
-        attempts: u32,
     },
 }
 

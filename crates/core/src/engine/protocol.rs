@@ -9,7 +9,8 @@
 //! here. Nothing in this file knows which architecture it serves: *where*
 //! the handlers run (a serial agent, or the caller's and the target's own
 //! compute processors) is the business of [`super::drivers`], and so is
-//! how to wait out the [`Reprobe`] an empty DEQ reply hands back.
+//! how to wait out the [`DEQ_REPROBE`](super::DEQ_REPROBE) an empty DEQ
+//! reply asks for.
 //!
 //! The implementation properties Section 4 calls out hold here: the
 //! handlers never block on anything but their own charged time and the
@@ -22,18 +23,10 @@ use bytes::Bytes;
 use crate::addr::{Addr, FlagId, ProcId, RemoteQueue};
 use crate::cluster::{ClusterState, NodeState};
 use crate::engine::costs::StepCost;
-use crate::engine::reliable::{poison_proc, send_wire};
+use crate::engine::reliable::send_wire;
 use crate::engine::{
     charge, lines, queue_channel, read_mem, set_flag, write_mem, Ccb, Command, WireMsg,
 };
-use crate::error::CommError;
-
-/// "Re-probe the DEQ filed under `token` after `wait_us`": what an empty
-/// `DeqReply` asks of the driver that ran [`handle_packet`].
-pub(crate) struct Reprobe {
-    pub(crate) token: u64,
-    pub(crate) wait_us: f64,
-}
 
 /// Charges one table step over `units` lines. An absent step returns at
 /// once: no time, no event.
@@ -214,7 +207,6 @@ pub(crate) async fn handle_command(node: &NodeState, cs: &ClusterState, cmd: Com
                 lsync,
                 target: RemoteQueue { proc: dst, rq },
                 nbytes,
-                attempts: 0,
             };
             let token = file_request(node, cs, ccb).await;
             let msg = WireMsg::DeqReq {
@@ -229,13 +221,14 @@ pub(crate) async fn handle_command(node: &NodeState, cs: &ClusterState, cmd: Com
     }
 }
 
-/// Services one arriving protocol message. Returns the re-probe to
-/// schedule when the message was an empty DEQ reply.
+/// Services one arriving protocol message. Returns the token of the DEQ
+/// to re-probe after [`DEQ_REPROBE`](super::DEQ_REPROBE) when the message
+/// was an empty DEQ reply.
 pub(crate) async fn handle_packet(
     node: &NodeState,
     cs: &ClusterState,
     msg: WireMsg,
-) -> Option<Reprobe> {
+) -> Option<u64> {
     let t = &cs.costs;
     step(cs, t.pkt_dispatch, 0).await;
     match msg {
@@ -318,7 +311,9 @@ pub(crate) async fn handle_packet(
         WireMsg::DeqReply { token, data } => {
             step(cs, t.ccb_lookup, 0).await;
             let Some(data) = data else {
-                return next_reprobe(node, cs, token);
+                // Empty: probe again, unless a crash wiped the CCB.
+                let filed = matches!(node.ccbs.borrow().get(&token), Some(Ccb::Deq { .. }));
+                return filed.then_some(token);
             };
             let ccb = node.ccbs.borrow_mut().remove(&token);
             let Some(Ccb::Deq {
@@ -359,29 +354,8 @@ pub(crate) async fn handle_packet(
     None
 }
 
-/// The remote queue was empty: advance the DEQ's re-probe schedule. A
-/// bounded schedule that has run out times the DEQ out instead, failing
-/// its owner.
-fn next_reprobe(node: &NodeState, cs: &ClusterState, token: u64) -> Option<Reprobe> {
-    let mut ccbs = node.ccbs.borrow_mut();
-    let Some(Ccb::Deq { proc, attempts, .. }) = ccbs.get_mut(&token) else {
-        return None;
-    };
-    let policy = cs.spec.deq_retry;
-    if policy.give_up_after(*attempts + 1) {
-        let proc = *proc;
-        ccbs.remove(&token);
-        drop(ccbs);
-        poison_proc(cs.proc(proc), CommError::Timeout);
-        return None;
-    }
-    let wait_us = policy.delay_us(*attempts);
-    *attempts += 1;
-    Some(Reprobe { token, wait_us })
-}
-
 /// Re-issues the request of the DEQ filed under `token`, unless it has
-/// been completed, timed out or wiped meanwhile.
+/// been completed or wiped meanwhile.
 pub(crate) async fn retry_deq(node: &NodeState, cs: &ClusterState, token: u64) {
     let Some(Ccb::Deq {
         proc,

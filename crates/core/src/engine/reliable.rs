@@ -15,10 +15,13 @@
 //! * **Unit.** One packet per operation. Every data message carries a
 //!   per-destination sequence number (starting at 1; 0 marks unsequenced
 //!   control traffic) and a structural **checksum** of its payload.
-//! * **Timer.** One cancellable timer per pending packet, following
-//!   [`RetryPolicy`] exponential backoff; when the budget is exhausted
-//!   the destination is declared dead and the submitting process is
-//!   failed with [`CommError::Unreachable`] instead of waiting forever.
+//! * **Timer.** One cancellable timer per pending packet, from
+//!   [`XMIT_INITIAL_US`] doubling to [`XMIT_CAP_US`]. ACKs return only
+//!   once the receiving engine dequeues, so under load early sends
+//!   routinely time out (duplicates are discarded); [`XMIT_SENDS`] sends
+//!   (~12.8 ms) outlast any receiver's service time, so a process fails
+//!   with [`CommError::Unreachable`] only for a dead or stalled
+//!   destination, instead of waiting for it forever.
 //! * **Ack cadence.** The receiving agent acknowledges every valid
 //!   sequenced packet — also duplicates, so lost ACKs heal — with its
 //!   **cumulative** in-order watermark, so the sender's retransmit buffer
@@ -27,11 +30,10 @@
 //! * **NACK trigger.** Checksum failures only, for an immediate resend; a
 //!   gap (or a packet beyond the reorder window, which is dropped) is
 //!   healed by the sender's timer.
-//! * **Window.** At most [`crate::ClusterSpec::link_window`] unacknowledged
-//!   packets per destination; overflow parks in a FIFO backlog and is
-//!   promoted as ACKs free slots, so memory stays O(window) under
-//!   sustained drop storms — at the receiver too, whose reorder buffer
-//!   spans the same window.
+//! * **Window.** At most [`LINK_WINDOW`] unacknowledged packets per
+//!   destination; overflow parks in a FIFO backlog, promoted as ACKs
+//!   free slots, so memory stays O(window) under drop storms — at the
+//!   receiver too, whose reorder buffer is as wide.
 //! * **Epoch.** Every connection carries an epoch (the upper
 //!   [`EPOCH_BITS`] bits of the wire sequence). A proxy crash
 //!   ([`crate::FaultPlan::crash`]) loses all volatile link state
@@ -64,7 +66,15 @@ use crate::cluster::{NodeState, ProcState};
 use crate::engine::WireMsg;
 use crate::error::CommError;
 use crate::fxhash::FxHasher;
-use crate::retry::RetryPolicy;
+
+/// Unacknowledged packets per destination, and reorder-buffer width.
+pub(crate) const LINK_WINDOW: usize = 64;
+/// First retransmission delay; each retransmission doubles it.
+const XMIT_INITIAL_US: f64 = 50.0;
+/// Longest single retransmission delay.
+const XMIT_CAP_US: f64 = 1600.0;
+/// Transmissions of one packet before its destination is unreachable.
+const XMIT_SENDS: u32 = 12;
 
 /// Flag counters of a poisoned process are advanced by this much, waking
 /// any waiter regardless of its target.
@@ -158,7 +168,7 @@ pub struct LinkStats {
     /// Pending sends abandoned after budget exhaustion.
     pub unreachable: u64,
     /// Highest simultaneous retransmit-buffer occupancy towards any one
-    /// destination (bounded by the configured window).
+    /// destination (bounded by the window, 64).
     pub peak_pending: u64,
     /// Sends parked in the bounded-window backlog instead of entering the
     /// retransmit buffer immediately.
@@ -244,11 +254,7 @@ pub(crate) struct LinkLayer {
     ctx: SimCtx,
     node: NodeId,
     port: NetPort<WireMsg>,
-    policy: RetryPolicy,
     procs: Vec<Rc<ProcState>>,
-    /// Retransmit-buffer cap per destination (overflow parks in the
-    /// backlog) and width of each reorder buffer.
-    window: usize,
     /// This node's incarnation; bumped by [`LinkLayer::crash`].
     epoch: Cell<u32>,
     /// Link state per peer, indexed by node.
@@ -265,27 +271,22 @@ impl LinkLayer {
         ctx: SimCtx,
         node: NodeId,
         port: NetPort<WireMsg>,
-        policy: RetryPolicy,
         procs: Vec<Rc<ProcState>>,
-        window: usize,
     ) -> Rc<LinkLayer> {
-        assert!(window >= 1, "link window must be at least 1");
         let peers = (0..port.nodes())
             .map(|_| PeerLink {
                 epoch: 0,
                 tx: Retention::new(),
                 backlog: VecDeque::new(),
                 resyncing: false,
-                rx: Reorder::new(window),
+                rx: Reorder::new(LINK_WINDOW),
             })
             .collect();
         Rc::new(LinkLayer {
             ctx,
             node,
             port,
-            policy,
             procs,
-            window,
             epoch: Cell::new(0),
             peers: RefCell::new(peers),
             stats: RefCell::new(LinkStats::default()),
@@ -355,7 +356,7 @@ impl LinkLayer {
         }
         {
             let p = &mut self.peers.borrow_mut()[dst];
-            if p.resyncing || !p.backlog.is_empty() || p.tx.len() >= self.window {
+            if p.resyncing || !p.backlog.is_empty() || p.tx.len() >= LINK_WINDOW {
                 self.stats.borrow_mut().backlogged += 1;
                 p.backlog.push_back(send);
                 return;
@@ -394,7 +395,7 @@ impl LinkLayer {
         loop {
             let next = {
                 let p = &mut self.peers.borrow_mut()[dst];
-                if p.resyncing || p.tx.len() >= self.window {
+                if p.resyncing || p.tx.len() >= LINK_WINDOW {
                     return;
                 }
                 p.backlog.pop_front()
@@ -415,9 +416,10 @@ impl LinkLayer {
     fn arm_retransmit_loop(self: &Rc<Self>, dst: NodeId, seq: u64) {
         let link = Rc::clone(self);
         self.ctx.clone().spawn(async move {
-            let mut attempt: u32 = 0;
+            // Transmissions so far, and the wait before the next.
+            let (mut sent, mut delay_us) = (1, XMIT_INITIAL_US);
             loop {
-                let timer = link.ctx.timer(Dur::from_us(link.policy.delay_us(attempt)));
+                let timer = link.ctx.timer(Dur::from_us(delay_us));
                 {
                     let mut peers = link.peers.borrow_mut();
                     let Some(p) = peers[dst].tx.get_mut(seq) else {
@@ -436,15 +438,15 @@ impl LinkLayer {
                 // in its fired state, and cancelling is then a no-op.
                 let entry = link.peers.borrow()[dst].tx.get(seq).map(|p| p.msg.clone());
                 let Some(msg) = entry else { break };
-                let sent_so_far = attempt + 1;
-                if link.policy.give_up_after(sent_so_far) {
-                    link.give_up(dst, sent_so_far);
+                if sent >= XMIT_SENDS {
+                    link.give_up(dst, sent);
                     break;
                 }
                 link.stats.borrow_mut().retransmits += 1;
                 link.transmit(dst, msg, wire_seq(link.epoch.get(), seq))
                     .await;
-                attempt += 1;
+                sent += 1;
+                delay_us = (delay_us * 2.0).min(XMIT_CAP_US);
                 // Give the engine one scheduling round before re-arming,
                 // mirroring the queue round-trip of the former
                 // spawn-a-task-per-attempt design so event ordering (and
@@ -761,11 +763,10 @@ mod tests {
 
     #[test]
     fn packet_beyond_the_reorder_window_is_dropped_until_retransmitted() {
-        const WINDOW: u64 = 4;
+        const WINDOW: u64 = LINK_WINDOW as u64;
         let sim = Simulation::new();
         let port = Network::new(&sim.ctx(), 2, LinkParams::new(1.0, 100.0)).adapter(0);
-        let policy = RetryPolicy::xmit_default();
-        let link = LinkLayer::new(sim.ctx(), 0, port, policy, Vec::new(), WINDOW as usize);
+        let link = LinkLayer::new(sim.ctx(), 0, port, Vec::new());
         sim.spawn(async move {
             // Node 1's packet `seq`.
             let feed = |seq: u64| {

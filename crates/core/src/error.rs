@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use crate::addr::{Addr, Asid, ProcId, RqId};
+use crate::addr::{Addr, Asid, ProcId};
 
 /// Errors surfaced when submitting or validating a communication operation.
 ///
@@ -32,15 +32,6 @@ pub enum CommError {
         /// Size of the space.
         size: u64,
     },
-    /// The named remote queue does not exist in the target space.
-    UnknownQueue {
-        /// The space that was searched.
-        asid: Asid,
-        /// The missing queue.
-        rq: RqId,
-    },
-    /// A DEQ found the queue empty and was asked not to wait.
-    QueueEmpty(RqId),
     /// A zero-byte transfer was requested where data is required.
     EmptyTransfer,
     /// The destination node stopped responding: the reliable link layer
@@ -51,8 +42,6 @@ pub enum CommError {
         /// Transmissions attempted before giving up.
         attempts: u32,
     },
-    /// A bounded wait or retry schedule ran out of attempts.
-    Timeout,
     /// The peer node's proxy crashed and restarted into a new epoch;
     /// operations that were in flight but never acknowledged may or may
     /// not have taken effect and cannot be replayed transparently.
@@ -61,14 +50,6 @@ pub enum CommError {
         node: usize,
         /// The epoch the connection resynchronised into.
         epoch: u32,
-    },
-    /// The submitting process exhausted its command-queue credits and
-    /// asked to fail fast rather than block for a free slot.
-    CreditsExhausted {
-        /// Who attempted the submission.
-        src: ProcId,
-        /// The configured per-process credit limit.
-        limit: u32,
     },
 }
 
@@ -88,23 +69,15 @@ impl fmt::Display for CommError {
                 f,
                 "access [{addr}, +{nbytes}) exceeds {asid} of size {size}"
             ),
-            CommError::UnknownQueue { asid, rq } => {
-                write!(f, "no queue {rq:?} in {asid}")
-            }
-            CommError::QueueEmpty(rq) => write!(f, "queue {rq:?} is empty"),
             CommError::EmptyTransfer => write!(f, "zero-byte transfer"),
             CommError::Unreachable { dst, attempts } => {
                 write!(f, "node {dst} unreachable after {attempts} transmissions")
             }
-            CommError::Timeout => write!(f, "operation timed out"),
             CommError::EpochReset { node, epoch } => {
                 write!(
                     f,
                     "node {node} proxy crashed; connection reset into epoch {epoch}"
                 )
-            }
-            CommError::CreditsExhausted { src, limit } => {
-                write!(f, "{src} exhausted its {limit} command-queue credits")
             }
         }
     }
@@ -135,16 +108,10 @@ mod tests {
             attempts: 8,
         };
         assert_eq!(e.to_string(), "node 3 unreachable after 8 transmissions");
-        assert_eq!(CommError::Timeout.to_string(), "operation timed out");
         let e = CommError::EpochReset { node: 1, epoch: 2 };
         assert_eq!(
             e.to_string(),
             "node 1 proxy crashed; connection reset into epoch 2"
         );
-        let e = CommError::CreditsExhausted {
-            src: ProcId(4),
-            limit: 16,
-        };
-        assert_eq!(e.to_string(), "p4 exhausted its 16 command-queue credits");
     }
 }

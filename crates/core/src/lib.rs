@@ -60,16 +60,14 @@ mod flags;
 mod mem;
 pub mod micro;
 mod process;
-mod retry;
 
 pub use addr::{Addr, Asid, FlagId, ProcId, RemoteFlag, RemoteQueue, RqId};
-pub use cluster::{Cluster, ClusterSpec, FaultReport, ProcStats, TrafficReport};
+pub use cluster::{Cluster, ClusterSpec, FaultReport, ProcStats, TrafficReport, WORK_UNIT_NS};
 pub use engine::reliable::{LinkSnapshot, LinkStats};
 pub use error::CommError;
 pub use flags::SyncFlag;
 pub use mem::{Memory, CACHE_LINE_BYTES};
 pub use process::Proc;
-pub use retry::RetryPolicy;
 
 // Convenience re-exports so fault-injection users need only this crate.
 pub use mproxy_simnet::{CrashWindow, FaultCounts, FaultPlan, StallWindow};

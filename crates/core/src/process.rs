@@ -23,9 +23,9 @@ use mproxy_des::{Dur, SimCtx, SimTime};
 use mproxy_model::Arch;
 
 use crate::addr::{Addr, Asid, FlagId, ProcId, RemoteQueue, RqId};
-use crate::cluster::{ClusterState, ProcState};
+use crate::cluster::{ClusterState, ProcState, WORK_UNIT_NS};
 use crate::engine::costs::StepCost;
-use crate::engine::{self, flag_counter, lines, queue_channel, Command, ProxyInput};
+use crate::engine::{self, flag_counter, lines, queue_channel, Command, ProxyInput, DEQ_REPROBE};
 use crate::error::CommError;
 use crate::flags::SyncFlag;
 use crate::mem::Memory;
@@ -90,23 +90,12 @@ impl Proc {
         *self.cs.design()
     }
 
-    /// Nanoseconds of compute per work unit (see `ClusterSpec`).
-    #[must_use]
-    pub fn work_unit_ns(&self) -> u64 {
-        self.cs.spec.work_unit_ns
-    }
-
     // ----- memory -------------------------------------------------------
 
     /// Allocates `nbytes` in this process's address space.
     #[must_use]
     pub fn alloc(&self, nbytes: u64) -> Addr {
         self.state().mem.borrow_mut().alloc(nbytes)
-    }
-
-    /// Runs `f` with shared access to this process's memory.
-    pub fn with_mem<R>(&self, f: impl FnOnce(&Memory) -> R) -> R {
-        f(&self.state().mem.borrow())
     }
 
     /// Runs `f` with exclusive access to this process's memory.
@@ -209,8 +198,9 @@ impl Proc {
 
     /// Like [`Proc::wait_flag`], but surfaces communication failures: if
     /// the process is poisoned (its operation's destination became
-    /// unreachable, or a bounded retry schedule ran out) while waiting,
-    /// returns the recorded [`CommError`] instead of blocking forever.
+    /// unreachable, or crashed with the operation in flight) while
+    /// waiting, returns the recorded [`CommError`] instead of blocking
+    /// forever.
     ///
     /// # Errors
     ///
@@ -277,15 +267,15 @@ impl Proc {
     // ----- compute model --------------------------------------------------
 
     /// Charges `units` work units of computation on this process's
-    /// processor (the deterministic stand-in for the paper's real-time
-    /// clock measurement; see `ClusterSpec::work_unit_ns`).
+    /// processor, [`WORK_UNIT_NS`] each (the deterministic stand-in for the
+    /// paper's real-time clock measurement).
     ///
     /// Long computations are split into 100 µs quanta so that interrupt
     /// handlers (system-call architecture) get service slots at realistic
     /// preemption latency instead of queueing behind a whole compute
     /// phase.
     pub async fn compute(&self, units: u64) {
-        let d = Dur::from_ns(units * self.cs.spec.work_unit_ns);
+        let d = Dur::from_ns(units * WORK_UNIT_NS);
         self.compute_dur(d).await;
     }
 
@@ -522,27 +512,17 @@ impl Proc {
         s.msg_sizes.add(f64::from(nbytes));
     }
 
-    /// Takes one command-queue credit when the spec enables flow control:
-    /// blocks for a free slot by default, or fails fast with
-    /// [`CommError::CreditsExhausted`] when configured. The engine returns
-    /// the credit at service start.
+    /// Takes one command-queue credit when the spec enables flow control,
+    /// blocking for a free slot; the engine returns the credit at service
+    /// start.
+    ///
+    /// # Errors
+    ///
+    /// The process's [`CommError`], if it is poisoned while waiting.
     async fn acquire_credit(&self) -> Result<(), CommError> {
         let Some(ch) = self.state().credits.clone() else {
             return Ok(());
         };
-        if self.cs.spec.credit_fail_fast {
-            return match ch.try_recv() {
-                Some(()) => Ok(()),
-                None => {
-                    let node = self.cs.node_of(self.id);
-                    node.credit_stalls.set(node.credit_stalls.get() + 1);
-                    Err(CommError::CreditsExhausted {
-                        src: self.id,
-                        limit: self.cs.spec.cmd_credits,
-                    })
-                }
-            };
-        }
         // Fast path: a credit is free right now — no stall to record.
         if let Some(()) = ch.try_recv() {
             return Ok(());
@@ -551,11 +531,8 @@ impl Proc {
         node.credit_stalls.set(node.credit_stalls.get() + 1);
         match ch.recv().await {
             Some(()) => Ok(()),
-            // Closed while waiting: the process was poisoned.
-            None => Err(self.comm_error().unwrap_or(CommError::CreditsExhausted {
-                src: self.id,
-                limit: self.cs.spec.cmd_credits,
-            })),
+            // Closed while waiting: only poisoning closes the pool.
+            None => Err(self.comm_error().expect("credit pool closed by poisoning")),
         }
     }
 
@@ -668,12 +645,8 @@ impl Proc {
                 let cost = self.cs.costs.intra_node;
                 self.hold_cpu(Dur::from_us(cost.fixed)).await;
                 let ch = queue_channel(self.cs.proc(dst), rq);
-                let ctx = self.cs.ctx.clone();
-                let policy = self.cs.spec.deq_retry;
-                let mut attempts: u32 = 0;
                 // Probe until data arrives (shared-memory polling), giving
-                // up if the process is poisoned mid-wait or a bounded
-                // schedule runs out.
+                // up if the process is poisoned mid-wait.
                 let data = loop {
                     match ch.try_recv() {
                         Some(d) => break d,
@@ -681,11 +654,7 @@ impl Proc {
                             if let Some(e) = self.comm_error() {
                                 return Err(e);
                             }
-                            if policy.give_up_after(attempts + 1) {
-                                return Err(CommError::Timeout);
-                            }
-                            ctx.delay(Dur::from_us(policy.delay_us(attempts))).await;
-                            attempts += 1;
+                            self.cs.ctx.delay(DEQ_REPROBE).await;
                         }
                     }
                 };

@@ -2,8 +2,6 @@
 //! (service times, queue lengths — the numbers the paper reports in
 //! Table 6; a [`crate::Resource`] integrates its own utilisation).
 
-use crate::time::Dur;
-
 /// Accumulates count / mean / min / max of a stream of samples.
 ///
 /// # Examples
@@ -43,11 +41,6 @@ impl Tally {
         }
         self.n += 1;
         self.sum += x;
-    }
-
-    /// Records a duration sample in microseconds.
-    pub fn add_dur(&mut self, d: Dur) {
-        self.add(d.as_us());
     }
 
     /// Number of samples.

@@ -58,12 +58,6 @@ impl SimTime {
         self.0 as f64 / 1_000.0
     }
 
-    /// Returns the instant as (possibly fractional) seconds.
-    #[must_use]
-    pub fn as_secs(self) -> f64 {
-        self.0 as f64 / 1_000_000_000.0
-    }
-
     /// Time elapsed since `earlier`, saturating to zero if `earlier` is later.
     #[must_use]
     pub fn since(self, earlier: SimTime) -> Dur {
@@ -103,12 +97,6 @@ impl Dur {
     #[must_use]
     pub fn as_us(self) -> f64 {
         self.0 as f64 / 1_000.0
-    }
-
-    /// Returns the span as (possibly fractional) seconds.
-    #[must_use]
-    pub fn as_secs(self) -> f64 {
-        self.0 as f64 / 1_000_000_000.0
     }
 
     /// Returns true if the span is zero.

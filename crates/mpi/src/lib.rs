@@ -262,14 +262,6 @@ impl Mpi {
             self.am.poll().await;
         }
     }
-
-    /// Convenience: blocking send of a byte slice through a scratch
-    /// allocation.
-    pub async fn send_bytes(&self, dst: ProcId, tag: u32, data: &[u8]) {
-        let buf = self.p.alloc(data.len() as u64);
-        self.p.write_bytes(buf, data);
-        self.send(dst, tag, buf, data.len() as u32).await;
-    }
 }
 
 impl std::fmt::Debug for Mpi {

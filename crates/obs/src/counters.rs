@@ -21,12 +21,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct CachePadded<T>(T);
 
 macro_rules! counters {
-    ($($variant:ident => $name:literal,)+) => {
+    ($($(#[$doc:meta])* $variant:ident => $name:literal,)+) => {
         /// Static counter ids shared by the simulator and the runtime.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         #[repr(usize)]
         pub enum Ctr {
             $(
+                $(#[$doc])*
                 #[allow(missing_docs)]
                 $variant,
             )+
@@ -51,9 +52,10 @@ macro_rules! counters {
 counters! {
     // Data-plane traffic, in *operations* (a PUT, a GET request or reply,
     // an ENQ): first transmissions out, every arrival — duplicates and
-    // retransmissions included — in. So are `DedupDrops`, `DamagedDrops`,
-    // `Sheds` and `OpsApplied`, and per receiver
-    // `msgs_in == ops_applied + dedup_drops + damaged_drops + sheds`.
+    // retransmissions included — in. So are `DedupDrops`, `DamagedDrops`
+    // and `OpsApplied`, and per receiver
+    // `msgs_in == ops_applied + dedup_drops + damaged_drops` (+ `sheds`,
+    // always zero).
     MsgsOut => "msgs_out",
     MsgsIn => "msgs_in",
     BytesOut => "bytes_out",
@@ -81,6 +83,9 @@ counters! {
     StaleDrops => "stale_drops",
     HellosOut => "hellos_out",
     // Overload / flow control.
+    /// Always zero: neither engine sheds load — an overloaded proxy
+    /// backpressures its submitters instead. The id stays because the
+    /// benchmark harness names it in its receiver identity.
     Sheds => "sheds",
     CreditStalls => "credit_stalls",
     SaturationEvents => "saturation_events",

@@ -60,7 +60,6 @@ event_kinds! {
     AckIn = 5 => "ack_in",
     NackIn = 6 => "nack_in",
     DedupDrop = 7 => "dedup_drop",
-    Shed = 8 => "shed",
     Hello = 9 => "hello",
     EpochBump = 10 => "epoch_bump",
     Kill = 11 => "kill",

@@ -343,11 +343,11 @@ mod tests {
     fn disabled_hub_records_counters_but_not_hists_or_traces() {
         let hub = ObsHub::new(false);
         let s = hub.register("n", 64);
-        s.inc(Ctr::Sheds);
+        s.inc(Ctr::Kills);
         s.record(HistId::CmdWaitNs, 10);
-        s.trace(EventKind::Shed, 0, 0);
+        s.trace(EventKind::Kill, 0, 0);
         let snap = s.snapshot();
-        assert_eq!(snap.counter(Ctr::Sheds), 1);
+        assert_eq!(snap.counter(Ctr::Kills), 1);
         assert_eq!(snap.hist(HistId::CmdWaitNs).count(), 0);
         assert!(s.events().is_empty());
     }

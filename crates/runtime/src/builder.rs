@@ -29,7 +29,6 @@ use crate::watchdog::ProxyHealth;
 pub struct RtClusterBuilder {
     nodes: usize,
     procs: Vec<(usize, usize)>, // (node, segment bytes)
-    shed: bool,
     fault_plan: Option<RtFaultPlan>,
     supervision: Option<SupervisorCfg>,
     telemetry: bool,
@@ -48,7 +47,6 @@ impl RtClusterBuilder {
         RtClusterBuilder {
             nodes,
             procs: Vec::new(),
-            shed: false,
             fault_plan: None,
             supervision: None,
             telemetry: true,
@@ -64,20 +62,6 @@ impl RtClusterBuilder {
     /// comparison.
     pub fn telemetry(&mut self, on: bool) -> &mut Self {
         self.telemetry = on;
-        self
-    }
-
-    /// Enables overload shedding: while a proxy is saturated, its wire
-    /// backlog is capped at [`crate::SHED_BACKLOG`] by *rejecting* the oldest
-    /// request frames (puts, gets, enqueues). Responses are never shed —
-    /// they resolve waits already charged to a client. A rejected request
-    /// simply never happens: its sequence number is acknowledged as
-    /// rejected, so the sender drops it from retention *without* firing
-    /// `lsync`, and the submitter observes the loss through a bounded
-    /// wait ([`Endpoint::wait_flag_timeout`]). Off by default: an
-    /// unsaturated cluster behaves identically either way.
-    pub fn enable_shedding(&mut self) -> &mut Self {
-        self.shed = true;
         self
     }
 
@@ -186,7 +170,6 @@ impl RtClusterBuilder {
             health: (0..nodes)
                 .map(|_| Arc::new(ProxyHealth::default()))
                 .collect(),
-            shed_enabled: AtomicBool::new(self.shed),
             faults: self.fault_plan.map(|plan| RtFaultState::new(plan, nodes)),
             supervision: self.supervision,
             started: now,

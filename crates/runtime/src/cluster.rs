@@ -18,7 +18,10 @@
 //! [`crate::ring::Ring`]). Between proxies the traffic is sequenced,
 //! acknowledged and retransmitted ([`crate::wire`]), which is what makes
 //! "an operation whose `lsync` flag fired was applied at the destination
-//! exactly once" hold under loss, shedding and proxy respawns.
+//! exactly once" hold under loss and proxy respawns. Overload is
+//! backpressure: every one of those rings is bounded, so a sink that
+//! cannot keep up slows its sources down to its own rate rather than
+//! losing anything.
 //!
 //! # Supervision and recovery
 //!
@@ -84,10 +87,6 @@ pub const RQ_DEPTH: usize = 256;
 /// Sits under [`mproxy_model::contention::STABLE_UTILIZATION`] so the flag doesn't flap when load
 /// hovers at the §5.4 bound.
 pub const RECOVERY_UTILIZATION: f64 = 0.4;
-
-/// Wire backlog (frames) past which a saturated, shedding-enabled proxy
-/// starts rejecting request traffic.
-pub const SHED_BACKLOG: usize = CMDQ_DEPTH;
 
 /// Default deadline for [`RtCluster::shutdown`] (and `Drop`): a wedged
 /// proxy thread is reported and detached rather than joined past this.
@@ -185,7 +184,7 @@ pub(crate) struct ProcShared {
 /// path at a percent or two of an operation;
 /// `tests/tests/obs.rs::counters_match_ground_truth_on_clean_fan_in`
 /// bounds every site's sample count from above, so stamping every event
-/// fails a test. Rare events (kills, respawns, hellos, sheds, faults) are
+/// fails a test. Rare events (kills, respawns, hellos, stalls, faults) are
 /// never sampled, and counters are always exact.
 const OBS_SAMPLE_MASK: u64 = 31;
 
@@ -227,7 +226,6 @@ pub(crate) struct Shared {
     /// queue's bit is its index among its node's queues.
     pub(crate) ready_masks: Vec<Arc<AtomicU64>>,
     pub(crate) health: Vec<Arc<ProxyHealth>>, // per node
-    pub(crate) shed_enabled: AtomicBool,
     /// The installed fault injector, if any.
     pub(crate) faults: Option<RtFaultState>,
     /// Supervision policy; `None` means a dead proxy is condemned at once.
@@ -384,13 +382,6 @@ impl RtCluster {
             .load(Ordering::Relaxed)
     }
 
-    /// Request operations rejected on node `node` by overload shedding
-    /// ([`crate::RtClusterBuilder::enable_shedding`]).
-    #[must_use]
-    pub fn shed_count(&self, node: usize) -> u64 {
-        self.shared.health[node].shed.load(Ordering::Relaxed)
-    }
-
     /// Nodes whose proxy is dead *right now* (panicked and not yet
     /// respawned; a live query).
     #[must_use]
@@ -439,8 +430,8 @@ impl RtCluster {
 
     /// Point-in-time telemetry snapshot of every node scope — counters
     /// and histograms, taken without stopping the proxies. Cross-node
-    /// counter invariants (e.g. `msgs_out == ops_applied + sheds`) only
-    /// hold on a quiesced cluster.
+    /// counter invariants (e.g. `msgs_in == ops_applied + dedup_drops +
+    /// damaged_drops` per receiver) only hold on a quiesced cluster.
     #[must_use]
     pub fn obs_snapshot(&self, label: &str) -> Snapshot {
         self.shared.obs_hub.snapshot(label)

@@ -323,26 +323,6 @@ impl Endpoint {
         self.wait_flag(f, target);
     }
 
-    /// Bounded [`Endpoint::get_blocking`].
-    ///
-    /// # Errors
-    ///
-    /// See [`Endpoint::wait_flag_timeout`]; on error the fetched data must
-    /// be treated as absent (it may still land later).
-    pub fn get_blocking_timeout(
-        &mut self,
-        laddr: u64,
-        dst: u32,
-        raddr: u64,
-        nbytes: u32,
-        timeout: Duration,
-    ) -> Result<(), RtError> {
-        let f = FlagId((NUM_FLAGS - 1) as u32);
-        let target = self.flag(f) + 1;
-        self.get(laddr, dst, raddr, nbytes, Some(f));
-        self.wait_flag_timeout(f, target, timeout)
-    }
-
     /// `ENQ`: append `nbytes` from local `laddr` to queue `rq` of `dst`.
     pub fn enq(
         &mut self,

@@ -23,9 +23,10 @@
 //!   switch adapter (see DESIGN.md's substitution notes);
 //! * overload detection: each proxy samples its own busy fraction and
 //!   flags violations of the paper's §5.4 stability rule (a proxy past
-//!   50% utilisation has unbounded expected queueing delay), with
-//!   opt-in request shedding
-//!   ([`RtClusterBuilder::enable_shedding`]);
+//!   50% utilisation has unbounded expected queueing delay); overload
+//!   itself is backpressure — every queue is bounded, so an overloaded
+//!   proxy slows the submitters behind it instead of discarding their
+//!   operations;
 //! * a sequenced, acknowledged **wire layer** between proxies whose unit
 //!   is a *frame* of up to 32 operations — whatever one service phase
 //!   addressed to one peer shares one sequence number, one retention
@@ -33,8 +34,8 @@
 //!   frame of one (cumulative acks, sender-side retention, a receiver
 //!   reorder buffer and gap-naming NACKs: a lost frame costs one
 //!   retransmit) making "an op whose `lsync` fired was applied exactly
-//!   once" hold under packet loss, duplication, corruption, shedding, and
-//!   proxy crashes;
+//!   once" hold under packet loss, duplication, corruption and proxy
+//!   crashes;
 //! * [`fault`] — a seeded **fault injector**
 //!   ([`RtClusterBuilder::fault_plan`]): per-packet drop / duplicate /
 //!   corrupt verdicts plus injected proxy stalls and kills, sharing its
@@ -92,7 +93,7 @@ mod wire;
 pub use builder::RtClusterBuilder;
 pub use cluster::{
     ProxyPanic, RtCluster, ShutdownReport, CMDQ_DEPTH, NUM_FLAGS, NUM_QUEUES, RECOVERY_UTILIZATION,
-    RQ_DEPTH, SHED_BACKLOG, WIRE_DEPTH,
+    RQ_DEPTH, WIRE_DEPTH,
 };
 pub use endpoint::{Endpoint, FlagId, RqId, RtError};
 pub use fault::{RtFaultCounts, RtFaultPlan, RtKill, RtStall};

@@ -4,7 +4,7 @@
 //! loop in place after a panic (under supervision, against the same
 //! [`NodeState`]); [`proxy_main`] is that loop, a fixed sequence of
 //! phases per pass — load sampling, timed faults, condemned-peer purge,
-//! command drain, shed, wire drain, reliability upkeep, idle. The two
+//! command drain, wire drain, reliability upkeep, idle. The two
 //! drains are what put operations on
 //! the wire, and each ends by closing the frames it opened
 //! ([`crate::wire::flush_frames`]), so a frame never outlives its pass.
@@ -17,9 +17,7 @@ use std::time::{Duration, Instant};
 
 use mproxy_obs::{Ctr, EventKind, HistId};
 
-use crate::cluster::{
-    condemn_dead, sampled, Shared, CMDQ_DEPTH, NUM_QUEUES, SHED_BACKLOG, WIRE_DEPTH,
-};
+use crate::cluster::{condemn_dead, sampled, Shared, CMDQ_DEPTH, NUM_QUEUES, WIRE_DEPTH};
 use crate::endpoint::{unpack_sync, OP_ENQ, OP_GET, OP_PUT};
 use crate::idle::{Backoff, Parker};
 use crate::ring::Ring;
@@ -46,7 +44,7 @@ pub(crate) type Seat = Vec<SeatEntry>;
 /// Most entries a proxy drains from one queue per loop iteration. When the
 /// arrival rate exceeds the service rate a drain would otherwise never
 /// terminate, and iteration boundaries are where busy-time accounting and
-/// the shedding check run — an overloaded proxy must keep reaching them.
+/// load sampling run — an overloaded proxy must keep reaching them.
 const SERVICE_BURST: usize = 2 * CMDQ_DEPTH;
 
 /// Outbound frames a proxy holds privately (its wire rings to peers all
@@ -370,7 +368,6 @@ fn proxy_main(
     let parker = &shared.parkers[node];
     let ready = &*shared.ready_masks[node];
     let wire_rx = &shared.wires[node];
-    let health = &shared.health[node];
     let mut batch: Vec<Entry> = Vec::with_capacity(SERVICE_BURST);
     let mut backoff = Backoff::new();
     let mut stop_flush_tries = 0u32;
@@ -391,10 +388,6 @@ fn proxy_main(
         if st.backlogged() < PENDING_CAP {
             progressed |= drain_commands(shared, st, node, now, seat, ready, &mut batch);
             flush_frames(shared, st, node, now);
-        }
-        if shared.shed_enabled.load(Ordering::Relaxed) && health.saturated.load(Ordering::Acquire)
-        {
-            progressed |= shed_backlog(shared, st, node, now, wire_rx);
         }
         progressed |= drain_wire(shared, st, node, now, wire_rx);
         // The GET replies the two wire phases produced.
@@ -447,7 +440,8 @@ fn proxy_main(
 
 /// Injected time-domain faults: kills panic right here (the
 /// `catch_unwind` in [`run_proxy`] turns that into a recorded death);
-/// stalls freeze the loop wholesale. True when the
+/// stalls freeze the loop wholesale, each traced as a `Stall` event
+/// carrying its remaining length in µs. True when the
 /// node just sat out a stall, so the pass restarts on a fresh clock.
 #[inline]
 fn timed_faults(shared: &Shared, node: usize, now: Instant) -> bool {
@@ -464,6 +458,14 @@ fn timed_faults(shared: &Shared, node: usize, now: Instant) -> bool {
     let Some(order) = faults.stall_due(node, now.duration_since(shared.started)) else {
         return false;
     };
+    // Rare, so never sampled: a trace must show why the node went quiet.
+    let remaining_us = u32::try_from(order.remaining.as_micros()).unwrap_or(u32::MAX);
+    shared.obs[node].trace_at(
+        shared.rel_ns(now),
+        EventKind::Stall,
+        node as u16,
+        remaining_us,
+    );
     if order.interruptible {
         let _ = crate::idle::sleep_unless(order.remaining, &shared.stop);
     } else {
@@ -582,31 +584,12 @@ fn drain_commands(
     progressed
 }
 
-/// Overload control: a saturated proxy rejects the oldest all-request
-/// frames over the backlog cap. Rejection *advances the delivered
-/// watermark* and reports the sequence on the next ack, so the sender
-/// unretains the frame without firing any lsync — "acked ⇒ applied
-/// exactly once" survives shedding. Control frames and frames carrying a
-/// response are serviced normally even over the cap.
-#[inline]
-fn shed_backlog(
-    shared: &Shared,
-    st: &mut NodeState,
-    node: usize,
-    now: Instant,
-    wire_rx: &Ring<WireMsg>,
-) -> bool {
-    let mut ops = 0;
-    while wire_rx.len() > SHED_BACKLOG {
-        let Some(msg) = wire_rx.try_pop() else { break };
-        ops += handle_packet(shared, st, node, now, msg, true);
-    }
-    count_serviced(shared, node, ops)
-}
-
 /// Network input, burst-bounded (in operations, whatever the frames'
 /// sizes) like the command queues: a flooded wire refills faster than it
-/// drains, and this must not become the whole pass.
+/// drains, and this must not become the whole pass. Every frame popped is
+/// handled; a sender that outruns this finds the ring full and stashes,
+/// and past [`PENDING_CAP`] stops draining its own command queues. True
+/// if anything was serviced.
 #[inline]
 fn drain_wire(
     shared: &Shared,
@@ -618,17 +601,11 @@ fn drain_wire(
     let mut ops = 0;
     while ops < SERVICE_BURST as u64 {
         let Some(msg) = wire_rx.try_pop() else { break };
-        ops += handle_packet(shared, st, node, now, msg, false);
+        ops += handle_packet(shared, st, node, now, msg);
     }
-    count_serviced(shared, node, ops)
-}
-
-/// Books what a wire phase serviced; true if it serviced anything. An
-/// idle pass must not write here: the per-node counters are small
-/// neighbouring allocations, and a store per empty poll would bounce
-/// their cache line between every pair of idle proxies.
-#[inline]
-fn count_serviced(shared: &Shared, node: usize, ops: u64) -> bool {
+    // An idle pass must not write here: the per-node counters are small
+    // neighbouring allocations, and a store per empty poll would bounce
+    // their cache line between every pair of idle proxies.
     if ops > 0 {
         shared.ops_serviced[node].fetch_add(ops, Ordering::Relaxed);
     }

@@ -62,74 +62,52 @@ fn get_req(st: &mut NodeState) -> Payload {
     }
 }
 
-/// Sends `ops` (each with its lsync flag) from SRC as one frame, has
-/// DST handle it with `shed`, and SRC handle DST's acknowledgement.
-fn round_trip(
-    shared: &Shared,
-    [src, dst]: [&mut NodeState; 2],
-    ops: Vec<(Payload, Option<u32>)>,
-    shed: bool,
-) {
-    let now = Instant::now();
-    let n = ops.len() as u64;
-    for (op, flag) in ops {
-        let lsync = flag.map(|f| (SRC as u32, f));
-        send_data(shared, src, SRC, now, DST, op, lsync, 0);
-    }
-    flush_frames(shared, src, SRC, now);
-    assert_eq!(src.tx[DST].retained.len(), 1, "one frame, one slot");
-    let frame = shared.wires[DST].try_pop().expect("the frame");
-    assert!(shared.wires[DST].is_empty(), "one ring push");
-    assert_eq!(handle_packet(shared, dst, DST, now, frame, shed), n);
-    flush_acks(shared, dst, DST);
-    let ack = shared.wires[SRC].try_pop().expect("the ack");
-    assert_eq!(handle_packet(shared, src, SRC, now, ack, false), 1);
-    assert!(src.tx[DST].retained.is_empty() && src.tx[DST].lsyncs.is_empty());
-}
-
 fn flag(shared: &Shared, flag: u32) -> u64 {
     shared.procs[SRC].flags[flag as usize].load(Ordering::Acquire)
 }
 
 #[test]
-fn all_request_frame_is_shed_whole_and_a_response_exempts_its_frame() {
+fn frame_round_trip_applies_every_operation_and_fires_its_lsyncs_together() {
     let shared = quiesced();
     let obs = &shared.obs[DST];
+    let now = Instant::now();
     let (mut src, mut dst) = (node_state(), node_state());
-    let (get_a, get_b) = (get_req(&mut src), get_req(&mut src));
-    let requests = vec![
-        (put(1), Some(LSYNC)),
-        (get_a, None),
-        (put(2), Some(LSYNC)),
-        (get_b, None),
-    ];
-    round_trip(&shared, [&mut src, &mut dst], requests, true);
-    assert_eq!((obs.get(Ctr::Sheds), obs.get(Ctr::OpsApplied)), (4, 0));
-    assert_eq!(shared.health[DST].shed.load(Ordering::Relaxed), 4);
-    assert_eq!(flag(&shared, LSYNC), 0, "no lsync of a shed frame fires");
-    assert!(src.ccbs.is_empty(), "both GETs cancelled");
-    assert_eq!(shared.procs[DST].seg.read_u64(0), 0, "nothing applied");
-
-    // The same traffic sharing a frame with a response (one no CCB
-    // waits for — it still must not be rejected) is applied, under
-    // the same overload verdict; its lsyncs fire as one add.
+    // Requests and a response (one no CCB waits for) share one frame;
+    // runs of one flag are broken by another flag and by an operation
+    // that owes nothing.
     let reply = Payload::GetReply {
         token: u64::MAX,
         data: None,
     };
-    let mixed = vec![
-        (put(3), Some(LSYNC)),
+    let ops = [
+        (put(1), Some(LSYNC)),
+        (put(2), Some(LSYNC)),
         (reply, None),
-        (put(4), Some(LSYNC + 1)),
-        (put(5), Some(LSYNC)),
+        (put(3), Some(LSYNC + 1)),
+        (put(4), Some(LSYNC)),
     ];
-    round_trip(&shared, [&mut src, &mut dst], mixed, true);
-    assert_eq!((obs.get(Ctr::Sheds), obs.get(Ctr::OpsApplied)), (4, 4));
-    assert_eq!((flag(&shared, LSYNC), flag(&shared, LSYNC + 1)), (2, 1));
+    let n = ops.len() as u64;
+    for (op, flag) in ops {
+        let lsync = flag.map(|f| (SRC as u32, f));
+        send_data(&shared, &mut src, SRC, now, DST, op, lsync, 0);
+    }
+    flush_frames(&shared, &mut src, SRC, now);
+    assert_eq!(src.tx[DST].retained.len(), 1, "one frame, one slot");
+    let frame = shared.wires[DST].try_pop().expect("the frame");
+    assert!(shared.wires[DST].is_empty(), "one ring push");
+    assert_eq!(handle_packet(&shared, &mut dst, DST, now, frame), n);
+    assert_eq!(obs.get(Ctr::OpsApplied), n, "every operation applied");
     let landed = shared.procs[DST].seg.read_u64(0);
-    assert_eq!(landed, u64::from_le_bytes([5; 8]), "the last PUT");
-    assert_eq!(obs.get(Ctr::FramesIn), 2);
-    assert_eq!(obs.get(Ctr::MsgsIn), 8);
+    assert_eq!(landed, u64::from_le_bytes([4; 8]), "in order: the last PUT");
+    assert_eq!((obs.get(Ctr::FramesIn), obs.get(Ctr::MsgsIn)), (1, n));
+
+    // Nothing fires before the acknowledgement, all of it on it.
+    assert_eq!((flag(&shared, LSYNC), flag(&shared, LSYNC + 1)), (0, 0));
+    flush_acks(&shared, &mut dst, DST);
+    let ack = shared.wires[SRC].try_pop().expect("the ack");
+    assert_eq!(handle_packet(&shared, &mut src, SRC, now, ack), 1);
+    assert!(src.tx[DST].retained.is_empty() && src.tx[DST].lsyncs.is_empty());
+    assert_eq!((flag(&shared, LSYNC), flag(&shared, LSYNC + 1)), (3, 1));
 }
 
 #[test]

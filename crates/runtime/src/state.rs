@@ -13,7 +13,7 @@
 //! the in-order watermark and the bounded reorder buffer — is
 //! [`mproxy_model::link`], the core the simulator's link layer runs on
 //! too; what is here is this driver's side of it: frames, one RTO per
-//! peer, one ack / NACK per pass, shed-reject.
+//! peer, one ack / NACK per pass.
 //!
 //! The unit of both halves is the **frame**: the operations one service
 //! phase addressed to one peer, at most [`FRAME_CAP`] of them (fewer when
@@ -35,7 +35,7 @@ use crate::wire::{Frame, Payload, WireMsg};
 /// Most operations one frame carries. A frame also closes, however few it
 /// holds, at the end of the service phase that opened it, so this only
 /// bounds how much one sequence number — one retransmission, one reorder
-/// slot, one shed verdict — can cover. Most of what there is to gain
+/// slot — can cover. Most of what there is to gain
 /// from amortising the per-frame costs (sequence, retention slot, ring
 /// push, wake) is had by 16 operations, and the steps beyond 32 are
 /// inside the run-to-run noise (EXPERIMENTS.md "Coalesced wire frames"
@@ -82,7 +82,7 @@ pub(crate) struct Retained {
 }
 
 /// What the sender owes one operation's submitter once the frame that
-/// carries it is acknowledged un-rejected.
+/// carries it is acknowledged.
 pub(crate) struct Lsync {
     /// `(proc, flag)` to bump.
     pub(crate) flag: Option<(u32, u32)>,
@@ -105,9 +105,9 @@ pub(crate) struct TxPeer {
     /// Payload bytes the open frame carries so far.
     pub(crate) open_bytes: u64,
     /// Sent-but-unacknowledged frames, in sequence order. Unbounded by
-    /// type, bounded in practice by the receiver's ack cadence — even a
-    /// *saturated* receiver advances its watermark (shed-reject), so
-    /// retention drains at wire speed.
+    /// type, bounded in practice by what the peer's wire ring and this
+    /// node's capped outbound stash let through before the command drain
+    /// pauses; it drains as fast as the receiver applies.
     pub(crate) retained: Retention<Retained>,
     /// One entry per operation of every retained frame, oldest first,
     /// then one per operation of the open frame: frame `r` of `retained`
@@ -182,8 +182,6 @@ pub(crate) struct RxPeer {
     pub(crate) ack_pending: bool,
     /// A nack should go out this pass.
     pub(crate) nack_pending: bool,
-    /// Sequences of frames shed since the last ack, to ride out on it.
-    pub(crate) rejected_new: Vec<u64>,
 }
 
 impl RxPeer {
@@ -192,7 +190,6 @@ impl RxPeer {
             order: Reorder::new(HOLD_WINDOW),
             ack_pending: false,
             nack_pending: false,
-            rejected_new: Vec::new(),
         }
     }
 
@@ -225,8 +222,7 @@ pub(crate) struct NodeState {
     pub(crate) rx: Vec<RxPeer>,
     /// Outbound frames whose destination ring was full, per node.
     /// Flushed in FIFO order before anything new is pushed, so per-pair
-    /// wire order is preserved. Holds control frames too — an ack
-    /// carrying rejections must never be lost.
+    /// wire order is preserved. Holds control frames too.
     pub(crate) pending_wire: Vec<VecDeque<WireMsg>>,
     /// Accepted local deliveries whose reply ring was full.
     pub(crate) pending_rq: VecDeque<PendingEnq>,

@@ -7,12 +7,17 @@ use std::time::{Duration, Instant};
 use mproxy_model::contention::STABLE_UTILIZATION;
 use mproxy_obs::{Ctr, EventKind, HistId};
 
-use crate::cluster::{Shared, RECOVERY_UTILIZATION, SHED_BACKLOG};
+use crate::cluster::{Shared, RECOVERY_UTILIZATION};
 
 /// Shortest window a utilisation sample covers. A busy proxy samples at
 /// the first pass past it; a parked one wakes every
 /// `proxy::PARK_TIMEOUT` (also 1 ms), so an idle node keeps sampling.
 const SAMPLE_PERIOD: Duration = Duration::from_millis(1);
+
+/// Wire backlog (frames queued on the node's ring) past which a proxy is
+/// flagged saturated whatever its sampled utilisation; the flag clears
+/// only under half of it.
+const SATURATION_BACKLOG: usize = 128;
 
 /// Per-node overload state, written by the node's proxy, read by anyone.
 #[derive(Debug, Default)]
@@ -24,8 +29,6 @@ pub(crate) struct ProxyHealth {
     pub(crate) saturated: AtomicBool,
     /// Times the proxy has crossed into saturation.
     pub(crate) saturation_events: AtomicU64,
-    /// Request operations rejected by overload shedding.
-    pub(crate) shed: AtomicU64,
 }
 
 /// A proxy's own load meter. The service loop charges each pass that
@@ -82,7 +85,7 @@ impl LoadSampler {
         // either one trips the flag.
         let backlog = shared.wires[node].len();
         let was = h.saturated.load(Ordering::Relaxed);
-        if !was && (util > STABLE_UTILIZATION || backlog > SHED_BACKLOG) {
+        if !was && (util > STABLE_UTILIZATION || backlog > SATURATION_BACKLOG) {
             h.saturation_events.fetch_add(1, Ordering::Relaxed);
             obs.inc(Ctr::SaturationEvents);
             obs.trace(EventKind::SatEnter, node as u16, backlog as u32);
@@ -96,7 +99,7 @@ impl LoadSampler {
                     util * 100.0
                 );
             }
-        } else if was && util < RECOVERY_UTILIZATION && backlog < SHED_BACKLOG / 2 {
+        } else if was && util < RECOVERY_UTILIZATION && backlog < SATURATION_BACKLOG / 2 {
             obs.trace(EventKind::SatExit, node as u16, backlog as u32);
             h.saturated.store(false, Ordering::Release);
         }

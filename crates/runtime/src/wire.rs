@@ -35,17 +35,15 @@
 //!
 //! The invariant bought by all this: **an operation whose `lsync` flag
 //! fired was applied at the destination exactly once** — under drops,
-//! duplicates, corruption, overload shedding, and proxy respawns. The
-//! argument is per frame: a sequence number is applied only as the
-//! watermark passes it, which happens once; applying it applies each of
-//! its operations once; and the sender fires a frame's lsyncs (together,
-//! [`process_ack`]) only on an ack at or past its sequence that does not
-//! list it as rejected. Overload shedding rides the same machinery: a
-//! saturated proxy *rejects* an excess frame whole — and only if every
-//! operation in it is a request, because a response resolves a CCB that
-//! has already been paid for — by advancing its delivered watermark and
-//! reporting the sequence on the ack, so the sender drops the frame from
-//! retention without firing any of its `lsync`s.
+//! duplicates, corruption and proxy respawns. The argument is per frame:
+//! a sequence number is applied only as the watermark passes it, which
+//! happens once; applying it applies each of its operations once; and
+//! the sender fires a frame's lsyncs (together, [`process_ack`]) only on
+//! an ack at or past its sequence. Overload never breaks that chain: a
+//! receiver applies every in-order frame it pops, and a sender that
+//! outruns it is slowed by the bounded rings behind it — the wire ring,
+//! the proxy's capped outbound stash, then the full command queues of the
+//! submitting processes.
 //!
 //! This module holds the frames and the functions that move them; the
 //! per-stream state they act on ([`crate::state::TxPeer`], [`RxPeer`]) is in
@@ -107,13 +105,6 @@ pub(crate) enum Payload {
 }
 
 impl Payload {
-    /// Requests may be rejected under overload; responses may not — each
-    /// one resolves a CCB that has already been paid for, and rejecting
-    /// it would strand the waiter.
-    fn is_request(&self) -> bool {
-        !matches!(self, Payload::GetReply { .. })
-    }
-
     /// Application bytes carried (the bytes_in/bytes_out accounting
     /// unit; headers and control frames count zero).
     pub(crate) fn wire_bytes(&self) -> u64 {
@@ -150,14 +141,8 @@ pub(crate) enum WireMsg {
         body: Frame,
     },
     /// Cumulative acknowledgement: every `Data` frame from the receiver's
-    /// peer with `seq <= upto` has been accounted for. Frames listed in
-    /// `rejected` were *shed* under overload: the sender must drop them
-    /// from retention without firing any of their `lsync`s.
-    AckUpto {
-        from: usize,
-        upto: u64,
-        rejected: Vec<u64>,
-    },
+    /// peer with `seq <= upto` has been delivered in order.
+    AckUpto { from: usize, upto: u64 },
     /// The receiver's in-order watermark is stuck at `since` behind a gap
     /// or a corrupt frame: `missing` names every sequence it still lacks
     /// up to the highest one it has seen (ascending, starting at
@@ -373,9 +358,8 @@ fn transmit_frame(
 }
 
 /// Consumes one cumulative acknowledgement from `from`: advances the
-/// watermark, releases retention, fires the `lsync` flags of accepted
-/// frames — a run of identical `(proc, flag)` as one add — and cancels
-/// the CCBs of rejected GETs.
+/// watermark, releases retention and fires the `lsync` flags of every
+/// released frame — a run of identical `(proc, flag)` as one add.
 fn process_ack(
     shared: &Shared,
     st: &mut NodeState,
@@ -383,11 +367,8 @@ fn process_ack(
     now: Instant,
     from: usize,
     upto: u64,
-    rejected: &[u64],
 ) {
-    let NodeState {
-        tx, ccbs, ticks, ..
-    } = st;
+    let NodeState { tx, ticks, .. } = st;
     let tx = &mut tx[from];
     if upto <= tx.retained.acked() {
         return;
@@ -395,28 +376,12 @@ fn process_ack(
     let obs = &shared.obs[node];
     let now_ns = shared.rel_ns(now);
     tx.last_progress_ns = now_ns;
-    // Cursor into `rejected`: the receiver sheds in sequence order, so
-    // the list ascends just as the released frames do.
-    let mut shed = 0;
-    for (seq, r) in tx.retained.release(upto) {
+    for (_, r) in tx.retained.release(upto) {
         // Wire RTT: first transmission → the releasing cumulative ack.
         if sampled(&mut ticks.wire_rtt) {
             obs.record(HistId::WireRttNs, now_ns.saturating_sub(r.sent_ns));
         }
         let lsyncs = tx.lsyncs.drain(..r.body.len());
-        while rejected.get(shed).is_some_and(|&s| s < seq) {
-            shed += 1;
-        }
-        if rejected.get(shed) == Some(&seq) {
-            // Shed at the receiver: none of it happened. No lsync fires;
-            // a rejected GET's CCB is cancelled.
-            for op in r.body.iter() {
-                if let Payload::GetReq { token, .. } = op {
-                    ccbs.remove(token);
-                }
-            }
-            continue;
-        }
         // The run of completions not yet added to their flag.
         let mut run: Option<((u32, u32), u64)> = None;
         for l in lsyncs {
@@ -455,19 +420,12 @@ fn process_ack(
 /// the reorder buffer; a corrupt frame, or one beyond the reorder window,
 /// is dropped. Every arrival that leaves the watermark stuck behind a gap
 /// owes the sender a NACK.
-///
-/// With `shed` set (overload control) an in-order frame of nothing but
-/// *requests* is rejected instead of applied: the watermark still
-/// advances, the sequence rides out on the next ack, and the sender
-/// unretains it without firing any `lsync`. A frame carrying a response,
-/// and control frames, are handled as always.
 pub(crate) fn handle_packet(
     shared: &Shared,
     st: &mut NodeState,
     node: usize,
     now: Instant,
     msg: WireMsg,
-    shed: bool,
 ) -> u64 {
     let obs = &shared.obs[node];
     match msg {
@@ -509,19 +467,10 @@ pub(crate) fn handle_packet(
             }
             rx.order.advance();
             rx.ack_pending = true;
-            let mut ready = if shed && body.iter().all(Payload::is_request) {
-                rx.rejected_new.push(seq);
-                obs.add(Ctr::Sheds, ops);
-                shared.health[node].shed.fetch_add(ops, Ordering::Relaxed);
-                obs.trace_at(shared.rel_ns(now), EventKind::Shed, from as u16, seq as u32);
-                rx.order.next_ready()
-            } else {
-                Some(body)
-            };
             // The frame itself, then — the gap (if there was one) having
             // just closed — everything parked behind it that is now
-            // contiguous, in order. Parked frames were accepted before
-            // any overload verdict, so they are never shed.
+            // contiguous, in order.
+            let mut ready = Some(body);
             while let Some(frame) = ready {
                 obs.add(Ctr::OpsApplied, frame.len() as u64);
                 for op in frame.iter() {
@@ -531,11 +480,7 @@ pub(crate) fn handle_packet(
             }
             return ops;
         }
-        WireMsg::AckUpto {
-            from,
-            upto,
-            rejected,
-        } => {
+        WireMsg::AckUpto { from, upto } => {
             obs.inc(Ctr::AcksIn);
             // Acks arrive roughly per service batch under load, so this
             // trace is decimated like the other hot-path events. The
@@ -549,7 +494,7 @@ pub(crate) fn handle_packet(
                     upto as u32,
                 );
             }
-            process_ack(shared, st, node, now, from, upto, &rejected);
+            process_ack(shared, st, node, now, from, upto);
         }
         WireMsg::Nack {
             from,
@@ -690,19 +635,17 @@ pub(crate) fn retransmit(shared: &Shared, st: &mut NodeState, node: usize, now: 
 }
 
 /// Emits the acknowledgement state accumulated this pass: one cumulative
-/// [`WireMsg::AckUpto`] per source that delivered (or was shed) anything,
-/// one [`WireMsg::Nack`] per source whose watermark is stuck behind a gap
-/// or a corrupt frame and that sent anything this pass, naming exactly
-/// the sequences still missing.
+/// [`WireMsg::AckUpto`] per source that delivered anything (or sent a
+/// duplicate), one [`WireMsg::Nack`] per source whose watermark is stuck
+/// behind a gap or a corrupt frame and that sent anything this pass,
+/// naming exactly the sequences still missing.
 pub(crate) fn flush_acks(shared: &Shared, st: &mut NodeState, node: usize) {
     let NodeState {
         rx, pending_wire, ..
     } = st;
     let obs = &shared.obs[node];
     for (src, rx) in rx.iter_mut().enumerate() {
-        if rx.ack_pending || !rx.rejected_new.is_empty() {
-            rx.ack_pending = false;
-            let rejected = std::mem::take(&mut rx.rejected_new);
+        if std::mem::take(&mut rx.ack_pending) {
             obs.inc(Ctr::AcksOut);
             push_wire(
                 shared,
@@ -711,7 +654,6 @@ pub(crate) fn flush_acks(shared: &Shared, st: &mut NodeState, node: usize) {
                 WireMsg::AckUpto {
                     from: node,
                     upto: rx.order.delivered(),
-                    rejected,
                 },
             );
         }

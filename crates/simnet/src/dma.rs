@@ -62,17 +62,6 @@ impl DmaParams {
         Dur::from_us(xfer + f64::from(pages) * (self.pin_us + self.unpin_us))
     }
 
-    /// Pin + unpin cost alone for an `nbytes` transfer (what a *receiving*
-    /// node pays while its DMA engine streams concurrently with the wire).
-    #[must_use]
-    pub fn pinning_us(&self, nbytes: u32) -> f64 {
-        if nbytes == 0 {
-            return 0.0;
-        }
-        let pages = nbytes.div_ceil(self.page_bytes);
-        f64::from(pages) * (self.pin_us + self.unpin_us)
-    }
-
     /// Effective streaming bandwidth for page-sized transfers, MB/s.
     #[must_use]
     pub fn effective_bandwidth_mbs(&self) -> f64 {

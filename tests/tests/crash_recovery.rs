@@ -118,18 +118,17 @@ fn crash_with_unacked_work_fails_stop_with_epoch_reset() {
     assert_eq!(a.report, b.report);
 }
 
-/// Satellite: the retransmit buffer obeys its configured window even at
-/// 20% drop — overflow parks in the backlog (O(window) memory), is
-/// promoted as ACKs free slots, and the stream still arrives exactly
-/// once, in order.
+/// The retransmit buffer obeys the link layer's window (64 packets per
+/// destination) even at 20% drop — a flood well past it parks in the
+/// backlog (O(window) memory), is promoted as ACKs free slots, and the
+/// stream still arrives exactly once, in order.
 #[test]
 fn retransmit_buffer_stays_bounded_at_heavy_drop() {
-    const WINDOW: usize = 4;
-    const K: u64 = 64;
+    const WINDOW: u64 = 64;
+    const K: u64 = 8 * WINDOW;
     let plan = FaultPlan::new(0x20_c4a5).drop(0.20).reorder(0.05, 20.0);
     let sim = Simulation::new();
-    let mut spec = ClusterSpec::new(MP1, 2, 1);
-    spec.link_window = WINDOW;
+    let spec = ClusterSpec::new(MP1, 2, 1);
     let cluster = Cluster::new_with_faults(&sim.ctx(), spec, plan).unwrap();
     let done = Rc::new(RefCell::new(false));
     let probe = Rc::clone(&done);
@@ -169,7 +168,7 @@ fn retransmit_buffer_stays_bounded_at_heavy_drop() {
     assert!(*done.borrow(), "receiver never finished");
     let link = cluster.fault_report().link;
     assert!(
-        link.peak_pending <= WINDOW as u64,
+        link.peak_pending <= WINDOW,
         "retransmit buffer grew to {} > window {WINDOW}",
         link.peak_pending
     );
@@ -220,54 +219,6 @@ fn credits_bound_command_queue_depth() {
         bounded_wait < free_wait,
         "backpressure should shift waiting out of the shared queue"
     );
-}
-
-/// With `credit_fail_fast`, exhausting the credit limit surfaces
-/// [`CommError::CreditsExhausted`] instead of blocking. A stall window
-/// freezes the engine so the first command's credit is provably still
-/// out when the second submits.
-#[test]
-fn credit_exhaustion_fails_fast_when_configured() {
-    let plan = FaultPlan::new(7).stall(0, 1.0, 120.0);
-    let sim = Simulation::new();
-    let mut spec = ClusterSpec::new(MP1, 2, 1);
-    spec.cmd_credits = 1;
-    spec.credit_fail_fast = true;
-    let cluster = Cluster::new_with_faults(&sim.ctx(), spec, plan).unwrap();
-    let seen = Rc::new(RefCell::new(None));
-    let probe = Rc::clone(&seen);
-    cluster.spawn_spmd(move |p| {
-        let probe = Rc::clone(&probe);
-        async move {
-            let buf = p.alloc(64);
-            p.ctx().yield_now().await;
-            if p.rank().0 != 0 {
-                return;
-            }
-            p.put(buf, mproxy::Asid(1), buf, 64, None, None)
-                .await
-                .expect("first put holds the only credit");
-            let err = p
-                .put(buf, mproxy::Asid(1), buf, 64, None, None)
-                .await
-                .expect_err("stalled engine cannot have returned the credit");
-            *probe.borrow_mut() = Some(err.clone());
-            // After the stall lifts, the credit comes back and puts flow.
-            p.ctx().delay(mproxy_des::Dur::from_us(200.0)).await;
-            p.put(buf, mproxy::Asid(1), buf, 64, None, None)
-                .await
-                .expect("credit must return once the engine drains");
-        }
-    });
-    assert!(cluster.run(&sim).completed_cleanly());
-    let observed = seen.borrow().clone();
-    match observed {
-        Some(CommError::CreditsExhausted { src, limit }) => {
-            assert_eq!(src, ProcId(0));
-            assert_eq!(limit, 1);
-        }
-        other => panic!("expected CreditsExhausted, got {other:?}"),
-    }
 }
 
 /// Nightly soak: crash windows on top of the full PR 1 fault matrix

@@ -1,7 +1,8 @@
-//! The threaded runtime's overload detection, which each proxy runs on
-//! its own load: saturation per the paper's §5.4 stability rule (a proxy past 50% utilisation has unbounded
-//! expected queueing delay), hysteresis-based recovery, and opt-in request
-//! shedding.
+//! The threaded runtime under overload: saturation per the paper's §5.4
+//! stability rule (a proxy past 50% utilisation has unbounded expected
+//! queueing delay), which each proxy detects on its own load, with
+//! hysteresis-based recovery; and what overload does to the traffic —
+//! backpressure, never loss.
 //!
 //! These tests drive real threads against wall-clock deadlines, so every
 //! assertion is of the form "reaches the expected state within a generous
@@ -11,6 +12,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mproxy_bench::chaos;
+use mproxy_obs::{Ctr, Snapshot};
 use mproxy_rt::{FlagId, RtClusterBuilder};
 
 /// Spins until `cond` holds or `deadline` passes; true on success.
@@ -81,25 +84,30 @@ fn watchdog_flags_saturation_and_recovers() {
     assert!(cluster.shutdown().clean());
 }
 
+fn scope_counter(snap: &Snapshot, node: usize, c: Ctr) -> u64 {
+    let name = format!("node{node}");
+    let scope = snap.scopes.iter().find(|s| s.name == name);
+    scope.expect("node scope").counter(c)
+}
+
 #[test]
-fn shedding_drops_requests_but_cluster_stays_live() {
+fn overloaded_sink_backpressures_its_sources_and_loses_nothing() {
     // Three source nodes flood one sink: the sink's arrival rate is three
-    // proxies' worth of forwarding against one proxy's worth of service,
-    // so its wire backlog grows without bound until shedding caps it.
+    // proxies' worth of forwarding against one proxy's worth of service.
+    // Nothing is shed: the sink's wire ring fills, the sources' outbound
+    // stashes fill behind it and their command drains pause, and the
+    // flooders' command queues push back on them. Every PUT asks for an
+    // lsync, and every lsync fires.
     const SOURCES: usize = 3;
+    const BYTES: u32 = 64;
     let mut b = RtClusterBuilder::new(SOURCES + 1);
-    let sources: Vec<u32> = (0..SOURCES).map(|n| b.add_process(n, 1 << 20)).collect();
-    let sink = b.add_process(SOURCES, 1 << 20);
-    b.enable_shedding();
+    for node in 0..SOURCES {
+        b.add_process(node, 1 << 12);
+    }
+    let sink = b.add_process(SOURCES, 1 << 12);
     let (cluster, mut eps) = b.start();
-    drop(sources);
-    let mut sink_ep = eps.pop().unwrap();
-    // Carve the sink's segment so the flood target never overlaps the
-    // sentinel exchanged after the storm (stale flood puts may still be
-    // draining when it runs).
-    let flood_raddr = sink_ep.alloc(1024);
-    let sentinel_src = sink_ep.alloc(8);
-    let sentinel_dst = sink_ep.alloc(8);
+    let hub = cluster.obs_handle();
+    let _sink_ep = eps.pop().expect("sink endpoint");
 
     let stop = Arc::new(AtomicBool::new(false));
     let flooders: Vec<_> = eps
@@ -107,36 +115,46 @@ fn shedding_drops_requests_but_cluster_stays_live() {
         .map(|mut ep| {
             let stop = Arc::clone(&stop);
             std::thread::spawn(move || {
-                let laddr = ep.alloc(1024);
+                let laddr = ep.alloc(u64::from(BYTES));
+                let mut sent = 0;
                 while !stop.load(Ordering::Relaxed) {
-                    // Fire-and-forget puts into the sink's segment.
-                    ep.put(laddr, SOURCES as u32, flood_raddr, 1024, None, None);
+                    ep.put(laddr, sink, 0, BYTES, Some(FlagId(0)), None);
+                    sent += 1;
                 }
+                let acked = ep.wait_flag_timeout(FlagId(0), sent, Duration::from_secs(20));
+                (sent, acked)
             })
         })
         .collect();
 
-    let shed = eventually(Duration::from_secs(10), || {
-        cluster.shed_count(SOURCES) > 0
+    // Run the flood until the sink has been flagged saturated and every
+    // source has been pushed back on at least once.
+    let pushed_back =
+        |snap: &Snapshot| (0..SOURCES).all(|n| scope_counter(snap, n, Ctr::CreditStalls) > 0);
+    let overloaded = eventually(Duration::from_secs(10), || {
+        cluster.saturation_events(SOURCES) > 0 && pushed_back(&cluster.obs_snapshot("flood"))
     });
     stop.store(true, Ordering::Relaxed);
-    for f in flooders {
-        f.join().unwrap();
+    let mut total = 0;
+    for (n, f) in flooders.into_iter().enumerate() {
+        let (sent, acked) = f.join().expect("flooder thread");
+        acked.unwrap_or_else(|e| panic!("source {n}: {sent} PUTs sent, an lsync lost: {e}"));
+        total += sent;
     }
-    assert!(shed, "overloaded sink never shed a request");
-
-    // Liveness after the storm: wait out saturation (shedding stops with
-    // it), then a synchronised put must complete — shedding degraded the
-    // flood, not the protocol.
     assert!(
-        eventually(Duration::from_secs(5), || !cluster.saturated(SOURCES)),
-        "sink never recovered from saturation"
+        overloaded,
+        "sink saturated {} times; credit stalls per source {:?}",
+        cluster.saturation_events(SOURCES),
+        {
+            let snap = cluster.obs_snapshot("flood");
+            (0..SOURCES)
+                .map(|n| scope_counter(&snap, n, Ctr::CreditStalls))
+                .collect::<Vec<_>>()
+        }
     );
-    sink_ep.seg().write_u64(sentinel_src, 0x5EED);
-    sink_ep.put(sentinel_src, sink, sentinel_dst, 8, Some(FlagId(0)), None);
-    sink_ep
-        .wait_flag_timeout(FlagId(0), 1, Duration::from_secs(5))
-        .expect("post-shedding put lost");
-    assert_eq!(sink_ep.seg().read_u64(sentinel_dst), 0x5EED);
+
     assert!(cluster.shutdown().clean());
+    let snap = hub.snapshot("overload");
+    chaos::telemetry_truth(&snap).expect("receiver identity");
+    assert_eq!(scope_counter(&snap, SOURCES, Ctr::OpsApplied), total);
 }

@@ -4,7 +4,7 @@
 //! the sequenced wire layer promises — each payload arrives exactly once,
 //! in order — plus the counters' version of it on the post-shutdown
 //! snapshot (`chaos::telemetry_truth`: every operation a receiver popped
-//! was applied, or dropped as a duplicate, as damaged, or shed). The last
+//! was applied, or dropped as a duplicate or as damaged). The last
 //! three are about the unit all of that works in, the coalesced frame:
 //! a burst shares sequence numbers, per-destination order survives the
 //! split into frames, and nothing waits for company.
@@ -17,7 +17,7 @@
 use std::time::{Duration, Instant};
 
 use mproxy_bench::chaos;
-use mproxy_obs::{Ctr, Snapshot};
+use mproxy_obs::{Ctr, EventKind, Snapshot};
 use mproxy_rt::{Endpoint, FlagId, RqId, RtCluster, RtClusterBuilder, RtFaultPlan};
 
 /// Per-wait bound, generous for a loaded two-CPU host running a debug
@@ -274,6 +274,7 @@ fn frame_beyond_the_hold_window_is_dropped_then_recovered() {
         assert!(sink.rq_try_recv(RqId(q as u32)).is_none(), "no duplicate");
     }
 
+    let hub = cluster.obs_handle();
     let snap = stop(cluster, "beyond_window");
     chaos::telemetry_truth(&snap).expect("receiver identity");
     assert_eq!(
@@ -284,6 +285,20 @@ fn frame_beyond_the_hold_window_is_dropped_then_recovered() {
         scope_counter(&snap, 1, Ctr::DamagedDrops) > 0,
         "no frame arrived beyond the hold window"
     );
+    // Why the sink went quiet is on its trace: the stall, once, with the
+    // node and what was left of the 150 ms window, in µs.
+    let dump = hub.trace_dump();
+    let (_, sink_events) = dump
+        .iter()
+        .find(|(name, _)| name == "node1")
+        .expect("sink ring");
+    let stalls: Vec<_> = sink_events
+        .iter()
+        .filter(|e| e.kind == EventKind::Stall)
+        .collect();
+    assert_eq!(stalls.len(), 1, "one stall traced: {stalls:?}");
+    assert_eq!(stalls[0].a, 1);
+    assert!((1..=150_000).contains(&stalls[0].b), "{:?}", stalls[0]);
 }
 
 /// A sender on node 0 (its proxy deaf for the first 5 ms, so that the
