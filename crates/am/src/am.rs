@@ -205,17 +205,17 @@ impl Am {
     /// Polls until this endpoint has handled at least `target` messages in
     /// total (see [`Am::handled`]).
     pub async fn poll_until_messages(&self, target: u64) {
-        while self.st.handled.get() < target {
-            self.poll().await;
-        }
+        self.poll_while(|| self.st.handled.get() >= target).await;
     }
 
     /// Polls while `done` stays false — the generic "wait for something,
     /// keep servicing requests" loop every higher layer uses to stay
-    /// deadlock-free.
+    /// deadlock-free. Each turn is one [`Am::poll`], but a run of empty
+    /// polls costs no simulator event (see `Proc::poll_rq_until`), so
+    /// `done` must only read state other processes write.
     pub async fn poll_while(&self, done: impl Fn() -> bool) {
-        while !done() {
-            self.poll().await;
+        while let Some(raw) = self.p.poll_rq_until(self.st.rq, &done).await {
+            self.dispatch(raw).await;
         }
     }
 

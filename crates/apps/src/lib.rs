@@ -124,14 +124,6 @@ impl AppId {
             _ => "Split-C",
         }
     }
-
-    /// Looks an app up by (case-insensitive) name.
-    #[must_use]
-    pub fn by_name(name: &str) -> Option<AppId> {
-        AppId::ALL
-            .into_iter()
-            .find(|a| a.name().eq_ignore_ascii_case(name))
-    }
 }
 
 /// Result of one application run.
@@ -515,10 +507,7 @@ mod tests {
     }
 
     #[test]
-    fn app_lookup_by_name() {
-        assert_eq!(AppId::by_name("lu"), Some(AppId::Lu));
-        assert_eq!(AppId::by_name("P-RAY"), Some(AppId::PRay));
-        assert_eq!(AppId::by_name("nope"), None);
+    fn app_styles_follow_table5() {
         assert_eq!(AppId::Lu.style(), "CRL");
         assert_eq!(AppId::Wator.style(), "Split-C");
     }

@@ -559,8 +559,8 @@ impl Cluster {
     /// `mproxy-obs`): one scope per node carrying the link-layer
     /// counters, per-node traffic totals, credit stalls, and the
     /// command-wait histogram, plus — when `report` is given — a `sim`
-    /// scope mapping the DES executor's accounting (events, timers,
-    /// calendar peak, spawned/completed tasks and injected faults).
+    /// scope mapping the DES executor's accounting (events, elided polls,
+    /// timers, calendar peak, spawned/completed tasks and injected faults).
     ///
     /// The sim is single-threaded, so this is an import of its existing
     /// accounting rather than live atomics; ids and JSON shape are
@@ -607,6 +607,7 @@ impl Cluster {
         let mut sim = ScopeSnapshot::empty("sim");
         if let Some(r) = report {
             sim.set_counter(Ctr::Events, r.events);
+            sim.set_counter(Ctr::PollsElided, r.polls_elided);
             sim.set_counter(Ctr::TimersArmed, r.timers_armed);
             sim.set_counter(Ctr::TimersCancelled, r.timers_cancelled);
             sim.set_counter(Ctr::TimersFired, r.timers_fired);

@@ -233,6 +233,43 @@ impl Proc {
     /// Non-blocking local poll of one of this process's own queues,
     /// charging a probe (hit if empty, two misses if an item is taken).
     pub async fn rq_poll(&self, rq: RqId) -> Option<Bytes> {
+        match self.rq_probe(rq) {
+            Some(data) => {
+                self.hold_step(self.cs.costs.rq_take, 0).await;
+                Some(data)
+            }
+            None => {
+                self.hold_cpu(self.cs.costs.rq_poll_miss).await;
+                None
+            }
+        }
+    }
+
+    /// Polls one of this process's own queues until it yields an item, or
+    /// returns `None` once `done()` holds; `done` is checked before each
+    /// poll. Charges each poll as [`Proc::rq_poll`] does, but a run of
+    /// empty polls that nothing could have ended costs no simulator event
+    /// (see `mproxy_des::Resource::spin_until`): `done` must only read
+    /// state other processes write, such as a flag count or a memory word.
+    pub async fn poll_rq_until(&self, rq: RqId, done: impl Fn() -> bool) -> Option<Bytes> {
+        let probe = || {
+            if done() {
+                Some(None)
+            } else {
+                self.rq_probe(rq).map(Some)
+            }
+        };
+        let data = self
+            .state()
+            .cpu
+            .spin_until(self.cs.costs.rq_poll_miss, probe)
+            .await?;
+        self.hold_step(self.cs.costs.rq_take, 0).await;
+        Some(data)
+    }
+
+    /// Takes the head of a local queue, if any, charging nothing.
+    fn rq_probe(&self, rq: RqId) -> Option<Bytes> {
         // An empty poll is the applications' most frequent step: probe the
         // queue's channel through a borrow, and leave `queue_channel` (a
         // clone and a poison check) to the first poll of a new queue.
@@ -242,19 +279,9 @@ impl Proc {
             .borrow()
             .get(rq.0 as usize)
             .map(|ch| ch.try_recv());
-        let polled = match existing {
+        match existing {
             Some(polled) => polled,
             None => queue_channel(ps, rq).try_recv(),
-        };
-        match polled {
-            Some(data) => {
-                self.hold_step(self.cs.costs.rq_take, 0).await;
-                Some(data)
-            }
-            None => {
-                self.hold_cpu(self.cs.costs.rq_poll_miss).await;
-                None
-            }
         }
     }
 

@@ -29,8 +29,21 @@
 //! cancelled entries are discarded lazily when they surface at the top of
 //! the heap — without advancing simulated time or counting as events, so
 //! reproductions stay byte-identical whether or not timers were cancelled.
+//!
+//! A polling process costs events only when something could have changed
+//! what it sees. A task spinning in [`crate::Resource::spin_until`] whose
+//! probe missed registers as a *clean spinner* (`spin.rs`) instead of
+//! pushing its next wake. Until some other activity happens — a ready
+//! task is polled, any calendar entry but a spinner's own wake fires, or
+//! a spinner's probe hits — the wakes it would have run are pure misses,
+//! and the executor skips them. Just before that activity it
+//! *materialises* every clean spinner: pushes its wake at the first grid
+//! point at or after now, in the calendar position its per-miss chain
+//! would have reached. Times, tie order and resource accounting come out
+//! bit-identical to the per-miss loop; [`RunReport::events`] counts the
+//! entries that ran, and `events + polls_elided` is the per-miss count.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
@@ -41,8 +54,14 @@ use std::task::{Context, Poll, Waker};
 use crate::time::{Dur, SimTime};
 
 mod calendar;
+mod spin;
+mod timer;
 mod waker;
 use calendar::Calendar;
+pub(crate) use spin::next_wake;
+use spin::Spinners;
+pub use timer::{Timer, TimerHandle, TimerOutcome};
+use timer::{TimerCell, TimerState};
 use waker::{register_ready_queue, ReadyQueue, TaskWaker};
 
 /// Identifier of a spawned simulation task: slab index in the low 32 bits,
@@ -66,36 +85,6 @@ impl TaskId {
 
 type BoxFuture = Pin<Box<dyn Future<Output = ()>>>;
 
-/// Lifecycle of a [`Timer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TimerState {
-    /// Created, not yet polled: no calendar entry exists.
-    Idle,
-    /// In the calendar, waiting to fire.
-    Scheduled,
-    /// Reached its deadline and woke its task.
-    Fired,
-    /// Disarmed via [`TimerHandle::cancel`]; its calendar entry (if any)
-    /// will be discarded lazily.
-    Cancelled,
-}
-
-/// Shared state between a [`Timer`] future, its [`TimerHandle`], and the
-/// calendar entry.
-struct TimerCell {
-    state: Cell<TimerState>,
-    waker: RefCell<Option<Waker>>,
-}
-
-/// How a [`Timer`] completed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TimerOutcome {
-    /// The deadline was reached.
-    Fired,
-    /// [`TimerHandle::cancel`] disarmed the timer first.
-    Cancelled,
-}
-
 enum WakeKind {
     /// Wake a task directly (plain [`Delay`]).
     Task(Waker),
@@ -107,14 +96,14 @@ enum WakeKind {
     /// the task itself (no waker round trip; stale ids are rejected by
     /// the slab generation check).
     Poll(TaskId),
+    /// Poll a materialised spinner: like `Poll`, but not itself activity
+    /// that materialises the other clean spinners.
+    Spin(TaskId),
 }
 
 impl WakeKind {
     fn is_cancelled(&self) -> bool {
-        match self {
-            WakeKind::Task(_) | WakeKind::Call(_) | WakeKind::Poll(_) => false,
-            WakeKind::Timer(cell) => cell.state.get() == TimerState::Cancelled,
-        }
+        matches!(self, WakeKind::Timer(cell) if cell.state.get() == TimerState::Cancelled)
     }
 }
 
@@ -132,6 +121,7 @@ struct TaskSlot {
 struct Core {
     now: SimTime,
     calendar: Calendar,
+    spinners: Spinners,
     ready: ReadyQueue,
     registry_slot: usize,
     registry_epoch: u64,
@@ -143,6 +133,7 @@ struct Core {
     spawned: u64,
     completed: u64,
     events: u64,
+    polls_elided: u64,
     timers_armed: u64,
     timers_cancelled: u64,
     timers_fired: u64,
@@ -156,6 +147,7 @@ impl Core {
         Core {
             now: SimTime::ZERO,
             calendar: Calendar::new(),
+            spinners: Spinners::default(),
             ready,
             registry_slot,
             registry_epoch,
@@ -165,6 +157,7 @@ impl Core {
             completed: 0,
             current: None,
             events: 0,
+            polls_elided: 0,
             timers_armed: 0,
             timers_cancelled: 0,
             timers_fired: 0,
@@ -213,6 +206,19 @@ impl Core {
     fn push_calendar(&mut self, at: SimTime, kind: WakeKind) {
         let queued = self.calendar.push(at.max(self.now), kind);
         self.calendar_peak = self.calendar_peak.max(queued as u64);
+    }
+
+    /// Pushes every clean spinner's wake: called just before any activity
+    /// other than a spinner's own pure miss.
+    fn materialise(&mut self) {
+        if self.spinners.is_empty() {
+            return;
+        }
+        let mut spinners = std::mem::take(&mut self.spinners);
+        let now = self.now;
+        self.polls_elided +=
+            spinners.materialise(now, |at, id| self.push_calendar(at, WakeKind::Spin(id)));
+        self.spinners = spinners;
     }
 
     fn spawn(&mut self, fut: BoxFuture) -> TaskId {
@@ -300,14 +306,7 @@ impl SimCtx {
     /// timers the moment an acknowledgment arrives.
     #[must_use]
     pub fn timer(&self, d: Dur) -> Timer {
-        Timer {
-            core: Rc::clone(&self.core),
-            cell: Rc::new(TimerCell {
-                state: Cell::new(TimerState::Idle),
-                waker: RefCell::new(None),
-            }),
-            dur: d,
-        }
+        Timer::new(Rc::clone(&self.core), d)
     }
 
     /// Spawns a new simulation process.
@@ -327,6 +326,24 @@ impl SimCtx {
         let at = core.now + d;
         core.schedule(at, waker);
         Some(at)
+    }
+
+    /// Wakes a spinner `d` from now, for a hold begun by a probe that
+    /// missed in this same poll: when `waker` is the polled task's own, the
+    /// task registers as a clean spinner and no calendar entry is pushed.
+    pub(crate) fn spin_after(&self, d: Dur, waker: &Waker) {
+        let mut core = self.core.borrow_mut();
+        let now = core.now;
+        match core.awaiting_task(waker) {
+            Some(id) => core.spinners.register(id, now, d),
+            None => core.push_calendar(now + d, WakeKind::Task(waker.clone())),
+        }
+    }
+
+    /// Materialises the clean spinners, as the executor does before any
+    /// other activity: a spinner's probe hit and it is about to act.
+    pub(crate) fn materialise_spinners(&self) {
+        self.core.borrow_mut().materialise();
     }
 
     /// Runs `f` once, `d` later in simulated time.
@@ -410,104 +427,6 @@ impl Future for Delay {
     }
 }
 
-/// A cancellable timer future, created by [`SimCtx::timer`].
-///
-/// Resolves to [`TimerOutcome::Fired`] when the deadline passes, or to
-/// [`TimerOutcome::Cancelled`] — immediately — if the timer is disarmed
-/// through its [`TimerHandle`] first. The calendar entry of a cancelled
-/// timer is discarded lazily and never advances simulated time, so
-/// cancelling timers cannot perturb the event order of anything else.
-pub struct Timer {
-    core: Rc<RefCell<Core>>,
-    cell: Rc<TimerCell>,
-    dur: Dur,
-}
-
-impl Timer {
-    /// Returns a handle that can disarm this timer from another process.
-    #[must_use]
-    pub fn handle(&self) -> TimerHandle {
-        TimerHandle {
-            core: Rc::clone(&self.core),
-            cell: Rc::clone(&self.cell),
-        }
-    }
-}
-
-impl std::fmt::Debug for Timer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Timer")
-            .field("dur", &self.dur)
-            .field("state", &self.cell.state.get())
-            .finish()
-    }
-}
-
-impl Future for Timer {
-    type Output = TimerOutcome;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<TimerOutcome> {
-        match self.cell.state.get() {
-            TimerState::Fired => Poll::Ready(TimerOutcome::Fired),
-            TimerState::Cancelled => Poll::Ready(TimerOutcome::Cancelled),
-            TimerState::Idle => {
-                let mut core = self.core.borrow_mut();
-                core.timers_armed += 1;
-                let at = core.now + self.dur;
-                if core.now >= at {
-                    core.timers_fired += 1;
-                    self.cell.state.set(TimerState::Fired);
-                    return Poll::Ready(TimerOutcome::Fired);
-                }
-                self.cell.state.set(TimerState::Scheduled);
-                *self.cell.waker.borrow_mut() = Some(cx.waker().clone());
-                core.schedule_timer(at, Rc::clone(&self.cell));
-                Poll::Pending
-            }
-            TimerState::Scheduled => {
-                *self.cell.waker.borrow_mut() = Some(cx.waker().clone());
-                Poll::Pending
-            }
-        }
-    }
-}
-
-/// Disarms a [`Timer`] from outside the process awaiting it.
-///
-/// Cancelling is idempotent: once the timer has fired or been cancelled,
-/// further [`cancel`](TimerHandle::cancel) calls are no-ops.
-#[derive(Clone)]
-pub struct TimerHandle {
-    core: Rc<RefCell<Core>>,
-    cell: Rc<TimerCell>,
-}
-
-impl TimerHandle {
-    /// Disarms the timer. The process awaiting it is woken at the current
-    /// instant and observes [`TimerOutcome::Cancelled`]; the calendar entry
-    /// is discarded lazily without firing.
-    pub fn cancel(&self) {
-        match self.cell.state.get() {
-            TimerState::Fired | TimerState::Cancelled => {}
-            TimerState::Idle | TimerState::Scheduled => {
-                self.cell.state.set(TimerState::Cancelled);
-                self.core.borrow_mut().timers_cancelled += 1;
-                if let Some(w) = self.cell.waker.borrow_mut().take() {
-                    w.wake();
-                }
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for TimerHandle {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TimerHandle")
-            .field("state", &self.cell.state.get())
-            .finish()
-    }
-}
-
 /// Future returned by [`SimCtx::yield_now`].
 #[derive(Debug)]
 pub struct YieldNow {
@@ -540,8 +459,13 @@ pub struct RunReport {
     /// Processes still pending when the run stopped (blocked forever).
     pub pending: u64,
     /// Calendar events processed. Cancelled timers do not count: their
-    /// entries are discarded without firing.
+    /// entries are discarded without firing, and neither do the wakes of
+    /// clean spinners that were skipped (`polls_elided`).
     pub events: u64,
+    /// Spinner wakes skipped because they could only have missed: each
+    /// would have been one more empty poll, one event of a per-miss loop.
+    /// `events + polls_elided` is the count that loop would have run.
+    pub polls_elided: u64,
     /// Cancellable timers armed (scheduled into the calendar).
     pub timers_armed: u64,
     /// Timers disarmed via [`TimerHandle::cancel`] before firing.
@@ -634,14 +558,17 @@ impl Simulation {
             loop {
                 let next = ready.borrow_mut().pop_front();
                 match next {
-                    Some(id) => self.poll_task(id),
+                    Some(id) => self.poll_task(id, true),
                     None => break,
                 }
             }
             // Advance the clock to the next calendar event, lazily
             // discarding cancelled timers: they neither advance time nor
             // count as events, so cancellation is invisible to everything
-            // that still runs.
+            // that still runs. Any entry but a spinner's wake is activity
+            // the clean spinners must be back in the calendar for. With
+            // the calendar empty, clean spinners would miss forever: the
+            // run ends with them pending.
             let wake = {
                 let mut core = self.core.borrow_mut();
                 loop {
@@ -656,12 +583,15 @@ impl Simulation {
                     if let WakeKind::Timer(_) = &kind {
                         core.timers_fired += 1;
                     }
+                    if !matches!(kind, WakeKind::Spin(_)) {
+                        core.materialise();
+                    }
                     break Some(kind);
                 }
             };
             match wake {
                 Some(WakeKind::Task(w)) => w.wake(),
-                Some(WakeKind::Poll(id)) => self.poll_task(id),
+                Some(WakeKind::Poll(id) | WakeKind::Spin(id)) => self.poll_task(id, false),
                 Some(WakeKind::Call(f)) => f(),
                 Some(WakeKind::Timer(cell)) => {
                     cell.state.set(TimerState::Fired);
@@ -679,6 +609,7 @@ impl Simulation {
             completed: core.completed,
             pending: core.spawned - core.completed,
             events: core.events,
+            polls_elided: core.polls_elided,
             timers_armed: core.timers_armed,
             timers_cancelled: core.timers_cancelled,
             timers_fired: core.timers_fired,
@@ -686,7 +617,9 @@ impl Simulation {
         }
     }
 
-    fn poll_task(&self, id: TaskId) {
+    /// Polls task `id`; with `materialise`, the poll is activity the clean
+    /// spinners must be back in the calendar for (a ready-queue poll).
+    fn poll_task(&self, id: TaskId, materialise: bool) {
         // Take the future out of its slot so the core is not borrowed while
         // polling (the task will re-borrow it through its `SimCtx`). The
         // generation check rejects wakes for slots that have been recycled.
@@ -706,6 +639,9 @@ impl Simulation {
                 return;
             };
             let waker = Rc::clone(slot.waker.as_ref().expect("live task has a waker"));
+            if materialise {
+                core.materialise();
+            }
             core.current = Some(id);
             (fut, waker)
         };

@@ -443,6 +443,7 @@ fn reference(seed: u64) -> (Vec<(usize, u64)>, RunReport) {
         completed: 0,
         pending: 0,
         events: 0,
+        polls_elided: 0,
         timers_armed: 0,
         timers_cancelled: 0,
         timers_fired: 0,

@@ -52,7 +52,7 @@ mod sync;
 mod time;
 
 pub use executor::{Delay, RunReport, SimCtx, Simulation, TaskId, Timer, TimerHandle, TimerOutcome, YieldNow};
-pub use resource::{Acquire, Hold, Resource, ResourceGuard};
+pub use resource::{Acquire, Hold, Resource, ResourceGuard, SpinUntil};
 pub use stats::Tally;
 pub use sync::{Channel, Counter, CounterWait, Recv, Send, TrySendError};
 pub use time::{Dur, SimTime};

@@ -7,11 +7,14 @@
 //! `Resource` is that mechanism, with FIFO queueing and utilisation
 //! statistics (the "interface utilisation" column of Table 6).
 //!
-//! A hold is the simulator's most frequent event (every compute quantum and
-//! every empty queue poll is one), so it costs no allocation: [`Acquire`],
-//! [`Hold`] and [`ResourceGuard`] borrow the `Resource` they came from, a
-//! [`Hold`] sleeps through the calendar without a [`Delay`] of its own,
-//! and only a request that has to queue allocates its wait slot.
+//! A hold is the simulator's most frequent event (every compute quantum is
+//! one), so it costs no allocation: [`Acquire`], [`Hold`] and
+//! [`ResourceGuard`] borrow the `Resource` they came from, a [`Hold`]
+//! sleeps through the calendar without a [`Delay`] of its own, and only a
+//! request that has to queue allocates its wait slot. A process polling in
+//! a loop holds its processor through [`Resource::spin_until`], whose
+//! empty polls cost an event only when something could have changed what
+//! the next one sees.
 //!
 //! [`Delay`]: crate::Delay
 
@@ -23,7 +26,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use crate::executor::SimCtx;
+use crate::executor::{next_wake, SimCtx};
 use crate::time::{Dur, SimTime};
 
 struct WaitSlot {
@@ -126,6 +129,37 @@ impl Resource {
             acquire: self.acquire(),
             dur: d,
             held: None,
+        }
+    }
+
+    /// Spins on one unit until `probe` returns a value: probes, and on a
+    /// miss holds the unit for `period` and probes again, exactly as
+    /// `loop { if let Some(v) = probe() { return v } self.hold(period).await }`
+    /// would — same instants, tie order, busy time and acquisitions.
+    ///
+    /// The unit is held without a break across back-to-back misses, and a
+    /// miss costs no event while nothing else happens: the task waits as a
+    /// clean spinner and the executor skips the wakes that could only miss
+    /// again (see [`crate::RunReport::polls_elided`]); their acquisitions
+    /// are counted when the spinner next wakes. For that, `probe`
+    /// must be pure when it misses, and must not read the clock or this
+    /// resource: only state other processes write, such as a flag, a queue
+    /// or a memory word.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `period` is zero: a miss would then never yield.
+    pub fn spin_until<T, P: FnMut() -> Option<T>>(
+        &self,
+        period: Dur,
+        probe: P,
+    ) -> SpinUntil<'_, P> {
+        assert!(!period.is_zero(), "spin period must be > 0");
+        SpinUntil {
+            res: self,
+            period,
+            probe,
+            state: Spin::Probe,
         }
     }
 
@@ -303,6 +337,81 @@ impl Future for Hold<'_> {
                 Poll::Pending
             }
             None => Poll::Ready(()),
+        }
+    }
+}
+
+/// Future returned by [`Resource::spin_until`].
+pub struct SpinUntil<'a, P> {
+    res: &'a Resource,
+    period: Dur,
+    probe: P,
+    state: Spin<'a>,
+}
+
+enum Spin<'a> {
+    /// The next poll probes.
+    Probe,
+    /// The probe missed and the unit was busy: an ordinary hold, whose
+    /// wake must run because others ran since the probe.
+    Queued(Hold<'a>),
+    /// Holding the unit as a clean spinner since `since` (released when
+    /// this state is left).
+    Held {
+        _unit: ResourceGuard<'a>,
+        since: SimTime,
+    },
+}
+
+impl<T, P: FnMut() -> Option<T> + Unpin> Future for SpinUntil<'_, P> {
+    type Output = T;
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<T> {
+        let this = &mut *self;
+        let ctx = &this.res.ctx;
+        loop {
+            match &mut this.state {
+                Spin::Held { since, .. } => {
+                    // A clean spinner wakes at a later grid point than the
+                    // first; the periods before it were elided, and were
+                    // acquisitions of the per-miss loop all the same.
+                    let now = ctx.now();
+                    let (wake, k) = next_wake(*since, this.period, now);
+                    if now < wake {
+                        return Poll::Pending;
+                    }
+                    this.res.state.borrow_mut().acquisitions += k - 1;
+                    this.state = Spin::Probe;
+                }
+                Spin::Probe => {
+                    if let Some(v) = (this.probe)() {
+                        ctx.materialise_spinners();
+                        return Poll::Ready(v);
+                    }
+                    let mut acquire = this.res.acquire();
+                    let Poll::Ready(guard) = Pin::new(&mut acquire).poll(cx) else {
+                        this.state = Spin::Queued(Hold {
+                            acquire,
+                            dur: this.period,
+                            held: None,
+                        });
+                        return Poll::Pending;
+                    };
+                    // A pure miss, the unit granted at once: clean.
+                    ctx.spin_after(this.period, cx.waker());
+                    this.state = Spin::Held {
+                        _unit: guard,
+                        since: ctx.now(),
+                    };
+                    return Poll::Pending;
+                }
+                Spin::Queued(hold) => {
+                    if Pin::new(hold).poll(cx).is_pending() {
+                        return Poll::Pending;
+                    }
+                    this.state = Spin::Probe;
+                }
+            }
         }
     }
 }

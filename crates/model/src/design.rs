@@ -228,15 +228,6 @@ pub const SW1: DesignPoint = DesignPoint {
 /// All six design points in the paper's column order.
 pub const ALL_DESIGN_POINTS: [DesignPoint; 6] = [HW0, HW1, MP0, MP1, MP2, SW1];
 
-/// Looks a design point up by its paper name (case-insensitive).
-#[must_use]
-pub fn design_point_by_name(name: &str) -> Option<DesignPoint> {
-    ALL_DESIGN_POINTS
-        .iter()
-        .find(|d| d.name.eq_ignore_ascii_case(name))
-        .copied()
-}
-
 impl DesignPoint {
     /// True if this point models the MP2 cache-update primitive.
     #[must_use]
@@ -415,12 +406,6 @@ mod tests {
 
     fn rel_err(a: f64, b: f64) -> f64 {
         (a - b).abs() / b
-    }
-
-    #[test]
-    fn lookup_by_name_is_case_insensitive() {
-        assert_eq!(design_point_by_name("mp2").unwrap().name, "MP2");
-        assert!(design_point_by_name("MP9").is_none());
     }
 
     #[test]

@@ -50,8 +50,8 @@ mod trace;
 
 pub use cost::Cost;
 pub use design::{
-    design_point_by_name, paper_table4, Arch, DesignPoint, Table4Row, ALL_DESIGN_POINTS, HW0, HW1,
-    MP0, MP1, MP2, PAPER_TABLE4, SW1,
+    paper_table4, Arch, DesignPoint, Table4Row, ALL_DESIGN_POINTS, HW0, HW1, MP0, MP1, MP2,
+    PAPER_TABLE4, SW1,
 };
 pub use latency::{
     ack_cost, get_latency, protection_cost_get, protection_cost_put, put_oneway_latency,

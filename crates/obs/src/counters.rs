@@ -97,8 +97,11 @@ counters! {
     Kills => "kills",
     Respawns => "respawns",
     EpochBumps => "epoch_bumps",
-    // DES engine internals (sim scope only).
+    // DES engine internals (sim scope only). `Events` counts calendar
+    // entries that ran; `PollsElided` the empty polls of clean spinners the
+    // executor skipped, which a per-miss loop would have run as events.
     Events => "events",
+    PollsElided => "polls_elided",
     TimersArmed => "timers_armed",
     TimersCancelled => "timers_cancelled",
     TimersFired => "timers_fired",

@@ -4,9 +4,10 @@
 //! Layout: values below 2^5 land in unit-width buckets; above that,
 //! each power-of-two octave is split into 32 linear sub-buckets, so the
 //! relative quantization error is bounded by 1/32 ≈ 3.1% across the
-//! whole `u64` range. The bucket array is a fixed 1920 slots (~15 KiB
-//! of `u64`s), which keeps a histogram embeddable per proxy without
-//! allocation on the record path.
+//! whole `u64` range. The recorder's bucket array is a fixed 1920 slots
+//! (~15 KiB of `u64`s), which keeps it embeddable per proxy without
+//! allocation on the record path; a plain [`Histogram`] stores buckets
+//! only up to the highest one recorded.
 //!
 //! [`AtomicHistogram`] is the recorder (relaxed `fetch_add`s, safe to
 //! share across threads); [`Histogram`] is the plain snapshot/merge
@@ -97,9 +98,14 @@ hists! {
 }
 
 /// Plain (non-atomic) histogram: the snapshot and merge type.
+///
+/// Buckets are stored up to the highest one recorded, not all
+/// [`BUCKETS`] up front: nanosecond waits of up to a millisecond fit in
+/// the first 510, and the simulator keeps one such histogram per node of
+/// every run.
 #[derive(Clone)]
 pub struct Histogram {
-    buckets: Box<[u64; BUCKETS]>,
+    buckets: Vec<u64>,
     count: u64,
     sum: u64,
     min: u64,
@@ -129,7 +135,7 @@ impl Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
         Histogram {
-            buckets: Box::new([0; BUCKETS]),
+            buckets: Vec::new(),
             count: 0,
             sum: 0,
             min: u64::MAX,
@@ -140,7 +146,11 @@ impl Histogram {
     /// Record one value.
     #[inline]
     pub fn record(&mut self, v: u64) {
-        self.buckets[bucket_of(v)] += 1;
+        let idx = bucket_of(v);
+        if idx >= self.buckets.len() {
+            self.buckets.resize(idx + 1, 0);
+        }
+        self.buckets[idx] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
@@ -149,6 +159,9 @@ impl Histogram {
 
     /// Fold `other` into `self` (bucket-wise addition).
     pub fn merge(&mut self, other: &Histogram) {
+        if other.buckets.len() > self.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += *b;
         }
@@ -262,12 +275,12 @@ impl AtomicHistogram {
     /// itself consistent, and a quiesced recorder snapshots exactly.
     pub fn snapshot(&self) -> Histogram {
         let mut h = Histogram::new();
-        let mut count = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            let n = b.load(Ordering::Relaxed);
-            h.buckets[i] = n;
-            count += n;
-        }
+        h.buckets = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
+        let count = h.buckets.iter().sum();
         // Derive `count` from the buckets so count == Σ buckets holds
         // even mid-flight.
         h.count = count;
@@ -329,6 +342,24 @@ mod tests {
         assert_eq!(a.min(), both.min());
         assert_eq!(a.max(), both.max());
         assert_eq!(a.nonzero_buckets(), both.nonzero_buckets());
+    }
+
+    #[test]
+    fn buckets_are_stored_up_to_the_highest_recorded() {
+        let mut short = Histogram::new();
+        assert!(short.buckets.is_empty());
+        short.record(1_000);
+        assert_eq!(short.buckets.len(), bucket_of(1_000) + 1);
+        let mut long = Histogram::new();
+        long.record(1 << 40);
+        // Either way round, a merge covers both ranges.
+        let mut a = short.clone();
+        a.merge(&long);
+        let mut b = long.clone();
+        b.merge(&short);
+        assert_eq!(a.nonzero_buckets(), b.nonzero_buckets());
+        assert_eq!(a.nonzero_buckets().len(), 2);
+        assert_eq!(a.quantile(1.0), 1 << 40);
     }
 
     #[test]

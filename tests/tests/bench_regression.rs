@@ -1,5 +1,5 @@
 //! Regression gates for the benchmark reports and the simulator's
-//! timer machinery.
+//! timer and polling machinery.
 //!
 //! The checked-in `results/*.txt` files are the ground truth for the
 //! paper reproduction: every engine change must reproduce them byte for
@@ -7,8 +7,9 @@
 //! same process, or through the parallel sweep driver.
 
 use mproxy::micro::pingpong_verified;
+use mproxy_apps::{run_app_flat, AppId, AppSize};
 use mproxy_bench::reports;
-use mproxy_model::MP1;
+use mproxy_model::{HW1, MP1, SW1};
 
 const FIG7_EXPECTED: &str = include_str!("../../results/fig7.txt");
 const FAULT_SWEEP_EXPECTED: &str = include_str!("../../results/fault_sweep.txt");
@@ -102,4 +103,25 @@ fn fault_sweep_arms_far_more_timers_than_it_fires() {
         t.timers_cancelled,
         t.timers_armed
     );
+}
+
+#[test]
+fn elided_polls_leave_application_runs_bit_identical() {
+    // Recorded with one calendar event per empty poll: the event count
+    // that loop ran, and its simulated time and answer to the bit. The
+    // executor now skips the polls that could only miss, so the events
+    // it runs plus the polls it elided must come to the same count.
+    for (app, design, events, elapsed_us, checksum) in [
+        (AppId::Lu, HW1, 296_055, 0x40a2_3d28_f5c2_8f5c_u64, 0x40a0_3f7d_0000_0000_u64),
+        (AppId::Barnes, SW1, 823_963, 0x40c8_6514_7ae1_47ae, 0x40a9_e195_0000_0000),
+        (AppId::Wator, MP1, 339_605, 0x40aa_5a21_47ae_147b, 0x408a_03e4_0000_0000),
+    ] {
+        let run = run_app_flat(app, design, 8, AppSize::Tiny);
+        let at = format!("{} on {}", app.name(), design.name);
+        assert!(run.sim.completed_cleanly(), "{at}");
+        assert_eq!(run.sim.events + run.sim.polls_elided, events, "{at}: events");
+        assert!(run.sim.polls_elided > run.sim.events, "{at}: polls elided");
+        assert_eq!(run.elapsed_us.to_bits(), elapsed_us, "{at}: elapsed");
+        assert_eq!(run.checksum.to_bits(), checksum, "{at}: checksum");
+    }
 }

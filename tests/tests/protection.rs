@@ -44,35 +44,42 @@ fn ungranted_access_is_denied_on_every_architecture() {
 
 #[test]
 fn grant_enables_then_revoke_disables() {
-    let sim = Simulation::new();
-    let mut spec = ClusterSpec::new(MP1, 2, 1);
-    spec.allow_all = false;
-    let cluster = Cluster::new(&sim.ctx(), spec).unwrap();
-    cluster.grant(ProcId(0), Asid(1));
-    let phase2_denied = Rc::new(RefCell::new(false));
-    let probe = Rc::clone(&phase2_denied);
-    // Revocation takes effect for ops submitted afterwards; model it by
-    // revoking after the first completed op via a mid-run hook.
-    let handle = cluster.proc(ProcId(0));
-    let _ = handle;
-    cluster.spawn_spmd(move |p| {
-        let probe = Rc::clone(&probe);
-        async move {
-            let buf = p.alloc(8);
-            let f = p.new_flag();
-            p.ctx().yield_now().await;
-            if p.rank() == ProcId(0) {
-                p.put(buf, Asid(1), buf, 8, Some(&f), None).await.unwrap();
-                p.wait_flag(&f, 1).await;
-                *probe.borrow_mut() = true;
+    for d in ALL_DESIGN_POINTS {
+        let sim = Simulation::new();
+        let mut spec = ClusterSpec::new(d, 2, 1);
+        spec.allow_all = false;
+        let cluster = Rc::new(Cluster::new(&sim.ctx(), spec).unwrap());
+        cluster.grant(ProcId(0), Asid(1));
+        let after_revoke = Rc::new(RefCell::new(None));
+        let (probe, grants) = (Rc::clone(&after_revoke), Rc::clone(&cluster));
+        cluster.spawn_spmd(move |p| {
+            let (probe, grants) = (Rc::clone(&probe), Rc::clone(&grants));
+            async move {
+                let buf = p.alloc(8);
+                let f = p.new_flag();
+                p.ctx().yield_now().await;
+                if p.rank() == ProcId(0) {
+                    p.put(buf, Asid(1), buf, 8, Some(&f), None).await.unwrap();
+                    p.wait_flag(&f, 1).await;
+                    // Revocation takes effect for the next operation.
+                    grants.revoke(ProcId(0), Asid(1));
+                    let r = p.put(buf, Asid(1), buf, 8, None, None).await;
+                    *probe.borrow_mut() = Some(r);
+                }
             }
-        }
-    });
-    assert!(cluster.run(&sim).completed_cleanly());
-    assert!(*phase2_denied.borrow(), "granted put must succeed");
-    cluster.revoke(ProcId(0), Asid(1));
-    // A fresh run on the same cluster state isn't supported; revocation is
-    // validated through the runtime crate's live test instead.
+        });
+        assert!(cluster.run(&sim).completed_cleanly(), "{}", d.name);
+        assert_eq!(
+            after_revoke.borrow_mut().take(),
+            Some(Err(CommError::PermissionDenied {
+                src: ProcId(0),
+                target: Asid(1),
+            })),
+            "{}: the PUT after the revoke",
+            d.name
+        );
+        assert_eq!(cluster.proc_stats(ProcId(0)).faults, 1, "{}", d.name);
+    }
 }
 
 #[test]
