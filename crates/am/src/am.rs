@@ -212,7 +212,8 @@ impl Am {
     /// keep servicing requests" loop every higher layer uses to stay
     /// deadlock-free. Each turn is one [`Am::poll`], but a run of empty
     /// polls costs no simulator event (see `Proc::poll_rq_until`), so
-    /// `done` must only read state other processes write.
+    /// `done` may read only state this endpoint's own handlers write, or
+    /// this process's flags, memory and queues.
     pub async fn poll_while(&self, done: impl Fn() -> bool) {
         while let Some(raw) = self.p.poll_rq_until(self.st.rq, &done).await {
             self.dispatch(raw).await;

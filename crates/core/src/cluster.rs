@@ -12,7 +12,7 @@ use std::collections::HashSet;
 use std::future::Future;
 use std::rc::Rc;
 
-use mproxy_des::{Channel, Counter, Dur, Resource, SimCtx, SimTime, Tally};
+use mproxy_des::{Channel, Counter, Dur, Resource, SimCtx, SimTime, Tally, Watch};
 use mproxy_model::{Arch, DesignPoint};
 use mproxy_simnet::{
     DmaEngine, DmaParams, FaultCounts, FaultPlan, FaultState, LinkParams, NetPort, Network, NodeId,
@@ -110,6 +110,10 @@ pub(crate) struct ProcState {
     pub(crate) next_flag: Cell<u32>,
     pub(crate) next_queue: Cell<u32>,
     pub(crate) cpu: Resource,
+    /// Touched after every write to the flags, memory and queues of this
+    /// process made by another task, and when it is poisoned: what its
+    /// polls in [`crate::Proc::poll_rq_until`] spin on.
+    pub(crate) watch: Watch,
     pub(crate) stats: RefCell<ProcStats>,
     /// First communication failure that poisoned this process (see
     /// [`crate::engine::reliable::poison_proc`]).
@@ -321,6 +325,7 @@ impl Cluster {
                     next_flag: Cell::new(0),
                     next_queue: Cell::new(0),
                     cpu: Resource::new(ctx, 1),
+                    watch: Watch::new(ctx),
                     stats: RefCell::new(ProcStats::default()),
                     comm_error: RefCell::new(None),
                     credits,

@@ -246,7 +246,9 @@ pub(crate) fn queue_channel(ps: &ProcState, id: RqId) -> Channel<Bytes> {
 
 /// Sets flag `id` of process `proc`.
 pub(crate) fn set_flag(cs: &ClusterState, proc: ProcId, id: FlagId) {
-    flag_counter(cs.proc(proc), id).incr();
+    let ps = cs.proc(proc);
+    flag_counter(ps, id).incr();
+    ps.watch.touch();
 }
 
 /// Reads `nbytes` at `addr` from `proc`'s memory.
@@ -256,7 +258,17 @@ pub(crate) fn read_mem(cs: &ClusterState, proc: ProcId, addr: Addr, nbytes: u32)
 
 /// Writes `data` at `addr` into `proc`'s memory.
 pub(crate) fn write_mem(cs: &ClusterState, proc: ProcId, addr: Addr, data: &[u8]) {
-    cs.proc(proc).mem.borrow_mut().write(addr, data);
+    let ps = cs.proc(proc);
+    ps.mem.borrow_mut().write(addr, data);
+    ps.watch.touch();
+}
+
+/// Delivers `data` into queue `rq` of process `proc` (dropped if the
+/// queue is closed).
+pub(crate) fn enqueue(cs: &ClusterState, proc: ProcId, rq: RqId, data: Bytes) {
+    let ps = cs.proc(proc);
+    let _ = queue_channel(ps, rq).try_send(data);
+    ps.watch.touch();
 }
 
 /// Charges `us` microseconds of wall time to the calling task.

@@ -25,7 +25,7 @@ use crate::cluster::{ClusterState, NodeState};
 use crate::engine::costs::StepCost;
 use crate::engine::reliable::send_wire;
 use crate::engine::{
-    charge, lines, queue_channel, read_mem, set_flag, write_mem, Ccb, Command, WireMsg,
+    charge, enqueue, lines, queue_channel, read_mem, set_flag, write_mem, Ccb, Command, WireMsg,
 };
 
 /// Charges one table step over `units` lines. An absent step returns at
@@ -284,7 +284,7 @@ pub(crate) async fn handle_packet(
             step(cs, t.check_attach, 0).await;
             step(cs, t.enq_in, lines(data.len() as u32)).await;
             step(cs, t.queue_update, 0).await;
-            let _ = queue_channel(cs.proc(dst), rq).try_send(data);
+            enqueue(cs, dst, rq, data);
             signal(cs, dst, rsync).await;
             acknowledge(node, cs, ack).await;
         }

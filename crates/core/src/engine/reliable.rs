@@ -110,10 +110,9 @@ fn split_seq(wire: u64) -> (u32, u64) {
 /// Marks `ps` as failed with `err`. The discrete-event executor has no
 /// cancellation, so a failed process is *poisoned*: its [`CommError`] is
 /// recorded (first error wins), every synchronisation-flag counter is
-/// bumped past any realistic target to wake waiters, and its receive
-/// queues are closed. Waiters using [`crate::Proc::wait_flag_result`]
-/// observe the error; plain waits panic with the error message rather
-/// than deadlock.
+/// bumped past any realistic target and its receive queues are closed, to
+/// wake its waiters and pollers. Waiters using [`crate::Proc::wait_flag_result`]
+/// observe the error; plain waits panic with it rather than deadlock.
 pub(crate) fn poison_proc(ps: &ProcState, err: CommError) {
     {
         let mut slot = ps.comm_error.borrow_mut();
@@ -132,6 +131,7 @@ pub(crate) fn poison_proc(ps: &ProcState, err: CommError) {
     if let Some(c) = &ps.credits {
         c.close();
     }
+    ps.watch.touch();
 }
 
 /// Structural checksum of a wire message: the derived [`Hash`] of

@@ -248,9 +248,16 @@ impl Proc {
     /// Polls one of this process's own queues until it yields an item, or
     /// returns `None` once `done()` holds; `done` is checked before each
     /// poll. Charges each poll as [`Proc::rq_poll`] does, but a run of
-    /// empty polls that nothing could have ended costs no simulator event
-    /// (see `mproxy_des::Resource::spin_until`): `done` must only read
-    /// state other processes write, such as a flag count or a memory word.
+    /// empty polls costs no simulator event until something writes what
+    /// they read (see `mproxy_des::Resource::spin_until`). So `done` may
+    /// read only two kinds of state:
+    ///
+    /// - state the polling task itself writes, which changes only in code
+    ///   it runs after a poll returns, such as a count of handled messages
+    ///   or a wake-up counter its own handlers bump;
+    /// - this process's flags, memory and queues as other tasks write them:
+    ///   every delivery, flag set and memory write the engines and the
+    ///   shared-memory path make wakes the poll, and so does poisoning.
     pub async fn poll_rq_until(&self, rq: RqId, done: impl Fn() -> bool) -> Option<Bytes> {
         let probe = || {
             if done() {
@@ -259,10 +266,10 @@ impl Proc {
                 self.rq_probe(rq).map(Some)
             }
         };
-        let data = self
-            .state()
+        let ps = self.state();
+        let data = ps
             .cpu
-            .spin_until(self.cs.costs.rq_poll_miss, probe)
+            .spin_until(self.cs.costs.rq_poll_miss, &ps.watch, probe)
             .await?;
         self.hold_step(self.cs.costs.rq_take, 0).await;
         Some(data)
@@ -657,7 +664,7 @@ impl Proc {
             } => {
                 self.shared_memory_op(nbytes, dst, rsync, lsync, |cs| {
                     let data = inline.unwrap_or_else(|| engine::read_mem(cs, src, laddr, nbytes));
-                    let _ = queue_channel(cs.proc(dst), rq).try_send(data);
+                    engine::enqueue(cs, dst, rq, data);
                 })
                 .await;
             }

@@ -33,13 +33,16 @@
 //! A polling process costs events only when something could have changed
 //! what it sees. A task spinning in [`crate::Resource::spin_until`] whose
 //! probe missed registers as a *clean spinner* (`spin.rs`) instead of
-//! pushing its next wake. Until some other activity happens — a ready
-//! task is polled, any calendar entry but a spinner's own wake fires, or
-//! a spinner's probe hits — the wakes it would have run are pure misses,
-//! and the executor skips them. Just before that activity it
-//! *materialises* every clean spinner: pushes its wake at the first grid
-//! point at or after now, in the calendar position its per-miss chain
-//! would have reached. Times, tie order and resource accounting come out
+//! pushing its next wake; the wakes it would have run are pure misses
+//! until its [`Watch`] is touched. The executor *materialises* it — pushes
+//! its wake at its first grid point at or after now, in the calendar
+//! position its per-miss chain would have reached — only on a touch of
+//! that watch, or on a calendar push for exactly that instant, which the
+//! per-miss wake must precede. A pop and a ready-queue poll never look at
+//! the spinners, and a push with none clean pays one branch. A
+//! materialised wake whose watch was not touched since the spinner's last
+//! real probe is skipped: the spinner is clean again at that instant, its
+//! task not polled. Times, tie order and resource accounting come out
 //! bit-identical to the per-miss loop; [`RunReport::events`] counts the
 //! entries that ran, and `events + polls_elided` is the per-miss count.
 
@@ -59,7 +62,8 @@ mod timer;
 mod waker;
 use calendar::Calendar;
 pub(crate) use spin::next_wake;
-use spin::Spinners;
+pub use spin::Watch;
+use spin::{Spinners, WatchCell};
 pub use timer::{Timer, TimerHandle, TimerOutcome};
 use timer::{TimerCell, TimerState};
 use waker::{register_ready_queue, ReadyQueue, TaskWaker};
@@ -96,9 +100,9 @@ enum WakeKind {
     /// the task itself (no waker round trip; stale ids are rejected by
     /// the slab generation check).
     Poll(TaskId),
-    /// Poll a materialised spinner: like `Poll`, but not itself activity
-    /// that materialises the other clean spinners.
-    Spin(TaskId),
+    /// A materialised spinner's wake, by its slot in [`Spinners`]: polls
+    /// the task if its watch was touched, or skips the wake.
+    Spin(u32),
 }
 
 impl WakeKind {
@@ -137,7 +141,6 @@ struct Core {
     timers_armed: u64,
     timers_cancelled: u64,
     timers_fired: u64,
-    calendar_peak: u64,
 }
 
 impl Core {
@@ -161,7 +164,6 @@ impl Core {
             timers_armed: 0,
             timers_cancelled: 0,
             timers_fired: 0,
-            calendar_peak: 0,
         }
     }
 
@@ -203,22 +205,37 @@ impl Core {
         self.push_calendar(at, WakeKind::Call(f));
     }
 
+    /// Queues `kind` at `at`, after the wakes of any clean spinners whose
+    /// next wake is exactly `at`.
     fn push_calendar(&mut self, at: SimTime, kind: WakeKind) {
-        let queued = self.calendar.push(at.max(self.now), kind);
-        self.calendar_peak = self.calendar_peak.max(queued as u64);
+        let at = at.max(self.now);
+        if !self.spinners.is_empty() {
+            self.coincide(at);
+        }
+        self.calendar.push(at, kind);
     }
 
-    /// Pushes every clean spinner's wake: called just before any activity
-    /// other than a spinner's own pure miss.
-    fn materialise(&mut self) {
-        if self.spinners.is_empty() {
-            return;
-        }
-        let mut spinners = std::mem::take(&mut self.spinners);
-        let now = self.now;
-        self.polls_elided +=
-            spinners.materialise(now, |at, id| self.push_calendar(at, WakeKind::Spin(id)));
-        self.spinners = spinners;
+    /// Materialises the clean spinners whose next wake is `at`: the
+    /// per-miss loop pushed those wakes a period ago, so they come first.
+    /// Out of line, so `push_calendar` stays small enough to inline into
+    /// every delay and hold: inlined, it slowed a one-entry delay chain by
+    /// about 5 %.
+    #[inline(never)]
+    fn coincide(&mut self, at: SimTime) {
+        let calendar = &mut self.calendar;
+        self.polls_elided += self.spinners.materialise_at(self.now, at, &mut |at, slot| {
+            calendar.push(at, WakeKind::Spin(slot));
+        });
+    }
+
+    /// A watch with clean spinners on it was touched: materialises them.
+    fn touched(&mut self, watch: &WatchCell) {
+        let calendar = &mut self.calendar;
+        self.polls_elided += self
+            .spinners
+            .materialise_watch(self.now, watch, &mut |at, slot| {
+                calendar.push(at, WakeKind::Spin(slot));
+            });
     }
 
     fn spawn(&mut self, fut: BoxFuture) -> TaskId {
@@ -328,22 +345,25 @@ impl SimCtx {
         Some(at)
     }
 
-    /// Wakes a spinner `d` from now, for a hold begun by a probe that
-    /// missed in this same poll: when `waker` is the polled task's own, the
-    /// task registers as a clean spinner and no calendar entry is pushed.
-    pub(crate) fn spin_after(&self, d: Dur, waker: &Waker) {
+    /// Wakes a spinner `d` from now, for a hold begun by a probe of the
+    /// state behind `watch` that missed in this same poll: when `waker` is
+    /// the polled task's own, the task registers as a clean spinner and no
+    /// calendar entry is pushed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `watch` belongs to another simulation.
+    pub(crate) fn spin_after(&self, d: Dur, waker: &Waker, watch: &Watch) {
+        assert!(
+            watch.belongs_to(self),
+            "spinning on another simulation's watch"
+        );
         let mut core = self.core.borrow_mut();
         let now = core.now;
         match core.awaiting_task(waker) {
-            Some(id) => core.spinners.register(id, now, d),
+            Some(id) => core.spinners.register(id, now, d, watch),
             None => core.push_calendar(now + d, WakeKind::Task(waker.clone())),
         }
-    }
-
-    /// Materialises the clean spinners, as the executor does before any
-    /// other activity: a spinner's probe hit and it is about to act.
-    pub(crate) fn materialise_spinners(&self) {
-        self.core.borrow_mut().materialise();
     }
 
     /// Runs `f` once, `d` later in simulated time.
@@ -459,11 +479,13 @@ pub struct RunReport {
     /// Processes still pending when the run stopped (blocked forever).
     pub pending: u64,
     /// Calendar events processed. Cancelled timers do not count: their
-    /// entries are discarded without firing, and neither do the wakes of
-    /// clean spinners that were skipped (`polls_elided`).
+    /// entries are discarded without firing. Neither do the wakes of clean
+    /// spinners that were skipped, in the calendar or out of it
+    /// (`polls_elided`).
     pub events: u64,
-    /// Spinner wakes skipped because they could only have missed: each
-    /// would have been one more empty poll, one event of a per-miss loop.
+    /// Spinner wakes skipped because they could only have missed — never
+    /// pushed, or popped with the spinner's watch untouched: each would
+    /// have been one more empty poll, one event of a per-miss loop.
     /// `events + polls_elided` is the count that loop would have run.
     pub polls_elided: u64,
     /// Cancellable timers armed (scheduled into the calendar).
@@ -558,17 +580,17 @@ impl Simulation {
             loop {
                 let next = ready.borrow_mut().pop_front();
                 match next {
-                    Some(id) => self.poll_task(id, true),
+                    Some(id) => self.poll_task(id),
                     None => break,
                 }
             }
             // Advance the clock to the next calendar event, lazily
             // discarding cancelled timers: they neither advance time nor
             // count as events, so cancellation is invisible to everything
-            // that still runs. Any entry but a spinner's wake is activity
-            // the clean spinners must be back in the calendar for. With
-            // the calendar empty, clean spinners would miss forever: the
-            // run ends with them pending.
+            // that still runs. A spinner's wake that nothing touched is
+            // skipped the same way, but at its instant, and counted as
+            // elided. With the calendar empty, clean spinners would miss
+            // forever: the run ends with them pending.
             let wake = {
                 let mut core = self.core.borrow_mut();
                 loop {
@@ -579,19 +601,25 @@ impl Simulation {
                         continue;
                     }
                     core.now = at;
+                    if let WakeKind::Spin(slot) = kind {
+                        let Some(id) = core.spinners.fire(slot, at) else {
+                            core.polls_elided += 1;
+                            continue;
+                        };
+                        core.events += 1;
+                        break Some(WakeKind::Poll(id));
+                    }
                     core.events += 1;
                     if let WakeKind::Timer(_) = &kind {
                         core.timers_fired += 1;
-                    }
-                    if !matches!(kind, WakeKind::Spin(_)) {
-                        core.materialise();
                     }
                     break Some(kind);
                 }
             };
             match wake {
                 Some(WakeKind::Task(w)) => w.wake(),
-                Some(WakeKind::Poll(id) | WakeKind::Spin(id)) => self.poll_task(id, false),
+                Some(WakeKind::Poll(id)) => self.poll_task(id),
+                Some(WakeKind::Spin(_)) => unreachable!("a spinner's wake becomes a poll"),
                 Some(WakeKind::Call(f)) => f(),
                 Some(WakeKind::Timer(cell)) => {
                     cell.state.set(TimerState::Fired);
@@ -613,13 +641,12 @@ impl Simulation {
             timers_armed: core.timers_armed,
             timers_cancelled: core.timers_cancelled,
             timers_fired: core.timers_fired,
-            calendar_peak: core.calendar_peak,
+            calendar_peak: core.calendar.peak() as u64,
         }
     }
 
-    /// Polls task `id`; with `materialise`, the poll is activity the clean
-    /// spinners must be back in the calendar for (a ready-queue poll).
-    fn poll_task(&self, id: TaskId, materialise: bool) {
+    /// Polls task `id`.
+    fn poll_task(&self, id: TaskId) {
         // Take the future out of its slot so the core is not borrowed while
         // polling (the task will re-borrow it through its `SimCtx`). The
         // generation check rejects wakes for slots that have been recycled.
@@ -639,9 +666,6 @@ impl Simulation {
                 return;
             };
             let waker = Rc::clone(slot.waker.as_ref().expect("live task has a waker"));
-            if materialise {
-                core.materialise();
-            }
             core.current = Some(id);
             (fut, waker)
         };

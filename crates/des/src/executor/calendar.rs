@@ -66,8 +66,8 @@ impl Calendar {
     }
 
     /// Queues `kind` to fire at `at`, after everything already queued for
-    /// the same instant. Returns the number of entries now queued.
-    pub(super) fn push(&mut self, at: SimTime, kind: WakeKind) -> usize {
+    /// the same instant.
+    pub(super) fn push(&mut self, at: SimTime, kind: WakeKind) {
         let slot = match self.free.pop() {
             Some(slot) => {
                 self.kinds[slot] = Some(kind);
@@ -82,7 +82,6 @@ impl Calendar {
         self.next_seq += 1;
         self.heap
             .push(Reverse(u128::from(at.as_ns()) << 64 | u128::from(tag)));
-        self.heap.len()
     }
 
     /// Removes and returns the earliest entry, ties in creation order.
@@ -96,9 +95,9 @@ impl Calendar {
         Some((SimTime::from_ns((key >> 64) as u64), kind))
     }
 
-    /// Slab slots ever allocated: the most entries pending at once.
-    #[cfg(test)]
-    pub(super) fn slots(&self) -> usize {
+    /// The most entries pending at once: every slab slot ever allocated
+    /// was in use when it was, as freed slots are reused first.
+    pub(super) fn peak(&self) -> usize {
         self.kinds.len()
     }
 }

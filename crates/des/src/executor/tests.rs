@@ -514,7 +514,7 @@ fn calendar_fires_in_time_then_creation_order_at_a_thousand_wide() {
         assert!(want.calendar_peak >= 1_000, "the calendar gets wide");
         assert!(want.timers_cancelled > 0 && want.timers_fired > 0);
         // Every slab slot was in use at the peak, and was used many times.
-        let slots = sim.core.borrow().calendar.slots();
+        let slots = sim.core.borrow().calendar.peak();
         assert_eq!(slots as u64, report.calendar_peak);
         assert!(w.timers.len() > 3 * slots, "slots are reused");
         // The handles hold the simulation; let it go.

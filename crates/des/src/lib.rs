@@ -11,7 +11,9 @@
 //! * [`Channel`], [`Counter`] — deterministic FIFO queues and threshold
 //!   counters connecting processes.
 //! * [`Resource`] — capacity-limited servers with FIFO queueing and
-//!   utilisation statistics (node-internal contention, Table 6).
+//!   utilisation statistics (node-internal contention, Table 6); a
+//!   [`Watch`] lets a process spinning on one cost events only when what
+//!   it polls is written.
 //! * [`Tally`] — a statistics accumulator.
 //!
 //! Runs are strictly deterministic: events fire in `(time, sequence)`
@@ -51,7 +53,9 @@ mod stats;
 mod sync;
 mod time;
 
-pub use executor::{Delay, RunReport, SimCtx, Simulation, TaskId, Timer, TimerHandle, TimerOutcome, YieldNow};
+pub use executor::{
+    Delay, RunReport, SimCtx, Simulation, TaskId, Timer, TimerHandle, TimerOutcome, Watch, YieldNow,
+};
 pub use resource::{Acquire, Hold, Resource, ResourceGuard, SpinUntil};
 pub use stats::Tally;
 pub use sync::{Channel, Counter, CounterWait, Recv, Send, TrySendError};

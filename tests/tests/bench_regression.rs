@@ -7,7 +7,8 @@
 //! same process, or through the parallel sweep driver.
 
 use mproxy::micro::pingpong_verified;
-use mproxy_apps::{run_app_flat, AppId, AppSize};
+use mproxy::FaultPlan;
+use mproxy_apps::{run_app, run_app_faulty, run_app_flat, AppId, AppSize};
 use mproxy_bench::reports;
 use mproxy_model::{HW1, MP1, SW1};
 
@@ -110,16 +111,70 @@ fn elided_polls_leave_application_runs_bit_identical() {
     // Recorded with one calendar event per empty poll: the event count
     // that loop ran, and its simulated time and answer to the bit. The
     // executor now skips the polls that could only miss, so the events
-    // it runs plus the polls it elided must come to the same count.
-    for (app, design, events, elapsed_us, checksum) in [
-        (AppId::Lu, HW1, 296_055, 0x40a2_3d28_f5c2_8f5c_u64, 0x40a0_3f7d_0000_0000_u64),
-        (AppId::Barnes, SW1, 823_963, 0x40c8_6514_7ae1_47ae, 0x40a9_e195_0000_0000),
-        (AppId::Wator, MP1, 339_605, 0x40aa_5a21_47ae_147b, 0x408a_03e4_0000_0000),
-    ] {
-        let run = run_app_flat(app, design, 8, AppSize::Tiny);
-        let at = format!("{} on {}", app.name(), design.name);
+    // it runs plus the polls it elided must come to the same count. Each
+    // path that wakes a polling process from another task is here: engine
+    // deliveries and flag sets (all), shared-memory PUT and ENQ into a
+    // co-located process (FFT, 4×2), interrupts that queue for a polling
+    // process's processor (LU on SW1, 4×2), and retransmission and
+    // poisoning under faults (Water).
+    let cases = [
+        (
+            "LU on HW1",
+            run_app_flat(AppId::Lu, HW1, 8, AppSize::Tiny),
+            296_055,
+            0x40a2_3d28_f5c2_8f5c_u64,
+            0x40a0_3f7d_0000_0000_u64,
+        ),
+        (
+            "Barnes-Hut on SW1",
+            run_app_flat(AppId::Barnes, SW1, 8, AppSize::Tiny),
+            823_963,
+            0x40c8_6514_7ae1_47ae,
+            0x40a9_e195_0000_0000,
+        ),
+        (
+            "Wator on MP1",
+            run_app_flat(AppId::Wator, MP1, 8, AppSize::Tiny),
+            339_605,
+            0x40aa_5a21_47ae_147b,
+            0x408a_03e4_0000_0000,
+        ),
+        (
+            "FFT on MP1, 4x2",
+            run_app(AppId::Fft, MP1, 4, 2, AppSize::Tiny),
+            209_242,
+            0x4094_f22e_147a_e148,
+            0x405c_0000_0000_0000,
+        ),
+        (
+            "LU on SW1, 4x2",
+            run_app(AppId::Lu, SW1, 4, 2, AppSize::Tiny),
+            480_067,
+            0x40b3_0039_5810_624e,
+            0x40a0_3f7d_0000_0000,
+        ),
+        (
+            "Water on MP1, faulty",
+            run_app_faulty(
+                AppId::Water,
+                MP1,
+                4,
+                1,
+                AppSize::Tiny,
+                FaultPlan::new(4).drop(0.01).stall(1, 50.0, 400.0),
+            ),
+            113_736,
+            0x40a1_884a_3d70_a3d7,
+            0x405c_7b40_0000_0000,
+        ),
+    ];
+    for (at, run, events, elapsed_us, checksum) in cases {
         assert!(run.sim.completed_cleanly(), "{at}");
-        assert_eq!(run.sim.events + run.sim.polls_elided, events, "{at}: events");
+        assert_eq!(
+            run.sim.events + run.sim.polls_elided,
+            events,
+            "{at}: events"
+        );
         assert!(run.sim.polls_elided > run.sim.events, "{at}: polls elided");
         assert_eq!(run.elapsed_us.to_bits(), elapsed_us, "{at}: elapsed");
         assert_eq!(run.checksum.to_bits(), checksum, "{at}: checksum");
