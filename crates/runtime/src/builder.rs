@@ -17,12 +17,12 @@ use crate::cluster::{
 use crate::endpoint::Endpoint;
 use crate::fault::{RtFaultPlan, RtFaultState};
 use crate::idle::Parker;
+use crate::load::ProxyHealth;
 use crate::mem::Segment;
 use crate::proxy::{run_proxy, Seat, SeatEntry, SupervisorCfg};
 use crate::ring::Ring;
 use crate::spsc;
 use crate::state::NodeState;
-use crate::watchdog::ProxyHealth;
 
 /// Builds an [`RtCluster`]: declare nodes and processes, then
 /// [`RtClusterBuilder::start`].
@@ -31,7 +31,6 @@ pub struct RtClusterBuilder {
     procs: Vec<(usize, usize)>, // (node, segment bytes)
     fault_plan: Option<RtFaultPlan>,
     supervision: Option<SupervisorCfg>,
-    telemetry: bool,
 }
 
 impl RtClusterBuilder {
@@ -49,20 +48,7 @@ impl RtClusterBuilder {
             procs: Vec::new(),
             fault_plan: None,
             supervision: None,
-            telemetry: true,
         }
-    }
-
-    /// Arms or disarms telemetry *recording* (histograms and the
-    /// flight-recorder rings). Counters are always on either way — they
-    /// are a handful of relaxed adds per operation. On by default:
-    /// recording is decimated to one stamped submission in 32 (see
-    /// `cluster::sampled`), which keeps its cost at a percent or two of an operation.
-    /// `telemetry(false)` is the uninstrumented side of an on/off
-    /// comparison.
-    pub fn telemetry(&mut self, on: bool) -> &mut Self {
-        self.telemetry = on;
-        self
     }
 
     /// Installs a seeded fault plan ([`RtFaultPlan`]): per-packet drop /
@@ -110,7 +96,10 @@ impl RtClusterBuilder {
     pub fn start(self) -> (RtCluster, Vec<Endpoint>) {
         let nodes = self.nodes;
         let now = Instant::now();
-        let obs_hub = ObsHub::new_at(self.telemetry, now);
+        // Telemetry always records: hot-path sites are decimated to one
+        // event in 32 (`cluster::sampled`), a percent or two of an
+        // operation.
+        let obs_hub = ObsHub::new_at(true, now);
         let obs: Vec<Arc<ObsScope>> = (0..nodes)
             .map(|n| obs_hub.register(format!("node{n}"), mproxy_obs::DEFAULT_RING_CAP))
             .collect();
@@ -163,8 +152,6 @@ impl RtClusterBuilder {
             condemned: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
             any_condemned: AtomicBool::new(false),
             epochs: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            deaths: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            restarts_total: AtomicU64::new(0),
             panic_reasons: (0..nodes).map(|_| Mutex::new(None)).collect(),
             ready_masks: (0..nodes).map(|_| Arc::new(AtomicU64::new(0))).collect(),
             health: (0..nodes)

@@ -61,15 +61,15 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use mproxy_obs::{ObsHub, Scope as ObsScope, Snapshot, TraceEvent};
+use mproxy_obs::{Ctr, ObsHub, Scope as ObsScope, Snapshot, TraceEvent};
 
 use crate::fault::{RtFaultCounts, RtFaultState};
 use crate::idle::Parker;
+use crate::load::ProxyHealth;
 use crate::mem::Segment;
 use crate::proxy::SupervisorCfg;
 use crate::ring::Ring;
 use crate::state::NodeState;
-use crate::watchdog::ProxyHealth;
 use crate::wire::{abandon_all_held, WireMsg};
 
 /// Synchronisation flags per process.
@@ -216,10 +216,6 @@ pub(crate) struct Shared {
     /// Each node's epoch: its proxy's restart count, bumped by the proxy
     /// itself and carried by its Hellos.
     pub(crate) epochs: Vec<AtomicU64>,
-    /// Times each node's proxy has panicked.
-    pub(crate) deaths: Vec<AtomicU64>,
-    /// Total supervised restarts.
-    pub(crate) restarts_total: AtomicU64,
     /// Last panic payload per node, when it was a string.
     pub(crate) panic_reasons: Vec<Mutex<Option<String>>>,
     /// The §4.1 ready-bit word per node (shared with the endpoints). A
@@ -230,10 +226,11 @@ pub(crate) struct Shared {
     pub(crate) faults: Option<RtFaultState>,
     /// Supervision policy; `None` means a dead proxy is condemned at once.
     pub(crate) supervision: Option<SupervisorCfg>,
-    /// Cluster start time (stall windows are relative to this).
+    /// Cluster start: the zero of [`Shared::now_ns`], and of the
+    /// telemetry hub's trace epoch (both are built from one `Instant`).
     pub(crate) started: Instant,
-    /// Telemetry registry (see `mproxy-obs`): counters are always on;
-    /// histograms and flight recorders follow the hub's recording flag.
+    /// Telemetry registry (see `mproxy-obs`): counters, histograms and
+    /// flight recorders, always recording.
     pub(crate) obs_hub: Arc<ObsHub>,
     /// One telemetry scope per node (`node{n}`), indexed like `wires`.
     pub(crate) obs: Vec<Arc<ObsScope>>,
@@ -281,12 +278,14 @@ impl Shared {
             .clone()
     }
 
-    /// Nanoseconds from cluster start to `now` — the telemetry timebase
-    /// shared by every histogram sample and flight-recorder event (plain
-    /// `Instant` arithmetic, no clock read).
+    /// Nanoseconds since cluster start, read off the wall clock: the
+    /// runtime's one timebase. A proxy reads it once per pass and hands
+    /// the reading to every phase, so every stamp, timer, stall window
+    /// and load sample of that pass is on it — as is every histogram
+    /// sample and flight-recorder event, whoever takes them.
     #[inline]
-    pub(crate) fn rel_ns(&self, now: Instant) -> u64 {
-        u64::try_from(now.duration_since(self.started).as_nanos()).unwrap_or(u64::MAX)
+    pub(crate) fn now_ns(&self) -> u64 {
+        u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 }
 
@@ -377,9 +376,7 @@ impl RtCluster {
     /// Number of times node `node`'s proxy has crossed into saturation.
     #[must_use]
     pub fn saturation_events(&self, node: usize) -> u64 {
-        self.shared.health[node]
-            .saturation_events
-            .load(Ordering::Relaxed)
+        self.shared.obs[node].get(Ctr::SaturationEvents)
     }
 
     /// Nodes whose proxy is dead *right now* (panicked and not yet
@@ -406,13 +403,13 @@ impl RtCluster {
     /// Times node `node`'s proxy has died by panic.
     #[must_use]
     pub fn deaths(&self, node: usize) -> u64 {
-        self.shared.deaths[node].load(Ordering::Relaxed)
+        self.shared.obs[node].get(Ctr::Kills)
     }
 
     /// Total proxy respawns performed by supervision.
     #[must_use]
     pub fn restarts_total(&self) -> u64 {
-        self.shared.restarts_total.load(Ordering::Relaxed)
+        self.shared.obs.iter().map(|o| o.get(Ctr::Respawns)).sum()
     }
 
     /// The last panic payload recorded for node `node`'s proxy, when it
@@ -507,7 +504,7 @@ impl RtCluster {
                 reason: self.shared.panic_reason(node),
             });
         }
-        report.restarts = self.shared.restarts_total.load(Ordering::Relaxed);
+        report.restarts = self.restarts_total();
         report
     }
 }

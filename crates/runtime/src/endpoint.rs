@@ -227,13 +227,13 @@ impl Endpoint {
         let node = self.me.node;
         let obs = &self.shared.obs[node];
         obs.inc(Ctr::OpsSubmitted);
-        if sampled(&mut self.obs_tick) && obs.recording() {
+        if sampled(&mut self.obs_tick) {
             // Stamp for the command-queue-wait and lsync-RTT histograms.
-            // The clock read itself is the dominant recording-on cost on
+            // The clock read itself is the dominant recording cost on
             // this path (kvm-clock reads are slow inside VMs), so the
             // stamp is taken on sampled submissions only; downstream
             // recorders key off `t_ns != 0` and inherit the decimation.
-            e.t_ns = self.shared.rel_ns(Instant::now());
+            e.t_ns = self.shared.now_ns();
             obs.trace_at(e.t_ns, EventKind::Enqueue, self.me.asid as u16, e.op);
         }
         if !self.cmd.try_send(e) {
@@ -247,7 +247,7 @@ impl Endpoint {
             // drain.
             obs.inc(Ctr::CreditStalls);
             obs.trace_at(
-                self.shared.rel_ns(Instant::now()),
+                self.shared.now_ns(),
                 EventKind::CreditStall,
                 self.me.asid as u16,
                 e.op,

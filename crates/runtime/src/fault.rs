@@ -332,19 +332,20 @@ impl RtFaultState {
         None
     }
 
-    /// If `node` sits inside an unserved stall window at `elapsed` since
+    /// If `node` sits inside an unserved stall window at `now_ns` since
     /// cluster start, marks the window served and returns how long to
     /// freeze (the remainder of the window).
-    pub(crate) fn stall_due(&self, node: usize, elapsed: Duration) -> Option<StallOrder> {
+    pub(crate) fn stall_due(&self, node: usize, now_ns: u64) -> Option<StallOrder> {
+        let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
         for (i, s) in self.plan.stalls.iter().enumerate() {
+            let end_ns = ns(s.start + s.dur);
             if s.node == node
-                && elapsed >= s.start
-                && elapsed < s.start + s.dur
+                && (ns(s.start)..end_ns).contains(&now_ns)
                 && !self.stall_done[i].swap(true, Ordering::Relaxed)
             {
                 self.stalls.fetch_add(1, Ordering::Relaxed);
                 return Some(StallOrder {
-                    remaining: (s.start + s.dur).saturating_sub(elapsed),
+                    remaining: Duration::from_nanos(end_ns - now_ns),
                     interruptible: s.interruptible,
                 });
             }
@@ -409,12 +410,13 @@ mod tests {
             .stall(0, Duration::from_millis(10), Duration::from_millis(20))
             .wedge(1, Duration::ZERO, Duration::from_millis(5));
         let st = RtFaultState::new(plan, 2);
-        assert_eq!(st.stall_due(0, Duration::from_millis(5)), None);
-        let o = st.stall_due(0, Duration::from_millis(15)).unwrap();
+        const MS: u64 = 1_000_000;
+        assert_eq!(st.stall_due(0, 5 * MS), None);
+        let o = st.stall_due(0, 15 * MS).unwrap();
         assert_eq!(o.remaining, Duration::from_millis(15));
         assert!(o.interruptible);
-        assert_eq!(st.stall_due(0, Duration::from_millis(16)), None);
-        let w = st.stall_due(1, Duration::ZERO).unwrap();
+        assert_eq!(st.stall_due(0, 16 * MS), None);
+        let w = st.stall_due(1, 0).unwrap();
         assert!(!w.interruptible);
         assert_eq!(st.counts().stalls, 2);
     }

@@ -82,12 +82,12 @@ mod cluster;
 mod endpoint;
 pub mod fault;
 pub mod idle;
+mod load;
 mod mem;
 mod proxy;
 pub mod ring;
 pub mod spsc;
 mod state;
-mod watchdog;
 mod wire;
 
 pub use builder::RtClusterBuilder;

@@ -1,18 +1,18 @@
 //! Overload detection: each proxy samples its own utilisation against the
-//! paper's §5.4 stability bound.
+//! paper's §5.4 stability bound, on the loop's one clock (cluster-relative
+//! ns, read once per pass by [`crate::proxy`]).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
 use mproxy_model::contention::STABLE_UTILIZATION;
 use mproxy_obs::{Ctr, EventKind, HistId};
 
 use crate::cluster::{Shared, RECOVERY_UTILIZATION};
 
-/// Shortest window a utilisation sample covers. A busy proxy samples at
-/// the first pass past it; a parked one wakes every
+/// Shortest window a utilisation sample covers, in ns. A busy proxy
+/// samples at the first pass past it; a parked one wakes every
 /// `proxy::PARK_TIMEOUT` (also 1 ms), so an idle node keeps sampling.
-const SAMPLE_PERIOD: Duration = Duration::from_millis(1);
+pub(crate) const SAMPLE_PERIOD_NS: u64 = 1_000_000;
 
 /// Wire backlog (frames queued on the node's ring) past which a proxy is
 /// flagged saturated whatever its sampled utilisation; the flag clears
@@ -20,6 +20,8 @@ const SAMPLE_PERIOD: Duration = Duration::from_millis(1);
 const SATURATION_BACKLOG: usize = 128;
 
 /// Per-node overload state, written by the node's proxy, read by anyone.
+/// (How often it crossed into saturation is the node's
+/// `Ctr::SaturationEvents` counter.)
 #[derive(Debug, Default)]
 pub(crate) struct ProxyHealth {
     /// Bits of the proxy's last utilisation sample (an `f64`).
@@ -27,50 +29,57 @@ pub(crate) struct ProxyHealth {
     /// Set while the sampled utilisation sits above [`STABLE_UTILIZATION`];
     /// cleared once it falls back under [`RECOVERY_UTILIZATION`].
     pub(crate) saturated: AtomicBool,
-    /// Times the proxy has crossed into saturation.
-    pub(crate) saturation_events: AtomicU64,
 }
 
-/// A proxy's own load meter. The service loop charges each pass that
-/// moved anything ([`LoadSampler::charge`]) and calls
-/// [`LoadSampler::tick`] at the top of every pass; at most once per
-/// [`SAMPLE_PERIOD`] the tick turns the busy time since the last sample
-/// into a utilisation sample and applies the §5.4 stability rule — a
-/// proxy above [`STABLE_UTILIZATION`] has unbounded expected queueing
-/// delay, so it is flagged saturated (with a one-time warning) until the
-/// load falls back under [`RECOVERY_UTILIZATION`]. Idle polling is
-/// charged to nobody, exactly like the simulator's per-node busy counter.
+/// A proxy's own load meter. The service loop calls [`LoadSampler::tick`]
+/// with its reading at the top of every pass and marks each pass that
+/// moved anything ([`LoadSampler::charge`]); that pass is charged up to
+/// the next tick's reading, so a busy pass costs no clock read of its
+/// own. At most once per [`SAMPLE_PERIOD_NS`] the tick turns the busy
+/// time since the last sample into a utilisation sample and applies the
+/// §5.4 stability rule — a proxy above [`STABLE_UTILIZATION`] has
+/// unbounded expected queueing delay, so it is flagged saturated (with a
+/// one-time warning) until the load falls back under
+/// [`RECOVERY_UTILIZATION`]. Idle polling is charged to nobody, exactly
+/// like the simulator's per-node busy counter.
 pub(crate) struct LoadSampler {
     /// Nanoseconds spent servicing work since the last sample.
     busy_ns: u64,
     /// Start of the current sampling window.
-    since: Instant,
+    since_ns: u64,
+    /// Start of the last pass, if it moved work and is not charged yet.
+    busy_since_ns: Option<u64>,
     warned: bool,
 }
 
 impl LoadSampler {
-    pub(crate) fn new(now: Instant) -> LoadSampler {
+    pub(crate) fn new(now_ns: u64) -> LoadSampler {
         LoadSampler {
             busy_ns: 0,
-            since: now,
+            since_ns: now_ns,
+            busy_since_ns: None,
             warned: false,
         }
     }
 
-    /// Charges a pass that started at `start` and moved something.
-    pub(crate) fn charge(&mut self, start: Instant) {
-        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.busy_ns = self.busy_ns.saturating_add(ns);
+    /// Marks the pass that started at `start_ns` as having moved
+    /// something; the next [`LoadSampler::tick`] charges it.
+    pub(crate) fn charge(&mut self, start_ns: u64) {
+        self.busy_since_ns = Some(start_ns);
     }
 
-    /// Closes the sampling window if it is at least [`SAMPLE_PERIOD`] old.
-    pub(crate) fn tick(&mut self, shared: &Shared, node: usize, now: Instant) {
-        let wall = now.saturating_duration_since(self.since);
-        if wall < SAMPLE_PERIOD {
+    /// Charges the previous pass if it moved work, then closes the
+    /// sampling window if it is at least [`SAMPLE_PERIOD_NS`] old.
+    pub(crate) fn tick(&mut self, shared: &Shared, node: usize, now_ns: u64) {
+        if let Some(start) = self.busy_since_ns.take() {
+            self.busy_ns = self.busy_ns.saturating_add(now_ns.saturating_sub(start));
+        }
+        let wall = now_ns.saturating_sub(self.since_ns);
+        if wall < SAMPLE_PERIOD_NS {
             return;
         }
-        self.since = now;
-        let util = (self.busy_ns as f64 / wall.as_nanos() as f64).min(1.0);
+        self.since_ns = now_ns;
+        let util = (self.busy_ns as f64 / wall as f64).min(1.0);
         self.busy_ns = 0;
         let h = &shared.health[node];
         h.util_bits.store(util.to_bits(), Ordering::Relaxed);
@@ -86,9 +95,8 @@ impl LoadSampler {
         let backlog = shared.wires[node].len();
         let was = h.saturated.load(Ordering::Relaxed);
         if !was && (util > STABLE_UTILIZATION || backlog > SATURATION_BACKLOG) {
-            h.saturation_events.fetch_add(1, Ordering::Relaxed);
             obs.inc(Ctr::SaturationEvents);
-            obs.trace(EventKind::SatEnter, node as u16, backlog as u32);
+            obs.trace_at(now_ns, EventKind::SatEnter, node as u16, backlog as u32);
             h.saturated.store(true, Ordering::Release);
             if !self.warned {
                 self.warned = true;
@@ -100,7 +108,7 @@ impl LoadSampler {
                 );
             }
         } else if was && util < RECOVERY_UTILIZATION && backlog < SATURATION_BACKLOG / 2 {
-            obs.trace(EventKind::SatExit, node as u16, backlog as u32);
+            obs.trace_at(now_ns, EventKind::SatExit, node as u16, backlog as u32);
             h.saturated.store(false, Ordering::Release);
         }
     }

@@ -13,17 +13,17 @@
 //! never in user code.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mproxy_obs::{Ctr, EventKind, HistId};
 
 use crate::cluster::{condemn_dead, sampled, Shared, CMDQ_DEPTH, NUM_QUEUES, WIRE_DEPTH};
 use crate::endpoint::{unpack_sync, OP_ENQ, OP_GET, OP_PUT};
 use crate::idle::{Backoff, Parker};
+use crate::load::LoadSampler;
 use crate::ring::Ring;
 use crate::spsc::{self, Entry};
 use crate::state::{CcbGet, NodeState, PendingEnq};
-use crate::watchdog::LoadSampler;
 use crate::wire::{
     abandon_all_held, flush_acks, flush_frames, flush_pending, handle_packet, push_wire,
     retransmit, send_data, Payload, WireMsg,
@@ -75,7 +75,7 @@ pub(crate) fn apply_data(
     shared: &Shared,
     st: &mut NodeState,
     node: usize,
-    now: Instant,
+    now_ns: u64,
     from: usize,
     body: &Payload,
 ) {
@@ -112,7 +112,7 @@ pub(crate) fn apply_data(
                 shared,
                 st,
                 node,
-                now,
+                now_ns,
                 from,
                 Payload::GetReply { token, data },
                 None,
@@ -172,7 +172,7 @@ fn handle_command(
     shared: &Shared,
     st: &mut NodeState,
     node: usize,
-    now: Instant,
+    now_ns: u64,
     src: u32,
     e: Entry,
 ) {
@@ -197,7 +197,7 @@ fn handle_command(
                 shared,
                 st,
                 node,
-                now,
+                now_ns,
                 shared.procs[dst as usize].node,
                 Payload::Put {
                     dst,
@@ -229,7 +229,7 @@ fn handle_command(
                 shared,
                 st,
                 node,
-                now,
+                now_ns,
                 shared.procs[dst as usize].node,
                 Payload::GetReq {
                     src_asid: src,
@@ -257,7 +257,7 @@ fn handle_command(
                 shared,
                 st,
                 node,
-                now,
+                now_ns,
                 shared.procs[dst as usize].node,
                 Payload::Enq {
                     dst,
@@ -294,7 +294,7 @@ pub(crate) struct SupervisorCfg {
 /// condemns the node and returns.
 pub(crate) fn run_proxy(node: usize, shared: &Shared, mut seat: Seat, mut st: NodeState) {
     shared.parkers[node].register();
-    let mut load = LoadSampler::new(Instant::now());
+    let mut load = LoadSampler::new(shared.now_ns());
     let mut restarts = 0u32;
     loop {
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -309,7 +309,6 @@ pub(crate) fn run_proxy(node: usize, shared: &Shared, mut seat: Seat, mut st: No
         let obs = &shared.obs[node];
         obs.inc(Ctr::Kills);
         obs.trace(EventKind::Kill, node as u16, 0);
-        shared.deaths[node].fetch_add(1, Ordering::Relaxed);
         *shared.panic_reasons[node]
             .lock()
             .unwrap_or_else(|e| e.into_inner()) = Some(reason.clone());
@@ -321,7 +320,6 @@ pub(crate) fn run_proxy(node: usize, shared: &Shared, mut seat: Seat, mut st: No
             let delay = cfg.backoff.saturating_mul(1u32 << restarts.min(16));
             if crate::idle::sleep_unless(delay, &shared.stop) {
                 restarts += 1;
-                shared.restarts_total.fetch_add(1, Ordering::Relaxed);
                 let epoch = shared.epochs[node].fetch_add(1, Ordering::Relaxed) + 1;
                 obs.inc(Ctr::EpochBumps);
                 obs.inc(Ctr::Respawns);
@@ -372,9 +370,12 @@ fn proxy_main(
     let mut backoff = Backoff::new();
     let mut stop_flush_tries = 0u32;
     loop {
-        let now = Instant::now();
-        load.tick(shared, node, now);
-        if timed_faults(shared, node, now) {
+        // The pass's one clock read: every phase below takes this
+        // reading, and the load sampler charges the previous pass up to
+        // it.
+        let now_ns = shared.now_ns();
+        load.tick(shared, node, now_ns);
+        if timed_faults(shared, node, now_ns) {
             continue;
         }
         if shared.any_condemned.load(Ordering::Acquire) {
@@ -386,20 +387,20 @@ fn proxy_main(
         // ready bits stay set), so the bounded command rings backpressure
         // users and per-node occupancy stays bounded.
         if st.backlogged() < PENDING_CAP {
-            progressed |= drain_commands(shared, st, node, now, seat, ready, &mut batch);
-            flush_frames(shared, st, node, now);
+            progressed |= drain_commands(shared, st, node, now_ns, seat, ready, &mut batch);
+            flush_frames(shared, st, node, now_ns);
         }
-        progressed |= drain_wire(shared, st, node, now, wire_rx);
+        progressed |= drain_wire(shared, st, node, now_ns, wire_rx);
         // The GET replies the two wire phases produced.
-        flush_frames(shared, st, node, now);
+        flush_frames(shared, st, node, now_ns);
         // Reliability upkeep: retransmit overdue retention, then emit the
         // acks and nacks this pass accumulated. Neither counts as
         // progress — an idle-but-unacked sender must still reach the
         // park below (its 1 ms timeout doubles as the retransmit clock).
-        retransmit(shared, st, node, now);
+        retransmit(shared, st, node, now_ns);
         flush_acks(shared, st, node);
         if progressed {
-            load.charge(now);
+            load.charge(now_ns);
             backoff.reset();
             stop_flush_tries = 0;
             continue;
@@ -444,7 +445,7 @@ fn proxy_main(
 /// carrying its remaining length in µs. True when the
 /// node just sat out a stall, so the pass restarts on a fresh clock.
 #[inline]
-fn timed_faults(shared: &Shared, node: usize, now: Instant) -> bool {
+fn timed_faults(shared: &Shared, node: usize, now_ns: u64) -> bool {
     let Some(faults) = &shared.faults else {
         return false;
     };
@@ -455,17 +456,12 @@ fn timed_faults(shared: &Shared, node: usize, now: Instant) -> bool {
     if let Some(threshold) = faults.kill_due(node, ops) {
         panic!("injected kill: node {node} after {threshold} ops");
     }
-    let Some(order) = faults.stall_due(node, now.duration_since(shared.started)) else {
+    let Some(order) = faults.stall_due(node, now_ns) else {
         return false;
     };
     // Rare, so never sampled: a trace must show why the node went quiet.
     let remaining_us = u32::try_from(order.remaining.as_micros()).unwrap_or(u32::MAX);
-    shared.obs[node].trace_at(
-        shared.rel_ns(now),
-        EventKind::Stall,
-        node as u16,
-        remaining_us,
-    );
+    shared.obs[node].trace_at(now_ns, EventKind::Stall, node as u16, remaining_us);
     if order.interruptible {
         let _ = crate::idle::sleep_unless(order.remaining, &shared.stop);
     } else {
@@ -540,7 +536,7 @@ fn drain_commands(
     shared: &Shared,
     st: &mut NodeState,
     node: usize,
-    now: Instant,
+    now_ns: u64,
     seat: &mut [SeatEntry],
     ready: &AtomicU64,
     batch: &mut Vec<Entry>,
@@ -558,19 +554,17 @@ fn drain_commands(
         let taken = e.q.pop_burst(batch, SERVICE_BURST);
         let src = e.asid;
         let obs = &shared.obs[node];
-        let drain_ns = shared.rel_ns(now);
         for entry in batch.drain(..) {
             // Command-queue wait: submit stamp → this drain. `t_ns == 0`
-            // means the entry was unstamped (recording off at submit
-            // time).
+            // means the entry was unstamped (not a sampled submission).
             if entry.t_ns != 0 {
-                obs.record(HistId::CmdWaitNs, drain_ns.saturating_sub(entry.t_ns));
+                obs.record(HistId::CmdWaitNs, now_ns.saturating_sub(entry.t_ns));
             }
-            handle_command(shared, st, node, now, src, entry);
+            handle_command(shared, st, node, now_ns, src, entry);
         }
         if taken > 0 {
             if sampled(&mut st.ticks.drain) {
-                obs.trace_at(drain_ns, EventKind::Drain, src as u16, taken as u32);
+                obs.trace_at(now_ns, EventKind::Drain, src as u16, taken as u32);
             }
             shared.ops_serviced[node].fetch_add(taken as u64, Ordering::Relaxed);
             progressed = true;
@@ -595,13 +589,13 @@ fn drain_wire(
     shared: &Shared,
     st: &mut NodeState,
     node: usize,
-    now: Instant,
+    now_ns: u64,
     wire_rx: &Ring<WireMsg>,
 ) -> bool {
     let mut ops = 0;
     while ops < SERVICE_BURST as u64 {
         let Some(msg) = wire_rx.try_pop() else { break };
-        ops += handle_packet(shared, st, node, now, msg);
+        ops += handle_packet(shared, st, node, now_ns, msg);
     }
     // An idle pass must not write here: the per-node counters are small
     // neighbouring allocations, and a store per empty poll would bounce

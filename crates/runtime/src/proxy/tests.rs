@@ -1,23 +1,29 @@
 //! Frame-level protocol cases, driven by hand on a cluster whose proxies
 //! have exited: a fresh state per node, built here, is stepped through
-//! [`send_data`], [`flush_frames`], [`handle_packet`] and [`flush_acks`]
-//! with the wire rings carried across by the test, so every verdict is
-//! deterministic.
+//! [`send_data`], [`flush_frames`], [`handle_packet`], [`flush_acks`] and
+//! [`retransmit`] with the wire rings carried across by the test and
+//! synthetic `now_ns` readings for the clock, so every verdict is
+//! deterministic — timers included.
 
 use super::*;
-use crate::RtClusterBuilder;
+use crate::fault::RtFaultState;
+use crate::load::SAMPLE_PERIOD_NS;
+use crate::wire::RTO_NS;
+use crate::{RtClusterBuilder, RtFaultPlan};
 use std::sync::Arc;
 
 const SRC: usize = 0;
 const DST: usize = 1;
 const LSYNC: u32 = 5;
+/// A synthetic clock reading: ns since cluster start.
+const T0: u64 = 1_000;
 
 /// A stopped two-node cluster, one process (asid = node) on each.
 fn quiesced() -> Arc<Shared> {
-    quiesced_under(crate::RtFaultPlan::new(0))
+    quiesced_under(RtFaultPlan::new(0))
 }
 
-fn quiesced_under(plan: crate::RtFaultPlan) -> Arc<Shared> {
+fn quiesced_under(plan: RtFaultPlan) -> Arc<Shared> {
     let mut b = RtClusterBuilder::new(2);
     b.fault_plan(plan);
     b.add_process(SRC, 1 << 12);
@@ -70,7 +76,6 @@ fn flag(shared: &Shared, flag: u32) -> u64 {
 fn frame_round_trip_applies_every_operation_and_fires_its_lsyncs_together() {
     let shared = quiesced();
     let obs = &shared.obs[DST];
-    let now = Instant::now();
     let (mut src, mut dst) = (node_state(), node_state());
     // Requests and a response (one no CCB waits for) share one frame;
     // runs of one flag are broken by another flag and by an operation
@@ -89,13 +94,13 @@ fn frame_round_trip_applies_every_operation_and_fires_its_lsyncs_together() {
     let n = ops.len() as u64;
     for (op, flag) in ops {
         let lsync = flag.map(|f| (SRC as u32, f));
-        send_data(&shared, &mut src, SRC, now, DST, op, lsync, 0);
+        send_data(&shared, &mut src, SRC, T0, DST, op, lsync, 0);
     }
-    flush_frames(&shared, &mut src, SRC, now);
+    flush_frames(&shared, &mut src, SRC, T0);
     assert_eq!(src.tx[DST].retained.len(), 1, "one frame, one slot");
     let frame = shared.wires[DST].try_pop().expect("the frame");
     assert!(shared.wires[DST].is_empty(), "one ring push");
-    assert_eq!(handle_packet(&shared, &mut dst, DST, now, frame), n);
+    assert_eq!(handle_packet(&shared, &mut dst, DST, T0, frame), n);
     assert_eq!(obs.get(Ctr::OpsApplied), n, "every operation applied");
     let landed = shared.procs[DST].seg.read_u64(0);
     assert_eq!(landed, u64::from_le_bytes([4; 8]), "in order: the last PUT");
@@ -105,7 +110,7 @@ fn frame_round_trip_applies_every_operation_and_fires_its_lsyncs_together() {
     assert_eq!((flag(&shared, LSYNC), flag(&shared, LSYNC + 1)), (0, 0));
     flush_acks(&shared, &mut dst, DST);
     let ack = shared.wires[SRC].try_pop().expect("the ack");
-    assert_eq!(handle_packet(&shared, &mut src, SRC, now, ack), 1);
+    assert_eq!(handle_packet(&shared, &mut src, SRC, T0, ack), 1);
     assert!(src.tx[DST].retained.is_empty() && src.tx[DST].lsyncs.is_empty());
     assert_eq!((flag(&shared, LSYNC), flag(&shared, LSYNC + 1)), (3, 1));
 }
@@ -113,16 +118,15 @@ fn frame_round_trip_applies_every_operation_and_fires_its_lsyncs_together() {
 #[test]
 fn purge_cancels_the_ccbs_of_every_operation_of_every_retained_frame() {
     let shared = quiesced();
-    let now = Instant::now();
     let mut src = node_state();
     // Two closed frames and one a loop that died mid-phase left open.
     for frame in 0..3 {
         for _ in 0..3 {
             let get = get_req(&mut src);
-            send_data(&shared, &mut src, SRC, now, DST, get, None, 0);
+            send_data(&shared, &mut src, SRC, T0, DST, get, None, 0);
         }
         if frame < 2 {
-            flush_frames(&shared, &mut src, SRC, now);
+            flush_frames(&shared, &mut src, SRC, T0);
         }
     }
     assert_eq!((src.ccbs.len(), src.tx[DST].retained.len()), (9, 2));
@@ -139,13 +143,12 @@ fn operation_that_draws_a_fault_travels_in_a_frame_of_its_own() {
     // times however they coalesce, and a verdict falls on one operation's
     // frame, never on the neighbours that shared its burst.
     const N: u64 = 200;
-    let shared = quiesced_under(crate::RtFaultPlan::new(7).drop(0.05));
-    let now = Instant::now();
+    let shared = quiesced_under(RtFaultPlan::new(7).drop(0.05));
     let mut src = node_state();
     for i in 0..N {
-        send_data(&shared, &mut src, SRC, now, DST, put(i as u8), None, 0);
+        send_data(&shared, &mut src, SRC, T0, DST, put(i as u8), None, 0);
     }
-    flush_frames(&shared, &mut src, SRC, now);
+    flush_frames(&shared, &mut src, SRC, T0);
     let counts = shared.faults.as_ref().expect("plan installed").counts();
     assert_eq!(counts.packets, N, "one judgement per operation");
     assert!(counts.dropped > 0, "the plan must have bitten");
@@ -168,4 +171,82 @@ fn operation_that_draws_a_fault_travels_in_a_frame_of_its_own() {
         "a dropped frame is one op"
     );
     assert!(retained.len() < N as usize / 4, "the rest still coalesced");
+}
+
+#[test]
+fn retention_is_resent_exactly_once_when_the_rto_expires_and_not_a_ns_before() {
+    let shared = quiesced();
+    let obs = &shared.obs[SRC];
+    let mut src = node_state();
+    send_data(&shared, &mut src, SRC, T0, DST, put(1), None, 0);
+    flush_frames(&shared, &mut src, SRC, T0);
+    // The wire loses the frame; no ack will ever come.
+    assert!(shared.wires[DST].try_pop().is_some());
+    assert_eq!(src.tx[DST].last_progress_ns, T0, "retention went non-empty");
+    let before = obs.get(Ctr::Retransmits);
+
+    retransmit(&shared, &mut src, SRC, T0 + RTO_NS - 1);
+    assert!(shared.wires[DST].is_empty(), "not yet due");
+    assert_eq!(obs.get(Ctr::Retransmits), before);
+
+    retransmit(&shared, &mut src, SRC, T0 + RTO_NS);
+    let Some(WireMsg::Data { seq, body, .. }) = shared.wires[DST].try_pop() else {
+        panic!("the retained frame, re-sent");
+    };
+    assert_eq!((seq, body.len()), (src.tx[DST].retained.last(), 1));
+    assert!(shared.wires[DST].is_empty(), "re-sent once");
+    assert_eq!(obs.get(Ctr::Retransmits), before + 1);
+    let restarted = src.tx[DST].last_progress_ns;
+    assert_eq!(restarted, T0 + RTO_NS, "the RTO restarts");
+
+    // The restarted timer holds off the next resend for a whole RTO.
+    retransmit(&shared, &mut src, SRC, T0 + 2 * RTO_NS - 1);
+    assert!(shared.wires[DST].is_empty());
+    assert_eq!(obs.get(Ctr::Retransmits), before + 1);
+}
+
+#[test]
+fn load_sampler_charges_busy_passes_up_to_the_next_reading_and_samples_each_period() {
+    let shared = quiesced();
+    let h = &shared.health[SRC];
+    let util = || f64::from_bits(h.util_bits.load(Ordering::Relaxed));
+    let unsampled = f64::to_bits(-1.0);
+    h.util_bits.store(unsampled, Ordering::Relaxed);
+    let mut load = LoadSampler::new(0);
+    // A busy pass at 0, an idle one at 100 µs, a busy one at 900 µs.
+    load.tick(&shared, SRC, 0);
+    load.charge(0);
+    load.tick(&shared, SRC, 100_000);
+    load.tick(&shared, SRC, 900_000);
+    load.charge(900_000);
+    load.tick(&shared, SRC, SAMPLE_PERIOD_NS - 1);
+    assert_eq!(util(), -1.0, "the window is not a period old yet");
+    load.tick(&shared, SRC, SAMPLE_PERIOD_NS);
+    // Charged: [0, 100 µs) and [900 µs, period − 1 ns); the idle pass
+    // between them, nothing.
+    assert_eq!(util(), 199_999.0 / SAMPLE_PERIOD_NS as f64);
+    // The next window starts at the sample and holds nothing busy.
+    h.util_bits.store(unsampled, Ordering::Relaxed);
+    load.tick(&shared, SRC, 2 * SAMPLE_PERIOD_NS - 1);
+    assert_eq!(util(), -1.0);
+    load.tick(&shared, SRC, 2 * SAMPLE_PERIOD_NS);
+    assert_eq!(util(), 0.0);
+}
+
+#[test]
+fn stall_fires_from_its_windows_first_ns_and_not_at_its_end() {
+    const MS: u64 = 1_000_000;
+    let plan = RtFaultPlan::new(0)
+        .stall(SRC, Duration::from_millis(10), Duration::from_millis(20))
+        .wedge(DST, Duration::from_millis(10), Duration::from_millis(20));
+    let faults = RtFaultState::new(plan, 2);
+    assert_eq!(faults.stall_due(SRC, 10 * MS - 1), None);
+    assert_eq!(faults.stall_due(SRC, 30 * MS), None, "the end is outside");
+    let first = faults.stall_due(SRC, 10 * MS).expect("first ns inside");
+    assert_eq!(first.remaining, Duration::from_millis(20));
+    assert_eq!(faults.stall_due(DST, 30 * MS), None);
+    let last = faults.stall_due(DST, 30 * MS - 1).expect("last ns inside");
+    assert_eq!(last.remaining, Duration::from_nanos(1));
+    assert!(!last.interruptible);
+    assert_eq!(faults.counts().stalls, 2);
 }

@@ -53,7 +53,6 @@
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 use bytes::Bytes;
 use mproxy_model::fate::Fate;
@@ -68,7 +67,7 @@ use crate::state::{Lsync, NodeState, PendingEnq, Retained, RxPeer};
 /// progress for this long re-sends from its retention buffer. Generous
 /// against ack coalescing latency, tight enough that a dropped frame
 /// costs milliseconds, not a stalled test.
-const RTO_NS: u64 = 2_000_000;
+pub(crate) const RTO_NS: u64 = 2_000_000;
 
 /// Most retained frames re-sent from the retention head per destination
 /// per resync pass (RTO expiry or a peer's Hello); bounds the burst a
@@ -268,7 +267,7 @@ pub(crate) fn send_data(
     shared: &Shared,
     st: &mut NodeState,
     node: usize,
-    now: Instant,
+    now_ns: u64,
     dst_node: usize,
     body: Payload,
     lsync: Option<(u32, u32)>,
@@ -285,22 +284,22 @@ pub(crate) fn send_data(
     }
     let fate = judge(shared, node);
     if faulted(fate) {
-        transmit_frame(shared, st, node, now, dst_node, Fate::default());
+        transmit_frame(shared, st, node, now_ns, dst_node, Fate::default());
     }
     let lsync = Lsync {
         flag: lsync,
         submit_ns,
     };
     if st.tx[dst_node].append(body, lsync) || faulted(fate) {
-        transmit_frame(shared, st, node, now, dst_node, fate);
+        transmit_frame(shared, st, node, now_ns, dst_node, fate);
     }
 }
 
 /// Ends a service phase: every frame the phase opened leaves now, however
 /// few operations it holds.
-pub(crate) fn flush_frames(shared: &Shared, st: &mut NodeState, node: usize, now: Instant) {
+pub(crate) fn flush_frames(shared: &Shared, st: &mut NodeState, node: usize, now_ns: u64) {
     for dst in 0..st.tx.len() {
-        transmit_frame(shared, st, node, now, dst, Fate::default());
+        transmit_frame(shared, st, node, now_ns, dst, Fate::default());
     }
 }
 
@@ -313,13 +312,10 @@ fn transmit_frame(
     shared: &Shared,
     st: &mut NodeState,
     node: usize,
-    now: Instant,
+    now_ns: u64,
     dst: usize,
     fate: Fate,
 ) {
-    // The loop's `now` re-expressed on the shared epoch: pure arithmetic,
-    // no extra clock read on the proxy's hot path.
-    let now_ns = shared.rel_ns(now);
     let Some((seq, body)) = st.tx[dst].close_frame(now_ns) else {
         return; // nothing open towards `dst`
     };
@@ -364,7 +360,7 @@ fn process_ack(
     shared: &Shared,
     st: &mut NodeState,
     node: usize,
-    now: Instant,
+    now_ns: u64,
     from: usize,
     upto: u64,
 ) {
@@ -374,7 +370,6 @@ fn process_ack(
         return;
     }
     let obs = &shared.obs[node];
-    let now_ns = shared.rel_ns(now);
     tx.last_progress_ns = now_ns;
     for (_, r) in tx.retained.release(upto) {
         // Wire RTT: first transmission → the releasing cumulative ack.
@@ -424,7 +419,7 @@ pub(crate) fn handle_packet(
     shared: &Shared,
     st: &mut NodeState,
     node: usize,
-    now: Instant,
+    now_ns: u64,
     msg: WireMsg,
 ) -> u64 {
     let obs = &shared.obs[node];
@@ -444,12 +439,7 @@ pub(crate) fn handle_packet(
                 // Duplicate (injected, or a retransmission racing the
                 // ack): drop it, re-ack so the sender converges.
                 obs.add(Ctr::DedupDrops, ops);
-                obs.trace_at(
-                    shared.rel_ns(now),
-                    EventKind::DedupDrop,
-                    from as u16,
-                    seq as u32,
-                );
+                obs.trace_at(now_ns, EventKind::DedupDrop, from as u16, seq as u32);
                 rx.ack_pending = true;
                 return ops;
             }
@@ -474,7 +464,7 @@ pub(crate) fn handle_packet(
             while let Some(frame) = ready {
                 obs.add(Ctr::OpsApplied, frame.len() as u64);
                 for op in frame.iter() {
-                    apply_data(shared, st, node, now, from, op);
+                    apply_data(shared, st, node, now_ns, from, op);
                 }
                 ready = st.rx[from].order.next_ready();
             }
@@ -487,14 +477,9 @@ pub(crate) fn handle_packet(
             // resync span in the Chrome exporter tolerates a missed ack:
             // it falls back to the (never-sampled) Hello event.
             if sampled(&mut st.ticks.ack_in) {
-                obs.trace_at(
-                    shared.rel_ns(now),
-                    EventKind::AckIn,
-                    from as u16,
-                    upto as u32,
-                );
+                obs.trace_at(now_ns, EventKind::AckIn, from as u16, upto as u32);
             }
-            process_ack(shared, st, node, now, from, upto);
+            process_ack(shared, st, node, now_ns, from, upto);
         }
         WireMsg::Nack {
             from,
@@ -502,12 +487,7 @@ pub(crate) fn handle_packet(
             mut missing,
         } => {
             obs.inc(Ctr::NacksIn);
-            obs.trace_at(
-                shared.rel_ns(now),
-                EventKind::NackIn,
-                from as u16,
-                since as u32,
-            );
+            obs.trace_at(now_ns, EventKind::NackIn, from as u16, since as u32);
             let tx = &mut st.tx[from];
             let acked = tx.retained.acked();
             if since < acked {
@@ -525,12 +505,7 @@ pub(crate) fn handle_packet(
             // wire ring may hold our frames from before the crash, but
             // timers would cover any gap slowly; the hello bounds the
             // resync to one round trip.
-            obs.trace_at(
-                shared.rel_ns(now),
-                EventKind::Hello,
-                from as u16,
-                epoch as u32,
-            );
+            obs.trace_at(now_ns, EventKind::Hello, from as u16, epoch as u32);
             st.rx[from].ack_pending = true;
             st.tx[from].resync_hint = true;
         }
@@ -545,7 +520,7 @@ pub(crate) fn handle_packet(
 fn resend<'a>(
     shared: &Shared,
     node: usize,
-    now: Instant,
+    now_ns: u64,
     dst: usize,
     frames: impl Iterator<Item = (u64, &'a Retained)>,
 ) {
@@ -576,12 +551,7 @@ fn resend<'a>(
     }
     if resent > 0 {
         obs.add(Ctr::Retransmits, u64::from(resent));
-        obs.trace_at(
-            shared.rel_ns(now),
-            EventKind::Retransmit,
-            dst as u16,
-            resent,
-        );
+        obs.trace_at(now_ns, EventKind::Retransmit, dst as u16, resent);
     }
     if pushed {
         shared.parkers[dst].wake();
@@ -597,11 +567,10 @@ fn resend<'a>(
 /// them. Frames go straight to the destination ring (never the pending
 /// stash — retransmits are redundant by design; the stash must stay
 /// FIFO-clean for new traffic).
-pub(crate) fn retransmit(shared: &Shared, st: &mut NodeState, node: usize, now: Instant) {
+pub(crate) fn retransmit(shared: &Shared, st: &mut NodeState, node: usize, now_ns: u64) {
     let NodeState {
         tx, pending_wire, ..
     } = st;
-    let now_ns = shared.rel_ns(now);
     for (dst, tx) in tx.iter_mut().enumerate() {
         if tx.retained.is_empty() {
             tx.resync_hint = false;
@@ -618,7 +587,7 @@ pub(crate) fn retransmit(shared: &Shared, st: &mut NodeState, node: usize, now: 
             resend(
                 shared,
                 node,
-                now,
+                now_ns,
                 dst,
                 tx.retained.iter().take(RESEND_BURST),
             );
@@ -628,7 +597,7 @@ pub(crate) fn retransmit(shared: &Shared, st: &mut NodeState, node: usize, now: 
                 .nacked
                 .iter()
                 .filter_map(|&seq| Some((seq, tx.retained.get(seq)?)));
-            resend(shared, node, now, dst, named);
+            resend(shared, node, now_ns, dst, named);
             tx.nacked.clear();
         }
     }

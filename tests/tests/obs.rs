@@ -26,15 +26,13 @@ use mproxy_rt::{FlagId, RqId, RtClusterBuilder, RtFaultPlan};
 
 const WAIT: Duration = Duration::from_secs(60);
 
-/// Clean (fault-free) two-sender fan-in with recording armed: every
-/// counter the telemetry layer reports must match the op counts the
-/// test itself performed.
+/// Clean (fault-free) two-sender fan-in: every counter the telemetry
+/// layer reports must match the op counts the test itself performed.
 #[test]
 fn counters_match_ground_truth_on_clean_fan_in() {
     const SENDERS: usize = 2;
     const PER: u64 = 200;
     let mut b = RtClusterBuilder::new(SENDERS + 1);
-    b.telemetry(true);
     let sink_asid = b.add_process(0, 1 << 16);
     let src_asids: Vec<u32> = (1..=SENDERS).map(|n| b.add_process(n, 1 << 16)).collect();
     let (cluster, mut eps) = b.start();
@@ -203,7 +201,7 @@ fn histogram_merge_is_associative_and_commutative() {
     assert_eq!(ab_c.count(), 1500);
 }
 
-/// A kill + respawn under recording renders to a valid Chrome-trace
+/// A kill + respawn renders to a valid Chrome-trace
 /// document containing the synthesized recovery spans. The document is
 /// left in Cargo's test scratch directory (`target/tmp/obs_trace.json`)
 /// so CI can hand it to a JSON parser this repository did not write.
@@ -211,7 +209,6 @@ fn histogram_merge_is_associative_and_commutative() {
 fn chrome_trace_shows_recovery_span() {
     const PER: u64 = 50;
     let mut b = RtClusterBuilder::new(2);
-    b.telemetry(true);
     let sink_asid = b.add_process(0, 1 << 16);
     let _src = b.add_process(1, 1 << 16);
     b.fault_plan(RtFaultPlan::new(3).kill(0, PER / 2));
