@@ -21,8 +21,9 @@
 
 use std::time::{Duration, Instant};
 
+use mproxy_model::fate::SplitMix64;
 use mproxy_obs::{Ctr, Snapshot};
-use mproxy_rt::{FlagId, RqId, RtClusterBuilder, RtFaultPlan};
+use mproxy_rt::{FlagId, RqId, RtClusterBuilder, RtFaultPlan, NUM_FLAGS, NUM_QUEUES};
 
 /// Per-acknowledgement bound: recovery (respawn + resync + retransmit)
 /// must complete well inside this, even on a loaded single-CPU host.
@@ -441,6 +442,230 @@ pub fn randomized(seed: u64, rounds: u64) -> ScenarioResult {
     result
 }
 
+/// One operation the hostile tenant of [`hostile_tenant`] submits.
+struct HostileOp {
+    kind: Kind,
+    laddr: u64,
+    dst: u32,
+    /// The remote address of a PUT or GET, the queue index of an ENQ.
+    raddr: u64,
+    nbytes: u32,
+    lsync: FlagId,
+    rsync: Option<FlagId>,
+}
+
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Put,
+    Get,
+    Enq,
+}
+
+/// The flag every valid hostile operation bumps on completion (its own),
+/// and the one every valid PUT and ENQ bumps on delivery (the sink's).
+const HOSTILE_LSYNC: u32 = 1;
+const HOSTILE_RSYNC: u32 = 2;
+/// The sink queue valid hostile ENQs land in (the co-tenant's is 0).
+const HOSTILE_RQ: u32 = 1;
+
+/// Draws one hostile operation towards `sink` (segment `seg` bytes, like
+/// the hostile process's own): a valid one a quarter of the time,
+/// otherwise a valid one with exactly one operand made bad — a `dst` that
+/// names no process or one it holds no grant for (`stranger`), a flag or
+/// queue index past the last (up to `u32::MAX`), a local or remote range
+/// past its segment's end or wrapping `u64`, or zero bytes. True when the
+/// operation is invalid.
+fn hostile_op(rng: &mut SplitMix64, seg: u64, sink: u32, stranger: u32) -> (HostileOp, bool) {
+    let kind = [Kind::Put, Kind::Get, Kind::Enq][below(rng, 3) as usize];
+    let nbytes = 1 + below(rng, 64) as u32;
+    let n = u64::from(nbytes);
+    let mut op = HostileOp {
+        kind,
+        laddr: below(rng, seg - n + 1),
+        dst: sink,
+        raddr: match kind {
+            Kind::Enq => u64::from(HOSTILE_RQ),
+            _ => below(rng, seg - n + 1),
+        },
+        nbytes,
+        lsync: FlagId(HOSTILE_LSYNC),
+        rsync: (kind != Kind::Get).then_some(FlagId(HOSTILE_RSYNC)),
+    };
+    let flag = NUM_FLAGS as u32;
+    // Past a range's end: straddling it, or up to a TiB beyond.
+    let beyond = seg - n + 1 + below(rng, 1 << 40);
+    // Wrapping `u64`: the range's end overflows.
+    let wrapping = u64::MAX - below(rng, n);
+    match below(rng, 12) {
+        0..=2 => return (op, false),
+        // The scenario declares four processes.
+        3 => op.dst = past(rng, 4),
+        4 => op.dst = stranger,
+        // `Endpoint::get` takes no rsync: a GET's bad flag is its lsync.
+        5 | 6 if kind == Kind::Get => op.lsync = FlagId(past(rng, flag)),
+        5 => op.lsync = FlagId(past(rng, flag)),
+        6 => op.rsync = Some(FlagId(past(rng, flag))),
+        7 => op.laddr = beyond,
+        8 => op.laddr = wrapping,
+        // An ENQ's remote operand is its queue index.
+        9 | 10 if kind == Kind::Enq => op.raddr = u64::from(past(rng, NUM_QUEUES as u32)),
+        9 => op.raddr = beyond,
+        10 => op.raddr = wrapping,
+        _ => op.nbytes = 0,
+    }
+    (op, true)
+}
+
+/// Uniform in `[0, n)`.
+fn below(rng: &mut SplitMix64, n: u64) -> u64 {
+    rng.next_u64() % n
+}
+
+/// Uniform in `[lo, u32::MAX]`.
+fn past(rng: &mut SplitMix64, lo: u32) -> u32 {
+    lo + below(rng, u64::from(u32::MAX - lo) + 1) as u32
+}
+
+/// A hostile tenant on a shared node. Process 0 submits `ops` seeded
+/// random PUT/GET/ENQs through its `Endpoint` (`hostile_op`: bad
+/// `dst`, no grant, flag and queue indices up to `u32::MAX`,
+/// out-of-bounds and wrapping addresses, zero lengths, and some valid
+/// operations among them), while its co-tenant, process 1 on the same
+/// node and proxy, streams `per_sender` tagged ENQs to a sink on node 1.
+/// The shared proxy must reject exactly the invalid operations, one fault
+/// each, fire no flag for any of them, and never die; the co-tenant's
+/// stream must arrive exactly once, in order. Nothing drains the sink
+/// queue the valid hostile ENQs land in until the end, so `ops` must keep
+/// them (about one in twelve) under [`mproxy_rt::RQ_DEPTH`].
+#[must_use]
+pub fn hostile_tenant(seed: u64, ops: u64, per_sender: u64) -> ScenarioResult {
+    const SEG: u64 = 1 << 12;
+    let mut result = ScenarioResult::new("hostile_tenant");
+    let mut b = RtClusterBuilder::new(2);
+    let hostile = b.add_process(0, SEG as usize);
+    let tenant = b.add_process(0, SEG as usize);
+    let sink = b.add_process(1, SEG as usize);
+    let stranger = b.add_process(1, SEG as usize);
+    let (cluster, mut eps) = b.start();
+    cluster.restrict();
+    cluster.grant(hostile, sink);
+    cluster.grant(tenant, sink);
+    let _stranger = eps.pop().expect("stranger endpoint");
+    let sink_ep = eps.pop().expect("sink endpoint");
+    let mut tenant_ep = eps.pop().expect("co-tenant endpoint");
+    let mut hostile_ep = eps.pop().expect("hostile endpoint");
+
+    let tenant_thread = std::thread::spawn(move || -> Result<mproxy_rt::Endpoint, String> {
+        const WINDOW: u64 = 32;
+        for i in 1..=per_sender {
+            // The proxy reads a payload when it takes the command: a
+            // slot is rewritten only once its last ENQ is acknowledged.
+            if i > WINDOW {
+                tenant_ep
+                    .wait_flag_timeout(FlagId(0), i - WINDOW, WAIT)
+                    .map_err(|err| format!("co-tenant op {i}: {err}"))?;
+            }
+            let slot = 8 * (i % WINDOW);
+            tenant_ep.seg().write_u64(slot, (u64::from(tenant) << 32) | i);
+            tenant_ep.enq(slot, sink, RqId(0), 8, Some(FlagId(0)), None);
+        }
+        tenant_ep
+            .wait_flag_timeout(FlagId(0), per_sender, WAIT)
+            .map_err(|err| format!("co-tenant final ack: {err}"))?;
+        Ok(tenant_ep)
+    });
+    let mut rng = SplitMix64::new(seed);
+    let (mut invalid, mut valid, mut valid_rsync, mut valid_enq) = (0, 0, 0, 0);
+    for _ in 0..ops {
+        let (op, bad) = hostile_op(&mut rng, SEG, sink, stranger);
+        if bad {
+            invalid += 1;
+        } else {
+            valid += 1;
+            valid_rsync += u64::from(op.rsync.is_some());
+            valid_enq += u64::from(op.kind == Kind::Enq);
+        }
+        let (laddr, dst, n, l) = (op.laddr, op.dst, op.nbytes, Some(op.lsync));
+        match op.kind {
+            Kind::Put => hostile_ep.put(laddr, dst, op.raddr, n, l, op.rsync),
+            Kind::Get => hostile_ep.get(laddr, dst, op.raddr, n, l),
+            Kind::Enq => hostile_ep.enq(laddr, dst, RqId(op.raddr as u32), n, l, op.rsync),
+        }
+    }
+    if let Err(err) = hostile_ep.wait_flag_timeout(FlagId(HOSTILE_LSYNC), valid, WAIT) {
+        result = result.fail(format!("hostile tenant's valid operations: {err}"));
+    }
+    let tenant_ep = match tenant_thread.join().expect("co-tenant thread") {
+        Ok(e) => Some(e),
+        Err(why) => {
+            result = result.fail(why);
+            None
+        }
+    };
+    if result.passed {
+        let got = drain_u64s(&sink_ep, RqId(0), per_sender as usize);
+        if let Err(why) = got.and_then(|got| check_exactly_once(&got, &[tenant], per_sender)) {
+            result = result.fail(format!("co-tenant stream: {why}"));
+        }
+    }
+    result.deaths = (0..2).map(|n| cluster.deaths(n)).sum();
+    let panicked = cluster.panicked_nodes();
+    if result.passed && (result.deaths > 0 || !panicked.is_empty()) {
+        let deaths = result.deaths;
+        result = result.fail(format!("{deaths} proxy deaths, panicked {panicked:?}"));
+    }
+    let hub = cluster.obs_handle();
+    let report = cluster.shutdown();
+    result.shutdown_json = report.to_json();
+    if result.passed && !report.clean() {
+        result = result.fail(format!("unclean shutdown: {report:?}"));
+    }
+    // Every proxy has exited: each command is decided and each flag final.
+    let flags = |e: &mproxy_rt::Endpoint| -> Vec<u64> {
+        (0..NUM_FLAGS as u32).map(|f| e.flag(FlagId(f))).collect()
+    };
+    let expect = |pairs: &[(u32, u64)]| -> Vec<u64> {
+        let mut v = vec![0; NUM_FLAGS];
+        for &(f, n) in pairs {
+            v[f as usize] = n;
+        }
+        v
+    };
+    let enqueued = std::iter::from_fn(|| sink_ep.rq_try_recv(RqId(HOSTILE_RQ))).count() as u64;
+    let checks = [
+        ("hostile faults", vec![hostile_ep.faults()], vec![invalid]),
+        (
+            "hostile flags",
+            flags(&hostile_ep),
+            expect(&[(HOSTILE_LSYNC, valid)]),
+        ),
+        (
+            "sink flags",
+            flags(&sink_ep),
+            expect(&[(HOSTILE_RSYNC, valid_rsync)]),
+        ),
+        ("hostile ENQs delivered", vec![enqueued], vec![valid_enq]),
+        (
+            "co-tenant flags and faults",
+            tenant_ep.map_or_else(Vec::new, |e| [flags(&e), vec![e.faults()]].concat()),
+            [expect(&[(0, per_sender)]), vec![0]].concat(),
+        ),
+    ];
+    for (what, got, want) in checks {
+        if result.passed && got != want {
+            result = result.fail(format!("{what}: got {got:?}, want {want:?}"));
+        }
+    }
+    let snap = hub.snapshot(&result.name);
+    if result.passed {
+        if let Err(why) = telemetry_truth(&snap) {
+            result = result.fail(format!("telemetry vs truth: {why}"));
+        }
+    }
+    result.obs = Some(snap);
+    result
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -469,6 +694,7 @@ mod tests {
             kill_sender_fan_in(202, 40),
             corrupt_under_load(303, 200),
             stall_survivor_liveness(404, 25),
+            hostile_tenant(505, 400, 200),
         ] {
             assert!(r.passed, "{}: {}", r.name, r.failure);
         }

@@ -6,7 +6,8 @@
 //! the node's network input, using the §4.1 *shared bit vector*
 //! optimisation — producers set a per-queue ready bit, so an idle proxy
 //! probes one word instead of scanning every queue head. Protection
-//! checks (asid permission, bounds) run in the proxy, never in user code;
+//! checks (asid permission, address ranges, flag and queue indices) run
+//! in the sending proxy as it decodes each command, never in user code;
 //! violations are counted as faults and the operation is dropped, the
 //! runtime analogue of "the system faults a process".
 //!

@@ -119,7 +119,11 @@ impl Endpoint {
         &self.me.seg
     }
 
-    /// Protection faults charged to this process.
+    /// Operations of this process its proxy rejected, one each: an asid
+    /// it holds no grant for, or an operand out of range — an address
+    /// range outside a segment (wrapping included), zero bytes, a flag or
+    /// queue index past the last. A rejected operation does nothing, and
+    /// its flags never fire.
     #[must_use]
     pub fn faults(&self) -> u64 {
         self.me.faults.load(Ordering::Relaxed)
@@ -269,10 +273,13 @@ impl Endpoint {
         self.shared.parkers[node].wake();
     }
 
+    /// Packs both flags into one word, a half each, 0 meaning none and
+    /// `i + 1` flag `i`. An index past the last flag saturates at
+    /// [`NUM_FLAGS`], which the proxy rejects: it must fault, never carry
+    /// into the other half or become another flag.
     fn pack_sync(lsync: Option<FlagId>, rsync: Option<FlagId>) -> u64 {
-        let l = lsync.map_or(0, |f| u64::from(f.0) + 1);
-        let r = rsync.map_or(0, |f| u64::from(f.0) + 1);
-        (l << 32) | r
+        let half = |f: Option<FlagId>| f.map_or(0, |f| u64::from(f.0.min(NUM_FLAGS as u32)) + 1);
+        (half(lsync) << 32) | half(rsync)
     }
 
     /// `PUT`: copy `nbytes` from local `laddr` to `raddr` in `dst`'s
@@ -312,15 +319,6 @@ impl Endpoint {
             ],
             t_ns: 0,
         });
-    }
-
-    /// Blocking GET convenience: issues the get on flag 63 and waits
-    /// (adaptive backoff) for completion.
-    pub fn get_blocking(&mut self, laddr: u64, dst: u32, raddr: u64, nbytes: u32) {
-        let f = FlagId((NUM_FLAGS - 1) as u32);
-        let target = self.flag(f) + 1;
-        self.get(laddr, dst, raddr, nbytes, Some(f));
-        self.wait_flag(f, target);
     }
 
     /// `ENQ`: append `nbytes` from local `laddr` to queue `rq` of `dst`.

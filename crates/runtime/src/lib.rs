@@ -18,7 +18,8 @@
 //!   Figure 5 loop in batched drains (ACKs coalesced per peer per batch),
 //!   with the §4.1 shared ready-bit vector accelerating the idle scan;
 //! * protected RMA (`put`/`get`) and remote queues (`enq`) between
-//!   processes, with asid permission checks enforced *in the proxy*;
+//!   processes, every operand — asid grant, address ranges, flag and
+//!   queue indices — checked once *in the sending proxy*;
 //! * an in-process "network" of FIFO channels standing in for the SP
 //!   switch adapter (see DESIGN.md's substitution notes);
 //! * overload detection: each proxy samples its own busy fraction and
@@ -130,7 +131,8 @@ mod tests {
         let (cluster, mut e0, e1) = two_node_pair();
         e1.seg().write_u64(256, 0xabcd);
         let dst = e1.asid();
-        e0.get_blocking(8, dst, 256, 8);
+        e0.get(8, dst, 256, 8, Some(FlagId(0)));
+        e0.wait_flag(FlagId(0), 1);
         assert_eq!(e0.seg().read_u64(8), 0xabcd);
         cluster.shutdown();
     }
@@ -164,6 +166,15 @@ mod tests {
         e0.put(0, e1.asid(), 0, 8, None, Some(FlagId(0)));
         e1.wait_flag(FlagId(0), 1);
         assert_eq!(e1.seg().read_u64(0), 7);
+        // Revoked mid-run: the next PUT faults and does not land.
+        cluster.revoke(e0.asid(), e1.asid());
+        e0.seg().write_u64(0, 9);
+        e0.put(0, e1.asid(), 0, 8, None, Some(FlagId(0)));
+        while e0.faults() == 1 {
+            backoff.snooze();
+        }
+        assert_eq!(e0.faults(), 2);
+        assert_eq!((e1.seg().read_u64(0), e1.flag(FlagId(0))), (7, 1));
         cluster.shutdown();
     }
 
@@ -171,14 +182,17 @@ mod tests {
     fn out_of_bounds_put_faults() {
         let (cluster, mut e0, e1) = two_node_pair();
         let huge = e1.seg().size() as u64;
-        e0.put(0, e1.asid(), huge, 8, None, Some(FlagId(0)));
-        // Remote store silently dropped (bounds-checked at delivery);
-        // meanwhile a local out-of-bounds source faults at the proxy.
-        e0.put(u64::MAX, e1.asid(), 0, 8, None, None);
-        let mut backoff = idle::Backoff::new();
-        while e0.faults() == 0 {
-            backoff.snooze();
-        }
+        // Both ranges are checked at the sending proxy: an out-of-bounds
+        // remote address faults like an out-of-bounds local one, and
+        // neither operation's flags fire.
+        e0.put(0, e1.asid(), huge, 8, Some(FlagId(1)), Some(FlagId(0)));
+        e0.put(u64::MAX, e1.asid(), 0, 8, Some(FlagId(1)), None);
+        // A PUT behind them in the same queue: once it is acknowledged,
+        // the proxy has handled both.
+        e0.put(0, e1.asid(), 0, 8, Some(FlagId(2)), None);
+        e0.wait_flag(FlagId(2), 1);
+        assert_eq!(e0.faults(), 2);
+        assert_eq!((e0.flag(FlagId(1)), e1.flag(FlagId(0))), (0, 0));
         cluster.shutdown();
     }
 

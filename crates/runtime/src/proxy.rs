@@ -9,15 +9,20 @@
 //! the wire, and each ends by closing the frames it opened
 //! ([`crate::wire::flush_frames`]), so a frame never outlives its pass.
 //! [`handle_command`] executes a local user's command and [`apply_data`]
-//! a remote one: protection and bounds checks run here, in the proxy,
-//! never in user code.
+//! a remote one. Every user operand is checked in one place, the sending
+//! proxy's [`handle_command`], where the command is decoded — never in
+//! user code, and never again at the receiver: a rejected command costs
+//! its submitter one fault and never reaches the wire, so [`apply_data`]
+//! applies what it is given without checking.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use mproxy_obs::{Ctr, EventKind, HistId};
 
-use crate::cluster::{condemn_dead, sampled, Shared, CMDQ_DEPTH, NUM_QUEUES, WIRE_DEPTH};
+use crate::cluster::{
+    condemn_dead, sampled, Shared, CMDQ_DEPTH, NUM_FLAGS, NUM_QUEUES, WIRE_DEPTH,
+};
 use crate::endpoint::{unpack_sync, OP_ENQ, OP_GET, OP_PUT};
 use crate::idle::{Backoff, Parker};
 use crate::load::LoadSampler;
@@ -70,7 +75,9 @@ const STOP_FLUSH_TRIES: u32 = 10_000;
 /// Applies one operation of an in-order, uncorrupted data frame from
 /// node `from`. By reference: the frame is shared with the sender's
 /// retention copy, so a payload that must outlive it (an ENQ handed to a
-/// reply ring) takes its own reference to the bytes.
+/// reply ring) takes its own reference to the bytes. Nothing here is
+/// checked: the sending proxy's [`handle_command`] admitted every operand,
+/// so applying cannot fail on anything a tenant chose.
 pub(crate) fn apply_data(
     shared: &Shared,
     st: &mut NodeState,
@@ -86,28 +93,18 @@ pub(crate) fn apply_data(
             ref data,
             rsync,
         } => {
-            let dp = &shared.procs[dst as usize];
-            if dp.seg.check(raddr, data.len()) {
-                dp.seg.write(raddr, data);
-                if let Some(f) = rsync {
-                    shared.set_flag(dst, f);
-                }
+            shared.procs[dst as usize].seg.write(raddr, data);
+            if let Some(f) = rsync {
+                shared.set_flag(dst, f);
             }
         }
         Payload::GetReq {
-            src_asid,
             dst,
             raddr,
             nbytes,
             token,
         } => {
-            let dp = &shared.procs[dst as usize];
-            let data = if dp.seg.check(raddr, nbytes as usize) {
-                Some(dp.seg.read(raddr, nbytes as usize))
-            } else {
-                shared.fault(src_asid);
-                None
-            };
+            let data = shared.procs[dst as usize].seg.read(raddr, nbytes as usize);
             send_data(
                 shared,
                 st,
@@ -121,12 +118,7 @@ pub(crate) fn apply_data(
         }
         Payload::GetReply { token, ref data } => {
             if let Some(ccb) = st.ccbs.remove(&token) {
-                if let Some(data) = data {
-                    let take = (ccb.nbytes as usize).min(data.len());
-                    shared.procs[ccb.proc as usize]
-                        .seg
-                        .write(ccb.laddr, &data[..take]);
-                }
+                shared.procs[ccb.proc as usize].seg.write(ccb.laddr, data);
                 if let Some(f) = ccb.lsync {
                     shared.set_flag(ccb.proc, f);
                 }
@@ -166,8 +158,16 @@ pub(crate) fn apply_data(
     }
 }
 
-/// Decodes and executes one user command on node `node` (protection and
-/// bounds checks, then a sequenced transmission towards the destination).
+/// Decodes and executes one user command of process `src` on node
+/// `node`. This is the one place a user operand is checked, all of them
+/// together, as the simulator's `Proc` checks a submission: the
+/// destination asid exists and `src` holds a grant for it, the op code
+/// is known, the transfer is not empty, the local range lies inside
+/// `src`'s segment and a PUT's or GET's remote range inside the
+/// destination's (neither wrapping), and every flag and queue index is in
+/// range. A command failing any of them costs `src` one fault and never
+/// reaches the wire; one passing all of them is sent towards the
+/// destination, whose proxy applies it unchecked ([`apply_data`]).
 fn handle_command(
     shared: &Shared,
     st: &mut NodeState,
@@ -176,44 +176,41 @@ fn handle_command(
     src: u32,
     e: Entry,
 ) {
-    let laddr = e.args[0];
-    let dst = (e.args[2] >> 32) as u32;
-    let nbytes = e.args[2] as u32;
-    let (lsync, rsync) = unpack_sync(e.args[3]);
-    if dst as usize >= shared.procs.len() || !shared.allowed(src, dst) {
+    let [laddr, raddr, dst_nbytes, sync] = e.args;
+    let dst = (dst_nbytes >> 32) as u32;
+    let nbytes = dst_nbytes as u32;
+    let (lsync, rsync) = unpack_sync(sync);
+    let flag_ok = |f: Option<u32>| f.is_none_or(|f| (f as usize) < NUM_FLAGS);
+    let n = nbytes as usize;
+    let src_proc = &shared.procs[src as usize];
+    let valid = (dst as usize) < shared.procs.len()
+        && shared.allowed(src, dst)
+        && n > 0
+        && src_proc.seg.check(laddr, n)
+        && flag_ok(lsync)
+        && flag_ok(rsync)
+        && match e.op {
+            OP_PUT | OP_GET => shared.procs[dst as usize].seg.check(raddr, n),
+            OP_ENQ => raddr < NUM_QUEUES as u64,
+            _ => false,
+        };
+    if !valid {
         shared.fault(src);
         return;
     }
-    let src_proc = &shared.procs[src as usize];
-    match e.op {
+    let dst_node = shared.procs[dst as usize].node;
+    let (body, lsync) = match e.op {
         OP_PUT => {
-            if !src_proc.seg.check(laddr, nbytes as usize) {
-                shared.fault(src);
-                return;
-            }
-            let data = src_proc.seg.read(laddr, nbytes as usize);
-            let raddr = e.args[1];
-            send_data(
-                shared,
-                st,
-                node,
-                now_ns,
-                shared.procs[dst as usize].node,
-                Payload::Put {
-                    dst,
-                    raddr,
-                    data,
-                    rsync,
-                },
-                lsync.map(|l| (src, l)),
-                e.t_ns,
-            );
+            let data = src_proc.seg.read(laddr, n);
+            let body = Payload::Put {
+                dst,
+                raddr,
+                data,
+                rsync,
+            };
+            (body, lsync.map(|l| (src, l)))
         }
         OP_GET => {
-            if !src_proc.seg.check(laddr, nbytes as usize) {
-                shared.fault(src);
-                return;
-            }
             let token = st.next_token;
             st.next_token += 1;
             st.ccbs.insert(
@@ -221,56 +218,30 @@ fn handle_command(
                 CcbGet {
                     proc: src,
                     laddr,
-                    nbytes,
                     lsync,
                 },
             );
-            send_data(
-                shared,
-                st,
-                node,
-                now_ns,
-                shared.procs[dst as usize].node,
-                Payload::GetReq {
-                    src_asid: src,
-                    dst,
-                    raddr: e.args[1],
-                    nbytes,
-                    token,
-                },
-                None,
-                e.t_ns,
-            );
+            let body = Payload::GetReq {
+                dst,
+                raddr,
+                nbytes,
+                token,
+            };
+            (body, None)
         }
-        OP_ENQ => {
-            if !src_proc.seg.check(laddr, nbytes as usize) {
-                shared.fault(src);
-                return;
-            }
-            let rq = e.args[1] as u32;
-            if rq as usize >= NUM_QUEUES {
-                shared.fault(src);
-                return;
-            }
-            let data = src_proc.seg.read(laddr, nbytes as usize);
-            send_data(
-                shared,
-                st,
-                node,
-                now_ns,
-                shared.procs[dst as usize].node,
-                Payload::Enq {
-                    dst,
-                    rq,
-                    data,
-                    rsync,
-                },
-                lsync.map(|l| (src, l)),
-                e.t_ns,
-            );
+        // OP_ENQ: the check above admits no other op.
+        _ => {
+            let data = src_proc.seg.read(laddr, n);
+            let body = Payload::Enq {
+                dst,
+                rq: raddr as u32,
+                data,
+                rsync,
+            };
+            (body, lsync.map(|l| (src, l)))
         }
-        _ => shared.fault(src),
-    }
+    };
+    send_data(shared, st, node, now_ns, dst_node, body, lsync, e.t_ns);
 }
 
 /// Supervision policy ([`crate::RtClusterBuilder::supervise`]).

@@ -55,12 +55,10 @@ fn get_req(st: &mut NodeState) -> Payload {
     let ccb = CcbGet {
         proc: SRC as u32,
         laddr: 64,
-        nbytes: 8,
         lsync: None,
     };
     st.ccbs.insert(token, ccb);
     Payload::GetReq {
-        src_asid: SRC as u32,
         dst: DST as u32,
         raddr: 0,
         nbytes: 8,
@@ -82,7 +80,7 @@ fn frame_round_trip_applies_every_operation_and_fires_its_lsyncs_together() {
     // that owes nothing.
     let reply = Payload::GetReply {
         token: u64::MAX,
-        data: None,
+        data: bytes::Bytes::new(),
     };
     let ops = [
         (put(1), Some(LSYNC)),
@@ -113,6 +111,52 @@ fn frame_round_trip_applies_every_operation_and_fires_its_lsyncs_together() {
     assert_eq!(handle_packet(&shared, &mut src, SRC, T0, ack), 1);
     assert!(src.tx[DST].retained.is_empty() && src.tx[DST].lsyncs.is_empty());
     assert_eq!((flag(&shared, LSYNC), flag(&shared, LSYNC + 1)), (3, 1));
+}
+
+#[test]
+fn command_endpoint_cannot_express_faults_once_and_sends_nothing() {
+    let shared = quiesced();
+    let mut st = node_state();
+    let faults = || shared.procs[SRC].faults.load(Ordering::Relaxed);
+    // An in-bounds 8-byte command towards DST, but for `op`, the queue
+    // word and the sync word.
+    let cmd = |op, rq, sync| Entry {
+        op,
+        args: [0, rq, (DST as u64) << 32 | 8, sync],
+        t_ns: 0,
+    };
+    // A sync half naming flag `NUM_FLAGS`, one past the last.
+    let past = NUM_FLAGS as u64 + 1;
+    let hostile = [
+        cmd(0, 0, 0),
+        cmd(OP_ENQ + 1, 0, 0),
+        cmd(u32::MAX, 0, 0),
+        cmd(OP_PUT, 0, u64::MAX),
+        cmd(OP_PUT, 0, past << 32),
+        cmd(OP_PUT, 0, 1 << 32 | past),
+        cmd(OP_GET, 0, past << 32),
+        cmd(OP_GET, 0, u64::from(u32::MAX)),
+        cmd(OP_ENQ, 0, past),
+        // A queue word past `u32`: no truncation to queue 0.
+        cmd(OP_ENQ, 1 << 32, 0),
+    ];
+    for (i, e) in hostile.into_iter().enumerate() {
+        handle_command(&shared, &mut st, SRC, T0, SRC as u32, e);
+        flush_frames(&shared, &mut st, SRC, T0);
+        assert_eq!(faults(), i as u64 + 1, "one fault for {e:?}");
+        assert!(shared.wires[DST].is_empty(), "{e:?} reached the wire");
+    }
+    assert!(st.tx[DST].retained.is_empty() && st.ccbs.is_empty());
+    // The same commands with every word in range are sent, unfaulted.
+    for op in [OP_PUT, OP_GET, OP_ENQ] {
+        handle_command(&shared, &mut st, SRC, T0, SRC as u32, cmd(op, 0, 1 << 32 | 1));
+    }
+    flush_frames(&shared, &mut st, SRC, T0);
+    assert_eq!(faults(), hostile.len() as u64);
+    let Some(WireMsg::Data { body, .. }) = shared.wires[DST].try_pop() else {
+        panic!("the valid commands' frame");
+    };
+    assert_eq!(body.len(), 3);
 }
 
 #[test]

@@ -67,7 +67,6 @@ pub(crate) const HOLD_WINDOW: usize = PENDING_CAP;
 pub(crate) struct CcbGet {
     pub(crate) proc: u32,
     pub(crate) laddr: u64,
-    pub(crate) nbytes: u32,
     pub(crate) lsync: Option<u32>,
 }
 
@@ -277,7 +276,7 @@ mod tests {
     fn op(tag: u64) -> Payload {
         Payload::GetReply {
             token: tag,
-            data: None,
+            data: Bytes::new(),
         }
     }
 

@@ -39,7 +39,15 @@
 //! a sequence number is applied only as the watermark passes it, which
 //! happens once; applying it applies each of its operations once; and
 //! the sender fires a frame's lsyncs (together, [`process_ack`]) only on
-//! an ack at or past its sequence. Overload never breaks that chain: a
+//! an ack at or past its sequence. The middle step rests on a premise:
+//! no user operand reaches [`crate::proxy::apply_data`] unchecked — the
+//! sending proxy checked every one where it decoded the command — so
+//! applying a frame cannot fail partway on anything a tenant chose. The
+//! premise matters because [`handle_packet`] advances the watermark, and
+//! owes the ack, *before* it applies the frame: a panic partway would
+//! leave the rest of the frame acknowledged after the restart but never
+//! applied. That order stays; the premise is the assumption it rests on.
+//! Overload never breaks that chain: a
 //! receiver applies every in-order frame it pops, and a sender that
 //! outruns it is slowed by the bounded rings behind it — the wire ring,
 //! the proxy's capped outbound stash, then the full command queues of the
@@ -85,7 +93,6 @@ pub(crate) enum Payload {
         rsync: Option<u32>,
     },
     GetReq {
-        src_asid: u32,
         dst: u32,
         raddr: u64,
         nbytes: u32,
@@ -93,7 +100,7 @@ pub(crate) enum Payload {
     },
     GetReply {
         token: u64,
-        data: Option<Bytes>,
+        data: Bytes,
     },
     Enq {
         dst: u32,
@@ -108,9 +115,10 @@ impl Payload {
     /// unit; headers and control frames count zero).
     pub(crate) fn wire_bytes(&self) -> u64 {
         match self {
-            Payload::Put { data, .. } | Payload::Enq { data, .. } => data.len() as u64,
+            Payload::Put { data, .. }
+            | Payload::Enq { data, .. }
+            | Payload::GetReply { data, .. } => data.len() as u64,
             Payload::GetReq { .. } => 0,
-            Payload::GetReply { data, .. } => data.as_ref().map_or(0, |d| d.len() as u64),
         }
     }
 }

@@ -22,7 +22,8 @@ fn mixed_ops_across_three_nodes() {
     e1.wait_flag(FlagId(1), 1);
     e2.wait_flag(FlagId(0), 1);
     assert_eq!(e2.seg().read_u64(0), 11);
-    e0.get_blocking(64, ids[2], 0, 8);
+    e0.get(64, ids[2], 0, 8, Some(FlagId(3)));
+    e0.wait_flag(FlagId(3), 1);
     assert_eq!(e0.seg().read_u64(64), 11);
     for i in 0..10u64 {
         e0.seg().write_u64(128, i);
