@@ -60,8 +60,8 @@ impl Memory {
     /// Returns [`CommError::OutOfBounds`] otherwise; `asid` is only used to
     /// label the error.
     pub fn check(&self, asid: Asid, addr: Addr, nbytes: u32) -> Result<(), CommError> {
-        let end = addr.0 + u64::from(nbytes);
-        if end > self.size() {
+        let end = addr.0.checked_add(u64::from(nbytes));
+        if end.is_none_or(|end| end > self.size()) {
             Err(CommError::OutOfBounds {
                 asid,
                 addr,
@@ -202,6 +202,16 @@ mod tests {
         let far = Addr(m.size());
         assert!(matches!(
             m.check(Asid(0), far, 1),
+            Err(CommError::OutOfBounds { .. })
+        ));
+    }
+
+    #[test]
+    fn bounds_check_rejects_a_wrapping_range() {
+        let mut m = Memory::new();
+        let _ = m.alloc(16);
+        assert!(matches!(
+            m.check(Asid(0), Addr(u64::MAX - 3), 8),
             Err(CommError::OutOfBounds { .. })
         ));
     }

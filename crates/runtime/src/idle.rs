@@ -1,10 +1,5 @@
 //! The shared adaptive idle policy: spin → yield → park.
 //!
-//! Every wait in the runtime used to carry its own hand-rolled
-//! "500 spins then `yield_now`" loop (the proxy idle scan, the command
-//! queue's backpressure spin, flag waits). They are all replaced by two
-//! primitives:
-//!
 //! * [`Backoff`] — a per-wait escalation counter: a few exponentially
 //!   growing `spin_loop` bursts (cheap, keeps the latency of the common
 //!   "data arrives within a microsecond" case), then `yield_now` (an
@@ -15,6 +10,12 @@
 //!   [`Parker::wake`]). Waits without a waker — user flag waits, whose
 //!   flags are bumped by a proxy that does not know who is watching —
 //!   simply stay in the yield phase.
+//!
+//! The proxy's idle loop skips the spin ([`Backoff::yielding`]): on a host
+//! where proxies share processors with user threads, a spinning proxy
+//! holds the processor its peer needs (EXPERIMENTS.md "The proxy's spin
+//! phase, deleted"). Untested: a processor per proxy, the paper's §4.1
+//! setting, where spinning is what polling means.
 //!
 //! Parking keeps each proxy's own §5.4 busy-fraction sampling meaningful:
 //! a parked proxy accrues no busy time *and* no longer burns a host CPU
@@ -62,18 +63,28 @@ const YIELD_LIMIT: u32 = 16;
 #[derive(Debug, Default)]
 pub struct Backoff {
     step: u32,
+    /// The step [`Backoff::reset`] returns to: 0, or past the spin phase.
+    first: u32,
 }
 
 impl Backoff {
     /// A fresh backoff at the start of its spin phase.
     #[must_use]
     pub fn new() -> Backoff {
-        Backoff { step: 0 }
+        Backoff { step: 0, first: 0 }
     }
 
-    /// Restarts the spin phase (call after the wait made progress).
+    /// A backoff without a spin phase: yield, then parkable. For the
+    /// proxy's idle loop, whose spinning would hold the processor the
+    /// thread that wakes it needs.
+    #[must_use]
+    pub fn yielding() -> Backoff {
+        Backoff { step: SPIN_LIMIT, first: SPIN_LIMIT }
+    }
+
+    /// Restarts the escalation (call after the wait made progress).
     pub fn reset(&mut self) {
-        self.step = 0;
+        self.step = self.first;
     }
 
     /// Waits a little: an exponentially growing `spin_loop` burst while
@@ -175,20 +186,33 @@ impl Parker {
 }
 
 #[cfg(test)]
+impl Parker {
+    /// True while the consumer is parked (or about to park).
+    pub(crate) fn is_parked(&self) -> bool {
+        self.state.load(Ordering::SeqCst) == PARKED
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
 
+    /// Pressed `YIELD_LIMIT` times after its first step, each backoff
+    /// turns parkable, and not a snooze earlier; `reset` restarts it.
     #[test]
     fn backoff_escalates_to_parkable() {
-        let mut b = Backoff::new();
-        assert!(!b.is_parkable());
-        for _ in 0..SPIN_LIMIT + YIELD_LIMIT {
-            b.snooze();
+        for (mut b, first) in [(Backoff::new(), 0), (Backoff::yielding(), SPIN_LIMIT)] {
+            for _ in 0..2 {
+                for _ in first..SPIN_LIMIT + YIELD_LIMIT - 1 {
+                    b.snooze();
+                }
+                assert!(!b.is_parkable(), "parkable a snooze early from {first}");
+                b.snooze();
+                assert!(b.is_parkable(), "not parkable on time from {first}");
+                b.reset();
+            }
         }
-        assert!(b.is_parkable());
-        b.reset();
-        assert!(!b.is_parkable());
     }
 
     #[test]

@@ -149,6 +149,55 @@ mod tests {
         cluster.shutdown();
     }
 
+    /// Every op arriving after the yield phase meets parked proxies: the
+    /// submission wakes the sender's, the frame the receiver's.
+    #[test]
+    fn ops_separated_by_idle_gaps_wake_parked_proxies_and_apply_once() {
+        use std::time::{Duration, Instant};
+        const ROUNDS: u64 = 8;
+        let (cluster, mut e0, e1) = two_node_pair();
+        let dst = e1.asid();
+        let both_parked = || {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !cluster.shared.parkers.iter().all(idle::Parker::is_parked) {
+                assert!(Instant::now() < deadline, "a proxy never parked");
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        };
+        let wait = |e: &Endpoint, f, n| {
+            e.wait_flag_timeout(FlagId(f), n, Duration::from_secs(10))
+                .unwrap_or_else(|err| panic!("flag {f}: {err}"));
+        };
+        for round in 1..=ROUNDS {
+            both_parked();
+            e0.seg().write_u64(0, round);
+            e0.put(0, dst, 64, 8, Some(FlagId(0)), Some(FlagId(1)));
+            wait(&e0, 0, round);
+            assert_eq!((e1.seg().read_u64(64), e1.flag(FlagId(1))), (round, round));
+            both_parked();
+            e1.seg().write_u64(128, round * 10);
+            e0.get(8, dst, 128, 8, Some(FlagId(2)));
+            wait(&e0, 2, round);
+            assert_eq!(e0.seg().read_u64(8), round * 10);
+            both_parked();
+            let word = (round * 100).to_le_bytes();
+            e0.seg().write(16, &word);
+            e0.enq(16, dst, RqId(0), 8, Some(FlagId(3)), Some(FlagId(4)));
+            wait(&e0, 3, round);
+            assert_eq!(e1.flag(FlagId(4)), round);
+            assert_eq!(e1.rq_try_recv(RqId(0)).as_deref(), Some(&word[..]));
+            assert!(e1.rq_try_recv(RqId(0)).is_none(), "ENQ applied twice");
+        }
+        let flags = |e: &Endpoint, fs: &[u32]| -> Vec<u64> {
+            fs.iter().map(|&f| e.flag(FlagId(f))).collect()
+        };
+        assert_eq!(flags(&e0, &[0, 2, 3]), [ROUNDS; 3]);
+        assert_eq!(flags(&e1, &[1, 4]), [ROUNDS; 2]);
+        assert_eq!((e0.timeouts(), e0.faults()), (0, 0));
+        let report = cluster.shutdown();
+        assert!(report.clean() && report.restarts == 0, "{report:?}");
+    }
+
     #[test]
     fn protection_faults_denied_access() {
         let (cluster, mut e0, e1) = two_node_pair();

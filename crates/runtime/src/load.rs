@@ -49,7 +49,8 @@ pub(crate) struct LoadSampler {
     since_ns: u64,
     /// Start of the last pass, if it moved work and is not charged yet.
     busy_since_ns: Option<u64>,
-    warned: bool,
+    /// What the one-time warning called the proxy, once printed.
+    pub(crate) warned: Option<&'static str>,
 }
 
 impl LoadSampler {
@@ -58,7 +59,7 @@ impl LoadSampler {
             busy_ns: 0,
             since_ns: now_ns,
             busy_since_ns: None,
-            warned: false,
+            warned: None,
         }
     }
 
@@ -98,12 +99,17 @@ impl LoadSampler {
             obs.inc(Ctr::SaturationEvents);
             obs.trace_at(now_ns, EventKind::SatEnter, node as u16, backlog as u32);
             h.saturated.store(true, Ordering::Release);
-            if !self.warned {
-                self.warned = true;
+            if self.warned.is_none() {
+                // Name the signal that tripped: a stalled or descheduled
+                // proxy trips the backlog with its utilisation low.
+                let signal = if util > STABLE_UTILIZATION {
+                    "overloaded (past the 50% stability bound, queueing delay is now unbounded)"
+                } else {
+                    "not draining its input (stalled or descheduled)"
+                };
+                self.warned = Some(signal);
                 eprintln!(
-                    "mproxy-rt: node {node} proxy overloaded ({:.0}% utilisation, \
-                     {backlog} queued) — past the 50% stability bound, queueing \
-                     delay is now unbounded",
+                    "mproxy-rt: node {node} proxy {signal}: {:.0}% utilisation, {backlog} queued",
                     util * 100.0
                 );
             }

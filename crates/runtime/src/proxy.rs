@@ -338,7 +338,7 @@ fn proxy_main(
     let ready = &*shared.ready_masks[node];
     let wire_rx = &shared.wires[node];
     let mut batch: Vec<Entry> = Vec::with_capacity(SERVICE_BURST);
-    let mut backoff = Backoff::new();
+    let mut backoff = Backoff::yielding();
     let mut stop_flush_tries = 0u32;
     loop {
         // The pass's one clock read: every phase below takes this
@@ -577,7 +577,7 @@ fn drain_wire(
     ops > 0
 }
 
-/// Idle: escalate spin → yield → park. Parking is gated on an empty
+/// Idle: escalate yield → park. Parking is gated on an empty
 /// outbound stash (stashed packets wait on a peer's ring, which sends no
 /// wake when space frees up). Unacknowledged retention does *not* block
 /// parking: the bounded park timeout re-probes often enough to serve as

@@ -278,6 +278,37 @@ fn load_sampler_charges_busy_passes_up_to_the_next_reading_and_samples_each_peri
 }
 
 #[test]
+fn overload_warning_names_the_signal_that_tripped_and_is_printed_once() {
+    let said = |load: &LoadSampler, what| load.warned.is_some_and(|w| w.starts_with(what));
+    // Busy for the whole period: utilisation crossed the bound.
+    let shared = quiesced();
+    let mut load = LoadSampler::new(0);
+    load.charge(0);
+    load.tick(&shared, SRC, SAMPLE_PERIOD_NS);
+    assert!(shared.health[SRC].saturated.load(Ordering::Acquire));
+    assert!(said(&load, "overloaded"), "{:?}", load.warned);
+    // Idle for the whole period while its input ring fills: stalled.
+    let shared = quiesced();
+    for upto in 0..200 {
+        let ack = WireMsg::AckUpto { from: DST, upto };
+        assert!(shared.wires[SRC].try_push(ack).is_ok());
+    }
+    let mut load = LoadSampler::new(0);
+    load.tick(&shared, SRC, SAMPLE_PERIOD_NS);
+    assert!(shared.health[SRC].saturated.load(Ordering::Acquire));
+    assert!(said(&load, "not draining"), "{:?}", load.warned);
+    // Once per proxy: re-entering saturation, now overloaded, keeps the
+    // first warning.
+    while shared.wires[SRC].try_pop().is_some() {}
+    load.tick(&shared, SRC, 2 * SAMPLE_PERIOD_NS);
+    assert!(!shared.health[SRC].saturated.load(Ordering::Acquire));
+    load.charge(2 * SAMPLE_PERIOD_NS);
+    load.tick(&shared, SRC, 3 * SAMPLE_PERIOD_NS);
+    assert!(shared.health[SRC].saturated.load(Ordering::Acquire));
+    assert!(said(&load, "not draining"), "{:?}", load.warned);
+}
+
+#[test]
 fn stall_fires_from_its_windows_first_ns_and_not_at_its_end() {
     const MS: u64 = 1_000_000;
     let plan = RtFaultPlan::new(0)

@@ -156,9 +156,7 @@ struct Malformed {
     lsync: u32,
     rsync: u32,
     /// The simulator's verdict, or `None` where it cannot take the
-    /// command: its flags are typed handles, so no index is out of range,
-    /// and its bounds check adds `addr + nbytes` unchecked, so a wrapping
-    /// range overflows it instead of being rejected (ROADMAP item 1).
+    /// command: its flags are typed handles, so no index is out of range.
     sim: Option<fn(&CommError) -> bool>,
 }
 
@@ -206,10 +204,12 @@ fn malformed_commands() -> Vec<Malformed> {
             },
             Malformed {
                 local: Range::Wrapping,
+                sim: Some(|e| matches!(e, CommError::OutOfBounds { .. })),
                 ..case("wrapping laddr + nbytes", get)
             },
             Malformed {
                 remote: Range::Wrapping,
+                sim: Some(|e| matches!(e, CommError::OutOfBounds { .. })),
                 ..case("wrapping raddr + nbytes", get)
             },
         ]);
@@ -249,7 +249,7 @@ fn simulator_verdict(c: &Malformed) -> Result<(), CommError> {
                 let at = |r| match r {
                     Range::Inside => buf,
                     Range::Beyond => Addr(1 << 40),
-                    Range::Wrapping => unreachable!("not a simulator case"),
+                    Range::Wrapping => Addr(u64::MAX - 3),
                 };
                 let (l, r) = (at(local), at(remote));
                 let verdict = if get {
