@@ -79,7 +79,8 @@ impl World {
 pub enum AppSize {
     /// Minimal — unit tests.
     Tiny,
-    /// Default — the benchmark harness (minutes for the full sweep).
+    /// Default — the reports under `results/` (seconds for all of them in
+    /// release).
     Small,
     /// Closest to the paper's Table 5 inputs (slow).
     Full,

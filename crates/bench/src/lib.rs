@@ -1,32 +1,33 @@
 //! # mproxy-bench — the paper's reports, and the faults to test under
 //!
-//! One binary per table/figure of the paper (see DESIGN.md's experiment
-//! index). Each prints one deterministic text report, archived under
-//! `results/` and regenerated byte for byte in CI; none takes a flag:
+//! One function per table and figure of the paper, listed once in
+//! [`reports::ALL`]; each returns a deterministic text report archived as
+//! `results/<name>.txt`. The crate's one binary, which takes no flags,
+//! rewrites every file (`cargo run --release -p mproxy-bench`), and
+//! `cargo test` compares each report with its file byte for byte:
 //!
-//! | binary | regenerates |
+//! | file | report |
 //! |---|---|
-//! | `table2_trace` | Tables 1–2: primitives and the GET/PUT critical path |
-//! | `table3_design_points` | Table 3: the six design-point parameter sets |
-//! | `table4_micro` | Table 4: micro-benchmarks vs the paper's values |
-//! | `fig7_pingpong` | Figure 7: latency/bandwidth vs message size |
-//! | `fig8_speedups` | Figure 8: application speedups, 1–16 processors |
-//! | `table6_traffic` | Table 6: message sizes, rates, interface utilisation |
-//! | `fig9_contention` | Figure 9: 4 nodes × 4 compute processors |
-//! | `sec54_contention` | §5.4: proxy-contention queueing analysis |
+//! | `table2` | Tables 1–2: primitives and the GET/PUT critical path |
+//! | `table3` | Table 3: the six design-point parameter sets |
+//! | `table4` | Table 4: micro-benchmarks vs the paper's values |
+//! | `fig7` | Figure 7: latency/bandwidth vs message size |
+//! | `fig8` | Figure 8: application speedups, 1–16 processors |
+//! | `table6` | Table 6: message sizes, rates, interface utilisation |
+//! | `fig9` | Figure 9: 4 nodes × 4 compute processors |
+//! | `sec54` | §5.4: proxy-contention queueing analysis |
 //! | `overload` | §5.4 measured: command-queue delay vs the M/M/1 curve |
-//! | `ablation_optimizations` | §4.1's three optimisation proposals, stacked on MP1 |
+//! | `ablation` | §4.1's three optimisation proposals, stacked on MP1 |
 //! | `fault_sweep`, `crash_sweep` | reliable link layer under loss and crashes |
+//! | `apps` | every application run to the bit: the identity matrix |
 //!
 //! Beside the reports: [`chaos`], the seeded kill / corrupt / stall
-//! scenarios the fault tests drive the threaded runtime with, and
-//! [`sweep`], the driver that fans independent simulations out across
-//! threads. How fast any of it runs is measured by `perfbench/`, not here.
+//! scenarios the fault tests drive the threaded runtime with. How fast
+//! any of it runs is measured by `perfbench/`, not here.
 
 pub mod chaos;
 pub mod overload;
 pub mod reports;
-pub mod sweep;
 
 /// Formats one results row: name then aligned float columns.
 #[must_use]

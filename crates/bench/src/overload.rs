@@ -1,7 +1,6 @@
 //! Overload sweep: measured proxy command-queue delay vs the §5.4
-//! contention model (`results/overload.txt`, printed by the `overload`
-//! binary and pinned byte for byte like every other report; the gate is
-//! the `quick_sweep_tracks_model_and_respects_credits` unit test below).
+//! contention model (`results/overload.txt`, [`report`]; the report
+//! itself fails if the sweep strays from the model or the credit bound).
 //!
 //! Four compute processors on one MP1 node submit PUTs toward the peer
 //! node in open loop — Poisson arrivals (exponential inter-submission
@@ -39,11 +38,11 @@ pub const SMALL_BYTES: u32 = 64;
 /// Payload of the long-service class (pinned-DMA path).
 pub const LARGE_BYTES: u32 = 4096;
 
-/// Target utilisations of the full sweep.
+/// Target utilisations of the sweep.
 pub const OVERLOAD_RHOS: [f64; 6] = [0.1, 0.2, 0.3, 0.4, 0.6, 0.8];
 
-/// Target utilisations of the quick sweep the unit test runs.
-pub const QUICK_RHOS: [f64; 3] = [0.2, 0.4, 0.7];
+/// Simulated time each sweep point submits load for, µs.
+pub const OVERLOAD_WINDOW_US: f64 = 150_000.0;
 
 /// Allowed deviation of the measured wait from the model curve in the
 /// stable regime ([`check_sweep`]).
@@ -176,7 +175,7 @@ pub fn large_fraction(small_us: f64, large_us: f64) -> f64 {
 
 /// Runs one open-loop point: four senders at exponential gaps tuned for
 /// `target_rho`, measured against the model.
-fn run_point(target_rho: f64, big_frac: f64, mean_service_us: f64, window_us: f64) -> OverloadPoint {
+fn run_point(target_rho: f64, big_frac: f64, mean_service_us: f64) -> OverloadPoint {
     let sim = Simulation::new();
     let mut spec = ClusterSpec::new(MP1, 2, OVERLOAD_SENDERS);
     spec.cmd_credits = OVERLOAD_CREDITS;
@@ -200,7 +199,7 @@ fn run_point(target_rho: f64, big_frac: f64, mean_service_us: f64, window_us: f6
         loop {
             let gap = exp_sample(&mut rng, gap_mean);
             p.ctx().delay(Dur::from_us(gap)).await;
-            if p.now().since(t0).as_us() > window_us {
+            if p.now().since(t0).as_us() > OVERLOAD_WINDOW_US {
                 break;
             }
             let bytes = if uniform(&mut rng) < big_frac {
@@ -235,17 +234,14 @@ fn run_point(target_rho: f64, big_frac: f64, mean_service_us: f64, window_us: f6
 /// Runs the overload sweep: calibrate the two service classes, solve the
 /// CV² = 1 mix, then measure every target utilisation.
 #[must_use]
-pub fn overload_sweep(quick: bool) -> OverloadSweep {
-    let (small_reps, large_reps) = if quick { (200, 100) } else { (400, 200) };
-    let small_us = calibrate_service_us(SMALL_BYTES, small_reps);
-    let large_us = calibrate_service_us(LARGE_BYTES, large_reps);
+pub fn overload_sweep() -> OverloadSweep {
+    let small_us = calibrate_service_us(SMALL_BYTES, 400);
+    let large_us = calibrate_service_us(LARGE_BYTES, 200);
     let q = large_fraction(small_us, large_us);
     let mean_service_us = (1.0 - q) * small_us + q * large_us;
-    let rhos: &[f64] = if quick { &QUICK_RHOS } else { &OVERLOAD_RHOS };
-    let window_us = if quick { 40_000.0 } else { 150_000.0 };
-    let points = rhos
+    let points = OVERLOAD_RHOS
         .iter()
-        .map(|&t| run_point(t, q, mean_service_us, window_us))
+        .map(|&t| run_point(t, q, mean_service_us))
         .collect();
     OverloadSweep {
         small_us,
@@ -289,7 +285,7 @@ pub fn check_sweep(sweep: &OverloadSweep) -> Result<(), String> {
     Ok(())
 }
 
-/// The sweep as a text table (`results/overload.txt` is the full sweep's).
+/// The sweep as a text table.
 #[must_use]
 pub fn overload_rows(sweep: &OverloadSweep) -> String {
     use std::fmt::Write as _;
@@ -331,6 +327,33 @@ pub fn overload_rows(sweep: &OverloadSweep) -> String {
     s
 }
 
+/// The overload report (`results/overload.txt`): [`overload_sweep`] as
+/// [`overload_rows`].
+///
+/// # Panics
+///
+/// Panics if the sweep fails [`check_sweep`], or if the most loaded point
+/// waits no longer than the least loaded one.
+#[must_use]
+pub fn report() -> String {
+    let sweep = overload_sweep();
+    assert!(
+        sweep.large_us > sweep.small_us,
+        "the service classes collapsed"
+    );
+    check_sweep(&sweep).unwrap_or_else(|e| panic!("{e}"));
+    // The last point must show real queueing; `check_sweep` has already
+    // held its queue, like every point's, to the credit bound.
+    let (first, last) = (&sweep.points[0], &sweep.points[sweep.points.len() - 1]);
+    assert!(
+        last.wait_us > first.wait_us,
+        "rho {:.2} waits no longer than rho {:.2}",
+        last.target_rho,
+        first.target_rho
+    );
+    overload_rows(&sweep)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -356,17 +379,5 @@ mod tests {
         let n = 20_000;
         let mean = (0..n).map(|_| exp_sample(&mut st, 10.0)).sum::<f64>() / f64::from(n);
         assert!((mean - 10.0).abs() < 0.3, "mean {mean}");
-    }
-
-    #[test]
-    fn quick_sweep_tracks_model_and_respects_credits() {
-        let sweep = overload_sweep(true);
-        assert!(sweep.large_us > sweep.small_us);
-        check_sweep(&sweep).unwrap();
-        // The rho-0.7 point must show real queueing (wait well above the
-        // stable-regime points) without the queue outgrowing the bound.
-        let last = sweep.points.last().unwrap();
-        assert!(last.wait_us > sweep.points[0].wait_us);
-        assert!(last.queue_peak <= last.credit_bound);
     }
 }

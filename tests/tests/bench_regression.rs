@@ -1,30 +1,139 @@
 //! Regression gates for the benchmark reports and the simulator's
-//! timer and polling machinery.
+//! timer machinery.
 //!
 //! The checked-in `results/*.txt` files are the ground truth for the
-//! paper reproduction: every engine change must reproduce them byte for
-//! byte, whether the report is generated serially, a second time in the
-//! same process, or through the parallel sweep driver.
+//! paper reproduction: every report in `reports::ALL` must come back byte
+//! for byte. One test per report compares it with its file; the reports
+//! too slow in a debug build for one test (`reports::Sliced`) get one
+//! test per application, each against its slice of the file. Cargo runs
+//! these tests on parallel threads, so they also show that simulations
+//! running side by side share no state.
+
+use std::fs;
+use std::path::{Path, PathBuf};
 
 use mproxy::micro::pingpong_verified;
-use mproxy::FaultPlan;
-use mproxy_apps::{run_app, run_app_faulty, run_app_flat, AppId, AppSize};
-use mproxy_bench::reports;
-use mproxy_model::{HW1, MP1, SW1};
+use mproxy_apps::AppId;
+use mproxy_bench::reports::{self, Sliced};
+use mproxy_model::MP1;
 
-const FIG7_EXPECTED: &str = include_str!("../../results/fig7.txt");
-const FAULT_SWEEP_EXPECTED: &str = include_str!("../../results/fault_sweep.txt");
-const CRASH_SWEEP_EXPECTED: &str = include_str!("../../results/crash_sweep.txt");
+fn results_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../results")
+}
+
+fn checked_in(name: &str) -> String {
+    let path = results_dir().join(format!("{name}.txt"));
+    fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// Asserts that `got` is `results/<name>.txt` byte for byte.
+fn check(name: &str, got: &str) {
+    assert!(
+        got == checked_in(name),
+        "{name} drifted from results/{name}.txt"
+    );
+}
+
+/// Asserts that `app`'s slice of `report` is its lines of
+/// `results/<name>.txt`, and that the file is the report's head, one slice
+/// of that many lines per application, and its tail.
+fn check_slice(name: &str, report: &Sliced, app: AppId) {
+    let file = checked_in(name);
+    let lines: Vec<&str> = file.split_inclusive('\n').collect();
+    let (head, tail) = ((report.head)(), (report.tail)());
+    assert!(file.starts_with(&head), "{name}: head drifted");
+    assert!(file.ends_with(&tail), "{name}: tail drifted");
+    let got = (report.slice)(app);
+    let count = |s: &str| s.split_inclusive('\n').count();
+    let (h, k) = (count(&head), count(&got));
+    assert_eq!(
+        lines.len(),
+        h + report.apps.len() * k + count(&tail),
+        "{name}: not one {k}-line slice per application"
+    );
+    let i = report
+        .apps
+        .iter()
+        .position(|&a| a == app)
+        .expect("app has a slice");
+    assert!(
+        lines[h + i * k..h + (i + 1) * k].concat() == got,
+        "{name}: {}'s slice drifted",
+        app.name()
+    );
+}
+
+#[test]
+fn every_report_has_a_file_and_every_file_a_report() {
+    let mut files: Vec<String> = fs::read_dir(results_dir())
+        .expect("results/ is readable")
+        .map(|e| {
+            e.expect("results/ entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    files.sort();
+    let mut names: Vec<String> = reports::ALL
+        .iter()
+        .map(|(n, _)| format!("{n}.txt"))
+        .collect();
+    names.sort();
+    assert_eq!(
+        names, files,
+        "reports::ALL and results/ list different reports"
+    );
+}
+
+#[test]
+fn table2_report_matches_checked_in_results() {
+    check("table2", &reports::table2());
+}
+
+#[test]
+fn table3_report_matches_checked_in_results() {
+    check("table3", &reports::table3());
+}
+
+#[test]
+fn table4_report_matches_checked_in_results() {
+    check("table4", &reports::table4());
+}
+
+#[test]
+fn fig7_report_matches_checked_in_results() {
+    let first = reports::fig7();
+    check("fig7", &first);
+    assert!(first == reports::fig7(), "fig7 not repeatable in-process");
+}
+
+#[test]
+fn sec54_report_matches_checked_in_results() {
+    check("sec54", &reports::sec54());
+}
+
+#[test]
+fn overload_report_matches_checked_in_results() {
+    // The report fails on its own if the stable points stray from the
+    // M/M/1 curve, a queue outgrows its credit bound, or the most loaded
+    // point waits no longer than the least.
+    check("overload", &mproxy_bench::overload::report());
+}
+
+#[test]
+fn ablation_report_matches_checked_in_results() {
+    check("ablation", &reports::ablation());
+}
 
 #[test]
 fn fault_sweep_report_matches_checked_in_results() {
-    let first = reports::fault_sweep_report();
+    let first = reports::fault_sweep();
+    check("fault_sweep", &first);
     assert!(
-        first == FAULT_SWEEP_EXPECTED,
-        "fault sweep drifted from results/fault_sweep.txt"
+        first == reports::fault_sweep(),
+        "fault sweep not repeatable in-process"
     );
-    let second = reports::fault_sweep_report();
-    assert!(first == second, "fault sweep not repeatable in-process");
 }
 
 #[test]
@@ -32,46 +141,57 @@ fn crash_sweep_report_matches_checked_in_results() {
     // The report itself asserts zero-loss recovery, EpochReset fail-stop
     // and run-to-run determinism; the byte comparison pins epochs,
     // sequence watermarks and recovery statistics across engine changes.
-    let first = reports::crash_sweep_report();
+    let first = reports::crash_sweep();
+    check("crash_sweep", &first);
     assert!(
-        first == CRASH_SWEEP_EXPECTED,
-        "crash sweep drifted from results/crash_sweep.txt"
-    );
-    let second = reports::crash_sweep_report();
-    assert!(first == second, "crash sweep not repeatable in-process");
-}
-
-#[test]
-fn parallel_crash_sweep_is_byte_identical_to_serial() {
-    let parallel = reports::crash_sweep_report_parallel(2);
-    assert!(
-        parallel == CRASH_SWEEP_EXPECTED,
-        "parallel crash sweep drifted from results/crash_sweep.txt"
+        first == reports::crash_sweep(),
+        "crash sweep not repeatable in-process"
     );
 }
 
-#[test]
-fn fig7_report_matches_checked_in_results() {
-    let first = reports::fig7_report();
-    assert!(
-        first == FIG7_EXPECTED,
-        "fig7 drifted from results/fig7.txt"
-    );
-    let second = reports::fig7_report();
-    assert!(first == second, "fig7 not repeatable in-process");
+/// One test per application of a [`Sliced`] report.
+macro_rules! slice_tests {
+    ($name:literal, $report:ident: $($test:ident => $app:ident),* $(,)?) => {
+        $(
+            #[test]
+            fn $test() {
+                check_slice($name, &reports::$report, AppId::$app);
+            }
+        )*
+    };
 }
 
-#[test]
-fn parallel_fig7_is_byte_identical_to_serial() {
-    // Two workers on the twelve (protocol, design-point) sections: the
-    // driver must reassemble them in submission order regardless of
-    // which thread finishes first.
-    let parallel = reports::fig7_report_parallel(2);
-    assert!(
-        parallel == FIG7_EXPECTED,
-        "parallel fig7 drifted from results/fig7.txt"
-    );
-}
+slice_tests!("fig8", FIG8:
+    fig8_moldy => Moldy, fig8_lu => Lu, fig8_barnes => Barnes, fig8_water => Water,
+    fig8_mm => Mm, fig8_fft => Fft, fig8_sample => Sample, fig8_sampleb => Sampleb,
+    fig8_pray => PRay, fig8_wator => Wator,
+);
+
+slice_tests!("table6", TABLE6:
+    table6_moldy => Moldy, table6_lu => Lu, table6_barnes => Barnes, table6_water => Water,
+    table6_mm => Mm, table6_fft => Fft, table6_sample => Sample, table6_sampleb => Sampleb,
+    table6_pray => PRay, table6_wator => Wator,
+);
+
+slice_tests!("fig9", FIG9:
+    fig9_lu => Lu, fig9_barnes => Barnes, fig9_water => Water, fig9_sample => Sample,
+    fig9_wator => Wator,
+);
+
+// The identity matrix. Its rows include the six runs once pinned here
+// one by one, each a path that wakes a polling process from another
+// task: engine deliveries and flag sets (LU on HW1, Barnes-Hut on SW1,
+// Wator on MP1, all 8x1), shared-memory PUT and ENQ into a co-located
+// process (FFT on MP1, 4x2), interrupts that queue for a polling
+// process's processor (LU on SW1, 4x2), and retransmission and poisoning
+// under faults (Water on MP1, 4x1, under the stall plan). The report
+// asserts that every run completes cleanly and elides more polls than it
+// runs events.
+slice_tests!("apps", APPS:
+    apps_moldy => Moldy, apps_lu => Lu, apps_barnes => Barnes, apps_water => Water,
+    apps_mm => Mm, apps_fft => Fft, apps_sample => Sample, apps_sampleb => Sampleb,
+    apps_pray => PRay, apps_wator => Wator,
+);
 
 #[test]
 fn fault_sweep_arms_far_more_timers_than_it_fires() {
@@ -104,79 +224,4 @@ fn fault_sweep_arms_far_more_timers_than_it_fires() {
         t.timers_cancelled,
         t.timers_armed
     );
-}
-
-#[test]
-fn elided_polls_leave_application_runs_bit_identical() {
-    // Recorded with one calendar event per empty poll: the event count
-    // that loop ran, and its simulated time and answer to the bit. The
-    // executor now skips the polls that could only miss, so the events
-    // it runs plus the polls it elided must come to the same count. Each
-    // path that wakes a polling process from another task is here: engine
-    // deliveries and flag sets (all), shared-memory PUT and ENQ into a
-    // co-located process (FFT, 4×2), interrupts that queue for a polling
-    // process's processor (LU on SW1, 4×2), and retransmission and
-    // poisoning under faults (Water).
-    let cases = [
-        (
-            "LU on HW1",
-            run_app_flat(AppId::Lu, HW1, 8, AppSize::Tiny),
-            296_055,
-            0x40a2_3d28_f5c2_8f5c_u64,
-            0x40a0_3f7d_0000_0000_u64,
-        ),
-        (
-            "Barnes-Hut on SW1",
-            run_app_flat(AppId::Barnes, SW1, 8, AppSize::Tiny),
-            823_963,
-            0x40c8_6514_7ae1_47ae,
-            0x40a9_e195_0000_0000,
-        ),
-        (
-            "Wator on MP1",
-            run_app_flat(AppId::Wator, MP1, 8, AppSize::Tiny),
-            339_605,
-            0x40aa_5a21_47ae_147b,
-            0x408a_03e4_0000_0000,
-        ),
-        (
-            "FFT on MP1, 4x2",
-            run_app(AppId::Fft, MP1, 4, 2, AppSize::Tiny),
-            209_242,
-            0x4094_f22e_147a_e148,
-            0x405c_0000_0000_0000,
-        ),
-        (
-            "LU on SW1, 4x2",
-            run_app(AppId::Lu, SW1, 4, 2, AppSize::Tiny),
-            480_067,
-            0x40b3_0039_5810_624e,
-            0x40a0_3f7d_0000_0000,
-        ),
-        (
-            "Water on MP1, faulty",
-            run_app_faulty(
-                AppId::Water,
-                MP1,
-                4,
-                1,
-                AppSize::Tiny,
-                FaultPlan::new(4).drop(0.01).stall(1, 50.0, 400.0),
-            ),
-            113_736,
-            0x40a1_884a_3d70_a3d7,
-            0x405c_7b40_0000_0000,
-        ),
-    ];
-    for (at, run, events, elapsed_us, checksum) in cases {
-        assert!(run.sim.completed_cleanly(), "{at}");
-        assert_eq!(
-            run.sim.events + run.sim.polls_elided,
-            events,
-            "{at}: events"
-        );
-        assert!(run.sim.polls_elided > run.sim.events, "{at}: polls elided");
-        assert_eq!(run.elapsed_us.to_bits(), elapsed_us, "{at}: elapsed");
-        assert_eq!(run.checksum.to_bits(), checksum, "{at}: checksum");
-    }
 }
