@@ -17,7 +17,6 @@ use crate::cluster::{
 use crate::endpoint::Endpoint;
 use crate::fault::{RtFaultPlan, RtFaultState};
 use crate::idle::Parker;
-use crate::load::ProxyHealth;
 use crate::mem::Segment;
 use crate::proxy::{run_proxy, Seat, SeatEntry, SupervisorCfg};
 use crate::ring::Ring;
@@ -154,9 +153,7 @@ impl RtClusterBuilder {
             epochs: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             panic_reasons: (0..nodes).map(|_| Mutex::new(None)).collect(),
             ready_masks: (0..nodes).map(|_| Arc::new(AtomicU64::new(0))).collect(),
-            health: (0..nodes)
-                .map(|_| Arc::new(ProxyHealth::default()))
-                .collect(),
+            util_bits: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             faults: self.fault_plan.map(|plan| RtFaultState::new(plan, nodes)),
             supervision: self.supervision,
             started: now,

@@ -66,7 +66,6 @@ use mproxy_obs::{Ctr, ObsHub, Scope as ObsScope, Snapshot, TraceEvent};
 
 use crate::fault::{RtFaultCounts, RtFaultState};
 use crate::idle::Parker;
-use crate::load::ProxyHealth;
 use crate::mem::Segment;
 use crate::proxy::SupervisorCfg;
 use crate::ring::Ring;
@@ -83,11 +82,6 @@ pub const CMDQ_DEPTH: usize = 128;
 pub const WIRE_DEPTH: usize = 512;
 /// Reply ring depth per remote queue (payloads queued for a user process).
 pub const RQ_DEPTH: usize = 256;
-
-/// Utilisation below which a saturated proxy is considered recovered.
-/// Sits under [`mproxy_model::contention::STABLE_UTILIZATION`] so the flag doesn't flap when load
-/// hovers at the §5.4 bound.
-pub const RECOVERY_UTILIZATION: f64 = 0.4;
 
 /// Default deadline for [`RtCluster::shutdown`] (and `Drop`): a wedged
 /// proxy thread is reported and detached rather than joined past this.
@@ -222,7 +216,8 @@ pub(crate) struct Shared {
     /// The §4.1 ready-bit word per node (shared with the endpoints). A
     /// queue's bit is its index among its node's queues.
     pub(crate) ready_masks: Vec<Arc<AtomicU64>>,
-    pub(crate) health: Vec<Arc<ProxyHealth>>, // per node
+    /// Per node: bits of the proxy's last utilisation sample (an `f64`).
+    pub(crate) util_bits: Vec<AtomicU64>,
     /// The installed fault injector, if any.
     pub(crate) faults: Option<RtFaultState>,
     /// Supervision policy; `None` means a dead proxy is condemned at once.
@@ -362,19 +357,11 @@ impl RtCluster {
     /// than idle-polling, in `[0, 1]`. Zero until the first sample lands.
     #[must_use]
     pub fn utilization(&self, node: usize) -> f64 {
-        f64::from_bits(self.shared.health[node].util_bits.load(Ordering::Relaxed))
+        f64::from_bits(self.shared.util_bits[node].load(Ordering::Relaxed))
     }
 
-    /// True while node `node`'s proxy sits above the paper's stable
-    /// utilisation bound (§5.4: past 50% the M/M/1 queueing delay grows
-    /// without bound). Clears once utilisation falls back under
-    /// [`RECOVERY_UTILIZATION`].
-    #[must_use]
-    pub fn saturated(&self, node: usize) -> bool {
-        self.shared.health[node].saturated.load(Ordering::Acquire)
-    }
-
-    /// Number of times node `node`'s proxy has crossed into saturation.
+    /// Number of times node `node`'s proxy has crossed into saturation
+    /// (past the §5.4 stable utilisation bound, or its wire backing up).
     #[must_use]
     pub fn saturation_events(&self, node: usize) -> u64 {
         self.shared.obs[node].get(Ctr::SaturationEvents)

@@ -93,8 +93,7 @@ mod wire;
 
 pub use builder::RtClusterBuilder;
 pub use cluster::{
-    ProxyPanic, RtCluster, ShutdownReport, CMDQ_DEPTH, NUM_FLAGS, NUM_QUEUES, RECOVERY_UTILIZATION,
-    RQ_DEPTH, WIRE_DEPTH,
+    ProxyPanic, RtCluster, ShutdownReport, CMDQ_DEPTH, NUM_FLAGS, NUM_QUEUES, RQ_DEPTH, WIRE_DEPTH,
 };
 pub use endpoint::{Endpoint, FlagId, RqId, RtError};
 pub use fault::{RtFaultCounts, RtFaultPlan, RtKill, RtStall};

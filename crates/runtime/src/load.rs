@@ -2,12 +2,12 @@
 //! paper's §5.4 stability bound, on the loop's one clock (cluster-relative
 //! ns, read once per pass by [`crate::proxy`]).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 
 use mproxy_model::contention::STABLE_UTILIZATION;
 use mproxy_obs::{Ctr, EventKind, HistId};
 
-use crate::cluster::{Shared, RECOVERY_UTILIZATION};
+use crate::cluster::Shared;
 
 /// Shortest window a utilisation sample covers, in ns. A busy proxy
 /// samples at the first pass past it; a parked one wakes every
@@ -19,17 +19,10 @@ pub(crate) const SAMPLE_PERIOD_NS: u64 = 1_000_000;
 /// only under half of it.
 const SATURATION_BACKLOG: usize = 128;
 
-/// Per-node overload state, written by the node's proxy, read by anyone.
-/// (How often it crossed into saturation is the node's
-/// `Ctr::SaturationEvents` counter.)
-#[derive(Debug, Default)]
-pub(crate) struct ProxyHealth {
-    /// Bits of the proxy's last utilisation sample (an `f64`).
-    pub(crate) util_bits: AtomicU64,
-    /// Set while the sampled utilisation sits above [`STABLE_UTILIZATION`];
-    /// cleared once it falls back under [`RECOVERY_UTILIZATION`].
-    pub(crate) saturated: AtomicBool,
-}
+/// Utilisation below which a saturated proxy is considered recovered.
+/// Sits under [`STABLE_UTILIZATION`] so the flag does not flap when load
+/// hovers at the §5.4 bound.
+const RECOVERY_UTILIZATION: f64 = 0.4;
 
 /// A proxy's own load meter. The service loop calls [`LoadSampler::tick`]
 /// with its reading at the top of every pass and marks each pass that
@@ -40,8 +33,10 @@ pub(crate) struct ProxyHealth {
 /// §5.4 stability rule — a proxy above [`STABLE_UTILIZATION`] has
 /// unbounded expected queueing delay, so it is flagged saturated (with a
 /// one-time warning) until the load falls back under
-/// [`RECOVERY_UTILIZATION`]. Idle polling is charged to nobody, exactly
-/// like the simulator's per-node busy counter.
+/// [`RECOVERY_UTILIZATION`]. Each crossing is counted
+/// (`Ctr::SaturationEvents`) and traced (`SatEnter`), each recovery
+/// traced (`SatExit`). Idle polling is charged to nobody, exactly like
+/// the simulator's per-node busy counter.
 pub(crate) struct LoadSampler {
     /// Nanoseconds spent servicing work since the last sample.
     busy_ns: u64,
@@ -51,6 +46,8 @@ pub(crate) struct LoadSampler {
     busy_since_ns: Option<u64>,
     /// What the one-time warning called the proxy, once printed.
     pub(crate) warned: Option<&'static str>,
+    /// Set on a crossing into saturation, cleared on recovery.
+    pub(crate) saturated: bool,
 }
 
 impl LoadSampler {
@@ -60,6 +57,7 @@ impl LoadSampler {
             since_ns: now_ns,
             busy_since_ns: None,
             warned: None,
+            saturated: false,
         }
     }
 
@@ -82,8 +80,7 @@ impl LoadSampler {
         self.since_ns = now_ns;
         let util = (self.busy_ns as f64 / wall as f64).min(1.0);
         self.busy_ns = 0;
-        let h = &shared.health[node];
-        h.util_bits.store(util.to_bits(), Ordering::Relaxed);
+        shared.util_bits[node].store(util.to_bits(), Ordering::Relaxed);
         let obs = &shared.obs[node];
         // Busy fraction as permille, one sample per window.
         obs.record(HistId::BusyPermille, (util * 1000.0) as u64);
@@ -94,11 +91,10 @@ impl LoadSampler {
         // of the same instability and is immune to scheduler noise, so
         // either one trips the flag.
         let backlog = shared.wires[node].len();
-        let was = h.saturated.load(Ordering::Relaxed);
-        if !was && (util > STABLE_UTILIZATION || backlog > SATURATION_BACKLOG) {
+        if !self.saturated && (util > STABLE_UTILIZATION || backlog > SATURATION_BACKLOG) {
             obs.inc(Ctr::SaturationEvents);
             obs.trace_at(now_ns, EventKind::SatEnter, node as u16, backlog as u32);
-            h.saturated.store(true, Ordering::Release);
+            self.saturated = true;
             if self.warned.is_none() {
                 // Name the signal that tripped: a stalled or descheduled
                 // proxy trips the backlog with its utilisation low.
@@ -113,9 +109,10 @@ impl LoadSampler {
                     util * 100.0
                 );
             }
-        } else if was && util < RECOVERY_UTILIZATION && backlog < SATURATION_BACKLOG / 2 {
+        } else if self.saturated && util < RECOVERY_UTILIZATION && backlog < SATURATION_BACKLOG / 2
+        {
             obs.trace_at(now_ns, EventKind::SatExit, node as u16, backlog as u32);
-            h.saturated.store(false, Ordering::Release);
+            self.saturated = false;
         }
     }
 }

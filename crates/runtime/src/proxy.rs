@@ -8,6 +8,9 @@
 //! drains are what put operations on
 //! the wire, and each ends by closing the frames it opened
 //! ([`crate::wire::flush_frames`]), so a frame never outlives its pass.
+//! A command whose destination cannot take more ([`held`]) waits at the
+//! head of its submitter's ring, so backpressure stops at the resource
+//! that is full: only that submitter waits.
 //! [`handle_command`] executes a local user's command and [`apply_data`]
 //! a remote one. Every user operand is checked in one place, the sending
 //! proxy's [`handle_command`], where the command is decoded — never in
@@ -30,8 +33,8 @@ use crate::ring::Ring;
 use crate::spsc::{self, Entry};
 use crate::state::{CcbGet, NodeState, PendingEnq};
 use crate::wire::{
-    abandon_all_held, flush_acks, flush_frames, flush_pending, handle_packet, push_wire,
-    retransmit, send_data, Payload, WireMsg,
+    abandon_all_held, flush_acks, flush_frames, flush_pending, handle_packet, retransmit,
+    send_data, Payload, WireMsg,
 };
 
 /// One command-queue consumer held by a node's proxy, tagged with the
@@ -52,13 +55,14 @@ pub(crate) type Seat = Vec<SeatEntry>;
 /// load sampling run — an overloaded proxy must keep reaching them.
 const SERVICE_BURST: usize = 2 * CMDQ_DEPTH;
 
-/// Outbound frames a proxy holds privately (its wire rings to peers all
-/// full) before it stops draining command queues; the bounded command
-/// rings then backpressure the user processes, so total occupancy per
-/// node stays bounded by `CMDQ_DEPTH·procs` commands plus
-/// `WIRE_DEPTH + PENDING_CAP` frames of at most
-/// [`crate::state::FRAME_CAP`] operations each (plus retention, which
-/// drains as fast as peers acknowledge).
+/// Closed frames a proxy keeps unsent for one peer (its wire ring full)
+/// before commands addressed to that peer wait in their submitters'
+/// rings, and owed same-node ENQ deliveries before ENQs to this node
+/// wait ([`held`]). The bounded command rings then backpressure those
+/// submitters alone, so what commands put in flight towards a peer
+/// stays bounded by its `WIRE_DEPTH` ring plus `PENDING_CAP` unsent
+/// frames of at most [`crate::state::FRAME_CAP`] operations each (plus
+/// sent retention, which drains as fast as the peer acknowledges).
 pub(crate) const PENDING_CAP: usize = 2 * WIRE_DEPTH;
 
 /// Longest a parked proxy sleeps before re-probing its queues (a missed
@@ -130,30 +134,15 @@ pub(crate) fn apply_data(
             ref data,
             rsync,
         } => {
+            // FIFO per node: anything already owed goes first.
             let data = data.clone();
-            // FIFO per queue: anything already owed goes first.
-            if !st.pending_rq.is_empty() {
-                st.pending_rq.push_back(PendingEnq {
-                    dst,
-                    rq,
-                    data,
-                    rsync,
-                });
-                return;
-            }
-            match shared.procs[dst as usize].queues[rq as usize].try_push(data) {
-                Ok(()) => {
-                    if let Some(f) = rsync {
-                        shared.set_flag(dst, f);
-                    }
-                }
-                Err(data) => st.pending_rq.push_back(PendingEnq {
-                    dst,
-                    rq,
-                    data,
-                    rsync,
-                }),
-            }
+            st.pending_rq.push_back(PendingEnq {
+                dst,
+                rq,
+                data,
+                rsync,
+            });
+            flush_pending(shared, st);
         }
     }
 }
@@ -337,7 +326,6 @@ fn proxy_main(
     let parker = &shared.parkers[node];
     let ready = &*shared.ready_masks[node];
     let wire_rx = &shared.wires[node];
-    let mut batch: Vec<Entry> = Vec::with_capacity(SERVICE_BURST);
     let mut backoff = Backoff::yielding();
     let mut stop_flush_tries = 0u32;
     loop {
@@ -352,18 +340,13 @@ fn proxy_main(
         if shared.any_condemned.load(Ordering::Acquire) {
             purge_condemned(shared, st, node);
         }
-        // Stashed outbound packets go first: per-destination FIFO.
         let mut progressed = flush_pending(shared, st);
-        // While the outbound stash is deep the command drain pauses (the
-        // ready bits stay set), so the bounded command rings backpressure
-        // users and per-node occupancy stays bounded.
-        if st.backlogged() < PENDING_CAP {
-            progressed |= drain_commands(shared, st, node, now_ns, seat, ready, &mut batch);
-            flush_frames(shared, st, node, now_ns);
-        }
+        progressed |= drain_commands(shared, st, node, now_ns, seat, ready);
+        // The command frames, behind what earlier passes left unsent.
+        progressed |= flush_frames(shared, st, node, now_ns);
         progressed |= drain_wire(shared, st, node, now_ns, wire_rx);
-        // The GET replies the two wire phases produced.
-        flush_frames(shared, st, node, now_ns);
+        // The GET replies the wire drain produced.
+        progressed |= flush_frames(shared, st, node, now_ns);
         // Reliability upkeep: retransmit overdue retention, then emit the
         // acks and nacks this pass accumulated. Neither counts as
         // progress — an idle-but-unacked sender must still reach the
@@ -380,8 +363,8 @@ fn proxy_main(
             // Final drain pass (ready bits may have raced with stop).
             let drained = seat.iter().all(|e| !e.q.is_ready());
             if drained && wire_rx.is_empty() {
-                // Exit only once nothing is owed: no stashed output, and
-                // no unacknowledged frames towards live peers (their
+                // Exit only once nothing is owed: nothing unsent, and no
+                // unacknowledged frames towards live peers (their
                 // acks are what release our retention — and our lsyncs).
                 let unacked = st.tx.iter().enumerate().any(|(d, tx)| {
                     !tx.retained.is_empty() && !shared.condemned[d].load(Ordering::Relaxed)
@@ -453,7 +436,6 @@ fn purge_condemned(shared: &Shared, st: &mut NodeState, node: usize) {
         if dst == node || !shared.condemned[dst].load(Ordering::Relaxed) {
             continue;
         }
-        st.pending_wire[dst].clear();
         let NodeState { tx, rx, ccbs, .. } = &mut *st;
         let tx = &mut tx[dst];
         // (`open` is empty between passes unless the loop died
@@ -465,6 +447,10 @@ fn purge_condemned(shared: &Shared, st: &mut NodeState, node: usize) {
             }
         }
         tx.retained.reset(tx.retained.last() + 1);
+        tx.sent = tx.retained.last();
+        tx.hello = None;
+        // Nobody drains its ring: what it is owed is owed to no one.
+        (rx[dst].ack_pending, rx[dst].nack_pending) = (false, false);
         tx.open.clear();
         tx.lsyncs.clear();
         tx.resync_hint = false;
@@ -475,12 +461,12 @@ fn purge_condemned(shared: &Shared, st: &mut NodeState, node: usize) {
     }
 }
 
-/// A restarted proxy owes its peers a Hello on its new `epoch` (and owes
-/// itself a retransmission pass — peers may have acked frames the wire
-/// lost while the node was down).
+/// A restarted proxy owes its peers a Hello on its new `epoch`, pushed
+/// ahead of any unsent frame ([`crate::wire::pump`]), and owes itself a
+/// retransmission pass — peers may have acked frames the wire lost while
+/// the node was down.
 fn say_hello(shared: &Shared, st: &mut NodeState, node: usize, epoch: u64) {
-    let obs = &shared.obs[node];
-    obs.trace(EventKind::Hello, node as u16, epoch as u32);
+    shared.obs[node].trace(EventKind::Hello, node as u16, epoch as u32);
     for dst in 0..shared.wires.len() {
         if dst == node {
             continue;
@@ -489,19 +475,29 @@ fn say_hello(shared: &Shared, st: &mut NodeState, node: usize, epoch: u64) {
         if shared.condemned[dst].load(Ordering::Relaxed) {
             continue;
         }
-        obs.inc(Ctr::HellosOut);
-        push_wire(
-            shared,
-            &mut st.pending_wire[dst],
-            dst,
-            WireMsg::Hello { from: node, epoch },
-        );
+        st.tx[dst].hello = Some(epoch);
     }
 }
 
+/// True while command `e` must wait at the head of its ring: its
+/// destination node has [`PENDING_CAP`] closed frames from this node not
+/// yet on its ring, or it is an ENQ to a process on this node and
+/// [`PENDING_CAP`] deliveries here are already owed. A command naming no
+/// process is never held: [`handle_command`] faults it.
+fn held(shared: &Shared, st: &NodeState, node: usize, e: &Entry) -> bool {
+    let Some(dst) = shared.procs.get((e.args[2] >> 32) as usize) else {
+        return false;
+    };
+    if e.op == OP_ENQ && dst.node == node && st.pending_rq.len() >= PENDING_CAP {
+        return true;
+    }
+    st.tx[dst.node].unsent() >= PENDING_CAP
+}
+
 /// User command queues: consult the §4.1 ready-bit vector, then drain a
-/// burst from each queue whose bit was set. True if any command was
-/// taken.
+/// burst from each queue whose bit was set, stopping early at a command
+/// that is [`held`] — it stays at the head of its ring, and the other
+/// queues are still served. True if any command was taken.
 #[inline]
 fn drain_commands(
     shared: &Shared,
@@ -510,7 +506,6 @@ fn drain_commands(
     now_ns: u64,
     seat: &mut [SeatEntry],
     ready: &AtomicU64,
-    batch: &mut Vec<Entry>,
 ) -> bool {
     let mask = ready.swap(0, Ordering::Acquire);
     if mask == 0 {
@@ -522,10 +517,14 @@ fn drain_commands(
         if mask & bit == 0 {
             continue;
         }
-        let taken = e.q.pop_burst(batch, SERVICE_BURST);
         let src = e.asid;
         let obs = &shared.obs[node];
-        for entry in batch.drain(..) {
+        let mut taken = 0;
+        while taken < SERVICE_BURST {
+            let Some(entry) = e.q.pop_unless(|c| held(shared, st, node, c)) else {
+                break;
+            };
+            taken += 1;
             // Command-queue wait: submit stamp → this drain. `t_ns == 0`
             // means the entry was unstamped (not a sampled submission).
             if entry.t_ns != 0 {
@@ -541,8 +540,8 @@ fn drain_commands(
             progressed = true;
         }
         if e.q.is_ready() {
-            // Entries remain past the burst; re-arm the bit so the next
-            // scan comes back.
+            // Entries remain past the burst, or one is held; re-arm the
+            // bit so the next scan comes back.
             ready.fetch_or(bit, Ordering::Release);
         }
     }
@@ -552,9 +551,10 @@ fn drain_commands(
 /// Network input, burst-bounded (in operations, whatever the frames'
 /// sizes) like the command queues: a flooded wire refills faster than it
 /// drains, and this must not become the whole pass. Every frame popped is
-/// handled; a sender that outruns this finds the ring full and stashes,
-/// and past [`PENDING_CAP`] stops draining its own command queues. True
-/// if anything was serviced.
+/// handled; a sender that outruns this finds the ring full and keeps its
+/// frames in retention, unsent, and past [`PENDING_CAP`] of them holds
+/// the commands addressed to this node in their rings. True if anything
+/// was serviced.
 #[inline]
 fn drain_wire(
     shared: &Shared,
@@ -577,11 +577,11 @@ fn drain_wire(
     ops > 0
 }
 
-/// Idle: escalate yield → park. Parking is gated on an empty
-/// outbound stash (stashed packets wait on a peer's ring, which sends no
-/// wake when space frees up). Unacknowledged retention does *not* block
-/// parking: the bounded park timeout re-probes often enough to serve as
-/// the RTO clock.
+/// Idle: escalate yield → park. Parking is gated on an empty outbox
+/// ([`NodeState::outbox_empty`]: unsent frames and refused acks wait on a
+/// peer's ring, which sends no wake when space frees up). Unacknowledged
+/// retention does *not* block parking: the bounded park timeout re-probes
+/// often enough to serve as the RTO clock.
 #[inline]
 fn idle(
     shared: &Shared,

@@ -8,8 +8,10 @@
 use super::*;
 use crate::fault::RtFaultState;
 use crate::load::SAMPLE_PERIOD_NS;
+use crate::state::Lsync;
 use crate::wire::RTO_NS;
 use crate::{RtClusterBuilder, RtFaultPlan};
+use mproxy_model::fate::Fate;
 use std::sync::Arc;
 
 const SRC: usize = 0;
@@ -68,6 +70,32 @@ fn get_req(st: &mut NodeState) -> Payload {
 
 fn flag(shared: &Shared, flag: u32) -> u64 {
     shared.procs[SRC].flags[flag as usize].load(Ordering::Acquire)
+}
+
+/// Fills `node`'s wire ring with acks until it refuses one.
+fn fill(shared: &Shared, node: usize) {
+    let filler = || WireMsg::AckUpto {
+        from: node,
+        upto: 0,
+    };
+    while shared.wires[node].try_push(filler()).is_ok() {}
+}
+
+/// Empties `node`'s wire ring.
+fn drain(shared: &Shared, node: usize) -> Vec<WireMsg> {
+    std::iter::from_fn(|| shared.wires[node].try_pop()).collect()
+}
+
+/// Closes one frame of one PUT towards `DST` under `fate`, leaving it to
+/// the next pump.
+fn close(st: &mut NodeState, tag: u8, fate: Fate) {
+    let tx = &mut st.tx[DST];
+    let lsync = Lsync {
+        flag: None,
+        submit_ns: 0,
+    };
+    assert!(!tx.append(put(tag), lsync));
+    assert!(tx.close_frame(T0, fate).is_some());
 }
 
 #[test]
@@ -250,12 +278,161 @@ fn retention_is_resent_exactly_once_when_the_rto_expires_and_not_a_ns_before() {
 }
 
 #[test]
+fn frames_a_full_ring_refuses_wait_in_retention_and_leave_in_sequence_under_their_verdicts() {
+    let shared = quiesced();
+    let mut src = node_state();
+    fill(&shared, DST);
+    let verdict = |drop, duplicate, corrupt| Fate {
+        drop,
+        duplicate,
+        corrupt,
+        ..Fate::default()
+    };
+    let fates = [
+        Fate::default(),
+        verdict(true, false, false),
+        verdict(false, true, false),
+        verdict(false, false, true),
+        Fate::default(),
+    ];
+    for (tag, fate) in (1..).zip(fates) {
+        close(&mut src, tag, fate);
+    }
+    assert!(
+        !flush_frames(&shared, &mut src, SRC, T0),
+        "the ring is full"
+    );
+    assert_eq!(src.tx[DST].unsent(), fates.len());
+    assert!(
+        !src.outbox_empty(),
+        "unsent frames keep the proxy from parking"
+    );
+
+    // Room for one frame: the RTO has expired, but a retransmission must
+    // not take it ahead of the frames' first transmissions.
+    assert!(shared.wires[DST].try_pop().is_some());
+    retransmit(&shared, &mut src, SRC, T0 + RTO_NS);
+    assert_eq!(shared.obs[SRC].get(Ctr::Retransmits), 0);
+    assert_eq!(shared.wires[DST].len(), shared.wires[DST].capacity() - 1);
+
+    // The ring drains: each frame leaves once, in sequence, as its
+    // verdict says — the dropped one never, the duplicated one twice.
+    drain(&shared, DST);
+    assert!(flush_frames(&shared, &mut src, SRC, T0));
+    assert!(!flush_frames(&shared, &mut src, SRC, T0), "nothing twice");
+    let wire: Vec<(u64, bool)> = drain(&shared, DST)
+        .into_iter()
+        .map(|m| match m {
+            WireMsg::Data { seq, corrupt, .. } => (seq, corrupt),
+            other => panic!("unexpected {other:?}"),
+        })
+        .collect();
+    assert_eq!(
+        wire,
+        [(1, false), (3, false), (3, false), (4, true), (5, false)]
+    );
+    assert!(src.outbox_empty());
+    assert_eq!(
+        src.tx[DST].retained.len(),
+        fates.len(),
+        "retained until acked"
+    );
+}
+
+/// Sends one PUT from `src` to `dst` and delivers its frame.
+fn deliver(shared: &Shared, src: &mut NodeState, dst: &mut NodeState, tag: u8) {
+    send_data(shared, src, SRC, T0, DST, put(tag), None, 0);
+    flush_frames(shared, src, SRC, T0);
+    let frame = shared.wires[DST].try_pop().expect("the frame");
+    assert_eq!(handle_packet(shared, dst, DST, T0, frame), 1);
+}
+
+#[test]
+fn an_ack_a_full_ring_refuses_goes_on_the_next_pass_with_the_newer_watermark() {
+    let shared = quiesced();
+    let (mut src, mut dst) = (node_state(), node_state());
+    deliver(&shared, &mut src, &mut dst, 1);
+    fill(&shared, SRC);
+    flush_acks(&shared, &mut dst, DST);
+    assert!(dst.rx[SRC].ack_pending, "still owed");
+    assert!(
+        !dst.outbox_empty(),
+        "an owed ack keeps the proxy from parking"
+    );
+    assert_eq!(shared.obs[DST].get(Ctr::AcksOut), 0);
+
+    deliver(&shared, &mut src, &mut dst, 2);
+    drain(&shared, SRC);
+    flush_acks(&shared, &mut dst, DST);
+    let acks = drain(&shared, SRC);
+    let [WireMsg::AckUpto { upto: 2, .. }] = acks[..] else {
+        panic!("one ack of both frames, got {acks:?}");
+    };
+    assert!(dst.outbox_empty());
+    assert_eq!(shared.obs[DST].get(Ctr::AcksOut), 1);
+    let ack = acks.into_iter().next().expect("the ack");
+    handle_packet(&shared, &mut src, SRC, T0, ack);
+    assert!(src.tx[DST].retained.is_empty());
+}
+
+#[test]
+fn a_command_to_a_backlogged_peer_waits_in_its_ring_while_other_queues_are_served() {
+    let shared = quiesced();
+    let mut st = node_state();
+    fill(&shared, DST);
+    for i in 0..PENDING_CAP {
+        close(&mut st, i as u8, Fate::default());
+    }
+    assert!(!flush_frames(&shared, &mut st, SRC, T0));
+    // Two queues of process SRC: a PUT to DST's process, one to itself.
+    let cmd = |dst: usize| Entry {
+        op: OP_PUT,
+        args: [0, 0, (dst as u64) << 32 | 8, 0],
+        t_ns: 0,
+    };
+    let (mut to_peer, q0) = spsc::channel(CMDQ_DEPTH);
+    let (mut to_self, q1) = spsc::channel(CMDQ_DEPTH);
+    assert!(to_peer.try_send(cmd(DST)) && to_self.try_send(cmd(SRC)));
+    let asid = SRC as u32;
+    let mut seat = [
+        SeatEntry {
+            asid,
+            qbit: 0,
+            q: q0,
+        },
+        SeatEntry {
+            asid,
+            qbit: 1,
+            q: q1,
+        },
+    ];
+    let ready = AtomicU64::new(0b11);
+    assert!(drain_commands(&shared, &mut st, SRC, T0, &mut seat, &ready));
+    assert!(
+        seat[0].q.is_ready(),
+        "the held command is still at its head"
+    );
+    assert!(!seat[1].q.is_ready(), "the other queue was served");
+    assert_eq!(ready.load(Ordering::Relaxed), 0b01, "the held bit re-armed");
+    assert_eq!(st.tx[DST].unsent(), PENDING_CAP);
+    assert!(flush_frames(&shared, &mut st, SRC, T0));
+    assert!(matches!(drain(&shared, SRC)[..], [WireMsg::Data { .. }]));
+
+    // The peer's ring drains: the held command goes.
+    drain(&shared, DST);
+    assert!(flush_frames(&shared, &mut st, SRC, T0));
+    assert!(st.tx[DST].unsent() < PENDING_CAP);
+    assert!(drain_commands(&shared, &mut st, SRC, T0, &mut seat, &ready));
+    assert!(!seat[0].q.is_ready());
+}
+
+#[test]
 fn load_sampler_charges_busy_passes_up_to_the_next_reading_and_samples_each_period() {
     let shared = quiesced();
-    let h = &shared.health[SRC];
-    let util = || f64::from_bits(h.util_bits.load(Ordering::Relaxed));
+    let bits = &shared.util_bits[SRC];
+    let util = || f64::from_bits(bits.load(Ordering::Relaxed));
     let unsampled = f64::to_bits(-1.0);
-    h.util_bits.store(unsampled, Ordering::Relaxed);
+    bits.store(unsampled, Ordering::Relaxed);
     let mut load = LoadSampler::new(0);
     // A busy pass at 0, an idle one at 100 µs, a busy one at 900 µs.
     load.tick(&shared, SRC, 0);
@@ -270,7 +447,7 @@ fn load_sampler_charges_busy_passes_up_to_the_next_reading_and_samples_each_peri
     // between them, nothing.
     assert_eq!(util(), 199_999.0 / SAMPLE_PERIOD_NS as f64);
     // The next window starts at the sample and holds nothing busy.
-    h.util_bits.store(unsampled, Ordering::Relaxed);
+    bits.store(unsampled, Ordering::Relaxed);
     load.tick(&shared, SRC, 2 * SAMPLE_PERIOD_NS - 1);
     assert_eq!(util(), -1.0);
     load.tick(&shared, SRC, 2 * SAMPLE_PERIOD_NS);
@@ -285,7 +462,7 @@ fn overload_warning_names_the_signal_that_tripped_and_is_printed_once() {
     let mut load = LoadSampler::new(0);
     load.charge(0);
     load.tick(&shared, SRC, SAMPLE_PERIOD_NS);
-    assert!(shared.health[SRC].saturated.load(Ordering::Acquire));
+    assert!(load.saturated);
     assert!(said(&load, "overloaded"), "{:?}", load.warned);
     // Idle for the whole period while its input ring fills: stalled.
     let shared = quiesced();
@@ -295,16 +472,16 @@ fn overload_warning_names_the_signal_that_tripped_and_is_printed_once() {
     }
     let mut load = LoadSampler::new(0);
     load.tick(&shared, SRC, SAMPLE_PERIOD_NS);
-    assert!(shared.health[SRC].saturated.load(Ordering::Acquire));
+    assert!(load.saturated);
     assert!(said(&load, "not draining"), "{:?}", load.warned);
     // Once per proxy: re-entering saturation, now overloaded, keeps the
     // first warning.
     while shared.wires[SRC].try_pop().is_some() {}
     load.tick(&shared, SRC, 2 * SAMPLE_PERIOD_NS);
-    assert!(!shared.health[SRC].saturated.load(Ordering::Acquire));
+    assert!(!load.saturated);
     load.charge(2 * SAMPLE_PERIOD_NS);
     load.tick(&shared, SRC, 3 * SAMPLE_PERIOD_NS);
-    assert!(shared.health[SRC].saturated.load(Ordering::Acquire));
+    assert!(load.saturated);
     assert!(said(&load, "not draining"), "{:?}", load.warned);
 }
 

@@ -158,6 +158,13 @@ impl Consumer {
     /// Polls the queue head: one acquire load when empty (the probe the
     /// polling-delay model charges `C` for).
     pub fn try_recv(&mut self) -> Option<Entry> {
+        self.pop_unless(|_| false)
+    }
+
+    /// Takes the head entry unless `hold` refuses it, in which case it
+    /// stays at the head — the producer cannot overwrite a full slot —
+    /// and the next pop sees it unchanged. `None` when empty or held.
+    pub fn pop_unless(&mut self, hold: impl FnOnce(&Entry) -> bool) -> Option<Entry> {
         let slot = &self.ring.slots[self.tail];
         if slot.valid.load(Ordering::Acquire) == 0 {
             return None;
@@ -172,6 +179,9 @@ impl Consumer {
             ],
             t_ns: slot.t_ns.load(Ordering::Relaxed),
         };
+        if hold(&e) {
+            return None;
+        }
         // Return the slot to the producer.
         slot.valid.store(0, Ordering::Release);
         self.tail = (self.tail + 1) % self.ring.slots.len();
@@ -180,7 +190,7 @@ impl Consumer {
 
     /// Drains up to `max` entries into `out` (appending), returning how
     /// many were taken. One acquire probe per entry plus one when the
-    /// queue runs dry — the batched drain the proxy loop is built on.
+    /// queue runs dry. (The proxy drains with [`Consumer::pop_unless`].)
     pub fn pop_burst(&mut self, out: &mut Vec<Entry>, max: usize) -> usize {
         let mut taken = 0;
         while taken < max {
@@ -292,6 +302,33 @@ mod tests {
                 ..Entry::default()
         }));
         assert_eq!(rx.try_recv().unwrap().op, 9);
+    }
+
+    #[test]
+    fn held_entry_stays_at_the_head_unchanged() {
+        let (mut tx, mut rx) = channel(2);
+        let first = Entry {
+            op: 7,
+            args: [1, 2, 3, 4],
+            t_ns: 5,
+        };
+        assert!(tx.try_send(first));
+        assert!(tx.try_send(Entry::default()));
+        let mut seen = None;
+        assert!(rx
+            .pop_unless(|e| {
+                seen = Some(*e);
+                true
+            })
+            .is_none());
+        assert_eq!(seen, Some(first), "the hold sees the head");
+        assert!(
+            rx.is_ready() && !tx.try_send(Entry::default()),
+            "still full"
+        );
+        assert_eq!(rx.try_recv(), Some(first));
+        assert_eq!(rx.try_recv(), Some(Entry::default()));
+        assert!(rx.pop_unless(|_| false).is_none());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! retention buffers, parked frames and CCBs the dead one held:
 //! [`NodeState`], and the two halves of each sequenced
 //! stream it keeps per peer node — [`TxPeer`] (sender: the open frame,
-//! retention, NACKed sequences) and [`RxPeer`] (receiver: the reorder
-//! buffer and what the next ack owes).
+//! retention, which is also the peer's outbound queue, NACKed sequences)
+//! and [`RxPeer`] (receiver: the reorder buffer and what the next ack
+//! owes).
 //!
 //! The sequencing itself — numbering, retention until the cumulative ack,
 //! the in-order watermark and the bounded reorder buffer — is
@@ -27,10 +28,11 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
+use mproxy_model::fate::Fate;
 use mproxy_model::link::{Reorder, Retention};
 
 use crate::proxy::PENDING_CAP;
-use crate::wire::{Frame, Payload, WireMsg};
+use crate::wire::{Frame, Payload};
 
 /// Most operations one frame carries. A frame also closes, however few it
 /// holds, at the end of the service phase that opened it, so this only
@@ -70,14 +72,17 @@ pub(crate) struct CcbGet {
     pub(crate) lsync: Option<u32>,
 }
 
-/// A retained (sent, unacknowledged) frame; its sequence number is its
+/// A retained (closed, unacknowledged) frame; its sequence number is its
 /// place in [`TxPeer::retained`]. What each of its operations owes its
 /// submitter on acknowledgement is in [`TxPeer::lsyncs`].
 pub(crate) struct Retained {
     pub(crate) body: Frame,
-    /// First-transmission time (cluster-relative ns) — the wire-RTT
-    /// histogram measures from here to the releasing ack.
+    /// Close time (cluster-relative ns) — the wire-RTT histogram measures
+    /// from here to the releasing ack.
     pub(crate) sent_ns: u64,
+    /// The injector's verdict on its first transmission, applied by
+    /// [`crate::wire::pump`]; a retransmission draws its own.
+    pub(crate) fate: Fate,
 }
 
 /// What the sender owes one operation's submitter once the frame that
@@ -103,11 +108,15 @@ pub(crate) struct TxPeer {
     pub(crate) open: Vec<Payload>,
     /// Payload bytes the open frame carries so far.
     pub(crate) open_bytes: u64,
-    /// Sent-but-unacknowledged frames, in sequence order. Unbounded by
-    /// type, bounded in practice by what the peer's wire ring and this
-    /// node's capped outbound stash let through before the command drain
-    /// pauses; it drains as fast as the receiver applies.
+    /// Closed, unacknowledged frames in sequence order: the peer's one
+    /// outbound queue. Those past [`TxPeer::sent`] are not on its ring yet
+    /// ([`crate::proxy::held`] caps them); sent ones drain as fast as the
+    /// receiver applies.
     pub(crate) retained: Retention<Retained>,
+    /// Highest sequence pushed to the peer's ring, or skipped as dropped.
+    pub(crate) sent: u64,
+    /// A respawn's Hello (its epoch), owed ahead of any unsent frame.
+    pub(crate) hello: Option<u64>,
     /// One entry per operation of every retained frame, oldest first,
     /// then one per operation of the open frame: frame `r` of `retained`
     /// owns the next `r.body.len()` of them.
@@ -130,6 +139,8 @@ impl TxPeer {
             open: Vec::with_capacity(FRAME_CAP),
             open_bytes: 0,
             retained: Retention::new(),
+            sent: 0,
+            hello: None,
             lsyncs: VecDeque::new(),
             last_progress_ns: now_ns,
             resync_hint: false,
@@ -147,11 +158,16 @@ impl TxPeer {
         self.open.len() == FRAME_CAP || self.open_bytes >= FRAME_BYTES
     }
 
+    /// Closed frames not yet on the peer's ring.
+    pub(crate) fn unsent(&self) -> usize {
+        (self.retained.last() - self.sent) as usize
+    }
+
     /// Closes the open frame — the only place this driver consumes a
     /// sequence number and fills a retention slot: its operations become
-    /// one shared slice, retained under the next sequence number. Returns
-    /// what to transmit; `None` when nothing was open.
-    pub(crate) fn close_frame(&mut self, now_ns: u64) -> Option<(u64, Frame)> {
+    /// one shared slice, retained under the next sequence number with its
+    /// verdict `fate`. Returns both; `None` when nothing was open.
+    pub(crate) fn close_frame(&mut self, now_ns: u64, fate: Fate) -> Option<(u64, Frame)> {
         if self.open.is_empty() {
             return None;
         }
@@ -165,6 +181,7 @@ impl TxPeer {
         let seq = self.retained.push(Retained {
             body: Arc::clone(&body),
             sent_ns: now_ns,
+            fate,
         });
         Some((seq, body))
     }
@@ -177,9 +194,10 @@ pub(crate) struct RxPeer {
     /// parked frames survive a proxy respawn; they stay in the sender's
     /// retention (the cumulative ack does not cover them) until applied.
     pub(crate) order: Reorder<Frame>,
-    /// An ack should go out this pass.
+    /// An ack is owed (a full ring leaves it owed; the one that goes
+    /// carries the watermark of then).
     pub(crate) ack_pending: bool,
-    /// A nack should go out this pass.
+    /// A nack is owed, on the same terms.
     pub(crate) nack_pending: bool,
 }
 
@@ -211,18 +229,14 @@ pub(crate) struct PendingEnq {
 }
 
 /// Everything a node's proxy knows that must survive a panic of its
-/// service loop: protocol watermarks, retention buffers, CCBs, stashed
-/// undeliverable output. Owned by the node's proxy thread
-/// ([`crate::proxy::run_proxy`]).
+/// service loop: protocol watermarks, retention buffers (with what has
+/// not reached each peer's ring yet), CCBs, owed deliveries. Owned by the
+/// node's proxy thread ([`crate::proxy::run_proxy`]).
 pub(crate) struct NodeState {
     pub(crate) next_token: u64,
     pub(crate) ccbs: HashMap<u64, CcbGet>,
     pub(crate) tx: Vec<TxPeer>,
     pub(crate) rx: Vec<RxPeer>,
-    /// Outbound frames whose destination ring was full, per node.
-    /// Flushed in FIFO order before anything new is pushed, so per-pair
-    /// wire order is preserved. Holds control frames too.
-    pub(crate) pending_wire: Vec<VecDeque<WireMsg>>,
     /// Accepted local deliveries whose reply ring was full.
     pub(crate) pending_rq: VecDeque<PendingEnq>,
     pub(crate) ticks: ObsTicks,
@@ -252,19 +266,20 @@ impl NodeState {
             ccbs: HashMap::new(),
             tx: (0..nodes).map(|_| TxPeer::new(now_ns)).collect(),
             rx: (0..nodes).map(|_| RxPeer::new()).collect(),
-            pending_wire: (0..nodes).map(|_| VecDeque::new()).collect(),
             pending_rq: VecDeque::new(),
             ticks: ObsTicks::default(),
         }
     }
 
-    /// Outbound frames stashed because their destination rings were full.
-    pub(crate) fn backlogged(&self) -> usize {
-        self.pending_wire.iter().map(VecDeque::len).sum::<usize>() + self.pending_rq.len()
-    }
-
+    /// Nothing is owed that only a retry can deliver: no unsent frame or
+    /// Hello, no refused ack or nack, no undelivered ENQ.
     pub(crate) fn outbox_empty(&self) -> bool {
-        self.pending_rq.is_empty() && self.pending_wire.iter().all(VecDeque::is_empty)
+        self.pending_rq.is_empty()
+            && self
+                .tx
+                .iter()
+                .all(|tx| tx.unsent() == 0 && tx.hello.is_none())
+            && self.rx.iter().all(|rx| !rx.ack_pending && !rx.nack_pending)
     }
 }
 
@@ -307,21 +322,24 @@ mod tests {
     #[test]
     fn open_frame_fills_at_the_cap_and_closes_under_one_sequence() {
         let mut tx = TxPeer::new(0);
-        assert!(tx.close_frame(0).is_none(), "nothing open");
+        assert!(tx.close_frame(0, Fate::default()).is_none(), "nothing open");
         assert_eq!(tx.retained.last(), 0, "an empty close consumes no sequence");
         for i in 1..=FRAME_CAP as u64 {
             let full = tx.append(op(i), lsync(1));
             assert_eq!(full, i == FRAME_CAP as u64, "op {i}");
         }
-        let (seq, body) = tx.close_frame(7).expect("a full frame");
+        let (seq, body) = tx.close_frame(7, Fate::default()).expect("a full frame");
         assert_eq!((seq, body.len()), (1, FRAME_CAP));
         assert!(tx.open.is_empty());
         assert_eq!(tx.last_progress_ns, 7, "retention went non-empty");
         // One operation alone is a frame too, under the next sequence.
         assert!(!tx.append(op(99), lsync(2)));
-        let (seq, one) = tx.close_frame(9).expect("a frame of one");
+        let (seq, one) = tx.close_frame(9, Fate::default()).expect("a frame of one");
         assert_eq!((seq, tag(&one)), (2, 99));
-        assert_eq!(tx.last_progress_ns, 7, "only the ack watermark moves it now");
+        assert_eq!(
+            tx.last_progress_ns, 7,
+            "only the ack watermark moves it now"
+        );
         // Retention shares the allocation that went to the wire, and
         // owes one lsync entry per operation, in order.
         let seqs: Vec<u64> = tx.retained.iter().map(|(seq, _)| seq).collect();
@@ -347,14 +365,16 @@ mod tests {
         };
         // A bulk operation fills a frame by itself.
         assert!(tx.append(put(FRAME_BYTES), lsync(1)));
-        let (seq, body) = tx.close_frame(0).expect("a frame of one");
+        let (seq, body) = tx.close_frame(0, Fate::default()).expect("a frame of one");
         assert_eq!((seq, body.len()), (1, 1));
         // Operations that carry nothing weigh nothing; the one that
         // brings the frame to the cap is its last.
         assert!(!tx.append(op(7), lsync(1)));
         assert!(!tx.append(put(FRAME_BYTES - 1), lsync(1)));
         assert!(tx.append(put(1), lsync(1)));
-        let (seq, body) = tx.close_frame(0).expect("a frame of three");
+        let (seq, body) = tx
+            .close_frame(0, Fate::default())
+            .expect("a frame of three");
         assert_eq!((seq, body.len()), (2, 3));
         // The next frame starts from nothing.
         assert_eq!(tx.open_bytes, 0);

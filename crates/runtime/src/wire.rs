@@ -13,7 +13,11 @@
 //! ([`flush_frames`], right after the command drain and again after the
 //! wire drain), so a frame never outlives the pass that opened it and an
 //! operation submitted alone leaves at once as a frame of one — there is
-//! no flush timer and no unbatched path.
+//! no flush timer and no unbatched path. Each peer has one outbound
+//! queue, its retention: a closed frame is retained once, and [`pump`]
+//! alone decides what first reaches the peer's ring — a respawn's Hello,
+//! then the unsent frames in sequence, as far as the ring takes them;
+//! [`retransmit`] re-sends only what has been sent.
 //!
 //! Everything the protocol does, it does once per frame. A frame from
 //! node `s` to node `d` carries one per-pair monotone sequence number,
@@ -49,16 +53,17 @@
 //! applied. That order stays; the premise is the assumption it rests on.
 //! Overload never breaks that chain: a
 //! receiver applies every in-order frame it pops, and a sender that
-//! outruns it is slowed by the bounded rings behind it — the wire ring,
-//! the proxy's capped outbound stash, then the full command queues of the
-//! submitting processes.
+//! outruns it is slowed by the bounded queues behind it — the wire ring,
+//! then the frames retained unsent for that peer (past
+//! [`crate::proxy::PENDING_CAP`] of them, commands addressed to it wait),
+//! then the full command queues of the processes submitting to it. Only
+//! they wait: commands to other peers are served.
 //!
 //! This module holds the frames and the functions that move them; the
 //! per-stream state they act on ([`crate::state::TxPeer`], [`RxPeer`]) is in
 //! [`crate::state`], the sequencing under it in [`mproxy_model::link`],
 //! and what a delivered operation *does* is [`crate::proxy::apply_data`].
 
-use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -176,72 +181,29 @@ pub(crate) fn abandon_all_held(shared: &Shared, st: &mut NodeState, node: usize)
     shared.obs[node].add(Ctr::DamagedDrops, parked);
 }
 
-/// Pushes one wire frame towards `dst`, stashing it in the caller's
-/// pending queue if the ring is full or earlier frames are already
-/// stashed (FIFO per destination).
-pub(crate) fn push_wire(shared: &Shared, pending: &mut VecDeque<WireMsg>, dst: usize, msg: WireMsg) {
-    if !pending.is_empty() {
-        pending.push_back(msg);
-        return;
+/// Offers one frame to `dst`'s ring, waking its proxy if it took it.
+fn offer(shared: &Shared, dst: usize, msg: WireMsg) -> bool {
+    let taken = shared.wires[dst].try_push(msg).is_ok();
+    if taken {
+        shared.parkers[dst].wake();
     }
-    match shared.wires[dst].try_push(msg) {
-        Ok(()) => shared.parkers[dst].wake(),
-        Err(back) => pending.push_back(back),
-    }
+    taken
 }
 
-/// Retries stashed outbound frames and owed local deliveries; true if
-/// any progress was made. Pending output towards a condemned node is
-/// discarded — nobody will ever drain that ring.
+/// Makes the owed local deliveries, in order, until a reply ring
+/// refuses one; true if any was made.
 pub(crate) fn flush_pending(shared: &Shared, st: &mut NodeState) -> bool {
     let mut progressed = false;
-    for (dst, q) in st.pending_wire.iter_mut().enumerate() {
-        if q.is_empty() {
-            continue;
-        }
-        if shared.condemned[dst].load(Ordering::Relaxed) {
-            q.clear();
-            continue;
-        }
-        let mut pushed = false;
-        while let Some(m) = q.pop_front() {
-            match shared.wires[dst].try_push(m) {
-                Ok(()) => pushed = true,
-                Err(back) => {
-                    q.push_front(back);
-                    break;
-                }
-            }
-        }
-        if pushed {
-            shared.parkers[dst].wake();
-            progressed = true;
-        }
-    }
     while let Some(p) = st.pending_rq.pop_front() {
-        let PendingEnq {
-            dst,
-            rq,
-            data,
-            rsync,
-        } = p;
-        match shared.procs[dst as usize].queues[rq as usize].try_push(data) {
-            Ok(()) => {
-                if let Some(f) = rsync {
-                    shared.set_flag(dst, f);
-                }
-                progressed = true;
-            }
-            Err(data) => {
-                st.pending_rq.push_front(PendingEnq {
-                    dst,
-                    rq,
-                    data,
-                    rsync,
-                });
-                break;
-            }
+        let queue = &shared.procs[p.dst as usize].queues[p.rq as usize];
+        if let Err(data) = queue.try_push(p.data) {
+            st.pending_rq.push_front(PendingEnq { data, ..p });
+            break;
         }
+        if let Some(f) = p.rsync {
+            shared.set_flag(p.dst, f);
+        }
+        progressed = true;
     }
     progressed
 }
@@ -304,18 +266,20 @@ pub(crate) fn send_data(
 }
 
 /// Ends a service phase: every frame the phase opened leaves now, however
-/// few operations it holds.
-pub(crate) fn flush_frames(shared: &Shared, st: &mut NodeState, node: usize, now_ns: u64) {
+/// few operations it holds, and every peer is pumped. True if anything
+/// reached a ring.
+pub(crate) fn flush_frames(shared: &Shared, st: &mut NodeState, node: usize, now_ns: u64) -> bool {
+    let mut pushed = false;
     for dst in 0..st.tx.len() {
-        transmit_frame(shared, st, node, now_ns, dst, Fate::default());
+        pushed |= transmit_frame(shared, st, node, now_ns, dst, Fate::default());
     }
+    pushed
 }
 
 /// Closes `node`'s open frame towards `dst`, if there is one
 /// ([`crate::state::TxPeer::close_frame`]: one sequence number, one
-/// retention slot), and transmits it under `fate` (drop / duplicate /
-/// corrupt) — which touches the transmission, never the retained copy
-/// that retransmission re-sends.
+/// retention slot, retained with its verdict `fate`), then pumps `dst`.
+/// True if anything reached its ring.
 fn transmit_frame(
     shared: &Shared,
     st: &mut NodeState,
@@ -323,42 +287,90 @@ fn transmit_frame(
     now_ns: u64,
     dst: usize,
     fate: Fate,
-) {
-    let Some((seq, body)) = st.tx[dst].close_frame(now_ns) else {
-        return; // nothing open towards `dst`
-    };
-    let obs = &shared.obs[node];
-    obs.inc(Ctr::FramesOut);
-    obs.add(Ctr::MsgsOut, body.len() as u64);
-    obs.add(Ctr::BytesOut, frame_bytes(&body));
-    if faulted(fate) {
-        obs.inc(Ctr::FaultsInjected);
-        let kind = if fate.drop {
-            EventKind::FaultDrop
-        } else if fate.corrupt {
-            EventKind::FaultCorrupt
-        } else {
-            EventKind::FaultDup
-        };
-        obs.trace_at(now_ns, kind, dst as u16, seq as u32);
-        if fate.drop {
-            return; // retention + NACK or RTO recover it
+) -> bool {
+    if let Some((seq, body)) = st.tx[dst].close_frame(now_ns, fate) {
+        let obs = &shared.obs[node];
+        obs.inc(Ctr::FramesOut);
+        obs.add(Ctr::MsgsOut, body.len() as u64);
+        obs.add(Ctr::BytesOut, frame_bytes(&body));
+        if faulted(fate) {
+            obs.inc(Ctr::FaultsInjected);
+            let kind = if fate.drop {
+                EventKind::FaultDrop
+            } else if fate.corrupt {
+                EventKind::FaultCorrupt
+            } else {
+                EventKind::FaultDup
+            };
+            obs.trace_at(now_ns, kind, dst as u16, seq as u32);
         }
     }
-    if sampled(&mut st.ticks.send) {
-        obs.trace_at(now_ns, EventKind::Send, dst as u16, seq as u32);
+    pump(shared, st, node, now_ns, dst)
+}
+
+/// Pushes what `node` owes peer `dst`, in order, until its ring refuses:
+/// a respawn's Hello, then every frame past the `TxPeer::sent` cursor
+/// under the verdict it drew when it closed (a dropped one is skipped:
+/// retention and a NACK or the RTO recover it). What the ring refuses
+/// waits for the next pump. True if anything was pushed.
+pub(crate) fn pump(
+    shared: &Shared,
+    st: &mut NodeState,
+    node: usize,
+    now_ns: u64,
+    dst: usize,
+) -> bool {
+    let NodeState { tx, ticks, .. } = st;
+    let tx = &mut tx[dst];
+    if let Some(epoch) = tx.hello {
+        if !offer(shared, dst, WireMsg::Hello { from: node, epoch }) {
+            return false;
+        }
+        tx.hello = None;
+        shared.obs[node].inc(Ctr::HellosOut);
     }
-    let frame = |body| WireMsg::Data {
+    let mut pushed = false;
+    while tx.sent < tx.retained.last() {
+        let seq = tx.sent + 1;
+        // A peer acknowledges only what reached its ring, so every frame
+        // past the cursor is still retained.
+        let r = tx.retained.get(seq).expect("unsent frames are retained");
+        if !r.fate.drop {
+            if !push_frame(shared, node, dst, seq, &r.body, r.fate) {
+                break;
+            }
+            pushed = true;
+            if sampled(&mut ticks.send) {
+                shared.obs[node].trace_at(now_ns, EventKind::Send, dst as u16, seq as u32);
+            }
+        }
+        tx.sent = seq;
+    }
+    pushed
+}
+
+/// Pushes frame `seq` of `node` onto `dst`'s ring under `fate`: flagged
+/// if corrupt, twice if duplicated (a second copy the ring refuses is a
+/// duplicate not made). False if the ring refused the frame itself.
+fn push_frame(
+    shared: &Shared,
+    node: usize,
+    dst: usize,
+    seq: u64,
+    body: &Frame,
+    fate: Fate,
+) -> bool {
+    let copy = || WireMsg::Data {
         from: node,
         seq,
         corrupt: fate.corrupt,
-        body,
+        body: Arc::clone(body),
     };
-    let pending = &mut st.pending_wire[dst];
-    if fate.duplicate {
-        push_wire(shared, pending, dst, frame(Arc::clone(&body)));
+    let pushed = offer(shared, dst, copy());
+    if pushed && fate.duplicate {
+        offer(shared, dst, copy());
     }
-    push_wire(shared, pending, dst, frame(body));
+    pushed
 }
 
 /// Consumes one cumulative acknowledgement from `from`: advances the
@@ -533,9 +545,8 @@ fn resend<'a>(
     frames: impl Iterator<Item = (u64, &'a Retained)>,
 ) {
     let obs = &shared.obs[node];
-    let mut pushed = false;
     let mut resent = 0u32;
-    'frames: for (seq, r) in frames {
+    for (seq, r) in frames {
         let fate = judge(shared, node);
         if faulted(fate) {
             obs.inc(Ctr::FaultsInjected);
@@ -543,26 +554,14 @@ fn resend<'a>(
         if fate.drop {
             continue; // the *retransmit* was dropped; a later pass retries
         }
-        for _ in 0..1 + u32::from(fate.duplicate) {
-            let frame = WireMsg::Data {
-                from: node,
-                seq,
-                corrupt: fate.corrupt,
-                body: Arc::clone(&r.body),
-            };
-            if shared.wires[dst].try_push(frame).is_err() {
-                break 'frames;
-            }
-            pushed = true;
+        if !push_frame(shared, node, dst, seq, &r.body, fate) {
+            break;
         }
         resent += 1;
     }
     if resent > 0 {
         obs.add(Ctr::Retransmits, u64::from(resent));
         obs.trace_at(now_ns, EventKind::Retransmit, dst as u16, resent);
-    }
-    if pushed {
-        shared.parkers[dst].wake();
     }
 }
 
@@ -572,20 +571,19 @@ fn resend<'a>(
 /// receiver's state is unknown, so assume nothing arrived. Otherwise the
 /// frames the receiver's latest NACK named are re-sent, and only those:
 /// everything else in flight is parked at the receiver, waiting for
-/// them. Frames go straight to the destination ring (never the pending
-/// stash — retransmits are redundant by design; the stash must stay
-/// FIFO-clean for new traffic).
+/// them. Frames go straight to the destination ring, and only once
+/// nothing is owed there first: retransmits are redundant by design,
+/// and a peer whose ring refused a first transmission would refuse them
+/// too.
 pub(crate) fn retransmit(shared: &Shared, st: &mut NodeState, node: usize, now_ns: u64) {
-    let NodeState {
-        tx, pending_wire, ..
-    } = st;
-    for (dst, tx) in tx.iter_mut().enumerate() {
+    for (dst, tx) in st.tx.iter_mut().enumerate() {
         if tx.retained.is_empty() {
             tx.resync_hint = false;
             tx.nacked.clear();
             continue;
         }
-        if !pending_wire[dst].is_empty() || shared.condemned[dst].load(Ordering::Relaxed) {
+        let owed = tx.unsent() > 0 || tx.hello.is_some();
+        if owed || shared.condemned[dst].load(Ordering::Relaxed) {
             continue;
         }
         if tx.resync_hint || now_ns.saturating_sub(tx.last_progress_ns) >= RTO_NS {
@@ -611,42 +609,38 @@ pub(crate) fn retransmit(shared: &Shared, st: &mut NodeState, node: usize, now_n
     }
 }
 
-/// Emits the acknowledgement state accumulated this pass: one cumulative
+/// Emits the acknowledgement state owed: one cumulative
 /// [`WireMsg::AckUpto`] per source that delivered anything (or sent a
 /// duplicate), one [`WireMsg::Nack`] per source whose watermark is stuck
-/// behind a gap or a corrupt frame and that sent anything this pass,
-/// naming exactly the sequences still missing.
+/// behind a gap or a corrupt frame and that sent anything, naming exactly
+/// the sequences still missing. One a full ring refuses stays owed in its
+/// [`RxPeer`] flag and goes on a later pass with the watermark of then.
 pub(crate) fn flush_acks(shared: &Shared, st: &mut NodeState, node: usize) {
-    let NodeState {
-        rx, pending_wire, ..
-    } = st;
     let obs = &shared.obs[node];
-    for (src, rx) in rx.iter_mut().enumerate() {
-        if std::mem::take(&mut rx.ack_pending) {
-            obs.inc(Ctr::AcksOut);
-            push_wire(
-                shared,
-                &mut pending_wire[src],
-                src,
-                WireMsg::AckUpto {
-                    from: node,
-                    upto: rx.order.delivered(),
-                },
-            );
-        }
+    for (src, rx) in st.rx.iter_mut().enumerate() {
         // A gap that closed later in the same pass owes nothing.
-        if std::mem::take(&mut rx.nack_pending) && rx.order.span() > 0 {
-            obs.inc(Ctr::NacksOut);
-            push_wire(
-                shared,
-                &mut pending_wire[src],
-                src,
-                WireMsg::Nack {
-                    from: node,
-                    since: rx.order.delivered(),
-                    missing: rx.order.missing(),
-                },
-            );
+        rx.nack_pending &= rx.order.span() > 0;
+        let since = rx.order.delivered();
+        if rx.ack_pending {
+            let ack = WireMsg::AckUpto {
+                from: node,
+                upto: since,
+            };
+            if offer(shared, src, ack) {
+                rx.ack_pending = false;
+                obs.inc(Ctr::AcksOut);
+            }
+        }
+        if rx.nack_pending {
+            let nack = WireMsg::Nack {
+                from: node,
+                since,
+                missing: rx.order.missing(),
+            };
+            if offer(shared, src, nack) {
+                rx.nack_pending = false;
+                obs.inc(Ctr::NacksOut);
+            }
         }
     }
 }

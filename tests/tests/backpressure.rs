@@ -1,0 +1,239 @@
+//! Backpressure stops at the resource that is full. A proxy is shared by
+//! mutually untrusting processes, so a peer that stops draining, or a
+//! receive queue nobody drains, must hold back only the commands
+//! addressed to it: a co-tenant on the same node, talking to someone
+//! else, keeps going. The third scenario guards the bound the proxy
+//! still keeps on its own node's undelivered ENQs.
+//!
+//! These drive real threads. Each scenario takes the host's time for
+//! its waits, so they run one at a time.
+
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+use mproxy_obs::Ctr;
+use mproxy_rt::{Endpoint, FlagId, RqId, RtClusterBuilder, RtFaultPlan, RQ_DEPTH, WIRE_DEPTH};
+
+/// Unsent frames a proxy keeps for one peer, and owed deliveries on its
+/// own node, before the commands that would add to them wait in their
+/// rings (the runtime's `PENDING_CAP`).
+const PENDING_CAP: u64 = 2 * WIRE_DEPTH as u64;
+
+/// Bound on one co-tenant operation: far above an unloaded round trip
+/// (tens of µs), far below the stalls these scenarios build.
+const WAIT: Duration = Duration::from_secs(2);
+
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The endpoints of a cluster with `N` processes, in `add_process` order.
+fn endpoints<const N: usize>(eps: Vec<Endpoint>) -> [Endpoint; N] {
+    let Ok(eps) = eps.try_into() else {
+        panic!("expected {N} endpoints")
+    };
+    eps
+}
+
+/// ENQs the words `1..=words` to queue 0 of `dst`, each from its own
+/// slot (the proxy reads a slot when it takes the command) and each
+/// asking for an lsync on flag 0.
+fn enq_words(ep: &mut Endpoint, dst: u32, words: u64) {
+    let base = ep.alloc(8 * words);
+    for i in 1..=words {
+        let laddr = base + 8 * (i - 1);
+        ep.seg().write_u64(laddr, i);
+        ep.enq(laddr, dst, RqId(0), 8, Some(FlagId(0)), None);
+    }
+}
+
+/// Drains `words` words from queue 0 of `owner`, requiring `1..=words`
+/// in order, and nothing after them.
+fn drain_words(owner: &Endpoint, words: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut next = 1;
+    while next <= words {
+        match owner.rq_try_recv(RqId(0)) {
+            Some(data) => {
+                let word = u64::from_le_bytes(data[..8].try_into().expect("a word"));
+                assert_eq!(word, next, "delivered out of order");
+                next += 1;
+            }
+            None => {
+                assert!(Instant::now() < deadline, "{next} of {words} delivered");
+                std::thread::yield_now();
+            }
+        }
+    }
+    std::thread::sleep(Duration::from_millis(5));
+    assert!(owner.rq_try_recv(RqId(0)).is_none(), "delivered twice");
+}
+
+/// Polls `value` until it has not moved for `quiet`, or `deadline` has
+/// passed since the call; returns the last reading.
+fn settled(quiet: Duration, deadline: Duration, value: impl Fn() -> u64) -> u64 {
+    let end = Instant::now() + deadline;
+    let mut last = value();
+    let mut since = Instant::now();
+    while Instant::now() < end {
+        std::thread::sleep(Duration::from_millis(1));
+        let now = value();
+        if now != last {
+            (last, since) = (now, Instant::now());
+        } else if since.elapsed() >= quiet {
+            break;
+        }
+    }
+    last
+}
+
+#[test]
+fn a_stalled_peer_holds_back_only_the_commands_addressed_to_it() {
+    let _serial = serial();
+    const STALL_AT: Duration = Duration::from_millis(50);
+    const STALL: Duration = Duration::from_millis(600);
+    const ROUND_TRIPS: u32 = 50;
+    let mut b = RtClusterBuilder::new(3);
+    b.add_process(0, 1 << 12);
+    b.add_process(0, 1 << 12);
+    let stalled = b.add_process(1, 1 << 12);
+    let healthy = b.add_process(2, 1 << 12);
+    b.fault_plan(RtFaultPlan::new(1).stall(1, STALL_AT, STALL));
+    // The stall ends `STALL_AT + STALL` after the cluster starts, which
+    // is after this reading.
+    let t0 = Instant::now();
+    let (cluster, eps) = b.start();
+    let [mut flooder, mut tenant, _, _] = endpoints(eps);
+
+    // One process floods 64-byte PUTs at the stalled node until told to
+    // stop, then waits for every one of them to be acknowledged.
+    let stop = Arc::new(AtomicBool::new(false));
+    let sent = Arc::new(AtomicU64::new(0));
+    let flood = std::thread::spawn({
+        let (stop, sent) = (Arc::clone(&stop), Arc::clone(&sent));
+        move || {
+            let laddr = flooder.alloc(64);
+            let mut n = 0;
+            while !stop.load(Ordering::Relaxed) {
+                flooder.put(laddr, stalled, 0, 64, Some(FlagId(0)), None);
+                n += 1;
+                sent.store(n, Ordering::Relaxed);
+            }
+            flooder.wait_flag_timeout(FlagId(0), n, Duration::from_secs(10))
+        }
+    });
+
+    // Once the stall has backed the flood up to its submitter (or half
+    // the stall has gone by), the co-tenant does its round trips to the
+    // healthy node.
+    while t0.elapsed() < STALL_AT {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    settled(Duration::from_millis(20), STALL / 2, || {
+        sent.load(Ordering::Relaxed)
+    });
+    let laddr = tenant.alloc(8);
+    let mut worst = Duration::ZERO;
+    for i in 1..=ROUND_TRIPS {
+        let start = Instant::now();
+        tenant.put(laddr, healthy, 0, 8, Some(FlagId(0)), None);
+        tenant
+            .wait_flag_timeout(FlagId(0), u64::from(i), WAIT)
+            .unwrap_or_else(|e| panic!("co-tenant round trip {i}: {e}"));
+        worst = worst.max(start.elapsed());
+    }
+    let finished = t0.elapsed();
+    eprintln!("co-tenant: worst round trip {worst:?}, finished at {finished:?}");
+    stop.store(true, Ordering::Relaxed);
+    flood
+        .join()
+        .expect("flooder thread")
+        .expect("every flooded PUT is acknowledged after the stall");
+    assert!(
+        finished < STALL_AT + STALL,
+        "the co-tenant finished at {finished:?} (worst round trip {worst:?}), \
+         not before the stall on another node ended"
+    );
+    assert!(cluster.shutdown().clean());
+}
+
+#[test]
+fn a_queue_nobody_drains_does_not_stall_its_node() {
+    let _serial = serial();
+    const WORDS: u64 = 3_000;
+    let mut b = RtClusterBuilder::new(3);
+    b.add_process(0, 1 << 16);
+    let owner = b.add_process(1, 1 << 12);
+    b.add_process(1, 1 << 12);
+    let healthy = b.add_process(2, 1 << 12);
+    let (cluster, eps) = b.start();
+    let [mut sender, owner_ep, mut tenant, _] = endpoints(eps);
+
+    // Far more ENQs than the queue holds, each acknowledged: what the
+    // queue refuses is owed by its node's proxy.
+    enq_words(&mut sender, owner, WORDS);
+    sender
+        .wait_flag_timeout(FlagId(0), WORDS, Duration::from_secs(10))
+        .expect("every ENQ acknowledged");
+    assert!(WORDS > RQ_DEPTH as u64 + PENDING_CAP);
+
+    // A co-tenant on the full queue's node PUTs to a third node.
+    let laddr = tenant.alloc(8);
+    let start = Instant::now();
+    tenant.put(laddr, healthy, 0, 8, Some(FlagId(0)), None);
+    tenant
+        .wait_flag_timeout(FlagId(0), 1, WAIT)
+        .unwrap_or_else(|e| panic!("co-tenant PUT beside a full queue: {e}"));
+    let took = start.elapsed();
+    eprintln!("co-tenant PUT beside a full queue: {took:?}");
+
+    // Every word is delivered once, in order, as the owner drains.
+    drain_words(&owner_ep, WORDS);
+    assert!(took < WAIT, "{took:?}");
+    assert!(cluster.shutdown().clean());
+}
+
+#[test]
+fn enqs_to_an_undrained_queue_on_the_same_node_stop_at_the_cap() {
+    let _serial = serial();
+    const WORDS: u64 = 8_000;
+    let mut b = RtClusterBuilder::new(1);
+    b.add_process(0, 1 << 17);
+    let owner = b.add_process(0, 1 << 12);
+    let (cluster, eps) = b.start();
+    let [mut sender, owner_ep] = endpoints(eps);
+
+    // The sender floods a queue on its own node and waits for every ENQ.
+    let flood = std::thread::spawn(move || {
+        enq_words(&mut sender, owner, WORDS);
+        sender.wait_flag_timeout(FlagId(0), WORDS, Duration::from_secs(10))
+    });
+
+    // Nobody drains: the proxy delivers `RQ_DEPTH`, owes `PENDING_CAP`
+    // more, and stops taking ENQs to its node once it owes that many —
+    // past it only what was already in flight is applied, and so
+    // acknowledged.
+    let applied = || {
+        let snap = cluster.obs_snapshot("flood");
+        snap.scopes.iter().map(|s| s.counter(Ctr::OpsApplied)).sum()
+    };
+    let plateau = settled(Duration::from_millis(200), Duration::from_secs(10), applied);
+    let cap = RQ_DEPTH as u64 + PENDING_CAP;
+    eprintln!("same-node ENQs applied: {plateau} (cap {cap})");
+    // Past the cap: what was on the proxy's own ring when the hold began,
+    // a few drain bursts at most (without the hold, all 8 000).
+    assert!(
+        (cap..cap + 1024).contains(&plateau),
+        "acknowledged count settled at {plateau}, cap {cap}"
+    );
+
+    drain_words(&owner_ep, WORDS);
+    flood
+        .join()
+        .expect("sender thread")
+        .expect("every ENQ acknowledged once drained");
+    assert!(cluster.shutdown().clean());
+}

@@ -232,15 +232,15 @@ fn condemned_sender_leaves_no_parked_frame_uncounted() {
 #[test]
 fn frame_beyond_the_hold_window_is_dropped_then_recovered() {
     // The sink's proxy is deaf for its first 150 ms while four processes
-    // flood it: the sender's ring (512 frames) and stash (1024 frames)
-    // fill behind the first dropped frame, and a sender with a stash
-    // never retransmits — so when the sink wakes, more than a hold window
-    // of frames arrives ahead of that gap. The excess must be dropped
-    // (the plan corrupts nothing, so `damaged_drops` counts exactly the
-    // operations of those frames) and recovered. Ring, stash and hold
-    // window are bounds in frames, so the flood is sized in frames:
-    // 4 × 16 000 ENQs overflow ring + stash even if every frame leaves
-    // full (1 536 frames × 32 operations = 49 152).
+    // flood it: the sink's ring (512 frames) and the sender's unsent
+    // frames (1024) fill behind the first dropped frame, and a sender
+    // with unsent frames never retransmits — so when the sink wakes, more
+    // than a hold window of frames arrives ahead of that gap. The excess
+    // must be dropped (the plan corrupts nothing, so `damaged_drops`
+    // counts exactly the operations of those frames) and recovered. Ring,
+    // unsent cap and hold window are bounds in frames, so the flood is
+    // sized in frames: 4 × 16 000 ENQs overflow ring + unsent cap even if
+    // every frame leaves full (1 536 frames × 32 operations = 49 152).
     const SENDERS: usize = 4;
     const PER: u64 = 16_000;
     let plan =
