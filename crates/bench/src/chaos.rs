@@ -8,8 +8,9 @@
 //!    end-to-end: every payload carries `(sender, index)`, and each
 //!    sender's drained subsequence must be exactly `1..=n`, in order.
 //! 2. **Bounded recovery** — every acknowledgement lands within
-//!    [`WAIT`]; a kill-respawn-resync cycle that exceeds it fails the
-//!    scenario (no wait, no matter how unlucky, may outlive the bound).
+//!    [`WAIT`]; a kill, its respawn backoff and the NACK or RTO rounds
+//!    that recover whatever it lost must fit, or the scenario fails (no
+//!    wait, no matter how unlucky, may outlive the bound).
 //! 3. **Survivor liveness** — nodes not involved in a fault keep
 //!    completing operations while a peer is stalled or dead.
 //!
@@ -25,8 +26,9 @@ use mproxy_model::fate::SplitMix64;
 use mproxy_obs::{Ctr, Snapshot};
 use mproxy_rt::{FlagId, RqId, RtClusterBuilder, RtFaultPlan, NUM_FLAGS, NUM_QUEUES};
 
-/// Per-acknowledgement bound: recovery (respawn + resync + retransmit)
-/// must complete well inside this, even on a loaded single-CPU host.
+/// Per-acknowledgement bound: recovery (the respawn backoff, then any
+/// NACK or RTO retransmit of what was lost) must complete well inside
+/// this, even on a loaded single-CPU host.
 pub const WAIT: Duration = Duration::from_millis(2000);
 
 /// Outcome of one chaos scenario.

@@ -3,11 +3,10 @@
 //! Renders flight-recorder dumps as a JSON object with a
 //! `traceEvents` array: one *process* per scope (pid = registration
 //! index, named via `process_name` metadata), instant events (`ph:"i"`)
-//! for every ring event, and synthesized duration spans (`ph:"X"`) for
-//! the supervision lifecycle — `kill → respawn` rendered as a
-//! `proxy-dead` span and `respawn → first ack` as a `resync` span — so
-//! a chaos run's kills, Hello resyncs, and RTO storms read directly
-//! off the timeline. Timestamps are microseconds (the trace_event
+//! for every ring event, and a synthesized duration span (`ph:"X"`)
+//! named `proxy-dead` for each `kill → respawn` — so a chaos run's kills,
+//! the pauses they cause and the RTO storms read directly off the
+//! timeline. Timestamps are microseconds (the trace_event
 //! unit); ring timestamps are nanoseconds, so sub-µs precision is kept
 //! as fractional `ts`.
 
@@ -53,16 +52,15 @@ pub fn chrome_trace(scopes: &[(String, Vec<TraceEvent>)]) -> String {
                 ),
             );
         }
-        for span in lifecycle_spans(events) {
-            let ts = span.start_ns as f64 / 1000.0;
-            let dur = (span.end_ns.saturating_sub(span.start_ns)) as f64 / 1000.0;
+        for (start_ns, end_ns) in dead_spans(events) {
+            let ts = start_ns as f64 / 1000.0;
+            let dur = end_ns.saturating_sub(start_ns) as f64 / 1000.0;
             push_event(
                 &mut out,
                 &mut first,
                 &format!(
-                    "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\
+                    "{{\"name\":\"proxy-dead\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\
                      \"tid\":0,\"args\":{{}}}}",
-                    span.name,
                     json::num(ts),
                     json::num(dur)
                 ),
@@ -73,57 +71,24 @@ pub fn chrome_trace(scopes: &[(String, Vec<TraceEvent>)]) -> String {
     out
 }
 
-struct Span {
-    name: &'static str,
-    start_ns: u64,
-    end_ns: u64,
+/// The `(kill, respawn)` timestamps of every kill in a scope's event
+/// stream that a respawn followed: the spans its proxy was dead.
+fn dead_spans(events: &[TraceEvent]) -> impl Iterator<Item = (u64, u64)> + '_ {
+    let kills = events.iter().enumerate();
+    kills
+        .filter(|(_, e)| e.kind == EventKind::Kill)
+        .filter_map(|(i, kill)| {
+            let respawn = events[i + 1..].iter().find(|n| n.kind == EventKind::Respawn)?;
+            Some((kill.t_ns, respawn.t_ns))
+        })
 }
 
-/// Synthesize supervision-lifecycle spans from a scope's event stream:
-/// `proxy-dead` covers kill → respawn, `resync` covers respawn → the
-/// first subsequent inbound ack (the peer's answer to the Hello probe),
-/// falling back to the respawn's Hello itself if no ack was recorded.
-fn lifecycle_spans(events: &[TraceEvent]) -> Vec<Span> {
-    let mut spans = Vec::new();
-    for (i, e) in events.iter().enumerate() {
-        match e.kind {
-            EventKind::Kill => {
-                if let Some(re) = events[i + 1..]
-                    .iter()
-                    .find(|n| n.kind == EventKind::Respawn)
-                {
-                    spans.push(Span {
-                        name: "proxy-dead",
-                        start_ns: e.t_ns,
-                        end_ns: re.t_ns,
-                    });
-                }
-            }
-            EventKind::Respawn => {
-                let end = events[i + 1..]
-                    .iter()
-                    .find(|n| n.kind == EventKind::AckIn)
-                    .or_else(|| events[i + 1..].iter().find(|n| n.kind == EventKind::Hello));
-                if let Some(end) = end {
-                    spans.push(Span {
-                        name: "resync",
-                        start_ns: e.t_ns,
-                        end_ns: end.t_ns,
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    spans
-}
-
-/// `true` if the document contains at least one kill → respawn →
-/// resync sequence (used by the acceptance smoke test).
+/// `true` if the document contains at least one kill → respawn
+/// sequence and its `proxy-dead` span (used by the acceptance smoke
+/// test).
 pub fn has_recovery_span(trace_json: &str) -> bool {
     trace_json.contains("\"name\":\"kill\"")
         && trace_json.contains("\"name\":\"respawn\"")
-        && trace_json.contains("\"name\":\"resync\"")
         && trace_json.contains("\"name\":\"proxy-dead\"")
 }
 
@@ -148,7 +113,6 @@ mod tests {
                 ev(100, EventKind::Send),
                 ev(1_000, EventKind::Kill),
                 ev(5_000, EventKind::Respawn),
-                ev(5_100, EventKind::Hello),
                 ev(9_000, EventKind::AckIn),
             ],
         )];
@@ -157,7 +121,6 @@ mod tests {
         assert!(doc.contains("\"traceEvents\""));
         assert!(doc.contains("\"process_name\""));
         assert!(doc.contains("\"proxy-dead\""));
-        assert!(doc.contains("\"resync\""));
         assert!(has_recovery_span(&doc));
     }
 

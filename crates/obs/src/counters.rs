@@ -79,6 +79,8 @@ counters! {
     Retransmits => "retransmits",
     DedupDrops => "dedup_drops",
     DamagedDrops => "damaged_drops",
+    // Crash epochs (simulator only: its crash loses volatile state and
+    // resyncs by HELLO; a runtime respawn is a pause and sends nothing).
     Replayed => "replayed",
     StaleDrops => "stale_drops",
     HellosOut => "hellos_out",
@@ -96,6 +98,7 @@ counters! {
     FaultsInjected => "faults_injected",
     Kills => "kills",
     Respawns => "respawns",
+    /// Simulator only, like the crash-epoch ids above.
     EpochBumps => "epoch_bumps",
     // DES engine internals (sim scope only). `Events` counts calendar
     // entries that ran; `PollsElided` the empty polls of clean spinners the

@@ -13,13 +13,12 @@
 //!   histograms (fixed 1920 buckets, ≤3.1% relative error),
 //!   merge-able by bucket addition across proxy snapshots.
 //! * [`FlightRecorder`] — a per-proxy lock-free ring of compact 16-byte
-//!   [`TraceEvent`]s (enqueue/drain/retransmit/epoch-bump/kill/
-//!   respawn/...), zero-cost when disabled, dumpable on panic or on
-//!   demand.
+//!   [`TraceEvent`]s (enqueue/drain/retransmit/kill/respawn/...),
+//!   zero-cost when disabled, dumpable on panic or on demand.
 //! * [`Snapshot`] — the JSON export unit the benchmark and the fault
 //!   tests read, and [`chrome::chrome_trace`] — a Chrome
-//!   `trace_event` (Perfetto) exporter rendering kills, Hello resyncs
-//!   and RTO storms on a timeline.
+//!   `trace_event` (Perfetto) exporter rendering kills, the pauses they
+//!   cause and RTO storms on a timeline.
 //!
 //! Both engines register [`Scope`]s on an [`ObsHub`] using the *same*
 //! metric ids, so sim/runtime A/B comparisons line up column for

@@ -60,8 +60,6 @@ event_kinds! {
     AckIn = 5 => "ack_in",
     NackIn = 6 => "nack_in",
     DedupDrop = 7 => "dedup_drop",
-    Hello = 9 => "hello",
-    EpochBump = 10 => "epoch_bump",
     Kill = 11 => "kill",
     Respawn = 12 => "respawn",
     SatEnter = 13 => "saturation_enter",
@@ -80,7 +78,7 @@ pub struct TraceEvent {
     pub t_ns: u64,
     /// Event kind.
     pub kind: EventKind,
-    /// Small argument (peer id, epoch, ...).
+    /// Small argument (peer id, restart count, ...).
     pub a: u16,
     /// Large argument (sequence number, count, ...).
     pub b: u32,

@@ -320,7 +320,7 @@ mod tests {
         a.add(Ctr::BytesOut, 320);
         a.record(HistId::WireRttNs, 1500);
         b.inc(Ctr::MsgsIn);
-        b.trace(EventKind::Hello, 0, 7);
+        b.trace(EventKind::Respawn, 0, 7);
 
         let snap = hub.snapshot("test");
         assert_eq!(snap.total(Ctr::MsgsOut), 1);
@@ -336,7 +336,7 @@ mod tests {
         let dumps = hub.trace_dump();
         assert_eq!(dumps.len(), 2);
         assert_eq!(dumps[1].1.len(), 1);
-        assert_eq!(dumps[1].1[0].kind, EventKind::Hello);
+        assert_eq!(dumps[1].1[0].kind, EventKind::Respawn);
     }
 
     #[test]

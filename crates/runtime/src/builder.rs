@@ -64,12 +64,12 @@ impl RtClusterBuilder {
         self
     }
 
-    /// Enables proxy supervision: a dead proxy restarts itself, in place
-    /// and on a fresh epoch, after an exponential backoff
-    /// (`backoff · 2^restarts_so_far`), up to `max_restarts` times per
-    /// node; past the budget the node is condemned (fail-fast on crash
-    /// loops). Without supervision any proxy death condemns its node
-    /// immediately.
+    /// Enables proxy supervision: a dead proxy restarts itself in place,
+    /// on the node's surviving protocol state and with nothing sent to its
+    /// peers, after an exponential backoff (`backoff · 2^restarts_so_far`),
+    /// up to `max_restarts` times per node; past the budget the node is
+    /// condemned (fail-fast on crash loops). Without supervision any proxy
+    /// death condemns its node immediately.
     pub fn supervise(&mut self, max_restarts: u32, backoff: Duration) -> &mut Self {
         self.supervision = Some(SupervisorCfg {
             max_restarts,
@@ -150,7 +150,6 @@ impl RtClusterBuilder {
             panicked: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
             condemned: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
             any_condemned: AtomicBool::new(false),
-            epochs: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             panic_reasons: (0..nodes).map(|_| Mutex::new(None)).collect(),
             ready_masks: (0..nodes).map(|_| Arc::new(AtomicU64::new(0))).collect(),
             util_bits: (0..nodes).map(|_| AtomicU64::new(0)).collect(),

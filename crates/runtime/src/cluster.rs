@@ -35,9 +35,9 @@
 //! watermarks, retention buffers and CCBs the dead one held, and no
 //! acknowledged operation can be lost or re-applied. With supervision
 //! enabled ([`crate::RtClusterBuilder::supervise`]) the thread restarts
-//! the loop in place on a fresh epoch (bounded restarts, exponential
-//! backoff) and broadcasts a Hello so peers re-ack and retransmit
-//! immediately instead of waiting out their timers. A node that exhausts
+//! the loop in place (bounded restarts, exponential backoff) and sends
+//! nothing: to its peers a kill is a pause, and a frame it really lost is
+//! recovered by a NACK or the RTO like any other drop. A node that exhausts
 //! its restart budget — or dies without supervision, or while stopping —
 //! is *condemned*: peers purge traffic towards it, bounded waits report
 //! [`crate::RtError::ProxyDown`] with the panic reason, and shutdown completes.
@@ -179,7 +179,7 @@ pub(crate) struct ProcShared {
 /// path at a percent or two of an operation;
 /// `tests/tests/obs.rs::counters_match_ground_truth_on_clean_fan_in`
 /// bounds every site's sample count from above, so stamping every event
-/// fails a test. Rare events (kills, respawns, hellos, stalls, faults) are
+/// fails a test. Rare events (kills, respawns, stalls, faults) are
 /// never sampled, and counters are always exact.
 const OBS_SAMPLE_MASK: u64 = 31;
 
@@ -208,9 +208,6 @@ pub(crate) struct Shared {
     pub(crate) condemned: Vec<AtomicBool>,
     /// Cheap gate for the per-loop condemnation scan.
     pub(crate) any_condemned: AtomicBool,
-    /// Each node's epoch: its proxy's restart count, bumped by the proxy
-    /// itself and carried by its Hellos.
-    pub(crate) epochs: Vec<AtomicU64>,
     /// Last panic payload per node, when it was a string.
     pub(crate) panic_reasons: Vec<Mutex<Option<String>>>,
     /// The §4.1 ready-bit word per node (shared with the endpoints). A
@@ -381,11 +378,11 @@ impl RtCluster {
         raised(&self.shared.condemned)
     }
 
-    /// Node `node`'s current proxy incarnation (0 until the first
-    /// respawn).
+    /// Node `node`'s current proxy incarnation: how many times its proxy
+    /// has respawned (0 until the first respawn).
     #[must_use]
     pub fn epoch(&self, node: usize) -> u64 {
-        self.shared.epochs[node].load(Ordering::Relaxed)
+        self.shared.obs[node].get(Ctr::Respawns)
     }
 
     /// Times node `node`'s proxy has died by panic.

@@ -72,7 +72,7 @@ pub struct RtKill {
 /// Built with the fluent methods, installed via
 /// `RtClusterBuilder::fault_plan`; all probabilities are per transmitted
 /// data packet and independent. Control traffic (acknowledgement
-/// watermarks, NACKs, HELLOs) is never judged — the injector models a
+/// watermarks and NACKs) is never judged — the injector models a
 /// lossy transport under a reliable protocol, not a broken protocol.
 ///
 /// # Examples
@@ -201,7 +201,7 @@ impl RtFaultPlan {
     /// Adds a kill: `node`'s proxy panics once it has serviced
     /// `after_ops` operations. Multiple kills on one node fire one at a
     /// time, in `after_ops` order, against the node's *cumulative*
-    /// (cross-epoch) op count.
+    /// (across respawns) op count.
     #[must_use]
     pub fn kill(mut self, node: usize, after_ops: u64) -> RtFaultPlan {
         self.kills.push(RtKill { node, after_ops });

@@ -42,9 +42,9 @@
 //!   corrupt verdicts plus injected proxy stalls and kills, sharing its
 //!   deterministic fate core with the simulator's `simnet::FaultPlan`;
 //! * proxy **supervision** ([`RtClusterBuilder::supervise`]): a dead
-//!   proxy restarts itself in place, on a fresh epoch and against the
-//!   node's surviving protocol state, under a restart budget with
-//!   exponential backoff;
+//!   proxy restarts itself in place, against the node's surviving
+//!   protocol state and with no message to its peers (a kill is a
+//!   pause), under a restart budget with exponential backoff;
 //!   crash-looping nodes are *condemned* and reported through
 //!   [`RtError::ProxyDown`] and the deadline-bounded
 //!   [`RtCluster::shutdown`]'s [`ShutdownReport`].

@@ -247,9 +247,10 @@ pub(crate) struct SupervisorCfg {
 /// state, and runs the service loop under `catch_unwind`. A panic is
 /// recorded as a death. Under supervision, within the restart budget, the
 /// thread then waits out `backoff · 2^restarts` (so a crash loop does
-/// not become a restart storm), bumps the node's epoch, queues a Hello to
-/// every peer and re-enters the loop on the same state — watermarks,
-/// retention, CCBs — so nothing acknowledged is lost or re-applied.
+/// not become a restart storm) and re-enters the loop on the same state —
+/// watermarks, retention, CCBs — so nothing acknowledged is lost or
+/// re-applied, and nothing needs announcing: to its peers the kill was a
+/// pause.
 /// Otherwise (no supervision, budget spent, or the cluster stopping) it
 /// condemns the node and returns.
 pub(crate) fn run_proxy(node: usize, shared: &Shared, mut seat: Seat, mut st: NodeState) {
@@ -280,17 +281,13 @@ pub(crate) fn run_proxy(node: usize, shared: &Shared, mut seat: Seat, mut st: No
             let delay = cfg.backoff.saturating_mul(1u32 << restarts.min(16));
             if crate::idle::sleep_unless(delay, &shared.stop) {
                 restarts += 1;
-                let epoch = shared.epochs[node].fetch_add(1, Ordering::Relaxed) + 1;
-                obs.inc(Ctr::EpochBumps);
                 obs.inc(Ctr::Respawns);
-                obs.trace(EventKind::EpochBump, node as u16, epoch as u32);
                 obs.trace(EventKind::Respawn, node as u16, restarts);
                 eprintln!(
                     "mproxy-rt: node {node} proxy died ({reason}); \
-                     respawning on epoch {epoch} (restart {restarts})"
+                     respawning (restart {restarts})"
                 );
                 shared.panicked[node].store(false, Ordering::Release);
-                say_hello(shared, &mut st, node, epoch);
                 continue;
             }
         } else if let Some(cfg) = supervised {
@@ -448,34 +445,14 @@ fn purge_condemned(shared: &Shared, st: &mut NodeState, node: usize) {
         }
         tx.retained.reset(tx.retained.last() + 1);
         tx.sent = tx.retained.last();
-        tx.hello = None;
         // Nobody drains its ring: what it is owed is owed to no one.
         (rx[dst].ack_pending, rx[dst].nack_pending) = (false, false);
         tx.open.clear();
         tx.lsyncs.clear();
-        tx.resync_hint = false;
         // Frames parked behind a gap the dead node will never fill are
         // abandoned — counted, so the receiver's `msgs_in` identity
         // stays exact.
         shared.obs[node].add(Ctr::DamagedDrops, rx[dst].abandon_held());
-    }
-}
-
-/// A restarted proxy owes its peers a Hello on its new `epoch`, pushed
-/// ahead of any unsent frame ([`crate::wire::pump`]), and owes itself a
-/// retransmission pass — peers may have acked frames the wire lost while
-/// the node was down.
-fn say_hello(shared: &Shared, st: &mut NodeState, node: usize, epoch: u64) {
-    shared.obs[node].trace(EventKind::Hello, node as u16, epoch as u32);
-    for dst in 0..shared.wires.len() {
-        if dst == node {
-            continue;
-        }
-        st.tx[dst].resync_hint = true;
-        if shared.condemned[dst].load(Ordering::Relaxed) {
-            continue;
-        }
-        st.tx[dst].hello = Some(epoch);
     }
 }
 

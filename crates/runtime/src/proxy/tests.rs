@@ -278,6 +278,57 @@ fn retention_is_resent_exactly_once_when_the_rto_expires_and_not_a_ns_before() {
 }
 
 #[test]
+fn a_receiver_paused_short_of_the_rto_resumes_on_its_state_and_nothing_is_sent_twice() {
+    const FRAMES: u64 = 4;
+    const OPS: u64 = 2;
+    let shared = quiesced();
+    let (mut src, mut dst) = (node_state(), node_state());
+    let lsync = Some((SRC as u32, LSYNC));
+    for tag in 0..FRAMES {
+        for i in 0..OPS {
+            let op = put((tag * OPS + i) as u8);
+            send_data(&shared, &mut src, SRC, T0, DST, op, lsync, 0);
+        }
+        flush_frames(&shared, &mut src, SRC, T0);
+    }
+    // DST applies the first frame, and its proxy dies before the pass
+    // that would have acknowledged it: the ack stays owed in its state,
+    // the other frames wait in its ring.
+    let first = shared.wires[DST].try_pop().expect("the first frame");
+    assert_eq!(handle_packet(&shared, &mut dst, DST, T0, first), OPS);
+    assert!(dst.rx[SRC].ack_pending);
+
+    // The pause lasts one ns short of the RTO: SRC re-sends nothing.
+    let resume = T0 + RTO_NS - 1;
+    retransmit(&shared, &mut src, SRC, resume);
+    let waiting = shared.wires[DST].len() as u64;
+    assert_eq!(waiting, FRAMES - 1, "nothing re-sent");
+
+    // DST re-enters on the same state: one pass applies the rest once and
+    // acknowledges all of it.
+    let wire_rx = &shared.wires[DST];
+    assert!(drain_wire(&shared, &mut dst, DST, resume, wire_rx));
+    flush_acks(&shared, &mut dst, DST);
+    assert_eq!(shared.obs[DST].get(Ctr::OpsApplied), FRAMES * OPS);
+    let acks = drain(&shared, SRC);
+    let [WireMsg::AckUpto { upto: FRAMES, .. }] = acks[..] else {
+        panic!("one ack of every frame, got {acks:?}");
+    };
+    let ack = acks.into_iter().next().expect("the ack");
+    handle_packet(&shared, &mut src, SRC, resume, ack);
+    assert!(src.tx[DST].retained.is_empty() && src.tx[DST].lsyncs.is_empty());
+    assert_eq!(flag(&shared, LSYNC), FRAMES * OPS, "every lsync fired");
+
+    retransmit(&shared, &mut src, SRC, resume + RTO_NS);
+    assert!(shared.wires[DST].is_empty());
+    for node in [SRC, DST] {
+        let obs = &shared.obs[node];
+        assert_eq!(obs.get(Ctr::Retransmits), 0);
+        assert_eq!(obs.get(Ctr::DedupDrops), 0);
+    }
+}
+
+#[test]
 fn frames_a_full_ring_refuses_wait_in_retention_and_leave_in_sequence_under_their_verdicts() {
     let shared = quiesced();
     let mut src = node_state();

@@ -115,8 +115,6 @@ pub(crate) struct TxPeer {
     pub(crate) retained: Retention<Retained>,
     /// Highest sequence pushed to the peer's ring, or skipped as dropped.
     pub(crate) sent: u64,
-    /// A respawn's Hello (its epoch), owed ahead of any unsent frame.
-    pub(crate) hello: Option<u64>,
     /// One entry per operation of every retained frame, oldest first,
     /// then one per operation of the open frame: frame `r` of `retained`
     /// owns the next `r.body.len()` of them.
@@ -125,9 +123,6 @@ pub(crate) struct TxPeer {
     /// watermark moved or retention went non-empty; the RTO measures from
     /// here.
     pub(crate) last_progress_ns: u64,
-    /// A resync (a peer's Hello, or this node's own respawn) asked for an
-    /// immediate re-send from the retention head.
-    pub(crate) resync_hint: bool,
     /// Sequences the peer's latest NACK named as missing, re-sent (and
     /// cleared) by the next [`crate::wire::retransmit`] pass.
     pub(crate) nacked: Vec<u64>,
@@ -140,10 +135,8 @@ impl TxPeer {
             open_bytes: 0,
             retained: Retention::new(),
             sent: 0,
-            hello: None,
             lsyncs: VecDeque::new(),
             last_progress_ns: now_ns,
-            resync_hint: false,
             nacked: Vec::new(),
         }
     }
@@ -271,14 +264,11 @@ impl NodeState {
         }
     }
 
-    /// Nothing is owed that only a retry can deliver: no unsent frame or
-    /// Hello, no refused ack or nack, no undelivered ENQ.
+    /// Nothing is owed that only a retry can deliver: no unsent frame, no
+    /// refused ack or nack, no undelivered ENQ.
     pub(crate) fn outbox_empty(&self) -> bool {
         self.pending_rq.is_empty()
-            && self
-                .tx
-                .iter()
-                .all(|tx| tx.unsent() == 0 && tx.hello.is_none())
+            && self.tx.iter().all(|tx| tx.unsent() == 0)
             && self.rx.iter().all(|rx| !rx.ack_pending && !rx.nack_pending)
     }
 }

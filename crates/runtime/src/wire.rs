@@ -15,9 +15,9 @@
 //! operation submitted alone leaves at once as a frame of one — there is
 //! no flush timer and no unbatched path. Each peer has one outbound
 //! queue, its retention: a closed frame is retained once, and [`pump`]
-//! alone decides what first reaches the peer's ring — a respawn's Hello,
-//! then the unsent frames in sequence, as far as the ring takes them;
-//! [`retransmit`] re-sends only what has been sent.
+//! alone decides what first reaches the peer's ring — the unsent frames
+//! in sequence, as far as the ring takes them; [`retransmit`] re-sends
+//! only what has been sent.
 //!
 //! Everything the protocol does, it does once per frame. A frame from
 //! node `s` to node `d` carries one per-pair monotone sequence number,
@@ -33,9 +33,15 @@
 //! [`WireMsg::AckUpto`] watermark, NACKs the exact sequences it is
 //! missing behind a gap or a corrupt frame, and drops duplicates
 //! (re-acking so the sender converges). A retransmit timer backstops lost
-//! NACKs. Control frames (acks, nacks, hellos) are never judged by the
+//! NACKs. Control frames (acks and nacks) are never judged by the
 //! injector and never dropped: the model is a lossy transport under a
 //! reliable protocol, not a broken protocol.
+//!
+//! A proxy respawn needs no message of its own: everything above lives
+//! in [`NodeState`], which the restarted loop re-enters unchanged, so a
+//! kill is a pause. A frame really lost to it — popped from the ring by
+//! a pass the panic abandoned — is a drop like any other, and the NACK
+//! or the RTO recovers it.
 //!
 //! The invariant bought by all this: **an operation whose `lsync` flag
 //! fired was applied at the destination exactly once** — under drops,
@@ -83,8 +89,8 @@ use crate::state::{Lsync, NodeState, PendingEnq, Retained, RxPeer};
 pub(crate) const RTO_NS: u64 = 2_000_000;
 
 /// Most retained frames re-sent from the retention head per destination
-/// per resync pass (RTO expiry or a peer's Hello); bounds the burst a
-/// recovering receiver takes all at once. NACK-driven recovery never
+/// per RTO expiry; bounds the burst a recovering receiver takes all at
+/// once. NACK-driven recovery never
 /// bursts: it re-sends exactly the sequences the receiver named.
 const RESEND_BURST: usize = 128;
 
@@ -164,13 +170,6 @@ pub(crate) enum WireMsg {
         from: usize,
         since: u64,
         missing: Vec<u64>,
-    },
-    /// A respawned proxy announcing itself: peers re-ack their watermark
-    /// (so the newcomer's retention drains) and retransmit their own
-    /// retained traffic immediately.
-    Hello {
-        from: usize,
-        epoch: u64,
     },
 }
 
@@ -309,8 +308,8 @@ fn transmit_frame(
 }
 
 /// Pushes what `node` owes peer `dst`, in order, until its ring refuses:
-/// a respawn's Hello, then every frame past the `TxPeer::sent` cursor
-/// under the verdict it drew when it closed (a dropped one is skipped:
+/// every frame past the `TxPeer::sent` cursor, under the verdict it drew
+/// when it closed (a dropped one is skipped:
 /// retention and a NACK or the RTO recover it). What the ring refuses
 /// waits for the next pump. True if anything was pushed.
 pub(crate) fn pump(
@@ -322,13 +321,6 @@ pub(crate) fn pump(
 ) -> bool {
     let NodeState { tx, ticks, .. } = st;
     let tx = &mut tx[dst];
-    if let Some(epoch) = tx.hello {
-        if !offer(shared, dst, WireMsg::Hello { from: node, epoch }) {
-            return false;
-        }
-        tx.hello = None;
-        shared.obs[node].inc(Ctr::HellosOut);
-    }
     let mut pushed = false;
     while tx.sent < tx.retained.last() {
         let seq = tx.sent + 1;
@@ -493,9 +485,7 @@ pub(crate) fn handle_packet(
         WireMsg::AckUpto { from, upto } => {
             obs.inc(Ctr::AcksIn);
             // Acks arrive roughly per service batch under load, so this
-            // trace is decimated like the other hot-path events. The
-            // resync span in the Chrome exporter tolerates a missed ack:
-            // it falls back to the (never-sampled) Hello event.
+            // trace is decimated like the other hot-path events.
             if sampled(&mut st.ticks.ack_in) {
                 obs.trace_at(now_ns, EventKind::AckIn, from as u16, upto as u32);
             }
@@ -518,16 +508,6 @@ pub(crate) fn handle_packet(
             // The latest NACK supersedes any not yet served: it reflects
             // the receiver's newest view of the same gaps.
             tx.nacked = missing;
-        }
-        WireMsg::Hello { from, epoch } => {
-            // A peer's proxy respawned. Re-ack our watermark so its
-            // retention drains, and retransmit ours immediately — its
-            // wire ring may hold our frames from before the crash, but
-            // timers would cover any gap slowly; the hello bounds the
-            // resync to one round trip.
-            obs.trace_at(now_ns, EventKind::Hello, from as u16, epoch as u32);
-            st.rx[from].ack_pending = true;
-            st.tx[from].resync_hint = true;
         }
     }
     1
@@ -566,9 +546,9 @@ fn resend<'a>(
 }
 
 /// Retransmission pass, per destination with unacknowledged retention.
-/// A resync — the RTO expired with no ack progress, a peer said Hello, or
-/// this node's proxy respawned — re-sends a burst from the retention head: the
-/// receiver's state is unknown, so assume nothing arrived. Otherwise the
+/// When the RTO expired with no ack progress, a burst is re-sent from the
+/// retention head: the receiver's state is unknown, so assume nothing
+/// arrived. Otherwise the
 /// frames the receiver's latest NACK named are re-sent, and only those:
 /// everything else in flight is parked at the receiver, waiting for
 /// them. Frames go straight to the destination ring, and only once
@@ -578,16 +558,13 @@ fn resend<'a>(
 pub(crate) fn retransmit(shared: &Shared, st: &mut NodeState, node: usize, now_ns: u64) {
     for (dst, tx) in st.tx.iter_mut().enumerate() {
         if tx.retained.is_empty() {
-            tx.resync_hint = false;
             tx.nacked.clear();
             continue;
         }
-        let owed = tx.unsent() > 0 || tx.hello.is_some();
-        if owed || shared.condemned[dst].load(Ordering::Relaxed) {
+        if tx.unsent() > 0 || shared.condemned[dst].load(Ordering::Relaxed) {
             continue;
         }
-        if tx.resync_hint || now_ns.saturating_sub(tx.last_progress_ns) >= RTO_NS {
-            tx.resync_hint = false;
+        if now_ns.saturating_sub(tx.last_progress_ns) >= RTO_NS {
             tx.nacked.clear();
             tx.last_progress_ns = now_ns;
             resend(

@@ -41,7 +41,7 @@ fn kill_respawn_resyncs_and_completes_all_ops() {
     }
     assert_eq!(e1.seg().read_u64(64), 100, "last acked write visible");
     assert!(cluster.deaths(1) >= 1, "the kill must have fired");
-    assert!(cluster.epoch(1) >= 1, "respawn bumps the epoch");
+    assert!(cluster.epoch(1) >= 1, "the epoch counts the respawn");
     assert!(cluster.restarts_total() >= 1);
     assert_eq!(cluster.condemned_nodes(), Vec::<usize>::new());
     let report = cluster.shutdown();
@@ -376,7 +376,7 @@ fn condemned_node_does_not_abort_waits_on_a_live_node() {
 fn kill_respawn_under_loss_preserves_enq_exactly_once() {
     // The sink node's proxy dies mid-stream on a wire dropping 5 % of
     // frames and is respawned; every acknowledged enq must surface
-    // exactly once, in order, across the kill/respawn epoch.
+    // exactly once, in order, across the kill and respawn.
     let mut b = RtClusterBuilder::new(2);
     let p0 = b.add_process(0, 1 << 16);
     let p1 = b.add_process(1, 1 << 16);

@@ -21,7 +21,8 @@ use mproxy_obs::{Ctr, EventKind, Snapshot};
 use mproxy_rt::{Endpoint, FlagId, RqId, RtCluster, RtClusterBuilder, RtFaultPlan};
 
 /// Per-wait bound, generous for a loaded two-CPU host running a debug
-/// build: a kill-respawn-resync cycle or a chain of RTO rounds must fit.
+/// build: a kill and its respawn backoff, or a chain of RTO rounds, must
+/// fit.
 const WAIT: Duration = Duration::from_secs(10);
 
 /// ENQs a streaming sender keeps in flight.
