@@ -20,11 +20,13 @@
 //! `tests/tests/obs.rs::telemetry_soak` (CI's `fault-tests` job runs
 //! both three times over; the nightly soak runs 60 seeds).
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mproxy_model::fate::SplitMix64;
 use mproxy_obs::{Ctr, Snapshot};
-use mproxy_rt::{FlagId, RqId, RtClusterBuilder, RtFaultPlan, NUM_FLAGS, NUM_QUEUES};
+use mproxy_rt::{FlagId, RqId, RtClusterBuilder, RtFaultPlan, NUM_FLAGS, NUM_QUEUES, RQ_DEPTH};
 
 /// Per-acknowledgement bound: recovery (the respawn backoff, then any
 /// NACK or RTO retransmit of what was lost) must complete well inside
@@ -469,6 +471,8 @@ const HOSTILE_LSYNC: u32 = 1;
 const HOSTILE_RSYNC: u32 = 2;
 /// The sink queue valid hostile ENQs land in (the co-tenant's is 0).
 const HOSTILE_RQ: u32 = 1;
+/// The co-tenant's flag for the ENQs that refill every drained queue.
+const REFILL_LSYNC: u32 = 3;
 
 /// Draws one hostile operation towards `sink` (segment `seg` bytes, like
 /// the hostile process's own): a valid one a quarter of the time,
@@ -536,9 +540,11 @@ fn past(rng: &mut SplitMix64, lo: u32) -> u32 {
 /// node and proxy, streams `per_sender` tagged ENQs to a sink on node 1.
 /// The shared proxy must reject exactly the invalid operations, one fault
 /// each, fire no flag for any of them, and never die; the co-tenant's
-/// stream must arrive exactly once, in order. Nothing drains the sink
-/// queue the valid hostile ENQs land in until the end, so `ops` must keep
-/// them (about one in twelve) under [`mproxy_rt::RQ_DEPTH`].
+/// stream must arrive exactly once, in order. The sink drains every queue
+/// while they run, and `ops` must make more valid hostile ENQs (about one
+/// in twelve) than a queue has places, [`RQ_DEPTH`]: afterwards each
+/// sink queue must admit a fresh `RQ_DEPTH` ENQs, so no invalid ENQ took
+/// a place and no valid one kept its place past its dequeue.
 #[must_use]
 pub fn hostile_tenant(seed: u64, ops: u64, per_sender: u64) -> ScenarioResult {
     const SEG: u64 = 1 << 12;
@@ -556,6 +562,31 @@ pub fn hostile_tenant(seed: u64, ops: u64, per_sender: u64) -> ScenarioResult {
     let sink_ep = eps.pop().expect("sink endpoint");
     let mut tenant_ep = eps.pop().expect("co-tenant endpoint");
     let mut hostile_ep = eps.pop().expect("hostile endpoint");
+
+    // The sink drains every queue until told to stop, then once more:
+    // the co-tenant's tags, the hostile ENQs, and what landed elsewhere.
+    let stop = Arc::new(AtomicBool::new(false));
+    let drainer = std::thread::spawn({
+        let stop = Arc::clone(&stop);
+        move || {
+            let (mut tags, mut hostile_enqs, mut stray) = (Vec::new(), 0u64, 0u64);
+            let mut last = false;
+            while !last {
+                last = stop.load(Ordering::Acquire);
+                for rq in 0..NUM_QUEUES as u32 {
+                    while let Some(data) = sink_ep.rq_try_recv(RqId(rq)) {
+                        match rq {
+                            0 => tags.extend(data[..].try_into().map(u64::from_le_bytes)),
+                            HOSTILE_RQ => hostile_enqs += 1,
+                            _ => stray += 1,
+                        }
+                    }
+                }
+                std::thread::yield_now();
+            }
+            (sink_ep, tags, hostile_enqs, stray)
+        }
+    });
 
     let tenant_thread = std::thread::spawn(move || -> Result<mproxy_rt::Endpoint, String> {
         const WINDOW: u64 = 32;
@@ -597,17 +628,35 @@ pub fn hostile_tenant(seed: u64, ops: u64, per_sender: u64) -> ScenarioResult {
     if let Err(err) = hostile_ep.wait_flag_timeout(FlagId(HOSTILE_LSYNC), valid, WAIT) {
         result = result.fail(format!("hostile tenant's valid operations: {err}"));
     }
-    let tenant_ep = match tenant_thread.join().expect("co-tenant thread") {
+    let mut tenant_ep = match tenant_thread.join().expect("co-tenant thread") {
         Ok(e) => Some(e),
         Err(why) => {
             result = result.fail(why);
             None
         }
     };
+    // Every lsync that fired was for a payload already in its queue.
+    stop.store(true, Ordering::Release);
+    let (sink_ep, tags, enqueued, stray) = drainer.join().expect("sink drainer thread");
     if result.passed {
-        let got = drain_u64s(&sink_ep, RqId(0), per_sender as usize);
-        if let Err(why) = got.and_then(|got| check_exactly_once(&got, &[tenant], per_sender)) {
+        if let Err(why) = check_exactly_once(&tags, &[tenant], per_sender) {
             result = result.fail(format!("co-tenant stream: {why}"));
+        }
+    }
+    if result.passed && valid_enq <= RQ_DEPTH as u64 {
+        let why = format!("{valid_enq} valid hostile ENQs cannot fill a queue");
+        result = result.fail(why);
+    }
+    // Every queue drained: each has all its places back.
+    let refill = (RQ_DEPTH * NUM_QUEUES) as u64;
+    if let Some(e) = tenant_ep.as_mut().filter(|_| result.passed) {
+        for rq in 0..NUM_QUEUES as u32 {
+            for _ in 0..RQ_DEPTH {
+                e.enq(0, sink, RqId(rq), 8, Some(FlagId(REFILL_LSYNC)), None);
+            }
+        }
+        if let Err(err) = e.wait_flag_timeout(FlagId(REFILL_LSYNC), refill, WAIT) {
+            result = result.fail(format!("a drained queue kept places taken: {err}"));
         }
     }
     result.deaths = (0..2).map(|n| cluster.deaths(n)).sum();
@@ -633,7 +682,6 @@ pub fn hostile_tenant(seed: u64, ops: u64, per_sender: u64) -> ScenarioResult {
         }
         v
     };
-    let enqueued = std::iter::from_fn(|| sink_ep.rq_try_recv(RqId(HOSTILE_RQ))).count() as u64;
     let checks = [
         ("hostile faults", vec![hostile_ep.faults()], vec![invalid]),
         (
@@ -646,11 +694,11 @@ pub fn hostile_tenant(seed: u64, ops: u64, per_sender: u64) -> ScenarioResult {
             flags(&sink_ep),
             expect(&[(HOSTILE_RSYNC, valid_rsync)]),
         ),
-        ("hostile ENQs delivered", vec![enqueued], vec![valid_enq]),
+        ("hostile ENQs delivered", vec![enqueued, stray], vec![valid_enq, 0]),
         (
             "co-tenant flags and faults",
             tenant_ep.map_or_else(Vec::new, |e| [flags(&e), vec![e.faults()]].concat()),
-            [expect(&[(0, per_sender)]), vec![0]].concat(),
+            [expect(&[(0, per_sender), (REFILL_LSYNC, refill)]), vec![0]].concat(),
         ),
     ];
     for (what, got, want) in checks {
@@ -696,7 +744,7 @@ mod tests {
             kill_sender_fan_in(202, 40),
             corrupt_under_load(303, 200),
             stall_survivor_liveness(404, 25),
-            hostile_tenant(505, 400, 200),
+            hostile_tenant(505, 4_000, 200),
         ] {
             assert!(r.passed, "{}: {}", r.name, r.failure);
         }

@@ -277,6 +277,13 @@ impl<T> Reorder<T> {
             .collect()
     }
 
+    /// Every parked item, in sequence order, to change in place: a
+    /// receiver that gives up on a stream can empty them and keep their
+    /// slots, so a late copy of one is still a duplicate.
+    pub fn held_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.held.iter_mut().flatten()
+    }
+
     /// Discards every parked item (their sender is gone, or the receiver
     /// lost its memory), returning them so the caller can count what was
     /// lost. The watermark stays.

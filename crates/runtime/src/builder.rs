@@ -5,7 +5,7 @@
 //! other thread.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
@@ -129,6 +129,7 @@ impl RtClusterBuilder {
                     .map(|_| Arc::new(AtomicU64::new(0)))
                     .collect(),
                 queues: (0..NUM_QUEUES).map(|_| Ring::new(RQ_DEPTH)).collect(),
+                claimed: (0..NUM_QUEUES).map(|_| AtomicUsize::new(0)).collect(),
                 faults: Arc::new(AtomicU64::new(0)),
                 timeouts: Arc::new(AtomicU64::new(0)),
             }));

@@ -56,7 +56,7 @@
 //! balancing, not ownership of memory.
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -70,7 +70,7 @@ use crate::mem::Segment;
 use crate::proxy::SupervisorCfg;
 use crate::ring::Ring;
 use crate::state::NodeState;
-use crate::wire::{abandon_all_held, WireMsg};
+use crate::wire::{abandon_all_held, give_back_unsent, WireMsg};
 
 /// Synchronisation flags per process.
 pub const NUM_FLAGS: usize = 64;
@@ -164,11 +164,31 @@ pub(crate) struct ProcShared {
     pub(crate) node: usize,
     pub(crate) seg: Segment,
     pub(crate) flags: Vec<Arc<AtomicU64>>,
-    /// Reply rings, one per remote queue: the serving proxies produce,
+    /// Reply rings, one per remote queue: the serving proxy produces,
     /// the owning user process consumes.
     pub(crate) queues: Vec<Ring<Bytes>>,
+    /// Places taken in each queue, never above [`RQ_DEPTH`]: a sending
+    /// proxy claims one as it admits an ENQ (`proxy::held`) and the
+    /// owner's dequeue gives it back, so a reply ring never refuses an
+    /// ENQ that reaches it.
+    pub(crate) claimed: Vec<AtomicUsize>,
     pub(crate) faults: Arc<AtomicU64>,
     pub(crate) timeouts: Arc<AtomicU64>,
+}
+
+impl ProcShared {
+    /// False when all [`RQ_DEPTH`] places of queue `rq` are taken.
+    /// Acquire pairs with [`ProcShared::give_back`]: a dequeue retires its
+    /// slot before its place can be claimed again, and the wire ring
+    /// carries that on to the proxy that pushes.
+    pub(crate) fn claim(&self, rq: usize) -> bool {
+        let room = |n: usize| (n < RQ_DEPTH).then_some(n + 1);
+        self.claimed[rq].fetch_update(Ordering::Acquire, Ordering::Relaxed, room).is_ok()
+    }
+
+    pub(crate) fn give_back(&self, rq: usize) {
+        self.claimed[rq].fetch_sub(1, Ordering::Release);
+    }
 }
 
 /// Hot-path telemetry — the `Enqueue`/`Drain`/`Send`/`AckIn` trace
@@ -293,12 +313,13 @@ pub(crate) fn condemn(shared: &Shared, node: usize) {
     }
 }
 
-/// [`condemn`] for a node whose proxy has died for good, called by that
-/// proxy's thread with the state it holds: the frames it had parked
-/// behind gaps will never be applied, and are counted as dropped before
-/// the node is written off.
+/// [`condemn`] for a node whose proxy has died for good, called by its
+/// thread with the state it holds. What will never be applied is settled
+/// first: its parked frames count as dropped, and their ENQs, and those
+/// of its frames no peer's ring took (unsent, or open), give places back.
 pub(crate) fn condemn_dead(shared: &Shared, st: &mut NodeState, node: usize) {
     abandon_all_held(shared, st, node);
+    st.tx.iter().for_each(|tx| give_back_unsent(shared, tx));
     condemn(shared, node);
 }
 

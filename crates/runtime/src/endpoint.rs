@@ -222,9 +222,12 @@ impl Endpoint {
     /// Non-blocking dequeue from one of this process's own remote queues.
     /// The payload is a shared buffer: it was snapshotted once at the
     /// sender's proxy and travelled the wire without further copies.
+    /// Dequeuing frees a place for the next ENQ ([`Endpoint::enq`]).
     #[must_use]
     pub fn rq_try_recv(&self, rq: RqId) -> Option<Bytes> {
-        self.me.queues[rq.0 as usize].try_pop()
+        let data = self.me.queues[rq.0 as usize].try_pop()?;
+        self.me.give_back(rq.0 as usize);
+        Some(data)
     }
 
     fn submit(&mut self, mut e: Entry) {
@@ -322,6 +325,10 @@ impl Endpoint {
     }
 
     /// `ENQ`: append `nbytes` from local `laddr` to queue `rq` of `dst`.
+    /// `lsync` increments once the payload is in the queue. An ENQ to a
+    /// full queue ([`crate::RQ_DEPTH`] payloads) waits at the head of
+    /// this process's command queue, with the commands behind it, until
+    /// the owner dequeues.
     pub fn enq(
         &mut self,
         laddr: u64,

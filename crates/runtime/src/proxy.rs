@@ -13,7 +13,7 @@
 //! that is full: only that submitter waits.
 //! [`handle_command`] executes a local user's command and [`apply_data`]
 //! a remote one. Every user operand is checked in one place, the sending
-//! proxy's [`handle_command`], where the command is decoded — never in
+//! proxy's [`valid`], where the command is decoded — never in
 //! user code, and never again at the receiver: a rejected command costs
 //! its submitter one fault and never reaches the wire, so [`apply_data`]
 //! applies what it is given without checking.
@@ -31,10 +31,10 @@ use crate::idle::{Backoff, Parker};
 use crate::load::LoadSampler;
 use crate::ring::Ring;
 use crate::spsc::{self, Entry};
-use crate::state::{CcbGet, NodeState, PendingEnq};
+use crate::state::{CcbGet, NodeState};
 use crate::wire::{
-    abandon_all_held, flush_acks, flush_frames, flush_pending, handle_packet, retransmit,
-    send_data, Payload, WireMsg,
+    abandon_all_held, flush_acks, flush_frames, give_back, give_back_unsent, handle_packet,
+    retransmit, send_data, Payload, WireMsg,
 };
 
 /// One command-queue consumer held by a node's proxy, tagged with the
@@ -57,8 +57,7 @@ const SERVICE_BURST: usize = 2 * CMDQ_DEPTH;
 
 /// Closed frames a proxy keeps unsent for one peer (its wire ring full)
 /// before commands addressed to that peer wait in their submitters'
-/// rings, and owed same-node ENQ deliveries before ENQs to this node
-/// wait ([`held`]). The bounded command rings then backpressure those
+/// rings ([`held`]). The bounded command rings then backpressure those
 /// submitters alone, so what commands put in flight towards a peer
 /// stays bounded by its `WIRE_DEPTH` ring plus `PENDING_CAP` unsent
 /// frames of at most [`crate::state::FRAME_CAP`] operations each (plus
@@ -80,8 +79,9 @@ const STOP_FLUSH_TRIES: u32 = 10_000;
 /// node `from`. By reference: the frame is shared with the sender's
 /// retention copy, so a payload that must outlive it (an ENQ handed to a
 /// reply ring) takes its own reference to the bytes. Nothing here is
-/// checked: the sending proxy's [`handle_command`] admitted every operand,
-/// so applying cannot fail on anything a tenant chose.
+/// checked: the sending proxy's [`valid`] admitted every operand and
+/// [`held`] claimed each ENQ its place, so applying cannot fail on
+/// anything a tenant chose.
 pub(crate) fn apply_data(
     shared: &Shared,
     st: &mut NodeState,
@@ -134,29 +134,45 @@ pub(crate) fn apply_data(
             ref data,
             rsync,
         } => {
-            // FIFO per node: anything already owed goes first.
-            let data = data.clone();
-            st.pending_rq.push_back(PendingEnq {
-                dst,
-                rq,
-                data,
-                rsync,
-            });
-            flush_pending(shared, st);
+            // The sending proxy claimed this place ([`held`]).
+            let ring = &shared.procs[dst as usize].queues[rq as usize];
+            let pushed = ring.try_push(data.clone());
+            assert!(pushed.is_ok(), "an ENQ without a place");
+            if let Some(f) = rsync {
+                shared.set_flag(dst, f);
+            }
         }
     }
 }
 
-/// Decodes and executes one user command of process `src` on node
-/// `node`. This is the one place a user operand is checked, all of them
-/// together, as the simulator's `Proc` checks a submission: the
-/// destination asid exists and `src` holds a grant for it, the op code
-/// is known, the transfer is not empty, the local range lies inside
-/// `src`'s segment and a PUT's or GET's remote range inside the
-/// destination's (neither wrapping), and every flag and queue index is in
-/// range. A command failing any of them costs `src` one fault and never
-/// reaches the wire; one passing all of them is sent towards the
-/// destination, whose proxy applies it unchecked ([`apply_data`]).
+/// True if command `e` of process `src` may run: the one place a user
+/// operand is checked, all of them together, as the simulator's `Proc`
+/// checks a submission. The destination asid exists and `src` holds a
+/// grant for it, the op code is known, the transfer is not empty, the
+/// local range lies inside `src`'s segment and a PUT's or GET's remote
+/// range inside the destination's (neither wrapping), and every flag
+/// and queue index is in range. A command failing any of them costs
+/// `src` one fault and claims nothing.
+fn valid(shared: &Shared, src: u32, e: &Entry) -> bool {
+    let [laddr, raddr, dst_nbytes, sync] = e.args;
+    let (dst, n) = ((dst_nbytes >> 32) as usize, dst_nbytes as u32 as usize);
+    let (lsync, rsync) = unpack_sync(sync);
+    let flag_ok = |f: Option<u32>| f.is_none_or(|f| (f as usize) < NUM_FLAGS);
+    dst < shared.procs.len()
+        && shared.allowed(src, dst as u32)
+        && n > 0
+        && shared.procs[src as usize].seg.check(laddr, n)
+        && flag_ok(lsync)
+        && flag_ok(rsync)
+        && match e.op {
+            OP_PUT | OP_GET => shared.procs[dst].seg.check(raddr, n),
+            OP_ENQ => raddr < NUM_QUEUES as u64,
+            _ => false,
+        }
+}
+
+/// Sends command `e` of process `src` on node `node`, which [`valid`]
+/// admitted and [`held`] let go, towards its destination.
 fn handle_command(
     shared: &Shared,
     st: &mut NodeState,
@@ -169,24 +185,8 @@ fn handle_command(
     let dst = (dst_nbytes >> 32) as u32;
     let nbytes = dst_nbytes as u32;
     let (lsync, rsync) = unpack_sync(sync);
-    let flag_ok = |f: Option<u32>| f.is_none_or(|f| (f as usize) < NUM_FLAGS);
     let n = nbytes as usize;
     let src_proc = &shared.procs[src as usize];
-    let valid = (dst as usize) < shared.procs.len()
-        && shared.allowed(src, dst)
-        && n > 0
-        && src_proc.seg.check(laddr, n)
-        && flag_ok(lsync)
-        && flag_ok(rsync)
-        && match e.op {
-            OP_PUT | OP_GET => shared.procs[dst as usize].seg.check(raddr, n),
-            OP_ENQ => raddr < NUM_QUEUES as u64,
-            _ => false,
-        };
-    if !valid {
-        shared.fault(src);
-        return;
-    }
     let dst_node = shared.procs[dst as usize].node;
     let (body, lsync) = match e.op {
         OP_PUT => {
@@ -218,7 +218,7 @@ fn handle_command(
             };
             (body, None)
         }
-        // OP_ENQ: the check above admits no other op.
+        // OP_ENQ: `valid` admits no other op.
         _ => {
             let data = src_proc.seg.read(laddr, n);
             let body = Payload::Enq {
@@ -337,8 +337,7 @@ fn proxy_main(
         if shared.any_condemned.load(Ordering::Acquire) {
             purge_condemned(shared, st, node);
         }
-        let mut progressed = flush_pending(shared, st);
-        progressed |= drain_commands(shared, st, node, now_ns, seat, ready);
+        let mut progressed = drain_commands(shared, st, node, now_ns, seat, ready);
         // The command frames, behind what earlier passes left unsent.
         progressed |= flush_frames(shared, st, node, now_ns);
         progressed |= drain_wire(shared, st, node, now_ns, wire_rx);
@@ -425,7 +424,8 @@ fn timed_faults(shared: &Shared, node: usize, now_ns: u64) -> bool {
 
 /// Purges traffic to and from condemned peers: their rings will never
 /// drain, their acks and retransmissions will never come. Every GET in
-/// every retained frame cancels its CCB; lsyncs never fire (the ops are
+/// every retained frame cancels its CCB, every ENQ that never reached
+/// the peer's ring gives its place back; lsyncs never fire (the ops are
 /// lost, and bounded waits report it).
 #[inline]
 fn purge_condemned(shared: &Shared, st: &mut NodeState, node: usize) {
@@ -443,6 +443,7 @@ fn purge_condemned(shared: &Shared, st: &mut NodeState, node: usize) {
                 ccbs.remove(token);
             }
         }
+        give_back_unsent(shared, tx);
         tx.retained.reset(tx.retained.last() + 1);
         tx.sent = tx.retained.last();
         // Nobody drains its ring: what it is owed is owed to no one.
@@ -450,31 +451,27 @@ fn purge_condemned(shared: &Shared, st: &mut NodeState, node: usize) {
         tx.open.clear();
         tx.lsyncs.clear();
         // Frames parked behind a gap the dead node will never fill are
-        // abandoned — counted, so the receiver's `msgs_in` identity
-        // stays exact.
-        shared.obs[node].add(Ctr::DamagedDrops, rx[dst].abandon_held());
+        // abandoned: counted, so `msgs_in` stays exact, and their ENQs'
+        // places given back.
+        let lost = rx[dst].abandon_held(|op| give_back(shared, op));
+        shared.obs[node].add(Ctr::DamagedDrops, lost);
     }
 }
 
-/// True while command `e` must wait at the head of its ring: its
-/// destination node has [`PENDING_CAP`] closed frames from this node not
-/// yet on its ring, or it is an ENQ to a process on this node and
-/// [`PENDING_CAP`] deliveries here are already owed. A command naming no
-/// process is never held: [`handle_command`] faults it.
-fn held(shared: &Shared, st: &NodeState, node: usize, e: &Entry) -> bool {
-    let Some(dst) = shared.procs.get((e.args[2] >> 32) as usize) else {
-        return false;
-    };
-    if e.op == OP_ENQ && dst.node == node && st.pending_rq.len() >= PENDING_CAP {
-        return true;
-    }
-    st.tx[dst.node].unsent() >= PENDING_CAP
+/// True while [`valid`] command `e` must wait at the head of its ring:
+/// its destination node has [`PENDING_CAP`] unsent frames from this
+/// node, or it is an ENQ and its queue has no free place. The place is
+/// claimed here, last, so a command that waits holds none.
+fn held(shared: &Shared, st: &NodeState, e: &Entry) -> bool {
+    let dst = &shared.procs[(e.args[2] >> 32) as usize];
+    st.tx[dst.node].unsent() >= PENDING_CAP || e.op == OP_ENQ && !dst.claim(e.args[1] as usize)
 }
 
 /// User command queues: consult the §4.1 ready-bit vector, then drain a
-/// burst from each queue whose bit was set, stopping early at a command
-/// that is [`held`] — it stays at the head of its ring, and the other
-/// queues are still served. True if any command was taken.
+/// burst from each queue whose bit was set, faulting what is not
+/// [`valid`] and stopping at a command that is [`held`] — it stays at
+/// the head of its ring, and the other queues are served. True if any
+/// command was taken.
 #[inline]
 fn drain_commands(
     shared: &Shared,
@@ -498,7 +495,15 @@ fn drain_commands(
         let obs = &shared.obs[node];
         let mut taken = 0;
         while taken < SERVICE_BURST {
-            let Some(entry) = e.q.pop_unless(|c| held(shared, st, node, c)) else {
+            // A command towards a condemned node is dropped as it is
+            // decoded, claiming nothing: it would be lost on the wire.
+            let (mut ok, mut gone) = (false, false);
+            let Some(entry) = e.q.pop_unless(|c| {
+                ok = valid(shared, src, c);
+                let to = || shared.procs[(c.args[2] >> 32) as usize].node;
+                gone = ok && shared.condemned[to()].load(Ordering::Relaxed);
+                ok && !gone && held(shared, st, c)
+            }) else {
                 break;
             };
             taken += 1;
@@ -507,7 +512,11 @@ fn drain_commands(
             if entry.t_ns != 0 {
                 obs.record(HistId::CmdWaitNs, now_ns.saturating_sub(entry.t_ns));
             }
-            handle_command(shared, st, node, now_ns, src, entry);
+            if !ok {
+                shared.fault(src);
+            } else if !gone {
+                handle_command(shared, st, node, now_ns, src, entry);
+            }
         }
         if taken > 0 {
             if sampled(&mut st.ticks.drain) {

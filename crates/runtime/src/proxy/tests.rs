@@ -9,8 +9,8 @@ use super::*;
 use crate::fault::RtFaultState;
 use crate::load::SAMPLE_PERIOD_NS;
 use crate::state::Lsync;
-use crate::wire::RTO_NS;
-use crate::{RtClusterBuilder, RtFaultPlan};
+use crate::wire::{Frame, RTO_NS};
+use crate::{RqId, RtClusterBuilder, RtFaultPlan, RQ_DEPTH};
 use mproxy_model::fate::Fate;
 use std::sync::Arc;
 
@@ -26,15 +26,22 @@ fn quiesced() -> Arc<Shared> {
 }
 
 fn quiesced_under(plan: RtFaultPlan) -> Arc<Shared> {
+    quiesced_with_owner(plan).0
+}
+
+/// [`quiesced_under`], and the endpoint of `DST`'s process, which owns
+/// the queues the tests ENQ to.
+fn quiesced_with_owner(plan: RtFaultPlan) -> (Arc<Shared>, crate::Endpoint) {
     let mut b = RtClusterBuilder::new(2);
     b.fault_plan(plan);
     b.add_process(SRC, 1 << 12);
     b.add_process(DST, 1 << 12);
-    let (cluster, eps) = b.start();
+    let (cluster, mut eps) = b.start();
     let shared = Arc::clone(&cluster.shared);
+    let owner = eps.pop().expect("DST's endpoint");
     drop(eps);
     assert!(cluster.shutdown().clean());
-    shared
+    (shared, owner)
 }
 
 fn node_state() -> NodeState {
@@ -84,6 +91,39 @@ fn fill(shared: &Shared, node: usize) {
 /// Empties `node`'s wire ring.
 fn drain(shared: &Shared, node: usize) -> Vec<WireMsg> {
     std::iter::from_fn(|| shared.wires[node].try_pop()).collect()
+}
+
+/// `n` command queues of process `SRC`, as its proxy's seat holds them,
+/// and their producers.
+fn queues(n: u32) -> (Vec<spsc::Producer>, Vec<SeatEntry>) {
+    (0..n)
+        .map(|qbit| {
+            let (tx, q) = spsc::channel(CMDQ_DEPTH);
+            let asid = SRC as u32;
+            (tx, SeatEntry { asid, qbit, q })
+        })
+        .unzip()
+}
+
+/// One command drain over every queue of `seat` on `SRC`.
+fn drain_seat(shared: &Shared, st: &mut NodeState, seat: &mut [SeatEntry]) -> bool {
+    let ready = AtomicU64::new((1 << seat.len()) - 1);
+    drain_commands(shared, st, SRC, T0, seat, &ready)
+}
+
+/// An in-bounds command of process `SRC` towards `dst`: 8 bytes from
+/// offset 0, to offset 0 or queue `rq`, with sync word `sync`.
+fn cmd(op: u32, dst: usize, rq: u64, sync: u64) -> Entry {
+    Entry {
+        op,
+        args: [0, rq, (dst as u64) << 32 | 8, sync],
+        t_ns: 0,
+    }
+}
+
+/// Places taken in queue `rq` of `DST`'s process.
+fn claimed(shared: &Shared, rq: usize) -> usize {
+    shared.procs[DST].claimed[rq].load(Ordering::Acquire)
 }
 
 /// Closes one frame of one PUT towards `DST` under `fate`, leaving it to
@@ -145,14 +185,11 @@ fn frame_round_trip_applies_every_operation_and_fires_its_lsyncs_together() {
 fn command_endpoint_cannot_express_faults_once_and_sends_nothing() {
     let shared = quiesced();
     let mut st = node_state();
+    let (mut tx, mut seat) = queues(1);
     let faults = || shared.procs[SRC].faults.load(Ordering::Relaxed);
     // An in-bounds 8-byte command towards DST, but for `op`, the queue
     // word and the sync word.
-    let cmd = |op, rq, sync| Entry {
-        op,
-        args: [0, rq, (DST as u64) << 32 | 8, sync],
-        t_ns: 0,
-    };
+    let cmd = |op, rq, sync| cmd(op, DST, rq, sync);
     // A sync half naming flag `NUM_FLAGS`, one past the last.
     let past = NUM_FLAGS as u64 + 1;
     let hostile = [
@@ -169,7 +206,8 @@ fn command_endpoint_cannot_express_faults_once_and_sends_nothing() {
         cmd(OP_ENQ, 1 << 32, 0),
     ];
     for (i, e) in hostile.into_iter().enumerate() {
-        handle_command(&shared, &mut st, SRC, T0, SRC as u32, e);
+        assert!(tx[0].try_send(e));
+        assert!(drain_seat(&shared, &mut st, &mut seat));
         flush_frames(&shared, &mut st, SRC, T0);
         assert_eq!(faults(), i as u64 + 1, "one fault for {e:?}");
         assert!(shared.wires[DST].is_empty(), "{e:?} reached the wire");
@@ -177,8 +215,9 @@ fn command_endpoint_cannot_express_faults_once_and_sends_nothing() {
     assert!(st.tx[DST].retained.is_empty() && st.ccbs.is_empty());
     // The same commands with every word in range are sent, unfaulted.
     for op in [OP_PUT, OP_GET, OP_ENQ] {
-        handle_command(&shared, &mut st, SRC, T0, SRC as u32, cmd(op, 0, 1 << 32 | 1));
+        assert!(tx[0].try_send(cmd(op, 0, 1 << 32 | 1)));
     }
+    drain_seat(&shared, &mut st, &mut seat);
     flush_frames(&shared, &mut st, SRC, T0);
     assert_eq!(faults(), hostile.len() as u64);
     let Some(WireMsg::Data { body, .. }) = shared.wires[DST].try_pop() else {
@@ -436,27 +475,8 @@ fn a_command_to_a_backlogged_peer_waits_in_its_ring_while_other_queues_are_serve
     }
     assert!(!flush_frames(&shared, &mut st, SRC, T0));
     // Two queues of process SRC: a PUT to DST's process, one to itself.
-    let cmd = |dst: usize| Entry {
-        op: OP_PUT,
-        args: [0, 0, (dst as u64) << 32 | 8, 0],
-        t_ns: 0,
-    };
-    let (mut to_peer, q0) = spsc::channel(CMDQ_DEPTH);
-    let (mut to_self, q1) = spsc::channel(CMDQ_DEPTH);
-    assert!(to_peer.try_send(cmd(DST)) && to_self.try_send(cmd(SRC)));
-    let asid = SRC as u32;
-    let mut seat = [
-        SeatEntry {
-            asid,
-            qbit: 0,
-            q: q0,
-        },
-        SeatEntry {
-            asid,
-            qbit: 1,
-            q: q1,
-        },
-    ];
+    let (mut tx, mut seat) = queues(2);
+    assert!(tx[0].try_send(cmd(OP_PUT, DST, 0, 0)) && tx[1].try_send(cmd(OP_PUT, SRC, 0, 0)));
     let ready = AtomicU64::new(0b11);
     assert!(drain_commands(&shared, &mut st, SRC, T0, &mut seat, &ready));
     assert!(
@@ -475,6 +495,231 @@ fn a_command_to_a_backlogged_peer_waits_in_its_ring_while_other_queues_are_serve
     assert!(st.tx[DST].unsent() < PENDING_CAP);
     assert!(drain_commands(&shared, &mut st, SRC, T0, &mut seat, &ready));
     assert!(!seat[0].q.is_ready());
+}
+
+#[test]
+fn an_enq_that_fails_any_check_claims_no_place() {
+    let shared = quiesced();
+    let mut st = node_state();
+    let (mut tx, mut seat) = queues(1);
+    let past = NUM_FLAGS as u64 + 1;
+    let no_bytes = Entry {
+        args: [0, 0, (DST as u64) << 32, 0],
+        ..cmd(OP_ENQ, DST, 0, 0)
+    };
+    let bad_laddr = Entry {
+        args: [1 << 12, 0, (DST as u64) << 32 | 8, 0],
+        ..cmd(OP_ENQ, DST, 0, 0)
+    };
+    let invalid = [
+        no_bytes,
+        bad_laddr,
+        cmd(OP_ENQ, DST, 0, past << 32),
+        cmd(OP_ENQ, DST, 0, past),
+        cmd(OP_ENQ, DST, NUM_QUEUES as u64, 0),
+        cmd(OP_ENQ, 2, 0, 0),
+        // No grant: the last, once grants are enforced.
+        cmd(OP_ENQ, DST, 0, 0),
+    ];
+    for e in invalid {
+        assert!(tx[0].try_send(e));
+    }
+    shared.allow_all.store(false, Ordering::Relaxed);
+    assert!(drain_seat(&shared, &mut st, &mut seat));
+    assert!(!seat[0].q.is_ready(), "every command decided");
+    let faults = shared.procs[SRC].faults.load(Ordering::Relaxed);
+    assert_eq!(faults, invalid.len() as u64);
+    assert!((0..NUM_QUEUES).all(|rq| claimed(&shared, rq) == 0));
+    // The same ENQ, granted, takes one place in its queue.
+    shared.allow_all.store(true, Ordering::Relaxed);
+    assert!(tx[0].try_send(cmd(OP_ENQ, DST, 3, 0)));
+    assert!(drain_seat(&shared, &mut st, &mut seat));
+    assert_eq!((claimed(&shared, 3), claimed(&shared, 0)), (1, 0));
+}
+
+#[test]
+fn an_enq_to_a_full_queue_waits_at_the_head_of_its_ring_while_another_ring_is_served() {
+    let (shared, owner) = quiesced_with_owner(RtFaultPlan::new(0));
+    let mut st = node_state();
+    let dst = &shared.procs[DST];
+    for i in 0..RQ_DEPTH {
+        assert!(dst.claim(0), "place {i}");
+        assert!(dst.queues[0].try_push(bytes::Bytes::new()).is_ok());
+    }
+    let (mut tx, mut seat) = queues(2);
+    assert!(tx[0].try_send(cmd(OP_ENQ, DST, 0, 0)));
+    assert!(tx[1].try_send(cmd(OP_PUT, DST, 0, 0)));
+    let ready = AtomicU64::new(0b11);
+    assert!(drain_commands(&shared, &mut st, SRC, T0, &mut seat, &ready));
+    assert!(seat[0].q.is_ready(), "the ENQ is still at its head");
+    assert!(!seat[1].q.is_ready(), "the PUT was served");
+    assert_eq!(ready.load(Ordering::Relaxed), 0b01, "the held bit re-armed");
+    assert_eq!(claimed(&shared, 0), RQ_DEPTH);
+    flush_frames(&shared, &mut st, SRC, T0);
+    let Some(WireMsg::Data { body, .. }) = shared.wires[DST].try_pop() else {
+        panic!("the PUT's frame");
+    };
+    assert!(matches!(body[..], [Payload::Put { .. }]));
+    // The owner dequeues one payload: the ENQ takes its place.
+    assert!(owner.rq_try_recv(RqId(0)).is_some());
+    assert_eq!(claimed(&shared, 0), RQ_DEPTH - 1);
+    assert!(drain_commands(&shared, &mut st, SRC, T0, &mut seat, &ready));
+    assert!(!seat[0].q.is_ready());
+    assert_eq!(claimed(&shared, 0), RQ_DEPTH);
+}
+
+/// Admits one ENQ of `SRC` to queue 0 of `DST` through `seat`, and
+/// closes its frame unless `open`.
+fn enq(
+    shared: &Shared,
+    st: &mut NodeState,
+    tx: &mut spsc::Producer,
+    seat: &mut [SeatEntry],
+    open: bool,
+) {
+    assert!(tx.try_send(cmd(OP_ENQ, DST, 0, 0)));
+    assert!(drain_seat(shared, st, seat));
+    if !open {
+        flush_frames(shared, st, SRC, T0);
+    }
+}
+
+/// The next frame on `node`'s ring.
+fn pop_frame(shared: &Shared, node: usize) -> (u64, Frame) {
+    match shared.wires[node].try_pop() {
+        Some(WireMsg::Data { seq, body, .. }) => (seq, body),
+        other => panic!("expected a data frame, got {other:?}"),
+    }
+}
+
+/// A copy of data frame `seq` from `SRC`.
+fn copy(seq: u64, body: &Frame) -> WireMsg {
+    WireMsg::Data {
+        from: SRC,
+        seq,
+        corrupt: false,
+        body: Arc::clone(body),
+    }
+}
+
+#[test]
+fn a_duplicated_or_retransmitted_enq_uses_one_place() {
+    let (shared, owner) = quiesced_with_owner(RtFaultPlan::new(0));
+    let (mut src, mut dst) = (node_state(), node_state());
+    let (mut tx, mut seat) = queues(1);
+    enq(&shared, &mut src, &mut tx[0], &mut seat, false);
+    let (seq, body) = pop_frame(&shared, DST);
+    // The frame, a duplicate of it, then a retransmission: applied once.
+    handle_packet(&shared, &mut dst, DST, T0, copy(seq, &body));
+    handle_packet(&shared, &mut dst, DST, T0, copy(seq, &body));
+    retransmit(&shared, &mut src, SRC, T0 + RTO_NS);
+    let resent = shared.wires[DST].try_pop().expect("the retransmission");
+    handle_packet(&shared, &mut dst, DST, T0, resent);
+    assert_eq!(
+        (shared.procs[DST].queues[0].len(), claimed(&shared, 0)),
+        (1, 1)
+    );
+    assert_eq!(shared.obs[DST].get(Ctr::DedupDrops), 2);
+    let (first, second) = (owner.rq_try_recv(RqId(0)), owner.rq_try_recv(RqId(0)));
+    assert!(first.is_some() && second.is_none());
+    assert_eq!(claimed(&shared, 0), 0);
+}
+
+#[test]
+fn abandoned_and_unsent_enqs_give_their_places_back_and_sent_ones_keep_them() {
+    // Once its sender is condemned, nothing more of a stream is applied:
+    // a frame parked behind a gap gives its place back, and so does the
+    // gap frame arriving late — each once, later copies being duplicates.
+    let shared = quiesced();
+    let (mut src, mut dst) = (node_state(), node_state());
+    let (mut tx, mut seat) = queues(1);
+    enq(&shared, &mut src, &mut tx[0], &mut seat, false);
+    enq(&shared, &mut src, &mut tx[0], &mut seat, false);
+    let (gap, first) = pop_frame(&shared, DST);
+    let (seq, parked) = pop_frame(&shared, DST);
+    handle_packet(&shared, &mut dst, DST, T0, copy(seq, &parked));
+    assert_eq!(claimed(&shared, 0), 2);
+    shared.condemned[SRC].store(true, Ordering::Release);
+    purge_condemned(&shared, &mut dst, DST);
+    assert_eq!(claimed(&shared, 0), 1, "the parked ENQ's place is back");
+    assert_eq!(shared.obs[DST].get(Ctr::DamagedDrops), 1);
+    handle_packet(&shared, &mut dst, DST, T0, copy(seq, &parked));
+    purge_condemned(&shared, &mut dst, DST);
+    assert_eq!(claimed(&shared, 0), 1, "given back once");
+    handle_packet(&shared, &mut dst, DST, T0, copy(gap, &first));
+    assert_eq!(claimed(&shared, 0), 0, "the late gap frame's place is back");
+    handle_packet(&shared, &mut dst, DST, T0, copy(gap, &first));
+    purge_condemned(&shared, &mut dst, DST);
+    assert_eq!(claimed(&shared, 0), 0, "given back once");
+    assert!(shared.procs[DST].queues[0].is_empty(), "nothing applied");
+    let obs = &shared.obs[DST];
+    assert_eq!(
+        (obs.get(Ctr::DamagedDrops), obs.get(Ctr::DedupDrops)),
+        (2, 2)
+    );
+
+    // A dying proxy gives back the places of what never reached a
+    // peer's ring — unsent or still open — and keeps those of what did.
+    let shared = quiesced();
+    let mut src = node_state();
+    let (mut tx, mut seat) = queues(1);
+    enq(&shared, &mut src, &mut tx[0], &mut seat, false);
+    fill(&shared, DST);
+    enq(&shared, &mut src, &mut tx[0], &mut seat, false);
+    enq(&shared, &mut src, &mut tx[0], &mut seat, true);
+    assert_eq!((src.tx[DST].unsent(), src.tx[DST].open.len()), (1, 1));
+    assert_eq!(claimed(&shared, 0), 3);
+    crate::cluster::condemn_dead(&shared, &mut src, SRC);
+    assert_eq!(claimed(&shared, 0), 1, "the sent ENQ keeps its place");
+
+    // Towards a condemned node, an ENQ that was sent keeps its place: it
+    // may sit in the queue already. The unsent and the open give theirs.
+    let shared = quiesced();
+    let mut src = node_state();
+    let (mut tx, mut seat) = queues(1);
+    enq(&shared, &mut src, &mut tx[0], &mut seat, false);
+    fill(&shared, DST);
+    enq(&shared, &mut src, &mut tx[0], &mut seat, false);
+    enq(&shared, &mut src, &mut tx[0], &mut seat, true);
+    shared.condemned[DST].store(true, Ordering::Release);
+    purge_condemned(&shared, &mut src, SRC);
+    assert!(src.tx[DST].retained.is_empty() && src.tx[DST].open.is_empty());
+    assert_eq!(claimed(&shared, 0), 1, "the sent ENQ keeps its place");
+}
+
+#[test]
+fn enqs_to_a_condemned_node_claim_nothing_and_hold_back_no_command_behind_them() {
+    let shared = quiesced();
+    let mut st = node_state();
+    // Queue 0 is full of places kept by ENQs sent before DST was
+    // condemned. RQ_DEPTH + 2 more ENQs to it over three rings, a PUT to
+    // SRC behind the last: one drain takes all of them, and sends the PUT.
+    while shared.procs[DST].claim(0) {}
+    shared.condemned[DST].store(true, Ordering::Release);
+    let (mut tx, mut seat) = queues(3);
+    for i in 0..RQ_DEPTH + 2 {
+        assert!(tx[i % 3].try_send(cmd(OP_ENQ, DST, 0, 0)));
+    }
+    assert!(tx[2].try_send(cmd(OP_PUT, SRC, 0, 0)));
+    assert!(drain_seat(&shared, &mut st, &mut seat));
+    assert!(seat.iter().all(|e| !e.q.is_ready()), "every command taken");
+    assert_eq!(claimed(&shared, 0), RQ_DEPTH);
+    assert_eq!(shared.procs[SRC].faults.load(Ordering::Relaxed), 0);
+    flush_frames(&shared, &mut st, SRC, T0);
+    let (_, body) = pop_frame(&shared, SRC);
+    assert!(matches!(body[..], [Payload::Put { .. }]));
+    // An ENQ whose place was claimed before its node was condemned gives
+    // it back as the wire drops it.
+    assert!(shared.procs[DST].claim(1));
+    let data = bytes::Bytes::new();
+    let body = Payload::Enq {
+        dst: DST as u32,
+        rq: 1,
+        data,
+        rsync: None,
+    };
+    send_data(&shared, &mut st, SRC, T0, DST, body, None, 0);
+    assert_eq!(claimed(&shared, 1), 0);
 }
 
 #[test]

@@ -27,7 +27,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use bytes::Bytes;
 use mproxy_model::fate::Fate;
 use mproxy_model::link::{Reorder, Retention};
 
@@ -203,35 +202,27 @@ impl RxPeer {
         }
     }
 
-    /// Discards every parked frame (their sender is gone, or this proxy
-    /// is exiting); returns how many operations they carried so the
-    /// caller can count them as dropped.
-    pub(crate) fn abandon_held(&mut self) -> u64 {
-        self.order.abandon_held().iter().map(|f| f.len() as u64).sum()
+    /// Empties every parked frame (their sender is gone, or this proxy
+    /// is exiting), handing each operation to `lost`; returns how many
+    /// there were. The slots stay, so a late copy is a duplicate
+    /// ([`crate::wire::handle_packet`] applies nothing more of a stream
+    /// it abandoned).
+    pub(crate) fn abandon_held(&mut self, mut lost: impl FnMut(&Payload)) -> u64 {
+        let frames = self.order.held_mut();
+        let ops = frames.map(|f| std::mem::replace(f, Arc::new([])));
+        ops.map(|f| f.iter().map(&mut lost).count() as u64).sum()
     }
-}
-
-/// An accepted ENQ whose reply ring was full; delivery is owed (its
-/// frame was already acknowledged), so this queue must survive a proxy
-/// crash — it does, inside [`NodeState`].
-pub(crate) struct PendingEnq {
-    pub(crate) dst: u32,
-    pub(crate) rq: u32,
-    pub(crate) data: Bytes,
-    pub(crate) rsync: Option<u32>,
 }
 
 /// Everything a node's proxy knows that must survive a panic of its
 /// service loop: protocol watermarks, retention buffers (with what has
-/// not reached each peer's ring yet), CCBs, owed deliveries. Owned by the
-/// node's proxy thread ([`crate::proxy::run_proxy`]).
+/// not reached each peer's ring yet), CCBs. Owned by the node's proxy
+/// thread ([`crate::proxy::run_proxy`]).
 pub(crate) struct NodeState {
     pub(crate) next_token: u64,
     pub(crate) ccbs: HashMap<u64, CcbGet>,
     pub(crate) tx: Vec<TxPeer>,
     pub(crate) rx: Vec<RxPeer>,
-    /// Accepted local deliveries whose reply ring was full.
-    pub(crate) pending_rq: VecDeque<PendingEnq>,
     pub(crate) ticks: ObsTicks,
 }
 
@@ -259,16 +250,14 @@ impl NodeState {
             ccbs: HashMap::new(),
             tx: (0..nodes).map(|_| TxPeer::new(now_ns)).collect(),
             rx: (0..nodes).map(|_| RxPeer::new()).collect(),
-            pending_rq: VecDeque::new(),
             ticks: ObsTicks::default(),
         }
     }
 
     /// Nothing is owed that only a retry can deliver: no unsent frame, no
-    /// refused ack or nack, no undelivered ENQ.
+    /// refused ack or nack.
     pub(crate) fn outbox_empty(&self) -> bool {
-        self.pending_rq.is_empty()
-            && self.tx.iter().all(|tx| tx.unsent() == 0)
+        self.tx.iter().all(|tx| tx.unsent() == 0)
             && self.rx.iter().all(|rx| !rx.ack_pending && !rx.nack_pending)
     }
 }
@@ -276,6 +265,8 @@ impl NodeState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Bytes;
+    use mproxy_model::link::Parked;
 
     /// A distinguishable operation.
     fn op(tag: u64) -> Payload {
@@ -298,8 +289,12 @@ mod tests {
         let three: Frame = Arc::new([op(1), op(2), op(3)]);
         rx.order.park(2, Some(Arc::new([op(9)])));
         rx.order.park(4, Some(three));
-        assert_eq!(rx.abandon_held(), 1 + 3);
-        assert_eq!(rx.order.span(), 0);
+        assert_eq!(rx.abandon_held(|_| {}), 1 + 3);
+        // The slots stay, empty: a late copy is a duplicate, and the
+        // frames count once.
+        assert_eq!(rx.order.span(), 4);
+        assert_eq!(rx.order.park(4, Some(Arc::new([op(3)]))), Parked::Duplicate);
+        assert_eq!(rx.abandon_held(|_| {}), 0);
     }
 
     fn lsync(flag: u32) -> Lsync {

@@ -51,8 +51,9 @@
 //! the sender fires a frame's lsyncs (together, [`process_ack`]) only on
 //! an ack at or past its sequence. The middle step rests on a premise:
 //! no user operand reaches [`crate::proxy::apply_data`] unchecked — the
-//! sending proxy checked every one where it decoded the command — so
-//! applying a frame cannot fail partway on anything a tenant chose. The
+//! sending proxy checked every one where it decoded the command, and
+//! claimed each ENQ a place in its queue — so applying a frame cannot
+//! fail partway on anything a tenant chose. The
 //! premise matters because [`handle_packet`] advances the watermark, and
 //! owes the ack, *before* it applies the frame: a panic partway would
 //! leave the rest of the frame acknowledged after the restart but never
@@ -61,9 +62,10 @@
 //! receiver applies every in-order frame it pops, and a sender that
 //! outruns it is slowed by the bounded queues behind it — the wire ring,
 //! then the frames retained unsent for that peer (past
-//! [`crate::proxy::PENDING_CAP`] of them, commands addressed to it wait),
-//! then the full command queues of the processes submitting to it. Only
-//! they wait: commands to other peers are served.
+//! [`crate::proxy::PENDING_CAP`] of them, commands addressed to it wait)
+//! or, for an ENQ, its queue's places (none free, the ENQ waits), then
+//! the full command queues of the processes submitting to it. Only they
+//! wait: commands to other peers and queues are served.
 //!
 //! This module holds the frames and the functions that move them; the
 //! per-stream state they act on ([`crate::state::TxPeer`], [`RxPeer`]) is in
@@ -80,7 +82,7 @@ use mproxy_obs::{Ctr, EventKind, HistId};
 
 use crate::cluster::{sampled, Shared};
 use crate::proxy::apply_data;
-use crate::state::{Lsync, NodeState, PendingEnq, Retained, RxPeer};
+use crate::state::{Lsync, NodeState, Retained, RxPeer, TxPeer};
 
 /// Retransmit timeout: a sender with unacknowledged frames and no ack
 /// progress for this long re-sends from its retention buffer. Generous
@@ -173,11 +175,27 @@ pub(crate) enum WireMsg {
     },
 }
 
-/// Discards every frame node `node` has parked, from every source,
-/// counting each of their operations as a damaged drop.
+/// Abandons every frame node `node` has parked
+/// ([`RxPeer::abandon_held`]): each operation counts as a damaged drop,
+/// each ENQ gives its place back.
 pub(crate) fn abandon_all_held(shared: &Shared, st: &mut NodeState, node: usize) {
-    let parked: u64 = st.rx.iter_mut().map(RxPeer::abandon_held).sum();
-    shared.obs[node].add(Ctr::DamagedDrops, parked);
+    let lost = |rx: &mut RxPeer| rx.abandon_held(|op| give_back(shared, op));
+    shared.obs[node].add(Ctr::DamagedDrops, st.rx.iter_mut().map(lost).sum());
+}
+
+/// Gives back the queue place of `op` if it is an ENQ.
+pub(crate) fn give_back(shared: &Shared, op: &Payload) {
+    if let Payload::Enq { dst, rq, .. } = *op {
+        shared.procs[dst as usize].give_back(rq as usize);
+    }
+}
+
+/// Gives back the queue places of the ENQs `tx` holds that never reached
+/// its peer's ring: in frames past [`TxPeer::sent`], or still open.
+pub(crate) fn give_back_unsent(shared: &Shared, tx: &TxPeer) {
+    let unsent = tx.retained.iter().filter(|&(seq, _)| seq > tx.sent);
+    let frames = unsent.map(|(_, r)| &r.body[..]).chain([&tx.open[..]]);
+    frames.flatten().for_each(|op| give_back(shared, op));
 }
 
 /// Offers one frame to `dst`'s ring, waking its proxy if it took it.
@@ -187,24 +205,6 @@ fn offer(shared: &Shared, dst: usize, msg: WireMsg) -> bool {
         shared.parkers[dst].wake();
     }
     taken
-}
-
-/// Makes the owed local deliveries, in order, until a reply ring
-/// refuses one; true if any was made.
-pub(crate) fn flush_pending(shared: &Shared, st: &mut NodeState) -> bool {
-    let mut progressed = false;
-    while let Some(p) = st.pending_rq.pop_front() {
-        let queue = &shared.procs[p.dst as usize].queues[p.rq as usize];
-        if let Err(data) = queue.try_push(p.data) {
-            st.pending_rq.push_front(PendingEnq { data, ..p });
-            break;
-        }
-        if let Some(f) = p.rsync {
-            shared.set_flag(p.dst, f);
-        }
-        progressed = true;
-    }
-    progressed
 }
 
 /// The injector's verdict on one transmission from `node`; clean when no
@@ -245,10 +245,12 @@ pub(crate) fn send_data(
     if shared.condemned[dst_node].load(Ordering::Relaxed) {
         // The destination is permanently gone: the op is lost, its lsync
         // never fires (clients observe that through bounded waits), and
-        // a GET's CCB is cancelled so the token can't dangle.
+        // a GET's CCB is cancelled so the token can't dangle, and an
+        // ENQ's place, claimed before the node was condemned, given back.
         if let Payload::GetReq { token, .. } = body {
             st.ccbs.remove(&token);
         }
+        give_back(shared, &body);
         return;
     }
     let fate = judge(shared, node);
@@ -421,12 +423,12 @@ fn process_ack(
 /// `ops_serviced` and of the drain burst.
 ///
 /// A data frame at or below the sender's in-order watermark is a
-/// duplicate; the frame right after the watermark is applied — every
-/// operation, in submission order — followed by every parked frame the
-/// advance makes contiguous; an intact frame further ahead is parked in
-/// the reorder buffer; a corrupt frame, or one beyond the reorder window,
-/// is dropped. Every arrival that leaves the watermark stuck behind a gap
-/// owes the sender a NACK.
+/// duplicate; unless its sender is condemned, the frame right after the
+/// watermark is applied — every operation, in submission order — with
+/// every parked frame the advance makes contiguous; an intact frame
+/// further ahead is parked in the reorder buffer; a corrupt frame, or
+/// one beyond the reorder window, is dropped. Every arrival that leaves
+/// the watermark stuck behind a gap owes the sender a NACK.
 pub(crate) fn handle_packet(
     shared: &Shared,
     st: &mut NodeState,
@@ -455,16 +457,25 @@ pub(crate) fn handle_packet(
                 rx.ack_pending = true;
                 return ops;
             }
-            if corrupt || seq != rx.order.delivered() + 1 {
+            // A condemned sender's stream is closed: nothing more of it
+            // is applied. Its frames are parked emptied, so the first
+            // intact copy of each gives its ENQs' places back, once.
+            let closed = shared.condemned[from].load(Ordering::Relaxed);
+            if corrupt || seq != rx.order.delivered() + 1 || closed {
                 // Damaged, or ahead of a gap (an earlier frame was lost):
                 // park what is intact, and name what is missing on the
                 // next NACK.
-                match rx.order.park(seq, (!corrupt).then_some(body)) {
+                let parked = if closed { Arc::new([]) } else { Arc::clone(&body) };
+                match rx.order.park(seq, (!corrupt).then_some(parked)) {
+                    Parked::Held if closed => {
+                        body.iter().for_each(|op| give_back(shared, op));
+                        obs.add(Ctr::DamagedDrops, ops);
+                    }
                     Parked::Held => {}
                     Parked::Duplicate => obs.add(Ctr::DedupDrops, ops),
                     Parked::Dropped => obs.add(Ctr::DamagedDrops, ops),
                 }
-                rx.nack_pending = true;
+                rx.nack_pending = !closed;
                 return ops;
             }
             rx.order.advance();

@@ -2,8 +2,9 @@
 //! mutually untrusting processes, so a peer that stops draining, or a
 //! receive queue nobody drains, must hold back only the commands
 //! addressed to it: a co-tenant on the same node, talking to someone
-//! else, keeps going. The third scenario guards the bound the proxy
-//! still keeps on its own node's undelivered ENQs.
+//! else, keeps going. A receive queue's bound is its `RQ_DEPTH` places,
+//! claimed as the sending proxy admits each ENQ: nothing past them is
+//! applied, from another node or from its own.
 //!
 //! These drive real threads. Each scenario takes the host's time for
 //! its waits, so they run one at a time.
@@ -13,12 +14,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use mproxy_obs::Ctr;
-use mproxy_rt::{Endpoint, FlagId, RqId, RtClusterBuilder, RtFaultPlan, RQ_DEPTH, WIRE_DEPTH};
-
-/// Unsent frames a proxy keeps for one peer, and owed deliveries on its
-/// own node, before the commands that would add to them wait in their
-/// rings (the runtime's `PENDING_CAP`).
-const PENDING_CAP: u64 = 2 * WIRE_DEPTH as u64;
+use mproxy_rt::{Endpoint, FlagId, RqId, RtCluster, RtClusterBuilder, RtFaultPlan, RQ_DEPTH};
 
 /// Bound on one co-tenant operation: far above an unloaded round trip
 /// (tens of µs), far below the stalls these scenarios build.
@@ -70,6 +66,12 @@ fn drain_words(owner: &Endpoint, words: u64) {
     }
     std::thread::sleep(Duration::from_millis(5));
     assert!(owner.rq_try_recv(RqId(0)).is_none(), "delivered twice");
+}
+
+/// Operations applied so far, over every node.
+fn applied(cluster: &RtCluster) -> u64 {
+    let snap = cluster.obs_snapshot("applied");
+    snap.scopes.iter().map(|s| s.counter(Ctr::OpsApplied)).sum()
 }
 
 /// Polls `value` until it has not moved for `quiet`, or `deadline` has
@@ -166,33 +168,51 @@ fn a_queue_nobody_drains_does_not_stall_its_node() {
     const WORDS: u64 = 3_000;
     let mut b = RtClusterBuilder::new(3);
     b.add_process(0, 1 << 16);
+    b.add_process(0, 1 << 12);
     let owner = b.add_process(1, 1 << 12);
     b.add_process(1, 1 << 12);
     let healthy = b.add_process(2, 1 << 12);
     let (cluster, eps) = b.start();
-    let [mut sender, owner_ep, mut tenant, _] = endpoints(eps);
+    let [mut flooder, mut neighbour, owner_ep, mut tenant, _] = endpoints(eps);
 
-    // Far more ENQs than the queue holds, each acknowledged: what the
-    // queue refuses is owed by its node's proxy.
-    enq_words(&mut sender, owner, WORDS);
-    sender
-        .wait_flag_timeout(FlagId(0), WORDS, Duration::from_secs(10))
-        .expect("every ENQ acknowledged");
-    assert!(WORDS > RQ_DEPTH as u64 + PENDING_CAP);
+    // Far more ENQs from another node than the queue holds: each waits
+    // for a place at the head of the flooder's command queue.
+    let flood = std::thread::spawn(move || {
+        enq_words(&mut flooder, owner, WORDS);
+        flooder.wait_flag_timeout(FlagId(0), WORDS, Duration::from_secs(10))
+    });
+    let quiet = Duration::from_millis(200);
+    let plateau = settled(quiet, Duration::from_secs(10), || applied(&cluster));
+    eprintln!("ENQs applied to an undrained queue: {plateau} of {WORDS}");
+    assert_eq!(plateau, RQ_DEPTH as u64, "one ENQ applied per place");
 
-    // A co-tenant on the full queue's node PUTs to a third node.
+    // A co-tenant on the full queue's node PUTs to a third node, and one
+    // on the flooder's node ENQs to another queue of the same owner.
     let laddr = tenant.alloc(8);
     let start = Instant::now();
     tenant.put(laddr, healthy, 0, 8, Some(FlagId(0)), None);
     tenant
         .wait_flag_timeout(FlagId(0), 1, WAIT)
         .unwrap_or_else(|e| panic!("co-tenant PUT beside a full queue: {e}"));
-    let took = start.elapsed();
-    eprintln!("co-tenant PUT beside a full queue: {took:?}");
+    let put_took = start.elapsed();
+    let laddr = neighbour.alloc(8);
+    let start = Instant::now();
+    neighbour.enq(laddr, owner, RqId(1), 8, Some(FlagId(0)), None);
+    neighbour
+        .wait_flag_timeout(FlagId(0), 1, WAIT)
+        .unwrap_or_else(|e| panic!("ENQ to another queue of the owner: {e}"));
+    let enq_took = start.elapsed();
+    eprintln!("beside a full queue: co-tenant PUT {put_took:?}, ENQ {enq_took:?}");
+    assert!(owner_ep.rq_try_recv(RqId(1)).is_some(), "the other queue's ENQ");
 
-    // Every word is delivered once, in order, as the owner drains.
+    // Every word is delivered once, in order, as the owner drains, and
+    // then every one of the flood's ENQs is acknowledged.
     drain_words(&owner_ep, WORDS);
-    assert!(took < WAIT, "{took:?}");
+    flood
+        .join()
+        .expect("flooder thread")
+        .expect("every ENQ acknowledged once drained");
+    assert!(put_took < WAIT && enq_took < WAIT);
     assert!(cluster.shutdown().clean());
 }
 
@@ -212,23 +232,12 @@ fn enqs_to_an_undrained_queue_on_the_same_node_stop_at_the_cap() {
         sender.wait_flag_timeout(FlagId(0), WORDS, Duration::from_secs(10))
     });
 
-    // Nobody drains: the proxy delivers `RQ_DEPTH`, owes `PENDING_CAP`
-    // more, and stops taking ENQs to its node once it owes that many —
-    // past it only what was already in flight is applied, and so
-    // acknowledged.
-    let applied = || {
-        let snap = cluster.obs_snapshot("flood");
-        snap.scopes.iter().map(|s| s.counter(Ctr::OpsApplied)).sum()
-    };
-    let plateau = settled(Duration::from_millis(200), Duration::from_secs(10), applied);
-    let cap = RQ_DEPTH as u64 + PENDING_CAP;
-    eprintln!("same-node ENQs applied: {plateau} (cap {cap})");
-    // Past the cap: what was on the proxy's own ring when the hold began,
-    // a few drain bursts at most (without the hold, all 8 000).
-    assert!(
-        (cap..cap + 1024).contains(&plateau),
-        "acknowledged count settled at {plateau}, cap {cap}"
-    );
+    // Nobody drains: the proxy admits `RQ_DEPTH` ENQs, one per place, and
+    // holds the next at the head of the sender's command queue.
+    let quiet = Duration::from_millis(200);
+    let plateau = settled(quiet, Duration::from_secs(10), || applied(&cluster));
+    eprintln!("same-node ENQs applied: {plateau} (cap {RQ_DEPTH})");
+    assert_eq!(plateau, RQ_DEPTH as u64, "one ENQ applied per place");
 
     drain_words(&owner_ep, WORDS);
     flood

@@ -39,6 +39,21 @@ fn counters_match_ground_truth_on_clean_fan_in() {
     let src_eps = eps.split_off(1);
     let sink = eps.pop().expect("sink endpoint");
 
+    // The sink drains while the senders run: its queue holds `RQ_DEPTH`
+    // payloads, and an ENQ past them waits for room.
+    let drainer = std::thread::spawn(move || {
+        let mut drained = 0u64;
+        let deadline = std::time::Instant::now() + WAIT;
+        while drained < SENDERS as u64 * PER {
+            if sink.rq_try_recv(RqId(0)).is_some() {
+                drained += 1;
+            } else {
+                assert!(std::time::Instant::now() < deadline, "drain timed out");
+                std::thread::yield_now();
+            }
+        }
+        sink
+    });
     let handles: Vec<_> = src_eps
         .into_iter()
         .zip(src_asids)
@@ -55,16 +70,7 @@ fn counters_match_ground_truth_on_clean_fan_in() {
     for h in handles {
         h.join().expect("sender thread");
     }
-    let mut drained = 0u64;
-    let deadline = std::time::Instant::now() + WAIT;
-    while drained < SENDERS as u64 * PER {
-        if sink.rq_try_recv(RqId(0)).is_some() {
-            drained += 1;
-        } else {
-            assert!(std::time::Instant::now() < deadline, "drain timed out");
-            std::thread::yield_now();
-        }
-    }
+    let sink = drainer.join().expect("drainer thread");
     assert!(
         sink.rq_try_recv(RqId(0)).is_none(),
         "no duplicate deliveries"

@@ -296,21 +296,27 @@ fn lossy_wire_still_delivers_exactly_once() {
     assert_eq!((e0.asid(), e1.asid()), (p0, p1));
 
     let n = 300u64;
+    // Drain while the sender runs: the queue holds `RQ_DEPTH` payloads,
+    // and an ENQ past them waits for the owner to make room.
+    let drainer = std::thread::spawn(move || {
+        let mut got = Vec::new();
+        while got.len() < n as usize {
+            if let Some(data) = e1.rq_try_recv(RqId(0)) {
+                got.push(u64::from_le_bytes(data[..8].try_into().unwrap()));
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        (e1, got)
+    });
     for i in 1..=n {
         e0.seg().write_u64(0, i);
         e0.enq(0, p1, RqId(0), 8, Some(FlagId(0)), None);
         e0.wait_flag_timeout(FlagId(0), i, WAIT)
             .expect("every enq must eventually be acknowledged");
     }
-    // Drain: exactly n payloads, in order, no duplicates.
-    let mut got = Vec::new();
-    while got.len() < n as usize {
-        if let Some(data) = e1.rq_try_recv(RqId(0)) {
-            got.push(u64::from_le_bytes(data[..8].try_into().unwrap()));
-        } else {
-            std::thread::yield_now();
-        }
-    }
+    // Exactly n payloads, in order, no duplicates.
+    let (e1, got) = drainer.join().expect("drainer thread");
     assert!(e1.rq_try_recv(RqId(0)).is_none(), "no extra deliveries");
     assert_eq!(got, (1..=n).collect::<Vec<_>>(), "in order, exactly once");
     let counts = cluster.fault_counts().unwrap();

@@ -1,10 +1,12 @@
 //! Selective wire recovery: the receiver's reorder buffer and the
-//! gap-naming NACK. The first four scenarios stream tagged ENQs from
-//! node 0 to a sink on node 1 over a faulty wire and check the contract
-//! the sequenced wire layer promises — each payload arrives exactly once,
-//! in order — plus the counters' version of it on the post-shutdown
-//! snapshot (`chaos::telemetry_truth`: every operation a receiver popped
-//! was applied, or dropped as a duplicate or as damaged). The last
+//! gap-naming NACK. The first four scenarios stream from node 0 to a
+//! sink on node 1 over a faulty wire — tagged ENQs, or PUTs where more
+//! frames must be in flight than receive queues admit — and check the
+//! contract the sequenced wire layer promises — each operation lands
+//! exactly once, in order — plus the counters' version of it on the
+//! post-shutdown snapshot (`chaos::telemetry_truth`: every operation a
+//! receiver popped was applied, or dropped as a duplicate or as
+//! damaged). The last
 //! three are about the unit all of that works in, the coalesced frame:
 //! a burst shares sequence numbers, per-destination order survives the
 //! split into frames, and nothing waits for company.
@@ -14,6 +16,9 @@
 //! on counts with wide margins, never on timing. Holds in debug and
 //! release builds alike.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mproxy_bench::chaos;
@@ -96,6 +101,30 @@ fn drain(sink: &Endpoint, rq: RqId, expect: u64, quiet: Duration) -> Vec<u64> {
         }
     }
     got
+}
+
+/// [`drain`] on a thread of its own, started while the senders run (a
+/// queue holds `RQ_DEPTH` payloads, and an ENQ past them waits for the
+/// owner to make room); `quiet` counts only once `done` is raised.
+/// Returns the sink and what arrived.
+fn drain_behind(
+    sink: Endpoint,
+    rq: RqId,
+    expect: u64,
+    quiet: Duration,
+    done: Arc<AtomicBool>,
+) -> JoinHandle<(Endpoint, Vec<u64>)> {
+    std::thread::spawn(move || {
+        let mut got = Vec::new();
+        while !done.load(Ordering::Acquire) && (got.len() as u64) < expect {
+            match pop_tag(&sink, rq) {
+                Some(tag) => got.push(tag),
+                None => std::thread::yield_now(),
+            }
+        }
+        got.extend(drain(&sink, rq, expect - got.len() as u64, quiet));
+        (sink, got)
+    })
 }
 
 /// Exactly once, in order: `got` is precisely `1..=got.len()`.
@@ -202,12 +231,16 @@ fn condemned_sender_leaves_no_parked_frame_uncounted() {
         let (cluster, mut srcs, sink) = cluster(plan, 1, false);
         let sink_asid = sink.asid();
         let mut src = srcs.pop().expect("sender endpoint");
+        let done = Arc::new(AtomicBool::new(false));
+        let quiet = Duration::from_millis(200);
+        let drainer = drain_behind(sink, RqId(0), N, quiet, Arc::clone(&done));
         let sender =
             std::thread::spawn(move || stream(&mut src, sink_asid, RqId(0), N, Some(WINDOW)));
         let acked = sender.join().expect("sender thread");
+        done.store(true, Ordering::Release);
+        let (_sink, got) = drainer.join().expect("drainer thread");
         assert!(acked < N, "seed {seed}: the sender must have been cut off");
         assert_eq!(cluster.condemned_nodes(), vec![0], "seed {seed}");
-        let got = drain(&sink, RqId(0), N, Duration::from_millis(200));
         assert_in_order(&got, "prefix delivered before the sender died");
         assert!(
             got.len() as u64 >= acked,
@@ -233,51 +266,62 @@ fn condemned_sender_leaves_no_parked_frame_uncounted() {
 #[test]
 fn frame_beyond_the_hold_window_is_dropped_then_recovered() {
     // The sink's proxy is deaf for its first 150 ms while four processes
-    // flood it: the sink's ring (512 frames) and the sender's unsent
-    // frames (1024) fill behind the first dropped frame, and a sender
-    // with unsent frames never retransmits — so when the sink wakes, more
-    // than a hold window of frames arrives ahead of that gap. The excess
-    // must be dropped (the plan corrupts nothing, so `damaged_drops`
-    // counts exactly the operations of those frames) and recovered. Ring,
-    // unsent cap and hold window are bounds in frames, so the flood is
-    // sized in frames: 4 × 16 000 ENQs overflow ring + unsent cap even if
-    // every frame leaves full (1 536 frames × 32 operations = 49 152).
+    // flood it with PUTs: the sink's ring (512 frames) and the sender's
+    // unsent frames (1024) fill behind the first dropped frame, and a
+    // sender with unsent frames never retransmits — so when the sink
+    // wakes, more than a hold window of frames arrives ahead of that gap.
+    // The excess must be dropped (the plan corrupts nothing, so
+    // `damaged_drops` counts exactly the operations of those frames) and
+    // recovered. Ring, unsent cap and hold window are bounds in frames,
+    // so the flood is sized in frames: 4 × 16 000 PUTs overflow ring +
+    // unsent cap even if every frame leaves full (1 536 frames × 32
+    // operations = 49 152). PUTs, not ENQs: a receive queue admits
+    // `RQ_DEPTH` ENQs at a time, so four of them cannot put that many
+    // frames in flight.
     const SENDERS: usize = 4;
     const PER: u64 = 16_000;
+    /// Words of the sink's segment each sender cycles through.
+    const LAP: u64 = 128;
     let plan =
         RtFaultPlan::new(0xfa12)
             .drop(0.05)
             .stall(1, Duration::ZERO, Duration::from_millis(150));
     let (cluster, srcs, sink) = cluster(plan, SENDERS, false);
     let sink_asid = sink.asid();
+    let acked = FlagId(0);
+    let landed = |q: usize| FlagId(1 + q as u32);
+    let base = |q: usize| q as u64 * LAP * 8;
     let senders: Vec<_> = srcs
         .into_iter()
         .enumerate()
         .map(|(q, mut e)| {
-            std::thread::spawn(move || stream(&mut e, sink_asid, RqId(q as u32), PER, None))
+            std::thread::spawn(move || {
+                for i in 1..=PER {
+                    let (laddr, raddr) = ((i % SLOTS) * 8, base(q) + (i % LAP) * 8);
+                    e.seg().write_u64(laddr, i);
+                    e.put(laddr, sink_asid, raddr, 8, Some(acked), Some(landed(q)));
+                }
+                let _ = e.wait_flag_timeout(acked, PER, WAIT);
+                e.flag(acked)
+            })
         })
         .collect();
-    // One pass over the queues at a time, so none backs up.
-    let mut got: Vec<Vec<u64>> = vec![Vec::new(); SENDERS];
-    let deadline = Instant::now() + WAIT;
-    while got.iter().any(|g| (g.len() as u64) < PER) {
-        assert!(Instant::now() < deadline, "drain timed out: {:?}", {
-            got.iter().map(Vec::len).collect::<Vec<_>>()
-        });
-        for (q, g) in got.iter_mut().enumerate() {
-            g.extend(std::iter::from_fn(|| pop_tag(&sink, RqId(q as u32))));
-        }
-        std::thread::yield_now();
-    }
     for (q, h) in senders.into_iter().enumerate() {
         assert_eq!(h.join().expect("sender thread"), PER, "sender {q} acked");
-        assert_in_order(&got[q], "flooded queue");
-        assert!(sink.rq_try_recv(RqId(q as u32)).is_none(), "no duplicate");
+        sink.wait_flag_timeout(landed(q), PER, WAIT)
+            .unwrap_or_else(|e| panic!("sender {q}'s PUTs landed: {e}"));
+        for i in PER - LAP + 1..=PER {
+            let word = sink.seg().read_u64(base(q) + (i % LAP) * 8);
+            assert_eq!(word, i, "sender {q}: last lap landed");
+        }
     }
 
     let hub = cluster.obs_handle();
     let snap = stop(cluster, "beyond_window");
     chaos::telemetry_truth(&snap).expect("receiver identity");
+    for q in 0..SENDERS {
+        assert_eq!(sink.flag(landed(q)), PER, "sender {q}: each PUT once");
+    }
     assert_eq!(
         scope_counter(&snap, 1, Ctr::OpsApplied),
         SENDERS as u64 * PER
@@ -379,21 +423,27 @@ fn interleaved_burst_keeps_per_destination_submission_order() {
     let (cluster, mut eps) = burst_cluster(RtFaultPlan::new(7), 2);
     let sinks = eps.split_off(1);
     let mut src = eps.pop().expect("sender endpoint");
+    let asids: Vec<u32> = sinks.iter().map(Endpoint::asid).collect();
+    let raised = Arc::new(AtomicBool::new(true));
+    let drainers: Vec<_> = sinks
+        .into_iter()
+        .map(|sink| drain_behind(sink, RqId(0), ROUNDS, WAIT, Arc::clone(&raised)))
+        .collect();
     for i in 1..=ROUNDS {
         // The command queue backpressures a sender this far ahead.
-        for (d, sink) in sinks.iter().enumerate() {
+        for (d, &sink) in asids.iter().enumerate() {
             let out = (2 * i + d as u64) * 8;
             let back = WORD + out;
             src.seg().write_u64(out, i << d);
-            src.put(out, sink.asid(), WORD, 8, None, None);
-            src.get(back, sink.asid(), WORD, 8, Some(done));
-            src.enq(out, sink.asid(), RqId(0), 8, Some(done), None);
+            src.put(out, sink, WORD, 8, None, None);
+            src.get(back, sink, WORD, 8, Some(done));
+            src.enq(out, sink, RqId(0), 8, Some(done), None);
         }
     }
     src.wait_flag_timeout(done, 4 * ROUNDS, WAIT)
         .expect("all done");
-    for (d, sink) in sinks.iter().enumerate() {
-        let tags = drain(sink, RqId(0), ROUNDS, WAIT);
+    for (d, drainer) in drainers.into_iter().enumerate() {
+        let (_sink, tags) = drainer.join().expect("drainer thread");
         let want: Vec<u64> = (1..=ROUNDS).map(|i| i << d).collect();
         assert_eq!(tags, want, "destination {d}: ENQ order");
         for i in 1..=ROUNDS {
