@@ -116,7 +116,7 @@ impl Am {
 
     /// Messages handled so far by this endpoint.
     #[must_use]
-    pub fn handled(&self) -> u64 {
+    fn handled(&self) -> u64 {
         self.st.handled.get()
     }
 
@@ -203,7 +203,7 @@ impl Am {
     }
 
     /// Polls until this endpoint has handled at least `target` messages in
-    /// total (see [`Am::handled`]).
+    /// total.
     pub async fn poll_until_messages(&self, target: u64) {
         self.poll_while(|| self.st.handled.get() >= target).await;
     }

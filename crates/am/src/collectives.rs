@@ -155,7 +155,7 @@ impl Coll {
     /// All-reduce over one `f64` per rank: values are gathered at rank 0
     /// (combined in rank order, so non-associative effects are
     /// deterministic), and the result is broadcast back.
-    pub async fn allreduce_f64(&self, v: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
+    async fn allreduce_f64(&self, v: f64, op: impl Fn(f64, f64) -> f64) -> f64 {
         let st = &self.st;
         if st.n == 1 {
             return v;

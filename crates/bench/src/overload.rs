@@ -45,7 +45,7 @@ pub const OVERLOAD_RHOS: [f64; 6] = [0.1, 0.2, 0.3, 0.4, 0.6, 0.8];
 pub const OVERLOAD_WINDOW_US: f64 = 150_000.0;
 
 /// Allowed deviation of the measured wait from the model curve in the
-/// stable regime ([`check_sweep`]).
+/// stable regime (`check_sweep`).
 pub const MODEL_TOLERANCE: f64 = 0.25;
 
 /// Model agreement is only enforced for sweep points targeting at most
@@ -78,7 +78,7 @@ pub struct OverloadPoint {
 impl OverloadPoint {
     /// Relative deviation of the measured wait from the model curve.
     #[must_use]
-    pub fn deviation(&self) -> f64 {
+    fn deviation(&self) -> f64 {
         if self.model_us <= 0.0 {
             return 0.0;
         }
@@ -87,7 +87,7 @@ impl OverloadPoint {
 
     /// True if the point sits in the paper's stable regime.
     #[must_use]
-    pub fn stable(&self) -> bool {
+    fn stable(&self) -> bool {
         self.rho < STABLE_UTILIZATION
     }
 }
@@ -155,7 +155,7 @@ fn calibrate_service_us(bytes: u32, reps: u64) -> f64 {
 /// the two services are too close for a real solution (needs roughly
 /// `large > 5.83 × small`).
 #[must_use]
-pub fn large_fraction(small_us: f64, large_us: f64) -> f64 {
+fn large_fraction(small_us: f64, large_us: f64) -> f64 {
     let d = large_us - small_us;
     // 2d²·q² + d(3·small − large)·q + small² = 0
     let a = 2.0 * d * d;
@@ -234,7 +234,7 @@ fn run_point(target_rho: f64, big_frac: f64, mean_service_us: f64) -> OverloadPo
 /// Runs the overload sweep: calibrate the two service classes, solve the
 /// CV² = 1 mix, then measure every target utilisation.
 #[must_use]
-pub fn overload_sweep() -> OverloadSweep {
+fn overload_sweep() -> OverloadSweep {
     let small_us = calibrate_service_us(SMALL_BYTES, 400);
     let large_us = calibrate_service_us(LARGE_BYTES, 200);
     let q = large_fraction(small_us, large_us);
@@ -259,7 +259,7 @@ pub fn overload_sweep() -> OverloadSweep {
 /// # Errors
 ///
 /// Returns a message naming the first violated point.
-pub fn check_sweep(sweep: &OverloadSweep) -> Result<(), String> {
+fn check_sweep(sweep: &OverloadSweep) -> Result<(), String> {
     for p in &sweep.points {
         if p.queue_peak > p.credit_bound {
             return Err(format!(
@@ -287,7 +287,7 @@ pub fn check_sweep(sweep: &OverloadSweep) -> Result<(), String> {
 
 /// The sweep as a text table.
 #[must_use]
-pub fn overload_rows(sweep: &OverloadSweep) -> String {
+fn overload_rows(sweep: &OverloadSweep) -> String {
     use std::fmt::Write as _;
     let mut s = format!(
         "# Overload sweep on MP1: {} senders, {} credits each\n\
@@ -327,12 +327,12 @@ pub fn overload_rows(sweep: &OverloadSweep) -> String {
     s
 }
 
-/// The overload report (`results/overload.txt`): [`overload_sweep`] as
-/// [`overload_rows`].
+/// The overload report (`results/overload.txt`): `overload_sweep` as
+/// `overload_rows`.
 ///
 /// # Panics
 ///
-/// Panics if the sweep fails [`check_sweep`], or if the most loaded point
+/// Panics if the sweep fails `check_sweep`, or if the most loaded point
 /// waits no longer than the least loaded one.
 #[must_use]
 pub fn report() -> String {

@@ -23,7 +23,7 @@ pub fn table2() -> String {
         ("C   time to service a cache miss", m.cache_miss_us),
         ("U   uncached (adapter FIFO) access", m.uncached_us),
         ("V   vm_att cross-memory attach", m.vm_att_us),
-        ("P   polling delay", m.polling_delay_us()),
+        ("P   polling delay", m.polling_delay_us(m.cache_miss_us)),
         ("S   processor speed (x 75 MHz)", m.speed),
         ("L   network transit latency", m.net_latency_us),
     ] {

@@ -101,8 +101,6 @@ pub struct ProcStats {
 }
 
 pub(crate) struct ProcState {
-    #[allow(dead_code)]
-    pub(crate) id: ProcId,
     pub(crate) node: NodeId,
     pub(crate) mem: RefCell<Memory>,
     pub(crate) flags: RefCell<Vec<Counter>>,
@@ -280,8 +278,8 @@ impl Cluster {
 
     /// Builds the cluster on a faulty network: packets are dropped,
     /// duplicated, reordered, or corrupted per `plan`, and every engine
-    /// sends through the reliable link layer ([`crate::engine::reliable`])
-    /// so application-visible semantics stay exactly-once, in-order.
+    /// sends through the reliable link layer (`engine::reliable`) so
+    /// application-visible semantics stay exactly-once, in-order.
     ///
     /// # Errors
     ///
@@ -317,7 +315,6 @@ impl Cluster {
                     ch
                 });
                 Rc::new(ProcState {
-                    id: ProcId(r as u32),
                     node,
                     mem: RefCell::new(Memory::new()),
                     flags: RefCell::new(Vec::new()),
@@ -458,7 +455,7 @@ impl Cluster {
     }
 
     /// Spawns an async body on one process.
-    pub fn spawn_on<F, Fut>(&self, rank: ProcId, body: F)
+    fn spawn_on<F, Fut>(&self, rank: ProcId, body: F)
     where
         F: Fn(Proc) -> Fut,
         Fut: Future<Output = ()> + 'static,

@@ -43,7 +43,7 @@ impl Memory {
     /// # Panics
     ///
     /// Panics if `align` is not a power of two.
-    pub fn alloc_aligned(&mut self, nbytes: u64, align: u64) -> Addr {
+    fn alloc_aligned(&mut self, nbytes: u64, align: u64) -> Addr {
         assert!(align.is_power_of_two(), "alignment must be a power of two");
         let start = self.next.next_multiple_of(align);
         self.next = start + nbytes;
@@ -104,13 +104,6 @@ impl Memory {
     /// Writes a little-endian `u64`.
     pub fn write_u64(&mut self, addr: Addr, v: u64) {
         self.write(addr, &v.to_le_bytes());
-    }
-
-    /// Reads a little-endian `u32`.
-    #[must_use]
-    pub fn read_u32(&self, addr: Addr) -> u32 {
-        let s = addr.0 as usize;
-        u32::from_le_bytes(self.bytes[s..s + 4].try_into().expect("4 bytes"))
     }
 
     /// Writes a little-endian `u32`.
@@ -182,7 +175,7 @@ mod tests {
         m.write_f64(a.offset(8), -2.5);
         assert_eq!(m.read_f64(a.offset(8)), -2.5);
         m.write_u32(a.offset(16), 77);
-        assert_eq!(m.read_u32(a.offset(16)), 77);
+        assert_eq!(m.read(a.offset(16), 4)[..], 77u32.to_le_bytes());
     }
 
     #[test]

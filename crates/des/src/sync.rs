@@ -260,7 +260,7 @@ impl<T> Channel<T> {
 
     /// True if [`Channel::close`] has been called.
     #[must_use]
-    pub fn is_closed(&self) -> bool {
+    fn is_closed(&self) -> bool {
         self.state.borrow().closed
     }
 

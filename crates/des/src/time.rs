@@ -104,13 +104,6 @@ impl Dur {
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
-
-    /// Multiplies the span by a non-negative float, rounding to nanoseconds.
-    #[must_use]
-    pub fn mul_f64(self, k: f64) -> Dur {
-        debug_assert!(k.is_finite() && k >= 0.0, "scale factor must be >= 0");
-        Dur((self.0 as f64 * k).round() as u64)
-    }
 }
 
 impl Add<Dur> for SimTime {
@@ -227,7 +220,6 @@ mod tests {
     fn mul_div_scale() {
         assert_eq!(Dur::from_ns(100) * 3, Dur::from_ns(300));
         assert_eq!(Dur::from_ns(100) / 4, Dur::from_ns(25));
-        assert_eq!(Dur::from_ns(100).mul_f64(2.5), Dur::from_ns(250));
     }
 
     #[test]

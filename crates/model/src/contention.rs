@@ -31,12 +31,6 @@ pub fn utilization(rate_per_ms: f64, service_us: f64, procs: usize) -> f64 {
     rate_per_ms * service_us / 1_000.0 * procs as f64
 }
 
-/// True if an agent at utilisation `rho` is in the stable regime.
-#[must_use]
-pub fn is_stable(rho: f64) -> bool {
-    rho < STABLE_UTILIZATION
-}
-
 /// Largest number of equally loaded compute processors one proxy supports
 /// while staying stable, given the utilisation one processor induces.
 ///
@@ -106,7 +100,7 @@ impl ProxyTradeoff {
     ///
     /// Panics if `smp_procs < 2` (a proxy needs a processor to spare).
     #[must_use]
-    pub fn break_even_factor(&self) -> f64 {
+    fn break_even_factor(&self) -> f64 {
         assert!(self.smp_procs >= 2, "need at least two processors per node");
         self.smp_procs as f64 / (self.smp_procs - 1) as f64
     }
@@ -132,9 +126,9 @@ mod tests {
 
     #[test]
     fn stability_threshold_is_half() {
-        assert!(is_stable(0.49));
-        assert!(!is_stable(0.5));
-        assert!(!is_stable(0.9));
+        assert_eq!(STABLE_UTILIZATION, 0.5);
+        // At the bound the M/M/1 wait is one whole service time.
+        assert_eq!(mm1_wait_us(10.0, STABLE_UTILIZATION), 10.0);
     }
 
     #[test]

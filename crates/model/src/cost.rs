@@ -128,7 +128,7 @@ impl Cost {
     /// polling too (`P = poll_instr/S + poll_miss_factor · C_shared`).
     #[must_use]
     pub fn eval(&self, m: &MachineParams, shared_miss_us: f64) -> f64 {
-        let polling_us = m.poll_instr_us / m.speed + m.poll_miss_factor * shared_miss_us;
+        let polling_us = m.polling_delay_us(shared_miss_us);
         self.c_shared * shared_miss_us
             + self.c_other * m.cache_miss_us
             + self.u * m.uncached_us

@@ -229,18 +229,11 @@ pub const SW1: DesignPoint = DesignPoint {
 pub const ALL_DESIGN_POINTS: [DesignPoint; 6] = [HW0, HW1, MP0, MP1, MP2, SW1];
 
 impl DesignPoint {
-    /// True if this point models the MP2 cache-update primitive.
-    #[must_use]
-    pub fn has_cache_update(&self) -> bool {
-        self.shared_miss_us < self.machine.cache_miss_us
-    }
-
     /// The effective polling delay `P` for this point (shared-memory scan
     /// probes benefit from cache update).
     #[must_use]
     pub fn polling_us(&self) -> f64 {
-        self.machine.poll_instr_us / self.machine.speed
-            + self.machine.poll_miss_factor * self.shared_miss_us
+        self.machine.polling_delay_us(self.shared_miss_us)
     }
 
     fn eval(&self, cost: Cost) -> f64 {
@@ -294,20 +287,6 @@ impl DesignPoint {
             Arch::CustomHardware => self.hw_submit_us + self.machine.cache_miss_us,
             Arch::SystemCall => 2.0 * self.syscall_us + self.kernel_proto_us,
         }
-    }
-
-    /// Analytic prediction of peak PUT bandwidth in MB/s (Table 4 row 5):
-    /// custom hardware streams from pre-pinned buffers at DMA speed;
-    /// software approaches pay pin + unpin per page.
-    #[must_use]
-    pub fn predicted_peak_bw_mbs(&self) -> f64 {
-        let wire = self.dma_bw_mbs.min(self.net_bw_mbs);
-        if self.pin_us == 0.0 && self.unpin_us == 0.0 {
-            return wire;
-        }
-        let page = f64::from(self.page_bytes);
-        let per_page_us = page / wire + self.pin_us + self.unpin_us;
-        page / per_page_us
     }
 }
 
@@ -420,7 +399,8 @@ mod tests {
     #[test]
     fn only_mp2_has_cache_update() {
         for d in ALL_DESIGN_POINTS {
-            assert_eq!(d.has_cache_update(), d.name == "MP2", "{}", d.name);
+            let cache_update = d.shared_miss_us < d.machine.cache_miss_us;
+            assert_eq!(cache_update, d.name == "MP2", "{}", d.name);
         }
     }
 
@@ -462,14 +442,22 @@ mod tests {
 
     #[test]
     fn peak_bandwidth_identities_are_exact() {
-        // The pin/DMA parameters were *derived* from these Table 4 cells;
-        // check the round trip.
-        assert!(rel_err(MP0.predicted_peak_bw_mbs(), 22.3) < 0.005);
-        assert!(rel_err(MP1.predicted_peak_bw_mbs(), 86.7) < 0.005);
-        assert!(rel_err(MP2.predicted_peak_bw_mbs(), 86.7) < 0.005);
-        assert!(rel_err(SW1.predicted_peak_bw_mbs(), 86.7) < 0.005);
-        assert_eq!(HW0.predicted_peak_bw_mbs(), 25.0);
-        assert_eq!(HW1.predicted_peak_bw_mbs(), 150.0);
+        // The pin/DMA parameters were *derived* from the Table 4 peak
+        // bandwidth cells: a page streams at the slower of DMA and wire,
+        // plus pin + unpin per page. Check the round trip.
+        for d in ALL_DESIGN_POINTS {
+            let wire = d.dma_bw_mbs.min(d.net_bw_mbs);
+            let page = f64::from(d.page_bytes);
+            let peak = page / (page / wire + d.pin_us + d.unpin_us);
+            let paper = paper_table4(d.name).unwrap().peak_bw_mbs;
+            assert!(
+                rel_err(peak, paper) < 0.005,
+                "{}: {peak:.2} vs {paper}",
+                d.name
+            );
+        }
+        assert_eq!(HW0.dma_bw_mbs.min(HW0.net_bw_mbs), 25.0);
+        assert_eq!(HW1.dma_bw_mbs.min(HW1.net_bw_mbs), 150.0);
     }
 
     #[test]

@@ -42,7 +42,6 @@ pub mod contention;
 mod cost;
 pub mod fate;
 pub mod link;
-pub mod logp;
 mod design;
 mod latency;
 mod params;

@@ -27,7 +27,7 @@
 ///
 /// let g30 = MachineParams::G30;
 /// assert_eq!(g30.cache_miss_us, 1.0);
-/// assert_eq!(g30.polling_delay_us(), 3.0);
+/// assert_eq!(g30.polling_delay_us(g30.cache_miss_us), 3.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MachineParams {
@@ -61,17 +61,18 @@ impl MachineParams {
     };
 
     /// `P`: the polling delay — time the proxy spends scanning other queues
-    /// before reaching a newly ready one.
+    /// before reaching a newly ready one — when a probe misses in `miss_us`.
     ///
     /// Decomposed as `P = poll_instr/S + poll_miss_factor · C`: scan
     /// instructions scale with processor speed, and each probe of a
-    /// possibly-dirty queue head costs a coherence miss. This reproduces
-    /// the measured `P = 3.0 µs` on the G30 and lets the cache-update
-    /// design point (MP2) shrink `P` along with `C`, as §4.1's discussion
-    /// of polling acceleration anticipates.
+    /// possibly-dirty queue head costs a coherence miss. With
+    /// `miss_us = cache_miss_us` this reproduces the measured `P = 3.0 µs`
+    /// on the G30; the cache-update design point (MP2) passes its cheaper
+    /// shared-memory miss and shrinks `P` along with `C`, as §4.1's
+    /// discussion of polling acceleration anticipates.
     #[must_use]
-    pub fn polling_delay_us(&self) -> f64 {
-        self.poll_instr_us / self.speed + self.poll_miss_factor * self.cache_miss_us
+    pub fn polling_delay_us(&self, miss_us: f64) -> f64 {
+        self.poll_instr_us / self.speed + self.poll_miss_factor * miss_us
     }
 
     /// Returns a copy with a different cache-miss latency (the cache-update
@@ -120,7 +121,8 @@ mod tests {
     #[test]
     fn g30_polling_delay_matches_table1() {
         // Table 1: polling delay = 3.0 µs on the G30.
-        assert_eq!(MachineParams::G30.polling_delay_us(), 3.0);
+        let g30 = MachineParams::G30;
+        assert_eq!(g30.polling_delay_us(g30.cache_miss_us), 3.0);
     }
 
     #[test]
@@ -141,12 +143,12 @@ mod tests {
     fn with_cache_miss_shrinks_polling_delay() {
         let updated = MachineParams::G30.with_cache_miss(0.25);
         // P = 1.5/1 + 1.5·0.25 = 1.875 µs — cache update accelerates polling.
-        assert_eq!(updated.polling_delay_us(), 1.875);
+        assert_eq!(updated.polling_delay_us(updated.cache_miss_us), 1.875);
     }
 
     #[test]
     fn with_speed_scales_instruction_component() {
         let fast = MachineParams::G30.with_speed(2.0);
-        assert_eq!(fast.polling_delay_us(), 0.75 + 1.5);
+        assert_eq!(fast.polling_delay_us(fast.cache_miss_us), 0.75 + 1.5);
     }
 }

@@ -113,11 +113,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Ring capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Total events ever recorded (including overwritten ones).
     pub fn recorded(&self) -> u64 {
         self.head.load(Ordering::Relaxed)

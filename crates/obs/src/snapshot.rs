@@ -55,12 +55,6 @@ impl ObsHub {
         scope
     }
 
-    /// Whether histograms + traces are recording.
-    #[inline]
-    pub fn recording(&self) -> bool {
-        self.recording
-    }
-
     /// Nanoseconds since the hub was created (the runtime trace epoch).
     #[inline]
     pub fn now_ns(&self) -> u64 {
@@ -105,7 +99,7 @@ impl Scope {
 
     /// Whether histograms + traces are recording (hub-wide flag).
     #[inline]
-    pub fn recording(&self) -> bool {
+    fn recording(&self) -> bool {
         self.recording
     }
 

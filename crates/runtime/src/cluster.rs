@@ -399,13 +399,6 @@ impl RtCluster {
         raised(&self.shared.condemned)
     }
 
-    /// Node `node`'s current proxy incarnation: how many times its proxy
-    /// has respawned (0 until the first respawn).
-    #[must_use]
-    pub fn epoch(&self, node: usize) -> u64 {
-        self.shared.obs[node].get(Ctr::Respawns)
-    }
-
     /// Times node `node`'s proxy has died by panic.
     #[must_use]
     pub fn deaths(&self, node: usize) -> u64 {
@@ -416,13 +409,6 @@ impl RtCluster {
     #[must_use]
     pub fn restarts_total(&self) -> u64 {
         self.shared.obs.iter().map(|o| o.get(Ctr::Respawns)).sum()
-    }
-
-    /// The last panic payload recorded for node `node`'s proxy, when it
-    /// was a string.
-    #[must_use]
-    pub fn panic_reason(&self, node: usize) -> Option<String> {
-        self.shared.panic_reason(node)
     }
 
     /// Injection counters of the installed fault plan, if any.
@@ -453,13 +439,6 @@ impl RtCluster {
     #[must_use]
     pub fn trace_dump(&self) -> Vec<(String, Vec<TraceEvent>)> {
         self.shared.obs_hub.trace_dump()
-    }
-
-    /// Render every node's flight recorder as a Chrome `trace_event`
-    /// (Perfetto) JSON document.
-    #[must_use]
-    pub fn chrome_trace(&self) -> String {
-        mproxy_obs::chrome::chrome_trace(&self.trace_dump())
     }
 
     /// Stops the proxy threads, waits for them to exit, and reports what

@@ -218,7 +218,7 @@ impl RtFaultPlan {
     /// Largest node index the plan references, if any (for validation
     /// against the cluster size at start).
     #[must_use]
-    pub fn max_node(&self) -> Option<usize> {
+    fn max_node(&self) -> Option<usize> {
         self.stalls
             .iter()
             .map(|s| s.node)

@@ -139,12 +139,6 @@ impl Producer {
             backoff.snooze();
         }
     }
-
-    /// Queue capacity.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.ring.slots.len()
-    }
 }
 
 /// The proxy side of a command queue.

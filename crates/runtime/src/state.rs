@@ -109,7 +109,7 @@ pub(crate) struct TxPeer {
     pub(crate) open_bytes: u64,
     /// Closed, unacknowledged frames in sequence order: the peer's one
     /// outbound queue. Those past [`TxPeer::sent`] are not on its ring yet
-    /// ([`crate::proxy::held`] caps them); sent ones drain as fast as the
+    /// (`proxy::held` caps them); sent ones drain as fast as the
     /// receiver applies.
     pub(crate) retained: Retention<Retained>,
     /// Highest sequence pushed to the peer's ring, or skipped as dropped.

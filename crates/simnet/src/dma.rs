@@ -45,15 +45,9 @@ impl DmaParams {
         }
     }
 
-    /// True if buffers are pre-pinned (custom-hardware style).
-    #[must_use]
-    pub fn prepinned(&self) -> bool {
-        self.pin_us == 0.0 && self.unpin_us == 0.0
-    }
-
     /// Total engine time to move `nbytes`, including per-page pin/unpin.
     #[must_use]
-    pub fn transfer_time(&self, nbytes: u32) -> Dur {
+    fn transfer_time(&self, nbytes: u32) -> Dur {
         if nbytes == 0 {
             return Dur::ZERO;
         }
@@ -61,22 +55,14 @@ impl DmaParams {
         let pages = nbytes.div_ceil(self.page_bytes);
         Dur::from_us(xfer + f64::from(pages) * (self.pin_us + self.unpin_us))
     }
-
-    /// Effective streaming bandwidth for page-sized transfers, MB/s.
-    #[must_use]
-    pub fn effective_bandwidth_mbs(&self) -> f64 {
-        let page = f64::from(self.page_bytes);
-        page / self.transfer_time(self.page_bytes).as_us()
-    }
 }
 
-/// A node's DMA engine: a single-server resource charging
-/// [`DmaParams::transfer_time`] per transfer.
+/// A node's DMA engine: a single-server resource charging each transfer
+/// its bytes at engine bandwidth plus pin and unpin for every page.
 #[derive(Debug, Clone)]
 pub struct DmaEngine {
     params: DmaParams,
     engine: Resource,
-    ctx: SimCtx,
 }
 
 impl DmaEngine {
@@ -86,7 +72,6 @@ impl DmaEngine {
         DmaEngine {
             params,
             engine: Resource::new(ctx, 1),
-            ctx: ctx.clone(),
         }
     }
 
@@ -98,46 +83,46 @@ impl DmaEngine {
         }
         self.engine.hold(self.params.transfer_time(nbytes)).await;
     }
-
-    /// Engine parameters.
-    #[must_use]
-    pub fn params(&self) -> DmaParams {
-        self.params
-    }
-
-    /// Engine utilisation since simulation start.
-    #[must_use]
-    pub fn utilization(&self) -> f64 {
-        self.engine.utilization(self.ctx.now())
-    }
-
-    /// Completed transfers.
-    #[must_use]
-    pub fn transfers(&self) -> u64 {
-        self.engine.acquisitions()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mproxy_des::Simulation;
+    use mproxy_model::{paper_table4, DesignPoint, ALL_DESIGN_POINTS};
+
+    /// Streaming bandwidth of page-sized transfers at a design point's
+    /// DMA parameters, MB/s: what the simulator charges for a page.
+    fn page_bandwidth_mbs(d: &DesignPoint) -> f64 {
+        let p = DmaParams::new(d.dma_bw_mbs, d.pin_us, d.unpin_us, d.page_bytes);
+        f64::from(p.page_bytes) / p.transfer_time(p.page_bytes).as_us()
+    }
+
+    fn assert_table4_peak(d: &DesignPoint) {
+        let paper = paper_table4(d.name).unwrap().peak_bw_mbs;
+        let got = page_bandwidth_mbs(d);
+        let rel = (got - paper).abs() / paper;
+        assert!(rel < 0.005, "{}: {got:.2} vs paper {paper}", d.name);
+    }
 
     #[test]
     fn prepinned_streams_at_engine_bandwidth() {
-        let p = DmaParams::new(150.0, 0.0, 0.0, 4096);
-        assert!(p.prepinned());
-        assert!((p.effective_bandwidth_mbs() - 150.0).abs() < 0.5);
+        // HW0 and HW1 pre-pin: 25.0 and 150.0 MB/s, the engine's own speed
+        // up to the nanosecond rounding of the transfer time.
+        for d in ALL_DESIGN_POINTS.iter().filter(|d| d.pin_us + d.unpin_us == 0.0) {
+            let rel = (page_bandwidth_mbs(d) - d.dma_bw_mbs).abs() / d.dma_bw_mbs;
+            assert!(rel < 1e-4, "{}", d.name);
+            assert_table4_peak(d);
+        }
     }
 
     #[test]
     fn pinning_caps_bandwidth_to_table4_values() {
-        // MP0: 25 MB/s engine, 10+10 µs pin/unpin → 22.3 MB/s.
-        let mp0 = DmaParams::new(25.0, 10.0, 10.0, 4096);
-        assert!((mp0.effective_bandwidth_mbs() - 22.28).abs() < 0.05);
-        // MP1/MP2/SW1: 150 MB/s engine → 86.7 MB/s.
-        let mp1 = DmaParams::new(150.0, 10.0, 10.0, 4096);
-        assert!((mp1.effective_bandwidth_mbs() - 86.7).abs() < 0.2);
+        // The software points pin and unpin each page for 10 + 10 µs:
+        // MP0 (25 MB/s engine) → 22.3 MB/s; MP1, MP2, SW1 (150) → 86.7.
+        for d in ALL_DESIGN_POINTS.iter().filter(|d| d.pin_us + d.unpin_us > 0.0) {
+            assert_table4_peak(d);
+        }
     }
 
     #[test]
@@ -161,8 +146,6 @@ mod tests {
         let r = sim.run();
         // Two 10 µs transfers back to back.
         assert_eq!(r.end.as_us(), 20.0);
-        assert_eq!(dma.transfers(), 2);
-        assert!((dma.utilization() - 1.0).abs() < 1e-9);
     }
 
     #[test]

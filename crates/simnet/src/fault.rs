@@ -242,7 +242,7 @@ impl FaultPlan {
     /// The plan's per-packet Bernoulli specification, in the shared
     /// fate-core representation.
     #[must_use]
-    pub fn packet_fates(&self) -> PacketFates {
+    fn packet_fates(&self) -> PacketFates {
         PacketFates {
             drop_p: self.drop_p,
             dup_p: self.dup_p,

@@ -50,7 +50,7 @@ impl LinkParams {
 
     /// Serialisation time of a packet with `payload` bytes (header added).
     #[must_use]
-    pub fn serialize_time(&self, payload_bytes: u32) -> Dur {
+    fn serialize_time(&self, payload_bytes: u32) -> Dur {
         Dur::from_us(wire_us(payload_bytes + HEADER_BYTES, self.bandwidth_mbs))
     }
 
@@ -126,18 +126,6 @@ impl<M: 'static> Adapter<M> {
     #[must_use]
     pub fn rx_fifo(&self) -> Channel<Packet<M>> {
         self.shared.rx_fifo.clone()
-    }
-
-    /// Utilisation of the output port since simulation start.
-    #[must_use]
-    pub fn tx_utilization(&self) -> f64 {
-        self.shared.tx_port.utilization(self.shared.ctx.now())
-    }
-
-    /// Number of packets transmitted.
-    #[must_use]
-    pub fn packets_sent(&self) -> u64 {
-        self.shared.tx_port.acquisitions()
     }
 
     /// This adapter's node id.
@@ -385,18 +373,6 @@ impl<M: Clone + 'static> NetPort<M> {
     pub fn link(&self) -> LinkParams {
         self.local.link()
     }
-
-    /// Utilisation of the local output port.
-    #[must_use]
-    pub fn tx_utilization(&self) -> f64 {
-        self.local.tx_utilization()
-    }
-
-    /// Packets sent from this node.
-    #[must_use]
-    pub fn packets_sent(&self) -> u64 {
-        self.local.packets_sent()
-    }
 }
 
 impl<M> std::fmt::Debug for NetPort<M> {
@@ -464,7 +440,6 @@ mod tests {
         // Each packet is 200 bytes → 2 µs on the wire; port serialises, so
         // arrivals at 3, 5, 7 µs, in FIFO order.
         assert_eq!(*times.borrow(), vec![(0, 3.0), (1, 5.0), (2, 7.0)]);
-        assert_eq!(a.packets_sent(), 3);
     }
 
     #[test]
@@ -488,27 +463,6 @@ mod tests {
         });
         sim.run();
         assert_eq!(*got.borrow(), (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn tx_utilization_reflects_wire_time() {
-        let sim = Simulation::new();
-        let ctx = sim.ctx();
-        let net = two_node_net(&sim);
-        let a = net.adapter(0);
-        let b = net.adapter(1);
-        sim.spawn({
-            let a = a.clone();
-            async move { a.send(1, 0, 984).await } // 10 µs on the wire
-        });
-        sim.spawn(async move {
-            b.recv().await.unwrap();
-        });
-        sim.run();
-        // 10 µs busy out of 11 µs total (10 serialise + 1 transit).
-        let u = a.tx_utilization();
-        assert!((u - 10.0 / 11.0).abs() < 1e-9, "u = {u}");
-        let _ = ctx;
     }
 
     #[test]

@@ -6,12 +6,11 @@
 //! Supercomputing'93). Six of the ten applications (MM, FFT, Sample,
 //! Sampleb, P-Ray, Wator) are written against this layer.
 //!
-//! The key idea is *split-phase* access: [`SplitC::get_nb`] /
-//! [`SplitC::put_nb`] issue the transfer and return; [`SplitC::sync`]
-//! waits for every outstanding transfer, letting programs overlap
-//! communication with computation. [`SplitC::store`] is the one-way
-//! `:-` store whose global completion is awaited by
-//! [`SplitC::all_store_sync`].
+//! The key idea is *split-phase* access: [`SplitC::get_nb`] issues the
+//! transfer and returns; [`SplitC::sync`] waits for every outstanding
+//! transfer, letting programs overlap communication with computation.
+//! [`SplitC::store`] is the one-way `:-` store whose global completion is
+//! awaited by [`SplitC::all_store_sync`].
 //!
 //! # Examples
 //!
@@ -134,23 +133,6 @@ impl SplitC {
             .expect("split-phase get failed");
     }
 
-    /// Split-phase global write: issue and return. Complete with
-    /// [`SplitC::sync`] (completion means remotely delivered and acked).
-    pub async fn put_nb(&self, laddr: Addr, dst: GlobalPtr, nbytes: u32) {
-        self.st.issued.set(self.st.issued.get() + 1);
-        self.p
-            .put(
-                laddr,
-                dst.proc.into(),
-                dst.addr,
-                nbytes,
-                Some(&self.st.op_flag),
-                None,
-            )
-            .await
-            .expect("split-phase put failed");
-    }
-
     /// Waits for every outstanding split-phase operation, servicing
     /// active messages meanwhile.
     pub async fn sync(&self) {
@@ -169,12 +151,6 @@ impl SplitC {
             .put(laddr, dst.proc.into(), dst.addr, nbytes, None, Some(rflag))
             .await
             .expect("store failed");
-    }
-
-    /// Store arrivals observed locally so far.
-    #[must_use]
-    pub fn store_arrivals(&self) -> u64 {
-        self.st.store_arrivals.count()
     }
 
     /// Global completion of all [`SplitC::store`]s: every rank waits until

@@ -41,7 +41,6 @@ fn kill_respawn_resyncs_and_completes_all_ops() {
     }
     assert_eq!(e1.seg().read_u64(64), 100, "last acked write visible");
     assert!(cluster.deaths(1) >= 1, "the kill must have fired");
-    assert!(cluster.epoch(1) >= 1, "the epoch counts the respawn");
     assert!(cluster.restarts_total() >= 1);
     assert_eq!(cluster.condemned_nodes(), Vec::<usize>::new());
     let report = cluster.shutdown();
@@ -198,7 +197,7 @@ fn proxy_waiting_out_its_restart_backoff_is_condemned_promptly_at_shutdown() {
     // Backing off: dead, but neither condemned nor restarted.
     assert_eq!(cluster.panicked_nodes(), vec![1]);
     assert_eq!(cluster.condemned_nodes(), Vec::<usize>::new());
-    assert_eq!(cluster.epoch(1), 0);
+    assert_eq!(cluster.restarts_total(), 0);
 
     let t0 = std::time::Instant::now();
     let report = cluster.shutdown();
