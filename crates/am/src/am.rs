@@ -100,12 +100,6 @@ impl Am {
         }
     }
 
-    /// The process this endpoint belongs to.
-    #[must_use]
-    pub fn proc(&self) -> &Proc {
-        &self.p
-    }
-
     /// Registers a handler; ids are assigned in registration order.
     pub fn register(&self, f: impl Fn(Am, AmMsg) -> HandlerFut + 'static) -> HandlerId {
         let mut hs = self.st.handlers.borrow_mut();
@@ -118,12 +112,6 @@ impl Am {
     #[must_use]
     fn handled(&self) -> u64 {
         self.st.handled.get()
-    }
-
-    /// Requests sent so far (requests + replies).
-    #[must_use]
-    pub fn sent(&self) -> u64 {
-        self.st.sent.get()
     }
 
     /// `am_request`: invoke `handler` at `dst` with `args`.
@@ -324,7 +312,7 @@ mod tests {
                         probe.set(probe.get() + 1);
                     })
                 });
-                let me = am.proc().rank();
+                let me = am.p.rank();
                 am.request(me, h, b"self").await;
                 am.poll_until_messages(1).await;
                 assert_eq!(count.get(), 1);
@@ -339,7 +327,7 @@ mod tests {
             Box::pin(async move {
                 let h = am.register(|_, _| Box::pin(async {}));
                 let big = vec![0u8; 500];
-                let me = am.proc().rank();
+                let me = am.p.rank();
                 am.request(me, h, &big).await;
             })
         });
@@ -361,7 +349,7 @@ mod tests {
                     for _ in 0..5 {
                         am.request(ProcId(1), h, &[1, 2, 3]).await;
                     }
-                    *probe.borrow_mut() = (am.sent(), am.handled());
+                    *probe.borrow_mut() = (am.st.sent.get(), am.handled());
                 } else {
                     am.poll_until_messages(5).await;
                     assert_eq!(am.handled(), 5);

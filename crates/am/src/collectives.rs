@@ -90,12 +90,6 @@ impl Coll {
         }
     }
 
-    /// The owning process.
-    #[must_use]
-    pub fn proc(&self) -> &Proc {
-        &self.p
-    }
-
     async fn wait(&self, flag: &SyncFlag, target: u64) {
         match &self.am {
             Some(am) => {

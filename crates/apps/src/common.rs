@@ -103,7 +103,7 @@ impl Lcg {
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.state = self
             .state
             .wrapping_mul(6_364_136_223_846_793_005)
@@ -114,11 +114,6 @@ impl Lcg {
     /// Uniform in [0, 1).
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform in [0, n).
-    pub fn below(&mut self, n: u64) -> u64 {
-        self.next_u64() % n
     }
 }
 

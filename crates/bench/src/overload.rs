@@ -19,7 +19,7 @@
 
 use mproxy::{Asid, Cluster, ClusterSpec, ProcId};
 use mproxy_des::{Dur, Simulation};
-use mproxy_model::contention::{mm1_wait_us, STABLE_UTILIZATION};
+use mproxy_model::contention::{is_stable, mm1_wait_us};
 use mproxy_model::fate::SplitMix64;
 use mproxy_model::MP1;
 
@@ -88,7 +88,7 @@ impl OverloadPoint {
     /// True if the point sits in the paper's stable regime.
     #[must_use]
     fn stable(&self) -> bool {
-        self.rho < STABLE_UTILIZATION
+        is_stable(self.rho)
     }
 }
 

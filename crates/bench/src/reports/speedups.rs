@@ -6,9 +6,7 @@ use std::fmt::Write as _;
 
 use mproxy::micro::run_micro;
 use mproxy_apps::{run_app, run_app_flat, AppId, AppSize};
-use mproxy_model::contention::{
-    max_supported_procs, mm1_wait_us, ProxyTradeoff, STABLE_UTILIZATION,
-};
+use mproxy_model::contention::{is_stable, max_supported_procs, mm1_wait_us, ProxyTradeoff};
 use mproxy_model::{DesignPoint, ALL_DESIGN_POINTS, HW1, MP1, MP2, SW1};
 
 use super::Sliced;
@@ -175,7 +173,7 @@ pub fn sec54() -> String {
             n if n > 64 => ">64".to_string(),
             n => n.to_string(),
         };
-        let stable = if per_proc * 4.0 < STABLE_UTILIZATION {
+        let stable = if is_stable(per_proc * 4.0) {
             "yes"
         } else {
             "no"

@@ -67,7 +67,7 @@ impl ClusterSpec {
 
     /// Total user processes.
     #[must_use]
-    pub fn nprocs(&self) -> usize {
+    fn nprocs(&self) -> usize {
         self.nodes * self.procs_per_node
     }
 
@@ -76,7 +76,7 @@ impl ClusterSpec {
     /// # Errors
     ///
     /// Returns a message naming the invalid field.
-    pub fn validate(&self) -> Result<(), String> {
+    fn validate(&self) -> Result<(), String> {
         if self.nodes == 0 {
             return Err("cluster needs at least one node".into());
         }
@@ -94,8 +94,6 @@ pub struct ProcStats {
     pub ops: u64,
     /// Payload bytes moved by submitted operations.
     pub bytes: u64,
-    /// Distribution of operation payload sizes.
-    pub msg_sizes: Tally,
     /// Protection faults observed (denied submissions).
     pub faults: u64,
 }
@@ -137,11 +135,6 @@ pub(crate) struct NodeState {
     /// Queueing delay of user commands, submission to engine service
     /// start — the measured counterpart of the §5.4 contention model.
     pub(crate) cmd_wait: RefCell<Tally>,
-    /// The same delays as a log-linear histogram (ns), exported under the
-    /// engines' shared telemetry ids.
-    pub(crate) cmd_wait_hist: RefCell<mproxy_obs::Histogram>,
-    /// Submissions that found the credit pool empty and had to block.
-    pub(crate) credit_stalls: Cell<u64>,
     pub(crate) ccbs: RefCell<crate::fxhash::FxHashMap<u64, engine::Ccb>>,
     pub(crate) next_token: Cell<u64>,
     /// Reliable-delivery state, present only when the cluster was built
@@ -163,9 +156,6 @@ impl NodeState {
 
     pub(crate) fn record_cmd_wait(&self, d: Dur) {
         self.cmd_wait.borrow_mut().add(d.as_us());
-        self.cmd_wait_hist
-            .borrow_mut()
-            .record((d.as_us() * 1000.0) as u64);
     }
 }
 
@@ -270,7 +260,7 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns the [`ClusterSpec::validate`] message if the spec is
+    /// Returns a message naming the invalid field if the spec is
     /// invalid.
     pub fn new(ctx: &SimCtx, spec: ClusterSpec) -> Result<Cluster, String> {
         Cluster::build(ctx, spec, None)
@@ -283,7 +273,7 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns the [`ClusterSpec::validate`] message if the spec is
+    /// Returns a message naming the invalid field if the spec is
     /// invalid.
     pub fn new_with_faults(
         ctx: &SimCtx,
@@ -344,8 +334,6 @@ impl Cluster {
                     engine_busy: Cell::new(Dur::ZERO),
                     engine_ops: Cell::new(0),
                     cmd_wait: RefCell::new(Tally::new()),
-                    cmd_wait_hist: RefCell::new(mproxy_obs::Histogram::new()),
-                    credit_stalls: Cell::new(0),
                     ccbs: RefCell::new(crate::fxhash::FxHashMap::default()),
                     next_token: Cell::new(0),
                     link,
@@ -417,14 +405,8 @@ impl Cluster {
 
     /// Number of user processes.
     #[must_use]
-    pub fn nprocs(&self) -> usize {
+    fn nprocs(&self) -> usize {
         self.state.spec.nprocs()
-    }
-
-    /// The spec this cluster was built from.
-    #[must_use]
-    pub fn spec(&self) -> ClusterSpec {
-        self.state.spec
     }
 
     /// A handle to process `rank`.
@@ -557,80 +539,6 @@ impl Cluster {
         FaultReport { injected, link }
     }
 
-    /// Telemetry snapshot under the engines' shared metric ids (see
-    /// `mproxy-obs`): one scope per node carrying the link-layer
-    /// counters, per-node traffic totals, credit stalls, and the
-    /// command-wait histogram, plus — when `report` is given — a `sim`
-    /// scope mapping the DES executor's accounting (events, elided polls,
-    /// timers, calendar peak, spawned/completed tasks and injected faults).
-    ///
-    /// The sim is single-threaded, so this is an import of its existing
-    /// accounting rather than live atomics; ids and JSON shape are
-    /// identical to the runtime's `RtCluster::obs_snapshot`, letting
-    /// sim/runtime exports line up column for column.
-    #[must_use]
-    pub fn obs_snapshot(
-        &self,
-        label: &str,
-        report: Option<&mproxy_des::RunReport>,
-    ) -> mproxy_obs::Snapshot {
-        use mproxy_obs::{Ctr, HistId, ScopeSnapshot};
-        let mut scopes = Vec::with_capacity(self.state.nodes.len() + 1);
-        for (n, node) in self.state.nodes.iter().enumerate() {
-            let mut sc = ScopeSnapshot::empty(format!("node{n}"));
-            let (ops, bytes) = self
-                .state
-                .procs
-                .iter()
-                .filter(|p| p.node == n)
-                .map(|p| {
-                    let s = p.stats.borrow();
-                    (s.ops, s.bytes)
-                })
-                .fold((0u64, 0u64), |(a, b), (o, y)| (a + o, b + y));
-            sc.set_counter(Ctr::OpsSubmitted, ops);
-            sc.set_counter(Ctr::BytesOut, bytes);
-            sc.set_counter(Ctr::OpsApplied, node.engine_ops.get());
-            sc.set_counter(Ctr::CreditStalls, node.credit_stalls.get());
-            if let Some(l) = &node.link {
-                let s = l.stats();
-                sc.set_counter(Ctr::Retransmits, s.retransmits);
-                sc.set_counter(Ctr::AcksOut, s.acks_sent);
-                sc.set_counter(Ctr::NacksOut, s.nacks_sent);
-                sc.set_counter(Ctr::DedupDrops, s.dups_discarded);
-                sc.set_counter(Ctr::HellosOut, s.hellos_sent);
-                sc.set_counter(Ctr::Replayed, s.replayed);
-                sc.set_counter(Ctr::StaleDrops, s.stale_discarded);
-                sc.set_counter(Ctr::EpochBumps, s.epoch_resyncs);
-            }
-            sc.set_hist(HistId::CmdWaitNs, node.cmd_wait_hist.borrow().clone());
-            scopes.push(sc);
-        }
-        let mut sim = ScopeSnapshot::empty("sim");
-        if let Some(r) = report {
-            sim.set_counter(Ctr::Events, r.events);
-            sim.set_counter(Ctr::PollsElided, r.polls_elided);
-            sim.set_counter(Ctr::TimersArmed, r.timers_armed);
-            sim.set_counter(Ctr::TimersCancelled, r.timers_cancelled);
-            sim.set_counter(Ctr::TimersFired, r.timers_fired);
-            sim.set_counter(Ctr::CalendarPeak, r.calendar_peak);
-            sim.set_counter(Ctr::TasksSpawned, r.spawned);
-            sim.set_counter(Ctr::TasksCompleted, r.completed);
-        }
-        if let Some(f) = &self.state.faults {
-            let c = f.counts();
-            sim.set_counter(
-                Ctr::FaultsInjected,
-                c.dropped + c.duplicated + c.reordered + c.corrupted,
-            );
-        }
-        scopes.push(sim);
-        mproxy_obs::Snapshot {
-            label: label.to_string(),
-            scopes,
-        }
-    }
-
     /// Number and mean (µs) of command queueing delays observed at
     /// `node`'s engine: submission instant to service start, the measured
     /// counterpart of the Section 5.4 contention model.
@@ -687,12 +595,10 @@ impl Cluster {
         let elapsed = now.since(self.state.started);
         let mut total_ops = 0;
         let mut total_bytes = 0;
-        let mut sizes = Tally::new();
         for p in &self.state.procs {
             let s = p.stats.borrow();
             total_ops += s.ops;
             total_bytes += s.bytes;
-            sizes.merge(&s.msg_sizes);
         }
         let elapsed_ms = elapsed.as_us() / 1_000.0;
         let per_proc_rate = if elapsed_ms > 0.0 {
@@ -714,7 +620,11 @@ impl Cluster {
         TrafficReport {
             total_ops,
             total_bytes,
-            avg_msg_bytes: sizes.mean(),
+            avg_msg_bytes: if total_ops == 0 {
+                0.0
+            } else {
+                total_bytes as f64 / total_ops as f64
+            },
             msg_rate_per_ms: per_proc_rate,
             interface_utilization: util,
             elapsed,
@@ -751,8 +661,8 @@ mod tests {
         let sim = mproxy_des::Simulation::new();
         let c = Cluster::new(&sim.ctx(), ClusterSpec::new(MP2, 3, 2)).unwrap();
         assert_eq!(c.nprocs(), 6);
-        assert_eq!(c.spec().design.name, "MP2");
-        assert_eq!(c.proc(crate::ProcId(5)).node(), 2);
+        assert_eq!(c.state.spec.design.name, "MP2");
+        assert_eq!(c.state.procs[5].node, 2);
     }
 
     #[test]

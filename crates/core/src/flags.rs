@@ -8,13 +8,13 @@
 
 use mproxy_des::Counter;
 
-use crate::addr::{FlagId, ProcId, RemoteFlag};
+use crate::addr::{FlagId, ProcId};
 
 /// A completion flag owned by one process.
 ///
 /// Created with [`crate::Proc::new_flag`]; flag slots are allocated in
 /// deterministic order, so SPMD peers can name each other's flags by index
-/// via [`SyncFlag::remote`]-style references.
+/// via [`crate::Proc::remote_flag`].
 #[derive(Debug, Clone)]
 pub struct SyncFlag {
     pub(crate) proc: ProcId,
@@ -23,12 +23,6 @@ pub struct SyncFlag {
 }
 
 impl SyncFlag {
-    /// The owning process.
-    #[must_use]
-    pub fn proc(&self) -> ProcId {
-        self.proc
-    }
-
     /// The flag slot within the owner's address space.
     #[must_use]
     pub fn id(&self) -> FlagId {
@@ -39,15 +33,5 @@ impl SyncFlag {
     #[must_use]
     pub fn count(&self) -> u64 {
         self.counter.get()
-    }
-
-    /// A remote reference to this flag, usable as an `rsync` argument by
-    /// peers.
-    #[must_use]
-    pub fn remote(&self) -> RemoteFlag {
-        RemoteFlag {
-            proc: self.proc,
-            flag: self.id,
-        }
     }
 }

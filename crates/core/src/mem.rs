@@ -29,7 +29,7 @@ impl Memory {
 
     /// Current size in bytes.
     #[must_use]
-    pub fn size(&self) -> u64 {
+    fn size(&self) -> u64 {
         self.bytes.len() as u64
     }
 
@@ -106,11 +106,6 @@ impl Memory {
         self.write(addr, &v.to_le_bytes());
     }
 
-    /// Writes a little-endian `u32`.
-    pub fn write_u32(&mut self, addr: Addr, v: u32) {
-        self.write(addr, &v.to_le_bytes());
-    }
-
     /// Reads an `f64`.
     #[must_use]
     pub fn read_f64(&self, addr: Addr) -> f64 {
@@ -174,7 +169,7 @@ mod tests {
         assert_eq!(m.read_u64(a), 0xdead_beef_0123);
         m.write_f64(a.offset(8), -2.5);
         assert_eq!(m.read_f64(a.offset(8)), -2.5);
-        m.write_u32(a.offset(16), 77);
+        m.write(a.offset(16), &77u32.to_le_bytes());
         assert_eq!(m.read(a.offset(16), 4)[..], 77u32.to_le_bytes());
     }
 

@@ -56,13 +56,13 @@ impl Proc {
 
     /// This process's address-space id.
     #[must_use]
-    pub fn asid(&self) -> Asid {
+    fn asid(&self) -> Asid {
         Asid::from(self.id)
     }
 
     /// The SMP node this process runs on.
     #[must_use]
-    pub fn node(&self) -> usize {
+    fn node(&self) -> usize {
         self.state().node
     }
 
@@ -217,7 +217,7 @@ impl Proc {
 
     /// The communication failure that poisoned this process, if any.
     #[must_use]
-    pub fn comm_error(&self) -> Option<CommError> {
+    fn comm_error(&self) -> Option<CommError> {
         self.state().comm_error.borrow().clone()
     }
 
@@ -290,12 +290,6 @@ impl Proc {
             Some(polled) => polled,
             None => queue_channel(ps, rq).try_recv(),
         }
-    }
-
-    /// Items currently waiting in a local queue.
-    #[must_use]
-    pub fn rq_len(&self, rq: RqId) -> usize {
-        queue_channel(self.state(), rq).len()
     }
 
     // ----- compute model --------------------------------------------------
@@ -543,7 +537,6 @@ impl Proc {
         let mut s = ps.stats.borrow_mut();
         s.ops += 1;
         s.bytes += u64::from(nbytes);
-        s.msg_sizes.add(f64::from(nbytes));
     }
 
     /// Takes one command-queue credit when the spec enables flow control,
@@ -557,12 +550,6 @@ impl Proc {
         let Some(ch) = self.state().credits.clone() else {
             return Ok(());
         };
-        // Fast path: a credit is free right now — no stall to record.
-        if let Some(()) = ch.try_recv() {
-            return Ok(());
-        }
-        let node = self.cs.node_of(self.id);
-        node.credit_stalls.set(node.credit_stalls.get() + 1);
         match ch.recv().await {
             Some(()) => Ok(()),
             // Closed while waiting: only poisoning closes the pool.

@@ -28,23 +28,10 @@ pub struct RegionId {
 #[derive(Debug, Clone, Copy)]
 pub struct Region {
     rid: RegionId,
-    size: u32,
     addr: Addr,
 }
 
 impl Region {
-    /// The region's identity.
-    #[must_use]
-    pub fn rid(&self) -> RegionId {
-        self.rid
-    }
-
-    /// Region size in bytes.
-    #[must_use]
-    pub fn size(&self) -> u32 {
-        self.size
-    }
-
     /// Local buffer address — valid application data between `start_*`
     /// and `end_*`.
     #[must_use]
@@ -179,15 +166,9 @@ impl Crl {
         Crl { inner }
     }
 
-    /// The owning process.
-    #[must_use]
-    pub fn proc(&self) -> &Proc {
-        &self.inner.p
-    }
-
     /// Coherence statistics so far.
     #[must_use]
-    pub fn stats(&self) -> CrlStats {
+    fn stats(&self) -> CrlStats {
         *self.inner.stats.borrow()
     }
 
@@ -241,7 +222,7 @@ impl Crl {
                 wake: Counter::new(),
             },
         );
-        Region { rid, size, addr }
+        Region { rid, addr }
     }
 
     fn local_state(&self, rid: RegionId) -> State {

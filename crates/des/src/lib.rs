@@ -41,7 +41,7 @@
 //! let report = sim.run();
 //! assert!(report.completed_cleanly());
 //! assert_eq!(report.end.as_us(), 39.0);
-//! assert!((server.utilization(sim.now()) - 30.0 / 39.0).abs() < 1e-9);
+//! assert_eq!(server.busy_us(sim.now()), 30.0); // busy 30 of the 39 µs
 //! ```
 
 #![forbid(unsafe_code)]

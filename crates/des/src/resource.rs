@@ -39,8 +39,7 @@ struct ResState {
     capacity: usize,
     in_use: usize,
     queue: VecDeque<Rc<RefCell<WaitSlot>>>,
-    created: SimTime,
-    /// Unit-nanoseconds held from `created` to `busy_since`.
+    /// Unit-nanoseconds held from creation to `busy_since`.
     busy_ns: u64,
     busy_since: SimTime,
     acquisitions: u64,
@@ -81,7 +80,7 @@ impl ResState {
 /// let r = sim.run();
 /// assert_eq!(r.end.as_us(), 20.0); // serialized on the single unit
 /// let ctx = sim.ctx();
-/// assert!((cpu.utilization(ctx.now()) - 1.0).abs() < 1e-9);
+/// assert_eq!(cpu.busy_us(ctx.now()), 20.0); // busy the whole run
 /// ```
 #[derive(Clone)]
 pub struct Resource {
@@ -104,7 +103,6 @@ impl Resource {
                 capacity,
                 in_use: 0,
                 queue: VecDeque::new(),
-                created: ctx.now(),
                 busy_ns: 0,
                 busy_since: ctx.now(),
                 acquisitions: 0,
@@ -114,8 +112,8 @@ impl Resource {
     }
 
     /// Units currently held.
-    #[must_use]
-    pub fn in_use(&self) -> usize {
+    #[cfg(test)]
+    fn in_use(&self) -> usize {
         self.state.borrow().in_use
     }
 
@@ -174,19 +172,6 @@ impl Resource {
         }
     }
 
-    /// Fraction of capacity busy, time-averaged from creation to `end`.
-    #[must_use]
-    pub fn utilization(&self, end: SimTime) -> f64 {
-        let s = self.state.borrow();
-        let span = end.since(s.created).as_ns();
-        let busy = if span == 0 {
-            s.in_use as f64
-        } else {
-            s.busy_ns(end) as f64 / span as f64
-        };
-        busy / s.capacity as f64
-    }
-
     /// Total busy time (unit-microseconds) accumulated up to `end` — for
     /// capacity 1 this is simply how long the resource has been held.
     #[must_use]
@@ -195,8 +180,8 @@ impl Resource {
     }
 
     /// Number of completed acquisitions.
-    #[must_use]
-    pub fn acquisitions(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn acquisitions(&self) -> u64 {
         self.state.borrow().acquisitions
     }
 
@@ -293,13 +278,6 @@ impl Drop for Acquire<'_> {
 /// Holds one unit of a [`Resource`]; released on drop.
 pub struct ResourceGuard<'a> {
     res: &'a Resource,
-}
-
-impl ResourceGuard<'_> {
-    /// Releases explicitly (equivalent to dropping the guard).
-    pub fn release(self) {
-        drop(self);
-    }
 }
 
 impl Drop for ResourceGuard<'_> {

@@ -52,7 +52,6 @@ fn utilization_and_queue_stats() {
     sim.spawn(async move { ctx2.delay(Dur::from_us(40.0)).await });
     sim.run();
     let end = ctx.now();
-    assert!((r.utilization(end) - 0.5).abs() < 1e-9);
     assert_eq!(r.acquisitions(), 2);
     // The second acquirer queued behind the first: one unit, busy
     // 20 µs in a row.
@@ -69,7 +68,7 @@ fn guard_release_is_idempotent_with_drop() {
     let ok2 = Rc::clone(&ok);
     sim.spawn(async move {
         let g = r2.acquire().await;
-        g.release();
+        drop(g);
         let g2 = r2.acquire().await; // available again immediately
         drop(g2);
         ok2.set(true);
@@ -104,7 +103,7 @@ fn holds_and_waits_take_no_reference() {
             sample(&r, &peak);
             ctx.delay(Dur::from_us(us)).await;
             sample(&r, &peak);
-            g.release();
+            drop(g);
         });
     }
     // A waiter queued first and dropped at 5 µs, still waiting.
@@ -145,7 +144,6 @@ fn holds_and_waits_take_no_reference() {
     assert_eq!((r.acquisitions(), r.in_use()), (3, 0));
     // Two units busy to 15 µs, one to 20 µs: 35 of 40 unit-µs.
     assert_eq!(r.busy_us(ctx.now()), 35.0);
-    assert!((r.utilization(ctx.now()) - 0.875).abs() < 1e-9);
 }
 
 #[test]
@@ -310,26 +308,20 @@ fn busy_integral_is_bit_equal_to_a_float_reference() {
             sim.spawn(async move {
                 ctx.delay(at).await;
                 let now = ctx.now();
-                probes
-                    .borrow_mut()
-                    .push((now.as_ns(), r.busy_us(now), r.utilization(now)));
+                probes.borrow_mut().push((now.as_ns(), r.busy_us(now)));
             });
         }
         assert!(sim.run().completed_cleanly());
         let end = ctx.now();
-        probes
-            .borrow_mut()
-            .push((end.as_ns(), r.busy_us(end), r.utilization(end)));
+        probes.borrow_mut().push((end.as_ns(), r.busy_us(end)));
         assert!(r.acquisitions() >= 40);
-        for &(t, busy_us, utilization) in probes.borrow().iter() {
+        for &(t, busy_us) in probes.borrow().iter() {
             let reference = float_integral(&spans.borrow(), t);
             assert_eq!(
                 busy_us.to_bits(),
                 (reference / 1_000.0).to_bits(),
                 "at {t} ns"
             );
-            let average = reference / t as f64 / capacity as f64;
-            assert_eq!(utilization.to_bits(), average.to_bits(), "at {t} ns");
         }
     }
 }

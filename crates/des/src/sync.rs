@@ -22,15 +22,6 @@ pub enum TrySendError<T> {
     Closed(T),
 }
 
-impl<T> TrySendError<T> {
-    /// Recovers the value that could not be sent.
-    pub fn into_inner(self) -> T {
-        match self {
-            TrySendError::Full(v) | TrySendError::Closed(v) => v,
-        }
-    }
-}
-
 impl<T> fmt::Display for TrySendError<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -248,14 +239,8 @@ impl<T> Channel<T> {
 
     /// Number of queued items.
     #[must_use]
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.state.borrow().buf.len()
-    }
-
-    /// True if no items are queued.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// True if [`Channel::close`] has been called.

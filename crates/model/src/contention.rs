@@ -13,22 +13,11 @@
 /// Stability threshold for a communication agent's utilisation (§5.4).
 pub const STABLE_UTILIZATION: f64 = 0.5;
 
-/// Offered utilisation of an agent given a per-processor message rate
-/// (operations per millisecond) and a mean per-operation service time (µs),
-/// summed over `procs` equally loaded compute processors.
-///
-/// # Examples
-///
-/// ```
-/// use mproxy_model::contention::utilization;
-///
-/// // 14.48 ops/ms (Wator on MP1) at ~17.7 µs of proxy time each:
-/// let u = utilization(14.48, 17.7, 1);
-/// assert!((u - 0.256).abs() < 0.01); // Table 6 reports 25.7%
-/// ```
+/// True if an agent at utilisation `rho` is stable: the paper's bound is
+/// strict ("below 50%"), so a load of exactly 0.5 is not.
 #[must_use]
-pub fn utilization(rate_per_ms: f64, service_us: f64, procs: usize) -> f64 {
-    rate_per_ms * service_us / 1_000.0 * procs as f64
+pub fn is_stable(rho: f64) -> bool {
+    rho < STABLE_UTILIZATION
 }
 
 /// Largest number of equally loaded compute processors one proxy supports
@@ -50,7 +39,12 @@ pub fn max_supported_procs(per_proc_utilization: f64) -> usize {
     if per_proc_utilization <= 0.0 {
         return usize::MAX;
     }
-    let n = (STABLE_UTILIZATION / per_proc_utilization).floor();
+    let mut n = (STABLE_UTILIZATION / per_proc_utilization).floor();
+    // The quotient lands on a whole number exactly at the bound, where
+    // `n` processors load the proxy to 0.5: not stable.
+    if n > 0.0 && !is_stable(n * per_proc_utilization) {
+        n -= 1.0;
+    }
     if n >= usize::MAX as f64 {
         usize::MAX
     } else {
@@ -118,15 +112,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn utilization_scales_linearly() {
-        let one = utilization(10.0, 20.0, 1);
-        assert!((one - 0.2).abs() < 1e-12);
-        assert!((utilization(10.0, 20.0, 4) - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
     fn stability_threshold_is_half() {
         assert_eq!(STABLE_UTILIZATION, 0.5);
+        assert!(is_stable(0.49));
+        assert!(!is_stable(0.5));
         // At the bound the M/M/1 wait is one whole service time.
         assert_eq!(mm1_wait_us(10.0, STABLE_UTILIZATION), 10.0);
     }
@@ -143,6 +132,14 @@ mod tests {
         assert!(max_supported_procs(per_proc) < 4);
         // A light app (P-Ray: 1.9%) supports far more than four.
         assert!(max_supported_procs(0.019) >= 4);
+    }
+
+    #[test]
+    fn a_load_of_exactly_half_is_unstable() {
+        // Two processors at 25% load the proxy to exactly 0.5.
+        assert_eq!(max_supported_procs(0.25), 1);
+        assert_eq!(max_supported_procs(0.5), 0);
+        assert_eq!(max_supported_procs(0.2499), 2);
     }
 
     #[test]

@@ -105,21 +105,6 @@ impl Cost {
         }
     }
 
-    /// A fixed cost of `us` microseconds.
-    #[must_use]
-    pub const fn fixed(us: f64) -> Cost {
-        Cost {
-            fixed_us: us,
-            ..Cost::new()
-        }
-    }
-
-    /// Total cache misses of either kind.
-    #[must_use]
-    pub fn cache_misses(&self) -> f64 {
-        self.c_shared + self.c_other
-    }
-
     /// Evaluates with a distinct latency for shared-memory misses
     /// (`shared_miss_us`), modelling the MP2 cache-update primitive.
     ///
@@ -204,7 +189,6 @@ mod tests {
         assert_eq!(Cost::P.eval_uniform(m), 3.0);
         assert_eq!(Cost::L.eval_uniform(m), 1.0);
         assert_eq!(Cost::instr(2.0).eval_uniform(m), 2.0);
-        assert_eq!(Cost::fixed(0.3).eval_uniform(m), 0.3);
     }
 
     #[test]

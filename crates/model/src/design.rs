@@ -33,18 +33,6 @@ pub enum Arch {
     SystemCall,
 }
 
-impl Arch {
-    /// Short display name.
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            Arch::CustomHardware => "custom hardware",
-            Arch::MessageProxy => "message proxy",
-            Arch::SystemCall => "system call",
-        }
-    }
-}
-
 /// A complete parameterisation of one column of Table 3.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignPoint {

@@ -44,7 +44,7 @@ pub fn put_oneway_latency() -> Cost {
 /// packet, it transits the network, and the local proxy dispatches it and
 /// sets the local sync register.
 #[must_use]
-pub fn ack_cost() -> Cost {
+fn ack_cost() -> Cost {
     // Remote: build header + launch.
     Cost::U + Cost::instr(0.6) + Cost::U
         // Wire.
@@ -95,18 +95,6 @@ pub fn protection_cost_put() -> Cost {
         + Cost::P * 2.0
 }
 
-/// Protection cost of streamlined system-call communication, per the
-/// paper's citation of Thekkath et al.: about 23 µs for GET and 19 µs for
-/// PUT — higher than the proxy's 14 / 10.3 µs.
-#[must_use]
-pub fn syscall_protection_cost_us(is_get: bool) -> f64 {
-    if is_get {
-        23.0
-    } else {
-        19.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,8 +114,10 @@ mod tests {
 
     #[test]
     fn proxy_protection_beats_syscall_protection() {
-        assert!(protection_cost_get().eval_uniform(&G30) < syscall_protection_cost_us(true));
-        assert!(protection_cost_put().eval_uniform(&G30) < syscall_protection_cost_us(false));
+        // Streamlined system-call communication, per the paper's citation
+        // of Thekkath et al.: about 23 µs for a GET and 19 µs for a PUT.
+        assert!(protection_cost_get().eval_uniform(&G30) < 23.0);
+        assert!(protection_cost_put().eval_uniform(&G30) < 19.0);
     }
 
     #[test]

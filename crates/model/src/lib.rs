@@ -53,8 +53,8 @@ pub use design::{
     PAPER_TABLE4, SW1,
 };
 pub use latency::{
-    ack_cost, get_latency, protection_cost_get, protection_cost_put, put_oneway_latency,
-    put_roundtrip_latency, rma_overhead, syscall_protection_cost_us,
+    get_latency, protection_cost_get, protection_cost_put, put_oneway_latency,
+    put_roundtrip_latency, rma_overhead,
 };
 pub use params::MachineParams;
 pub use trace::{format_trace, get_trace, put_trace, Agent, TraceStep};

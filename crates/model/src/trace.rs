@@ -28,7 +28,7 @@ pub enum Agent {
 impl Agent {
     /// Display label matching the paper's table.
     #[must_use]
-    pub fn label(&self) -> &'static str {
+    fn label(&self) -> &'static str {
         match self {
             Agent::User => "User",
             Agent::LocalProxy => "Message Proxy (local)",
@@ -256,7 +256,7 @@ mod tests {
     fn get_trace_sums_to_section41_equation() {
         // GET = 10C + 6U + 3V + 3.6/S + 3P + 2L.
         let t = total(&get_trace());
-        assert_eq!(t.cache_misses(), 10.0);
+        assert_eq!(t.c_shared + t.c_other, 10.0);
         assert_eq!(t.u, 6.0);
         assert_eq!(t.v, 3.0);
         assert!((t.instr - 3.6).abs() < 1e-12);
@@ -269,7 +269,7 @@ mod tests {
     fn put_trace_sums_to_section41_equation() {
         // PUT = 7C + 4U + 2V + 2.2/S + 2P + L.
         let t = total(&put_trace());
-        assert_eq!(t.cache_misses(), 7.0);
+        assert_eq!(t.c_shared + t.c_other, 7.0);
         assert_eq!(t.u, 4.0);
         assert_eq!(t.v, 2.0);
         assert!((t.instr - 2.2).abs() < 1e-12);

@@ -169,12 +169,6 @@ impl Mpi {
         }
     }
 
-    /// The owning process.
-    #[must_use]
-    pub fn proc(&self) -> &Proc {
-        &self.p
-    }
-
     /// Messages sent / received so far.
     #[must_use]
     pub fn counts(&self) -> (u64, u64) {

@@ -1,8 +1,9 @@
 //! Static metric ids and cache-padded atomic counter sets.
 //!
-//! The same [`Ctr`] ids are used by the threaded runtime (`mproxy-rt`)
-//! and the discrete-event simulator (`mproxy` / `mproxy-des`) so that
-//! A/B comparisons between the two engines line up column-for-column.
+//! The [`Ctr`] ids are the threaded runtime's (`mproxy-rt`). The
+//! simulator exports none of them: it keeps its own accounting, so a
+//! comparison of the two engines compares their state, and the simulator
+//! gets an export under these ids when something reads one.
 //!
 //! A [`CounterSet`] is a fixed array of `AtomicU64` cells, one per id,
 //! each padded to its own cache line so two proxies (or a proxy and a
@@ -22,7 +23,7 @@ struct CachePadded<T>(T);
 
 macro_rules! counters {
     ($($(#[$doc:meta])* $variant:ident => $name:literal,)+) => {
-        /// Static counter ids shared by the simulator and the runtime.
+        /// Static counter ids of the runtime's telemetry.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         #[repr(usize)]
         pub enum Ctr {
@@ -61,8 +62,7 @@ counters! {
     BytesOut => "bytes_out",
     BytesIn => "bytes_in",
     // The same traffic in sequenced wire *frames* (the runtime coalesces
-    // a burst of operations under one sequence number; the simulator
-    // sends one operation per packet and leaves these zero):
+    // a burst of operations under one sequence number):
     // `msgs_out / frames_out` is operations per frame. `Retransmits`
     // counts frames (one re-sent packet each), as do the runtime's `Send`
     // events and wire-RTT samples; `FaultsInjected` counts verdicts, and
@@ -79,11 +79,6 @@ counters! {
     Retransmits => "retransmits",
     DedupDrops => "dedup_drops",
     DamagedDrops => "damaged_drops",
-    // Crash epochs (simulator only: its crash loses volatile state and
-    // resyncs by HELLO; a runtime respawn is a pause and sends nothing).
-    Replayed => "replayed",
-    StaleDrops => "stale_drops",
-    HellosOut => "hellos_out",
     // Overload / flow control.
     /// Always zero: neither engine sheds load — an overloaded proxy
     /// backpressures its submitters instead. The id stays because the
@@ -98,19 +93,6 @@ counters! {
     FaultsInjected => "faults_injected",
     Kills => "kills",
     Respawns => "respawns",
-    /// Simulator only, like the crash-epoch ids above.
-    EpochBumps => "epoch_bumps",
-    // DES engine internals (sim scope only). `Events` counts calendar
-    // entries that ran; `PollsElided` the empty polls of clean spinners the
-    // executor skipped, which a per-miss loop would have run as events.
-    Events => "events",
-    PollsElided => "polls_elided",
-    TimersArmed => "timers_armed",
-    TimersCancelled => "timers_cancelled",
-    TimersFired => "timers_fired",
-    CalendarPeak => "calendar_peak",
-    TasksSpawned => "tasks_spawned",
-    TasksCompleted => "tasks_completed",
 }
 
 /// One cache-padded `AtomicU64` per [`Ctr`] id.
@@ -145,24 +127,10 @@ impl CounterSet {
         self.add(c, 1);
     }
 
-    /// Raise `c` to at least `v` (for peak gauges like
-    /// [`Ctr::CalendarPeak`]).
-    #[inline]
-    pub fn raise(&self, c: Ctr, v: u64) {
-        self.cells[c as usize].0.fetch_max(v, Ordering::Relaxed);
-    }
-
     /// Current value of `c` (relaxed read).
     #[inline]
     pub fn get(&self, c: Ctr) -> u64 {
         self.cells[c as usize].0.load(Ordering::Relaxed)
-    }
-
-    /// Overwrite `c` (used when importing totals from a
-    /// single-threaded engine's own accounting).
-    #[inline]
-    pub fn set(&self, c: Ctr, v: u64) {
-        self.cells[c as usize].0.store(v, Ordering::Relaxed);
     }
 
     /// Relaxed point-in-time copy of every cell.
@@ -189,14 +157,12 @@ mod tests {
     }
 
     #[test]
-    fn add_get_raise() {
+    fn add_and_get() {
         let s = CounterSet::new();
         s.inc(Ctr::MsgsOut);
         s.add(Ctr::MsgsOut, 4);
-        s.raise(Ctr::CalendarPeak, 9);
-        s.raise(Ctr::CalendarPeak, 3);
         assert_eq!(s.get(Ctr::MsgsOut), 5);
-        assert_eq!(s.get(Ctr::CalendarPeak), 9);
+        assert_eq!(s.get(Ctr::MsgsIn), 0);
         assert_eq!(s.values()[Ctr::MsgsOut as usize], 5);
     }
 }

@@ -60,7 +60,7 @@ fn bucket_mid(idx: usize) -> u64 {
 
 macro_rules! hists {
     ($($variant:ident => $name:literal,)+) => {
-        /// Static histogram ids shared by the simulator and the runtime.
+        /// Static histogram ids of the runtime's telemetry.
         #[derive(Debug, Clone, Copy, PartialEq, Eq)]
         #[repr(usize)]
         pub enum HistId {
@@ -101,8 +101,7 @@ hists! {
 ///
 /// Buckets are stored up to the highest one recorded, not all
 /// [`BUCKETS`] up front: nanosecond waits of up to a millisecond fit in
-/// the first 510, and the simulator keeps one such histogram per node of
-/// every run.
+/// the first 510.
 #[derive(Clone)]
 pub struct Histogram {
     buckets: Vec<u64>,

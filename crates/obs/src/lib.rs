@@ -1,9 +1,8 @@
-//! `mproxy-obs` — always-on telemetry for the message-proxy engines.
+//! `mproxy-obs` — always-on telemetry for the threaded runtime.
 //!
 //! The paper's argument (§5.4) is quantitative: proxy occupancy must
 //! stay under the 50% stability bound or the fabric collapses. This
-//! crate makes that observable as a first-class layer shared by the
-//! discrete-event simulator (`mproxy` / `mproxy-des`) and the threaded
+//! crate makes that observable as a first-class layer of the threaded
 //! runtime (`mproxy-rt`):
 //!
 //! * [`Ctr`] / [`CounterSet`] — static metric ids backed by
@@ -20,9 +19,11 @@
 //!   `trace_event` (Perfetto) exporter rendering kills, the pauses they
 //!   cause and RTO storms on a timeline.
 //!
-//! Both engines register [`Scope`]s on an [`ObsHub`] using the *same*
-//! metric ids, so sim/runtime A/B comparisons line up column for
-//! column. The overhead budget (≤5% with recording enabled, ~0%
+//! The runtime registers one [`Scope`] per node on an [`ObsHub`]. The
+//! discrete-event simulator (`mproxy` / `mproxy-des`) exports nothing
+//! here: it keeps its own accounting (`RunReport`, `FaultReport`,
+//! `TrafficReport`), and gets an export under these ids when something
+//! reads one. The overhead budget (≤5% with recording enabled, ~0%
 //! disabled) is held by decimation in the runtime — one stamped
 //! submission in 32, bounded from above by
 //! `tests/tests/obs.rs::counters_match_ground_truth_on_clean_fan_in` —

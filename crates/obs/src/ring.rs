@@ -5,7 +5,7 @@
 //! Each slot is two `AtomicU64` words:
 //!
 //! ```text
-//! w0: event timestamp, ns (runtime: since cluster start; sim: sim time)
+//! w0: event timestamp, ns since cluster start
 //! w1: kind(8) | a(16) | b(32) | lap_tag(8)
 //! ```
 //!
@@ -111,11 +111,6 @@ impl FlightRecorder {
             head: AtomicU64::new(0),
             cap_bits: cap.trailing_zeros(),
         }
-    }
-
-    /// Total events ever recorded (including overwritten ones).
-    pub fn recorded(&self) -> u64 {
-        self.head.load(Ordering::Relaxed)
     }
 
     #[inline]
@@ -233,6 +228,6 @@ mod tests {
         for w in writers {
             w.join().unwrap();
         }
-        assert_eq!(r.recorded(), 80_000);
+        assert_eq!(r.head.load(Ordering::Relaxed), 80_000);
     }
 }

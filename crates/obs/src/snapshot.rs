@@ -55,12 +55,6 @@ impl ObsHub {
         scope
     }
 
-    /// Nanoseconds since the hub was created (the runtime trace epoch).
-    #[inline]
-    pub fn now_ns(&self) -> u64 {
-        self.started.elapsed().as_nanos() as u64
-    }
-
     /// Point-in-time snapshot of every scope, without stopping writers.
     pub fn snapshot(&self, label: &str) -> Snapshot {
         let scopes = self.scopes.lock().unwrap();
@@ -92,11 +86,6 @@ pub struct Scope {
 }
 
 impl Scope {
-    /// Scope name (e.g. `"node3"` or `"sim"`).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Whether histograms + traces are recording (hub-wide flag).
     #[inline]
     fn recording(&self) -> bool {
@@ -105,7 +94,7 @@ impl Scope {
 
     /// Nanoseconds since the owning hub was created.
     #[inline]
-    pub fn now_ns(&self) -> u64 {
+    fn now_ns(&self) -> u64 {
         self.started.elapsed().as_nanos() as u64
     }
 
@@ -119,12 +108,6 @@ impl Scope {
     #[inline]
     pub fn inc(&self, c: Ctr) {
         self.counters.inc(c);
-    }
-
-    /// Raise peak-gauge counter `c` to at least `v` (always on).
-    #[inline]
-    pub fn raise(&self, c: Ctr, v: u64) {
-        self.counters.raise(c, v);
     }
 
     /// Current counter value.
@@ -149,8 +132,8 @@ impl Scope {
         }
     }
 
-    /// Trace an event with a caller-supplied timestamp (the simulator
-    /// passes sim time), if recording.
+    /// Trace an event with a caller-supplied timestamp (the proxy passes
+    /// its pass's clock reading), if recording.
     #[inline]
     pub fn trace_at(&self, t_ns: u64, kind: EventKind, a: u16, b: u32) {
         if self.recording() {
@@ -159,12 +142,12 @@ impl Scope {
     }
 
     /// Dump this scope's surviving trace events, oldest first.
-    pub fn events(&self) -> Vec<TraceEvent> {
+    fn events(&self) -> Vec<TraceEvent> {
         self.ring.dump()
     }
 
     /// Point-in-time copy of counters + histograms.
-    pub fn snapshot(&self) -> ScopeSnapshot {
+    fn snapshot(&self) -> ScopeSnapshot {
         ScopeSnapshot {
             name: self.name.clone(),
             counters: self.counters.values(),
@@ -183,34 +166,14 @@ pub struct ScopeSnapshot {
 }
 
 impl ScopeSnapshot {
-    /// An empty snapshot — used by single-threaded engines that build
-    /// their telemetry export from their own accounting.
-    pub fn empty(name: impl Into<String>) -> Self {
-        ScopeSnapshot {
-            name: name.into(),
-            counters: [0; Ctr::COUNT],
-            hists: (0..HistId::COUNT).map(|_| Histogram::new()).collect(),
-        }
-    }
-
     /// Counter value.
     pub fn counter(&self, c: Ctr) -> u64 {
         self.counters[c as usize]
     }
 
-    /// Overwrite a counter (import path for sim accounting).
-    pub fn set_counter(&mut self, c: Ctr, v: u64) {
-        self.counters[c as usize] = v;
-    }
-
     /// Histogram for `h`.
     pub fn hist(&self, h: HistId) -> &Histogram {
         &self.hists[h as usize]
-    }
-
-    /// Replace the histogram for `h` (import path for sim accounting).
-    pub fn set_hist(&mut self, h: HistId, hist: Histogram) {
-        self.hists[h as usize] = hist;
     }
 
     fn json_into(&self, out: &mut String) {

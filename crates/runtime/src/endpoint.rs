@@ -91,12 +91,6 @@ impl Endpoint {
         self.me.asid
     }
 
-    /// The node this process runs on.
-    #[must_use]
-    pub fn node(&self) -> usize {
-        self.me.node
-    }
-
     /// Bump-allocates `n` bytes in this process's segment.
     ///
     /// # Panics

@@ -88,7 +88,6 @@ pub struct RtKill {
 ///     .kill(1, 5_000)
 ///     .stall(0, Duration::from_millis(10), Duration::from_millis(5));
 /// assert_eq!(plan.seed, 42);
-/// assert!(!plan.is_benign());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RtFaultPlan {
@@ -207,12 +206,6 @@ impl RtFaultPlan {
         self.kills.push(RtKill { node, after_ops });
         self.kills.sort_by_key(|k| k.after_ops);
         self
-    }
-
-    /// True if the plan injects nothing at all.
-    #[must_use]
-    pub fn is_benign(&self) -> bool {
-        self.fates.is_benign() && self.stalls.is_empty() && self.kills.is_empty()
     }
 
     /// Largest node index the plan references, if any (for validation
@@ -438,7 +431,6 @@ mod tests {
     #[test]
     fn benign_plan_counts_nothing() {
         let st = RtFaultState::new(RtFaultPlan::new(3), 1);
-        assert!(st.plan.is_benign());
         assert!(!st.packet_faults_possible());
         assert!(!st.has_timed_faults());
         let f = st.judge(0);

@@ -117,10 +117,10 @@ mod tests {
     #[test]
     fn put_reaches_remote_segment() {
         let (cluster, mut e0, e1) = two_node_pair();
-        e0.seg().write_f64(0, 2.75);
+        e0.seg().write_u64(0, 2.75f64.to_bits());
         e0.put(0, e1.asid(), 64, 8, Some(FlagId(0)), Some(FlagId(1)));
         e0.wait_flag(FlagId(0), 1);
-        assert_eq!(e1.seg().read_f64(64), 2.75);
+        assert_eq!(f64::from_bits(e1.seg().read_u64(64)), 2.75);
         assert_eq!(e1.flag(FlagId(1)), 1);
         cluster.shutdown();
     }

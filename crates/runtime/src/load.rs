@@ -4,7 +4,7 @@
 
 use std::sync::atomic::Ordering;
 
-use mproxy_model::contention::STABLE_UTILIZATION;
+use mproxy_model::contention::is_stable;
 use mproxy_obs::{Ctr, EventKind, HistId};
 
 use crate::cluster::Shared;
@@ -20,8 +20,8 @@ pub(crate) const SAMPLE_PERIOD_NS: u64 = 1_000_000;
 const SATURATION_BACKLOG: usize = 128;
 
 /// Utilisation below which a saturated proxy is considered recovered.
-/// Sits under [`STABLE_UTILIZATION`] so the flag does not flap when load
-/// hovers at the §5.4 bound.
+/// Sits under the §5.4 bound of 0.5 so the flag does not flap when load
+/// hovers at it.
 const RECOVERY_UTILIZATION: f64 = 0.4;
 
 /// A proxy's own load meter. The service loop calls [`LoadSampler::tick`]
@@ -30,10 +30,10 @@ const RECOVERY_UTILIZATION: f64 = 0.4;
 /// the next tick's reading, so a busy pass costs no clock read of its
 /// own. At most once per [`SAMPLE_PERIOD_NS`] the tick turns the busy
 /// time since the last sample into a utilisation sample and applies the
-/// §5.4 stability rule — a proxy above [`STABLE_UTILIZATION`] has
-/// unbounded expected queueing delay, so it is flagged saturated (with a
-/// one-time warning) until the load falls back under
-/// [`RECOVERY_UTILIZATION`]. Each crossing is counted
+/// §5.4 stability rule ([`is_stable`]) — a proxy at or above 50 % is
+/// past the paper's bound, so it is flagged saturated (with a one-time
+/// warning) until the load falls back under [`RECOVERY_UTILIZATION`].
+/// Each crossing is counted
 /// (`Ctr::SaturationEvents`) and traced (`SatEnter`), each recovery
 /// traced (`SatExit`). Idle polling is charged to nobody, exactly like
 /// the simulator's per-node busy counter.
@@ -91,14 +91,14 @@ impl LoadSampler {
         // of the same instability and is immune to scheduler noise, so
         // either one trips the flag.
         let backlog = shared.wires[node].len();
-        if !self.saturated && (util > STABLE_UTILIZATION || backlog > SATURATION_BACKLOG) {
+        if !self.saturated && (!is_stable(util) || backlog > SATURATION_BACKLOG) {
             obs.inc(Ctr::SaturationEvents);
             obs.trace_at(now_ns, EventKind::SatEnter, node as u16, backlog as u32);
             self.saturated = true;
             if self.warned.is_none() {
                 // Name the signal that tripped: a stalled or descheduled
                 // proxy trips the backlog with its utilisation low.
-                let signal = if util > STABLE_UTILIZATION {
+                let signal = if !is_stable(util) {
                     "overloaded (past the 50% stability bound, queueing delay is now unbounded)"
                 } else {
                     "not draining its input (stalled or descheduled)"

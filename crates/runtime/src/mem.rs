@@ -164,17 +164,6 @@ impl Segment {
     pub fn write_u64(&self, addr: u64, v: u64) {
         self.write(addr, &v.to_le_bytes());
     }
-
-    /// Reads an `f64`.
-    #[must_use]
-    pub fn read_f64(&self, addr: u64) -> f64 {
-        f64::from_bits(self.read_u64(addr))
-    }
-
-    /// Writes an `f64`.
-    pub fn write_f64(&self, addr: u64, v: f64) {
-        self.write_u64(addr, v.to_bits());
-    }
 }
 
 impl std::fmt::Debug for Segment {
@@ -197,8 +186,6 @@ mod tests {
         assert_eq!(&s.read(0, 5)[..], b"hello");
         s.write_u64(8, 0xfeed);
         assert_eq!(s.read_u64(8), 0xfeed);
-        s.write_f64(16, -1.25);
-        assert_eq!(s.read_f64(16), -1.25);
     }
 
     #[test]
@@ -343,10 +330,8 @@ mod tests {
             m.model[addr..addr + WORD].copy_from_slice(&v.to_le_bytes());
             assert_eq!(m.seg.read_u64(addr as u64), v);
             m.assert_same();
-            m.seg.write_f64(addr as u64, -1.25);
-            assert_eq!(m.seg.read_f64(addr as u64), -1.25);
             // The word view and the byte view agree in the other
-            // direction too (the byte write also overwrites the f64).
+            // direction too (the byte write overwrites the word).
             m.write(addr, WORD);
             let bytes: [u8; WORD] = m.model[addr..addr + WORD].try_into().unwrap();
             assert_eq!(m.seg.read_u64(addr as u64), u64::from_le_bytes(bytes));

@@ -222,7 +222,7 @@ fn frames_a_full_ring_refuses_wait_in_retention_and_leave_in_sequence_under_thei
     assert!(shared.wires[DST].try_pop().is_some());
     retransmit(&shared, &mut src, SRC, T0 + RTO_NS);
     assert_eq!(shared.obs[SRC].get(Ctr::Retransmits), 0);
-    assert_eq!(shared.wires[DST].len(), shared.wires[DST].capacity() - 1);
+    assert_eq!(shared.wires[DST].len(), WIRE_DEPTH - 1);
 
     // The ring drains: each frame leaves once, in sequence, as its
     // verdict says — the dropped one never, the duplicated one twice.

@@ -131,14 +131,8 @@ impl<T> Ring<T> {
         }
     }
 
-    /// Ring capacity in entries.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Entries currently queued (approximate under concurrent access,
-    /// exact when quiescent). Never exceeds [`Ring::capacity`] by more
+    /// exact when quiescent). Never exceeds the capacity by more
     /// than the number of in-flight producers.
     #[must_use]
     pub fn len(&self) -> usize {

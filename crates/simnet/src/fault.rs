@@ -232,13 +232,6 @@ impl FaultPlan {
         self.crashes.iter().copied().filter(move |w| w.node == node)
     }
 
-    /// True if the plan injects no packet faults, no stalls and no
-    /// crashes.
-    #[must_use]
-    pub fn is_benign(&self) -> bool {
-        self.packet_fates().is_benign() && self.stalls.is_empty() && self.crashes.is_empty()
-    }
-
     /// The plan's per-packet Bernoulli specification, in the shared
     /// fate-core representation.
     #[must_use]
@@ -398,7 +391,7 @@ mod tests {
     #[test]
     fn benign_plan_judges_nothing_interesting() {
         let plan = FaultPlan::new(0);
-        assert!(plan.is_benign());
+        assert!(plan.packet_fates().is_benign());
         let f = FaultState::new(plan);
         for _ in 0..100 {
             assert_eq!(
@@ -431,7 +424,6 @@ mod tests {
     #[test]
     fn crash_windows_queried_by_time_and_node() {
         let plan = FaultPlan::new(0).crash(1, 100.0, 50.0).crash(1, 400.0, 25.0);
-        assert!(!plan.is_benign());
         assert_eq!(plan.crashes_on(1).count(), 2);
         assert_eq!(plan.crashes_on(0).count(), 0);
         let f = FaultState::new(plan);

@@ -56,7 +56,7 @@ impl LinkParams {
 
     /// Transit latency as a duration.
     #[must_use]
-    pub fn transit(&self) -> Dur {
+    fn transit(&self) -> Dur {
         Dur::from_us(self.latency_us)
     }
 }
@@ -112,32 +112,15 @@ impl<M> Clone for Adapter<M> {
 
 impl<M: 'static> Adapter<M> {
     /// Receives the next packet from this node's input FIFO.
-    pub async fn recv(&self) -> Option<Packet<M>> {
+    async fn recv(&self) -> Option<Packet<M>> {
         self.shared.rx_fifo.recv().await
-    }
-
-    /// Non-blocking poll of the input FIFO.
-    pub fn try_recv(&self) -> Option<Packet<M>> {
-        self.shared.rx_fifo.try_recv()
     }
 
     /// The input FIFO channel itself (for proxies that multiplex it with
     /// command queues).
     #[must_use]
-    pub fn rx_fifo(&self) -> Channel<Packet<M>> {
+    fn rx_fifo(&self) -> Channel<Packet<M>> {
         self.shared.rx_fifo.clone()
-    }
-
-    /// This adapter's node id.
-    #[must_use]
-    pub fn node(&self) -> NodeId {
-        self.shared.node
-    }
-
-    /// Link parameters of the attached network.
-    #[must_use]
-    pub fn link(&self) -> LinkParams {
-        self.shared.link
     }
 }
 
@@ -212,24 +195,6 @@ impl<M: 'static> Network<M> {
     #[must_use]
     pub fn fault_state(&self) -> Option<Rc<FaultState>> {
         self.faults.clone()
-    }
-
-    /// Number of nodes.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.adapters.len()
-    }
-
-    /// True if the network has no nodes (never, by construction).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.adapters.is_empty()
-    }
-
-    /// Link parameters.
-    #[must_use]
-    pub fn link(&self) -> LinkParams {
-        self.link
     }
 
     /// A handle to node `node`'s adapter.
@@ -345,33 +310,16 @@ impl<M: Clone + 'static> NetPort<M> {
         self.local.recv().await
     }
 
-    /// Non-blocking poll of this node's input FIFO.
-    pub fn try_recv(&self) -> Option<Packet<M>> {
-        self.local.try_recv()
-    }
-
     /// The local input FIFO (for multiplexed polling loops).
     #[must_use]
     pub fn rx_fifo(&self) -> Channel<Packet<M>> {
         self.local.rx_fifo()
     }
 
-    /// The local node id.
-    #[must_use]
-    pub fn node(&self) -> NodeId {
-        self.local.node()
-    }
-
     /// Number of nodes reachable.
     #[must_use]
     pub fn nodes(&self) -> usize {
         self.peers.len()
-    }
-
-    /// Link parameters.
-    #[must_use]
-    pub fn link(&self) -> LinkParams {
-        self.local.link()
     }
 }
 
@@ -522,7 +470,7 @@ mod tests {
             }
         });
         sim.run();
-        assert!(b.try_recv().is_none());
+        assert!(b.rx_fifo().try_recv().is_none());
         let c = net.fault_state().unwrap().counts();
         assert_eq!((c.packets, c.dropped), (5, 5));
     }

@@ -56,32 +56,11 @@ pub struct GlobalPtr {
     pub addr: Addr,
 }
 
-impl GlobalPtr {
-    /// Offsets the pointer by `bytes` within the same process.
-    #[must_use]
-    pub fn offset(self, bytes: u64) -> GlobalPtr {
-        GlobalPtr {
-            proc: self.proc,
-            addr: self.addr.offset(bytes),
-        }
-    }
-
-    /// Indexes the pointer by elements of `elem_bytes`.
-    #[must_use]
-    pub fn index(self, i: u64, elem_bytes: u64) -> GlobalPtr {
-        GlobalPtr {
-            proc: self.proc,
-            addr: self.addr.index(i, elem_bytes),
-        }
-    }
-}
-
 struct ScState {
     op_flag: SyncFlag,
     issued: Cell<u64>,
     store_arrivals: SyncFlag,
     stores_issued: Cell<u64>,
-    scratch: Addr,
 }
 
 /// The per-process Split-C context. Cloneable; clones share state.
@@ -105,15 +84,8 @@ impl SplitC {
                 issued: Cell::new(0),
                 store_arrivals: p.new_flag(),
                 stores_issued: Cell::new(0),
-                scratch: p.alloc(64),
             }),
         }
-    }
-
-    /// The owning process.
-    #[must_use]
-    pub fn proc(&self) -> &Proc {
-        &self.p
     }
 
     /// Split-phase global read: issue and return. Complete with
@@ -172,42 +144,6 @@ impl SplitC {
                 self.am.poll().await;
             }
         }
-    }
-
-    /// Blocking global read of one `f64`.
-    pub async fn read_f64(&self, src: GlobalPtr) -> f64 {
-        if src.proc == self.p.rank() {
-            self.p.compute_us(0.1).await;
-            return self.p.read_f64(src.addr);
-        }
-        self.am
-            .get_bulk(src.proc, self.st.scratch, src.addr, 8)
-            .await;
-        self.p.read_f64(self.st.scratch)
-    }
-
-    /// Blocking global write of one `f64`.
-    pub async fn write_f64(&self, dst: GlobalPtr, v: f64) {
-        if dst.proc == self.p.rank() {
-            self.p.compute_us(0.1).await;
-            self.p.write_f64(dst.addr, v);
-            return;
-        }
-        self.p.write_f64(self.st.scratch, v);
-        let flag = self.p.new_flag();
-        self.p
-            .put(
-                self.st.scratch,
-                dst.proc.into(),
-                dst.addr,
-                8,
-                Some(&flag),
-                None,
-            )
-            .await
-            .expect("global write failed");
-        let f = flag.clone();
-        self.am.poll_while(|| f.count() >= 1).await;
     }
 
     /// Blocking bulk read (`bulk_get`), polling while waiting.
@@ -335,8 +271,11 @@ mod tests {
                 addr: cell,
             };
             if p.rank().0 == 0 {
-                sc.write_f64(remote_cell, 42.5).await;
-                assert_eq!(sc.read_f64(remote_cell).await, 42.5);
+                let (out, back) = (p.alloc(8), p.alloc(8));
+                p.write_f64(out, 42.5);
+                sc.bulk_put(out, remote_cell, 8).await;
+                sc.bulk_get(remote_cell, back, 8).await;
+                assert_eq!(p.read_f64(back), 42.5);
                 // Bulk put then read back.
                 for i in 0..32u64 {
                     p.write_f64(buf.index(i, 8), i as f64);
@@ -364,14 +303,8 @@ mod tests {
                     assert_eq!(p.read_f64(check.index(i, 8)), i as f64);
                 }
                 // Release the peer from its service loop.
-                sc.write_f64(
-                    GlobalPtr {
-                        proc: peer,
-                        addr: cell.offset(0),
-                    },
-                    -1.0,
-                )
-                .await;
+                p.write_f64(out, -1.0);
+                sc.bulk_put(out, remote_cell, 8).await;
             } else {
                 // Service requests until the sentinel lands.
                 let me = p.clone();
@@ -389,22 +322,17 @@ mod tests {
                 proc: p.rank(),
                 addr: a,
             };
-            sc.write_f64(me, 7.25).await;
-            assert_eq!(sc.read_f64(me).await, 7.25);
+            p.write_f64(a, 7.25);
             let b = p.alloc(64);
             sc.bulk_get(me, b, 64).await;
             assert_eq!(p.read_f64(b), 7.25);
+            let c = p.alloc(64);
+            let to_c = GlobalPtr {
+                proc: p.rank(),
+                addr: c,
+            };
+            sc.bulk_put(b, to_c, 64).await;
+            assert_eq!(p.read_f64(c), 7.25);
         });
-    }
-
-    #[test]
-    fn global_ptr_arithmetic() {
-        let g = GlobalPtr {
-            proc: ProcId(3),
-            addr: Addr(100),
-        };
-        assert_eq!(g.offset(8).addr, Addr(108));
-        assert_eq!(g.index(4, 8).addr, Addr(132));
-        assert_eq!(g.index(4, 8).proc, ProcId(3));
     }
 }

@@ -60,7 +60,8 @@ fn faulty_link_delivers_enq_streams_exactly_once_in_order() {
                         let v = u64::from_le_bytes(got.as_ref().try_into().unwrap());
                         assert_eq!(v, i, "case {case}: out of order or duplicated");
                     }
-                    *probe.borrow_mut() = p.rq_len(q);
+                    let stray = p.rq_poll(q).await;
+                    *probe.borrow_mut() = usize::from(stray.is_some());
                 }
             }
         });
