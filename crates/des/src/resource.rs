@@ -42,6 +42,9 @@ struct ResState {
     /// Unit-nanoseconds held from creation to `busy_since`.
     busy_ns: u64,
     busy_since: SimTime,
+    /// Completed acquisitions, a clean spinner's elided periods included.
+    /// Only the tests read it (see [`Resource::acquired`]).
+    #[cfg(test)]
     acquisitions: u64,
     /// The watches of the spinners holding units: a request that queues
     /// touches them, so each spinner's next wake runs and releases.
@@ -105,6 +108,7 @@ impl Resource {
                 queue: VecDeque::new(),
                 busy_ns: 0,
                 busy_since: ctx.now(),
+                #[cfg(test)]
                 acquisitions: 0,
                 spinning: Vec::new(),
             })),
@@ -185,6 +189,19 @@ impl Resource {
         self.state.borrow().acquisitions
     }
 
+    /// Counts `n` completed acquisitions. The count is the tests' oracle
+    /// that a spinner's elided periods acquire as often as the per-miss
+    /// loop they stand for (`executor::spin::tests`); nothing else reads
+    /// it, so other builds keep none.
+    fn acquired(&self, n: u64) {
+        #[cfg(test)]
+        {
+            self.state.borrow_mut().acquisitions += n;
+        }
+        #[cfg(not(test))]
+        let _ = n;
+    }
+
     fn release_one(&self) {
         let now = self.ctx.now();
         let mut s = self.state.borrow_mut();
@@ -230,7 +247,7 @@ impl<'a> Future for Acquire<'a> {
         if let Some(slot) = &self.slot {
             let granted = slot.borrow().granted;
             if granted {
-                res.state.borrow_mut().acquisitions += 1;
+                res.acquired(1);
                 self.slot = None;
                 return Poll::Ready(ResourceGuard { res });
             }
@@ -242,7 +259,8 @@ impl<'a> Future for Acquire<'a> {
         if s.queue.is_empty() && s.in_use < s.capacity {
             s.note(now);
             s.in_use += 1;
-            s.acquisitions += 1;
+            drop(s);
+            res.acquired(1);
             Poll::Ready(ResourceGuard { res })
         } else {
             let slot = Rc::new(RefCell::new(WaitSlot {
@@ -349,7 +367,7 @@ impl<P> Drop for SpinUntil<'_, P> {
     fn drop(&mut self) {
         if let Spin::Held { since, .. } = self.state {
             let (_, k) = next_wake(since, self.period, self.res.ctx.now());
-            self.res.state.borrow_mut().acquisitions += k - 1;
+            self.res.acquired(k - 1);
             self.watch.touch();
         }
     }
@@ -405,7 +423,7 @@ impl<T, P: FnMut() -> Option<T> + Unpin> Future for SpinUntil<'_, P> {
                     if now < wake {
                         return Poll::Pending;
                     }
-                    this.res.state.borrow_mut().acquisitions += k - 1;
+                    this.res.acquired(k - 1);
                     this.state = Spin::Probe;
                 }
                 Spin::Probe => {

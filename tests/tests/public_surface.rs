@@ -179,8 +179,9 @@ fn mark(rel: &str, src: &str, defs: &mut Vec<Def>) -> String {
 
 /// Which lines of `src` are in a `use` declaration, and which are test
 /// code: a `#[cfg(test)]` item, from its attribute to its closing brace
-/// (the next line that is its indent and `}`), or the whole file when it
-/// is a `tests.rs` or lies under a `tests/` directory of `src`.
+/// (the next line that is its indent and `}`) or to its own line when it
+/// ends there (`;`, or `,` for a field), or the whole file when it is a
+/// `tests.rs` or lies under a `tests/` directory of `src`.
 fn line_kinds(rel: &str, src: &str) -> (Vec<bool>, Vec<bool>) {
     let lines: Vec<&str> = src.lines().collect();
     let whole = rel.ends_with("/tests.rs")
@@ -216,7 +217,7 @@ fn line_kinds(rel: &str, src: &str) -> (Vec<bool>, Vec<bool>) {
             let item = lines.get(i + 1).copied().unwrap_or("");
             let close = format!("{}}}", indent_of(item));
             let mut end = i + 1;
-            if !item.trim_end().ends_with(';') {
+            if !item.trim_end().ends_with([';', ',']) {
                 while end < lines.len() && lines[end] != close {
                     end += 1;
                 }
@@ -230,12 +231,29 @@ fn line_kinds(rel: &str, src: &str) -> (Vec<bool>, Vec<bool>) {
     (in_use, in_test)
 }
 
+/// `line` without ANSI colour codes (`ESC [ ... m`), which cargo writes
+/// into even piped output when colour is forced (`CARGO_TERM_COLOR=always`).
+fn plain(line: &str) -> String {
+    let mut out = String::with_capacity(line.len());
+    let mut chars = line.chars();
+    while let Some(c) = chars.next() {
+        if c == '\u{1b}' {
+            // The sequence ends at its first letter.
+            chars.by_ref().find(char::is_ascii_alphabetic);
+        } else {
+            out.push(c);
+        }
+    }
+    out
+}
+
 /// The uses in cargo's `--message-format=short` output. `dir` is where
 /// cargo ran, relative to the copy's root `ws`: paths in the output are
 /// relative to it, or absolute.
 fn uses(out: &str, ws: &Path, dir: &str) -> Vec<Use> {
     let mut found = Vec::new();
     for line in out.lines() {
+        let line = plain(line);
         let Some((loc, msg)) = line.split_once(": warning: use of deprecated ") else {
             continue;
         };
@@ -394,7 +412,7 @@ fn cargo_check(ws: &Path, dir: &str, target: &Path) -> String {
     let out = Command::new(cargo)
         .current_dir(ws.join(dir))
         .args(["check", "--offline", "--workspace", "--all-targets"])
-        .args(["--message-format=short", "--target-dir"])
+        .args(["--message-format=short", "--color=never", "--target-dir"])
         .arg(target)
         .env_remove("RUSTFLAGS")
         .env_remove("CARGO_ENCODED_RUSTFLAGS")
@@ -420,6 +438,11 @@ fn every_public_fn_has_a_caller_outside_its_file() {
             rels.push(top.to_string());
         }
     }
+    // Overlapping runs of this test share the copy: one at a time. The
+    // lock is the file's, so it goes with this process.
+    fs::create_dir_all(&scratch).expect("scratch dir");
+    let lock = fs::File::create(scratch.join("lock")).expect("lock file");
+    lock.lock().expect("lock the copy");
     // A fresh copy: a file deleted since the last run must not linger.
     let _ = fs::remove_dir_all(&ws);
     let mut defs = Vec::new();
@@ -622,6 +645,15 @@ fn a_use_by_its_own_crates_tests_is_not_a_caller() {
 }
 
 #[test]
+fn a_test_only_field_is_test_code_to_its_comma() {
+    let src = "struct S {\n    #[cfg(test)]\n    n: u64,\n}\n\
+               fn f() {\n    if x {\n        g();\n    }\n}\n";
+    let (_, in_test) = line_kinds("crates/a/src/lib.rs", src);
+    let want = [false, true, true, false, false, false, false, false, false];
+    assert_eq!(in_test, want);
+}
+
+#[test]
 fn a_pub_use_is_not_a_caller() {
     let lib = "mod m;\npub use m::{\n    free,\n};\n";
     let bad = verdict(
@@ -634,6 +666,19 @@ fn a_pub_use_is_not_a_caller() {
     );
     assert_eq!(bad.len(), 1, "{bad:?}");
     assert!(bad[0].contains("`pub fn free`: nothing uses it"), "{bad:?}");
+}
+
+#[test]
+fn a_coloured_warning_is_read() {
+    // Cargo's short output with colour forced, as it prints it.
+    let line = "tests/tests/t.rs:2:10: \u{1b}[1m\u{1b}[33mwarning\u{1b}[0m: \
+                use of deprecated method `a::A::go`: surface 0";
+    let found = uses(line, Path::new("/ws"), ".");
+    assert_eq!(found.len(), 1);
+    assert_eq!(
+        (found[0].file.as_str(), found[0].line, found[0].def),
+        ("tests/tests/t.rs", 2, 0)
+    );
 }
 
 #[test]
