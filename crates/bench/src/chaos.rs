@@ -245,7 +245,12 @@ pub fn corrupt_under_load(seed: u64, msgs: u64) -> ScenarioResult {
     let mut b = RtClusterBuilder::new(2);
     let _p0 = b.add_process(0, 1 << 16);
     let p1 = b.add_process(1, 1 << 16);
-    b.fault_plan(RtFaultPlan::new(seed).drop(0.10).duplicate(0.10).corrupt(0.05));
+    b.fault_plan(
+        RtFaultPlan::new(seed)
+            .drop(0.10)
+            .duplicate(0.10)
+            .corrupt(0.05),
+    );
     let (cluster, mut eps) = b.start();
     let e1 = eps.pop().expect("endpoint 1");
     let mut e0 = eps.pop().expect("endpoint 0");
@@ -599,7 +604,9 @@ pub fn hostile_tenant(seed: u64, ops: u64, per_sender: u64) -> ScenarioResult {
                     .map_err(|err| format!("co-tenant op {i}: {err}"))?;
             }
             let slot = 8 * (i % WINDOW);
-            tenant_ep.seg().write_u64(slot, (u64::from(tenant) << 32) | i);
+            tenant_ep
+                .seg()
+                .write_u64(slot, (u64::from(tenant) << 32) | i);
             tenant_ep.enq(slot, sink, RqId(0), 8, Some(FlagId(0)), None);
         }
         tenant_ep
@@ -694,7 +701,11 @@ pub fn hostile_tenant(seed: u64, ops: u64, per_sender: u64) -> ScenarioResult {
             flags(&sink_ep),
             expect(&[(HOSTILE_RSYNC, valid_rsync)]),
         ),
-        ("hostile ENQs delivered", vec![enqueued, stray], vec![valid_enq, 0]),
+        (
+            "hostile ENQs delivered",
+            vec![enqueued, stray],
+            vec![valid_enq, 0],
+        ),
         (
             "co-tenant flags and faults",
             tenant_ep.map_or_else(Vec::new, |e| [flags(&e), vec![e.faults()]].concat()),
@@ -725,7 +736,10 @@ mod tests {
         let s = [1u32];
         let tag = |i: u64| (1u64 << 32) | i;
         assert!(check_exactly_once(&[tag(1), tag(2), tag(3)], &s, 3).is_ok());
-        assert!(check_exactly_once(&[tag(1), tag(3)], &s, 3).is_err(), "loss");
+        assert!(
+            check_exactly_once(&[tag(1), tag(3)], &s, 3).is_err(),
+            "loss"
+        );
         assert!(
             check_exactly_once(&[tag(1), tag(2), tag(2), tag(3)], &s, 3).is_err(),
             "duplicate"

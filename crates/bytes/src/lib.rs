@@ -91,7 +91,11 @@ impl Bytes {
             Bound::Unbounded => self.len,
         };
         assert!(begin <= end, "slice range inverted: {begin} > {end}");
-        assert!(end <= self.len, "slice end {end} out of bounds ({})", self.len);
+        assert!(
+            end <= self.len,
+            "slice end {end} out of bounds ({})",
+            self.len
+        );
         Bytes {
             data: Arc::clone(&self.data),
             start: self.start + begin,

@@ -341,9 +341,9 @@ impl Cluster {
             })
             .collect();
 
-        let crashes_possible = faults.as_ref().is_some_and(|f| {
-            (0..spec.nodes).any(|n| f.plan().crashes_on(n).next().is_some())
-        });
+        let crashes_possible = faults
+            .as_ref()
+            .is_some_and(|f| (0..spec.nodes).any(|n| f.plan().crashes_on(n).next().is_some()));
 
         let state = Rc::new(ClusterState {
             allow_all: Cell::new(spec.allow_all),
@@ -369,11 +369,7 @@ impl Cluster {
                     continue;
                 }
                 windows.sort_by(|a, b| a.at_us.total_cmp(&b.at_us));
-                ctx.spawn(engine::drivers::crash_driver(
-                    Rc::clone(&state),
-                    n,
-                    windows,
-                ));
+                ctx.spawn(engine::drivers::crash_driver(Rc::clone(&state), n, windows));
             }
         }
 
@@ -503,7 +499,10 @@ impl Cluster {
     /// The communication failure that poisoned `rank`, if any.
     #[must_use]
     pub fn comm_error(&self, rank: ProcId) -> Option<crate::CommError> {
-        self.state.procs[rank.0 as usize].comm_error.borrow().clone()
+        self.state.procs[rank.0 as usize]
+            .comm_error
+            .borrow()
+            .clone()
     }
 
     /// Injected-fault and link-layer counters. All-zero when the cluster

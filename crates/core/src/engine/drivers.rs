@@ -188,11 +188,7 @@ pub(crate) async fn stall_gate(node: &NodeState, cs: &ClusterState) {
 ///
 /// [`crash`]: crate::engine::reliable::LinkLayer::crash
 /// [`restart`]: crate::engine::reliable::LinkLayer::restart
-pub(crate) async fn crash_driver(
-    cs: Rc<ClusterState>,
-    node: usize,
-    windows: Vec<CrashWindow>,
-) {
+pub(crate) async fn crash_driver(cs: Rc<ClusterState>, node: usize, windows: Vec<CrashWindow>) {
     for w in windows {
         cs.ctx
             .delay_until(SimTime::ZERO + Dur::from_us(w.at_us))
@@ -202,10 +198,9 @@ pub(crate) async fn crash_driver(
         let epoch = link.crash();
         while let Some(input) = ns.proxy_input.try_recv() {
             match input {
-                ProxyInput::Cmd(cmd, _) => poison_proc(
-                    cs.proc(cmd.src()),
-                    CommError::EpochReset { node, epoch },
-                ),
+                ProxyInput::Cmd(cmd, _) => {
+                    poison_proc(cs.proc(cmd.src()), CommError::EpochReset { node, epoch })
+                }
                 // Undelivered packets and re-probe ticks die with the
                 // proxy's memory image.
                 ProxyInput::Pkt(_) | ProxyInput::RetryDeq(_) => {}

@@ -57,8 +57,7 @@ impl Hasher for FxHasher {
 }
 
 /// A `HashMap` keyed by [`FxHasher`].
-pub(crate) type FxHashMap<K, V> =
-    std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
+pub(crate) type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -55,8 +55,8 @@ mod addr;
 mod cluster;
 mod engine;
 mod error;
-mod fxhash;
 mod flags;
+mod fxhash;
 mod mem;
 pub mod micro;
 mod process;

@@ -243,7 +243,10 @@ pub fn pingpong_verified(
     reps: u64,
     plan: Option<FaultPlan>,
 ) -> VerifiedPingPong {
-    assert!(bytes >= 8, "verified ping-pong needs room for a marker word");
+    assert!(
+        bytes >= 8,
+        "verified ping-pong needs room for a marker word"
+    );
     let sim = Simulation::new();
     let spec = ClusterSpec::new(design, 2, 1);
     let cluster = match plan {

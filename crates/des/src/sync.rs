@@ -322,9 +322,7 @@ impl<T> Drop for Send<'_, T> {
             // A wake was consumed for this future but never acted on. If
             // there is still room (or the channel closed), hand the wake
             // to the next parked sender so it is not stranded.
-            let has_room = s
-                .capacity
-                .is_none_or(|cap| s.buf.len() < cap);
+            let has_room = s.capacity.is_none_or(|cap| s.buf.len() < cap);
             if has_room || s.closed {
                 s.wake_one_sender();
             }
@@ -527,7 +525,10 @@ impl Drop for CounterWait {
         // The counter is monotonic and a met threshold stays met, so an
         // abandoned wait only has to remove its own parked waker.
         if let Some(k) = self.key.take() {
-            self.state.borrow_mut().waiters.retain(|(id, _, _)| *id != k);
+            self.state
+                .borrow_mut()
+                .waiters
+                .retain(|(id, _, _)| *id != k);
         }
     }
 }

@@ -9,7 +9,6 @@
 //! rule: on `P`-processor SMPs, dedicate a proxy whenever it beats
 //! system-level communication by more than `P/(P−1)`.
 
-
 /// Stability threshold for a communication agent's utilisation (§5.4).
 pub const STABLE_UTILIZATION: f64 = 0.5;
 

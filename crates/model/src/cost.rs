@@ -14,7 +14,6 @@
 
 use core::ops::{Add, AddAssign, Mul};
 
-
 use crate::params::MachineParams;
 
 /// A linear combination of primitive costs; see the module docs.

@@ -15,7 +15,6 @@
 //! 4 KiB page reproduce the measured peak bandwidths 22.3 and 86.7 MB/s
 //! exactly.
 
-
 use crate::cost::Cost;
 use crate::latency;
 use crate::params::MachineParams;

@@ -115,10 +115,7 @@ impl PacketFates {
     /// True if every probability is zero.
     #[must_use]
     pub fn is_benign(&self) -> bool {
-        self.drop_p == 0.0
-            && self.dup_p == 0.0
-            && self.reorder_p == 0.0
-            && self.corrupt_p == 0.0
+        self.drop_p == 0.0 && self.dup_p == 0.0 && self.reorder_p == 0.0 && self.corrupt_p == 0.0
     }
 
     /// Judges one packet, always consuming exactly five variates from
@@ -127,8 +124,7 @@ impl PacketFates {
     /// discipline that makes "same seed, same fates" hold across plans
     /// that differ only in rates.
     pub fn judge(&self, rng: &mut SplitMix64) -> Fate {
-        let (d, dup, re, co, jitter) =
-            (rng.unit(), rng.unit(), rng.unit(), rng.unit(), rng.unit());
+        let (d, dup, re, co, jitter) = (rng.unit(), rng.unit(), rng.unit(), rng.unit(), rng.unit());
         let reordered = re < self.reorder_p;
         let extra_us = if reordered {
             self.reorder_extra_us * (0.25 + jitter)

@@ -40,10 +40,10 @@
 
 pub mod contention;
 mod cost;
-pub mod fate;
-pub mod link;
 mod design;
+pub mod fate;
 mod latency;
+pub mod link;
 mod params;
 mod trace;
 

@@ -17,7 +17,6 @@
 //! measured one-way latencies (PUT = 18.5 + L µs, GET = 27.5 + L µs)
 //! against the §4.1 equations — both solve to `U = 0.5 µs`.
 
-
 /// Primitive machine costs (Table 1), in microseconds unless noted.
 ///
 /// # Examples

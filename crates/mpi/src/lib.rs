@@ -221,9 +221,9 @@ impl Mpi {
         loop {
             let matched = {
                 let mut q = self.st.unexpected.borrow_mut();
-                let pos = q.iter().position(|e| {
-                    src.is_none_or(|s| s == e.src) && tag.is_none_or(|t| t == e.tag)
-                });
+                let pos = q
+                    .iter()
+                    .position(|e| src.is_none_or(|s| s == e.src) && tag.is_none_or(|t| t == e.tag));
                 pos.and_then(|i| q.remove(i))
             };
             if let Some(env) = matched {

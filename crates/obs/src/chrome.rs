@@ -78,7 +78,9 @@ fn dead_spans(events: &[TraceEvent]) -> impl Iterator<Item = (u64, u64)> + '_ {
     kills
         .filter(|(_, e)| e.kind == EventKind::Kill)
         .filter_map(|(i, kill)| {
-            let respawn = events[i + 1..].iter().find(|n| n.kind == EventKind::Respawn)?;
+            let respawn = events[i + 1..]
+                .iter()
+                .find(|n| n.kind == EventKind::Respawn)?;
             Some((kill.t_ns, respawn.t_ns))
         })
 }

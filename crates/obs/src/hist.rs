@@ -302,7 +302,11 @@ mod tests {
             let lo = bucket_lo(idx);
             assert!(lo <= v, "v={v} lo={lo}");
             if idx + 1 < BUCKETS {
-                assert!(bucket_lo(idx + 1) > v, "v={v} next_lo={}", bucket_lo(idx + 1));
+                assert!(
+                    bucket_lo(idx + 1) > v,
+                    "v={v} next_lo={}",
+                    bucket_lo(idx + 1)
+                );
             }
         }
     }

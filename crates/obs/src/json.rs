@@ -142,20 +142,18 @@ pub fn validate(s: &str) -> Result<(), String> {
                     *pos += 1;
                     return Ok(());
                 }
-                b'\\' => {
-                    match b.get(*pos + 1) {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 2,
-                        Some(b'u') => {
-                            if b.len() < *pos + 6
-                                || !b[*pos + 2..*pos + 6].iter().all(u8::is_ascii_hexdigit)
-                            {
-                                return Err(format!("bad \\u escape at {pos}"));
-                            }
-                            *pos += 6;
+                b'\\' => match b.get(*pos + 1) {
+                    Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => *pos += 2,
+                    Some(b'u') => {
+                        if b.len() < *pos + 6
+                            || !b[*pos + 2..*pos + 6].iter().all(u8::is_ascii_hexdigit)
+                        {
+                            return Err(format!("bad \\u escape at {pos}"));
                         }
-                        _ => return Err(format!("bad escape at {pos}")),
+                        *pos += 6;
                     }
-                }
+                    _ => return Err(format!("bad escape at {pos}")),
+                },
                 0x00..=0x1f => return Err(format!("raw control char at {pos}")),
                 _ => *pos += 1,
             }

@@ -130,10 +130,8 @@ impl FlightRecorder {
         // timestamp with the previous lap's payload.
         slot.w1.store(0, Ordering::Release);
         slot.w0.store(t_ns, Ordering::Relaxed);
-        let w1 = ((kind as u64) << 56)
-            | ((a as u64) << 40)
-            | ((b as u64) << 8)
-            | self.tag_for(claim);
+        let w1 =
+            ((kind as u64) << 56) | ((a as u64) << 40) | ((b as u64) << 8) | self.tag_for(claim);
         slot.w1.store(w1, Ordering::Release);
     }
 

@@ -178,7 +178,11 @@ impl ScopeSnapshot {
 
     fn json_into(&self, out: &mut String) {
         use std::fmt::Write as _;
-        let _ = write!(out, "{{\"name\":\"{}\",\"counters\":{{", json::esc(&self.name));
+        let _ = write!(
+            out,
+            "{{\"name\":\"{}\",\"counters\":{{",
+            json::esc(&self.name)
+        );
         let mut first = true;
         for c in Ctr::ALL {
             let v = self.counter(c);

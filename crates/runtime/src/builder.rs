@@ -145,9 +145,7 @@ impl RtClusterBuilder {
             stop: AtomicBool::new(false),
             wires,
             parkers: (0..nodes).map(|_| Parker::new()).collect(),
-            ops_serviced: (0..nodes)
-                .map(|_| Arc::new(AtomicU64::new(0)))
-                .collect(),
+            ops_serviced: (0..nodes).map(|_| Arc::new(AtomicU64::new(0))).collect(),
             panicked: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
             condemned: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
             any_condemned: AtomicBool::new(false),

@@ -183,7 +183,9 @@ impl ProcShared {
     /// carries that on to the proxy that pushes.
     pub(crate) fn claim(&self, rq: usize) -> bool {
         let room = |n: usize| (n < RQ_DEPTH).then_some(n + 1);
-        self.claimed[rq].fetch_update(Ordering::Acquire, Ordering::Relaxed, room).is_ok()
+        self.claimed[rq]
+            .fetch_update(Ordering::Acquire, Ordering::Relaxed, room)
+            .is_ok()
     }
 
     pub(crate) fn give_back(&self, rq: usize) {
@@ -281,7 +283,9 @@ impl Shared {
         if !self.any_condemned.load(Ordering::Acquire) {
             return None;
         }
-        self.condemned.iter().position(|c| c.load(Ordering::Acquire))
+        self.condemned
+            .iter()
+            .position(|c| c.load(Ordering::Acquire))
     }
 
     pub(crate) fn panic_reason(&self, node: usize) -> Option<String> {

@@ -79,7 +79,10 @@ impl Backoff {
     /// thread that wakes it needs.
     #[must_use]
     pub fn yielding() -> Backoff {
-        Backoff { step: SPIN_LIMIT, first: SPIN_LIMIT }
+        Backoff {
+            step: SPIN_LIMIT,
+            first: SPIN_LIMIT,
+        }
     }
 
     /// Restarts the escalation (call after the wait made progress).

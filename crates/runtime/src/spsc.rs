@@ -293,7 +293,7 @@ mod tests {
         assert!(tx.try_send(Entry {
             op: 9,
             args: [0; 4],
-                ..Entry::default()
+            ..Entry::default()
         }));
         assert_eq!(rx.try_recv().unwrap().op, 9);
     }

@@ -465,7 +465,11 @@ pub(crate) fn handle_packet(
                 // Damaged, or ahead of a gap (an earlier frame was lost):
                 // park what is intact, and name what is missing on the
                 // next NACK.
-                let parked = if closed { Arc::new([]) } else { Arc::clone(&body) };
+                let parked = if closed {
+                    Arc::new([])
+                } else {
+                    Arc::clone(&body)
+                };
                 match rx.order.park(seq, (!corrupt).then_some(parked)) {
                     Parked::Held if closed => {
                         body.iter().for_each(|op| give_back(shared, op));

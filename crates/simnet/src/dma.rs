@@ -109,7 +109,10 @@ mod tests {
     fn prepinned_streams_at_engine_bandwidth() {
         // HW0 and HW1 pre-pin: 25.0 and 150.0 MB/s, the engine's own speed
         // up to the nanosecond rounding of the transfer time.
-        for d in ALL_DESIGN_POINTS.iter().filter(|d| d.pin_us + d.unpin_us == 0.0) {
+        for d in ALL_DESIGN_POINTS
+            .iter()
+            .filter(|d| d.pin_us + d.unpin_us == 0.0)
+        {
             let rel = (page_bandwidth_mbs(d) - d.dma_bw_mbs).abs() / d.dma_bw_mbs;
             assert!(rel < 1e-4, "{}", d.name);
             assert_table4_peak(d);
@@ -120,7 +123,10 @@ mod tests {
     fn pinning_caps_bandwidth_to_table4_values() {
         // The software points pin and unpin each page for 10 + 10 µs:
         // MP0 (25 MB/s engine) → 22.3 MB/s; MP1, MP2, SW1 (150) → 86.7.
-        for d in ALL_DESIGN_POINTS.iter().filter(|d| d.pin_us + d.unpin_us > 0.0) {
+        for d in ALL_DESIGN_POINTS
+            .iter()
+            .filter(|d| d.pin_us + d.unpin_us > 0.0)
+        {
             assert_table4_peak(d);
         }
     }

@@ -22,8 +22,8 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use mproxy_model::fate::{check_probability, windows_overlap, PacketFates, SplitMix64};
 pub use mproxy_model::fate::Fate;
+use mproxy_model::fate::{check_probability, windows_overlap, PacketFates, SplitMix64};
 
 use crate::NodeId;
 
@@ -175,7 +175,10 @@ impl FaultPlan {
     /// resume at?) and used to misbehave silently at simulation time.
     #[must_use]
     pub fn stall(mut self, node: NodeId, start_us: f64, end_us: f64) -> FaultPlan {
-        assert!(start_us < end_us, "empty stall window [{start_us}, {end_us})");
+        assert!(
+            start_us < end_us,
+            "empty stall window [{start_us}, {end_us})"
+        );
         if let Some(w) = self
             .stalls
             .iter()
@@ -303,10 +306,7 @@ impl FaultState {
     /// the same number of variates, so the stream position depends only
     /// on how many packets were judged.
     pub fn judge(&self) -> Fate {
-        let fate = self
-            .plan
-            .packet_fates()
-            .judge(&mut self.rng.borrow_mut());
+        let fate = self.plan.packet_fates().judge(&mut self.rng.borrow_mut());
         self.packets.set(self.packets.get() + 1);
         if fate.drop {
             self.dropped.set(self.dropped.get() + 1);
@@ -423,7 +423,9 @@ mod tests {
 
     #[test]
     fn crash_windows_queried_by_time_and_node() {
-        let plan = FaultPlan::new(0).crash(1, 100.0, 50.0).crash(1, 400.0, 25.0);
+        let plan = FaultPlan::new(0)
+            .crash(1, 100.0, 50.0)
+            .crash(1, 400.0, 25.0);
         assert_eq!(plan.crashes_on(1).count(), 2);
         assert_eq!(plan.crashes_on(0).count(), 0);
         let f = FaultState::new(plan);
@@ -461,7 +463,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "overlaps")]
     fn overlapping_crashes_on_one_node_rejected() {
-        let _ = FaultPlan::new(0).crash(1, 100.0, 50.0).crash(1, 120.0, 10.0);
+        let _ = FaultPlan::new(0)
+            .crash(1, 100.0, 50.0)
+            .crash(1, 120.0, 10.0);
     }
 
     #[test]

@@ -165,12 +165,7 @@ impl<M: 'static> Network<M> {
         Self::build(ctx, nodes, link, Some(FaultState::new(plan)))
     }
 
-    fn build(
-        ctx: &SimCtx,
-        nodes: usize,
-        link: LinkParams,
-        faults: Option<Rc<FaultState>>,
-    ) -> Self {
+    fn build(ctx: &SimCtx, nodes: usize, link: LinkParams, faults: Option<Rc<FaultState>>) -> Self {
         assert!(nodes > 0, "network needs at least one node");
         let adapters = (0..nodes)
             .map(|node| Adapter {
@@ -492,7 +487,9 @@ mod tests {
         sim.spawn(async move {
             for _ in 0..2 {
                 let pkt = b.recv().await.unwrap();
-                probe.borrow_mut().push((pkt.message, pkt.seq, pkt.checksum));
+                probe
+                    .borrow_mut()
+                    .push((pkt.message, pkt.seq, pkt.checksum));
             }
         });
         sim.run();

@@ -38,7 +38,10 @@ fn main() {
                     total += p.read_u64(small);
                 }
                 // Each record gained (n-1) increments.
-                assert_eq!(total, (0..16).map(|i| i * 100).sum::<u64>() + 16 * u64::from(n - 1));
+                assert_eq!(
+                    total,
+                    (0..16).map(|i| i * 100).sum::<u64>() + 16 * u64::from(n - 1)
+                );
                 // Finish with one bulk rendezvous transfer around the ring.
                 for i in 0..1024u64 {
                     p.write_u64(big.index(i, 8), i);

@@ -76,7 +76,12 @@ impl Rng {
     }
 
     /// A vector of `self.range(min_len, max_len)` draws from `f`.
-    pub fn vec<T>(&mut self, min_len: u64, max_len: u64, mut f: impl FnMut(&mut Rng) -> T) -> Vec<T> {
+    pub fn vec<T>(
+        &mut self,
+        min_len: u64,
+        max_len: u64,
+        mut f: impl FnMut(&mut Rng) -> T,
+    ) -> Vec<T> {
         let n = self.range(min_len, max_len);
         (0..n).map(|_| f(self)).collect()
     }

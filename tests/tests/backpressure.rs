@@ -203,7 +203,10 @@ fn a_queue_nobody_drains_does_not_stall_its_node() {
         .unwrap_or_else(|e| panic!("ENQ to another queue of the owner: {e}"));
     let enq_took = start.elapsed();
     eprintln!("beside a full queue: co-tenant PUT {put_took:?}, ENQ {enq_took:?}");
-    assert!(owner_ep.rq_try_recv(RqId(1)).is_some(), "the other queue's ENQ");
+    assert!(
+        owner_ep.rq_try_recv(RqId(1)).is_some(),
+        "the other queue's ENQ"
+    );
 
     // Every word is delivered once, in order, as the owner drains, and
     // then every one of the flood's ENQs is acknowledged.

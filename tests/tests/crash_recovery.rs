@@ -75,7 +75,14 @@ fn crash_recovery_is_deterministic_across_runs() {
 /// that failure itself is deterministic.
 #[test]
 fn crash_with_unacked_work_fails_stop_with_epoch_reset() {
-    let plan = || crash_sweep_plan(CRASH_DROP, CRASH_NODE, PP_MIDFLIGHT_AT_US, CRASH_DOWNTIME_US);
+    let plan = || {
+        crash_sweep_plan(
+            CRASH_DROP,
+            CRASH_NODE,
+            PP_MIDFLIGHT_AT_US,
+            CRASH_DOWNTIME_US,
+        )
+    };
     let a = pingpong_verified(MP1, 64, 64, Some(plan()));
     assert!(
         matches!(

@@ -6,7 +6,7 @@
 use mproxy::micro::pingpong_verified;
 use mproxy::{Cluster, ClusterSpec, CommError, FaultPlan, ProcId, RemoteQueue};
 use mproxy_des::Simulation;
-use mproxy_model::{MP1, HW1, SW1};
+use mproxy_model::{HW1, MP1, SW1};
 use mproxy_tests::Rng;
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -105,8 +105,7 @@ fn stalled_node_surfaces_unreachable_without_deadlock() {
     // Stall node 1 for 50 ms: far beyond the ~12.8 ms default budget.
     let plan = FaultPlan::new(1).stall(1, 0.0, 50_000.0);
     let sim = Simulation::new();
-    let cluster =
-        Cluster::new_with_faults(&sim.ctx(), ClusterSpec::new(MP1, 2, 1), plan).unwrap();
+    let cluster = Cluster::new_with_faults(&sim.ctx(), ClusterSpec::new(MP1, 2, 1), plan).unwrap();
     let seen = Rc::new(RefCell::new(None));
     let probe = Rc::clone(&seen);
     cluster.spawn_spmd(move |p| {

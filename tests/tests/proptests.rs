@@ -143,7 +143,10 @@ fn put_then_get_reads_own_write() {
             }
         });
         assert!(cluster.run(&sim).completed_cleanly());
-        assert!(*ok.borrow(), "PUT-then-GET must read back the written words");
+        assert!(
+            *ok.borrow(),
+            "PUT-then-GET must read back the written words"
+        );
     }
 }
 
@@ -155,8 +158,7 @@ fn put_then_get_reads_own_write() {
 fn crl_increments_are_atomic_under_contention() {
     for case in 0..8u64 {
         let mut rng = Rng::new(0xc41_0000 + case);
-        let plan: Vec<(u32, u32)> =
-            rng.vec(1, 24, |r| (r.below(4) as u32, r.below(3) as u32));
+        let plan: Vec<(u32, u32)> = rng.vec(1, 24, |r| (r.below(4) as u32, r.below(3) as u32));
         let hw = rng.coin();
         use mproxy_am::{Am, Coll};
         use mproxy_crl::{Crl, RegionId};
@@ -181,7 +183,15 @@ fn crl_increments_are_atomic_under_contention() {
                     }
                 }
                 let regions: Vec<_> = (0..3)
-                    .map(|idx| crl.map(RegionId { home: ProcId(0), idx }, 8))
+                    .map(|idx| {
+                        crl.map(
+                            RegionId {
+                                home: ProcId(0),
+                                idx,
+                            },
+                            8,
+                        )
+                    })
                     .collect();
                 p.ctx().yield_now().await;
                 coll.barrier().await;

@@ -301,16 +301,38 @@ fn runtime_rejects(c: &Malformed) {
         .unwrap_or_else(|err| panic!("{}: {err}", c.what));
     assert_eq!(e0.faults(), 1, "{}: one fault", c.what);
     let report = cluster.shutdown();
-    assert!(report.clean() && report.restarts == 0, "{}: {report:?}", c.what);
-    assert!(e0.seg().read(0, SIZE).iter().all(|&b| b == 0xa0), "{}", c.what);
-    assert!(e1.seg().read(0, SIZE).iter().all(|&b| b == 0xb1), "{}", c.what);
+    assert!(
+        report.clean() && report.restarts == 0,
+        "{}: {report:?}",
+        c.what
+    );
+    assert!(
+        e0.seg().read(0, SIZE).iter().all(|&b| b == 0xa0),
+        "{}",
+        c.what
+    );
+    assert!(
+        e1.seg().read(0, SIZE).iter().all(|&b| b == 0xb1),
+        "{}",
+        c.what
+    );
     let flags = |e: &mproxy_rt::Endpoint| -> Vec<u64> {
         (0..NUM_FLAGS as u32).map(|f| e.flag(FlagId(f))).collect()
     };
     let mut fence_only = vec![0; NUM_FLAGS];
     fence_only[FENCE as usize] = 1;
-    assert_eq!(flags(&e0), fence_only, "{}: a flag of process 0 fired", c.what);
-    assert_eq!(flags(&e1), vec![0; NUM_FLAGS], "{}: a flag of process 1 fired", c.what);
+    assert_eq!(
+        flags(&e0),
+        fence_only,
+        "{}: a flag of process 0 fired",
+        c.what
+    );
+    assert_eq!(
+        flags(&e1),
+        vec![0; NUM_FLAGS],
+        "{}: a flag of process 1 fired",
+        c.what
+    );
 }
 
 #[test]

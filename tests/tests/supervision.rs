@@ -44,7 +44,10 @@ fn kill_respawn_resyncs_and_completes_all_ops() {
     assert!(cluster.restarts_total() >= 1);
     assert_eq!(cluster.condemned_nodes(), Vec::<usize>::new());
     let report = cluster.shutdown();
-    assert!(report.clean(), "recovered node shuts down clean: {report:?}");
+    assert!(
+        report.clean(),
+        "recovered node shuts down clean: {report:?}"
+    );
     assert!(report.restarts >= 1);
 }
 
@@ -246,11 +249,7 @@ fn interruptible_stall_defers_but_does_not_wedge() {
     let mut b = RtClusterBuilder::new(2);
     let p0 = b.add_process(0, 4096);
     let p1 = b.add_process(1, 4096);
-    b.fault_plan(RtFaultPlan::new(0).stall(
-        1,
-        Duration::from_millis(30),
-        Duration::from_secs(30),
-    ));
+    b.fault_plan(RtFaultPlan::new(0).stall(1, Duration::from_millis(30), Duration::from_secs(30)));
     let (cluster, mut eps) = b.start();
     let _e1 = eps.pop().unwrap();
     let mut e0 = eps.pop().unwrap();
@@ -446,9 +445,8 @@ fn soak(seeds: u64) {
                 e.put(0, dst, 64, 8, Some(FlagId(0)), None);
             }
             for e in eps.iter_mut() {
-                e.wait_flag_timeout(FlagId(0), i, WAIT).unwrap_or_else(|err| {
-                    panic!("seed {seed}: round {i} not acknowledged: {err}")
-                });
+                e.wait_flag_timeout(FlagId(0), i, WAIT)
+                    .unwrap_or_else(|err| panic!("seed {seed}: round {i} not acknowledged: {err}"));
             }
         }
         for e in &eps {
