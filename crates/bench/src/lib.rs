@@ -1,4 +1,4 @@
-//! # mproxy-bench — the paper's reports, and the faults to test under
+//! # mproxy-bench — the paper's reports
 //!
 //! One function per table and figure of the paper, listed once in
 //! [`reports::ALL`]; each returns a deterministic text report archived as
@@ -21,11 +21,10 @@
 //! | `fault_sweep`, `crash_sweep` | reliable link layer under loss and crashes |
 //! | `apps` | every application run to the bit: the identity matrix |
 //!
-//! Beside the reports: [`chaos`], the seeded kill / corrupt / stall
-//! scenarios the fault tests drive the threaded runtime with. How fast
-//! any of it runs is measured by `perfbench/`, not here.
+//! How fast any of it runs is measured by `perfbench/`, not here; the
+//! threaded runtime's fault scenarios are tests of the `mproxy-tests`
+//! package (`tests/tests/chaos.rs` and its neighbours).
 
-pub mod chaos;
 pub mod overload;
 pub mod reports;
 

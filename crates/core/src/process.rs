@@ -449,16 +449,7 @@ impl Proc {
         nbytes: u32,
         lsync: Option<&SyncFlag>,
     ) -> Result<(), CommError> {
-        let asid = Asid::from(rq.proc);
-        self.check_poisoned()?;
-        if nbytes == 0 {
-            return Err(CommError::EmptyTransfer);
-        }
-        self.state()
-            .mem
-            .borrow()
-            .check(self.asid(), laddr, nbytes)?;
-        self.check_target(asid)?;
+        self.validate_src_perm(Asid::from(rq.proc), laddr, nbytes)?;
         self.record(nbytes);
         let cmd = Command::Deq {
             src: self.id,

@@ -68,4 +68,4 @@
 
 mod protocol;
 
-pub use protocol::{Crl, CrlStats, Region, RegionId};
+pub use protocol::{Crl, Region, RegionId};

@@ -40,17 +40,15 @@ impl Region {
     }
 }
 
-/// Coherence statistics for one process (misses drive Table 6's traffic).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CrlStats {
+/// How one process's `start_*` calls went; only the protocol's tests
+/// read it, so other builds keep no counts.
+#[cfg(test)]
+#[derive(Debug, Default, Clone, Copy)]
+struct CrlStats {
     /// `start_*` calls satisfied from the valid local copy.
-    pub hits: u64,
+    hits: u64,
     /// `start_*` calls that required the home directory.
-    pub misses: u64,
-    /// Invalidation messages sent by this home.
-    pub invalidations: u64,
-    /// Writeback requests sent by this home.
-    pub writebacks: u64,
+    misses: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,6 +96,7 @@ struct Inner {
     local: RefCell<HashMap<RegionId, LocalEntry>>,
     dir: RefCell<HashMap<u32, DirEntry>>,
     next_idx: Cell<u32>,
+    #[cfg(test)]
     stats: RefCell<CrlStats>,
     h_read: HandlerId,
     h_write: HandlerId,
@@ -153,6 +152,7 @@ impl Crl {
             local: RefCell::new(HashMap::new()),
             dir: RefCell::new(HashMap::new()),
             next_idx: Cell::new(0),
+            #[cfg(test)]
             stats: RefCell::new(CrlStats::default()),
             h_read,
             h_write,
@@ -166,8 +166,8 @@ impl Crl {
         Crl { inner }
     }
 
-    /// Coherence statistics so far.
-    #[must_use]
+    /// Hits and misses so far.
+    #[cfg(test)]
     fn stats(&self) -> CrlStats {
         *self.inner.stats.borrow()
     }
@@ -233,11 +233,17 @@ impl Crl {
     pub async fn start_read(&self, rgn: &Region) {
         match self.local_state(rgn.rid) {
             State::Shared | State::Exclusive => {
-                self.inner.stats.borrow_mut().hits += 1;
+                #[cfg(test)]
+                {
+                    self.inner.stats.borrow_mut().hits += 1;
+                }
                 self.inner.p.compute_us(0.3).await; // library hit path
             }
             State::Invalid => {
-                self.inner.stats.borrow_mut().misses += 1;
+                #[cfg(test)]
+                {
+                    self.inner.stats.borrow_mut().misses += 1;
+                }
                 self.request(rgn, ReqKind::Read).await;
             }
         }
@@ -253,11 +259,17 @@ impl Crl {
     pub async fn start_write(&self, rgn: &Region) {
         match self.local_state(rgn.rid) {
             State::Exclusive => {
-                self.inner.stats.borrow_mut().hits += 1;
+                #[cfg(test)]
+                {
+                    self.inner.stats.borrow_mut().hits += 1;
+                }
                 self.inner.p.compute_us(0.3).await;
             }
             _ => {
-                self.inner.stats.borrow_mut().misses += 1;
+                #[cfg(test)]
+                {
+                    self.inner.stats.borrow_mut().misses += 1;
+                }
                 self.request(rgn, ReqKind::Write).await;
             }
         }
@@ -435,14 +447,12 @@ impl Crl {
                     for msg in msgs {
                         match msg {
                             Msg::Inv(s) => {
-                                i.stats.borrow_mut().invalidations += 1;
                                 let mut args = [0u8; 8];
                                 args[0..4].copy_from_slice(&idx.to_le_bytes());
                                 args[4..8].copy_from_slice(&i.me.to_le_bytes());
                                 i.am.request(ProcId(s), i.h_inv, &args).await;
                             }
                             Msg::Wb(o, downgrade) => {
-                                i.stats.borrow_mut().writebacks += 1;
                                 let mut args = [0u8; 17];
                                 args[0..4].copy_from_slice(&idx.to_le_bytes());
                                 args[4..8].copy_from_slice(&i.me.to_le_bytes());
@@ -604,7 +614,6 @@ impl std::fmt::Debug for Crl {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Crl")
             .field("proc", &self.inner.p.rank())
-            .field("stats", &self.stats())
             .finish()
     }
 }

@@ -119,8 +119,8 @@ impl ShutdownReport {
         self.panicked_nodes.is_empty() && self.wedged_nodes.is_empty()
     }
 
-    /// Stable single-line JSON serialization (the chaos scenarios return
-    /// it and `tests/tests/obs.rs::telemetry_soak` validates it):
+    /// Stable single-line JSON serialization (every fault test's run ends
+    /// in `tests/src/rt.rs`'s `finish`, which validates it):
     /// `{"clean":bool,"restarts":n,"panicked":[{"node":n,"reason":s?}],
     /// "wedged":[n]}`.
     #[must_use]

@@ -81,17 +81,8 @@ pub struct CrashWindow {
 pub struct FaultPlan {
     /// PRNG seed; equal seeds give identical fault sequences.
     pub seed: u64,
-    /// Probability a packet is silently lost.
-    pub drop_p: f64,
-    /// Probability a packet is delivered twice.
-    pub dup_p: f64,
-    /// Probability a packet is delayed past later traffic.
-    pub reorder_p: f64,
-    /// Probability a packet's payload arrives corrupted.
-    pub corrupt_p: f64,
-    /// Extra transit delay, µs, applied to reordered packets (scaled by a
-    /// per-packet jitter draw in `[0.25, 1.25)`).
-    pub reorder_extra_us: f64,
+    /// Per-packet Bernoulli fates (shared fate-core representation).
+    pub fates: PacketFates,
     /// Node stall windows.
     pub stalls: Vec<StallWindow>,
     /// Node crash windows.
@@ -104,11 +95,7 @@ impl FaultPlan {
     pub fn new(seed: u64) -> FaultPlan {
         FaultPlan {
             seed,
-            drop_p: 0.0,
-            dup_p: 0.0,
-            reorder_p: 0.0,
-            corrupt_p: 0.0,
-            reorder_extra_us: 20.0,
+            fates: PacketFates::NONE,
             stalls: Vec::new(),
             crashes: Vec::new(),
         }
@@ -121,7 +108,7 @@ impl FaultPlan {
     /// Panics if `p` is outside `[0, 1]`.
     #[must_use]
     pub fn drop(mut self, p: f64) -> FaultPlan {
-        self.drop_p = check_probability(p, "drop");
+        self.fates.drop_p = check_probability(p, "drop");
         self
     }
 
@@ -132,7 +119,7 @@ impl FaultPlan {
     /// Panics if `p` is outside `[0, 1]`.
     #[must_use]
     pub fn duplicate(mut self, p: f64) -> FaultPlan {
-        self.dup_p = check_probability(p, "duplicate");
+        self.fates.dup_p = check_probability(p, "duplicate");
         self
     }
 
@@ -145,12 +132,12 @@ impl FaultPlan {
     /// non-finite.
     #[must_use]
     pub fn reorder(mut self, p: f64, extra_us: f64) -> FaultPlan {
-        self.reorder_p = check_probability(p, "reorder");
+        self.fates.reorder_p = check_probability(p, "reorder");
         assert!(
             extra_us.is_finite() && extra_us >= 0.0,
             "reorder delay must be finite and >= 0"
         );
-        self.reorder_extra_us = extra_us;
+        self.fates.reorder_extra_us = extra_us;
         self
     }
 
@@ -161,7 +148,7 @@ impl FaultPlan {
     /// Panics if `p` is outside `[0, 1]`.
     #[must_use]
     pub fn corrupt(mut self, p: f64) -> FaultPlan {
-        self.corrupt_p = check_probability(p, "corrupt");
+        self.fates.corrupt_p = check_probability(p, "corrupt");
         self
     }
 
@@ -234,19 +221,6 @@ impl FaultPlan {
     pub fn crashes_on(&self, node: NodeId) -> impl Iterator<Item = CrashWindow> + '_ {
         self.crashes.iter().copied().filter(move |w| w.node == node)
     }
-
-    /// The plan's per-packet Bernoulli specification, in the shared
-    /// fate-core representation.
-    #[must_use]
-    fn packet_fates(&self) -> PacketFates {
-        PacketFates {
-            drop_p: self.drop_p,
-            dup_p: self.dup_p,
-            reorder_p: self.reorder_p,
-            corrupt_p: self.corrupt_p,
-            reorder_extra_us: self.reorder_extra_us,
-        }
-    }
 }
 
 /// Counters of injected faults, for reports.
@@ -306,7 +280,7 @@ impl FaultState {
     /// the same number of variates, so the stream position depends only
     /// on how many packets were judged.
     pub fn judge(&self) -> Fate {
-        let fate = self.plan.packet_fates().judge(&mut self.rng.borrow_mut());
+        let fate = self.plan.fates.judge(&mut self.rng.borrow_mut());
         self.packets.set(self.packets.get() + 1);
         if fate.drop {
             self.dropped.set(self.dropped.get() + 1);
@@ -391,7 +365,7 @@ mod tests {
     #[test]
     fn benign_plan_judges_nothing_interesting() {
         let plan = FaultPlan::new(0);
-        assert!(plan.packet_fates().is_benign());
+        assert!(plan.fates.is_benign());
         let f = FaultState::new(plan);
         for _ in 0..100 {
             assert_eq!(

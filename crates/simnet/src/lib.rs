@@ -44,7 +44,7 @@ mod network;
 
 pub use dma::{DmaEngine, DmaParams};
 pub use fault::{CrashWindow, Fate, FaultCounts, FaultPlan, FaultState, StallWindow};
-pub use network::{Adapter, LinkParams, NetPort, Network, NodeId, Packet};
+pub use network::{LinkParams, NetPort, Network, NodeId, Packet};
 
 /// Bytes of network header prepended to every packet (opcode, addresses,
 /// sizes, sync descriptors).

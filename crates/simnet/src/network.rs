@@ -85,7 +85,9 @@ pub struct Packet<M> {
     pub corrupted: bool,
 }
 
-struct AdapterShared<M> {
+/// One node's network adapter: a serialising output port plus an input
+/// FIFO, shared by the node's [`NetPort`]s and the [`Network`].
+struct Adapter<M> {
     node: NodeId,
     tx_port: Resource,
     rx_fifo: Channel<Packet<M>>,
@@ -94,48 +96,10 @@ struct AdapterShared<M> {
     faults: Option<Rc<FaultState>>,
 }
 
-/// One node's network adapter: a serialising output port plus an input
-/// FIFO.
-///
-/// Cloneable; all clones refer to the same adapter.
-pub struct Adapter<M> {
-    shared: std::rc::Rc<AdapterShared<M>>,
-}
-
-impl<M> Clone for Adapter<M> {
-    fn clone(&self) -> Self {
-        Adapter {
-            shared: std::rc::Rc::clone(&self.shared),
-        }
-    }
-}
-
-impl<M: 'static> Adapter<M> {
-    /// Receives the next packet from this node's input FIFO.
-    async fn recv(&self) -> Option<Packet<M>> {
-        self.shared.rx_fifo.recv().await
-    }
-
-    /// The input FIFO channel itself (for proxies that multiplex it with
-    /// command queues).
-    #[must_use]
-    fn rx_fifo(&self) -> Channel<Packet<M>> {
-        self.shared.rx_fifo.clone()
-    }
-}
-
-impl<M> std::fmt::Debug for Adapter<M> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Adapter")
-            .field("node", &self.shared.node)
-            .finish()
-    }
-}
-
 /// The cluster interconnect: one adapter per node plus a latency-only
 /// switch.
 pub struct Network<M> {
-    adapters: Vec<Adapter<M>>,
+    adapters: Vec<Rc<Adapter<M>>>,
     link: LinkParams,
     faults: Option<Rc<FaultState>>,
 }
@@ -168,15 +132,15 @@ impl<M: 'static> Network<M> {
     fn build(ctx: &SimCtx, nodes: usize, link: LinkParams, faults: Option<Rc<FaultState>>) -> Self {
         assert!(nodes > 0, "network needs at least one node");
         let adapters = (0..nodes)
-            .map(|node| Adapter {
-                shared: std::rc::Rc::new(AdapterShared {
+            .map(|node| {
+                Rc::new(Adapter {
                     node,
                     tx_port: Resource::new(ctx, 1),
                     rx_fifo: Channel::unbounded(),
                     link,
                     ctx: ctx.clone(),
                     faults: faults.clone(),
-                }),
+                })
             })
             .collect();
         Network {
@@ -201,7 +165,7 @@ impl<M: 'static> Network<M> {
     pub fn adapter(&self, node: NodeId) -> NetPort<M> {
         assert!(node < self.adapters.len(), "node {node} out of range");
         NetPort {
-            local: self.adapters[node].clone(),
+            local: Rc::clone(&self.adapters[node]),
             peers: self.adapters.clone(),
         }
     }
@@ -219,14 +183,14 @@ impl<M> std::fmt::Debug for Network<M> {
 /// A node's view of the network: its own adapter plus switch routes to
 /// every peer.
 pub struct NetPort<M> {
-    local: Adapter<M>,
-    peers: Vec<Adapter<M>>,
+    local: Rc<Adapter<M>>,
+    peers: Vec<Rc<Adapter<M>>>,
 }
 
 impl<M> Clone for NetPort<M> {
     fn clone(&self) -> Self {
         NetPort {
-            local: self.local.clone(),
+            local: Rc::clone(&self.local),
             peers: self.peers.clone(),
         }
     }
@@ -265,7 +229,7 @@ impl<M: Clone + 'static> NetPort<M> {
             dst < self.peers.len(),
             "destination node {dst} out of range"
         );
-        let s = &self.local.shared;
+        let s = &self.local;
         s.tx_port.hold(s.link.serialize_time(payload_bytes)).await;
         let fate = match &s.faults {
             Some(f) => f.judge(),
@@ -283,7 +247,7 @@ impl<M: Clone + 'static> NetPort<M> {
             checksum,
             corrupted,
         };
-        let rx = self.peers[dst].shared.rx_fifo.clone();
+        let rx = self.peers[dst].rx_fifo.clone();
         let transit = s.link.transit();
         if fate.duplicate {
             let dup = mk(message.clone(), false);
@@ -302,13 +266,13 @@ impl<M: Clone + 'static> NetPort<M> {
 
     /// Receives the next packet addressed to this node.
     pub async fn recv(&self) -> Option<Packet<M>> {
-        self.local.recv().await
+        self.local.rx_fifo.recv().await
     }
 
     /// The local input FIFO (for multiplexed polling loops).
     #[must_use]
     pub fn rx_fifo(&self) -> Channel<Packet<M>> {
-        self.local.rx_fifo()
+        self.local.rx_fifo.clone()
     }
 
     /// Number of nodes reachable.
@@ -321,7 +285,7 @@ impl<M: Clone + 'static> NetPort<M> {
 impl<M> std::fmt::Debug for NetPort<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("NetPort")
-            .field("node", &self.local.shared.node)
+            .field("node", &self.local.node)
             .field("nodes", &self.peers.len())
             .finish()
     }

@@ -1,10 +1,13 @@
 //! Integration-test-only package; the tests live in `tests/tests/`.
 //!
-//! Also hosts the tiny seeded property-test harness the suite uses in
-//! place of an external property-testing framework (the workspace builds
-//! offline): a SplitMix64 generator plus draw helpers. Each property is a
-//! plain `for case in 0..N` loop seeded from the case index, so failures
-//! reproduce exactly by re-running the named test.
+//! Also hosts what those tests share: [`rt`], the threaded runtime's
+//! fault harness, and the tiny seeded property-test harness the suite
+//! uses in place of an external property-testing framework (the
+//! workspace builds offline): a SplitMix64 generator plus draw helpers.
+//! Each property is a plain `for case in 0..N` loop seeded from the case
+//! index, so failures reproduce exactly by re-running the named test.
+
+pub mod rt;
 
 /// A SplitMix64 PRNG: tiny, fast, and with a well-distributed output
 /// stream even for consecutive seeds — every case index is a valid seed.

@@ -15,10 +15,7 @@ use std::time::{Duration, Instant};
 
 use mproxy_obs::Ctr;
 use mproxy_rt::{Endpoint, FlagId, RqId, RtCluster, RtClusterBuilder, RtFaultPlan, RQ_DEPTH};
-
-/// Bound on one co-tenant operation: far above an unloaded round trip
-/// (tens of µs), far below the stalls these scenarios build.
-const WAIT: Duration = Duration::from_secs(2);
+use mproxy_tests::rt::{self, WAIT};
 
 static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
@@ -49,23 +46,8 @@ fn enq_words(ep: &mut Endpoint, dst: u32, words: u64) {
 /// Drains `words` words from queue 0 of `owner`, requiring `1..=words`
 /// in order, and nothing after them.
 fn drain_words(owner: &Endpoint, words: u64) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    let mut next = 1;
-    while next <= words {
-        match owner.rq_try_recv(RqId(0)) {
-            Some(data) => {
-                let word = u64::from_le_bytes(data[..8].try_into().expect("a word"));
-                assert_eq!(word, next, "delivered out of order");
-                next += 1;
-            }
-            None => {
-                assert!(Instant::now() < deadline, "{next} of {words} delivered");
-                std::thread::yield_now();
-            }
-        }
-    }
-    std::thread::sleep(Duration::from_millis(5));
-    assert!(owner.rq_try_recv(RqId(0)).is_none(), "delivered twice");
+    let got = rt::drain(owner, RqId(0), words, WAIT);
+    rt::check_exactly_once(&got, &[0], words).unwrap_or_else(|why| panic!("{why}"));
 }
 
 /// Operations applied so far, over every node.
@@ -77,18 +59,14 @@ fn applied(cluster: &RtCluster) -> u64 {
 /// Polls `value` until it has not moved for `quiet`, or `deadline` has
 /// passed since the call; returns the last reading.
 fn settled(quiet: Duration, deadline: Duration, value: impl Fn() -> u64) -> u64 {
-    let end = Instant::now() + deadline;
-    let mut last = value();
-    let mut since = Instant::now();
-    while Instant::now() < end {
-        std::thread::sleep(Duration::from_millis(1));
+    let (mut last, mut since) = (value(), Instant::now());
+    rt::eventually(deadline, || {
         let now = value();
         if now != last {
             (last, since) = (now, Instant::now());
-        } else if since.elapsed() >= quiet {
-            break;
         }
-    }
+        since.elapsed() >= quiet
+    });
     last
 }
 
@@ -124,7 +102,7 @@ fn a_stalled_peer_holds_back_only_the_commands_addressed_to_it() {
                 n += 1;
                 sent.store(n, Ordering::Relaxed);
             }
-            flooder.wait_flag_timeout(FlagId(0), n, Duration::from_secs(10))
+            flooder.wait_flag_timeout(FlagId(0), n, WAIT)
         }
     });
 
@@ -159,7 +137,7 @@ fn a_stalled_peer_holds_back_only_the_commands_addressed_to_it() {
         "the co-tenant finished at {finished:?} (worst round trip {worst:?}), \
          not before the stall on another node ended"
     );
-    assert!(cluster.shutdown().clean());
+    rt::finish(cluster);
 }
 
 #[test]
@@ -179,10 +157,10 @@ fn a_queue_nobody_drains_does_not_stall_its_node() {
     // for a place at the head of the flooder's command queue.
     let flood = std::thread::spawn(move || {
         enq_words(&mut flooder, owner, WORDS);
-        flooder.wait_flag_timeout(FlagId(0), WORDS, Duration::from_secs(10))
+        flooder.wait_flag_timeout(FlagId(0), WORDS, WAIT)
     });
     let quiet = Duration::from_millis(200);
-    let plateau = settled(quiet, Duration::from_secs(10), || applied(&cluster));
+    let plateau = settled(quiet, WAIT, || applied(&cluster));
     eprintln!("ENQs applied to an undrained queue: {plateau} of {WORDS}");
     assert_eq!(plateau, RQ_DEPTH as u64, "one ENQ applied per place");
 
@@ -215,8 +193,7 @@ fn a_queue_nobody_drains_does_not_stall_its_node() {
         .join()
         .expect("flooder thread")
         .expect("every ENQ acknowledged once drained");
-    assert!(put_took < WAIT && enq_took < WAIT);
-    assert!(cluster.shutdown().clean());
+    rt::finish(cluster);
 }
 
 #[test]
@@ -232,13 +209,13 @@ fn enqs_to_an_undrained_queue_on_the_same_node_stop_at_the_cap() {
     // The sender floods a queue on its own node and waits for every ENQ.
     let flood = std::thread::spawn(move || {
         enq_words(&mut sender, owner, WORDS);
-        sender.wait_flag_timeout(FlagId(0), WORDS, Duration::from_secs(10))
+        sender.wait_flag_timeout(FlagId(0), WORDS, WAIT)
     });
 
     // Nobody drains: the proxy admits `RQ_DEPTH` ENQs, one per place, and
     // holds the next at the head of the sender's command queue.
     let quiet = Duration::from_millis(200);
-    let plateau = settled(quiet, Duration::from_secs(10), || applied(&cluster));
+    let plateau = settled(quiet, WAIT, || applied(&cluster));
     eprintln!("same-node ENQs applied: {plateau} (cap {RQ_DEPTH})");
     assert_eq!(plateau, RQ_DEPTH as u64, "one ENQ applied per place");
 
@@ -247,5 +224,5 @@ fn enqs_to_an_undrained_queue_on_the_same_node_stop_at_the_cap() {
         .join()
         .expect("sender thread")
         .expect("every ENQ acknowledged once drained");
-    assert!(cluster.shutdown().clean());
+    rt::finish(cluster);
 }

@@ -1,12 +1,11 @@
 //! Telemetry-vs-truth: the observability layer's numbers must agree
 //! with ground truth established by independent means.
 //!
-//! * Counters are checked against the tagged-payload exactly-once
-//!   checker — every delivery the checker verified must appear in
-//!   `ops_applied`, and the per-receiver accounting identity
-//!   `msgs_in == applied + dedup + damaged + shed` must hold exactly on
-//!   a post-shutdown snapshot (counters live in the shared hub, so they
-//!   survive proxy respawns).
+//! * Counters are checked against the ground truth of a clean fan-in
+//!   the test performs itself; the per-receiver accounting identity
+//!   `msgs_in == applied + dedup + damaged` is checked on every fault
+//!   suite's post-shutdown snapshot (`rt::finish`), and across kills by
+//!   `chaos.rs`.
 //! * Armed recording must stay decimated — one stamped submission in
 //!   32 — which is what bounds its cost; the sample counts are checked
 //!   from above as well as from below.
@@ -14,17 +13,12 @@
 //!   that makes per-node recorders aggregatable in any order.
 //! * The Chrome-trace exporter must emit valid JSON containing the
 //!   kill → respawn `proxy-dead` span for a chaos run.
-//!
-//! The soak at the bottom honours `MPROXY_STRESS_ITERS` (seeds, CI
-//! scales it up).
 
 use std::time::Duration;
 
-use mproxy_bench::chaos;
 use mproxy_obs::{chrome, json, Ctr, EventKind, HistId, Histogram};
 use mproxy_rt::{FlagId, RqId, RtClusterBuilder, RtFaultPlan};
-
-const WAIT: Duration = Duration::from_secs(60);
+use mproxy_tests::rt::{self, WAIT};
 
 /// Clean (fault-free) two-sender fan-in: every counter the telemetry
 /// layer reports must match the op counts the test itself performed.
@@ -41,22 +35,11 @@ fn counters_match_ground_truth_on_clean_fan_in() {
 
     // The sink drains while the senders run: its queue holds `RQ_DEPTH`
     // payloads, and an ENQ past them waits for room.
-    let drainer = std::thread::spawn(move || {
-        let mut drained = 0u64;
-        let deadline = std::time::Instant::now() + WAIT;
-        while drained < SENDERS as u64 * PER {
-            if sink.rq_try_recv(RqId(0)).is_some() {
-                drained += 1;
-            } else {
-                assert!(std::time::Instant::now() < deadline, "drain timed out");
-                std::thread::yield_now();
-            }
-        }
-        sink
-    });
+    let total = SENDERS as u64 * PER;
+    let drainer = std::thread::spawn(move || rt::drain(&sink, RqId(0), total, WAIT));
     let handles: Vec<_> = src_eps
         .into_iter()
-        .zip(src_asids)
+        .zip(src_asids.clone())
         .map(|(mut e, asid)| {
             std::thread::spawn(move || {
                 for i in 1..=PER {
@@ -70,29 +53,23 @@ fn counters_match_ground_truth_on_clean_fan_in() {
     for h in handles {
         h.join().expect("sender thread");
     }
-    let sink = drainer.join().expect("drainer thread");
-    assert!(
-        sink.rq_try_recv(RqId(0)).is_none(),
-        "no duplicate deliveries"
-    );
+    let got = drainer.join().expect("drainer thread");
+    rt::check_exactly_once(&got, &src_asids, PER).unwrap_or_else(|why| panic!("{why}"));
 
     let hub = cluster.obs_handle();
-    cluster.shutdown();
-    let snap = hub.snapshot("clean_fan_in");
+    let snap = rt::finish(cluster);
     let events: Vec<_> = hub
         .trace_dump()
         .into_iter()
         .flat_map(|(_, ev)| ev)
         .collect();
 
-    let total = SENDERS as u64 * PER;
     assert_eq!(snap.total(Ctr::OpsSubmitted), total, "submits == enq calls");
     assert_eq!(snap.total(Ctr::OpsApplied), total, "applies == deliveries");
     assert_eq!(snap.total(Ctr::MsgsOut), total, "no faults: sent once");
     // One operation in flight per sender: nothing to coalesce with.
     let frames = snap.total(Ctr::FramesOut);
     assert_eq!(frames, total, "an operation alone is a frame of one");
-    chaos::telemetry_truth(&snap).expect("per-receiver accounting identity");
     // Recording was armed: the submit-side stamp is taken 1-in-32 and
     // every stamped entry records into the cmd-wait and lsync-RTT
     // histograms, so with 200 ops/sender samples are guaranteed.
@@ -142,27 +119,6 @@ fn counters_match_ground_truth_on_clean_fan_in() {
         assert!(count(kind) > 0, "no {kind:?} event in {total} round trips");
     }
     assert!(snap.merged_hist(HistId::WireRttNs).count() > 0);
-    let json_doc = snap.to_json();
-    json::validate(&json_doc).expect("snapshot JSON is valid");
-}
-
-/// The chaos scenarios themselves assert telemetry-vs-truth after every
-/// run (see `chaos::telemetry_truth` and the sink `ops_applied` check in
-/// `kill_fan_in`); here we pin that the checks hold across a kill +
-/// respawn, where the counters must survive the proxy's death.
-#[test]
-fn counters_survive_kill_and_match_exactly_once_checker() {
-    let r = chaos::kill_sink_fan_in(11, 40);
-    assert!(r.passed, "{}: {}", r.name, r.failure);
-    assert!(r.deaths >= 1, "kill fired");
-    let snap = r.obs.expect("scenario captured a snapshot");
-    assert_eq!(
-        snap.scopes[0].counter(Ctr::OpsApplied),
-        2 * 40,
-        "sink applied exactly the verified deliveries"
-    );
-    assert!(snap.total(Ctr::Kills) >= 1);
-    assert!(snap.total(Ctr::Respawns) >= 1);
 }
 
 /// Bucket-wise histogram merge is associative and commutative, and
@@ -229,7 +185,7 @@ fn chrome_trace_shows_recovery_span() {
     }
     assert!(cluster.deaths(0) >= 1, "kill fired");
     let hub = cluster.obs_handle();
-    cluster.shutdown();
+    rt::finish(cluster);
 
     let trace = chrome::chrome_trace(&hub.trace_dump());
     std::fs::write(
@@ -242,34 +198,4 @@ fn chrome_trace_shows_recovery_span() {
         chrome::has_recovery_span(&trace),
         "kill → respawn span present: {trace}"
     );
-}
-
-/// Seeded telemetry soak, scaled by `MPROXY_STRESS_ITERS`: randomized
-/// chaos scenarios assert telemetry-vs-truth internally on the always-on
-/// counter tier (recording stays disarmed — the zero-cost path); this
-/// re-checks the identity and validates every exported artifact.
-fn soak(seeds: u64, rounds: u64) {
-    for seed in 0..seeds {
-        let r = chaos::randomized(seed, rounds);
-        assert!(r.passed, "seed {seed}: {}", r.failure);
-        let snap = r.obs.expect("snapshot captured");
-        chaos::telemetry_truth(&snap).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        json::validate(&snap.to_json()).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        json::validate(&r.shutdown_json).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-    }
-}
-
-#[test]
-fn telemetry_soak() {
-    let seeds = std::env::var("MPROXY_STRESS_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    soak(seeds, 30);
-}
-
-#[test]
-#[ignore = "long nightly soak; run with --ignored"]
-fn telemetry_soak_nightly() {
-    soak(60, 40);
 }

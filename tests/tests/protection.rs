@@ -1,9 +1,9 @@
 //! Protection semantics across the whole stack: per-asid grants, faults,
 //! and revocation — on every architecture (the property the paper's title
-//! promises) — and the same malformed commands rejected alike by the
-//! simulator and the threaded runtime.
+//! promises) — malformed DEQs, and the same malformed PUTs and GETs
+//! rejected alike by the simulator and the threaded runtime.
 
-use mproxy::{Addr, Asid, Cluster, ClusterSpec, CommError, ProcId};
+use mproxy::{Addr, Asid, Cluster, ClusterSpec, CommError, ProcId, RemoteQueue};
 use mproxy_des::Simulation;
 use mproxy_model::{ALL_DESIGN_POINTS, MP1};
 use mproxy_rt::{FlagId, RtClusterBuilder, NUM_FLAGS};
@@ -132,6 +132,92 @@ fn zero_byte_transfers_rejected() {
         saw.borrow().as_ref().unwrap(),
         Err(CommError::EmptyTransfer)
     ));
+}
+
+/// One malformed DEQ from process 0: its queue's owner, whether process
+/// 0 holds a grant, whether its local buffer lies past its segment, its
+/// length, and what the simulator's `Proc::deq` must return and count.
+/// The runtime has no remote DEQ (a process dequeues its own queues), so
+/// only the simulator is asked.
+struct BadDeq {
+    what: &'static str,
+    owner: u32,
+    granted: bool,
+    beyond: bool,
+    nbytes: u32,
+    verdict: fn(&CommError) -> bool,
+    faults: u64,
+}
+
+#[test]
+fn malformed_deqs_are_rejected() {
+    let ok = BadDeq {
+        what: "",
+        owner: 1,
+        granted: true,
+        beyond: false,
+        nbytes: 8,
+        verdict: |_| false,
+        faults: 0,
+    };
+    let rows = [
+        BadDeq {
+            what: "zero bytes",
+            nbytes: 0,
+            verdict: |e| matches!(e, CommError::EmptyTransfer),
+            ..ok
+        },
+        BadDeq {
+            what: "unknown asid",
+            owner: 7,
+            verdict: |e| matches!(e, CommError::UnknownAsid(Asid(7))),
+            ..ok
+        },
+        BadDeq {
+            what: "not granted",
+            granted: false,
+            verdict: |e| matches!(e, CommError::PermissionDenied { .. }),
+            faults: 1,
+            ..ok
+        },
+        BadDeq {
+            what: "laddr out of bounds",
+            beyond: true,
+            verdict: |e| matches!(e, CommError::OutOfBounds { .. }),
+            ..ok
+        },
+    ];
+    for c in rows {
+        let sim = Simulation::new();
+        let mut spec = ClusterSpec::new(MP1, 2, 1);
+        spec.allow_all = c.granted;
+        let cluster = Cluster::new(&sim.ctx(), spec).unwrap();
+        let saw = Rc::new(RefCell::new(None));
+        let probe = Rc::clone(&saw);
+        let (owner, beyond, nbytes) = (ProcId(c.owner), c.beyond, c.nbytes);
+        cluster.spawn_spmd(move |p| {
+            let probe = Rc::clone(&probe);
+            async move {
+                let buf = p.alloc(8);
+                let rq = p.new_queue();
+                p.ctx().yield_now().await;
+                if p.rank() == ProcId(0) {
+                    let laddr = if beyond { Addr(1 << 40) } else { buf };
+                    let q = RemoteQueue { proc: owner, rq };
+                    *probe.borrow_mut() = Some(p.deq(laddr, q, nbytes, None).await);
+                }
+            }
+        });
+        assert!(cluster.run(&sim).completed_cleanly(), "{}", c.what);
+        let verdict = saw.borrow_mut().take().expect("process 0 ran");
+        assert!(
+            verdict.as_ref().is_err_and(c.verdict),
+            "DEQ {}: the simulator returned {verdict:?}",
+            c.what
+        );
+        let faults = cluster.proc_stats(ProcId(0)).faults;
+        assert_eq!(faults, c.faults, "DEQ {}: faults", c.what);
+    }
 }
 
 /// Where a command's local or remote range lies in its segment.

@@ -10,23 +10,10 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use mproxy_bench::chaos;
 use mproxy_obs::{Ctr, EventKind, Snapshot};
 use mproxy_rt::{FlagId, RtClusterBuilder};
-
-/// Spins until `cond` holds or `deadline` passes; true on success.
-fn eventually(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let end = Instant::now() + deadline;
-    while Instant::now() < end {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    cond()
-}
+use mproxy_tests::rt::{self, eventually, node_counter, WAIT};
 
 #[test]
 fn watchdog_flags_saturation_and_recovers() {
@@ -56,7 +43,7 @@ fn watchdog_flags_saturation_and_recovers() {
         })
         .collect();
 
-    let saturated = eventually(Duration::from_secs(5), || cluster.saturation_events(0) >= 1);
+    let saturated = eventually(WAIT, || cluster.saturation_events(0) >= 1);
     // Utilisation is read for observability, not asserted against a bound:
     // on an oversubscribed host the flag can trip on the backlog signal
     // while the descheduled proxy's time-domain utilisation samples low.
@@ -80,16 +67,10 @@ fn watchdog_flags_saturation_and_recovers() {
         events.iter().any(|e| e.kind == EventKind::SatExit)
     };
     assert!(
-        eventually(Duration::from_secs(5), recovered),
+        eventually(WAIT, recovered),
         "no recovery traced after the load vanished"
     );
-    assert!(cluster.shutdown().clean());
-}
-
-fn scope_counter(snap: &Snapshot, node: usize, c: Ctr) -> u64 {
-    let name = format!("node{node}");
-    let scope = snap.scopes.iter().find(|s| s.name == name);
-    scope.expect("node scope").counter(c)
+    rt::finish(cluster);
 }
 
 #[test]
@@ -109,7 +90,6 @@ fn overloaded_sink_backpressures_its_sources_and_loses_nothing() {
     }
     let sink = b.add_process(SOURCES, 1 << 12);
     let (cluster, mut eps) = b.start();
-    let hub = cluster.obs_handle();
     let _sink_ep = eps.pop().expect("sink endpoint");
 
     let stop = Arc::new(AtomicBool::new(false));
@@ -124,7 +104,7 @@ fn overloaded_sink_backpressures_its_sources_and_loses_nothing() {
                     ep.put(laddr, sink, 0, BYTES, Some(FlagId(0)), None);
                     sent += 1;
                 }
-                let acked = ep.wait_flag_timeout(FlagId(0), sent, Duration::from_secs(20));
+                let acked = ep.wait_flag_timeout(FlagId(0), sent, WAIT);
                 (sent, acked)
             })
         })
@@ -133,8 +113,8 @@ fn overloaded_sink_backpressures_its_sources_and_loses_nothing() {
     // Run the flood until the sink has been flagged saturated and every
     // source has been pushed back on at least once.
     let pushed_back =
-        |snap: &Snapshot| (0..SOURCES).all(|n| scope_counter(snap, n, Ctr::CreditStalls) > 0);
-    let overloaded = eventually(Duration::from_secs(10), || {
+        |snap: &Snapshot| (0..SOURCES).all(|n| node_counter(snap, n, Ctr::CreditStalls) > 0);
+    let overloaded = eventually(WAIT, || {
         cluster.saturation_events(SOURCES) > 0 && pushed_back(&cluster.obs_snapshot("flood"))
     });
     stop.store(true, Ordering::Relaxed);
@@ -151,13 +131,11 @@ fn overloaded_sink_backpressures_its_sources_and_loses_nothing() {
         {
             let snap = cluster.obs_snapshot("flood");
             (0..SOURCES)
-                .map(|n| scope_counter(&snap, n, Ctr::CreditStalls))
+                .map(|n| node_counter(&snap, n, Ctr::CreditStalls))
                 .collect::<Vec<_>>()
         }
     );
 
-    assert!(cluster.shutdown().clean());
-    let snap = hub.snapshot("overload");
-    chaos::telemetry_truth(&snap).expect("receiver identity");
-    assert_eq!(scope_counter(&snap, SOURCES, Ctr::OpsApplied), total);
+    let snap = rt::finish(cluster);
+    assert_eq!(node_counter(&snap, SOURCES, Ctr::OpsApplied), total);
 }

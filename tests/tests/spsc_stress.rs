@@ -19,14 +19,7 @@ use std::sync::Arc;
 
 use mproxy_rt::ring::Ring;
 use mproxy_rt::spsc::{self, Entry};
-
-/// Per-test operation count; override with `MPROXY_STRESS_ITERS`.
-fn iters(default: u64) -> u64 {
-    std::env::var("MPROXY_STRESS_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
+use mproxy_tests::rt::stress_iters as iters;
 
 /// Tiny deterministic PRNG (xorshift64*); no external crates.
 struct Rng(u64);

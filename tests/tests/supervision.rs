@@ -3,19 +3,13 @@
 //! deterministic in its *decisions* (which packets are judged, where
 //! kills land); thread interleaving still varies, so assertions are on
 //! protocol invariants — "acked means applied exactly once", "the
-//! cluster converges" — not on timing.
-//!
-//! The randomized soak at the bottom honours `MPROXY_STRESS_ITERS`
-//! (default 5 seeds; CI nightly raises it), and the `--ignored` variant
-//! runs a longer sweep.
+//! cluster converges" — not on timing. The kill × loss soak is
+//! `chaos.rs::randomized_kill_soak`.
 
 use std::time::Duration;
 
 use mproxy_rt::{FlagId, RqId, RtClusterBuilder, RtError, RtFaultPlan, CMDQ_DEPTH};
-
-/// Generous per-wait bound: recovery from a kill must complete well
-/// inside this even on a loaded single-CPU host.
-const WAIT: Duration = Duration::from_millis(2000);
+use mproxy_tests::rt::{self, WAIT};
 
 #[test]
 fn kill_respawn_resyncs_and_completes_all_ops() {
@@ -43,12 +37,7 @@ fn kill_respawn_resyncs_and_completes_all_ops() {
     assert!(cluster.deaths(1) >= 1, "the kill must have fired");
     assert!(cluster.restarts_total() >= 1);
     assert_eq!(cluster.condemned_nodes(), Vec::<usize>::new());
-    let report = cluster.shutdown();
-    assert!(
-        report.clean(),
-        "recovered node shuts down clean: {report:?}"
-    );
-    assert!(report.restarts >= 1);
+    rt::finish(cluster);
 }
 
 #[test]
@@ -189,11 +178,14 @@ fn proxy_waiting_out_its_restart_backoff_is_condemned_promptly_at_shutdown() {
     let _e1 = eps.pop().unwrap();
     let mut e0 = eps.pop().unwrap();
 
+    // Nothing condemns a node while it backs off, so a wait on it ends
+    // only by timing out: the waits here are short.
     let mut acked = 0u64;
     while cluster.panicked_nodes().is_empty() {
         assert!(acked < 100, "the kill after 10 ops never fired");
         e0.put(0, p1, 64, 8, Some(FlagId(0)), None);
-        if e0.wait_flag_timeout(FlagId(0), acked + 1, WAIT).is_ok() {
+        let short = Duration::from_millis(200);
+        if e0.wait_flag_timeout(FlagId(0), acked + 1, short).is_ok() {
             acked += 1;
         }
     }
@@ -251,9 +243,9 @@ fn interruptible_stall_defers_but_does_not_wedge() {
     let p1 = b.add_process(1, 4096);
     b.fault_plan(RtFaultPlan::new(0).stall(1, Duration::from_millis(30), Duration::from_secs(30)));
     let (cluster, mut eps) = b.start();
-    let _e1 = eps.pop().unwrap();
+    let e1 = eps.pop().unwrap();
     let mut e0 = eps.pop().unwrap();
-    assert_eq!((e0.asid(), e1_asid(&_e1)), (p0, p1));
+    assert_eq!((e0.asid(), e1.asid()), (p0, p1));
 
     // Before the stall window opens the path works normally.
     e0.seg().write_u64(0, 9);
@@ -270,15 +262,14 @@ fn interruptible_stall_defers_but_does_not_wedge() {
     assert!(report.clean(), "{report:?}");
 }
 
-fn e1_asid(e: &mproxy_rt::Endpoint) -> u32 {
-    e.asid()
-}
-
 #[test]
 fn lossy_wire_still_delivers_exactly_once() {
-    // 20% drop + 20% duplicate + 5% corrupt on every data packet. The
-    // sequenced wire layer must deliver every acknowledged enq exactly
-    // once, in order, despite the carnage.
+    // 20% drop + 20% duplicate + 5% corrupt on every data packet, with
+    // one ENQ in flight at a time: no later frame exposes a lost one's
+    // gap to a NACK, so the retransmit timer alone recovers each loss.
+    // The sequenced wire layer must still deliver every acknowledged ENQ
+    // exactly once, in order.
+    const N: u64 = 300;
     let mut b = RtClusterBuilder::new(2);
     let p0 = b.add_process(0, 1 << 16);
     let p1 = b.add_process(1, 1 << 16);
@@ -293,36 +284,22 @@ fn lossy_wire_still_delivers_exactly_once() {
     let mut e0 = eps.pop().unwrap();
     assert_eq!((e0.asid(), e1.asid()), (p0, p1));
 
-    let n = 300u64;
     // Drain while the sender runs: the queue holds `RQ_DEPTH` payloads,
     // and an ENQ past them waits for the owner to make room.
-    let drainer = std::thread::spawn(move || {
-        let mut got = Vec::new();
-        while got.len() < n as usize {
-            if let Some(data) = e1.rq_try_recv(RqId(0)) {
-                got.push(u64::from_le_bytes(data[..8].try_into().unwrap()));
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        (e1, got)
-    });
-    for i in 1..=n {
+    let drainer = std::thread::spawn(move || rt::drain(&e1, RqId(0), N, WAIT));
+    for i in 1..=N {
         e0.seg().write_u64(0, i);
         e0.enq(0, p1, RqId(0), 8, Some(FlagId(0)), None);
         e0.wait_flag_timeout(FlagId(0), i, WAIT)
             .expect("every enq must eventually be acknowledged");
     }
-    // Exactly n payloads, in order, no duplicates.
-    let (e1, got) = drainer.join().expect("drainer thread");
-    assert!(e1.rq_try_recv(RqId(0)).is_none(), "no extra deliveries");
-    assert_eq!(got, (1..=n).collect::<Vec<_>>(), "in order, exactly once");
+    let got = drainer.join().expect("drainer thread");
+    rt::check_exactly_once(&got, &[0], N).unwrap_or_else(|why| panic!("{why}"));
     let counts = cluster.fault_counts().unwrap();
     assert!(counts.dropped > 0, "the plan must actually have dropped");
     assert!(counts.duplicated > 0);
     assert!(counts.corrupted > 0);
-    let report = cluster.shutdown();
-    assert!(report.clean(), "{report:?}");
+    rt::finish(cluster);
 }
 
 #[test]
@@ -374,101 +351,4 @@ fn condemned_node_does_not_abort_waits_on_a_live_node() {
     assert!(!report.clean());
     assert_eq!(report.panicked_nodes.len(), 1);
     assert_eq!(report.panicked_nodes[0].node, 1);
-}
-
-#[test]
-fn kill_respawn_under_loss_preserves_enq_exactly_once() {
-    // The sink node's proxy dies mid-stream on a wire dropping 5 % of
-    // frames and is respawned; every acknowledged enq must surface
-    // exactly once, in order, across the kill and respawn.
-    let mut b = RtClusterBuilder::new(2);
-    let p0 = b.add_process(0, 1 << 16);
-    let p1 = b.add_process(1, 1 << 16);
-    b.fault_plan(RtFaultPlan::new(21).kill(1, 15).drop(0.05));
-    b.supervise(3, Duration::from_millis(1));
-    let (cluster, mut eps) = b.start();
-    let e1 = eps.pop().unwrap();
-    let mut e0 = eps.pop().unwrap();
-    assert_eq!(e0.asid(), p0);
-
-    let n = 150u64;
-    for i in 1..=n {
-        e0.seg().write_u64(0, i);
-        e0.enq(0, p1, RqId(0), 8, Some(FlagId(0)), None);
-        e0.wait_flag_timeout(FlagId(0), i, WAIT)
-            .expect("enq must be acknowledged across the respawn");
-    }
-    let mut got = Vec::new();
-    let deadline = std::time::Instant::now() + WAIT;
-    while got.len() < n as usize && std::time::Instant::now() < deadline {
-        if let Some(data) = e1.rq_try_recv(RqId(0)) {
-            got.push(u64::from_le_bytes(data[..8].try_into().unwrap()));
-        } else {
-            std::thread::yield_now();
-        }
-    }
-    assert!(e1.rq_try_recv(RqId(0)).is_none(), "no extra deliveries");
-    assert_eq!(got, (1..=n).collect::<Vec<_>>(), "in order, exactly once");
-    assert!(cluster.deaths(1) >= 1, "the kill must have fired");
-    assert!(cluster.restarts_total() >= 1);
-    assert_eq!(cluster.condemned_nodes(), Vec::<usize>::new());
-    let report = cluster.shutdown();
-    assert!(report.clean(), "{report:?}");
-}
-
-/// Seeded randomized kill/loss soak, scaled by `MPROXY_STRESS_ITERS`.
-/// Each iteration: 3 nodes in a ring, lossy wire, a kill on a random
-/// node partway through, supervision on — every acknowledged op must
-/// have been applied exactly once.
-fn soak(seeds: u64) {
-    for seed in 0..seeds {
-        let mut b = RtClusterBuilder::new(3);
-        let procs: Vec<u32> = (0..3).map(|n| b.add_process(n, 1 << 16)).collect();
-        let victim = (seed % 3) as usize;
-        let after = 10 + (seed * 13) % 60;
-        b.fault_plan(
-            RtFaultPlan::new(seed)
-                .drop(0.02)
-                .duplicate(0.02)
-                .corrupt(0.01)
-                .kill(victim, after),
-        );
-        b.supervise(3, Duration::from_millis(1));
-        let (cluster, mut eps) = b.start();
-
-        let rounds = 60u64;
-        for i in 1..=rounds {
-            for src in 0..3usize {
-                let dst = procs[(src + 1) % 3];
-                let e = &mut eps[src];
-                e.seg().write_u64(0, i);
-                e.put(0, dst, 64, 8, Some(FlagId(0)), None);
-            }
-            for e in eps.iter_mut() {
-                e.wait_flag_timeout(FlagId(0), i, WAIT)
-                    .unwrap_or_else(|err| panic!("seed {seed}: round {i} not acknowledged: {err}"));
-            }
-        }
-        for e in &eps {
-            assert_eq!(e.seg().read_u64(64), rounds, "seed {seed}: last write");
-        }
-        assert!(cluster.deaths(victim) >= 1, "seed {seed}: kill never fired");
-        let report = cluster.shutdown();
-        assert!(report.clean(), "seed {seed}: {report:?}");
-    }
-}
-
-#[test]
-fn randomized_kill_soak() {
-    let seeds = std::env::var("MPROXY_STRESS_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(5);
-    soak(seeds);
-}
-
-#[test]
-#[ignore = "long nightly soak; run with --ignored"]
-fn randomized_kill_soak_nightly() {
-    soak(40);
 }

@@ -4,12 +4,11 @@
 //! frames must be in flight than receive queues admit — and check the
 //! contract the sequenced wire layer promises — each operation lands
 //! exactly once, in order — plus the counters' version of it on the
-//! post-shutdown snapshot (`chaos::telemetry_truth`: every operation a
+//! post-shutdown snapshot (`rt::telemetry_truth`: every operation a
 //! receiver popped was applied, or dropped as a duplicate or as
-//! damaged). The last
-//! three are about the unit all of that works in, the coalesced frame:
-//! a burst shares sequence numbers, per-destination order survives the
-//! split into frames, and nothing waits for company.
+//! damaged). The last three are about the unit all of that works in, the
+//! coalesced frame: a burst shares sequence numbers, per-destination
+//! order survives the split into frames, and nothing waits for company.
 //!
 //! Seeded and deterministic in the injector's *decisions*; thread
 //! interleaving varies, so the assertions are on protocol invariants and
@@ -19,16 +18,11 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use mproxy_bench::chaos;
-use mproxy_obs::{Ctr, EventKind, Snapshot};
+use mproxy_obs::{Ctr, EventKind};
 use mproxy_rt::{Endpoint, FlagId, RqId, RtCluster, RtClusterBuilder, RtFaultPlan};
-
-/// Per-wait bound, generous for a loaded two-CPU host running a debug
-/// build: a kill and its respawn backoff, or a chain of RTO rounds, must
-/// fit.
-const WAIT: Duration = Duration::from_secs(10);
+use mproxy_tests::rt::{self, check_exactly_once, node_counter, WAIT};
 
 /// ENQs a streaming sender keeps in flight.
 const WINDOW: u64 = 64;
@@ -79,72 +73,27 @@ fn stream(e: &mut Endpoint, sink_asid: u32, rq: RqId, n: u64, window: Option<u64
     e.flag(acked)
 }
 
-/// Pops one tagged payload off queue `rq` of the sink.
-fn pop_tag(sink: &Endpoint, rq: RqId) -> Option<u64> {
-    let data = sink.rq_try_recv(rq)?;
-    Some(u64::from_le_bytes(
-        data[..8].try_into().expect("8-byte tag"),
-    ))
-}
-
-/// Pops queue `rq` of the sink until `expect` payloads arrived, or — when
-/// fewer are coming — until it has stayed empty for `quiet`.
-fn drain(sink: &Endpoint, rq: RqId, expect: u64, quiet: Duration) -> Vec<u64> {
-    let mut got = Vec::new();
-    let mut last = Instant::now();
-    while (got.len() as u64) < expect && last.elapsed() < quiet {
-        if let Some(tag) = pop_tag(sink, rq) {
-            got.push(tag);
-            last = Instant::now();
-        } else {
-            std::thread::yield_now();
-        }
-    }
-    got
-}
-
-/// [`drain`] on a thread of its own, started while the senders run (a
-/// queue holds `RQ_DEPTH` payloads, and an ENQ past them waits for the
-/// owner to make room); `quiet` counts only once `done` is raised.
-/// Returns the sink and what arrived.
+/// [`rt::drain`] on a thread of its own, started while the sender runs
+/// (a queue holds `RQ_DEPTH` payloads, and an ENQ past them waits for
+/// the owner to make room); `quiet` counts only once `done` is raised,
+/// since a sender that may be cut off sends fewer than `expect`.
 fn drain_behind(
     sink: Endpoint,
-    rq: RqId,
     expect: u64,
     quiet: Duration,
     done: Arc<AtomicBool>,
-) -> JoinHandle<(Endpoint, Vec<u64>)> {
+) -> JoinHandle<Vec<u64>> {
     std::thread::spawn(move || {
         let mut got = Vec::new();
         while !done.load(Ordering::Acquire) && (got.len() as u64) < expect {
-            match pop_tag(&sink, rq) {
+            match rt::pop_tag(&sink, RqId(0)) {
                 Some(tag) => got.push(tag),
                 None => std::thread::yield_now(),
             }
         }
-        got.extend(drain(&sink, rq, expect - got.len() as u64, quiet));
-        (sink, got)
+        got.extend(rt::drain(&sink, RqId(0), expect - got.len() as u64, quiet));
+        got
     })
-}
-
-/// Exactly once, in order: `got` is precisely `1..=got.len()`.
-fn assert_in_order(got: &[u64], what: &str) {
-    if let Some(i) = got.iter().zip(1u64..).position(|(g, want)| *g != want) {
-        panic!("{what}: payload {} arrived where {} was due", got[i], i + 1);
-    }
-}
-
-/// Stops the cluster and takes the (now exact) telemetry snapshot.
-fn stop(cluster: RtCluster, label: &str) -> Snapshot {
-    let hub = cluster.obs_handle();
-    drop(cluster.shutdown());
-    hub.snapshot(label)
-}
-
-fn scope_counter(snap: &Snapshot, node: usize, c: Ctr) -> u64 {
-    let name = format!("node{node}");
-    let scope = snap.scopes.iter().find(|s| s.name == name);
-    scope.expect("node scope").counter(c)
 }
 
 #[test]
@@ -158,17 +107,11 @@ fn lossy_stream_arrives_in_order_once_and_resends_only_what_was_lost() {
     let sink_asid = sink.asid();
     let mut src = srcs.pop().expect("sender endpoint");
     let sender = std::thread::spawn(move || stream(&mut src, sink_asid, RqId(0), N, Some(WINDOW)));
-    let got = drain(&sink, RqId(0), N, WAIT);
+    let got = rt::drain(&sink, RqId(0), N, WAIT);
     assert_eq!(sender.join().expect("sender thread"), N, "every ENQ acked");
-    assert_eq!(got.len() as u64, N, "every ENQ delivered");
-    assert_in_order(&got, "lossy stream");
-    assert!(
-        sink.rq_try_recv(RqId(0)).is_none(),
-        "nothing delivered twice"
-    );
+    check_exactly_once(&got, &[0], N).unwrap_or_else(|why| panic!("{why}"));
 
-    let snap = stop(cluster, "lossy_stream");
-    chaos::telemetry_truth(&snap).expect("receiver identity");
+    let snap = rt::finish(cluster);
     let (resent, injected) = (
         snap.total(Ctr::Retransmits),
         snap.total(Ctr::FaultsInjected),
@@ -200,20 +143,15 @@ fn receiver_killed_mid_flow_keeps_its_parked_frames() {
     let sink_asid = sink.asid();
     let mut src = srcs.pop().expect("sender endpoint");
     let sender = std::thread::spawn(move || stream(&mut src, sink_asid, RqId(0), N, Some(WINDOW)));
-    let got = drain(&sink, RqId(0), N, WAIT);
+    let got = rt::drain(&sink, RqId(0), N, WAIT);
     assert_eq!(sender.join().expect("sender thread"), N, "every ENQ acked");
-    assert_eq!(got.len() as u64, N, "every ENQ delivered");
-    assert_in_order(&got, "stream across a receiver respawn");
-    assert!(
-        sink.rq_try_recv(RqId(0)).is_none(),
-        "nothing delivered twice"
-    );
+    check_exactly_once(&got, &[0], N).unwrap_or_else(|why| panic!("across the respawn: {why}"));
     assert!(cluster.deaths(1) >= 1, "the kill must have fired");
     assert!(cluster.restarts_total() >= 1, "and been recovered from");
+    assert_eq!(cluster.condemned_nodes(), Vec::<usize>::new());
 
-    let snap = stop(cluster, "receiver_killed");
-    chaos::telemetry_truth(&snap).expect("receiver identity across the respawn");
-    assert_eq!(scope_counter(&snap, 1, Ctr::OpsApplied), N);
+    let snap = rt::finish(cluster);
+    assert_eq!(node_counter(&snap, 1, Ctr::OpsApplied), N);
 }
 
 #[test]
@@ -233,29 +171,33 @@ fn condemned_sender_leaves_no_parked_frame_uncounted() {
         let mut src = srcs.pop().expect("sender endpoint");
         let done = Arc::new(AtomicBool::new(false));
         let quiet = Duration::from_millis(200);
-        let drainer = drain_behind(sink, RqId(0), N, quiet, Arc::clone(&done));
+        let drainer = drain_behind(sink, N, quiet, Arc::clone(&done));
         let sender =
             std::thread::spawn(move || stream(&mut src, sink_asid, RqId(0), N, Some(WINDOW)));
         let acked = sender.join().expect("sender thread");
         done.store(true, Ordering::Release);
-        let (_sink, got) = drainer.join().expect("drainer thread");
+        let got = drainer.join().expect("drainer thread");
         assert!(acked < N, "seed {seed}: the sender must have been cut off");
         assert_eq!(cluster.condemned_nodes(), vec![0], "seed {seed}");
-        assert_in_order(&got, "prefix delivered before the sender died");
+        check_exactly_once(&got, &[0], got.len() as u64)
+            .unwrap_or_else(|why| panic!("seed {seed}: the prefix before the death: {why}"));
         assert!(
             got.len() as u64 >= acked,
             "seed {seed}: {acked} ENQs acked, only {} delivered",
             got.len()
         );
 
-        let snap = stop(cluster, "condemned_sender");
-        chaos::telemetry_truth(&snap).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        // Not `rt::finish`: the condemned sender makes the report unclean.
+        let hub = cluster.obs_handle();
+        assert!(!cluster.shutdown().clean(), "seed {seed}");
+        let snap = hub.snapshot("condemned_sender");
+        rt::telemetry_truth(&snap);
         assert_eq!(
-            scope_counter(&snap, 1, Ctr::OpsApplied),
+            node_counter(&snap, 1, Ctr::OpsApplied),
             got.len() as u64,
             "seed {seed}: applied == delivered"
         );
-        abandoned += scope_counter(&snap, 1, Ctr::DamagedDrops);
+        abandoned += node_counter(&snap, 1, Ctr::DamagedDrops);
     }
     assert!(
         abandoned > 0,
@@ -317,17 +259,16 @@ fn frame_beyond_the_hold_window_is_dropped_then_recovered() {
     }
 
     let hub = cluster.obs_handle();
-    let snap = stop(cluster, "beyond_window");
-    chaos::telemetry_truth(&snap).expect("receiver identity");
+    let snap = rt::finish(cluster);
     for q in 0..SENDERS {
         assert_eq!(sink.flag(landed(q)), PER, "sender {q}: each PUT once");
     }
     assert_eq!(
-        scope_counter(&snap, 1, Ctr::OpsApplied),
+        node_counter(&snap, 1, Ctr::OpsApplied),
         SENDERS as u64 * PER
     );
     assert!(
-        scope_counter(&snap, 1, Ctr::DamagedDrops) > 0,
+        node_counter(&snap, 1, Ctr::DamagedDrops) > 0,
         "no frame arrived beyond the hold window"
     );
     // Why the sink went quiet is on its trace: the stall, once, with the
@@ -394,12 +335,11 @@ fn windowed_put_stream_shares_sequence_numbers_and_counts_every_put_once() {
         assert_eq!(sink.seg().read_u64((i % SLOTS) * 8), i, "last lap landed");
     }
 
-    let snap = stop(cluster, "windowed_puts");
-    chaos::telemetry_truth(&snap).expect("receiver identity");
+    let snap = rt::finish(cluster);
     assert_eq!((src.flag(sent), sink.flag(delivered)), (N, N), "once each");
-    assert_eq!(scope_counter(&snap, 0, Ctr::MsgsOut), N);
-    assert_eq!(scope_counter(&snap, 1, Ctr::OpsApplied), N);
-    let frames = scope_counter(&snap, 0, Ctr::FramesOut);
+    assert_eq!(node_counter(&snap, 0, Ctr::MsgsOut), N);
+    assert_eq!(node_counter(&snap, 1, Ctr::OpsApplied), N);
+    let frames = node_counter(&snap, 0, Ctr::FramesOut);
     assert!(
         (N.div_ceil(FRAME_CAP)..=N / 4).contains(&frames),
         "{N} PUTs left in {frames} frames"
@@ -424,10 +364,9 @@ fn interleaved_burst_keeps_per_destination_submission_order() {
     let sinks = eps.split_off(1);
     let mut src = eps.pop().expect("sender endpoint");
     let asids: Vec<u32> = sinks.iter().map(Endpoint::asid).collect();
-    let raised = Arc::new(AtomicBool::new(true));
     let drainers: Vec<_> = sinks
         .into_iter()
-        .map(|sink| drain_behind(sink, RqId(0), ROUNDS, WAIT, Arc::clone(&raised)))
+        .map(|sink| std::thread::spawn(move || rt::drain(&sink, RqId(0), ROUNDS, WAIT)))
         .collect();
     for i in 1..=ROUNDS {
         // The command queue backpressures a sender this far ahead.
@@ -443,7 +382,7 @@ fn interleaved_burst_keeps_per_destination_submission_order() {
     src.wait_flag_timeout(done, 4 * ROUNDS, WAIT)
         .expect("all done");
     for (d, drainer) in drainers.into_iter().enumerate() {
-        let (_sink, tags) = drainer.join().expect("drainer thread");
+        let tags = drainer.join().expect("drainer thread");
         let want: Vec<u64> = (1..=ROUNDS).map(|i| i << d).collect();
         assert_eq!(tags, want, "destination {d}: ENQ order");
         for i in 1..=ROUNDS {
@@ -451,10 +390,10 @@ fn interleaved_burst_keeps_per_destination_submission_order() {
             assert_eq!(src.seg().read_u64(back), i << d, "destination {d}: GET {i}");
         }
     }
-    let snap = stop(cluster, "interleaved_burst");
+    let snap = rt::finish(cluster);
     let (frames, msgs) = (
-        scope_counter(&snap, 0, Ctr::FramesOut),
-        scope_counter(&snap, 0, Ctr::MsgsOut),
+        node_counter(&snap, 0, Ctr::FramesOut),
+        node_counter(&snap, 0, Ctr::MsgsOut),
     );
     assert_eq!(msgs, 6 * ROUNDS);
     assert!(frames < msgs, "the burst was coalesced: {frames} frames");
@@ -478,9 +417,9 @@ fn operation_submitted_alone_leaves_at_once_as_a_frame_of_one() {
         assert_eq!(src.seg().read_u64(8), i);
         src.enq(0, sink.asid(), RqId(0), 8, Some(enq), None);
         src.wait_flag_timeout(enq, i, WAIT).expect("enq");
-        assert_eq!(pop_tag(&sink, RqId(0)), Some(i));
+        assert_eq!(rt::pop_tag(&sink, RqId(0)), Some(i));
     }
-    let snap = stop(cluster, "one_at_a_time");
+    let snap = rt::finish(cluster);
     assert_eq!(snap.total(Ctr::MsgsOut), 4 * ROUNDS);
     assert_eq!(snap.total(Ctr::FramesOut), snap.total(Ctr::MsgsOut));
     assert_eq!(snap.total(Ctr::FramesIn), snap.total(Ctr::MsgsIn));
