@@ -3,7 +3,8 @@
 //! (`tests/tests/{chaos,supervision,wire_recovery,obs,runtime_watchdog,backpressure}.rs`):
 //! one per-wait bound, one reading of `MPROXY_STRESS_ITERS`, one drain
 //! of tagged payloads, the exactly-once check, the counters' version of
-//! it, and one way to end a run.
+//! it, one way to end a run, and the seeded kill × loss ring that the
+//! supervision and telemetry soaks both run.
 //!
 //! A *tagged* payload is the eight-byte word `(sender << 32) | index`;
 //! a stream from one sender carries `1..=n` in order. A sender whose
@@ -12,7 +13,7 @@
 use std::time::{Duration, Instant};
 
 use mproxy_obs::{json, Ctr, Snapshot};
-use mproxy_rt::{Endpoint, RqId, RtCluster};
+use mproxy_rt::{Endpoint, FlagId, RqId, RtCluster, RtClusterBuilder, RtFaultPlan};
 
 /// Per-wait bound, generous for a loaded two-CPU host running a debug
 /// build: a kill and its respawn backoff, or a chain of RTO rounds, must
@@ -161,6 +162,63 @@ pub fn finish(cluster: RtCluster) -> Snapshot {
     }
     telemetry_truth(&snap);
     snap
+}
+
+/// One seeded randomized ring: 3–5 nodes, each PUTting the round number
+/// to a word of its successor and ENQing a tagged payload at its
+/// successor's queue every round, on a lossy wire, with a kill at a
+/// seed-derived point on a seed-chosen node and supervision on. Every
+/// round is acknowledged; afterwards every word holds the last round (a
+/// stale write landing late would overwrite it) and every queue its
+/// predecessor's tags, exactly once and in order. Ends in [`finish`].
+///
+/// Returns the node count, the victim node and the final snapshot.
+///
+/// # Panics
+///
+/// Panics, naming the seed, if any of those fails or the kill never
+/// fired.
+pub fn ring(seed: u64, rounds: u64) -> (usize, usize, Snapshot) {
+    let nodes = 3 + (seed % 3) as usize;
+    let victim = (seed / 3 % nodes as u64) as usize;
+    let kill_after = 10 + seed.wrapping_mul(7) % 70;
+    let mut b = RtClusterBuilder::new(nodes);
+    let asids: Vec<u32> = (0..nodes).map(|n| b.add_process(n, 1 << 16)).collect();
+    b.fault_plan(
+        RtFaultPlan::new(seed)
+            .drop(0.02)
+            .duplicate(0.02)
+            .corrupt(0.01)
+            .kill(victim, kill_after),
+    );
+    b.supervise(3, Duration::from_millis(1));
+    let (cluster, mut eps) = b.start();
+    let next = |n: usize| asids[(n + 1) % nodes];
+
+    for i in 1..=rounds {
+        for (n, e) in eps.iter_mut().enumerate() {
+            e.seg().write_u64(0, i);
+            e.put(0, next(n), 64, 8, Some(FlagId(0)), None);
+            e.seg().write_u64(8, (u64::from(asids[n]) << 32) | i);
+            e.enq(8, next(n), RqId(0), 8, Some(FlagId(0)), None);
+        }
+        for (n, e) in eps.iter().enumerate() {
+            e.wait_flag_timeout(FlagId(0), 2 * i, WAIT)
+                .unwrap_or_else(|err| panic!("seed {seed}: node {n}, round {i}: {err}"));
+        }
+    }
+    for (n, e) in eps.iter().enumerate() {
+        let prev = asids[(n + nodes - 1) % nodes];
+        assert_eq!(e.seg().read_u64(64), rounds, "seed {seed}: node {n}'s word");
+        let got = drain(e, RqId(0), rounds, WAIT);
+        check_exactly_once(&got, &[prev], rounds)
+            .unwrap_or_else(|why| panic!("seed {seed}: queue of node {n}: {why}"));
+    }
+    assert!(
+        cluster.deaths(victim) >= 1,
+        "seed {seed}: the kill on node {victim} never fired"
+    );
+    (nodes, victim, finish(cluster))
 }
 
 #[cfg(test)]

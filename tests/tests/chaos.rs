@@ -18,9 +18,8 @@
 //!
 //! Each scenario is seeded; thread interleaving still varies, so the
 //! assertions are on these invariants, not on timing. The randomized
-//! ring soak at the bottom runs `MPROXY_STRESS_ITERS` seeds (default 5;
-//! CI's fault-tests job runs 25), its `--ignored` variant the nightly
-//! sweep.
+//! kill × loss ring, [`rt::ring`], is soaked by
+//! `supervision.rs::randomized_kill_soak` and `obs.rs::telemetry_soak`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -410,69 +409,4 @@ fn hostile_tenant() {
         "co-tenant flags"
     );
     assert_eq!(tenant_ep.faults(), 0, "co-tenant faults");
-}
-
-/// One seeded randomized ring: 3–5 nodes, each PUTting the round number
-/// to a word of its successor and ENQing a tagged payload at its
-/// successor's queue every round, on a lossy wire, with a kill at a
-/// seed-derived point on a seed-chosen node and supervision on. Every
-/// round is acknowledged; afterwards every word holds the last round (a
-/// stale write landing late would overwrite it) and every queue its
-/// predecessor's tags, exactly once and in order.
-fn ring(seed: u64, rounds: u64) {
-    let nodes = 3 + (seed % 3) as usize;
-    let victim = (seed / 3 % nodes as u64) as usize;
-    let kill_after = 10 + seed.wrapping_mul(7) % 70;
-    let mut b = RtClusterBuilder::new(nodes);
-    let asids: Vec<u32> = (0..nodes).map(|n| b.add_process(n, 1 << 16)).collect();
-    b.fault_plan(
-        RtFaultPlan::new(seed)
-            .drop(0.02)
-            .duplicate(0.02)
-            .corrupt(0.01)
-            .kill(victim, kill_after),
-    );
-    b.supervise(3, Duration::from_millis(1));
-    let (cluster, mut eps) = b.start();
-    let next = |n: usize| asids[(n + 1) % nodes];
-
-    for i in 1..=rounds {
-        for (n, e) in eps.iter_mut().enumerate() {
-            e.seg().write_u64(0, i);
-            e.put(0, next(n), 64, 8, Some(FlagId(0)), None);
-            e.seg().write_u64(8, (u64::from(asids[n]) << 32) | i);
-            e.enq(8, next(n), RqId(0), 8, Some(FlagId(0)), None);
-        }
-        for (n, e) in eps.iter().enumerate() {
-            e.wait_flag_timeout(FlagId(0), 2 * i, WAIT)
-                .unwrap_or_else(|err| panic!("seed {seed}: node {n}, round {i}: {err}"));
-        }
-    }
-    for (n, e) in eps.iter().enumerate() {
-        let prev = asids[(n + nodes - 1) % nodes];
-        assert_eq!(e.seg().read_u64(64), rounds, "seed {seed}: node {n}'s word");
-        let got = rt::drain(e, RqId(0), rounds, WAIT);
-        rt::check_exactly_once(&got, &[prev], rounds)
-            .unwrap_or_else(|why| panic!("seed {seed}: queue of node {n}: {why}"));
-    }
-    assert!(
-        cluster.deaths(victim) >= 1,
-        "seed {seed}: the kill on node {victim} never fired"
-    );
-    rt::finish(cluster);
-}
-
-#[test]
-fn randomized_kill_soak() {
-    for seed in 0..rt::stress_iters(5) {
-        ring(seed, 50);
-    }
-}
-
-#[test]
-#[ignore = "long nightly soak; run with --ignored"]
-fn randomized_kill_soak_nightly() {
-    for seed in 0..60 {
-        ring(seed, 60);
-    }
 }

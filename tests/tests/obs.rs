@@ -5,7 +5,8 @@
 //!   the test performs itself; the per-receiver accounting identity
 //!   `msgs_in == applied + dedup + damaged` is checked on every fault
 //!   suite's post-shutdown snapshot (`rt::finish`), and across kills by
-//!   `chaos.rs`.
+//!   `chaos.rs` and the seeded ring soak here, which also checks each
+//!   node's `ops_applied` and where the kill was counted.
 //! * Armed recording must stay decimated — one stamped submission in
 //!   32 — which is what bounds its cost; the sample counts are checked
 //!   from above as well as from below.
@@ -198,4 +199,32 @@ fn chrome_trace_shows_recovery_span() {
         chrome::has_recovery_span(&trace),
         "kill → respawn span present: {trace}"
     );
+}
+
+/// Seeded telemetry soak on the kill × loss ring, `MPROXY_STRESS_ITERS`
+/// seeds (default 4) drawn apart from the supervision soak's: beyond the
+/// identity and the exports [`rt::finish`] checks, the counters that
+/// outlive a killed proxy agree with what the ring verified end to end —
+/// each node applied exactly its predecessor's PUTs and ENQs, and the
+/// kill and its respawn are counted on the victim alone.
+#[test]
+fn telemetry_soak() {
+    const ROUNDS: u64 = 30;
+    for seed in (0..rt::stress_iters(4)).map(|s| 1000 + s) {
+        let (nodes, victim, snap) = rt::ring(seed, ROUNDS);
+        for n in 0..nodes {
+            assert_eq!(
+                rt::node_counter(&snap, n, Ctr::OpsApplied),
+                2 * ROUNDS,
+                "seed {seed}: node {n} applied its predecessor's PUTs and ENQs once"
+            );
+            let kills = rt::node_counter(&snap, n, Ctr::Kills);
+            assert_eq!(
+                kills >= 1,
+                n == victim,
+                "seed {seed}: node {n} kills {kills}"
+            );
+        }
+        assert!(snap.total(Ctr::Respawns) >= 1, "seed {seed}: no respawn");
+    }
 }

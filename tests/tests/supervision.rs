@@ -3,8 +3,8 @@
 //! deterministic in its *decisions* (which packets are judged, where
 //! kills land); thread interleaving still varies, so assertions are on
 //! protocol invariants — "acked means applied exactly once", "the
-//! cluster converges" — not on timing. The kill × loss soak is
-//! `chaos.rs::randomized_kill_soak`.
+//! cluster converges" — not on timing. The kill × loss soak runs the
+//! shared ring, [`rt::ring`].
 
 use std::time::Duration;
 
@@ -351,4 +351,22 @@ fn condemned_node_does_not_abort_waits_on_a_live_node() {
     assert!(!report.clean());
     assert_eq!(report.panicked_nodes.len(), 1);
     assert_eq!(report.panicked_nodes[0].node, 1);
+}
+
+/// Seeded randomized kill × loss soak, `MPROXY_STRESS_ITERS` seeds
+/// (default 5; CI's fault-tests job runs 25): every acknowledged PUT and
+/// ENQ of the ring was applied exactly once across the kill.
+#[test]
+fn randomized_kill_soak() {
+    for seed in 0..rt::stress_iters(5) {
+        rt::ring(seed, 50);
+    }
+}
+
+#[test]
+#[ignore = "long nightly soak; run with --ignored"]
+fn randomized_kill_soak_nightly() {
+    for seed in 0..60 {
+        rt::ring(seed, 60);
+    }
 }
