@@ -72,6 +72,42 @@ impl Segment {
         Bytes::init_with(n, |out| self.copy_out(addr as usize, out))
     }
 
+    /// Appends `n` bytes of the segment from `addr` to `out`: the
+    /// snapshot [`Segment::read`] takes, written after what `out` holds.
+    /// Each word is loaded once and appended whole (its edge words in
+    /// part), so nothing is zero-filled first, and `out` grows only when
+    /// its capacity is short — a staging buffer reused from one frame to
+    /// the next settles at the size its frames need.
+    ///
+    /// # Panics
+    ///
+    /// Panics if out of bounds (callers validate first).
+    pub(crate) fn append_to(&self, addr: u64, n: usize, out: &mut Vec<u8>) {
+        assert!(self.check(addr, n), "segment read out of bounds");
+        out.reserve(n);
+        let word = |at: usize| self.words[at].load(Ordering::Relaxed).to_le_bytes();
+        let off = addr as usize % WORD;
+        let mut at = addr as usize / WORD;
+        let mut left = n;
+        if off != 0 && left != 0 {
+            let head = (WORD - off).min(left);
+            out.extend_from_slice(&word(at)[off..off + head]);
+            left -= head;
+            at += 1;
+        }
+        // A flat map into arrays keeps the slice's exact length, so this
+        // extends in one step, with no capacity check per word (a 4 KiB
+        // snapshot is several times faster than one `extend_from_slice`
+        // per word).
+        let whole = left / WORD;
+        let words = self.words[at..at + whole].iter();
+        out.extend(words.flat_map(|w| w.load(Ordering::Relaxed).to_le_bytes()));
+        let tail = left % WORD;
+        if tail != 0 {
+            out.extend_from_slice(&word(at + whole)[..tail]);
+        }
+    }
+
     /// Fills `out` from the bytes at `start` (bounds already checked):
     /// a partial head word, whole words, a partial tail word.
     fn copy_out(&self, start: usize, out: &mut [u8]) {
@@ -277,6 +313,18 @@ mod tests {
         fn assert_same(&self) {
             assert_eq!(&self.seg.read(0, self.model.len())[..], &self.model[..]);
         }
+
+        /// [`Segment::append_to`] appends exactly what [`Segment::read`]
+        /// returns for the same span, after whatever the buffer held.
+        fn assert_appends_like_read(&mut self, addr: usize, n: usize) {
+            let before = (self.rng.next_u64() % 12) as usize;
+            let mut out: Vec<u8> = (0..before).map(|i| i as u8).collect();
+            self.seg.append_to(addr as u64, n, &mut out);
+            let read = self.seg.read(addr as u64, n);
+            assert_eq!(&out[before..], &read[..], "{addr}+{n}");
+            assert_eq!(&out[before..], &self.model[addr..addr + n], "{addr}+{n}");
+            assert!(out[..before].iter().enumerate().all(|(i, &b)| b == i as u8));
+        }
     }
 
     #[test]
@@ -306,6 +354,21 @@ mod tests {
             let n = (m.rng.next_u64() % max) as usize;
             let addr = (m.rng.next_u64() % (size - n + 1) as u64) as usize;
             assert_eq!(&m.seg.read(addr as u64, n)[..], &m.model[addr..addr + n]);
+            m.assert_appends_like_read(addr, n);
+        }
+    }
+
+    #[test]
+    fn append_matches_read_at_every_edge_shape() {
+        let size = 6 * WORD + 5;
+        let mut m = Modelled::new(size, 44);
+        // Every start and length inside four words: unaligned heads and
+        // tails, spans inside one word, whole words, and zero lengths at
+        // every offset, the segment's end included.
+        for addr in 0..=size {
+            for n in 0..=(4 * WORD).min(size - addr) {
+                m.assert_appends_like_read(addr, n);
+            }
         }
     }
 

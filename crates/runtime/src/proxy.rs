@@ -21,6 +21,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
+use bytes::Bytes;
 use mproxy_obs::{Ctr, EventKind, HistId};
 
 use crate::cluster::{
@@ -34,7 +35,7 @@ use crate::spsc::{self, Entry};
 use crate::state::{CcbGet, NodeState};
 use crate::wire::{
     abandon_all_held, flush_acks, flush_frames, give_back, give_back_unsent, handle_packet,
-    retransmit, send_data, Payload, WireMsg,
+    retransmit, send_data, Payload, Source, WireMsg,
 };
 
 /// One command-queue consumer held by a node's proxy, tagged with the
@@ -78,7 +79,8 @@ const STOP_FLUSH_TRIES: u32 = 10_000;
 /// Applies one operation of an in-order, uncorrupted data frame from
 /// node `from`. By reference: the frame is shared with the sender's
 /// retention copy, so a payload that must outlive it (an ENQ handed to a
-/// reply ring) takes its own reference to the bytes. Nothing here is
+/// reply ring) is copied out of the frame's buffer — a dequeuer that
+/// takes its time then pins its own bytes, not a whole frame's. Nothing here is
 /// checked: the sending proxy's [`valid`] admitted every operand and
 /// [`held`] claimed each ENQ its place, so applying cannot fail on
 /// anything a tenant chose.
@@ -108,7 +110,11 @@ pub(crate) fn apply_data(
             nbytes,
             token,
         } => {
-            let data = shared.procs[dst as usize].seg.read(raddr, nbytes as usize);
+            let data = Source {
+                seg: &shared.procs[dst as usize].seg,
+                addr: raddr,
+                len: nbytes as usize,
+            };
             send_data(
                 shared,
                 st,
@@ -136,7 +142,7 @@ pub(crate) fn apply_data(
         } => {
             // The sending proxy claimed this place ([`held`]).
             let ring = &shared.procs[dst as usize].queues[rq as usize];
-            let pushed = ring.try_push(data.clone());
+            let pushed = ring.try_push(Bytes::copy_from_slice(data));
             assert!(pushed.is_ok(), "an ENQ without a place");
             if let Some(f) = rsync {
                 shared.set_flag(dst, f);
@@ -185,12 +191,14 @@ fn handle_command(
     let dst = (dst_nbytes >> 32) as u32;
     let nbytes = dst_nbytes as u32;
     let (lsync, rsync) = unpack_sync(sync);
-    let n = nbytes as usize;
-    let src_proc = &shared.procs[src as usize];
+    let data = Source {
+        seg: &shared.procs[src as usize].seg,
+        addr: laddr,
+        len: nbytes as usize,
+    };
     let dst_node = shared.procs[dst as usize].node;
     let (body, lsync) = match e.op {
         OP_PUT => {
-            let data = src_proc.seg.read(laddr, n);
             let body = Payload::Put {
                 dst,
                 raddr,
@@ -220,7 +228,6 @@ fn handle_command(
         }
         // OP_ENQ: `valid` admits no other op.
         _ => {
-            let data = src_proc.seg.read(laddr, n);
             let body = Payload::Enq {
                 dst,
                 rq: raddr as u32,
@@ -437,11 +444,10 @@ fn purge_condemned(shared: &Shared, st: &mut NodeState, node: usize) {
         let tx = &mut tx[dst];
         // (`open` is empty between passes unless the loop died
         // mid-phase.)
-        let frames = tx.retained.iter().map(|(_, r)| &r.body[..]);
-        for op in frames.chain([&tx.open[..]]).flatten() {
-            if let Payload::GetReq { token, .. } = op {
-                ccbs.remove(token);
-            }
+        let retained = tx.retained.iter().flat_map(|(_, r)| r.body.iter());
+        let open = tx.open.iter().map(Payload::get_token);
+        for token in retained.map(Payload::get_token).chain(open).flatten() {
+            ccbs.remove(&token);
         }
         give_back_unsent(shared, tx);
         tx.retained.reset(tx.retained.last() + 1);
@@ -449,6 +455,7 @@ fn purge_condemned(shared: &Shared, st: &mut NodeState, node: usize) {
         // Nobody drains its ring: what it is owed is owed to no one.
         (rx[dst].ack_pending, rx[dst].nack_pending) = (false, false);
         tx.open.clear();
+        tx.staging.clear();
         tx.lsyncs.clear();
         // Frames parked behind a gap the dead node will never fill are
         // abandoned: counted, so `msgs_in` stays exact, and their ENQs'

@@ -52,17 +52,26 @@ fn node_state() -> NodeState {
     NodeState::new(2, 0)
 }
 
-fn put(tag: u8) -> Payload {
+/// The eight bytes `tag` in `SRC`'s segment, at an offset of their own.
+fn tagged(shared: &Shared, tag: u8) -> Source<'_> {
+    let seg = &shared.procs[SRC].seg;
+    let addr = 8 * u64::from(tag);
+    seg.write(addr, &[tag; 8]);
+    Source { seg, addr, len: 8 }
+}
+
+/// A PUT of [`tagged`] bytes to offset 0 of `DST`'s segment.
+fn put(shared: &Shared, tag: u8) -> Payload<Source<'_>> {
     Payload::Put {
         dst: DST as u32,
         raddr: 0,
-        data: bytes::Bytes::copy_from_slice(&[tag; 8]),
+        data: tagged(shared, tag),
         rsync: None,
     }
 }
 
 /// Files a CCB on the source and returns the GET request for it.
-fn get_req(st: &mut NodeState) -> Payload {
+fn get_req(st: &mut NodeState) -> Payload<Source<'static>> {
     let token = st.next_token;
     st.next_token += 1;
     let ccb = CcbGet {
@@ -132,19 +141,19 @@ fn claimed(shared: &Shared, rq: usize) -> usize {
 
 /// Closes one frame of one PUT towards `DST` under `fate`, leaving it to
 /// the next pump.
-fn close(st: &mut NodeState, tag: u8, fate: Fate) {
+fn close(shared: &Shared, st: &mut NodeState, tag: u8, fate: Fate) {
     let tx = &mut st.tx[DST];
     let lsync = Lsync {
         flag: None,
         submit_ns: 0,
     };
-    assert!(!tx.append(put(tag), lsync));
+    assert!(!tx.append(put(shared, tag), lsync));
     assert!(tx.close_frame(T0, fate).is_some());
 }
 
 /// Sends one PUT from `src` to `dst` and delivers its frame.
 fn deliver(shared: &Shared, src: &mut NodeState, dst: &mut NodeState, tag: u8) {
-    send_data(shared, src, SRC, T0, DST, put(tag), None, 0);
+    send_data(shared, src, SRC, T0, DST, put(shared, tag), None, 0);
     flush_frames(shared, src, SRC, T0);
     let frame = shared.wires[DST].try_pop().expect("the frame");
     assert_eq!(handle_packet(shared, dst, DST, T0, frame), 1);

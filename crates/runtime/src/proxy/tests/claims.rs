@@ -181,7 +181,7 @@ fn enqs_to_a_condemned_node_claim_nothing_and_hold_back_no_command_behind_them()
     // An ENQ whose place was claimed before its node was condemned gives
     // it back as the wire drops it.
     assert!(shared.procs[DST].claim(1));
-    let data = bytes::Bytes::new();
+    let data = tagged(&shared, 1);
     let body = Payload::Enq {
         dst: DST as u32,
         rq: 1,

@@ -52,7 +52,7 @@ fn a_command_to_a_backlogged_peer_waits_in_its_ring_while_other_queues_are_serve
     let mut st = node_state();
     fill(&shared, DST);
     for i in 0..PENDING_CAP {
-        close(&mut st, i as u8, Fate::default());
+        close(&shared, &mut st, i as u8, Fate::default());
     }
     assert!(!flush_frames(&shared, &mut st, SRC, T0));
     // Two queues of process SRC: a PUT to DST's process, one to itself.

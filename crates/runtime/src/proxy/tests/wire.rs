@@ -1,6 +1,8 @@
 // Frames on the wire: a frame's round trip, the CCBs a purge cancels,
 // a faulted operation's frame of its own, the RTO's boundary, a pause
-// short of it, and frames and acks a full ring refuses.
+// short of it, frames and acks a full ring refuses, and the one payload
+// buffer of a frame — when its bytes are taken, what a faulted
+// operation's frame leaves the one ahead, and what an ENQ keeps.
 
 #[test]
 fn frame_round_trip_applies_every_operation_and_fires_its_lsyncs_together() {
@@ -12,14 +14,14 @@ fn frame_round_trip_applies_every_operation_and_fires_its_lsyncs_together() {
     // that owes nothing.
     let reply = Payload::GetReply {
         token: u64::MAX,
-        data: bytes::Bytes::new(),
+        data: tagged(&shared, 9),
     };
     let ops = [
-        (put(1), Some(LSYNC)),
-        (put(2), Some(LSYNC)),
+        (put(&shared, 1), Some(LSYNC)),
+        (put(&shared, 2), Some(LSYNC)),
         (reply, None),
-        (put(3), Some(LSYNC + 1)),
-        (put(4), Some(LSYNC)),
+        (put(&shared, 3), Some(LSYNC + 1)),
+        (put(&shared, 4), Some(LSYNC)),
     ];
     let n = ops.len() as u64;
     for (op, flag) in ops {
@@ -76,7 +78,7 @@ fn operation_that_draws_a_fault_travels_in_a_frame_of_its_own() {
     let shared = quiesced_under(RtFaultPlan::new(7).drop(0.05));
     let mut src = node_state();
     for i in 0..N {
-        send_data(&shared, &mut src, SRC, T0, DST, put(i as u8), None, 0);
+        send_data(&shared, &mut src, SRC, T0, DST, put(&shared, i as u8), None, 0);
     }
     flush_frames(&shared, &mut src, SRC, T0);
     let counts = shared.faults.as_ref().expect("plan installed").counts();
@@ -108,7 +110,7 @@ fn retention_is_resent_exactly_once_when_the_rto_expires_and_not_a_ns_before() {
     let shared = quiesced();
     let obs = &shared.obs[SRC];
     let mut src = node_state();
-    send_data(&shared, &mut src, SRC, T0, DST, put(1), None, 0);
+    send_data(&shared, &mut src, SRC, T0, DST, put(&shared, 1), None, 0);
     flush_frames(&shared, &mut src, SRC, T0);
     // The wire loses the frame; no ack will ever come.
     assert!(shared.wires[DST].try_pop().is_some());
@@ -144,7 +146,7 @@ fn a_receiver_paused_short_of_the_rto_resumes_on_its_state_and_nothing_is_sent_t
     let lsync = Some((SRC as u32, LSYNC));
     for tag in 0..FRAMES {
         for i in 0..OPS {
-            let op = put((tag * OPS + i) as u8);
+            let op = put(&shared, (tag * OPS + i) as u8);
             send_data(&shared, &mut src, SRC, T0, DST, op, lsync, 0);
         }
         flush_frames(&shared, &mut src, SRC, T0);
@@ -205,7 +207,7 @@ fn frames_a_full_ring_refuses_wait_in_retention_and_leave_in_sequence_under_thei
         Fate::default(),
     ];
     for (tag, fate) in (1..).zip(fates) {
-        close(&mut src, tag, fate);
+        close(&shared, &mut src, tag, fate);
     }
     assert!(
         !flush_frames(&shared, &mut src, SRC, T0),
@@ -274,4 +276,152 @@ fn an_ack_a_full_ring_refuses_goes_on_the_next_pass_with_the_newer_watermark() {
     let ack = acks.into_iter().next().expect("the ack");
     handle_packet(&shared, &mut src, SRC, T0, ack);
     assert!(src.tx[DST].retained.is_empty());
+}
+
+/// The payload bytes each operation of `body` carries, in order.
+fn payloads(body: &Frame) -> Vec<&bytes::Bytes> {
+    body.iter()
+        .filter_map(|op| match op {
+            Payload::Put { data, .. } | Payload::Enq { data, .. } | Payload::GetReply { data, .. } => {
+                Some(data)
+            }
+            Payload::GetReq { .. } => None,
+        })
+        .collect()
+}
+
+/// The address range of `body`'s payload bytes, after asserting that
+/// they are one run: each operation's bytes follow the last one's.
+fn one_buffer(body: &Frame) -> std::ops::Range<usize> {
+    let data = payloads(body);
+    let base = data[0].as_ptr() as usize;
+    let mut end = base;
+    for d in data {
+        assert_eq!(d.as_ptr() as usize, end, "the next bytes of one buffer");
+        end += d.len();
+    }
+    base..end
+}
+
+#[test]
+fn every_operation_carries_its_bytes_as_they_were_when_it_joined_its_frame() {
+    let shared = quiesced();
+    let mut src = node_state();
+    let seg = &shared.procs[SRC].seg;
+    let enq = Payload::Enq {
+        dst: DST as u32,
+        rq: 0,
+        data: tagged(&shared, 2),
+        rsync: None,
+    };
+    send_data(&shared, &mut src, SRC, T0, DST, put(&shared, 1), None, 0);
+    send_data(&shared, &mut src, SRC, T0, DST, enq, None, 0);
+    // Overwritten while the frame is open, and again after it left.
+    seg.write(8, &[0xEE; 16]);
+    flush_frames(&shared, &mut src, SRC, T0);
+    let (seq, sent) = pop_frame(&shared, DST);
+    seg.write(8, &[0xDD; 16]);
+    let want: [&[u8]; 2] = [&[1; 8], &[2; 8]];
+    let got: Vec<&[u8]> = payloads(&sent).into_iter().map(|d| &d[..]).collect();
+    assert_eq!(got, want);
+    one_buffer(&sent);
+    // The frame is lost; its retransmission is the same frame, bytes and
+    // all.
+    retransmit(&shared, &mut src, SRC, T0 + RTO_NS);
+    let (again, resent) = pop_frame(&shared, DST);
+    assert_eq!(again, seq);
+    assert!(Arc::ptr_eq(&sent, &resent));
+    let got: Vec<&[u8]> = payloads(&resent).into_iter().map(|d| &d[..]).collect();
+    assert_eq!(got, want);
+}
+
+#[test]
+fn a_get_reply_is_taken_before_a_later_write_of_the_same_drain() {
+    let shared = quiesced();
+    let (mut src, mut dst) = (node_state(), node_state());
+    shared.procs[DST].seg.write(0, &[0xAB; 8]);
+    // One frame: a GET of DST's word 0, then a PUT that overwrites it.
+    let get = get_req(&mut src);
+    send_data(&shared, &mut src, SRC, T0, DST, get, None, 0);
+    send_data(&shared, &mut src, SRC, T0, DST, put(&shared, 7), None, 0);
+    flush_frames(&shared, &mut src, SRC, T0);
+    let frame = shared.wires[DST].try_pop().expect("the frame");
+    assert_eq!(handle_packet(&shared, &mut dst, DST, T0, frame), 2);
+    assert_eq!(shared.procs[DST].seg.read_u64(0), u64::from_le_bytes([7; 8]));
+    flush_frames(&shared, &mut dst, DST, T0);
+    let reply = shared.wires[SRC].try_pop().expect("the reply's frame");
+    let WireMsg::Data { body, .. } = &reply else {
+        panic!("a data frame, got {reply:?}");
+    };
+    let [Payload::GetReply { data, .. }] = &body[..] else {
+        panic!("the reply alone, got {body:?}");
+    };
+    assert_eq!(&data[..], &[0xAB; 8], "the bytes the GET found");
+    // The source applies them to the word its CCB names.
+    handle_packet(&shared, &mut src, SRC, T0, reply);
+    let got = shared.procs[SRC].seg.read_u64(64);
+    assert_eq!(got, u64::from_le_bytes([0xAB; 8]));
+}
+
+#[test]
+fn a_faulted_operation_leaves_the_frame_ahead_of_it_all_of_its_own_bytes() {
+    const N: u8 = 200;
+    let shared = quiesced_under(RtFaultPlan::new(7).drop(0.05));
+    let mut src = node_state();
+    for tag in 0..N {
+        send_data(&shared, &mut src, SRC, T0, DST, put(&shared, tag), None, 0);
+    }
+    flush_frames(&shared, &mut src, SRC, T0);
+    let frames: Vec<Frame> = src.tx[DST]
+        .retained
+        .iter()
+        .map(|(_, r)| Arc::clone(&r.body))
+        .collect();
+    assert!(frames.iter().any(|f| f.len() == 1), "the plan must have bitten");
+    // Every frame is one run of its own operations' bytes, in order, and
+    // no two frames share a byte.
+    let mut tag = 0;
+    let mut runs = Vec::new();
+    for body in &frames {
+        for d in payloads(body) {
+            assert_eq!(&d[..], &[tag; 8]);
+            tag += 1;
+        }
+        runs.push(one_buffer(body));
+    }
+    assert_eq!(tag, N, "every operation once");
+    runs.sort_by_key(|r| r.start);
+    assert!(runs.windows(2).all(|w| w[0].end <= w[1].start), "disjoint");
+}
+
+#[test]
+fn an_enq_in_its_queue_outlives_every_reference_to_its_frame_and_shares_none() {
+    let (shared, owner) = quiesced_with_owner(RtFaultPlan::new(0));
+    let (mut src, mut dst) = (node_state(), node_state());
+    assert!(shared.procs[DST].claim(0));
+    let enq = Payload::Enq {
+        dst: DST as u32,
+        rq: 0,
+        data: tagged(&shared, 5),
+        rsync: None,
+    };
+    send_data(&shared, &mut src, SRC, T0, DST, put(&shared, 4), None, 0);
+    send_data(&shared, &mut src, SRC, T0, DST, enq, None, 0);
+    flush_frames(&shared, &mut src, SRC, T0);
+    let frame = shared.wires[DST].try_pop().expect("the frame");
+    let WireMsg::Data { body, .. } = &frame else {
+        panic!("a data frame, got {frame:?}");
+    };
+    let buffer = one_buffer(body);
+    assert_eq!(handle_packet(&shared, &mut dst, DST, T0, frame), 2);
+    // The ack releases the sender's reference, the last one.
+    flush_acks(&shared, &mut dst, DST);
+    let ack = shared.wires[SRC].try_pop().expect("the ack");
+    handle_packet(&shared, &mut src, SRC, T0, ack);
+    assert!(src.tx[DST].retained.is_empty());
+    shared.procs[SRC].seg.write(40, &[0; 8]);
+    let got = owner.rq_try_recv(RqId(0)).expect("the ENQ");
+    assert_eq!(&got[..], &[5; 8]);
+    let at = got.as_ptr() as usize;
+    assert!(!buffer.contains(&at), "a copy, not a slice of the frame");
 }

@@ -27,11 +27,12 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
+use bytes::Bytes;
 use mproxy_model::fate::Fate;
 use mproxy_model::link::{Reorder, Retention};
 
 use crate::proxy::PENDING_CAP;
-use crate::wire::{Frame, Payload};
+use crate::wire::{Frame, Payload, Source};
 
 /// Most operations one frame carries. A frame also closes, however few it
 /// holds, at the end of the service phase that opened it, so this only
@@ -95,6 +96,10 @@ pub(crate) struct Lsync {
     pub(crate) submit_ns: u64,
 }
 
+/// An operation of the open frame: its payload bytes are the next `data`
+/// bytes of [`TxPeer::staging`], after those of the operations before it.
+pub(crate) type Staged = Payload<usize>;
+
 /// Sender-side state towards one destination node.
 pub(crate) struct TxPeer {
     /// The open frame: operations the current service phase has addressed
@@ -104,9 +109,12 @@ pub(crate) struct TxPeer {
     /// ([`crate::wire::flush_frames`]), so no operation waits for company.
     /// It lives here, in crash-surviving state, so a proxy that dies
     /// mid-phase leaves its restarted loop the operations, not a hole.
-    pub(crate) open: Vec<Payload>,
-    /// Payload bytes the open frame carries so far.
-    pub(crate) open_bytes: u64,
+    pub(crate) open: Vec<Staged>,
+    /// The open frame's payload bytes, in operation order, copied from
+    /// their segments as each operation joined. Emptied, not freed, as
+    /// the frame closes: it grows to what this peer's frames carry (at
+    /// most twice [`FRAME_BYTES`] is kept) and is reused from then on.
+    pub(crate) staging: Vec<u8>,
     /// Closed, unacknowledged frames in sequence order: the peer's one
     /// outbound queue. Those past [`TxPeer::sent`] are not on its ring yet
     /// (`proxy::held` caps them); sent ones drain as fast as the
@@ -131,7 +139,7 @@ impl TxPeer {
     pub(crate) fn new(now_ns: u64) -> TxPeer {
         TxPeer {
             open: Vec::with_capacity(FRAME_CAP),
-            open_bytes: 0,
+            staging: Vec::new(),
             retained: Retention::new(),
             sent: 0,
             lsyncs: VecDeque::new(),
@@ -140,14 +148,18 @@ impl TxPeer {
         }
     }
 
-    /// Adds one operation to the open frame; true when that filled it and
-    /// the caller must close it before appending again.
-    pub(crate) fn append(&mut self, body: Payload, lsync: Lsync) -> bool {
-        debug_assert!(self.open.len() < FRAME_CAP && self.open_bytes < FRAME_BYTES);
-        self.open_bytes += body.wire_bytes();
-        self.open.push(body);
+    /// Adds one operation to the open frame, copying its payload bytes
+    /// from their source into [`TxPeer::staging`]; true when that filled
+    /// the frame and the caller must close it before appending again.
+    pub(crate) fn append(&mut self, body: Payload<Source<'_>>, lsync: Lsync) -> bool {
+        debug_assert!(self.open.len() < FRAME_CAP && (self.staging.len() as u64) < FRAME_BYTES);
+        let staged = body.map(|src| {
+            src.seg.append_to(src.addr, src.len, &mut self.staging);
+            src.len
+        });
+        self.open.push(staged);
         self.lsyncs.push_back(lsync);
-        self.open.len() == FRAME_CAP || self.open_bytes >= FRAME_BYTES
+        self.open.len() == FRAME_CAP || self.staging.len() as u64 >= FRAME_BYTES
     }
 
     /// Closed frames not yet on the peer's ring.
@@ -156,17 +168,33 @@ impl TxPeer {
     }
 
     /// Closes the open frame — the only place this driver consumes a
-    /// sequence number and fills a retention slot: its operations become
-    /// one shared slice, retained under the next sequence number with its
-    /// verdict `fate`. Returns both; `None` when nothing was open.
+    /// sequence number and fills a retention slot: its staged bytes
+    /// become one buffer and its operations one shared slice, each
+    /// operation's data a slice of that buffer, retained under the next
+    /// sequence number with its verdict `fate`. Returns both; `None` when
+    /// nothing was open.
     pub(crate) fn close_frame(&mut self, now_ns: u64, fate: Fate) -> Option<(u64, Frame)> {
         if self.open.is_empty() {
             return None;
         }
+        // A frame of GET requests alone stages nothing and allocates no
+        // buffer (no other operation stages nothing: `proxy::valid`
+        // admits no empty transfer).
+        let buf = (!self.staging.is_empty()).then(|| Bytes::copy_from_slice(&self.staging));
+        self.staging.clear();
+        // A frame is short of FRAME_BYTES before its last operation, so
+        // twice that holds any frame of operations no larger; what one
+        // larger operation grew is given back here.
+        self.staging.shrink_to(2 * FRAME_BYTES as usize);
+        let mut at = 0;
+        let mut slice = |len: usize| {
+            at += len;
+            buf.as_ref()
+                .map_or_else(Bytes::new, |buf| buf.slice(at - len..at))
+        };
         // `Drain` reports its exact length, so this is one allocation
         // and `open` keeps its capacity for the next frame.
-        let body: Frame = self.open.drain(..).collect();
-        self.open_bytes = 0;
+        let body: Frame = self.open.drain(..).map(|op| op.map(&mut slice)).collect();
         if self.retained.is_empty() {
             self.last_progress_ns = now_ns;
         }
@@ -265,21 +293,33 @@ impl NodeState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::Bytes;
+    use crate::mem::Segment;
     use mproxy_model::link::Parked;
 
-    /// A distinguishable operation.
-    fn op(tag: u64) -> Payload {
-        Payload::GetReply {
+    /// A distinguishable operation that carries no payload bytes.
+    fn op<D>(tag: u64) -> Payload<D> {
+        Payload::GetReq {
+            dst: 0,
+            raddr: 0,
+            nbytes: 8,
             token: tag,
-            data: Bytes::new(),
         }
     }
 
     fn tag(f: &Frame) -> u64 {
         match f[..] {
-            [Payload::GetReply { token, .. }] => token,
+            [Payload::GetReq { token, .. }] => token,
             ref other => panic!("unexpected frame {other:?}"),
+        }
+    }
+
+    /// The payload bytes `op` carries, if any.
+    fn data(op: &Payload) -> Option<&Bytes> {
+        match op {
+            Payload::Put { data, .. }
+            | Payload::Enq { data, .. }
+            | Payload::GetReply { data, .. } => Some(data),
+            Payload::GetReq { .. } => None,
         }
     }
 
@@ -342,10 +382,15 @@ mod tests {
     #[test]
     fn open_frame_closes_at_the_byte_cap_however_few_it_holds() {
         let mut tx = TxPeer::new(0);
+        let seg = Segment::new(FRAME_BYTES as usize);
         let put = |n: u64| Payload::Put {
             dst: 0,
             raddr: 0,
-            data: Bytes::from(vec![0u8; n as usize]),
+            data: Source {
+                seg: &seg,
+                addr: 0,
+                len: n as usize,
+            },
             rsync: None,
         };
         // A bulk operation fills a frame by itself.
@@ -362,7 +407,72 @@ mod tests {
             .expect("a frame of three");
         assert_eq!((seq, body.len()), (2, 3));
         // The next frame starts from nothing.
-        assert_eq!(tx.open_bytes, 0);
+        assert!(tx.staging.is_empty());
         assert!(!tx.append(put(8), lsync(1)));
+    }
+
+    #[test]
+    fn a_closed_frame_is_one_buffer_and_each_operation_a_slice_of_it() {
+        let seg = Segment::new(256);
+        let bytes: Vec<u8> = (0..=255).collect();
+        seg.write(0, &bytes);
+        let src = |addr: u64, len: usize| Source {
+            seg: &seg,
+            addr,
+            len,
+        };
+        // Each kind that carries bytes, from unaligned heads and tails and
+        // from inside one word, and a GET request, which carries none.
+        let spans = [(3, 13), (100, 32), (17, 1), (200, 40)];
+        let ops = [
+            Payload::Put {
+                dst: 0,
+                raddr: 0,
+                data: src(3, 13),
+                rsync: None,
+            },
+            op(1),
+            Payload::Enq {
+                dst: 0,
+                rq: 0,
+                data: src(100, 32),
+                rsync: None,
+            },
+            Payload::GetReply {
+                token: 2,
+                data: src(17, 1),
+            },
+            Payload::Put {
+                dst: 0,
+                raddr: 0,
+                data: src(200, 40),
+                rsync: None,
+            },
+        ];
+        let mut tx = TxPeer::new(0);
+        for op in ops {
+            assert!(!tx.append(op, lsync(1)));
+        }
+        assert_eq!(tx.staging.len(), 13 + 32 + 1 + 40);
+        let (_, body) = tx.close_frame(0, Fate::default()).expect("a frame");
+        assert!(
+            tx.staging.is_empty(),
+            "staging is emptied for the next frame"
+        );
+        let slices: Vec<&Bytes> = body.iter().filter_map(data).collect();
+        assert_eq!(slices.len(), spans.len());
+        // Every operation's bytes are the next ones of one buffer, in
+        // order, and are what its source held.
+        let base = slices[0].as_ptr() as usize;
+        let mut at = 0;
+        for (data, (addr, len)) in slices.into_iter().zip(spans) {
+            assert_eq!(data.as_ptr() as usize - base, at, "{addr}+{len}");
+            assert_eq!(&data[..], &bytes[addr as usize..addr as usize + len]);
+            at += len;
+        }
+        // A frame of requests alone carries no bytes.
+        assert!(!tx.append(op(3), lsync(1)));
+        let (_, body) = tx.close_frame(0, Fate::default()).expect("a frame");
+        assert_eq!(tag(&body), 3);
     }
 }

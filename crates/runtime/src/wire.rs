@@ -19,14 +19,21 @@
 //! in sequence, as far as the ring takes them; [`retransmit`] re-sends
 //! only what has been sent.
 //!
-//! Everything the protocol does, it does once per frame. A frame from
-//! node `s` to node `d` carries one per-pair monotone sequence number,
-//! and the sender retains one reference to it until acknowledged (the
-//! wire copies, retransmissions included, are further references to the
-//! same allocation). The one thing that stays per operation is the fault
-//! injector's draw: a plan's rates are per operation, so each is judged
-//! as it is queued and one that draws a verdict leaves in a frame of its
-//! own ([`send_data`]). The receiver
+//! Everything the protocol does, it does once per frame, memory
+//! included. A frame from node `s` to node `d` carries one per-pair
+//! monotone sequence number, and the sender retains one reference to it
+//! until acknowledged (the wire copies, retransmissions included, are
+//! further references to the same allocation). Its operations' payload
+//! bytes are one buffer too: each operation's bytes are copied from its
+//! segment onto the peer's staging buffer as it joins the open frame,
+//! and closing the frame copies them into one [`Bytes`] that every
+//! operation's `data` is a slice of, so a frame costs two allocations
+//! however many operations it carries, and the releasing ack frees
+//! both. A delivered ENQ is copied out of it, since it outlives the
+//! frame in a receive queue. The one thing that stays per operation is
+//! the fault injector's draw: a plan's rates are per operation, so each
+//! is judged as it is queued and one that draws a verdict leaves in a
+//! frame of its own ([`send_data`]). The receiver
 //! delivers strictly in order — every operation of a frame, in
 //! submission order, by reference — parks intact out-of-order frames in
 //! a bounded reorder buffer, answers each drain batch with one cumulative
@@ -81,6 +88,7 @@ use mproxy_model::link::Parked;
 use mproxy_obs::{Ctr, EventKind, HistId};
 
 use crate::cluster::{sampled, Shared};
+use crate::mem::Segment;
 use crate::proxy::apply_data;
 use crate::state::{Lsync, NodeState, Retained, RxPeer, TxPeer};
 
@@ -96,13 +104,16 @@ pub(crate) const RTO_NS: u64 = 2_000_000;
 /// bursts: it re-sends exactly the sequences the receiver named.
 const RESEND_BURST: usize = 128;
 
-/// An operation travelling the wire.
+/// An operation travelling the wire. `D` is its payload bytes: on the
+/// wire, a slice of its frame's one buffer ([`Frame`]); as it is
+/// queued, where they are read from ([`Source`]); in the open frame, how
+/// many of the staged bytes are its own ([`crate::state::Staged`]).
 #[derive(Debug)]
-pub(crate) enum Payload {
+pub(crate) enum Payload<D = Bytes> {
     Put {
         dst: u32,
         raddr: u64,
-        data: Bytes,
+        data: D,
         rsync: Option<u32>,
     },
     GetReq {
@@ -113,14 +124,67 @@ pub(crate) enum Payload {
     },
     GetReply {
         token: u64,
-        data: Bytes,
+        data: D,
     },
     Enq {
         dst: u32,
         rq: u32,
-        data: Bytes,
+        data: D,
         rsync: Option<u32>,
     },
+}
+
+impl<D> Payload<D> {
+    /// The CCB token of a GET request.
+    pub(crate) fn get_token(&self) -> Option<u64> {
+        match *self {
+            Payload::GetReq { token, .. } => Some(token),
+            _ => None,
+        }
+    }
+
+    /// The same operation, its payload bytes replaced by `f` of them.
+    pub(crate) fn map<E>(self, f: impl FnOnce(D) -> E) -> Payload<E> {
+        match self {
+            Payload::Put {
+                dst,
+                raddr,
+                data,
+                rsync,
+            } => Payload::Put {
+                dst,
+                raddr,
+                data: f(data),
+                rsync,
+            },
+            Payload::GetReq {
+                dst,
+                raddr,
+                nbytes,
+                token,
+            } => Payload::GetReq {
+                dst,
+                raddr,
+                nbytes,
+                token,
+            },
+            Payload::GetReply { token, data } => Payload::GetReply {
+                token,
+                data: f(data),
+            },
+            Payload::Enq {
+                dst,
+                rq,
+                data,
+                rsync,
+            } => Payload::Enq {
+                dst,
+                rq,
+                data: f(data),
+                rsync,
+            },
+        }
+    }
 }
 
 impl Payload {
@@ -136,9 +200,27 @@ impl Payload {
     }
 }
 
+/// Where an operation's payload bytes are when it is queued: `len`
+/// bytes of `seg` from `addr` — a PUT's or ENQ's local operand, a GET
+/// reply's remote range. [`send_data`] copies them into the open frame
+/// there and then, so later writes to the segment do not reach the wire.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Source<'a> {
+    pub(crate) seg: &'a Segment,
+    pub(crate) addr: u64,
+    pub(crate) len: usize,
+}
+
 /// The operations of one sequenced [`WireMsg::Data`] frame, in submission
-/// order: one allocation, shared by the sender's retention copy and
-/// every wire copy, applied by reference at the receiver.
+/// order: two allocations however many operations it holds — this
+/// slice, and the one buffer all of its payload bytes are slices of (a
+/// frame of GET requests alone has none) — shared by the
+/// sender's retention copy and every wire copy, retransmissions
+/// included, applied by reference at the receiver and freed by the ack
+/// that releases the frame. An ENQ is the one operation whose bytes
+/// outlive the frame (in a receive queue, until its owner dequeues
+/// them), so the receiver copies it out ([`crate::proxy::apply_data`])
+/// rather than let a slow dequeuer pin the whole buffer.
 pub(crate) type Frame = Arc<[Payload]>;
 
 /// Application bytes a frame carries.
@@ -184,7 +266,7 @@ pub(crate) fn abandon_all_held(shared: &Shared, st: &mut NodeState, node: usize)
 }
 
 /// Gives back the queue place of `op` if it is an ENQ.
-pub(crate) fn give_back(shared: &Shared, op: &Payload) {
+pub(crate) fn give_back<D>(shared: &Shared, op: &Payload<D>) {
     if let Payload::Enq { dst, rq, .. } = *op {
         shared.procs[dst as usize].give_back(rq as usize);
     }
@@ -194,8 +276,9 @@ pub(crate) fn give_back(shared: &Shared, op: &Payload) {
 /// its peer's ring: in frames past [`TxPeer::sent`], or still open.
 pub(crate) fn give_back_unsent(shared: &Shared, tx: &TxPeer) {
     let unsent = tx.retained.iter().filter(|&(seq, _)| seq > tx.sent);
-    let frames = unsent.map(|(_, r)| &r.body[..]).chain([&tx.open[..]]);
-    frames.flatten().for_each(|op| give_back(shared, op));
+    let frames = unsent.flat_map(|(_, r)| r.body.iter());
+    frames.for_each(|op| give_back(shared, op));
+    tx.open.iter().for_each(|op| give_back(shared, op));
 }
 
 /// Offers one frame to `dst`'s ring, waking its proxy if it took it.
@@ -223,12 +306,16 @@ fn faulted(fate: Fate) -> bool {
 /// Queues one operation from `node` towards `dst_node`: the only way an
 /// operation reaches the wire. It joins the destination's open frame,
 /// which leaves at once if that fills it and otherwise when the current
-/// service phase ends ([`flush_frames`]).
+/// service phase ends ([`flush_frames`]). Its payload bytes are copied
+/// from their [`Source`] into the frame's staging buffer as it joins
+/// ([`TxPeer::append`]): the snapshot is taken now, whenever the frame
+/// closes.
 ///
 /// The fault injector's unit stays the operation, whatever the
 /// coalescing: a plan's probabilities are per operation submitted, so an
 /// operation that draws a verdict travels in a frame of its own — what
-/// was queued before it leaves first, untouched — and a lossy stream
+/// was queued before it leaves first, untouched, in a buffer of its own
+/// — and a lossy stream
 /// loses the share of its operations the plan says, not that share of
 /// its (much rarer) frames.
 #[allow(clippy::too_many_arguments)]
@@ -238,7 +325,7 @@ pub(crate) fn send_data(
     node: usize,
     now_ns: u64,
     dst_node: usize,
-    body: Payload,
+    body: Payload<Source<'_>>,
     lsync: Option<(u32, u32)>,
     submit_ns: u64,
 ) {
@@ -255,6 +342,8 @@ pub(crate) fn send_data(
     }
     let fate = judge(shared, node);
     if faulted(fate) {
+        // Closed before this operation stages a byte, so the frame ahead
+        // keeps a buffer of its own bytes only.
         transmit_frame(shared, st, node, now_ns, dst_node, Fate::default());
     }
     let lsync = Lsync {

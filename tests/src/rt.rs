@@ -1,7 +1,7 @@
 //! The threaded runtime's fault harness, shared by every suite that
 //! drives `mproxy-rt` under kills, loss, stalls and overload
 //! (`tests/tests/{chaos,supervision,wire_recovery,obs,runtime_watchdog,backpressure}.rs`):
-//! one per-wait bound, one reading of `MPROXY_STRESS_ITERS`, one drain
+//! one per-wait bound, one per-test bound, one reading of `MPROXY_STRESS_ITERS`, one drain
 //! of tagged payloads, the exactly-once check, the counters' version of
 //! it, one way to end a run, and the seeded kill × loss ring that the
 //! supervision and telemetry soaks both run.
@@ -10,6 +10,8 @@
 //! a stream from one sender carries `1..=n` in order. A sender whose
 //! words carry no sender bits is sender 0.
 
+use std::io::Write;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::{Duration, Instant};
 
 use mproxy_obs::{json, Ctr, Snapshot};
@@ -19,6 +21,59 @@ use mproxy_rt::{Endpoint, FlagId, RqId, RtCluster, RtClusterBuilder, RtFaultPlan
 /// build: a kill and its respawn backoff, or a chain of RTO rounds, must
 /// fit. A wait that outlives it fails its test.
 pub const WAIT: Duration = Duration::from_secs(10);
+
+/// Longest one runtime test may run, from [`watchdog`] to its end:
+/// a dozen [`WAIT`]s. The slowest fault test takes a few seconds in a
+/// debug build; one that outlives this is hung, not slow.
+pub const TEST_BOUND: Duration = Duration::from_secs(120);
+
+/// Bounds the test that calls it: unless the returned guard is dropped
+/// within [`TEST_BOUND`], prints the calling thread's name — the
+/// test's, under the test harness — and aborts the test binary. A wait
+/// with a timeout fails its test by itself; this fails the waits that
+/// have none, such as a submission blocked for ever behind a command its
+/// ring holds, or a join on a thread stuck in one, which would otherwise
+/// hang the suite.
+#[must_use = "the bound lasts as long as the guard"]
+pub fn watchdog() -> Watchdog {
+    let name = std::thread::current()
+        .name()
+        .unwrap_or("<unnamed test>")
+        .to_owned();
+    let (cancel, cancelled) = mpsc::channel::<()>();
+    let thread = std::thread::spawn(move || {
+        if let Err(RecvTimeoutError::Timeout) = cancelled.recv_timeout(TEST_BOUND) {
+            // Straight to the stream: the harness captures `eprintln!`,
+            // in threads a test spawns too, and the abort would lose it.
+            let _ = writeln!(
+                std::io::stderr(),
+                "{name}: still running after {TEST_BOUND:?}; aborting the test binary"
+            );
+            std::process::abort();
+        }
+    });
+    Watchdog {
+        cancel: Some(cancel),
+        thread: Some(thread),
+    }
+}
+
+/// The guard [`watchdog`] returns: dropping it — the test returned or
+/// panicked — lifts the bound and joins the watching thread.
+pub struct Watchdog {
+    cancel: Option<mpsc::Sender<()>>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Drop for Watchdog {
+    fn drop(&mut self) {
+        // Hanging up wakes the watcher at once.
+        drop(self.cancel.take());
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
+}
 
 /// `MPROXY_STRESS_ITERS` if it is set to a number, else `default`: how
 /// many seeds a soak runs or how many operations a stress test makes.
@@ -172,13 +227,16 @@ pub fn finish(cluster: RtCluster) -> Snapshot {
 /// stale write landing late would overwrite it) and every queue its
 /// predecessor's tags, exactly once and in order. Ends in [`finish`].
 ///
-/// Returns the node count, the victim node and the final snapshot.
+/// Returns the node count, the victim node and the final snapshot. Each
+/// ring runs under a [`watchdog`] of its own, so a soak of many seeds is
+/// bounded per seed.
 ///
 /// # Panics
 ///
 /// Panics, naming the seed, if any of those fails or the kill never
 /// fired.
 pub fn ring(seed: u64, rounds: u64) -> (usize, usize, Snapshot) {
+    let _bound = watchdog();
     let nodes = 3 + (seed % 3) as usize;
     let victim = (seed / 3 % nodes as u64) as usize;
     let kill_after = 10 + seed.wrapping_mul(7) % 70;

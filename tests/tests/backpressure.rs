@@ -72,6 +72,7 @@ fn settled(quiet: Duration, deadline: Duration, value: impl Fn() -> u64) -> u64 
 
 #[test]
 fn a_stalled_peer_holds_back_only_the_commands_addressed_to_it() {
+    let _bound = rt::watchdog();
     let _serial = serial();
     const STALL_AT: Duration = Duration::from_millis(50);
     const STALL: Duration = Duration::from_millis(600);
@@ -142,6 +143,7 @@ fn a_stalled_peer_holds_back_only_the_commands_addressed_to_it() {
 
 #[test]
 fn a_queue_nobody_drains_does_not_stall_its_node() {
+    let _bound = rt::watchdog();
     let _serial = serial();
     const WORDS: u64 = 3_000;
     let mut b = RtClusterBuilder::new(3);
@@ -198,6 +200,7 @@ fn a_queue_nobody_drains_does_not_stall_its_node() {
 
 #[test]
 fn enqs_to_an_undrained_queue_on_the_same_node_stop_at_the_cap() {
+    let _bound = rt::watchdog();
     let _serial = serial();
     const WORDS: u64 = 8_000;
     let mut b = RtClusterBuilder::new(1);

@@ -84,11 +84,13 @@ fn kill_fan_in(seed: u64, victim: usize, kill_after: u64) {
 
 #[test]
 fn kill_sink_fan_in() {
+    let _bound = rt::watchdog();
     kill_fan_in(101, 0, 25);
 }
 
 #[test]
 fn kill_sender_fan_in() {
+    let _bound = rt::watchdog();
     kill_fan_in(202, 1, 20);
 }
 
@@ -96,6 +98,7 @@ fn kill_sender_fan_in() {
 /// two-node pair: the sequenced wire hides all of it.
 #[test]
 fn corrupt_under_load() {
+    let _bound = rt::watchdog();
     const MSGS: u64 = 200;
     const WINDOW: u64 = 64;
     let mut b = RtClusterBuilder::new(2);
@@ -137,6 +140,7 @@ fn corrupt_under_load() {
 /// once the stall lifts.
 #[test]
 fn stall_survivor_liveness() {
+    let _bound = rt::watchdog();
     const ROUNDS: u64 = 25;
     let mut b = RtClusterBuilder::new(3);
     b.add_process(0, 1 << 16);
@@ -264,6 +268,7 @@ fn hostile_op(rng: &mut Rng, seg: u64, sink: u32, stranger: u32) -> (HostileOp, 
 /// and no valid one kept its place past its dequeue.
 #[test]
 fn hostile_tenant() {
+    let _bound = rt::watchdog();
     const SEG: u64 = 1 << 12;
     const OPS: u64 = 4_000;
     const PER: u64 = 200;

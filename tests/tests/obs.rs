@@ -25,6 +25,7 @@ use mproxy_tests::rt::{self, WAIT};
 /// layer reports must match the op counts the test itself performed.
 #[test]
 fn counters_match_ground_truth_on_clean_fan_in() {
+    let _bound = rt::watchdog();
     const SENDERS: usize = 2;
     const PER: u64 = 200;
     let mut b = RtClusterBuilder::new(SENDERS + 1);
@@ -169,6 +170,7 @@ fn histogram_merge_is_associative_and_commutative() {
 /// so CI can hand it to a JSON parser this repository did not write.
 #[test]
 fn chrome_trace_shows_recovery_span() {
+    let _bound = rt::watchdog();
     const PER: u64 = 50;
     let mut b = RtClusterBuilder::new(2);
     let sink_asid = b.add_process(0, 1 << 16);

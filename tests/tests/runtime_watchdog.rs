@@ -17,6 +17,7 @@ use mproxy_tests::rt::{self, eventually, node_counter, WAIT};
 
 #[test]
 fn watchdog_flags_saturation_and_recovers() {
+    let _bound = rt::watchdog();
     let mut b = RtClusterBuilder::new(1);
     let p0 = b.add_process(0, 1 << 20);
     let p1 = b.add_process(0, 1 << 20);
@@ -75,6 +76,7 @@ fn watchdog_flags_saturation_and_recovers() {
 
 #[test]
 fn overloaded_sink_backpressures_its_sources_and_loses_nothing() {
+    let _bound = rt::watchdog();
     // Three source nodes flood one sink: the sink's arrival rate is three
     // proxies' worth of forwarding against one proxy's worth of service.
     // Nothing is shed: the sink's wire ring fills, each source's frames

@@ -13,6 +13,7 @@ use mproxy_tests::rt::{self, WAIT};
 
 #[test]
 fn kill_respawn_resyncs_and_completes_all_ops() {
+    let _bound = rt::watchdog();
     // Node 1's proxy is killed after 10 serviced ops; supervision brings
     // it back. Every one of the 100 acknowledged puts must have landed
     // exactly once (the payload is a counter, so the final cell value
@@ -42,6 +43,7 @@ fn kill_respawn_resyncs_and_completes_all_ops() {
 
 #[test]
 fn unsupervised_death_condemns_and_reports_reason() {
+    let _bound = rt::watchdog();
     // No supervision: the kill condemns node 1. Bounded waits must
     // report ProxyDown with the injected panic message, and the
     // shutdown report must carry it too.
@@ -88,6 +90,7 @@ fn unsupervised_death_condemns_and_reports_reason() {
 
 #[test]
 fn full_command_queue_to_dead_proxy_drops_instead_of_hanging() {
+    let _bound = rt::watchdog();
     // Node 0's *own* proxy dies unsupervised, so nothing will ever drain
     // its user's command queue again. Submissions past the queue depth
     // must still return (the op is dropped, like one towards a condemned
@@ -135,6 +138,7 @@ fn full_command_queue_to_dead_proxy_drops_instead_of_hanging() {
 
 #[test]
 fn restart_budget_exhaustion_condemns() {
+    let _bound = rt::watchdog();
     // Two kills, budget of one: the first death is respawned, the second
     // exhausts the budget and the node is condemned.
     let mut b = RtClusterBuilder::new(2);
@@ -165,6 +169,7 @@ fn restart_budget_exhaustion_condemns() {
 
 #[test]
 fn proxy_waiting_out_its_restart_backoff_is_condemned_promptly_at_shutdown() {
+    let _bound = rt::watchdog();
     // A 30 s backoff keeps node 1 dead when the cluster stops. The stop
     // must cut the backoff short, and a node dead at stop must be
     // condemned (so node 0 stops waiting for its acks) and reported —
@@ -213,6 +218,7 @@ fn proxy_waiting_out_its_restart_backoff_is_condemned_promptly_at_shutdown() {
 
 #[test]
 fn wedged_proxy_is_reported_not_joined_forever() {
+    let _bound = rt::watchdog();
     // Node 0's proxy wedges (uninterruptible stall) for far longer than
     // the shutdown deadline: shutdown must return promptly, reporting
     // the node as wedged rather than hanging.
@@ -235,6 +241,7 @@ fn wedged_proxy_is_reported_not_joined_forever() {
 
 #[test]
 fn interruptible_stall_defers_but_does_not_wedge() {
+    let _bound = rt::watchdog();
     // An interruptible stall freezes the proxy mid-run but honours the
     // stop signal: shutdown inside the stall window completes fast and
     // clean.
@@ -264,6 +271,7 @@ fn interruptible_stall_defers_but_does_not_wedge() {
 
 #[test]
 fn lossy_wire_still_delivers_exactly_once() {
+    let _bound = rt::watchdog();
     // 20% drop + 20% duplicate + 5% corrupt on every data packet, with
     // one ENQ in flight at a time: no later frame exposes a lost one's
     // gap to a NACK, so the retransmit timer alone recovers each loss.
@@ -304,6 +312,7 @@ fn lossy_wire_still_delivers_exactly_once() {
 
 #[test]
 fn condemned_node_does_not_abort_waits_on_a_live_node() {
+    let _bound = rt::watchdog();
     // Node 1 is killed with no supervision and condemned; node 2 is a
     // bystander. Bounded waits that depend on node 1 must fail with
     // ProxyDown, and waits node 2 is still serving must not — the

@@ -98,6 +98,7 @@ fn drain_behind(
 
 #[test]
 fn lossy_stream_arrives_in_order_once_and_resends_only_what_was_lost() {
+    let _bound = rt::watchdog();
     const N: u64 = 20_000;
     let plan = RtFaultPlan::new(0x5e1ec7)
         .drop(0.05)
@@ -128,6 +129,7 @@ fn lossy_stream_arrives_in_order_once_and_resends_only_what_was_lost() {
 
 #[test]
 fn receiver_killed_mid_flow_keeps_its_parked_frames() {
+    let _bound = rt::watchdog();
     // The sink's proxy dies after 4000 serviced frames, with (at this
     // loss rate, almost surely) frames parked behind a gap. They live in
     // the lane's crash-surviving state, so the respawn resumes the same
@@ -156,6 +158,7 @@ fn receiver_killed_mid_flow_keeps_its_parked_frames() {
 
 #[test]
 fn condemned_sender_leaves_no_parked_frame_uncounted() {
+    let _bound = rt::watchdog();
     // Unsupervised, the sender's proxy dies for good mid-stream. Half of
     // all transmissions are dropped, so the sink is nearly always parked
     // behind a gap the dead lane will never fill; the purge of the
@@ -207,6 +210,7 @@ fn condemned_sender_leaves_no_parked_frame_uncounted() {
 
 #[test]
 fn frame_beyond_the_hold_window_is_dropped_then_recovered() {
+    let _bound = rt::watchdog();
     // The sink's proxy is deaf for its first 150 ms while four processes
     // flood it with PUTs: the sink's ring (512 frames) and the sender's
     // unsent frames (1024) fill behind the first dropped frame, and a
@@ -301,6 +305,7 @@ fn burst_cluster(plan: RtFaultPlan, peers: usize) -> (RtCluster, Vec<Endpoint>) 
 
 #[test]
 fn windowed_put_stream_shares_sequence_numbers_and_counts_every_put_once() {
+    let _bound = rt::watchdog();
     // 256 PUTs in flight towards one destination: how the stream splits
     // into frames is timing, but a frame holds at most the cap, and the
     // window's worth that is always waiting means far fewer frames than
@@ -352,6 +357,7 @@ fn windowed_put_stream_shares_sequence_numbers_and_counts_every_put_once() {
 
 #[test]
 fn interleaved_burst_keeps_per_destination_submission_order() {
+    let _bound = rt::watchdog();
     // PUT / GET / ENQ rounds alternate between two destinations. Within
     // a destination's stream the order is the submission order, however
     // the burst was cut into frames: GET `i` reads what PUT `i` wrote
@@ -401,6 +407,7 @@ fn interleaved_burst_keeps_per_destination_submission_order() {
 
 #[test]
 fn operation_submitted_alone_leaves_at_once_as_a_frame_of_one() {
+    let _bound = rt::watchdog();
     // Strictly one operation in flight: nothing may wait for company, so
     // every frame — the GET replies coming back included — holds one
     // operation, and each wait completes without a flush timer existing.
