@@ -6,13 +6,13 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::{Duration, Instant};
 
 use mproxy_obs::{ObsHub, Scope as ObsScope};
 
 use crate::cluster::{
-    ProcShared, RtCluster, Shared, CMDQ_DEPTH, NUM_FLAGS, NUM_QUEUES, RQ_DEPTH, WIRE_DEPTH,
+    ProcShared, RtCluster, Shared, CMDQ_DEPTH, NUM_FLAGS, NUM_QUEUES, WIRE_DEPTH,
 };
 use crate::endpoint::Endpoint;
 use crate::fault::{RtFaultPlan, RtFaultState};
@@ -128,7 +128,7 @@ impl RtClusterBuilder {
                 flags: (0..NUM_FLAGS)
                     .map(|_| Arc::new(AtomicU64::new(0)))
                     .collect(),
-                queues: (0..NUM_QUEUES).map(|_| Ring::new(RQ_DEPTH)).collect(),
+                queues: (0..NUM_QUEUES).map(|_| OnceLock::new()).collect(),
                 claimed: (0..NUM_QUEUES).map(|_| AtomicUsize::new(0)).collect(),
                 faults: Arc::new(AtomicU64::new(0)),
                 timeouts: Arc::new(AtomicU64::new(0)),

@@ -57,7 +57,7 @@
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -165,8 +165,10 @@ pub(crate) struct ProcShared {
     pub(crate) seg: Segment,
     pub(crate) flags: Vec<Arc<AtomicU64>>,
     /// Reply rings, one per remote queue: the serving proxy produces,
-    /// the owning user process consumes.
-    pub(crate) queues: Vec<Ring<Bytes>>,
+    /// the owning user process consumes. A ring is made by the first
+    /// ENQ applied to its queue (`proxy::apply_data`): most processes
+    /// never receive one, and a ring is 12 KiB, all written as it is made.
+    pub(crate) queues: Vec<OnceLock<Ring<Bytes>>>,
     /// Places taken in each queue, never above [`RQ_DEPTH`]: a sending
     /// proxy claims one as it admits an ENQ (`proxy::held`) and the
     /// owner's dequeue gives it back, so a reply ring never refuses an

@@ -136,9 +136,8 @@ impl Endpoint {
         self.me.flags[f.0 as usize].load(Ordering::Acquire)
     }
 
-    /// Waits until flag `f` reaches `target` through the shared adaptive
-    /// backoff (spin, then yield so oversubscribed hosts still make
-    /// progress).
+    /// Waits until flag `f` reaches `target`, yielding between reads so
+    /// the proxy that bumps it gets the processor.
     pub fn wait_flag(&self, f: FlagId, target: u64) {
         let mut backoff = Backoff::new();
         while self.flag(f) < target {
@@ -213,13 +212,14 @@ impl Endpoint {
         }
     }
 
-    /// Non-blocking dequeue from one of this process's own remote queues.
-    /// The payload is a shared buffer: it was snapshotted once at the
-    /// sender's proxy and travelled the wire without further copies.
-    /// Dequeuing frees a place for the next ENQ ([`Endpoint::enq`]).
+    /// Non-blocking dequeue from one of this process's own remote queues;
+    /// `None` when it is empty or no ENQ ever reached it. The payload is
+    /// a buffer of its own, copied out of its wire frame as it was
+    /// applied. Dequeuing frees a place for the next ENQ
+    /// ([`Endpoint::enq`]).
     #[must_use]
     pub fn rq_try_recv(&self, rq: RqId) -> Option<Bytes> {
-        let data = self.me.queues[rq.0 as usize].try_pop()?;
+        let data = self.me.queues[rq.0 as usize].get()?.try_pop()?;
         self.me.give_back(rq.0 as usize);
         Some(data)
     }

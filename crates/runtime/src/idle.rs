@@ -1,20 +1,19 @@
-//! The shared adaptive idle policy: spin → yield → park.
+//! The shared idle policy: yield → park.
 //!
-//! * [`Backoff`] — a per-wait escalation counter: a few exponentially
-//!   growing `spin_loop` bursts (cheap, keeps the latency of the common
-//!   "data arrives within a microsecond" case), then `yield_now` (an
-//!   oversubscribed host must let the producer run), and after enough
-//!   fruitless yields the wait reports itself [`Backoff::is_parkable`];
+//! * [`Backoff`] — a per-wait escalation counter: `yield_now` (an
+//!   oversubscribed host must let the producer run), and after
+//!   16 fruitless yields the wait reports itself
+//!   [`Backoff::is_parkable`];
 //! * [`Parker`] — an explicit sleep/wake cell for waits that *have* a
 //!   waker (the proxy thread: every enqueue onto one of its queues calls
 //!   [`Parker::wake`]). Waits without a waker — user flag waits, whose
 //!   flags are bumped by a proxy that does not know who is watching —
 //!   simply stay in the yield phase.
 //!
-//! The proxy's idle loop skips the spin ([`Backoff::yielding`]): on a host
-//! where proxies share processors with user threads, a spinning proxy
-//! holds the processor its peer needs (EXPERIMENTS.md "The proxy's spin
-//! phase, deleted"). Untested: a processor per proxy, the paper's §4.1
+//! No wait spins: on a host where proxies share processors with user
+//! threads, a spinning waiter holds the processor the thread it waits
+//! for needs (EXPERIMENTS.md "The proxy's spin phase, deleted" and "No
+//! waiter spins"). Untested: a processor per proxy, the paper's §4.1
 //! setting, where spinning is what polling means.
 //!
 //! Parking keeps each proxy's own §5.4 busy-fraction sampling meaningful:
@@ -51,10 +50,7 @@ pub fn sleep_unless(dur: Duration, abort: &AtomicBool) -> bool {
     }
 }
 
-/// Spin-phase length: `2^0 + 2^1 + ... + 2^(SPIN_LIMIT - 1)` = 63 pause
-/// instructions before the first yield.
-const SPIN_LIMIT: u32 = 6;
-/// Yields after the spin phase before the wait is parkable.
+/// Yields before a wait is parkable.
 const YIELD_LIMIT: u32 = 16;
 
 /// Escalating backoff for a single wait. Create one per wait (or
@@ -63,51 +59,31 @@ const YIELD_LIMIT: u32 = 16;
 #[derive(Debug, Default)]
 pub struct Backoff {
     step: u32,
-    /// The step [`Backoff::reset`] returns to: 0, or past the spin phase.
-    first: u32,
 }
 
 impl Backoff {
-    /// A fresh backoff at the start of its spin phase.
+    /// A fresh backoff, 16 yields from parkable.
     #[must_use]
     pub fn new() -> Backoff {
-        Backoff { step: 0, first: 0 }
-    }
-
-    /// A backoff without a spin phase: yield, then parkable. For the
-    /// proxy's idle loop, whose spinning would hold the processor the
-    /// thread that wakes it needs.
-    #[must_use]
-    pub fn yielding() -> Backoff {
-        Backoff {
-            step: SPIN_LIMIT,
-            first: SPIN_LIMIT,
-        }
+        Backoff { step: 0 }
     }
 
     /// Restarts the escalation (call after the wait made progress).
     pub fn reset(&mut self) {
-        self.step = self.first;
+        self.step = 0;
     }
 
-    /// Waits a little: an exponentially growing `spin_loop` burst while
-    /// in the spin phase, one `yield_now` afterwards.
+    /// Waits a little: one `yield_now`.
     pub fn snooze(&mut self) {
-        if self.step < SPIN_LIMIT {
-            for _ in 0..1u32 << self.step {
-                std::hint::spin_loop();
-            }
-        } else {
-            std::thread::yield_now();
-        }
+        std::thread::yield_now();
         self.step = self.step.saturating_add(1);
     }
 
-    /// True once the spin and yield phases are exhausted; a wait with a
-    /// waker should now park instead of yielding forever.
+    /// True once the yield phase is exhausted; a wait with a waker
+    /// should now park instead of yielding forever.
     #[must_use]
     pub fn is_parkable(&self) -> bool {
-        self.step >= SPIN_LIMIT + YIELD_LIMIT
+        self.step >= YIELD_LIMIT
     }
 }
 
@@ -201,20 +177,20 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    /// Pressed `YIELD_LIMIT` times after its first step, each backoff
-    /// turns parkable, and not a snooze earlier; `reset` restarts it.
+    /// Pressed exactly `YIELD_LIMIT` times, a backoff turns parkable, and
+    /// not a snooze earlier; after `reset`, the same again.
     #[test]
     fn backoff_escalates_to_parkable() {
-        for (mut b, first) in [(Backoff::new(), 0), (Backoff::yielding(), SPIN_LIMIT)] {
-            for _ in 0..2 {
-                for _ in first..SPIN_LIMIT + YIELD_LIMIT - 1 {
-                    b.snooze();
-                }
-                assert!(!b.is_parkable(), "parkable a snooze early from {first}");
+        let mut b = Backoff::new();
+        for round in 0..2 {
+            for _ in 0..YIELD_LIMIT - 1 {
                 b.snooze();
-                assert!(b.is_parkable(), "not parkable on time from {first}");
-                b.reset();
             }
+            assert!(!b.is_parkable(), "parkable a snooze early in round {round}");
+            b.snooze();
+            assert!(b.is_parkable(), "not parkable on time in round {round}");
+            b.reset();
+            assert!(!b.is_parkable(), "reset left it parkable");
         }
     }
 

@@ -12,7 +12,7 @@
 //! * [`ring`] — bounded lock-free rings for the rest of the data plane:
 //!   one MPSC wire ring per node (peer proxies → pinned proxy) and SPSC
 //!   reply rings (proxy → user process);
-//! * [`idle`] — the shared adaptive idle policy (spin → yield → park
+//! * [`idle`] — the shared idle policy (yield → park, no spin,
 //!   with explicit wake on enqueue) every wait in the runtime uses;
 //! * a proxy thread per node — and no other thread — running the
 //!   Figure 5 loop in batched drains (ACKs coalesced per peer per batch),

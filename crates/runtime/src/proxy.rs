@@ -25,7 +25,7 @@ use bytes::Bytes;
 use mproxy_obs::{Ctr, EventKind, HistId};
 
 use crate::cluster::{
-    condemn_dead, sampled, Shared, CMDQ_DEPTH, NUM_FLAGS, NUM_QUEUES, WIRE_DEPTH,
+    condemn_dead, sampled, Shared, CMDQ_DEPTH, NUM_FLAGS, NUM_QUEUES, RQ_DEPTH, WIRE_DEPTH,
 };
 use crate::endpoint::{unpack_sync, OP_ENQ, OP_GET, OP_PUT};
 use crate::idle::{Backoff, Parker};
@@ -140,8 +140,10 @@ pub(crate) fn apply_data(
             ref data,
             rsync,
         } => {
-            // The sending proxy claimed this place ([`held`]).
-            let ring = &shared.procs[dst as usize].queues[rq as usize];
+            // The sending proxy claimed this place ([`held`]). A queue's
+            // ring is made by its first ENQ.
+            let ring =
+                shared.procs[dst as usize].queues[rq as usize].get_or_init(|| Ring::new(RQ_DEPTH));
             let pushed = ring.try_push(Bytes::copy_from_slice(data));
             assert!(pushed.is_ok(), "an ENQ without a place");
             if let Some(f) = rsync {
@@ -330,7 +332,7 @@ fn proxy_main(
     let parker = &shared.parkers[node];
     let ready = &*shared.ready_masks[node];
     let wire_rx = &shared.wires[node];
-    let mut backoff = Backoff::yielding();
+    let mut backoff = Backoff::new();
     let mut stop_flush_tries = 0u32;
     loop {
         // The pass's one clock read: every phase below takes this

@@ -139,6 +139,12 @@ fn claimed(shared: &Shared, rq: usize) -> usize {
     shared.procs[DST].claimed[rq].load(Ordering::Acquire)
 }
 
+/// Payloads in queue `rq` of `DST`'s process; `None` while no ENQ has
+/// made its ring.
+fn queued(shared: &Shared, rq: usize) -> Option<usize> {
+    shared.procs[DST].queues[rq].get().map(Ring::len)
+}
+
 /// Closes one frame of one PUT towards `DST` under `fate`, leaving it to
 /// the next pump.
 fn close(shared: &Shared, st: &mut NodeState, tag: u8, fate: Fate) {

@@ -2,6 +2,32 @@
 // when a duplicate, an abandoned frame or a condemned node gives it back.
 
 #[test]
+fn a_reply_ring_is_made_by_the_first_enq_to_its_queue_and_no_sooner() {
+    let (shared, owner) = quiesced_with_owner(RtFaultPlan::new(0));
+    let no_ring = |p: &crate::cluster::ProcShared| p.queues.iter().all(|q| q.get().is_none());
+    assert!(shared.procs.iter().all(|p| no_ring(p)), "a ring at start");
+    // A place claimed, its ENQ not applied yet: the owner's dequeue finds
+    // nothing and gives nothing back.
+    assert!(shared.procs[DST].claim(5));
+    assert_eq!(owner.rq_try_recv(RqId(5)), None);
+    assert_eq!((queued(&shared, 5), claimed(&shared, 5)), (None, 1));
+    // One ENQ to queue 3 makes that ring, and only that one.
+    let (mut src, mut dst) = (node_state(), node_state());
+    let (mut tx, mut seat) = queues(1);
+    assert!(tx[0].try_send(cmd(OP_ENQ, DST, 3, 0)));
+    assert!(drain_seat(&shared, &mut src, &mut seat));
+    flush_frames(&shared, &mut src, SRC, T0);
+    let (seq, body) = pop_frame(&shared, DST);
+    assert_eq!(handle_packet(&shared, &mut dst, DST, T0, copy(seq, &body)), 1);
+    assert!(no_ring(&shared.procs[SRC]));
+    let made: Vec<usize> = (0..NUM_QUEUES).filter(|&rq| queued(&shared, rq).is_some()).collect();
+    assert_eq!((made, queued(&shared, 3)), (vec![3], Some(1)));
+    assert_eq!(owner.rq_try_recv(RqId(3)).as_deref(), Some(&[0u8; 8][..]));
+    assert_eq!((queued(&shared, 3), claimed(&shared, 3)), (Some(0), 0));
+    assert_eq!(claimed(&shared, 5), 1, "the unapplied claim stays");
+}
+
+#[test]
 fn an_enq_that_fails_any_check_claims_no_place() {
     let shared = quiesced();
     let mut st = node_state();
@@ -48,7 +74,8 @@ fn an_enq_to_a_full_queue_waits_at_the_head_of_its_ring_while_another_ring_is_se
     let dst = &shared.procs[DST];
     for i in 0..RQ_DEPTH {
         assert!(dst.claim(0), "place {i}");
-        assert!(dst.queues[0].try_push(bytes::Bytes::new()).is_ok());
+        let ring = dst.queues[0].get_or_init(|| Ring::new(RQ_DEPTH));
+        assert!(ring.try_push(bytes::Bytes::new()).is_ok());
     }
     let (mut tx, mut seat) = queues(2);
     assert!(tx[0].try_send(cmd(OP_ENQ, DST, 0, 0)));
@@ -85,10 +112,7 @@ fn a_duplicated_or_retransmitted_enq_uses_one_place() {
     retransmit(&shared, &mut src, SRC, T0 + RTO_NS);
     let resent = shared.wires[DST].try_pop().expect("the retransmission");
     handle_packet(&shared, &mut dst, DST, T0, resent);
-    assert_eq!(
-        (shared.procs[DST].queues[0].len(), claimed(&shared, 0)),
-        (1, 1)
-    );
+    assert_eq!((queued(&shared, 0), claimed(&shared, 0)), (Some(1), 1));
     assert_eq!(shared.obs[DST].get(Ctr::DedupDrops), 2);
     let (first, second) = (owner.rq_try_recv(RqId(0)), owner.rq_try_recv(RqId(0)));
     assert!(first.is_some() && second.is_none());
@@ -121,7 +145,7 @@ fn abandoned_and_unsent_enqs_give_their_places_back_and_sent_ones_keep_them() {
     handle_packet(&shared, &mut dst, DST, T0, copy(gap, &first));
     purge_condemned(&shared, &mut dst, DST);
     assert_eq!(claimed(&shared, 0), 0, "given back once");
-    assert!(shared.procs[DST].queues[0].is_empty(), "nothing applied");
+    assert_eq!(queued(&shared, 0), None, "nothing applied");
     let obs = &shared.obs[DST];
     assert_eq!(
         (obs.get(Ctr::DamagedDrops), obs.get(Ctr::DedupDrops)),

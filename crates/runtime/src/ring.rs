@@ -11,7 +11,8 @@
 //!   proxy thread (the software analogue of the SP adapter's receive
 //!   frame FIFO);
 //! * the **reply rings** — single-producer single-consumer rings carrying
-//!   remote-queue payloads from the local proxy back to a user process.
+//!   remote-queue payloads from the local proxy back to a user process,
+//!   each made by the first ENQ to its queue.
 //!
 //! Both are instances of [`Ring`], a bounded ring buffer using the
 //! classic sequence-number scheme (Vyukov's bounded queue, the same
