@@ -19,7 +19,7 @@ use crate::fault::{RtFaultPlan, RtFaultState};
 use crate::idle::Parker;
 use crate::mem::Segment;
 use crate::proxy::{run_proxy, Seat, SeatEntry, SupervisorCfg};
-use crate::ring::Ring;
+use crate::ring::{CachePadded, Ring};
 use crate::spsc;
 use crate::state::NodeState;
 
@@ -103,9 +103,10 @@ impl RtClusterBuilder {
             .map(|n| obs_hub.register(format!("node{n}"), mproxy_obs::DEFAULT_RING_CAP))
             .collect();
 
-        // Allocated ahead of the per-process segments: over repeated
-        // cluster create/destroy cycles the other order holds ~0.4 MB
-        // more peak RSS (EXPERIMENTS.md "A lane is a node").
+        // Whether these come before or after the per-process segments no
+        // longer moves peak RSS (EXPERIMENTS.md "Segments come zeroed"); it
+        // did, by ~0.4 MB, while every segment was copied at start ("A
+        // lane is a node").
         let wires: Vec<_> = (0..nodes).map(|_| Ring::new(WIRE_DEPTH)).collect();
 
         // The i-th process declared on a node takes the node's §4.1
@@ -144,13 +145,13 @@ impl RtClusterBuilder {
             allow_all: AtomicBool::new(true),
             stop: AtomicBool::new(false),
             wires,
-            parkers: (0..nodes).map(|_| Parker::new()).collect(),
-            ops_serviced: (0..nodes).map(|_| Arc::new(AtomicU64::new(0))).collect(),
+            parkers: (0..nodes).map(|_| CachePadded(Parker::new())).collect(),
+            ops_serviced: (0..nodes).map(|_| CachePadded(AtomicU64::new(0))).collect(),
             panicked: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
             condemned: (0..nodes).map(|_| AtomicBool::new(false)).collect(),
             any_condemned: AtomicBool::new(false),
             panic_reasons: (0..nodes).map(|_| Mutex::new(None)).collect(),
-            ready_masks: (0..nodes).map(|_| Arc::new(AtomicU64::new(0))).collect(),
+            ready_masks: (0..nodes).map(|_| CachePadded(AtomicU64::new(0))).collect(),
             util_bits: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
             faults: self.fault_plan.map(|plan| RtFaultState::new(plan, nodes)),
             supervision: self.supervision,

@@ -68,7 +68,7 @@ use crate::fault::{RtFaultCounts, RtFaultState};
 use crate::idle::Parker;
 use crate::mem::Segment;
 use crate::proxy::SupervisorCfg;
-use crate::ring::Ring;
+use crate::ring::{CachePadded, Ring};
 use crate::state::NodeState;
 use crate::wire::{abandon_all_held, give_back_unsent, WireMsg};
 
@@ -222,8 +222,10 @@ pub(crate) struct Shared {
     /// Per node: the wire input — peer proxies produce, the node's
     /// proxy consumes.
     pub(crate) wires: Vec<Ring<WireMsg>>,
-    pub(crate) parkers: Vec<Parker>, // per node, wakes the proxy thread
-    pub(crate) ops_serviced: Vec<Arc<AtomicU64>>, // per node
+    /// Per node: wakes the proxy thread.
+    pub(crate) parkers: Vec<CachePadded<Parker>>,
+    /// Per node: operations the proxy served.
+    pub(crate) ops_serviced: Vec<CachePadded<AtomicU64>>,
     /// Per node: the proxy is currently dead (set after unwinding, after
     /// the panic reason is recorded; cleared by a restart).
     pub(crate) panicked: Vec<AtomicBool>,
@@ -236,7 +238,11 @@ pub(crate) struct Shared {
     pub(crate) panic_reasons: Vec<Mutex<Option<String>>>,
     /// The §4.1 ready-bit word per node (shared with the endpoints). A
     /// queue's bit is its index among its node's queues.
-    pub(crate) ready_masks: Vec<Arc<AtomicU64>>,
+    ///
+    /// These three per-node words are polled or bumped on every pass and
+    /// every submission; each sits on lines of its own, so one node's
+    /// traffic does not bounce another's.
+    pub(crate) ready_masks: Vec<CachePadded<AtomicU64>>,
     /// Per node: bits of the proxy's last utilisation sample (an `f64`).
     pub(crate) util_bits: Vec<AtomicU64>,
     /// The installed fault injector, if any.

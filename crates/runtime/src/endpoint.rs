@@ -145,7 +145,8 @@ impl Endpoint {
         }
     }
 
-    /// Bounded [`Endpoint::wait_flag`]: gives up after `timeout`, and
+    /// Bounded [`Endpoint::wait_flag`]: gives up after `timeout` (the
+    /// clock is read once per 16 yields, so up to 16 yields late), and
     /// aborts early if a proxy has been condemned *and* the flag has
     /// stopped advancing — the wait could otherwise never complete. A
     /// wait does not know which node its flag depends on (a flag may be
@@ -171,43 +172,51 @@ impl Endpoint {
         /// How long a wait may sit without flag progress while some node
         /// is condemned before concluding it depends on the dead node.
         const CONDEMNED_GRACE: Duration = Duration::from_millis(250);
+        /// The clock is read on the first pass and then once per this
+        /// many snoozes, so the deadline and the grace are overshot by
+        /// at most as many yields.
+        const CLOCK_EVERY: u32 = 16;
         let deadline = Instant::now() + timeout;
         let mut backoff = Backoff::new();
         let mut grace: Option<(Instant, u64)> = None;
+        let mut pass = 0u32;
         loop {
             let observed = self.flag(f);
             if observed >= target {
                 return Ok(());
             }
-            if let Some(node) = self.shared.condemned_node() {
+            if pass.is_multiple_of(CLOCK_EVERY) {
                 let now = Instant::now();
-                let stalled = match &mut grace {
-                    None => {
-                        grace = Some((now, observed));
-                        false
+                if let Some(node) = self.shared.condemned_node() {
+                    let stalled = match &mut grace {
+                        None => {
+                            grace = Some((now, observed));
+                            false
+                        }
+                        Some((since, seen)) if observed > *seen => {
+                            (*since, *seen) = (now, observed);
+                            false
+                        }
+                        Some((since, _)) => now.duration_since(*since) >= CONDEMNED_GRACE,
+                    };
+                    if stalled {
+                        self.me.timeouts.fetch_add(1, Ordering::Relaxed);
+                        return Err(RtError::ProxyDown {
+                            node,
+                            reason: self.shared.panic_reason(node),
+                        });
                     }
-                    Some((since, seen)) if observed > *seen => {
-                        (*since, *seen) = (now, observed);
-                        false
-                    }
-                    Some((since, _)) => now.duration_since(*since) >= CONDEMNED_GRACE,
-                };
-                if stalled {
+                }
+                if now >= deadline {
                     self.me.timeouts.fetch_add(1, Ordering::Relaxed);
-                    return Err(RtError::ProxyDown {
-                        node,
-                        reason: self.shared.panic_reason(node),
+                    return Err(RtError::Timeout {
+                        flag: f.0,
+                        target,
+                        observed,
                     });
                 }
             }
-            if Instant::now() >= deadline {
-                self.me.timeouts.fetch_add(1, Ordering::Relaxed);
-                return Err(RtError::Timeout {
-                    flag: f.0,
-                    target,
-                    observed,
-                });
-            }
+            pass = pass.wrapping_add(1);
             backoff.snooze();
         }
     }

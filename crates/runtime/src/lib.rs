@@ -158,7 +158,7 @@ mod tests {
         let dst = e1.asid();
         let both_parked = || {
             let deadline = Instant::now() + Duration::from_secs(5);
-            while !cluster.shared.parkers.iter().all(idle::Parker::is_parked) {
+            while !cluster.shared.parkers.iter().all(|p| p.is_parked()) {
                 assert!(Instant::now() < deadline, "a proxy never parked");
                 std::thread::sleep(Duration::from_micros(200));
             }

@@ -12,6 +12,13 @@
 //! preserved at the API — unaligned edges of a transfer are merged into
 //! their word with a compare-and-swap loop so a neighbouring write to
 //! the *other* bytes of the same word is never lost.
+//!
+//! A segment comes zeroed from the allocator and nothing writes it when
+//! it is made. A fresh large allocation is untouched `mmap` pages, each
+//! faulted in by the first write to it on the data path, so a new
+//! process starting a cluster faults in none of its segments' pages; a
+//! reused heap chunk is cleared once, by the allocator (EXPERIMENTS.md
+//! "Segments come zeroed").
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,19 +30,27 @@ const WORD: usize = 8;
 /// A byte-addressable shared segment.
 #[derive(Clone)]
 pub struct Segment {
-    words: Arc<[AtomicU64]>,
+    /// A `Vec`, not an `Arc<[_]>`: turning the vector into a slice
+    /// would copy it, writing every page.
+    words: Arc<Vec<AtomicU64>>,
     size: usize,
 }
 
 impl Segment {
-    /// Allocates a zeroed segment of `size` bytes.
+    /// Allocates a zeroed segment of `size` bytes without writing it.
+    ///
+    /// `vec![0; n]` asks the allocator for zeroed memory, and collecting
+    /// it into atomics of the same layout reuses that buffer in place;
+    /// in release the identity map compiles to nothing, so no page of
+    /// the segment is touched here.
     #[must_use]
     pub fn new(size: usize) -> Segment {
-        let v: Vec<AtomicU64> = (0..size.div_ceil(WORD))
-            .map(|_| AtomicU64::new(0))
-            .collect();
+        let zeroed = vec![0u64; size.div_ceil(WORD)];
+        let at = zeroed.as_ptr();
+        let words: Vec<AtomicU64> = zeroed.into_iter().map(AtomicU64::new).collect();
+        debug_assert!(std::ptr::eq(words.as_ptr().cast(), at), "collect copied");
         Segment {
-            words: v.into(),
+            words: Arc::new(words),
             size,
         }
     }
@@ -222,6 +237,31 @@ mod tests {
         assert_eq!(&s.read(0, 5)[..], b"hello");
         s.write_u64(8, 0xfeed);
         assert_eq!(s.read_u64(8), 0xfeed);
+    }
+
+    /// Resident pages of this process: field 2 of `/proc/self/statm`.
+    fn resident_pages() -> usize {
+        let statm = std::fs::read_to_string("/proc/self/statm").unwrap();
+        statm.split_whitespace().nth(1).unwrap().parse().unwrap()
+    }
+
+    // In debug the identity map of `Segment::new` runs as a loop and
+    // writes every word.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn a_new_segment_touches_no_page() {
+        const SIZE: usize = 64 << 20;
+        const PAGE: usize = 4096;
+        let before = resident_pages();
+        let s = Segment::new(SIZE);
+        let grown = resident_pages().saturating_sub(before) * PAGE;
+        assert!(
+            grown < 8 << 20,
+            "a 64 MiB segment made {grown} bytes resident"
+        );
+        for addr in (0..SIZE).step_by(1 << 20).chain([SIZE - WORD]) {
+            assert_eq!(s.read_u64(addr as u64), 0, "word at {addr}");
+        }
     }
 
     #[test]

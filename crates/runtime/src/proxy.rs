@@ -330,7 +330,7 @@ fn proxy_main(
     shared: &Shared,
 ) {
     let parker = &shared.parkers[node];
-    let ready = &*shared.ready_masks[node];
+    let ready = &shared.ready_masks[node];
     let wire_rx = &shared.wires[node];
     let mut backoff = Backoff::new();
     let mut stop_flush_tries = 0u32;
@@ -490,10 +490,12 @@ fn drain_commands(
     seat: &mut [SeatEntry],
     ready: &AtomicU64,
 ) -> bool {
-    let mask = ready.swap(0, Ordering::Acquire);
-    if mask == 0 {
+    // Load first, so an idle pass only reads the word the submitters
+    // write (a swap would take their cache line from them every pass).
+    if ready.load(Ordering::Relaxed) == 0 {
         return false;
     }
+    let mask = ready.swap(0, Ordering::Acquire);
     let mut progressed = false;
     for e in seat.iter_mut() {
         let bit = 1u64 << e.qbit;
@@ -563,9 +565,9 @@ fn drain_wire(
         let Some(msg) = wire_rx.try_pop() else { break };
         ops += handle_packet(shared, st, node, now_ns, msg);
     }
-    // An idle pass must not write here: the per-node counters are small
-    // neighbouring allocations, and a store per empty poll would bounce
-    // their cache line between every pair of idle proxies.
+    // An idle pass must not write here: a store per empty poll would
+    // take the counter's line from whoever reads it (`ops_serviced`,
+    // the kill check of `timed_faults`) on every pass.
     if ops > 0 {
         shared.ops_serviced[node].fetch_add(ops, Ordering::Relaxed);
     }
