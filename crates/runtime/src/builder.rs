@@ -103,10 +103,9 @@ impl RtClusterBuilder {
             .map(|n| obs_hub.register(format!("node{n}"), mproxy_obs::DEFAULT_RING_CAP))
             .collect();
 
-        // Whether these come before or after the per-process segments no
-        // longer moves peak RSS (EXPERIMENTS.md "Segments come zeroed"); it
-        // did, by ~0.4 MB, while every segment was copied at start ("A
-        // lane is a node").
+        // Allocating these before or after the per-process segments does
+        // not move peak RSS (measured: EXPERIMENTS.md "Segments come
+        // zeroed").
         let wires: Vec<_> = (0..nodes).map(|_| Ring::new(WIRE_DEPTH)).collect();
 
         // The i-th process declared on a node takes the node's §4.1

@@ -492,6 +492,9 @@ fn drain_commands(
 ) -> bool {
     // Load first, so an idle pass only reads the word the submitters
     // write (a swap would take their cache line from them every pass).
+    // The swap's Acquire pairs with their Release `fetch_or`; a bit this
+    // Relaxed load misses is seen by the next pass, or by `idle`'s
+    // SeqCst re-check before it parks.
     if ready.load(Ordering::Relaxed) == 0 {
         return false;
     }
