@@ -18,7 +18,7 @@
 //! | `sec54` | §5.4: proxy-contention queueing analysis |
 //! | `overload` | §5.4 measured: command-queue delay vs the M/M/1 curve |
 //! | `ablation` | §4.1's three optimisation proposals, stacked on MP1 |
-//! | `fault_sweep`, `crash_sweep` | reliable link layer under loss and crashes |
+//! | `fault_sweep`, `crash_sweep` | reliable link layer under loss, and through proxy crashes (pauses) |
 //! | `apps` | every application run to the bit: the identity matrix |
 //!
 //! How fast any of it runs is measured by `perfbench/`, not here; the

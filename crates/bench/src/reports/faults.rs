@@ -105,22 +105,23 @@ pub const CRASH_DROP: f64 = 0.01;
 pub const CRASH_NODE: usize = 1;
 
 /// Downtime between crash and restart, µs (well inside the senders'
-/// retransmission budget, so survivors keep retrying across the outage).
+/// retransmission budget, so peers keep retrying across the pause).
 pub const CRASH_DOWNTIME_US: f64 = 250.0;
 
-/// Crash instant for the ping-pong recovery row: node 1 is caught
-/// between rounds, with no un-ACKed work of its own, so the epoch
-/// handshake restores the connection and all 64 rounds complete.
+/// Crash instant for the ping-pong row that catches node 1 between
+/// rounds, with no packet queued in its input.
 pub const PP_CRASH_AT_US: f64 = 120.0;
 
-/// Crash instant for the ping-pong fail-stop row: node 1 is caught with
-/// its reply still un-ACKed, so recovery is impossible and the owner is
-/// failed with `EpochReset` instead of risking silent duplication.
+/// Crash instant for the ping-pong row that catches node 1 mid-flight,
+/// with its reply un-ACKed: its retention survives the pause, and all 64
+/// rounds complete. (No instant of this ping-pong finds a packet queued
+/// behind a busy agent, so no ping-pong crash discards one.)
 pub const PP_MIDFLIGHT_AT_US: f64 = 152.0;
 
-/// Crash instant for the Sample-application row (inside a compute
-/// phase; the run completes with the fault-free checksum).
-pub const APP_CRASH_AT_US: f64 = 600.0;
+/// Crash instant for the Sample-application row: inside the key
+/// exchange, where packets wait in node 1's input and the crash discards
+/// them; the run completes with the fault-free checksum.
+pub const APP_CRASH_AT_US: f64 = 1200.0;
 
 /// The standard sweep fault mix plus a crash window.
 #[must_use]
@@ -128,116 +129,90 @@ pub fn crash_sweep_plan(drop: f64, node: usize, at_us: f64, downtime_us: f64) ->
     sweep_plan(drop).crash(node, at_us, downtime_us)
 }
 
-/// Compact rendering of the per-node link snapshots: node, epoch, then
-/// per-peer `peer:last_sent/next_expected`.
-fn epoch_digest(epochs: &[LinkSnapshot]) -> String {
-    let mut s = String::new();
-    for (node, (epoch, peers)) in epochs.iter().enumerate() {
-        if node > 0 {
-            s.push(' ');
-        }
-        let _ = write!(s, "n{node}:e{epoch}[");
-        for (i, (peer, last, expected)) in peers.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(s, "{peer}:{last}/{expected}");
-        }
-        s.push(']');
-    }
-    s
+/// Compact rendering of the per-node link snapshots: per node, per-peer
+/// `peer:last_sent/next_expected`.
+fn link_digest(links: &[LinkSnapshot]) -> String {
+    let nodes = links.iter().enumerate().map(|(node, peers)| {
+        let peers: Vec<String> = peers
+            .iter()
+            .map(|(peer, last, expected)| format!("{peer}:{last}/{expected}"))
+            .collect();
+        format!("n{node}[{}]", peers.join(","))
+    });
+    nodes.collect::<Vec<_>>().join(" ")
 }
 
 fn crash_pp_row(label: &str, r: &VerifiedPingPong) -> String {
     let outcome = match &r.error {
         None if r.data_ok => "ok",
         None => "corrupt",
-        Some(CommError::EpochReset { .. }) => "EpochReset",
         Some(CommError::Unreachable { .. }) => "Unreachable",
         Some(_) => "error",
     };
     let l = &r.report.link;
     format!(
-        "{label:<15} {:>6} {outcome:>11} {:>5} {:>6} {:>6} {:>7} {:>8}  {}\n",
+        "{label:<15} {:>6} {outcome:>11} {:>5} {:>6}  {}\n",
         r.rounds,
         l.retransmits,
-        l.replayed,
-        l.hellos_sent,
-        l.epoch_resyncs,
-        l.stale_discarded,
-        epoch_digest(&r.epochs),
+        l.crash_dropped,
+        link_digest(&r.links),
     )
 }
 
 fn crash_app_row(label: &str, r: &AppRun) -> String {
     let l = &r.faults.link;
     format!(
-        "{label:<15} {:>12.1} {:>14.6} {:>5} {:>6} {:>6} {:>7}\n",
-        r.elapsed_us, r.checksum, l.retransmits, l.replayed, l.hellos_sent, l.epoch_resyncs,
+        "{label:<15} {:>12.1} {:>14.6} {:>5} {:>6}\n",
+        r.elapsed_us, r.checksum, l.retransmits, l.crash_dropped,
     )
 }
 
 /// The crash-recovery sweep (`results/crash_sweep.txt`): the MP1
 /// verified ping-pong and the Sample application with a mid-run proxy
-/// crash on a lossy network. The epoch/HELLO resync must deliver every
-/// message exactly once when the crash catches no un-ACKed work, surface
-/// `EpochReset` when it does, and do either deterministically: each
-/// recovery case runs twice and must come back identical.
+/// crash on a lossy network. A crash pauses the node's agent and drops
+/// the packets queued in its input; every message must still arrive
+/// exactly once, and each crash case runs twice and must come back
+/// identical.
 ///
 /// # Panics
 ///
-/// Panics if a recovery run loses or duplicates data or changes the
-/// application's answer, if a repeat differs in any observable (delivery
-/// order, epochs, statistics), or if the fail-stop run does not surface
-/// `EpochReset`.
+/// Panics if a crash run loses or duplicates data, fails a process or
+/// changes the application's answer, or if a repeat differs in any
+/// observable (delivery order, timing, statistics, link tables).
 #[must_use]
 pub fn crash_sweep() -> String {
     let crash_at = |at_us| crash_sweep_plan(CRASH_DROP, CRASH_NODE, at_us, CRASH_DOWNTIME_US);
     let mut s = format!(
         "# Crash-recovery sweep on MP1 (seed {SWEEP_SEED}, drop {CRASH_DROP})\n\
-         # crash: node {CRASH_NODE}'s proxy dies (volatile link state lost), restarts \
-         {CRASH_DOWNTIME_US}us later\n\n\
+         # crash: node {CRASH_NODE}'s proxy pauses for {CRASH_DOWNTIME_US}us and loses \
+         the packets queued in its input (cdrop)\n\n\
          ## Verified PUT ping-pong, 64 B x 64 reps\n\
-         label           rounds     outcome  retx replay  hello  resync    stale  epochs\n"
+         label           rounds     outcome  retx  cdrop  links\n"
     );
 
-    // A recovery row, run twice, and a fail-stop row where the crash eats
-    // un-ACKed work.
     let base = pingpong_verified(MP1, 64, 64, Some(sweep_plan(CRASH_DROP)));
     s.push_str(&crash_pp_row("no-crash", &base));
-    let label = format!("crash@{PP_CRASH_AT_US}");
-    let crash = pingpong_verified(MP1, 64, 64, Some(crash_at(PP_CRASH_AT_US)));
-    assert!(
-        crash.rounds == base.rounds && crash.data_ok && crash.error.is_none(),
-        "mid-run proxy crash lost data: {crash:?}"
-    );
-    assert!(
-        crash.report.link.epoch_resyncs >= 1,
-        "crash run never resynced an epoch"
-    );
-    let again = pingpong_verified(MP1, 64, 64, Some(crash_at(PP_CRASH_AT_US)));
-    assert!(
-        crash_pp_row(&label, &crash) == crash_pp_row(&label, &again)
-            && crash.rt_us.to_bits() == again.rt_us.to_bits(),
-        "crash recovery must be deterministic run-to-run"
-    );
-    s.push_str(&crash_pp_row(&label, &crash));
-    let failstop = pingpong_verified(MP1, 64, 64, Some(crash_at(PP_MIDFLIGHT_AT_US)));
-    assert!(
-        matches!(failstop.error, Some(CommError::EpochReset { .. })),
-        "mid-flight crash must surface EpochReset, got {:?}",
-        failstop.error
-    );
-    s.push_str(&crash_pp_row(
-        &format!("midflight@{PP_MIDFLIGHT_AT_US}"),
-        &failstop,
-    ));
+    for (name, at_us) in [("crash", PP_CRASH_AT_US), ("midflight", PP_MIDFLIGHT_AT_US)] {
+        let label = format!("{name}@{at_us}");
+        let crash = pingpong_verified(MP1, 64, 64, Some(crash_at(at_us)));
+        assert!(
+            crash.rounds == base.rounds && crash.data_ok && crash.error.is_none(),
+            "{label}: proxy crash lost data: {crash:?}"
+        );
+        let again = pingpong_verified(MP1, 64, 64, Some(crash_at(at_us)));
+        assert!(
+            crash_pp_row(&label, &crash) == crash_pp_row(&label, &again)
+                && crash.rt_us.to_bits() == again.rt_us.to_bits(),
+            "{label}: crash recovery must be deterministic run-to-run"
+        );
+        s.push_str(&crash_pp_row(&label, &crash));
+    }
 
     // The Sample app completes with the crash-free checksum despite a
     // mid-run proxy crash, twice, identically.
     s.push_str(
         "\n## Sample application (Tiny, 2 procs)\n\
-         label             elapsed_us       checksum  retx replay  hello  resync\n",
+         label             elapsed_us       checksum  retx  cdrop\n",
     );
     let sample = |plan| run_app_flat_faulty(AppId::Sample, MP1, 2, AppSize::Tiny, plan);
     let base = sample(sweep_plan(CRASH_DROP));
@@ -247,10 +222,6 @@ pub fn crash_sweep() -> String {
         base.checksum, crash.checksum,
         "proxy crash changed the application answer"
     );
-    assert!(
-        crash.faults.link.epoch_resyncs >= 1,
-        "app crash run never resynced an epoch"
-    );
     s.push_str(&crash_app_row(&format!("crash@{APP_CRASH_AT_US}"), &crash));
     let again = sample(crash_at(APP_CRASH_AT_US));
     assert!(
@@ -259,6 +230,6 @@ pub fn crash_sweep() -> String {
             && again.faults == crash.faults,
         "app crash recovery must be deterministic run-to-run"
     );
-    s.push_str("\n# recovery rows re-ran byte-identically; checksums match the crash-free run\n");
+    s.push_str("\n# crash rows re-ran byte-identically; checksums match the crash-free run\n");
     s
 }

@@ -52,7 +52,7 @@ pub const APPS: Sliced = Sliced {
          # elapsed, checksum: f64 bits; events: calendar events + elided polls\n\
          # traffic: ops/bytes/elapsed_ns/utilisation bits\n\
          # injected: packets/dropped/duplicated/reordered/corrupted\n\
-         # link: retx/acks/nacks/dups/held/unreach/peak/backlog/hello/replay/stale/resync\n"
+         # link: retx/acks/nacks/dups/held/unreach/peak/backlog\n"
             .to_string()
     },
     apps: &AppId::ALL,
@@ -129,7 +129,7 @@ fn app_row(app: AppId, (d, (nodes, ppn), size, plan): Run) -> String {
         let (i, l) = (&r.faults.injected, &r.faults.link);
         let _ = write!(
             s,
-            " injected={}/{}/{}/{}/{} link={}/{}/{}/{}/{}/{}/{}/{}/{}/{}/{}/{}",
+            " injected={}/{}/{}/{}/{} link={}/{}/{}/{}/{}/{}/{}/{}",
             i.packets,
             i.dropped,
             i.duplicated,
@@ -143,10 +143,6 @@ fn app_row(app: AppId, (d, (nodes, ppn), size, plan): Run) -> String {
             l.unreachable,
             l.peak_pending,
             l.backlogged,
-            l.hellos_sent,
-            l.replayed,
-            l.stale_discarded,
-            l.epoch_resyncs,
         );
     } else {
         assert!(

@@ -172,9 +172,6 @@ pub(crate) struct ClusterState {
     pub(crate) started: SimTime,
     /// Fault-injection state shared with the network, when installed.
     pub(crate) faults: Option<Rc<FaultState>>,
-    /// True when the fault plan schedules at least one proxy crash (gates
-    /// debug assertions that orphaned replies are impossible).
-    pub(crate) crashes_possible: bool,
 }
 
 impl ClusterState {
@@ -325,7 +322,7 @@ impl Cluster {
                 let port = network.adapter(n);
                 let link = faults
                     .as_ref()
-                    .map(|_| LinkLayer::new(ctx.clone(), n, port.clone(), procs.clone()));
+                    .map(|_| LinkLayer::new(ctx.clone(), port.clone(), procs.clone()));
                 Rc::new(NodeState {
                     id: n,
                     proxy_input: Channel::unbounded(),
@@ -341,10 +338,6 @@ impl Cluster {
             })
             .collect();
 
-        let crashes_possible = faults
-            .as_ref()
-            .is_some_and(|f| (0..spec.nodes).any(|n| f.plan().crashes_on(n).next().is_some()));
-
         let state = Rc::new(ClusterState {
             allow_all: Cell::new(spec.allow_all),
             costs: StepCosts::new(&spec.design),
@@ -356,12 +349,11 @@ impl Cluster {
             app_done: Counter::new(),
             started: ctx.now(),
             faults,
-            crashes_possible,
         });
 
         // Drive the fault plan's crash windows: one task per crashing node
-        // wipes its volatile proxy state at each window and restarts the
-        // link layer into a new epoch afterwards.
+        // drops the packets queued in its input at each crash instant (the
+        // agent itself pauses in `stall_gate`).
         if let Some(f) = &state.faults {
             for n in 0..state.spec.nodes {
                 let mut windows: Vec<_> = f.plan().crashes_on(n).collect();
@@ -529,10 +521,7 @@ impl Cluster {
                 // would be meaningless against the per-destination window).
                 link.peak_pending = link.peak_pending.max(s.peak_pending);
                 link.backlogged += s.backlogged;
-                link.hellos_sent += s.hellos_sent;
-                link.replayed += s.replayed;
-                link.stale_discarded += s.stale_discarded;
-                link.epoch_resyncs += s.epoch_resyncs;
+                link.crash_dropped += s.crash_dropped;
             }
         }
         FaultReport { injected, link }
@@ -575,9 +564,9 @@ impl Cluster {
         (n.engine_busy.get().as_us(), n.engine_ops.get())
     }
 
-    /// Reliable-link snapshot of `node`: its current epoch plus, per peer,
-    /// the last sequence sent and next expected — sorted by peer, for
-    /// byte-stable determinism checks. `None` without a fault plan.
+    /// Reliable-link snapshot of `node`: per peer, the last sequence sent
+    /// and next expected — sorted by peer, for byte-stable determinism
+    /// checks. `None` without a fault plan.
     ///
     /// # Panics
     ///

@@ -15,6 +15,10 @@
 //!   37–100% slowdowns on latency-bound applications despite its very
 //!   aggressive 6.5 µs syscall/interrupt assumption. A re-probe is a
 //!   kernel timer that re-issues the request on no process's processor.
+//!
+//! Both freeze in [`stall_gate`] through a node's stall and crash
+//! windows; a crash is such a pause plus the loss of the packets queued
+//! at its instant ([`crash_driver`]).
 
 use std::rc::Rc;
 
@@ -24,9 +28,7 @@ use mproxy_simnet::CrashWindow;
 use crate::addr::ProcId;
 use crate::cluster::{ClusterState, NodeState};
 use crate::engine::protocol::{handle_command, handle_packet, retry_deq};
-use crate::engine::reliable::poison_proc;
 use crate::engine::{BusyScope, Ccb, Command, ProxyInput, WireMsg, DEQ_REPROBE};
-use crate::error::CommError;
 
 /// The per-node agent loop: message proxy or adapter protocol engine.
 pub(crate) async fn agent_main(node: Rc<NodeState>, cs: Rc<ClusterState>) {
@@ -117,17 +119,13 @@ fn target_proc(node: &NodeState, msg: &WireMsg) -> Option<ProcId> {
             None => None,
         },
         // Consumed by the link layer before dispatch.
-        WireMsg::LinkAck { .. }
-        | WireMsg::LinkNack { .. }
-        | WireMsg::Hello { .. }
-        | WireMsg::HelloAck { .. } => None,
+        WireMsg::LinkAck { .. } | WireMsg::LinkNack { .. } => None,
     }
 }
 
 async fn handle_interrupt(node: &Rc<NodeState>, cs: &Rc<ClusterState>, msg: WireMsg) {
     let Some(proc) = target_proc(node, &msg) else {
-        // A reply whose CCB a crash wiped has no process to interrupt.
-        debug_assert!(cs.crashes_possible, "interrupt for unknown CCB");
+        debug_assert!(false, "interrupt for unknown CCB");
         return;
     };
     // Steal the target's compute processor for the handler. The busy time
@@ -146,8 +144,8 @@ async fn handle_interrupt(node: &Rc<NodeState>, cs: &Rc<ClusterState>, msg: Wire
 }
 
 /// If the fault plan stalls `node` right now — or its proxy is down inside
-/// a crash window — freezes the caller (the node's communication agent)
-/// until the window ends.
+/// a crash window, which pauses it the same way — freezes the caller (the
+/// node's communication agent) until the window ends.
 pub(crate) async fn stall_gate(node: &NodeState, cs: &ClusterState) {
     let Some(faults) = &cs.faults else { return };
     // Re-check after waking: windows may abut or interleave.
@@ -177,45 +175,33 @@ pub(crate) async fn stall_gate(node: &NodeState, cs: &ClusterState) {
     }
 }
 
-/// Drives the crash windows of one node: at each `at_us` the node's link
-/// layer [`crash`]es (volatile state lost, epoch bumped) and the proxy's
-/// in-memory work is wiped — queued commands fail their submitters with
-/// [`CommError::EpochReset`], queued packets vanish (the senders'
-/// retransmit timers re-deliver them), and every outstanding CCB fails
-/// its owner (its reply can no longer be matched). The engine task itself
-/// is frozen across the window by [`stall_gate`]; at `restart_us` the
-/// link layer [`restart`]s and opens the HELLO handshake.
-///
-/// [`crash`]: crate::engine::reliable::LinkLayer::crash
-/// [`restart`]: crate::engine::reliable::LinkLayer::restart
+/// Drives the crash windows of one node. A crash is a pause, as a
+/// runtime proxy respawn is: [`stall_gate`] freezes the node's agent from
+/// `at_us` to `restart_us`, and everything it keeps — queued commands and
+/// re-probe ticks, CCBs, all link-layer state — survives. What the crash
+/// loses is the packets queued in the node's input that the link layer
+/// has not accepted yet; the senders' retransmit timers recover them, as
+/// they recover any dropped packet. A handler already running at the
+/// crash instant completes.
 pub(crate) async fn crash_driver(cs: Rc<ClusterState>, node: usize, windows: Vec<CrashWindow>) {
+    let ns = &cs.nodes[node];
+    let Some(link) = &ns.link else { return };
     for w in windows {
         cs.ctx
             .delay_until(SimTime::ZERO + Dur::from_us(w.at_us))
             .await;
-        let ns = &cs.nodes[node];
-        let Some(link) = &ns.link else { return };
-        let epoch = link.crash();
-        while let Some(input) = ns.proxy_input.try_recv() {
-            match input {
-                ProxyInput::Cmd(cmd, _) => {
-                    poison_proc(cs.proc(cmd.src()), CommError::EpochReset { node, epoch })
-                }
-                // Undelivered packets and re-probe ticks die with the
-                // proxy's memory image.
-                ProxyInput::Pkt(_) | ProxyInput::RetryDeq(_) => {}
-            }
+        let fifo = ns.port.rx_fifo();
+        let mut dropped = std::iter::from_fn(|| fifo.try_recv()).count();
+        let kept: Vec<ProxyInput> = std::iter::from_fn(|| ns.proxy_input.try_recv())
+            .filter(|ev| {
+                let pkt = matches!(ev, ProxyInput::Pkt(_));
+                dropped += usize::from(pkt);
+                !pkt
+            })
+            .collect();
+        for ev in kept {
+            let _ = ns.proxy_input.try_send(ev);
         }
-        let ccbs: Vec<Ccb> = ns.ccbs.borrow_mut().drain().map(|(_, c)| c).collect();
-        for ccb in ccbs {
-            let proc = match ccb {
-                Ccb::Get { proc, .. } | Ccb::PutAck { proc, .. } | Ccb::Deq { proc, .. } => proc,
-            };
-            poison_proc(cs.proc(proc), CommError::EpochReset { node, epoch });
-        }
-        cs.ctx
-            .delay_until(SimTime::ZERO + Dur::from_us(w.restart_us))
-            .await;
-        link.restart();
+        link.count_crash_drops(dropped as u64);
     }
 }

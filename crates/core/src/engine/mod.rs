@@ -151,22 +151,6 @@ pub(crate) enum WireMsg {
     LinkNack {
         seq: u64,
     },
-    /// Epoch-resync request from a proxy that crashed and restarted:
-    /// announces the restarted node's new epoch and the highest in-order
-    /// sequence it had delivered *from* the receiver before the crash, so
-    /// the receiver can prune its retransmit buffer and replay the rest.
-    Hello {
-        epoch: u32,
-        last_delivered: u64,
-    },
-    /// Epoch-resync acknowledgement from a survivor: echoes the epoch and
-    /// reports the highest sequence it delivered *from* the restarted
-    /// node, so the restarted node resumes numbering where the survivor
-    /// expects it.
-    HelloAck {
-        epoch: u32,
-        last_delivered: u64,
-    },
 }
 
 /// Input stream of a node's serial agent: user commands multiplexed with

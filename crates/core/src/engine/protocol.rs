@@ -114,10 +114,10 @@ async fn acknowledge(node: &NodeState, cs: &ClusterState, ack: Option<(usize, u6
     }
 }
 
-/// After a crash wiped the CCB table, a reply to a pre-crash request is
-/// an expected orphan; otherwise a missing CCB is a protocol bug.
-fn orphan(cs: &ClusterState, what: &str) {
-    debug_assert!(cs.crashes_possible, "{what} with no matching CCB");
+/// A reply with no matching CCB is a protocol bug: the link layer
+/// delivers each reply once, and nothing else removes a CCB.
+fn orphan(what: &str) {
+    debug_assert!(false, "{what} with no matching CCB");
 }
 
 /// Services one user command.
@@ -267,7 +267,7 @@ pub(crate) async fn handle_packet(
             step(cs, t.ccb_lookup, 0).await;
             let ccb = node.ccbs.borrow_mut().remove(&token);
             let Some(Ccb::Get { proc, laddr, lsync }) = ccb else {
-                orphan(cs, "GetReply");
+                orphan("GetReply");
                 return None;
             };
             data_in(cs, data.len() as u32, dma).await;
@@ -311,9 +311,11 @@ pub(crate) async fn handle_packet(
         WireMsg::DeqReply { token, data } => {
             step(cs, t.ccb_lookup, 0).await;
             let Some(data) = data else {
-                // Empty: probe again, unless a crash wiped the CCB.
-                let filed = matches!(node.ccbs.borrow().get(&token), Some(Ccb::Deq { .. }));
-                return filed.then_some(token);
+                // Empty: probe again.
+                if !matches!(node.ccbs.borrow().get(&token), Some(Ccb::Deq { .. })) {
+                    orphan("DeqReply");
+                }
+                return Some(token);
             };
             let ccb = node.ccbs.borrow_mut().remove(&token);
             let Some(Ccb::Deq {
@@ -324,7 +326,7 @@ pub(crate) async fn handle_packet(
                 ..
             }) = ccb
             else {
-                orphan(cs, "DeqReply");
+                orphan("DeqReply");
                 return None;
             };
             let take = (data.len() as u32).min(nbytes);
@@ -336,7 +338,7 @@ pub(crate) async fn handle_packet(
             step(cs, t.ack_lookup, 0).await;
             let ccb = node.ccbs.borrow_mut().remove(&token);
             let Some(Ccb::PutAck { proc, lsync }) = ccb else {
-                orphan(cs, "Ack");
+                orphan("Ack");
                 return None;
             };
             signal(cs, proc, lsync).await;
@@ -344,10 +346,7 @@ pub(crate) async fn handle_packet(
         // Link-layer control never reaches the protocol handlers: it is
         // consumed by `LinkLayer::accept`, and without a link layer it is
         // never sent.
-        WireMsg::LinkAck { .. }
-        | WireMsg::LinkNack { .. }
-        | WireMsg::Hello { .. }
-        | WireMsg::HelloAck { .. } => {
+        WireMsg::LinkAck { .. } | WireMsg::LinkNack { .. } => {
             debug_assert!(false, "link control leaked into protocol handler");
         }
     }
@@ -355,7 +354,7 @@ pub(crate) async fn handle_packet(
 }
 
 /// Re-issues the request of the DEQ filed under `token`, unless it has
-/// been completed or wiped meanwhile.
+/// been completed meanwhile.
 pub(crate) async fn retry_deq(node: &NodeState, cs: &ClusterState, token: u64) {
     let Some(Ccb::Deq {
         proc,

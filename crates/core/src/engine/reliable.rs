@@ -25,8 +25,7 @@
 //! * **Ack cadence.** The receiving agent acknowledges every valid
 //!   sequenced packet — also duplicates, so lost ACKs heal — with its
 //!   **cumulative** in-order watermark, so the sender's retransmit buffer
-//!   reflects exactly what the receiver has *consumed*
-//!   ([`LinkLayer::accept`] has why that makes crash recovery sound).
+//!   reflects exactly what the receiver has *consumed*.
 //! * **NACK trigger.** Checksum failures only, for an immediate resend; a
 //!   gap (or a packet beyond the reorder window, which is dropped) is
 //!   healed by the sender's timer.
@@ -34,23 +33,15 @@
 //!   destination; overflow parks in a FIFO backlog, promoted as ACKs
 //!   free slots, so memory stays O(window) under drop storms — at the
 //!   receiver too, whose reorder buffer is as wide.
-//! * **Epoch.** Every connection carries an epoch (the upper
-//!   [`EPOCH_BITS`] bits of the wire sequence). A proxy crash
-//!   ([`crate::FaultPlan::crash`]) loses all volatile link state
-//!   ([`LinkLayer::crash`]) and restarts into the next epoch, announcing
-//!   itself with a `HELLO { epoch, last_delivered }` handshake
-//!   ([`LinkLayer::restart`]): survivors prune their retransmit buffers
-//!   to the reported watermark, replay the remainder idempotently, purge
-//!   stale-epoch holds, and answer `HELLO-ACK` with their own watermark
-//!   so the restarted node resumes numbering where they expect it. Work
-//!   in flight from the crashed node and never acknowledged is
-//!   unrecoverable; its owners are failed with [`CommError::EpochReset`].
+//! * **Crash.** A proxy crash ([`crate::FaultPlan::crash`]) is a pause,
+//!   as a runtime respawn is: every piece of this layer's state survives
+//!   it, and the packets it discards from the node's input are ordinary
+//!   losses that the senders' timers recover.
 //!
 //! The layer is engaged only when the cluster is built with a fault plan
 //! ([`crate::Cluster::new_with_faults`]); fault-free clusters take the
-//! direct send path, and epochs start at 0, so neither reliability nor
-//! crash recovery costs a run that does not ask for it a single bit.
-//! Failures surface by [`poison_proc`].
+//! direct send path, so reliability costs a run that does not ask for it
+//! nothing. Failures surface by [`poison_proc`].
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -80,32 +71,12 @@ const XMIT_SENDS: u32 = 12;
 /// any waiter regardless of its target.
 pub(crate) const POISON_BUMP: u64 = 1 << 32;
 
-/// Upper bits of the wire sequence that carry the sender's epoch.
-pub(crate) const EPOCH_BITS: u32 = 16;
-const EPOCH_SHIFT: u32 = 64 - EPOCH_BITS;
-const SEQ_MASK: u64 = (1 << EPOCH_SHIFT) - 1;
-
 /// Payload bytes the wire serialises for a protocol message: none. The
 /// engines charge payload movement themselves — PIO per line, or
 /// `DmaEngine::transfer` for large blocks — so the wire carries (and
 /// times) the header only. Passed at the two `NetPort` boundaries,
 /// [`send_wire`] and [`LinkLayer::transmit`], and nowhere else.
 const HEADER_ONLY: u32 = 0;
-
-/// Interval at which a restarted proxy re-sends its HELLO until the peer
-/// answers (the wire may eat either side of the handshake).
-const HELLO_RETRY_US: f64 = 50.0;
-
-/// Encodes `(epoch, seq)` into the one wire sequence field.
-fn wire_seq(epoch: u32, seq: u64) -> u64 {
-    debug_assert!(seq <= SEQ_MASK, "sequence overflow");
-    (u64::from(epoch) << EPOCH_SHIFT) | seq
-}
-
-/// Splits a wire sequence into `(epoch, seq)`.
-fn split_seq(wire: u64) -> (u32, u64) {
-    ((wire >> EPOCH_SHIFT) as u32, wire & SEQ_MASK)
-}
 
 /// Marks `ps` as failed with `err`. The discrete-event executor has no
 /// cancellation, so a failed process is *poisoned*: its [`CommError`] is
@@ -145,11 +116,10 @@ pub(crate) fn wire_checksum(msg: &WireMsg) -> u64 {
     h.finish()
 }
 
-/// One node's reliable-link state digest: its current epoch plus, per
-/// peer and sorted by peer, `(peer, last sequence sent, next expected)`.
-/// Compared across serial/parallel/repeat runs by the crash-recovery
-/// determinism checks.
-pub type LinkSnapshot = (u32, Vec<(NodeId, u64, u64)>);
+/// One node's reliable-link state digest: per peer and sorted by peer,
+/// `(peer, last sequence sent, next expected)`. Compared across repeat
+/// runs by the crash-recovery determinism checks.
+pub type LinkSnapshot = Vec<(NodeId, u64, u64)>;
 
 /// Link-layer protocol counters of one node (inputs to
 /// [`crate::FaultReport`]).
@@ -173,16 +143,9 @@ pub struct LinkStats {
     /// Sends parked in the bounded-window backlog instead of entering the
     /// retransmit buffer immediately.
     pub backlogged: u64,
-    /// HELLO announcements transmitted after crash restarts (including
-    /// retries).
-    pub hellos_sent: u64,
-    /// Retransmit-buffer entries replayed for a restarted peer.
-    pub replayed: u64,
-    /// Packets discarded because their epoch did not match the sender's
-    /// current incarnation.
-    pub stale_discarded: u64,
-    /// Epoch resyncs completed (HELLO-ACK accepted after a restart).
-    pub epoch_resyncs: u64,
+    /// Packets a proxy crash discarded from the node's input before this
+    /// layer accepted them; the senders' timers recover each.
+    pub crash_dropped: u64,
 }
 
 /// A send the link layer is answerable for: pending (sequenced, on the
@@ -200,30 +163,21 @@ struct Pending {
 
 /// Everything one node keeps about its link with one peer node.
 struct PeerLink {
-    /// Last epoch observed from the peer (via its sequenced traffic and
-    /// HELLOs). Survives a crash, like `rx`'s watermark.
-    epoch: u32,
     /// Un-ACKed sends towards the peer, at most the window.
     tx: Retention<Pending>,
-    /// FIFO of sends awaiting a window slot (or the end of a resync), not
-    /// yet assigned a sequence number.
+    /// FIFO of sends awaiting a window slot, not yet assigned a sequence
+    /// number.
     backlog: VecDeque<Pending>,
-    /// This (restarted) node still owes the peer's HELLO-ACK; data sends
-    /// towards it park in the backlog until the handshake completes.
-    resyncing: bool,
-    /// In-order watermark and reorder buffer of the peer's stream. The
-    /// watermark survives a crash: delivered data lives in process
-    /// memory, which the crash does not erase, and the watermark is
-    /// journaled with it; the parked packets do not.
+    /// In-order watermark and reorder buffer of the peer's stream.
     rx: Reorder<WireMsg>,
 }
 
 impl PeerLink {
     /// Abandons everything queued towards the peer — the retransmit
-    /// buffer (timers disarmed) and the backlog — so that the next send
-    /// carries sequence `next`. Returns the owner of each abandoned send.
-    fn abandon(&mut self, next: u64) -> Vec<Option<ProcId>> {
-        let pending = self.tx.reset(next).into_iter();
+    /// buffer (timers disarmed) and the backlog — without renumbering.
+    /// Returns the owner of each abandoned send.
+    fn abandon(&mut self) -> Vec<Option<ProcId>> {
+        let pending = self.tx.reset(self.tx.last() + 1).into_iter();
         let abandoned = pending.chain(std::mem::take(&mut self.backlog));
         abandoned
             .map(|p| {
@@ -252,11 +206,8 @@ impl PeerLink {
 /// `Rc<LinkLayer>`.
 pub(crate) struct LinkLayer {
     ctx: SimCtx,
-    node: NodeId,
     port: NetPort<WireMsg>,
     procs: Vec<Rc<ProcState>>,
-    /// This node's incarnation; bumped by [`LinkLayer::crash`].
-    epoch: Cell<u32>,
     /// Link state per peer, indexed by node.
     peers: RefCell<Vec<PeerLink>>,
     stats: RefCell<LinkStats>,
@@ -269,25 +220,20 @@ pub(crate) struct LinkLayer {
 impl LinkLayer {
     pub(crate) fn new(
         ctx: SimCtx,
-        node: NodeId,
         port: NetPort<WireMsg>,
         procs: Vec<Rc<ProcState>>,
     ) -> Rc<LinkLayer> {
         let peers = (0..port.nodes())
             .map(|_| PeerLink {
-                epoch: 0,
                 tx: Retention::new(),
                 backlog: VecDeque::new(),
-                resyncing: false,
                 rx: Reorder::new(LINK_WINDOW),
             })
             .collect();
         Rc::new(LinkLayer {
             ctx,
-            node,
             port,
             procs,
-            epoch: Cell::new(0),
             peers: RefCell::new(peers),
             stats: RefCell::new(LinkStats::default()),
             closed: Cell::new(false),
@@ -298,33 +244,26 @@ impl LinkLayer {
         *self.stats.borrow()
     }
 
-    /// This node's current epoch and, per peer it has exchanged sequenced
-    /// traffic with, the last sequence sent and the next expected — in
-    /// peer order, for byte-stable determinism checks.
+    /// Counts `n` packets a proxy crash discarded from the node's input.
+    pub(crate) fn count_crash_drops(&self, n: u64) {
+        self.stats.borrow_mut().crash_dropped += n;
+    }
+
+    /// Per peer this node has exchanged sequenced traffic with, the last
+    /// sequence sent and the next expected — in peer order, for
+    /// byte-stable determinism checks.
     pub(crate) fn snapshot(&self) -> LinkSnapshot {
         let peers = self.peers.borrow();
-        let rows = peers
+        peers
             .iter()
             .enumerate()
             .map(|(p, l)| (p, l.tx.last(), l.rx.delivered() + 1))
             .filter(|&(_, last, expected)| last > 0 || expected > 1)
-            .collect();
-        (self.epoch.get(), rows)
-    }
-
-    fn is_resyncing(&self, dst: NodeId) -> bool {
-        self.peers.borrow()[dst].resyncing
-    }
-
-    /// Fails every process in `owners` with `err`.
-    fn poison(&self, owners: Vec<Option<ProcId>>, err: CommError) {
-        for o in owners.into_iter().flatten() {
-            poison_proc(&self.procs[o.0 as usize], err.clone());
-        }
+            .collect()
     }
 
     /// Sends `msg` under reliable delivery. If the window towards `dst`
-    /// has a free slot (and no epoch resync is in progress), the message
+    /// has a free slot, the message
     /// is stamped with the next sequence, remembered as pending, and
     /// transmitted with its first retransmission timer armed; otherwise it
     /// parks in the FIFO backlog and is promoted when ACKs free slots.
@@ -350,13 +289,12 @@ impl LinkLayer {
                 tx.release(seq).last()
             };
             let (seq, p) = sent.expect("just pushed");
-            self.transmit(dst, p.msg, wire_seq(self.epoch.get(), seq))
-                .await;
+            self.transmit(dst, p.msg, seq).await;
             return;
         }
         {
             let p = &mut self.peers.borrow_mut()[dst];
-            if p.resyncing || !p.backlog.is_empty() || p.tx.len() >= LINK_WINDOW {
+            if !p.backlog.is_empty() || p.tx.len() >= LINK_WINDOW {
                 self.stats.borrow_mut().backlogged += 1;
                 p.backlog.push_back(send);
                 return;
@@ -365,7 +303,7 @@ impl LinkLayer {
         self.transmit_new(dst, send).await;
     }
 
-    /// Puts `msg` on the wire under wire sequence `seq` (0 for unsequenced
+    /// Puts `msg` on the wire under sequence `seq` (0 for unsequenced
     /// control traffic), stamped with its checksum.
     async fn transmit(&self, dst: NodeId, msg: WireMsg, seq: u64) {
         let checksum = wire_checksum(&msg);
@@ -385,8 +323,7 @@ impl LinkLayer {
             stats.peak_pending = stats.peak_pending.max(tx.len() as u64);
             seq
         };
-        self.transmit(dst, msg, wire_seq(self.epoch.get(), seq))
-            .await;
+        self.transmit(dst, msg, seq).await;
         self.arm_retransmit_loop(dst, seq);
     }
 
@@ -395,7 +332,7 @@ impl LinkLayer {
         loop {
             let next = {
                 let p = &mut self.peers.borrow_mut()[dst];
-                if p.resyncing || p.tx.len() >= LINK_WINDOW {
+                if p.tx.len() >= LINK_WINDOW {
                     return;
                 }
                 p.backlog.pop_front()
@@ -411,8 +348,9 @@ impl LinkLayer {
     /// current timer through the handle stashed in the pending entry, so
     /// the loop ends at the instant of acknowledgment and the calendar
     /// never fires a dead retransmission event — the common case on a
-    /// mostly-healthy network. A crash drains the retransmit buffer and
-    /// cancels every timer, ending the loop the same way.
+    /// mostly-healthy network. [`LinkLayer::give_up`] and
+    /// [`LinkLayer::quiesce`] cancel every timer, ending the loop the same
+    /// way.
     fn arm_retransmit_loop(self: &Rc<Self>, dst: NodeId, seq: u64) {
         let link = Rc::clone(self);
         self.ctx.clone().spawn(async move {
@@ -429,8 +367,8 @@ impl LinkLayer {
                     p.timer = Some(timer.handle());
                 }
                 if timer.await == TimerOutcome::Cancelled {
-                    // Acknowledged (or quiesced, or crashed); the entry is
-                    // gone.
+                    // Acknowledged (or given up on, or quiesced); the entry
+                    // is gone.
                     break;
                 }
                 // Fired. The entry can still be gone: an ACK processed at
@@ -443,8 +381,7 @@ impl LinkLayer {
                     break;
                 }
                 link.stats.borrow_mut().retransmits += 1;
-                link.transmit(dst, msg, wire_seq(link.epoch.get(), seq))
-                    .await;
+                link.transmit(dst, msg, seq).await;
                 sent += 1;
                 delay_us = (delay_us * 2.0).min(XMIT_CAP_US);
                 // Give the engine one scheduling round before re-arming,
@@ -462,12 +399,14 @@ impl LinkLayer {
     /// parked send waits forever behind a peer that will never ACK again.
     /// Numbering towards `dst` carries on where it was.
     fn give_up(&self, dst: NodeId, attempts: u32) {
-        let owners = {
-            let p = &mut self.peers.borrow_mut()[dst];
-            p.abandon(p.tx.last() + 1)
-        };
+        let owners = self.peers.borrow_mut()[dst].abandon();
         self.stats.borrow_mut().unreachable += owners.len() as u64;
-        self.poison(owners, CommError::Unreachable { dst, attempts });
+        for o in owners.into_iter().flatten() {
+            poison_proc(
+                &self.procs[o.0 as usize],
+                CommError::Unreachable { dst, attempts },
+            );
+        }
     }
 
     /// Abandons all retransmission state. Called at cluster shutdown:
@@ -481,119 +420,14 @@ impl LinkLayer {
     pub(crate) fn quiesce(&self) {
         self.closed.set(true);
         for p in self.peers.borrow_mut().iter_mut() {
-            p.abandon(p.tx.last() + 1);
-            p.resyncing = false;
+            p.abandon();
             p.rx.abandon_held();
         }
     }
 
-    /// Simulates a proxy crash: every piece of volatile link state — the
-    /// retransmit buffer, the backlog, outbound sequence counters, the
-    /// reorder buffer, any unfinished resync — is lost, and the node moves
-    /// into the next epoch. Owners of un-ACKed sends are failed with
-    /// [`CommError::EpochReset`]: their operations may or may not have
-    /// taken effect remotely and cannot be replayed transparently. The
-    /// delivery watermarks and observed peer epochs survive: delivered
-    /// data lives in process memory, which the crash does not erase, and
-    /// the watermark is journaled with it.
-    ///
-    /// Every peer is marked as resyncing *immediately*: a command queued
-    /// behind the crash instant is serviced the moment the engine thaws at
-    /// restart, and without the mark it could race ahead of
-    /// [`LinkLayer::restart`], transmit under the new epoch with a reset
-    /// sequence counter, be silently discarded by the peer's epoch filter,
-    /// and then be pruned as "delivered" by a stale watermark — a silent
-    /// loss. Parked in the backlog instead, it drains after the HELLO-ACK
-    /// restores sequence agreement.
-    ///
-    /// Returns the new epoch.
-    pub(crate) fn crash(&self) -> u32 {
-        let epoch = self.epoch.get() + 1;
-        assert!(u64::from(epoch) < (1 << EPOCH_BITS), "epoch overflow");
-        self.epoch.set(epoch);
-        let mut owners = Vec::new();
-        for (peer, p) in self.peers.borrow_mut().iter_mut().enumerate() {
-            owners.append(&mut p.abandon(1));
-            p.rx.abandon_held();
-            p.resyncing = peer != self.node;
-        }
-        let node = self.node;
-        self.poison(owners, CommError::EpochReset { node, epoch });
-        epoch
-    }
-
-    /// Brings a crashed node back into service: starts a HELLO retry task
-    /// per peer (all marked resyncing since the crash instant; data sends
-    /// park in the backlog meanwhile) that announces the new epoch and
-    /// this node's surviving delivery watermark until the peer's
-    /// HELLO-ACK arrives — the wire may eat either side of the handshake,
-    /// so it retries every [`HELLO_RETRY_US`].
-    pub(crate) fn restart(self: &Rc<Self>) {
-        let epoch = self.epoch.get();
-        let resyncing = (0..self.port.nodes()).filter(|&p| self.is_resyncing(p));
-        for peer in resyncing {
-            let link = Rc::clone(self);
-            self.ctx.clone().spawn(async move {
-                while !link.closed.get() && link.epoch.get() == epoch && link.is_resyncing(peer) {
-                    let last_delivered = link.peers.borrow()[peer].rx.delivered();
-                    link.stats.borrow_mut().hellos_sent += 1;
-                    link.send_control(
-                        peer,
-                        WireMsg::Hello {
-                            epoch,
-                            last_delivered,
-                        },
-                    )
-                    .await;
-                    link.ctx.delay(Dur::from_us(HELLO_RETRY_US)).await;
-                }
-            });
-        }
-    }
-
-    /// Survivor-side HELLO handling: adopt the restarted peer's new epoch,
-    /// discard reorder-buffer holds from its dead incarnation, retire
-    /// pending sends it reports as delivered, replay the remainder
-    /// idempotently (original sequences, this node's unchanged epoch), and
-    /// answer with this node's own delivery watermark so the peer resumes
-    /// numbering where it is expected. Idempotent, so HELLO retries are
-    /// harmless.
-    async fn handle_hello(self: &Rc<Self>, src: NodeId, e: u32, last_delivered: u64) {
-        let (replay, wm) = {
-            let p = &mut self.peers.borrow_mut()[src];
-            if e < p.epoch {
-                self.stats.borrow_mut().stale_discarded += 1;
-                return;
-            }
-            if e > p.epoch {
-                p.epoch = e;
-                p.rx.abandon_held();
-            }
-            p.retire(last_delivered);
-            let replay: Vec<(u64, WireMsg)> =
-                p.tx.iter().map(|(s, p)| (s, p.msg.clone())).collect();
-            (replay, p.rx.delivered())
-        };
-        let epoch = self.epoch.get();
-        self.stats.borrow_mut().replayed += replay.len() as u64;
-        for (s, msg) in replay {
-            self.transmit(src, msg, wire_seq(epoch, s)).await;
-        }
-        self.send_control(
-            src,
-            WireMsg::HelloAck {
-                epoch: e,
-                last_delivered: wm,
-            },
-        )
-        .await;
-        self.pump_backlog(src).await;
-    }
-
-    /// Sends unsequenced control traffic (ACK/NACK/HELLO). Not
-    /// retransmitted here: a lost ACK is healed by the peer's timer plus
-    /// our duplicate re-ACK; a lost NACK by the peer's timer alone; a lost
-    /// HELLO or HELLO-ACK by the restart task's retry loop.
+    /// Sends unsequenced control traffic (ACK/NACK). Not retransmitted
+    /// here: a lost ACK is healed by the peer's timer plus our duplicate
+    /// re-ACK; a lost NACK by the peer's timer alone.
     async fn send_control(&self, dst: NodeId, msg: WireMsg) {
         self.transmit(dst, msg, 0).await;
     }
@@ -615,72 +449,38 @@ impl LinkLayer {
         }
         let mut out = Vec::new();
         match pkt.message {
-            WireMsg::LinkAck { seq: echo } | WireMsg::LinkNack { seq: echo }
-                if split_seq(echo).0 != self.epoch.get() =>
-            {
-                // An echo of a dead incarnation's traffic.
-                self.stats.borrow_mut().stale_discarded += 1;
-            }
             WireMsg::LinkAck { seq: acked } => {
                 // Cumulative: the watermark retires every pending entry
                 // the receiver has consumed in order.
-                self.peers.borrow_mut()[src].retire(split_seq(acked).1);
+                self.peers.borrow_mut()[src].retire(acked);
                 self.pump_backlog(src).await;
             }
             WireMsg::LinkNack { seq: nacked } => {
-                let s = split_seq(nacked).1;
-                let entry = self.peers.borrow()[src].tx.get(s).map(|p| p.msg.clone());
+                let entry = self.peers.borrow()[src]
+                    .tx
+                    .get(nacked)
+                    .map(|p| p.msg.clone());
                 if let Some(msg) = entry {
                     self.stats.borrow_mut().retransmits += 1;
                     self.transmit(src, msg, nacked).await;
-                }
-            }
-            WireMsg::Hello {
-                epoch,
-                last_delivered,
-            } => self.handle_hello(src, epoch, last_delivered).await,
-            WireMsg::HelloAck {
-                epoch,
-                last_delivered,
-            } => {
-                if epoch == self.epoch.get() && self.is_resyncing(src) {
-                    // Resume numbering where the survivor expects it.
-                    {
-                        let p = &mut self.peers.borrow_mut()[src];
-                        p.resyncing = false;
-                        p.tx.reset(last_delivered + 1);
-                    }
-                    self.stats.borrow_mut().epoch_resyncs += 1;
-                    self.pump_backlog(src).await;
-                } else {
-                    self.stats.borrow_mut().stale_discarded += 1;
                 }
             }
             // Unsequenced data only occurs when reliability is off for
             // the sender; deliver as-is (nothing to ACK or dedup).
             message if seq == 0 => out.push(message),
             message => {
-                let (e, s) = split_seq(seq);
                 let ack = {
                     let p = &mut self.peers.borrow_mut()[src];
                     let mut stats = self.stats.borrow_mut();
-                    if e != p.epoch {
-                        // A dead incarnation's packet — or a new
-                        // incarnation's data racing ahead of its HELLO
-                        // under reordering. Discard without ACK; the
-                        // sender's timer (and the handshake) heal it.
-                        stats.stale_discarded += 1;
-                        return out;
-                    }
                     let expected = p.rx.delivered() + 1;
-                    if s < expected {
+                    if seq < expected {
                         stats.dups_discarded += 1;
-                    } else if s > expected {
+                    } else if seq > expected {
                         // Parked until its gap fills — unless a copy is
                         // parked already, or it lies beyond the window and
                         // is dropped: the sender's timer brings it back.
                         stats.held_out_of_order += 1;
-                        p.rx.park(s, Some(message));
+                        p.rx.park(seq, Some(message));
                     } else {
                         out.push(message);
                         p.rx.advance();
@@ -692,10 +492,9 @@ impl LinkLayer {
                     // carries the in-order watermark, so the sender retires
                     // exactly what has been consumed — an out-of-order hold
                     // stays the sender's responsibility until its gap
-                    // fills, which is what makes a receiver crash
-                    // recoverable.
+                    // fills.
                     stats.acks_sent += 1;
-                    wire_seq(p.epoch, p.rx.delivered())
+                    p.rx.delivered()
                 };
                 self.send_control(src, WireMsg::LinkAck { seq: ack }).await;
             }
@@ -766,7 +565,7 @@ mod tests {
         const WINDOW: u64 = LINK_WINDOW as u64;
         let sim = Simulation::new();
         let port = Network::new(&sim.ctx(), 2, LinkParams::new(1.0, 100.0)).adapter(0);
-        let link = LinkLayer::new(sim.ctx(), 0, port, Vec::new());
+        let link = LinkLayer::new(sim.ctx(), port, Vec::new());
         sim.spawn(async move {
             // Node 1's packet `seq`.
             let feed = |seq: u64| {
@@ -784,7 +583,7 @@ mod tests {
             };
             // Sequence 1 is lost; the rest of the window parks, and what
             // arrives beyond it — near or absurdly far — is not kept.
-            for seq in (2..=WINDOW + 1).chain([SEQ_MASK]) {
+            for seq in (2..=WINDOW + 1).chain([u64::MAX]) {
                 assert!(feed(seq).await.is_empty(), "seq {seq} delivered early");
                 assert!(link.peers.borrow()[1].rx.span() <= WINDOW as usize);
             }
@@ -793,7 +592,7 @@ mod tests {
             assert_eq!(feed(1).await.len() as u64, WINDOW);
             // …and the sender's retransmission of the dropped packet lands.
             assert_eq!(feed(WINDOW + 1).await.len(), 1);
-            assert_eq!(link.snapshot(), (0, vec![(1, 0, WINDOW + 2)]));
+            assert_eq!(link.snapshot(), vec![(1, 0, WINDOW + 2)]);
         });
         assert!(sim.run().completed_cleanly());
     }

@@ -42,15 +42,6 @@ pub enum CommError {
         /// Transmissions attempted before giving up.
         attempts: u32,
     },
-    /// The peer node's proxy crashed and restarted into a new epoch;
-    /// operations that were in flight but never acknowledged may or may
-    /// not have taken effect and cannot be replayed transparently.
-    EpochReset {
-        /// The node whose proxy crashed.
-        node: usize,
-        /// The epoch the connection resynchronised into.
-        epoch: u32,
-    },
 }
 
 impl fmt::Display for CommError {
@@ -72,12 +63,6 @@ impl fmt::Display for CommError {
             CommError::EmptyTransfer => write!(f, "zero-byte transfer"),
             CommError::Unreachable { dst, attempts } => {
                 write!(f, "node {dst} unreachable after {attempts} transmissions")
-            }
-            CommError::EpochReset { node, epoch } => {
-                write!(
-                    f,
-                    "node {node} proxy crashed; connection reset into epoch {epoch}"
-                )
             }
         }
     }
@@ -108,10 +93,5 @@ mod tests {
             attempts: 8,
         };
         assert_eq!(e.to_string(), "node 3 unreachable after 8 transmissions");
-        let e = CommError::EpochReset { node: 1, epoch: 2 };
-        assert_eq!(
-            e.to_string(),
-            "node 1 proxy crashed; connection reset into epoch 2"
-        );
     }
 }

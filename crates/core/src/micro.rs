@@ -222,10 +222,10 @@ pub struct VerifiedPingPong {
     pub error: Option<CommError>,
     /// Injected faults and link-layer recovery counters.
     pub report: FaultReport,
-    /// Final per-node link snapshots — epoch plus per-peer (peer, last
-    /// sequence sent, next expected) — for crash-recovery determinism
-    /// checks. Empty when the run had no fault plan.
-    pub epochs: Vec<LinkSnapshot>,
+    /// Final per-node link snapshots — per peer (peer, last sequence
+    /// sent, next expected) — for crash-recovery determinism checks.
+    /// Empty when the run had no fault plan.
+    pub links: Vec<LinkSnapshot>,
     /// The simulator's own run report — event and task counts, used by
     /// the performance harness to compute events/sec.
     pub sim: RunReport,
@@ -322,7 +322,7 @@ pub fn pingpong_verified(
         data_ok,
         error,
         report: cluster.fault_report(),
-        epochs: (0..2).filter_map(|n| cluster.link_snapshot(n)).collect(),
+        links: (0..2).filter_map(|n| cluster.link_snapshot(n)).collect(),
         sim: run,
     }
 }

@@ -198,9 +198,8 @@ impl Proc {
 
     /// Like [`Proc::wait_flag`], but surfaces communication failures: if
     /// the process is poisoned (its operation's destination became
-    /// unreachable, or crashed with the operation in flight) while
-    /// waiting, returns the recorded [`CommError`] instead of blocking
-    /// forever.
+    /// unreachable) while waiting, returns the recorded [`CommError`]
+    /// instead of blocking forever.
     ///
     /// # Errors
     ///

@@ -20,9 +20,9 @@
 //! frame): no clock, no I/O, no shared ownership, and nothing that tells
 //! them which engine is calling. What a link layer *decides* — when a
 //! retransmission timer fires and how it backs off, how often an
-//! acknowledgement goes out, what triggers a NACK, how an epoch is
-//! encoded on the wire, what a crash erases — is its driver's half of
-//! the contract and stays with the driver.
+//! acknowledgement goes out, what triggers a NACK, what a proxy crash or
+//! respawn discards — is its driver's half of the contract and stays with
+//! the driver.
 
 use std::collections::VecDeque;
 
@@ -410,7 +410,7 @@ mod tests {
         // Give-up / purge: abandon without renumbering.
         assert_eq!(tx.reset(tx.last() + 1), ['a', 'b']);
         assert_eq!((tx.acked(), tx.push('c')), (2, 3));
-        // Crash, then a peer's HELLO-ACK: resume where it expects us.
+        // Renumbering: the next push carries the sequence passed.
         assert_eq!(tx.reset(1), ['c']);
         assert!(tx.reset(41).is_empty());
         assert_eq!((tx.acked(), tx.push('d'), tx.get(41)), (40, 41, Some(&'d')));

@@ -29,7 +29,7 @@ use crate::NodeId;
 
 /// A window of simulated time during which one node's communication agent
 /// is frozen (services nothing, acknowledges nothing). Models a proxy
-/// descheduled, wedged, or crashed-and-restarted.
+/// descheduled or wedged.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StallWindow {
     /// The stalled node.
@@ -41,11 +41,12 @@ pub struct StallWindow {
 }
 
 /// A window of simulated time during which one node's communication agent
-/// is *dead*: it crashed at `at_us`, losing all volatile state (sequence
-/// tables, retransmit buffers, pending command-queue entries), and comes
-/// back — empty-handed — at `restart_us`. Unlike a [`StallWindow`], which
-/// merely delays service, a crash forces the reliable layer into a new
-/// epoch with a resync handshake on restart.
+/// is down: it crashes at `at_us` and resumes at `restart_us`. A crash is
+/// a pause, as a native proxy respawn is: the agent services nothing
+/// across the window, as in a [`StallWindow`], and keeps all its state
+/// (queued commands, reliable-link tables, pending requests). What it
+/// loses is the packets queued in its input at the crash instant, which
+/// the senders' retransmissions recover.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CrashWindow {
     /// The crashing node.
@@ -156,12 +157,15 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics if the window is empty or inverted, or if it overlaps an
-    /// existing stall window on the same node — two overlapping windows
-    /// on one node have no coherent meaning (which end does the agent
-    /// resume at?) and used to misbehave silently at simulation time.
+    /// Panics if an instant is negative or not finite, if the window is
+    /// empty or inverted, or if it overlaps an existing stall window on
+    /// the same node — two overlapping windows on one node have no
+    /// coherent meaning (which end does the agent resume at?) and used to
+    /// misbehave silently at simulation time.
     #[must_use]
     pub fn stall(mut self, node: NodeId, start_us: f64, end_us: f64) -> FaultPlan {
+        check_instant(start_us, "stall start");
+        check_instant(end_us, "stall end");
         assert!(
             start_us < end_us,
             "empty stall window [{start_us}, {end_us})"
@@ -184,16 +188,19 @@ impl FaultPlan {
         self
     }
 
-    /// Adds a crash window: `node`'s communication agent dies at `at_us`,
-    /// loses all volatile state, and restarts `downtime_us` later.
+    /// Adds a crash window: `node`'s communication agent crashes at
+    /// `at_us`, losing the packets queued in its input, and resumes
+    /// `downtime_us` later (see [`CrashWindow`]).
     ///
     /// # Panics
     ///
-    /// Panics if `downtime_us` is not finite and positive, or if the
-    /// window `[at_us, at_us + downtime_us)` overlaps an existing crash
-    /// window on the same node.
+    /// Panics if `at_us` is negative or not finite, if `downtime_us` is
+    /// not finite and positive, or if the window
+    /// `[at_us, at_us + downtime_us)` overlaps an existing crash window on
+    /// the same node.
     #[must_use]
     pub fn crash(mut self, node: NodeId, at_us: f64, downtime_us: f64) -> FaultPlan {
+        check_instant(at_us, "crash");
         assert!(
             downtime_us.is_finite() && downtime_us > 0.0,
             "crash downtime must be finite and > 0, got {downtime_us}"
@@ -221,6 +228,17 @@ impl FaultPlan {
     pub fn crashes_on(&self, node: NodeId) -> impl Iterator<Item = CrashWindow> + '_ {
         self.crashes.iter().copied().filter(move |w| w.node == node)
     }
+}
+
+/// Checks that a window bound is an instant the simulation can reach:
+/// finite and not before time 0. `Dur::from_us` maps NaN and negative
+/// values to 0, so an unchecked bound would silently move a window to
+/// time 0, where its end test never matches; an infinite end never comes.
+fn check_instant(us: f64, what: &str) {
+    assert!(
+        us.is_finite() && us >= 0.0,
+        "{what} instant must be finite and >= 0, got {us}"
+    );
 }
 
 /// Counters of injected faults, for reports.
@@ -311,8 +329,8 @@ impl FaultState {
             .map(|w| w.end_us)
     }
 
-    /// If `node` is crashed (dead, pre-restart) at `now_us`, the restart
-    /// instant; otherwise `None`.
+    /// If `node` is inside a crash window (down, before its restart) at
+    /// `now_us`, the restart instant; otherwise `None`.
     #[must_use]
     pub fn crash_end(&self, node: NodeId, now_us: f64) -> Option<f64> {
         self.plan
@@ -446,5 +464,29 @@ mod tests {
     #[should_panic(expected = "finite and > 0")]
     fn zero_downtime_crash_rejected() {
         let _ = FaultPlan::new(0).crash(1, 100.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "crash instant must be finite and >= 0, got NaN")]
+    fn nan_crash_instant_rejected() {
+        let _ = FaultPlan::new(0).crash(1, f64::NAN, 10.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "crash instant must be finite and >= 0, got -100")]
+    fn negative_crash_instant_rejected() {
+        let _ = FaultPlan::new(0).crash(1, -100.0, 50.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "stall start instant must be finite and >= 0, got -100")]
+    fn negative_stall_start_rejected() {
+        let _ = FaultPlan::new(0).stall(1, -100.0, 50.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "stall end instant must be finite and >= 0, got inf")]
+    fn unending_stall_rejected() {
+        let _ = FaultPlan::new(0).stall(1, 10.0, f64::INFINITY);
     }
 }

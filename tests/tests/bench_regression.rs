@@ -138,9 +138,9 @@ fn fault_sweep_report_matches_checked_in_results() {
 
 #[test]
 fn crash_sweep_report_matches_checked_in_results() {
-    // The report itself asserts zero-loss recovery, EpochReset fail-stop
-    // and run-to-run determinism; the byte comparison pins epochs,
-    // sequence watermarks and recovery statistics across engine changes.
+    // The report itself asserts exactly-once recovery through every crash
+    // and run-to-run determinism; the byte comparison pins sequence
+    // watermarks and recovery statistics across engine changes.
     let first = reports::crash_sweep();
     check("crash_sweep", &first);
     assert!(

@@ -1,103 +1,149 @@
-//! Crash-recovery epochs and credit-based overload control, end to end.
+//! Proxy crashes and credit-based overload control, end to end.
 //!
-//! A proxy crash loses all volatile link state (sequence counters,
-//! retransmit buffer, backlog) and restarts into a new epoch. The
-//! HELLO/HELLO-ACK resync must restore exactly-once, in-order delivery
-//! when the crash caught no un-ACKed work, and fail-stop with
-//! [`CommError::EpochReset`] — never lose or duplicate silently — when
-//! it did. Credits bound the per-node command queue under overload.
+//! A simulated proxy crash is a pause, as a runtime respawn is: the
+//! node's agent services nothing until it restarts, keeps every queued
+//! command and all reliable-link state, and loses only the packets queued
+//! in its input at the crash instant, which the senders' timers recover.
+//! So every crash case must deliver exactly once, in order, and fail no
+//! process. Credits bound the per-node command queue under overload.
 
 use mproxy::micro::pingpong_verified;
-use mproxy::{Cluster, ClusterSpec, CommError, FaultPlan, ProcId, RemoteQueue};
+use mproxy::{Cluster, ClusterSpec, FaultPlan, LinkStats, ProcId, RemoteQueue};
 use mproxy_apps::{run_app_flat_faulty, AppId, AppSize};
 use mproxy_bench::reports::{
     crash_sweep_plan, sweep_plan, APP_CRASH_AT_US, CRASH_DOWNTIME_US, CRASH_DROP, CRASH_NODE,
     PP_CRASH_AT_US, PP_MIDFLIGHT_AT_US,
 };
-use mproxy_des::Simulation;
+use mproxy_des::{Dur, Simulation};
 use mproxy_model::MP1;
+use mproxy_tests::rt::stress_iters;
 use mproxy_tests::Rng;
-use std::cell::RefCell;
+use std::cell::Cell;
 use std::rc::Rc;
+
+/// The crash sweep's plan: 1% loss plus a crash of node 1 at `at_us`.
+fn sweep_crash(at_us: f64) -> FaultPlan {
+    crash_sweep_plan(CRASH_DROP, CRASH_NODE, at_us, CRASH_DOWNTIME_US)
+}
+
+/// Runs the verified ping-pong under `plan` and checks what a pause
+/// guarantees: every round, exactly once, in order, no process failed,
+/// and nothing renumbered — each node sent 64 sequences and expects the
+/// 65th. `which` names the case.
+fn pingpong_exactly_once(plan: FaultPlan, which: &str) {
+    let r = pingpong_verified(MP1, 64, 64, Some(plan));
+    assert_eq!(r.error, None, "{which}: a pause failed a process");
+    assert_eq!(r.rounds, 64, "{which}: rounds lost across the crash");
+    assert!(r.data_ok, "{which}: payload corrupted or replayed");
+    let once_each = [[(1, 64, 65)], [(0, 64, 65)]];
+    assert_eq!(r.links, once_each, "{which}: renumbered");
+}
 
 /// Acceptance: the verified ping-pong completes every round with zero
 /// lost or duplicated deliveries despite a mid-run proxy crash on a 1%
-/// lossy wire, and the link visibly went through an epoch resync.
+/// lossy wire.
 #[test]
 fn pingpong_survives_midrun_proxy_crash_with_zero_loss() {
-    let plan = crash_sweep_plan(CRASH_DROP, CRASH_NODE, PP_CRASH_AT_US, CRASH_DOWNTIME_US);
-    let r = pingpong_verified(MP1, 64, 64, Some(plan));
-    assert_eq!(r.rounds, 64, "rounds lost across the crash");
-    assert!(r.data_ok, "payload corrupted or replayed out of order");
-    assert_eq!(r.error, None);
-    let link = r.report.link;
-    assert!(link.epoch_resyncs >= 1, "no epoch resync happened");
-    assert!(link.hellos_sent >= 1, "restarted node never said HELLO");
-    // The crashed node restarted into epoch 1; the survivor stayed at 0.
-    assert_eq!(r.epochs.len(), 2);
-    assert_eq!(r.epochs[0].0, 0, "survivor must keep its epoch");
-    assert_eq!(r.epochs[1].0, 1, "crashed node must enter the next epoch");
+    pingpong_exactly_once(sweep_crash(PP_CRASH_AT_US), "between rounds");
 }
 
-/// Acceptance: the Sample application runs to completion through a
-/// proxy crash with a checksum identical to the crash-free run.
+/// A crash that catches the victim with its reply un-ACKed keeps that
+/// reply retained across the pause, and the stream completes exactly once.
 #[test]
-fn sample_app_completes_through_proxy_crash_with_identical_checksum() {
-    let base = run_app_flat_faulty(AppId::Sample, MP1, 2, AppSize::Tiny, sweep_plan(CRASH_DROP));
-    let plan = crash_sweep_plan(CRASH_DROP, CRASH_NODE, APP_CRASH_AT_US, CRASH_DOWNTIME_US);
-    let r = run_app_flat_faulty(AppId::Sample, MP1, 2, AppSize::Tiny, plan);
-    assert_eq!(r.checksum, base.checksum, "crash changed the answer");
-    assert!(r.faults.link.epoch_resyncs >= 1, "no epoch resync happened");
-    assert!(
-        r.elapsed_us > base.elapsed_us,
-        "recovery cannot be free: {} vs {}",
-        r.elapsed_us,
-        base.elapsed_us
-    );
+fn crash_with_unacked_work_recovers_exactly_once() {
+    pingpong_exactly_once(sweep_crash(PP_MIDFLIGHT_AT_US), "mid-flight");
 }
 
 /// Same seed, same crash window => byte-identical delivery order,
-/// timing, recovery statistics and final epoch/sequence tables.
+/// timing, recovery statistics and final sequence tables.
 #[test]
 fn crash_recovery_is_deterministic_across_runs() {
-    let plan = || crash_sweep_plan(CRASH_DROP, CRASH_NODE, PP_CRASH_AT_US, CRASH_DOWNTIME_US);
-    let a = pingpong_verified(MP1, 64, 64, Some(plan()));
-    let b = pingpong_verified(MP1, 64, 64, Some(plan()));
-    assert_eq!(a.rounds, b.rounds);
-    assert_eq!(a.rt_us.to_bits(), b.rt_us.to_bits());
-    assert_eq!(a.error, b.error);
-    assert_eq!(a.report, b.report);
-    assert_eq!(a.epochs, b.epochs, "epoch/seq tables diverged");
+    let run = || pingpong_verified(MP1, 64, 64, Some(sweep_crash(PP_CRASH_AT_US)));
+    // `f64`'s Debug form round-trips, so equal texts mean equal bits.
+    assert_eq!(format!("{:?}", run()), format!("{:?}", run()));
 }
 
-/// A crash that catches the victim with un-ACKed work of its own cannot
-/// be hidden: the owner is failed with `EpochReset` (fail-stop), and
-/// that failure itself is deterministic.
+/// Acceptance: the Sample application runs to completion through a
+/// proxy crash with a checksum identical to the crash-free run. The crash
+/// hits the key exchange and discards packets queued in the node's
+/// input; the senders' timers recover every one.
 #[test]
-fn crash_with_unacked_work_fails_stop_with_epoch_reset() {
-    let plan = || {
-        crash_sweep_plan(
-            CRASH_DROP,
-            CRASH_NODE,
-            PP_MIDFLIGHT_AT_US,
-            CRASH_DOWNTIME_US,
-        )
-    };
-    let a = pingpong_verified(MP1, 64, 64, Some(plan()));
-    assert!(
-        matches!(
-            a.error,
-            Some(CommError::EpochReset { node, .. }) if node == CRASH_NODE
-        ),
-        "expected EpochReset from node {CRASH_NODE}, got {:?}",
-        a.error
+fn sample_app_completes_through_proxy_crash_with_identical_checksum() {
+    let sample = |plan| run_app_flat_faulty(AppId::Sample, MP1, 2, AppSize::Tiny, plan);
+    let (base, r) = (
+        sample(sweep_plan(CRASH_DROP)),
+        sample(sweep_crash(APP_CRASH_AT_US)),
     );
-    assert!(a.data_ok, "even a failed run must never corrupt data");
-    assert!(a.rounds < 64, "the failure must abort the stream");
-    let b = pingpong_verified(MP1, 64, 64, Some(plan()));
-    assert_eq!(a.error, b.error);
-    assert_eq!(a.rounds, b.rounds);
-    assert_eq!(a.report, b.report);
+    assert_eq!(r.checksum, base.checksum, "crash changed the answer");
+    let link = r.faults.link;
+    assert!(link.crash_dropped >= 1, "nothing discarded: {link:?}");
+    assert!(r.elapsed_us > base.elapsed_us, "recovery cannot be free");
+}
+
+/// A command submitted while its node's proxy is down waits in the
+/// proxy's queue and is delivered exactly once after the restart.
+#[test]
+fn command_submitted_during_crash_is_delivered_once_after_restart() {
+    // Node 0's proxy is down over [100, 350) us; its process submits at 200.
+    let plan = FaultPlan::new(7).crash(0, 100.0, CRASH_DOWNTIME_US);
+    let (_, at_us) = flood(1, plan, 200.0);
+    assert!(at_us >= 100.0 + CRASH_DOWNTIME_US, "arrived at {at_us} us");
+}
+
+/// Both proxies crash during a flood on a lossy wire: the sender's with
+/// commands queued and lost packets retained, the receiver's with packets
+/// queued in its input. The pauses keep commands and retention, the
+/// timers recover every drop, and the stream arrives exactly once.
+#[test]
+fn crashes_mid_flood_deliver_every_message_exactly_once() {
+    // The 512-word flood takes about 6.5 ms; both crashes fall inside it.
+    let plan = FaultPlan::new(0xf100d)
+        .drop(0.05)
+        .crash(0, 300.0, CRASH_DOWNTIME_US)
+        .crash(1, 900.0, CRASH_DOWNTIME_US);
+    let (link, _) = flood(512, plan, 0.0);
+    assert!(link.crash_dropped >= 1, "nothing discarded: {link:?}");
+}
+
+/// Rank 0 ENQs the words `0..k` to rank 1 from `start_us` on; rank 1
+/// checks that they arrive in order and that no copy follows within
+/// 20 ms. Returns the link counters and when the last word arrived.
+fn flood(k: u64, plan: FaultPlan, start_us: f64) -> (LinkStats, f64) {
+    let sim = Simulation::new();
+    let spec = ClusterSpec::new(MP1, 2, 1);
+    let cluster = Cluster::new_with_faults(&sim.ctx(), spec, plan).unwrap();
+    let arrived = Rc::new(Cell::new(f64::NAN));
+    let probe = Rc::clone(&arrived);
+    cluster.spawn_spmd(move |p| {
+        let probe = Rc::clone(&probe);
+        async move {
+            let buf = p.alloc(64);
+            let rq = p.new_queue();
+            p.ctx().yield_now().await;
+            if p.rank().0 == 0 {
+                p.ctx().delay(Dur::from_us(start_us)).await;
+                for i in 0..k {
+                    p.write_u64(buf, i);
+                    let to = RemoteQueue {
+                        proc: ProcId(1),
+                        rq,
+                    };
+                    p.enq(buf, to, 8, None, None).await.unwrap();
+                }
+            } else {
+                for i in 0..k {
+                    let got = p.rq_recv(rq).await.expect("stream ended early");
+                    assert_eq!(got.as_ref(), i.to_le_bytes(), "out of order or duplicated");
+                }
+                probe.set(p.now().as_us());
+                p.ctx().delay(Dur::from_us(20_000.0)).await;
+                assert!(p.rq_poll(rq).await.is_none(), "a word arrived twice");
+            }
+        }
+    });
+    assert!(cluster.run(&sim).completed_cleanly(), "flood hung");
+    assert!(arrived.get() >= start_us, "receiver never finished");
+    (cluster.fault_report().link, arrived.get())
 }
 
 /// The retransmit buffer obeys the link layer's window (64 packets per
@@ -109,46 +155,7 @@ fn retransmit_buffer_stays_bounded_at_heavy_drop() {
     const WINDOW: u64 = 64;
     const K: u64 = 8 * WINDOW;
     let plan = FaultPlan::new(0x20_c4a5).drop(0.20).reorder(0.05, 20.0);
-    let sim = Simulation::new();
-    let spec = ClusterSpec::new(MP1, 2, 1);
-    let cluster = Cluster::new_with_faults(&sim.ctx(), spec, plan).unwrap();
-    let done = Rc::new(RefCell::new(false));
-    let probe = Rc::clone(&done);
-    cluster.spawn_spmd(move |p| {
-        let probe = Rc::clone(&probe);
-        async move {
-            let buf = p.alloc(64);
-            let q = p.new_queue();
-            p.ctx().yield_now().await;
-            if p.rank().0 == 0 {
-                for i in 0..K {
-                    p.write_u64(buf, i);
-                    p.enq(
-                        buf,
-                        RemoteQueue {
-                            proc: ProcId(1),
-                            rq: q,
-                        },
-                        8,
-                        None,
-                        None,
-                    )
-                    .await
-                    .unwrap();
-                }
-            } else {
-                for i in 0..K {
-                    let got = p.rq_recv(q).await.expect("stream ended early");
-                    let v = u64::from_le_bytes(got.as_ref().try_into().unwrap());
-                    assert_eq!(v, i, "out of order or duplicated past the window");
-                }
-                *probe.borrow_mut() = true;
-            }
-        }
-    });
-    assert!(cluster.run(&sim).completed_cleanly(), "drop storm hung");
-    assert!(*done.borrow(), "receiver never finished");
-    let link = cluster.fault_report().link;
+    let (link, _) = flood(K, plan, 0.0);
     assert!(
         link.peak_pending <= WINDOW,
         "retransmit buffer grew to {} > window {WINDOW}",
@@ -203,17 +210,12 @@ fn credits_bound_command_queue_depth() {
     );
 }
 
-/// Nightly soak: crash windows on top of the full PR 1 fault matrix
-/// (drop + duplicate + reorder + corrupt) across many seeds and crash
-/// instants. Invariant: every run terminates, and either recovers with
-/// all rounds intact or fail-stops with `EpochReset`/`Unreachable` —
-/// silent loss, duplication, or deadlock are never acceptable.
-#[test]
-#[ignore = "long soak; run nightly via cargo test -- --ignored"]
-fn crash_plus_fault_matrix_soak() {
-    let mut clean = 0u32;
-    let mut failstop = 0u32;
-    for case in 0..60u64 {
+/// Crash windows on top of the full fault matrix (drop + duplicate +
+/// reorder + corrupt), one seed, node and crash instant per case. Every
+/// case must complete exactly once with no error: a pause fails no
+/// process, and loss, duplication or deadlock are never acceptable.
+fn crash_plus_fault_matrix(cases: u64) {
+    for case in 0..cases {
         let mut rng = Rng::new(0xc4a5_0000 + case);
         let node = usize::from(case % 2 == 0);
         let at = rng.f64_range(30.0, 450.0);
@@ -226,19 +228,19 @@ fn crash_plus_fault_matrix_soak() {
             .crash(node, at, downtime);
         // Enough to replay a failing case by hand.
         let which = format!("case {case} (node {node}, at {at} us, downtime {downtime} us)");
-        let r = pingpong_verified(MP1, 64, 64, Some(plan));
-        assert!(r.data_ok, "{which}: silent corruption or replay");
-        match r.error {
-            None => {
-                assert_eq!(r.rounds, 64, "{which}: silent round loss");
-                clean += 1;
-            }
-            Some(CommError::EpochReset { .. } | CommError::Unreachable { .. }) => failstop += 1,
-            Some(other) => panic!("{which}: unexpected failure {other}"),
-        }
+        pingpong_exactly_once(plan, &which);
     }
-    // The sweep must exercise both outcomes to mean anything.
-    assert!(clean > 0, "no case ever recovered cleanly");
-    assert!(failstop > 0, "no case ever hit the fail-stop path");
-    eprintln!("soak: {clean} clean recoveries, {failstop} fail-stops");
+}
+
+/// The matrix's first cases in tier-1 (`MPROXY_STRESS_ITERS`, default 4).
+#[test]
+fn crash_plus_fault_matrix_first_cases() {
+    crash_plus_fault_matrix(stress_iters(4));
+}
+
+/// Nightly soak: the whole 60-case matrix.
+#[test]
+#[ignore = "long soak; run nightly via cargo test -- --ignored"]
+fn crash_plus_fault_matrix_soak() {
+    crash_plus_fault_matrix(60);
 }
