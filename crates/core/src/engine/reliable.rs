@@ -177,7 +177,7 @@ impl PeerLink {
     /// buffer (timers disarmed) and the backlog — without renumbering.
     /// Returns the owner of each abandoned send.
     fn abandon(&mut self) -> Vec<Option<ProcId>> {
-        let pending = self.tx.reset(self.tx.last() + 1).into_iter();
+        let pending = self.tx.abandon().into_iter();
         let abandoned = pending.chain(std::mem::take(&mut self.backlog));
         abandoned
             .map(|p| {

@@ -86,7 +86,7 @@ impl<T> Retention<T> {
     }
 
     /// Highest sequence no longer retained: everything at or below it was
-    /// released (or abandoned by a reset).
+    /// released (or abandoned).
     #[must_use]
     pub fn acked(&self) -> u64 {
         self.front() - 1
@@ -143,12 +143,9 @@ impl<T> Retention<T> {
     }
 
     /// Abandons everything retained — returned oldest first, so the
-    /// caller can settle what each item owed — and renumbers: the next
-    /// push carries `next`. Passing [`Retention::last`]` + 1` abandons
-    /// without renumbering.
-    pub fn reset(&mut self, next: u64) -> VecDeque<T> {
-        debug_assert!(next >= 1, "sequences start at 1");
-        self.next = next;
+    /// caller can settle what each item owed. The numbering goes on: the
+    /// next push carries the sequence after [`Retention::last`].
+    pub fn abandon(&mut self) -> VecDeque<T> {
         std::mem::take(&mut self.items)
     }
 }
@@ -403,16 +400,12 @@ mod tests {
     }
 
     #[test]
-    fn reset_abandons_and_renumbers() {
+    fn abandon_keeps_the_numbering() {
         let mut tx = Retention::new();
         tx.push('a');
         tx.push('b');
-        // Give-up / purge: abandon without renumbering.
-        assert_eq!(tx.reset(tx.last() + 1), ['a', 'b']);
+        // Give-up / purge: everything retained, oldest first.
+        assert_eq!(tx.abandon(), ['a', 'b']);
         assert_eq!((tx.acked(), tx.push('c')), (2, 3));
-        // Renumbering: the next push carries the sequence passed.
-        assert_eq!(tx.reset(1), ['c']);
-        assert!(tx.reset(41).is_empty());
-        assert_eq!((tx.acked(), tx.push('d'), tx.get(41)), (40, 41, Some(&'d')));
     }
 }

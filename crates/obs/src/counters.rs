@@ -65,10 +65,7 @@ counters! {
     // a burst of operations under one sequence number):
     // `msgs_out / frames_out` is operations per frame. `Retransmits`
     // counts frames (one re-sent packet each), as do the runtime's `Send`
-    // events and wire-RTT samples; `FaultsInjected` counts verdicts, and
-    // the runtime draws one per operation first sent (an operation that
-    // draws a fault travels in a frame of its own) and one per frame
-    // re-sent.
+    // events and wire-RTT samples.
     FramesOut => "frames_out",
     FramesIn => "frames_in",
     // Reliability control plane.
@@ -89,8 +86,20 @@ counters! {
     // Application progress.
     OpsSubmitted => "ops_submitted",
     OpsApplied => "ops_applied",
-    // Fault / supervision lifecycle.
+    // Fault / supervision lifecycle: the runtime's one ledger of what its
+    // injector did, kept by each node for its own transmissions. It
+    // judges one per operation first sent (an operation that draws a
+    // fault travels in a frame of its own) and one per frame re-sent,
+    // counting a re-send only if it was dropped or reached the ring.
+    // `FaultsInjected` counts the judged transmissions that drew any
+    // fault, and the three kinds split them: a dropped one counts only
+    // as dropped, one both duplicated and corrupt counts in both.
+    FaultsJudged => "faults_judged",
     FaultsInjected => "faults_injected",
+    FaultsDropped => "faults_dropped",
+    FaultsDuplicated => "faults_duplicated",
+    FaultsCorrupted => "faults_corrupted",
+    Stalls => "stalls",
     Kills => "kills",
     Respawns => "respawns",
 }

@@ -15,7 +15,7 @@ use crate::cluster::{
     ProcShared, RtCluster, Shared, CMDQ_DEPTH, NUM_FLAGS, NUM_QUEUES, WIRE_DEPTH,
 };
 use crate::endpoint::Endpoint;
-use crate::fault::{RtFaultPlan, RtFaultState};
+use crate::fault::RtFaultPlan;
 use crate::idle::Parker;
 use crate::mem::Segment;
 use crate::proxy::{run_proxy, Seat, SeatEntry, SupervisorCfg};
@@ -137,7 +137,10 @@ impl RtClusterBuilder {
 
         // `started` (below) is the zero of the cluster-relative ns
         // timebase the sender halves keep their RTO in.
-        let states: Vec<NodeState> = (0..nodes).map(|_| NodeState::new(nodes, 0)).collect();
+        let mut faults = self.fault_plan.as_ref().map(|p| p.split(nodes).into_iter());
+        let states: Vec<NodeState> = (0..nodes)
+            .map(|_| NodeState::new(nodes, 0, faults.as_mut().and_then(Iterator::next)))
+            .collect();
         let shared = Arc::new(Shared {
             procs,
             perms: RwLock::new(HashSet::new()),
@@ -152,7 +155,7 @@ impl RtClusterBuilder {
             panic_reasons: (0..nodes).map(|_| Mutex::new(None)).collect(),
             ready_masks: (0..nodes).map(|_| CachePadded(AtomicU64::new(0))).collect(),
             util_bits: (0..nodes).map(|_| AtomicU64::new(0)).collect(),
-            faults: self.fault_plan.map(|plan| RtFaultState::new(plan, nodes)),
+            fault_plan: self.fault_plan.is_some(),
             supervision: self.supervision,
             started: now,
             obs_hub,

@@ -64,7 +64,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use mproxy_obs::{Ctr, ObsHub, Scope as ObsScope, Snapshot, TraceEvent};
 
-use crate::fault::{RtFaultCounts, RtFaultState};
+use crate::fault::RtFaultCounts;
 use crate::idle::Parker;
 use crate::mem::Segment;
 use crate::proxy::SupervisorCfg;
@@ -245,8 +245,8 @@ pub(crate) struct Shared {
     pub(crate) ready_masks: Vec<CachePadded<AtomicU64>>,
     /// Per node: bits of the proxy's last utilisation sample (an `f64`).
     pub(crate) util_bits: Vec<AtomicU64>,
-    /// The installed fault injector, if any.
-    pub(crate) faults: Option<RtFaultState>,
+    /// A fault plan was installed (each node's `NodeState` holds its share).
+    pub(crate) fault_plan: bool,
     /// Supervision policy; `None` means a dead proxy is condemned at once.
     pub(crate) supervision: Option<SupervisorCfg>,
     /// Cluster start: the zero of [`Shared::now_ns`], and of the
@@ -423,10 +423,18 @@ impl RtCluster {
         self.shared.obs.iter().map(|o| o.get(Ctr::Respawns)).sum()
     }
 
-    /// Injection counters of the installed fault plan, if any.
+    /// Injection counters of the installed fault plan, if any: what
+    /// every node's injector counted, summed over the nodes.
     #[must_use]
     pub fn fault_counts(&self) -> Option<RtFaultCounts> {
-        self.shared.faults.as_ref().map(RtFaultState::counts)
+        let sum = |c: Ctr| self.shared.obs.iter().map(|o| o.get(c)).sum();
+        self.shared.fault_plan.then(|| RtFaultCounts {
+            packets: sum(Ctr::FaultsJudged),
+            dropped: sum(Ctr::FaultsDropped),
+            duplicated: sum(Ctr::FaultsDuplicated),
+            corrupted: sum(Ctr::FaultsCorrupted),
+            stalls: sum(Ctr::Stalls),
+        })
     }
 
     /// Point-in-time telemetry snapshot of every node scope — counters

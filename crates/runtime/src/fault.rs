@@ -1,34 +1,36 @@
 //! Seeded fault injection for the *native* (threaded) runtime.
 //!
 //! An [`RtFaultPlan`] mirrors `mproxy-simnet`'s `FaultPlan` semantics on
-//! real threads: per-packet drop / duplication / corruption Bernoulli
-//! draws (reordering is omitted — the wire rings are FIFO by
-//! construction, so the transport cannot reorder), plus the time-domain
-//! faults that matter to supervision: **stalls** (the proxy freezes for
-//! a wall-clock window) and **kills** (the proxy panics after servicing
-//! a given number of operations, deterministically reproducible because
+//! real threads: drop / duplication / corruption Bernoulli draws
+//! (reordering is omitted — the wire rings are FIFO by construction, so
+//! the transport cannot reorder), plus the time-domain faults that
+//! matter to supervision: **stalls** (the proxy freezes for a
+//! wall-clock window) and **kills** (the proxy panics after servicing a
+//! given number of operations, deterministically reproducible because
 //! the trigger is an op count, not a clock).
 //!
 //! The rates are per *operation*, whatever the wire layer coalesces:
 //! every operation is judged once when it is first sent, and one that
 //! draws a verdict travels in a wire frame of its own, so the verdict
 //! touches nothing else (a retransmitted frame is one packet and is
-//! judged once). The per-packet draws
-//! come from the shared fate core
-//! ([`mproxy_model::fate`]), one [`SplitMix64`] stream per *sending*
-//! node (`seed ^ node·φ`), so each proxy's fault stream is a pure
-//! function of the seed and of how many packets that proxy has judged.
-//! Cross-node interleaving is still scheduler-dependent — these are real
-//! threads — which is exactly the nondeterminism the chaos harness is
-//! meant to soak; the per-node streams keep any *single* proxy's fate
-//! sequence reproducible.
+//! judged once, like one operation).
 //!
-//! When no plan is installed the cluster carries `None` and the hot path
-//! pays one never-taken branch per loop; with a benign plan installed a
-//! verdict costs what `perfbench`'s `fault.judge_ns` probe reports.
+//! The injector is proxy state: `start` splits the plan into one
+//! `NodeFaults` per node, kept in its `NodeState` and read by its proxy
+//! alone — the node's [`SplitMix64`] stream (`seed ^ node·φ`, over the
+//! fate core [`mproxy_model::fate`]) and its kills and stall windows,
+//! each list with a cursor. `NodeState` outlives a panic, so a respawned
+//! loop resumes the same stream and fires no kill twice: a proxy's fate
+//! sequence is a pure function of the seed and of how many transmissions
+//! it has judged (cross-node interleaving is the scheduler's — the
+//! nondeterminism the chaos harness soaks). What was injected is counted
+//! once, in the node's telemetry scope; [`crate::RtCluster::fault_counts`]
+//! sums the nodes.
+//!
+//! With no plan every node carries `None` and the hot path pays one
+//! never-taken branch per loop; a benign plan's verdict costs what
+//! `perfbench`'s `fault.judge_ns` probe reports.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 use mproxy_model::fate::{check_probability, windows_overlap, Fate, PacketFates, SplitMix64};
@@ -70,8 +72,9 @@ pub struct RtKill {
 /// A seeded description of the faults to inject into a running cluster.
 ///
 /// Built with the fluent methods, installed via
-/// `RtClusterBuilder::fault_plan`; all probabilities are per transmitted
-/// data packet and independent. Control traffic (acknowledgement
+/// `RtClusterBuilder::fault_plan`; all probabilities are per operation
+/// first sent (a re-sent frame is judged once, as one operation) and
+/// independent. Control traffic (acknowledgement
 /// watermarks and NACKs) is never judged — the injector models a
 /// lossy transport under a reliable protocol, not a broken protocol.
 ///
@@ -93,11 +96,11 @@ pub struct RtKill {
 pub struct RtFaultPlan {
     /// PRNG seed; per-node streams are derived as `seed ^ node·φ`.
     pub seed: u64,
-    /// Per-packet Bernoulli fates (shared fate-core representation).
+    /// Per-operation Bernoulli fates (shared fate-core representation).
     pub fates: PacketFates,
     /// Proxy stall windows.
     pub stalls: Vec<RtStall>,
-    /// Deterministic proxy kills.
+    /// Deterministic proxy kills, by threshold.
     pub kills: Vec<RtKill>,
 }
 
@@ -113,7 +116,7 @@ impl RtFaultPlan {
         }
     }
 
-    /// Sets the per-packet drop probability.
+    /// Sets the per-operation drop probability.
     ///
     /// # Panics
     ///
@@ -124,7 +127,7 @@ impl RtFaultPlan {
         self
     }
 
-    /// Sets the per-packet duplication probability.
+    /// Sets the per-operation duplication probability.
     ///
     /// # Panics
     ///
@@ -135,7 +138,7 @@ impl RtFaultPlan {
         self
     }
 
-    /// Sets the per-packet payload-corruption probability.
+    /// Sets the per-operation payload-corruption probability.
     ///
     /// # Panics
     ///
@@ -208,160 +211,123 @@ impl RtFaultPlan {
         self
     }
 
-    /// Largest node index the plan references, if any (for validation
-    /// against the cluster size at start).
-    #[must_use]
-    fn max_node(&self) -> Option<usize> {
-        self.stalls
-            .iter()
-            .map(|s| s.node)
-            .chain(self.kills.iter().map(|k| k.node))
-            .max()
+    /// Splits the plan into the injector state of each node of an
+    /// `nodes`-node cluster, in node order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a kill or stall names a node the cluster lacks.
+    pub(crate) fn split(&self, nodes: usize) -> Vec<NodeFaults> {
+        let named = self.stalls.iter().map(|s| s.node);
+        if let Some(max) = named.chain(self.kills.iter().map(|k| k.node)).max() {
+            assert!(max < nodes, "fault plan references node {max} of {nodes}");
+        }
+        let mut split: Vec<NodeFaults> = (0..nodes)
+            .map(|node| NodeFaults {
+                fates: self.fates,
+                rng: SplitMix64::new(self.seed ^ (node as u64).wrapping_mul(PHI)),
+                kills: Vec::new(),
+                next_kill: 0,
+                stalls: Vec::new(),
+                next_stall: 0,
+            })
+            .collect();
+        for k in &self.kills {
+            split[k.node].kills.push(k.after_ops);
+        }
+        for &s in &self.stalls {
+            split[s.node].stalls.push(s);
+        }
+        // In firing order, however the plan's public lists were built.
+        for f in &mut split {
+            f.kills.sort_unstable();
+            f.stalls.sort_by_key(|s| s.start);
+        }
+        split
     }
 }
 
 /// Counters of injected runtime faults, for reports and the chaos
-/// harness's sanity assertions ("the injector actually fired").
+/// harness's sanity assertions ("the injector actually fired"): the sums
+/// over every node of its telemetry counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RtFaultCounts {
-    /// Data packets judged.
+    /// Transmissions judged: operations first sent, frames re-sent.
     pub packets: u64,
-    /// Data packets dropped at the sending proxy.
+    /// Transmissions dropped at the sending proxy.
     pub dropped: u64,
-    /// Data packets transmitted twice.
+    /// Transmissions sent twice (a dropped one counts only as dropped).
     pub duplicated: u64,
-    /// Data packets delivered with the corrupt flag set.
+    /// Transmissions delivered with the corrupt flag set (likewise).
     pub corrupted: u64,
-    /// Proxy kills fired.
-    pub kills: u64,
     /// Stall windows served.
     pub stalls: u64,
 }
 
-/// What a stall check asks the proxy to do right now.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct StallOrder {
-    pub remaining: Duration,
-    pub interruptible: bool,
-}
-
-/// Live injector state shared by every proxy thread.
+/// One node's share of an [`RtFaultPlan`], kept in its `NodeState` and
+/// read and advanced by its proxy alone.
 #[derive(Debug)]
-pub(crate) struct RtFaultState {
-    plan: RtFaultPlan,
-    rngs: Vec<Mutex<SplitMix64>>,
-    kill_fired: Vec<AtomicBool>,
-    stall_done: Vec<AtomicBool>,
-    packets: AtomicU64,
-    dropped: AtomicU64,
-    duplicated: AtomicU64,
-    corrupted: AtomicU64,
-    kills: AtomicU64,
-    stalls: AtomicU64,
+pub(crate) struct NodeFaults {
+    fates: PacketFates,
+    /// The node's fate stream, `seed ^ node·φ`.
+    rng: SplitMix64,
+    /// The node's kill thresholds, ascending; those before `next_kill`
+    /// have fired.
+    kills: Vec<u64>,
+    next_kill: usize,
+    /// The node's stall windows by start; those before `next_stall`
+    /// were served, or passed while nobody looked.
+    stalls: Vec<RtStall>,
+    next_stall: usize,
 }
 
-impl RtFaultState {
-    pub(crate) fn new(plan: RtFaultPlan, nodes: usize) -> RtFaultState {
-        if let Some(max) = plan.max_node() {
-            assert!(max < nodes, "fault plan references node {max} of {nodes}");
-        }
-        RtFaultState {
-            rngs: (0..nodes)
-                .map(|n| Mutex::new(SplitMix64::new(plan.seed ^ (n as u64).wrapping_mul(PHI))))
-                .collect(),
-            kill_fired: plan.kills.iter().map(|_| AtomicBool::new(false)).collect(),
-            stall_done: plan.stalls.iter().map(|_| AtomicBool::new(false)).collect(),
-            packets: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            duplicated: AtomicU64::new(0),
-            corrupted: AtomicU64::new(0),
-            kills: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
-            plan,
-        }
-    }
-
-    /// True if no per-packet fault can ever fire — lets the send path
-    /// skip the RNG entirely for stall/kill-only plans.
+impl NodeFaults {
+    /// True if no per-operation fault can ever fire — lets the send path
+    /// skip the stream entirely for stall/kill-only plans.
     pub(crate) fn packet_faults_possible(&self) -> bool {
-        !self.plan.fates.is_benign()
+        !self.fates.is_benign()
     }
 
-    /// Judges one outgoing data packet from `node` and counts what was
-    /// injected. The node's own proxy is the only caller, so the mutex
-    /// is uncontended.
-    pub(crate) fn judge(&self, node: usize) -> Fate {
-        let fate = self
-            .plan
-            .fates
-            .judge(&mut self.rngs[node].lock().unwrap_or_else(|e| e.into_inner()));
-        self.packets.fetch_add(1, Ordering::Relaxed);
-        if fate.drop {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        } else {
-            if fate.duplicate {
-                self.duplicated.fetch_add(1, Ordering::Relaxed);
-            }
-            if fate.corrupt {
-                self.corrupted.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        fate
+    /// Judges one transmission: the next verdict of the node's stream.
+    pub(crate) fn judge(&mut self) -> Fate {
+        self.fates.judge(&mut self.rng)
     }
 
-    /// If a kill is due on `node` given its cumulative op count, marks
-    /// it fired and returns its threshold (at most one kill per call, so
-    /// each respawn can be killed again by a later entry).
-    pub(crate) fn kill_due(&self, node: usize, ops: u64) -> Option<u64> {
-        for (i, k) in self.plan.kills.iter().enumerate() {
-            if k.node == node
-                && ops >= k.after_ops
-                && !self.kill_fired[i].swap(true, Ordering::Relaxed)
-            {
-                self.kills.fetch_add(1, Ordering::Relaxed);
-                return Some(k.after_ops);
-            }
-        }
-        None
+    /// If the next kill is due at the node's cumulative op count `ops`,
+    /// moves the cursor past it and returns its threshold. The cursor
+    /// moves before the caller panics, so the respawned loop, re-entering
+    /// this state, does not fire it again; at most one kill per call, so
+    /// each respawn can be killed again by a later one.
+    pub(crate) fn kill_due(&mut self, ops: u64) -> Option<u64> {
+        let after_ops = *self.kills.get(self.next_kill).filter(|&&t| ops >= t)?;
+        self.next_kill += 1;
+        Some(after_ops)
     }
 
-    /// If `node` sits inside an unserved stall window at `now_ns` since
-    /// cluster start, marks the window served and returns how long to
-    /// freeze (the remainder of the window).
-    pub(crate) fn stall_due(&self, node: usize, now_ns: u64) -> Option<StallOrder> {
+    /// If `now_ns` since cluster start falls inside the next stall
+    /// window, serves it: returns how long to freeze (the remainder of
+    /// the window) and whether the stop signal cuts that short. The
+    /// proxy's clock only moves forward, so a window it passed without
+    /// looking (busy, or dead, through all of it) is skipped for good.
+    pub(crate) fn stall_due(&mut self, now_ns: u64) -> Option<(Duration, bool)> {
         let ns = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
-        for (i, s) in self.plan.stalls.iter().enumerate() {
+        while let Some(s) = self.stalls.get(self.next_stall) {
+            if now_ns < ns(s.start) {
+                return None;
+            }
+            self.next_stall += 1;
             let end_ns = ns(s.start + s.dur);
-            if s.node == node
-                && (ns(s.start)..end_ns).contains(&now_ns)
-                && !self.stall_done[i].swap(true, Ordering::Relaxed)
-            {
-                self.stalls.fetch_add(1, Ordering::Relaxed);
-                return Some(StallOrder {
-                    remaining: Duration::from_nanos(end_ns - now_ns),
-                    interruptible: s.interruptible,
-                });
+            if now_ns < end_ns {
+                return Some((Duration::from_nanos(end_ns - now_ns), s.interruptible));
             }
         }
         None
     }
 
-    /// Whether any time-domain fault is configured (gates the per-loop
-    /// clock check).
+    /// Whether a kill or a stall is still to come (gates the per-pass
+    /// op-count read).
     pub(crate) fn has_timed_faults(&self) -> bool {
-        !self.plan.stalls.is_empty() || !self.plan.kills.is_empty()
-    }
-
-    /// Snapshot of the injection counters.
-    pub(crate) fn counts(&self) -> RtFaultCounts {
-        RtFaultCounts {
-            packets: self.packets.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            duplicated: self.duplicated.load(Ordering::Relaxed),
-            corrupted: self.corrupted.load(Ordering::Relaxed),
-            kills: self.kills.load(Ordering::Relaxed),
-            stalls: self.stalls.load(Ordering::Relaxed),
-        }
+        self.next_kill < self.kills.len() || self.next_stall < self.stalls.len()
     }
 }
 
@@ -372,29 +338,44 @@ mod tests {
     #[test]
     fn per_node_streams_are_independent_and_seeded() {
         let plan = RtFaultPlan::new(9).drop(0.5);
-        let (a, b) = (
-            RtFaultState::new(plan.clone(), 2),
-            RtFaultState::new(plan, 2),
-        );
-        let fa: Vec<Fate> = (0..50).map(|_| a.judge(0)).collect();
-        let fb: Vec<Fate> = (0..50).map(|_| b.judge(0)).collect();
+        let (mut a, mut b) = (plan.split(2), plan.split(2));
+        let fa: Vec<Fate> = (0..50).map(|_| a[0].judge()).collect();
+        let fb: Vec<Fate> = (0..50).map(|_| b[0].judge()).collect();
         assert_eq!(fa, fb, "same seed, same per-node stream");
         // Node 1's stream differs from node 0's.
-        let f1: Vec<Fate> = (0..50).map(|_| a.judge(1)).collect();
+        let f1: Vec<Fate> = (0..50).map(|_| a[1].judge()).collect();
         assert_ne!(fa, f1);
+    }
+
+    #[test]
+    fn a_nodes_fates_are_its_seeded_stream_whatever_its_peers_draw() {
+        // The stream each node judges from is `PacketFates::judge` over
+        // `SplitMix64::new(seed ^ node·φ)`, as before the streams moved
+        // into the nodes: node 1's draws, however many, move none of
+        // node 0's.
+        let plan = RtFaultPlan::new(1997).drop(0.3).duplicate(0.2).corrupt(0.1);
+        let mut reference = SplitMix64::new(1997 ^ 0u64.wrapping_mul(PHI));
+        let mut faults = plan.split(2);
+        for i in 0..200 {
+            for _ in 0..i % 7 {
+                faults[1].judge();
+            }
+            let expected = plan.fates.judge(&mut reference);
+            assert_eq!(faults[0].judge(), expected, "draw {i}");
+        }
     }
 
     #[test]
     fn kills_fire_once_each_in_order() {
         let plan = RtFaultPlan::new(0).kill(1, 100).kill(1, 50);
-        let st = RtFaultState::new(plan, 2);
-        assert_eq!(st.kill_due(0, 1_000), None, "other nodes unaffected");
-        assert_eq!(st.kill_due(1, 49), None);
-        assert_eq!(st.kill_due(1, 60), Some(50), "lowest threshold first");
-        assert_eq!(st.kill_due(1, 60), None, "second kill not yet due");
-        assert_eq!(st.kill_due(1, 120), Some(100), "fires at its threshold");
-        assert_eq!(st.kill_due(1, 1_000_000), None, "each fires once");
-        assert_eq!(st.counts().kills, 2);
+        let mut st = plan.split(2);
+        assert_eq!(st[0].kill_due(1_000), None, "other nodes unaffected");
+        assert_eq!(st[1].kill_due(49), None);
+        assert_eq!(st[1].kill_due(60), Some(50), "lowest threshold first");
+        assert_eq!(st[1].kill_due(60), None, "second kill not yet due");
+        assert_eq!(st[1].kill_due(120), Some(100), "fires at its threshold");
+        assert_eq!(st[1].kill_due(1_000_000), None, "each fires once");
+        assert!(!st[1].has_timed_faults(), "both kills fired");
     }
 
     #[test]
@@ -402,16 +383,46 @@ mod tests {
         let plan = RtFaultPlan::new(0)
             .stall(0, Duration::from_millis(10), Duration::from_millis(20))
             .wedge(1, Duration::ZERO, Duration::from_millis(5));
-        let st = RtFaultState::new(plan, 2);
+        let mut st = plan.split(2);
         const MS: u64 = 1_000_000;
-        assert_eq!(st.stall_due(0, 5 * MS), None);
-        let o = st.stall_due(0, 15 * MS).unwrap();
-        assert_eq!(o.remaining, Duration::from_millis(15));
-        assert!(o.interruptible);
-        assert_eq!(st.stall_due(0, 16 * MS), None);
-        let w = st.stall_due(1, 0).unwrap();
-        assert!(!w.interruptible);
-        assert_eq!(st.counts().stalls, 2);
+        assert_eq!(st[0].stall_due(5 * MS), None);
+        let (remaining, interruptible) = st[0].stall_due(15 * MS).unwrap();
+        assert_eq!(remaining, Duration::from_millis(15));
+        assert!(interruptible);
+        assert_eq!(st[0].stall_due(16 * MS), None);
+        let (_, interruptible) = st[1].stall_due(0).unwrap();
+        assert!(!interruptible);
+        assert!(st.iter().all(|f| !f.has_timed_faults()), "both served");
+    }
+
+    #[test]
+    fn stalls_serve_in_time_order_and_a_passed_window_is_skipped() {
+        const MS: u64 = 1_000_000;
+        let ms = Duration::from_millis;
+        let plan = RtFaultPlan::new(0)
+            .stall(0, ms(40), ms(10))
+            .stall(0, ms(20), ms(10))
+            .stall(0, ms(0), ms(10));
+        let mut st = plan.split(1).remove(0);
+        // The window at 0 passed unserved; the one at 20 ms is next.
+        let (remaining, _) = st.stall_due(25 * MS).expect("the window at 20 ms");
+        assert_eq!(remaining, ms(5));
+        assert_eq!(st.stall_due(35 * MS), None, "between windows");
+        let (remaining, _) = st.stall_due(40 * MS).expect("the window at 40 ms");
+        assert_eq!(remaining, ms(10));
+        assert!(!st.has_timed_faults());
+    }
+
+    #[test]
+    fn a_plan_built_field_by_field_fires_in_order() {
+        let kill = |after_ops| RtKill { node: 0, after_ops };
+        let plan = RtFaultPlan {
+            kills: vec![kill(100), kill(50)],
+            ..RtFaultPlan::new(0)
+        };
+        let mut st = plan.split(1).remove(0);
+        assert_eq!(st.kill_due(60), Some(50), "lowest threshold first");
+        assert_eq!(st.kill_due(120), Some(100));
     }
 
     #[test]
@@ -425,16 +436,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "references node")]
     fn plan_validated_against_cluster_size() {
-        let _ = RtFaultState::new(RtFaultPlan::new(0).kill(7, 10), 2);
+        let _ = RtFaultPlan::new(0).kill(7, 10).split(2);
     }
 
     #[test]
     fn benign_plan_counts_nothing() {
-        let st = RtFaultState::new(RtFaultPlan::new(3), 1);
+        let mut st = RtFaultPlan::new(3).split(1).remove(0);
         assert!(!st.packet_faults_possible());
         assert!(!st.has_timed_faults());
-        let f = st.judge(0);
+        let f = st.judge();
         assert!(!f.drop && !f.duplicate && !f.corrupt);
-        assert_eq!(st.counts().packets, 1);
+        // One judgement drew one verdict's five variates, nothing more.
+        let mut fresh = SplitMix64::new(3);
+        for _ in 0..5 {
+            fresh.next_u64();
+        }
+        assert_eq!(st.rng.next_u64(), fresh.next_u64());
     }
 }

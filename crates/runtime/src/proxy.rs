@@ -340,7 +340,7 @@ fn proxy_main(
         // it.
         let now_ns = shared.now_ns();
         load.tick(shared, node, now_ns);
-        if timed_faults(shared, node, now_ns) {
+        if timed_faults(shared, st, node, now_ns) {
             continue;
         }
         if shared.any_condemned.load(Ordering::Acquire) {
@@ -400,33 +400,31 @@ fn proxy_main(
 
 /// Injected time-domain faults: kills panic right here (the
 /// `catch_unwind` in [`run_proxy`] turns that into a recorded death);
-/// stalls freeze the loop wholesale, each traced as a `Stall` event
-/// carrying its remaining length in µs. True when the
+/// stalls freeze the loop wholesale, each counted and traced as a
+/// `Stall` event carrying its remaining length in µs. True when the
 /// node just sat out a stall, so the pass restarts on a fresh clock.
 #[inline]
-fn timed_faults(shared: &Shared, node: usize, now_ns: u64) -> bool {
-    let Some(faults) = &shared.faults else {
+fn timed_faults(shared: &Shared, st: &mut NodeState, node: usize, now_ns: u64) -> bool {
+    let Some(faults) = st.faults.as_mut().filter(|f| f.has_timed_faults()) else {
         return false;
     };
-    if !faults.has_timed_faults() {
-        return false;
-    }
     let ops = shared.ops_serviced[node].load(Ordering::Relaxed);
-    if let Some(threshold) = faults.kill_due(node, ops) {
+    if let Some(threshold) = faults.kill_due(ops) {
         panic!("injected kill: node {node} after {threshold} ops");
     }
-    let Some(order) = faults.stall_due(node, now_ns) else {
+    let Some((remaining, interruptible)) = faults.stall_due(now_ns) else {
         return false;
     };
     // Rare, so never sampled: a trace must show why the node went quiet.
-    let remaining_us = u32::try_from(order.remaining.as_micros()).unwrap_or(u32::MAX);
+    let remaining_us = u32::try_from(remaining.as_micros()).unwrap_or(u32::MAX);
+    shared.obs[node].inc(Ctr::Stalls);
     shared.obs[node].trace_at(now_ns, EventKind::Stall, node as u16, remaining_us);
-    if order.interruptible {
-        let _ = crate::idle::sleep_unless(order.remaining, &shared.stop);
+    if interruptible {
+        let _ = crate::idle::sleep_unless(remaining, &shared.stop);
     } else {
         // A wedge: models a proxy stuck in foreign code, deaf even to
         // the stop signal.
-        std::thread::sleep(order.remaining);
+        std::thread::sleep(remaining);
     }
     true
 }
@@ -452,7 +450,7 @@ fn purge_condemned(shared: &Shared, st: &mut NodeState, node: usize) {
             ccbs.remove(&token);
         }
         give_back_unsent(shared, tx);
-        tx.retained.reset(tx.retained.last() + 1);
+        tx.retained.abandon();
         tx.sent = tx.retained.last();
         // Nobody drains its ring: what it is owed is owed to no one.
         (rx[dst].ack_pending, rx[dst].nack_pending) = (false, false);

@@ -10,7 +10,6 @@
 //! name `proxy::tests::<case>`.
 
 use super::*;
-use crate::fault::RtFaultState;
 use crate::load::SAMPLE_PERIOD_NS;
 use crate::state::Lsync;
 use crate::wire::{Frame, RTO_NS};
@@ -26,18 +25,13 @@ const T0: u64 = 1_000;
 
 /// A stopped two-node cluster, one process (asid = node) on each.
 fn quiesced() -> Arc<Shared> {
-    quiesced_under(RtFaultPlan::new(0))
+    quiesced_with_owner().0
 }
 
-fn quiesced_under(plan: RtFaultPlan) -> Arc<Shared> {
-    quiesced_with_owner(plan).0
-}
-
-/// [`quiesced_under`], and the endpoint of `DST`'s process, which owns
-/// the queues the tests ENQ to.
-fn quiesced_with_owner(plan: RtFaultPlan) -> (Arc<Shared>, crate::Endpoint) {
+/// [`quiesced`], and the endpoint of `DST`'s process, which owns the
+/// queues the tests ENQ to.
+fn quiesced_with_owner() -> (Arc<Shared>, crate::Endpoint) {
     let mut b = RtClusterBuilder::new(2);
-    b.fault_plan(plan);
     b.add_process(SRC, 1 << 12);
     b.add_process(DST, 1 << 12);
     let (cluster, mut eps) = b.start();
@@ -49,7 +43,12 @@ fn quiesced_with_owner(plan: RtFaultPlan) -> (Arc<Shared>, crate::Endpoint) {
 }
 
 fn node_state() -> NodeState {
-    NodeState::new(2, 0)
+    NodeState::new(2, 0, None)
+}
+
+/// A fresh state of `node` under `plan`, as `start` makes it.
+fn node_state_under(plan: &RtFaultPlan, node: usize) -> NodeState {
+    NodeState::new(2, 0, plan.split(2).into_iter().nth(node))
 }
 
 /// The eight bytes `tag` in `SRC`'s segment, at an offset of their own.

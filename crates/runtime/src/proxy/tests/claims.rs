@@ -3,7 +3,7 @@
 
 #[test]
 fn a_reply_ring_is_made_by_the_first_enq_to_its_queue_and_no_sooner() {
-    let (shared, owner) = quiesced_with_owner(RtFaultPlan::new(0));
+    let (shared, owner) = quiesced_with_owner();
     let no_ring = |p: &crate::cluster::ProcShared| p.queues.iter().all(|q| q.get().is_none());
     assert!(shared.procs.iter().all(|p| no_ring(p)), "a ring at start");
     // A place claimed, its ENQ not applied yet: the owner's dequeue finds
@@ -69,7 +69,7 @@ fn an_enq_that_fails_any_check_claims_no_place() {
 
 #[test]
 fn an_enq_to_a_full_queue_waits_at_the_head_of_its_ring_while_another_ring_is_served() {
-    let (shared, owner) = quiesced_with_owner(RtFaultPlan::new(0));
+    let (shared, owner) = quiesced_with_owner();
     let mut st = node_state();
     let dst = &shared.procs[DST];
     for i in 0..RQ_DEPTH {
@@ -101,7 +101,7 @@ fn an_enq_to_a_full_queue_waits_at_the_head_of_its_ring_while_another_ring_is_se
 
 #[test]
 fn a_duplicated_or_retransmitted_enq_uses_one_place() {
-    let (shared, owner) = quiesced_with_owner(RtFaultPlan::new(0));
+    let (shared, owner) = quiesced_with_owner();
     let (mut src, mut dst) = (node_state(), node_state());
     let (mut tx, mut seat) = queues(1);
     enq(&shared, &mut src, &mut tx[0], &mut seat, false);

@@ -1,5 +1,6 @@
-// Timed readings of the one clock: the load sampler, the overload
-// warning and the edges of a stall window.
+// Timed readings of the one clock and the timed faults: the load
+// sampler, the overload warning, the edges of a stall window and a kill
+// across a respawn.
 
 #[test]
 fn load_sampler_charges_busy_passes_up_to_the_next_reading_and_samples_each_period() {
@@ -66,14 +67,48 @@ fn stall_fires_from_its_windows_first_ns_and_not_at_its_end() {
     let plan = RtFaultPlan::new(0)
         .stall(SRC, Duration::from_millis(10), Duration::from_millis(20))
         .wedge(DST, Duration::from_millis(10), Duration::from_millis(20));
-    let faults = RtFaultState::new(plan, 2);
-    assert_eq!(faults.stall_due(SRC, 10 * MS - 1), None);
-    assert_eq!(faults.stall_due(SRC, 30 * MS), None, "the end is outside");
-    let first = faults.stall_due(SRC, 10 * MS).expect("first ns inside");
-    assert_eq!(first.remaining, Duration::from_millis(20));
-    assert_eq!(faults.stall_due(DST, 30 * MS), None);
-    let last = faults.stall_due(DST, 30 * MS - 1).expect("last ns inside");
-    assert_eq!(last.remaining, Duration::from_nanos(1));
-    assert!(!last.interruptible);
-    assert_eq!(faults.counts().stalls, 2);
+    // The proxy's clock only moves forward, so each reading probes a
+    // node's injector as `start` made it.
+    let fresh = |node| plan.split(2).swap_remove(node);
+    assert_eq!(fresh(SRC).stall_due(10 * MS - 1), None);
+    assert_eq!(fresh(SRC).stall_due(30 * MS), None, "the end is outside");
+    let first = fresh(SRC).stall_due(10 * MS).expect("first ns inside");
+    assert_eq!(first.0, Duration::from_millis(20), "the whole window");
+    assert_eq!(fresh(DST).stall_due(30 * MS), None);
+    let (remaining, interruptible) = fresh(DST).stall_due(30 * MS - 1).expect("last ns inside");
+    assert_eq!(remaining, Duration::from_nanos(1));
+    assert!(!interruptible);
+    // The proxy's phase serves each window once, counted on its node.
+    let shared = quiesced();
+    for node in [SRC, DST] {
+        let mut st = node_state_under(&plan, node);
+        assert!(timed_faults(&shared, &mut st, node, 30 * MS - 1));
+        assert!(!timed_faults(&shared, &mut st, node, 30 * MS - 1));
+        assert_eq!(shared.obs[node].get(Ctr::Stalls), 1, "node {node}");
+    }
+}
+
+#[test]
+fn a_kill_fires_once_on_the_state_its_respawn_reenters() {
+    // A respawned loop re-enters the `NodeState` the panic left: the
+    // kill that fired is behind its cursor, and the next one fires at
+    // its own threshold.
+    let shared = quiesced();
+    let plan = RtFaultPlan::new(0).kill(SRC, 10).kill(SRC, 20);
+    let mut st = node_state_under(&plan, SRC);
+    let mut pass_at = |ops: u64| {
+        shared.ops_serviced[SRC].store(ops, Ordering::Relaxed);
+        let pass = || timed_faults(&shared, &mut st, SRC, T0);
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(pass))
+            .err()
+            .map(|reason| *reason.downcast::<String>().expect("a message"))
+    };
+    assert_eq!(pass_at(9), None);
+    let first = pass_at(10).expect("the first kill");
+    assert!(first.ends_with("after 10 ops"), "{first}");
+    assert_eq!(pass_at(10), None, "the respawn is not killed again");
+    assert_eq!(pass_at(19), None);
+    let second = pass_at(20).expect("the second kill");
+    assert!(second.ends_with("after 20 ops"), "{second}");
+    assert_eq!(pass_at(u64::MAX), None, "each fires once");
 }

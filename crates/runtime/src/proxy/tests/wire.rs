@@ -1,5 +1,6 @@
 // Frames on the wire: a frame's round trip, the CCBs a purge cancels,
-// a faulted operation's frame of its own, the RTO's boundary, a pause
+// a faulted operation's frame of its own, the RTO's boundary, a re-send
+// the ring refuses, a pause
 // short of it, frames and acks a full ring refuses, and the one payload
 // buffer of a frame — when its bytes are taken, what a faulted
 // operation's frame leaves the one ahead, and what an ENQ keeps.
@@ -75,15 +76,15 @@ fn operation_that_draws_a_fault_travels_in_a_frame_of_its_own() {
     // times however they coalesce, and a verdict falls on one operation's
     // frame, never on the neighbours that shared its burst.
     const N: u64 = 200;
-    let shared = quiesced_under(RtFaultPlan::new(7).drop(0.05));
-    let mut src = node_state();
+    let shared = quiesced();
+    let mut src = node_state_under(&RtFaultPlan::new(7).drop(0.05), SRC);
     for i in 0..N {
         send_data(&shared, &mut src, SRC, T0, DST, put(&shared, i as u8), None, 0);
     }
     flush_frames(&shared, &mut src, SRC, T0);
-    let counts = shared.faults.as_ref().expect("plan installed").counts();
-    assert_eq!(counts.packets, N, "one judgement per operation");
-    assert!(counts.dropped > 0, "the plan must have bitten");
+    let (obs, dropped) = (&shared.obs[SRC], shared.obs[SRC].get(Ctr::FaultsDropped));
+    assert_eq!(obs.get(Ctr::FaultsJudged), N, "one judgement per operation");
+    assert!(dropped > 0, "the plan must have bitten");
     let on_the_wire: Vec<u64> = std::iter::from_fn(|| shared.wires[DST].try_pop())
         .map(|m| match m {
             WireMsg::Data { seq, .. } => seq,
@@ -97,7 +98,7 @@ fn operation_that_draws_a_fault_travels_in_a_frame_of_its_own() {
         .iter()
         .filter(|(seq, _)| !on_the_wire.contains(seq))
         .collect();
-    assert_eq!(lost.len() as u64, counts.dropped);
+    assert_eq!(lost.len() as u64, dropped);
     assert!(
         lost.iter().all(|&frame| ops(frame) == 1),
         "a dropped frame is one op"
@@ -135,6 +136,31 @@ fn retention_is_resent_exactly_once_when_the_rto_expires_and_not_a_ns_before() {
     retransmit(&shared, &mut src, SRC, T0 + 2 * RTO_NS - 1);
     assert!(shared.wires[DST].is_empty());
     assert_eq!(obs.get(Ctr::Retransmits), before + 1);
+}
+
+#[test]
+fn a_resend_the_ring_refuses_injects_no_fault() {
+    // Every re-send draws a duplicate verdict, but the one the full ring
+    // refuses never left: neither ledger counts it.
+    let shared = quiesced();
+    let obs = &shared.obs[SRC];
+    let mut src = node_state_under(&RtFaultPlan::new(0).duplicate(1.0), SRC);
+    close(&shared, &mut src, 1, Fate::default());
+    assert!(flush_frames(&shared, &mut src, SRC, T0));
+    drain(&shared, DST); // the wire loses it
+    fill(&shared, DST);
+    retransmit(&shared, &mut src, SRC, T0 + RTO_NS);
+    let ledgers = || {
+        let kinds = [Ctr::FaultsInjected, Ctr::FaultsDuplicated];
+        (obs.get(Ctr::FaultsJudged), kinds.map(|c| obs.get(c)))
+    };
+    assert_eq!(obs.get(Ctr::Retransmits), 0, "the ring refused it");
+    assert_eq!(ledgers(), (0, [0, 0]));
+    // Once the ring has room, the next re-send goes, twice, and counts.
+    drain(&shared, DST);
+    retransmit(&shared, &mut src, SRC, T0 + 2 * RTO_NS);
+    assert_eq!(drain(&shared, DST).len(), 2, "the frame and its duplicate");
+    assert_eq!(ledgers(), (1, [1, 1]));
 }
 
 #[test]
@@ -366,8 +392,8 @@ fn a_get_reply_is_taken_before_a_later_write_of_the_same_drain() {
 #[test]
 fn a_faulted_operation_leaves_the_frame_ahead_of_it_all_of_its_own_bytes() {
     const N: u8 = 200;
-    let shared = quiesced_under(RtFaultPlan::new(7).drop(0.05));
-    let mut src = node_state();
+    let shared = quiesced();
+    let mut src = node_state_under(&RtFaultPlan::new(7).drop(0.05), SRC);
     for tag in 0..N {
         send_data(&shared, &mut src, SRC, T0, DST, put(&shared, tag), None, 0);
     }
@@ -396,7 +422,7 @@ fn a_faulted_operation_leaves_the_frame_ahead_of_it_all_of_its_own_bytes() {
 
 #[test]
 fn an_enq_in_its_queue_outlives_every_reference_to_its_frame_and_shares_none() {
-    let (shared, owner) = quiesced_with_owner(RtFaultPlan::new(0));
+    let (shared, owner) = quiesced_with_owner();
     let (mut src, mut dst) = (node_state(), node_state());
     assert!(shared.procs[DST].claim(0));
     let enq = Payload::Enq {

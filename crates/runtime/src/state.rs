@@ -31,6 +31,7 @@ use bytes::Bytes;
 use mproxy_model::fate::Fate;
 use mproxy_model::link::{Reorder, Retention};
 
+use crate::fault::NodeFaults;
 use crate::proxy::PENDING_CAP;
 use crate::wire::{Frame, Payload, Source};
 
@@ -244,14 +245,16 @@ impl RxPeer {
 
 /// Everything a node's proxy knows that must survive a panic of its
 /// service loop: protocol watermarks, retention buffers (with what has
-/// not reached each peer's ring yet), CCBs. Owned by the node's proxy
-/// thread ([`crate::proxy::run_proxy`]).
+/// not reached each peer's ring yet), CCBs, its share of the fault plan.
+/// Owned by the node's proxy thread ([`crate::proxy::run_proxy`]).
 pub(crate) struct NodeState {
     pub(crate) next_token: u64,
     pub(crate) ccbs: HashMap<u64, CcbGet>,
     pub(crate) tx: Vec<TxPeer>,
     pub(crate) rx: Vec<RxPeer>,
     pub(crate) ticks: ObsTicks,
+    /// This node's share of the installed fault plan, if any.
+    pub(crate) faults: Option<NodeFaults>,
 }
 
 /// Decimation ticks of the proxy's sampled telemetry sites (see
@@ -272,13 +275,14 @@ pub(crate) struct ObsTicks {
 }
 
 impl NodeState {
-    pub(crate) fn new(nodes: usize, now_ns: u64) -> NodeState {
+    pub(crate) fn new(nodes: usize, now_ns: u64, faults: Option<NodeFaults>) -> NodeState {
         NodeState {
             next_token: 0,
             ccbs: HashMap::new(),
             tx: (0..nodes).map(|_| TxPeer::new(now_ns)).collect(),
             rx: (0..nodes).map(|_| RxPeer::new()).collect(),
             ticks: ObsTicks::default(),
+            faults,
         }
     }
 

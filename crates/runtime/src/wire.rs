@@ -85,9 +85,10 @@ use std::sync::Arc;
 use bytes::Bytes;
 use mproxy_model::fate::Fate;
 use mproxy_model::link::Parked;
-use mproxy_obs::{Ctr, EventKind, HistId};
+use mproxy_obs::{Ctr, EventKind, HistId, Scope as ObsScope};
 
 use crate::cluster::{sampled, Shared};
+use crate::fault::NodeFaults;
 use crate::mem::Segment;
 use crate::proxy::apply_data;
 use crate::state::{Lsync, NodeState, Retained, RxPeer, TxPeer};
@@ -290,12 +291,27 @@ fn offer(shared: &Shared, dst: usize, msg: WireMsg) -> bool {
     taken
 }
 
-/// The injector's verdict on one transmission from `node`; clean when no
-/// installed plan can fault a packet.
-fn judge(shared: &Shared, node: usize) -> Fate {
-    match &shared.faults {
-        Some(faults) if faults.packet_faults_possible() => faults.judge(node),
-        _ => Fate::default(),
+/// The node's injector's verdict on one transmission; `None` when no
+/// installed plan can fault a packet, so nothing is judged.
+fn judge(faults: &mut Option<NodeFaults>) -> Option<Fate> {
+    faults
+        .as_mut()
+        .filter(|f| f.packet_faults_possible())
+        .map(NodeFaults::judge)
+}
+
+/// Counts one judged transmission's verdict once, in the sending node's
+/// scope (a dropped one only as dropped).
+fn count_verdict(obs: &ObsScope, fate: Fate) {
+    obs.inc(Ctr::FaultsJudged);
+    let kinds = [
+        (faulted(fate), Ctr::FaultsInjected),
+        (fate.drop, Ctr::FaultsDropped),
+        (!fate.drop && fate.duplicate, Ctr::FaultsDuplicated),
+        (!fate.drop && fate.corrupt, Ctr::FaultsCorrupted),
+    ];
+    for (_, c) in kinds.iter().filter(|k| k.0) {
+        obs.inc(*c);
     }
 }
 
@@ -340,7 +356,11 @@ pub(crate) fn send_data(
         give_back(shared, &body);
         return;
     }
-    let fate = judge(shared, node);
+    let judged = judge(&mut st.faults);
+    if let Some(fate) = judged {
+        count_verdict(&shared.obs[node], fate);
+    }
+    let fate = judged.unwrap_or_default();
     if faulted(fate) {
         // Closed before this operation stages a byte, so the frame ahead
         // keeps a buffer of its own bytes only.
@@ -384,7 +404,6 @@ fn transmit_frame(
         obs.add(Ctr::MsgsOut, body.len() as u64);
         obs.add(Ctr::BytesOut, frame_bytes(&body));
         if faulted(fate) {
-            obs.inc(Ctr::FaultsInjected);
             let kind = if fate.drop {
                 EventKind::FaultDrop
             } else if fate.corrupt {
@@ -619,10 +638,13 @@ pub(crate) fn handle_packet(
 
 /// Re-sends `frames` (retained copies) from `node` straight into `dst`'s
 /// ring, each — one packet, however many operations — judged once by the
-/// fault injector; stops early when the ring fills (what is left is recovered by a
-/// later NACK or the RTO). Counts and traces what it re-sent.
+/// node's fault injector; stops early when the ring fills (what is left
+/// is recovered by a later NACK or the RTO). Counts and traces what it
+/// re-sent, and the verdicts of what was dropped or reached the ring: a
+/// refused frame spends its draw but never left.
 fn resend<'a>(
     shared: &Shared,
+    faults: &mut Option<NodeFaults>,
     node: usize,
     now_ns: u64,
     dst: usize,
@@ -631,17 +653,16 @@ fn resend<'a>(
     let obs = &shared.obs[node];
     let mut resent = 0u32;
     for (seq, r) in frames {
-        let fate = judge(shared, node);
-        if faulted(fate) {
-            obs.inc(Ctr::FaultsInjected);
-        }
-        if fate.drop {
-            continue; // the *retransmit* was dropped; a later pass retries
-        }
-        if !push_frame(shared, node, dst, seq, &r.body, fate) {
+        let judged = judge(faults);
+        let fate = judged.unwrap_or_default();
+        // A dropped *retransmit* is not pushed; a later pass retries.
+        if !fate.drop && !push_frame(shared, node, dst, seq, &r.body, fate) {
             break;
         }
-        resent += 1;
+        if let Some(fate) = judged {
+            count_verdict(obs, fate);
+        }
+        resent += u32::from(!fate.drop);
     }
     if resent > 0 {
         obs.add(Ctr::Retransmits, u64::from(resent));
@@ -660,7 +681,8 @@ fn resend<'a>(
 /// and a peer whose ring refused a first transmission would refuse them
 /// too.
 pub(crate) fn retransmit(shared: &Shared, st: &mut NodeState, node: usize, now_ns: u64) {
-    for (dst, tx) in st.tx.iter_mut().enumerate() {
+    let NodeState { tx, faults, .. } = st;
+    for (dst, tx) in tx.iter_mut().enumerate() {
         if tx.retained.is_empty() {
             tx.nacked.clear();
             continue;
@@ -671,20 +693,15 @@ pub(crate) fn retransmit(shared: &Shared, st: &mut NodeState, node: usize, now_n
         if now_ns.saturating_sub(tx.last_progress_ns) >= RTO_NS {
             tx.nacked.clear();
             tx.last_progress_ns = now_ns;
-            resend(
-                shared,
-                node,
-                now_ns,
-                dst,
-                tx.retained.iter().take(RESEND_BURST),
-            );
+            let burst = tx.retained.iter().take(RESEND_BURST);
+            resend(shared, faults, node, now_ns, dst, burst);
         } else if !tx.nacked.is_empty() {
             // A named frame already acknowledged is simply gone.
             let named = tx
                 .nacked
                 .iter()
                 .filter_map(|&seq| Some((seq, tx.retained.get(seq)?)));
-            resend(shared, node, now_ns, dst, named);
+            resend(shared, faults, node, now_ns, dst, named);
             tx.nacked.clear();
         }
     }
